@@ -178,7 +178,7 @@ func main() {
 	precondFlag := flag.String("precond", "auto",
 		"default iterative preconditioner: auto, jacobi, block-jacobi3, ic0, or none (per-request \"precond\" overrides)")
 	orderingFlag := flag.String("ordering", "auto",
-		"default IC0 factor ordering: auto, natural, rcm, or multicolor (per-request \"ordering\" overrides)")
+		"default IC0 factor ordering: auto, natural, or multicolor (per-request \"ordering\" overrides)")
 	precisionFlag := flag.String("precision", "auto",
 		"default IC0 factor storage precision: auto, float64, or float32 (per-request \"precision\" overrides)")
 	warmStart := flag.Bool("warm-start", true,

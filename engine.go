@@ -175,7 +175,7 @@ type EngineStats struct {
 	PrecondBuilds, PrecondHits int64
 	// OrderingCounts tallies iterative solves by the symmetric ordering
 	// their preconditioner factored under (keys are the
-	// solver.OrderingKind spellings: "natural", "rcm", "multicolor").
+	// solver.OrderingKind spellings: "natural", "multicolor").
 	// Orderings that never ran are omitted.
 	OrderingCounts map[string]int64
 	// PrecisionCounts tallies iterative solves by the storage precision of

@@ -75,7 +75,9 @@ type Problem struct {
 	// Opt configures the iterative solver, including the preconditioner
 	// (Opt.Precond, default solver.PrecondAuto).
 	Opt solver.Options
-	// Workers bounds the parallelism (0 = GOMAXPROCS).
+	// Workers bounds the parallelism (0 = GOMAXPROCS for assembly; the
+	// iterative solve then follows solver.DefaultWorkers, the default the
+	// OrderingAuto rule resolves against everywhere).
 	Workers int
 	// Assembly optionally supplies a prebuilt assemble-once snapshot of the
 	// reduced global system. The matrix depends only on the ROM content,
@@ -338,7 +340,7 @@ type assemblyPrecond struct {
 	ready bool
 }
 
-// AssemblyPrecond is the outcome of Assembly.Preconditioner.
+// AssemblyPrecond is the outcome of Assembly.PreconditionerPrec.
 type AssemblyPrecond struct {
 	// M is the shared preconditioner.
 	M solver.Preconditioner
@@ -361,55 +363,38 @@ type AssemblyPrecond struct {
 	Build time.Duration
 }
 
-// resolveOrdering resolves OrderingAuto for the reduced matrix at the given
-// worker count (0 = GOMAXPROCS), memoizing the O(nnz) level-width probe;
-// concrete kinds pass through untouched. Worker-awareness matters: the
-// batch engine splits the machine across concurrent chains, and a solve
-// handed one worker must keep the natural factor — multicolor's extra
-// iterations buy nothing without fan-out.
-func (a *Assembly) resolveOrdering(ord solver.OrderingKind, workers int) solver.OrderingKind {
-	if ord != solver.OrderingAuto {
-		return ord
-	}
-	// Cheap guards first, mirroring solver.ResolveOrderingFor: when they
-	// already decide, the O(nnz) probe is never paid at all.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || a.Red.Aff.NRows < solver.AutoMulticolorMinDoFs {
-		return solver.OrderingNatural
-	}
+// naturalLevelWidth returns the reduced matrix's natural-order level width
+// (solver.NaturalLevelWidth), memoizing the O(nnz) probe so the per-solve
+// OrderingAuto resolution pays it at most once per lattice.
+func (a *Assembly) naturalLevelWidth() int {
 	a.pmu.Lock()
 	known, width := a.widthKnown, a.naturalWidth
 	a.pmu.Unlock()
-	if !known {
-		// Probe outside the lock so a multi-second first lookup does not
-		// block concurrent Preconditioner requests for other kinds; the
-		// sweep is idempotent, so a concurrent double-compute is benign.
-		width = solver.NaturalLevelWidth(a.Red.Aff)
-		a.pmu.Lock()
-		a.widthKnown, a.naturalWidth = true, width
-		a.pmu.Unlock()
+	if known {
+		return width
 	}
-	return solver.OrderingFromWidth(ord, a.Red.Aff.NRows, width, workers)
+	// Probe outside the lock so a multi-second first lookup does not block
+	// concurrent PreconditionerPrec requests for other kinds; the sweep is
+	// idempotent, so a concurrent double-compute is benign.
+	width = solver.NaturalLevelWidth(a.Red.Aff)
+	a.pmu.Lock()
+	a.widthKnown, a.naturalWidth = true, width
+	a.pmu.Unlock()
+	return width
 }
 
-// Preconditioner returns the lattice's shared preconditioner for the
-// requested kind and ordering, building and caching it on first use; workers
-// is the requesting solve's parallelism (0 = GOMAXPROCS), consulted only by
-// the OrderingAuto resolution — a 1-worker solve keeps the natural factor.
-// Distinct (kind, ordering) pairs cache independently — the ordering
-// permutation lives inside the cached factor, so "the ordering + permuted
-// factor" is one entry; PrecondAuto and OrderingAuto resolve to concrete
-// values first so an explicit request for the resolved pair shares the same
-// entry. Only the factorizing kinds are ordering-sensitive; the Jacobi
-// family caches under OrderingNatural regardless of the requested ordering.
-func (a *Assembly) Preconditioner(kind solver.PrecondKind, ord solver.OrderingKind, workers int) (AssemblyPrecond, error) {
-	return a.PreconditionerPrec(kind, ord, solver.PrecisionAuto, workers)
-}
-
-// PreconditionerPrec is Preconditioner with an explicit factor-precision
-// request. Only the factorizing kinds are precision-sensitive: for IC0,
+// PreconditionerPrec returns the lattice's shared preconditioner for the
+// requested kind, ordering and factor precision, building and caching it on
+// first use; workers is the requesting solve's parallelism (0 =
+// solver.DefaultWorkers), consulted only by the OrderingAuto resolution
+// (solver.ResolveOrdering) — a 1-worker solve keeps the natural factor.
+// Distinct (kind, ordering, precision) triples cache independently — the
+// ordering permutation lives inside the cached factor, so "the ordering +
+// permuted factor" is one entry; PrecondAuto and OrderingAuto resolve to
+// concrete values first so an explicit request for the resolved pair shares
+// the same entry. Only the factorizing kinds are ordering-sensitive; the
+// Jacobi family caches under OrderingNatural regardless of the requested
+// ordering. Only the factorizing kinds are precision-sensitive: for IC0,
 // PrecisionAuto and PrecisionFloat32 build the identical factor (float32
 // storage exactly when the factor commits to the 3×3-tiled form) and so
 // share one cache entry, while PrecisionFloat64 caches separately — the
@@ -425,7 +410,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	// amortized threshold rather than the one-shot one.
 	resolved := kind.ResolveAmortized(a.Red.NFree())
 	if resolved == solver.PrecondIC0 {
-		ord = a.resolveOrdering(ord, workers)
+		ord = solver.ResolveOrdering(ord, a.Red.Aff.NRows, workers, a.naturalLevelWidth)
 		if prec == solver.PrecisionAuto {
 			prec = solver.PrecisionFloat32
 		}
@@ -446,7 +431,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	a.pmu.Unlock()
 	e.once.Do(func() {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		e.m, e.err = solver.NewPreconditionerPrec(resolved, ord, prec, a.Red.Aff)
+		e.m, e.err = solver.NewPreconditioner(resolved, ord, prec, a.Red.Aff)
 		e.build = time.Since(t0)
 	})
 	a.pmu.Lock()
@@ -719,7 +704,7 @@ func Solve(p *Problem) (*Solution, error) {
 	tSolve := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	opt := p.Opt
 	if opt.Workers == 0 {
-		opt.Workers = workers
+		opt.Workers = p.Workers
 	}
 	// Iterative solves draw their preconditioner from the assembly's
 	// per-kind cache: built on the lattice's first solve, shared by every

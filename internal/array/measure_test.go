@@ -16,7 +16,7 @@ import (
 // docs/SOLVER_TUNING.md and the reduced_global_precond section of
 // BENCH_global.json: PCG on the reduced global matrix at coarse resolution,
 // (5,5,5) nodes, Tol 1e-8, for each lattice size, preconditioner, and — for
-// IC0 — symmetric ordering (natural, RCM, multicolor). It reports the cold
+// IC0 — symmetric ordering (natural, multicolor). It reports the cold
 // solve (first solve on the lattice: preconditioner build + iterate), the
 // warm solve (assembly-cached preconditioner, the serving path's
 // per-scenario cost), and the factor's dependency-level shape (levels ×
@@ -49,7 +49,6 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 		{solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat32},
-		{solver.PrecondIC0, solver.OrderingRCM, solver.PrecisionAuto},
 		{solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto},
 	}
 	for _, size := range []int{6, 12, 18} {

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -64,14 +65,14 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jac, err := asm.Preconditioner(solver.PrecondJacobi, solver.OrderingAuto, 0)
+	jac, err := asm.PreconditionerPrec(solver.PrecondJacobi, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jac.Hit || jac.Build <= 0 {
 		t.Errorf("first jacobi request: hit=%v build=%v", jac.Hit, jac.Build)
 	}
-	ic, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, 0)
+	ic, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	if ic.M == jac.M {
 		t.Error("distinct kinds share one preconditioner")
 	}
-	again, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, 0)
+	again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	// what amortizes it) and must share the resolved kind's entry rather
 	// than cache a duplicate under PrecondAuto.
 	resolved := solver.PrecondKind(solver.PrecondAuto).ResolveAmortized(asm.NumFree())
-	want, err := asm.Preconditioner(resolved, solver.OrderingAuto, 0)
+	want, err := asm.PreconditionerPrec(resolved, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := asm.Preconditioner(solver.PrecondAuto, solver.OrderingAuto, 0)
+	auto, err := asm.PreconditionerPrec(solver.PrecondAuto, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingNatural, 0)
+	nat, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingMulticolor, 0)
+	mc, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 	if nat.Ordering != solver.OrderingNatural || mc.Ordering != solver.OrderingMulticolor {
 		t.Errorf("orderings recorded as %v, %v", nat.Ordering, mc.Ordering)
 	}
-	again, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingMulticolor, 0)
+	again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,12 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 	}
 	// Auto resolves to a concrete ordering (memoized per assembly) and must
 	// share that entry rather than cache a duplicate under OrderingAuto.
-	resolved := asm.resolveOrdering(solver.OrderingAuto, 0)
-	want, err := asm.Preconditioner(solver.PrecondIC0, resolved, 0)
+	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.Red.Aff.NRows, 0, asm.naturalLevelWidth)
+	want, err := asm.PreconditionerPrec(solver.PrecondIC0, resolved, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, 0)
+	auto, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 		t.Errorf("auto did not share the %v entry (hit=%v)", resolved, auto.Hit)
 	}
 	// Ordering-invariant kinds ignore the ordering: one entry for all.
-	j1, err := asm.Preconditioner(solver.PrecondBlockJacobi3, solver.OrderingNatural, 0)
+	j1, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := asm.Preconditioner(solver.PrecondBlockJacobi3, solver.OrderingMulticolor, 0)
+	j2, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingMulticolor, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestAssemblyPrecondConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := asm.Preconditioner(solver.PrecondBlockJacobi3, solver.OrderingAuto, 0)
+			r, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionAuto, 0)
 			if err != nil {
 				t.Error(err)
 				return
@@ -261,14 +262,14 @@ func TestAssemblyMemoryBytesCountsPreconds(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := asm.MemoryBytes()
-	if _, err := asm.Preconditioner(solver.PrecondIC0, solver.OrderingAuto, 0); err != nil {
+	if _, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0); err != nil {
 		t.Fatal(err)
 	}
 	afterIC := asm.MemoryBytes()
 	if afterIC <= before {
 		t.Errorf("MemoryBytes %d → %d did not grow after caching IC0", before, afterIC)
 	}
-	if _, err := asm.Preconditioner(solver.PrecondJacobi, solver.OrderingAuto, 0); err != nil {
+	if _, err := asm.PreconditionerPrec(solver.PrecondJacobi, solver.OrderingAuto, solver.PrecisionAuto, 0); err != nil {
 		t.Fatal(err)
 	}
 	if after := asm.MemoryBytes(); after <= afterIC {
@@ -288,7 +289,38 @@ func TestAssemblyPrecondRequiresFreeDoFs(t *testing.T) {
 	if !asm.AllBC {
 		t.Fatal("expected the all-constrained degenerate case")
 	}
-	if _, err := asm.Preconditioner(solver.PrecondAuto, solver.OrderingAuto, 0); err == nil {
+	if _, err := asm.PreconditionerPrec(solver.PrecondAuto, solver.OrderingAuto, solver.PrecisionAuto, 0); err == nil {
 		t.Error("Preconditioner on an all-BC assembly should error")
+	}
+}
+
+// TestAutoOrderingFollowsDefaultWorkers: with no explicit worker count the
+// assembly cache resolves OrderingAuto through the same rule as a bare
+// solve, at the tuning-aware solver.DefaultWorkers — not GOMAXPROCS. A host
+// whose tuning caps the solver at one worker must get the natural factor on
+// a multi-core machine, exactly as a bare PCG would.
+func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	defer solver.SetDefaultWorkers(solver.SetDefaultWorkers(1))
+	p := &Problem{ROM: buildROM(t, 4, true), Bx: 12, By: 12, DeltaT: -250, BC: ClampedTopBottom, Solver: GMRES}
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := asm.NumFree(); n < solver.AutoMulticolorMinDoFs {
+		t.Fatalf("lattice has %d free DoFs, want ≥ %d so the worker count decides", n, solver.AutoMulticolorMinDoFs)
+	}
+	ap, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap.Ordering != solver.OrderingNatural {
+		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want natural", ap.Ordering)
+	}
+	// Control: the same lattice handed 4 workers explicitly does switch, so
+	// the default — not the system — decided above.
+	if got := solver.ResolveOrdering(solver.OrderingAuto, asm.Red.Aff.NRows, 4, asm.naturalLevelWidth); got != solver.OrderingMulticolor {
+		t.Errorf("auto ordering at 4 workers resolved to %v, want multicolor", got)
 	}
 }

@@ -64,7 +64,7 @@ func TestBimetalCurvatureMatchesTimoshenko(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xf, _, err := solver.CG(red.Aff, red.RHS(deltaT, nil), nil, solver.Options{Tol: 1e-9, Workers: 8})
+	xf, _, err := solver.PCG(red.Aff, red.RHS(deltaT, nil), nil, solver.Options{Tol: 1e-9, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

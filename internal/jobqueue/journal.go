@@ -87,7 +87,15 @@ func toJobWire(j morestress.Job) jobWire {
 	}
 }
 
+// journaledRCM is the Ordering value the deleted reverse Cuthill–McKee IC0
+// ordering was journaled as. The solver keeps the value reserved; replay
+// re-runs such jobs under the natural ordering, the one RCM lost to.
+const journaledRCM morestress.Ordering = 2
+
 func (w jobWire) job() morestress.Job {
+	if w.Ordering == journaledRCM {
+		w.Ordering = morestress.OrderingNatural
+	}
 	return morestress.Job{
 		Config: w.Config, Rows: w.Rows, Cols: w.Cols,
 		DeltaT: w.DeltaT, GridSamples: w.GridSamples, Solver: w.Solver,

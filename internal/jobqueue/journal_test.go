@@ -337,6 +337,49 @@ func TestJobWireRoundTripsSolverOptions(t *testing.T) {
 	}
 }
 
+// TestRecoverMapsRetiredOrdering: journals written before the RCM ordering
+// was deleted carry its value 2. Replay must re-run those scenarios under the
+// natural ordering, while multicolor (3) keeps its value and meaning.
+func TestRecoverMapsRetiredOrdering(t *testing.T) {
+	dir := t.TempDir()
+	log1 := openJournal(t, dir)
+	rcm, mc := toJobWire(scenario(1)), toJobWire(scenario(2))
+	rcm.Ordering, mc.Ordering = 2, 3
+	rec, err := encodeRecord(recSubmit, submitRec{
+		ID: "old-job", Submitted: time.Now(), Scenarios: []jobWire{rcm, mc},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log1.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	log1.Close()
+
+	log2 := openJournal(t, dir)
+	var mu sync.Mutex
+	got := make(map[float64]morestress.Ordering)
+	record := func(ctx context.Context, sc morestress.Job) (*morestress.JobResult, error) {
+		mu.Lock()
+		got[sc.DeltaT] = sc.Options.Ordering
+		mu.Unlock()
+		return solveVM(ctx, sc)
+	}
+	q := newTestQueue(t, Options{Workers: 1, Journal: log2, Solve: record})
+	if st, err := q.Recover(); err != nil || st.Requeued != 1 {
+		t.Fatalf("recover = %+v, %v; want 1 requeued", st, err)
+	}
+	waitState(t, q, "old-job", StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if got[1] != morestress.OrderingNatural {
+		t.Errorf("journaled ordering 2 replayed as %v, want natural", got[1])
+	}
+	if got[2] != morestress.OrderingMulticolor {
+		t.Errorf("journaled ordering 3 replayed as %v, want multicolor", got[2])
+	}
+}
+
 func TestSubmitRegeneratesCollidingID(t *testing.T) {
 	ids := []string{"aaaa", "aaaa", "bbbb"}
 	calls := 0

@@ -422,6 +422,26 @@ func TestProxyProbeRecoversReplica(t *testing.T) {
 	}
 }
 
+// TestProxyRejectsRetiredOrdering: a request naming the deleted "rcm"
+// ordering derives no lattice key at the proxy, is forwarded raw, and comes
+// back as the replica's 400.
+func TestProxyRejectsRetiredOrdering(t *testing.T) {
+	ps, _ := testFleet(t, 2)
+	job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"ordering":"rcm"}`
+	for path, body := range map[string]string{
+		"/solve": job,
+		"/batch": `{"jobs":[` + job + `]}`,
+		"/jobs":  `{"jobs":[` + job + `]}`,
+	} {
+		var out map[string]string
+		if code := postJSON(t, ps.URL+path, body, &out); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", path, code)
+		} else if !strings.Contains(out["error"], "multicolor") {
+			t.Errorf("%s: error %q does not list the valid orderings", path, out["error"])
+		}
+	}
+}
+
 func TestSolveKeyCanonical(t *testing.T) {
 	proxy, err := NewProxy(ProxyOptions{Replicas: []string{"http://a", "http://b"}})
 	if err != nil {

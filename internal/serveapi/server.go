@@ -83,8 +83,8 @@ type JobRequest struct {
 	Precond string `json:"precond"`
 	// Ordering selects the IC0 factor ordering: "auto" (default, picks
 	// multicolor when the natural dependency levels are too narrow to fan
-	// out), "natural", "rcm", or "multicolor". Empty falls back to the
-	// server's -ordering flag.
+	// out), "natural", or "multicolor"; any other spelling is a 400 that
+	// lists these. Empty falls back to the server's -ordering flag.
 	Ordering string `json:"ordering"`
 	// Precision selects the IC0 factor storage precision: "auto" (default,
 	// float32 when the factor tiles), "float64"/"f64"/"double", or
@@ -445,7 +445,7 @@ type StatsResponse struct {
 		PrecondBuilds int64 `json:"precondBuilds"`
 		PrecondHits   int64 `json:"precondHits"`
 		// OrderingCounts tallies iterative solves by the symmetric
-		// ordering their preconditioner factored under ("natural", "rcm",
+		// ordering their preconditioner factored under ("natural",
 		// "multicolor"); orderings that never ran are omitted.
 		OrderingCounts map[string]int64 `json:"orderingCounts"`
 		// PrecisionCounts tallies iterative solves by the storage precision

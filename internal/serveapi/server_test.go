@@ -254,6 +254,36 @@ func TestSolvePrecondField(t *testing.T) {
 // TestSolveOrderingField: the per-request "ordering" field selects the IC0
 // factor ordering, the response names the concrete ordering the solve ran
 // under, and /stats tallies solves per ordering.
+// TestRetiredOrderingRejected: the deleted "rcm" ordering is an unknown
+// spelling on every submission endpoint — a 400 whose error lists the valid
+// orderings, so a client still sending it learns what to send instead.
+func TestRetiredOrderingRejected(t *testing.T) {
+	ts := testServer(t)
+	job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"ordering":"rcm"}`
+	for path, body := range map[string]string{
+		"/solve": job,
+		"/batch": `{"jobs":[` + job + `]}`,
+		"/jobs":  `{"jobs":[` + job + `]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil {
+			t.Errorf("%s: status %d (decode %v), want 400", path, resp.StatusCode, err)
+			continue
+		}
+		for _, valid := range []string{"auto", "natural", "multicolor"} {
+			if !strings.Contains(out["error"], valid) {
+				t.Errorf("%s: error %q does not list %q", path, out["error"], valid)
+			}
+		}
+	}
+}
+
 func TestSolveOrderingField(t *testing.T) {
 	ts := testServer(t)
 

@@ -41,11 +41,11 @@ func BenchmarkCholeskySolve(b *testing.B) {
 	}
 }
 
-func BenchmarkCG(b *testing.B) {
+func BenchmarkPCG(b *testing.B) {
 	a, rhs := benchMatrix(20, 20, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := CG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+		if _, _, err := PCG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func BenchmarkAblationFactorReuse(b *testing.B) {
 	b.Run("iterative-per-rhs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, rhs := range rhss {
-				if _, _, err := CG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+				if _, _, err := PCG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,8 +173,8 @@ func blockIndependent(blocks, bs int) *sparse.CSR {
 }
 
 // BenchmarkIC0Apply compares the serial reference application of the IC0
-// preconditioner against the level-scheduled parallel one (spawn and
-// resident-pool dispatch) in both dependency regimes. The narrowDAG system
+// preconditioner against the level-scheduled one dispatched through a
+// resident Workspace gang, in both dependency regimes. The narrowDAG system
 // mimics the reduced global matrices (dense block rows in natural lattice
 // order): its levels are deep and narrow, the serial fallback engages, and
 // levelsched must track serial with no overhead. The wideDAG system
@@ -197,7 +197,7 @@ func BenchmarkIC0Apply(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	workers := runtime.GOMAXPROCS(0)
 	for _, sys := range systems {
-		p, err := newIC0Ordered(sys.a, sys.ord)
+		p, err := newIC0(sys.a, sys.ord, PrecisionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,12 +208,7 @@ func BenchmarkIC0Apply(b *testing.B) {
 		dst := make([]float64, sys.a.NRows)
 		b.Run(sys.name+"/serial", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, 1, nil)
-			}
-		})
-		b.Run(sys.name+"/levelsched-spawn", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, workers, nil)
+				p.Apply(dst, r)
 			}
 		})
 		b.Run(sys.name+"/levelsched-pool", func(b *testing.B) {
@@ -221,7 +216,7 @@ func BenchmarkIC0Apply(b *testing.B) {
 			defer ws.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, workers, ws)
+				p.applyPar(dst, r, ws)
 			}
 		})
 	}
@@ -241,11 +236,11 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f64, err := newIC0Prec(a, OrderingNatural, PrecisionFloat64)
+	f64, err := newIC0(a, OrderingNatural, PrecisionFloat64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f32, err := newIC0Prec(a, OrderingNatural, PrecisionAuto)
+	f32, err := newIC0(a, OrderingNatural, PrecisionAuto)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,7 +258,7 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 	serial := func(p *ic0) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, 1, nil)
+				p.Apply(dst, r)
 			}
 		}
 	}
@@ -273,7 +268,7 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 			defer ws.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.applyPar(dst, r, workers, ws)
+				p.applyPar(dst, r, ws)
 			}
 		}
 	}
@@ -295,7 +290,7 @@ func BenchmarkPCGNoAlloc(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	m, err := NewPreconditioner(PrecondIC0, a)
+	m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -88,14 +88,14 @@ func FuzzMulticolorOrdering(f *testing.F) {
 			}
 		}
 		// Contract 4: the multicolor factor applies bitwise identically at
-		// every worker count and dispatch mode. The level-count contract is
+		// every pool size. The level-count contract is
 		// layout-aware: 3-DoF dimensions use the node coloring — one block
 		// level per node color when the factor commits to tiles, and between
 		// nc and 3·nc scalar levels otherwise (each node chains ≤ 3 rows,
 		// and greedy color c always has a strictly descending color path
 		// beneath it, so depth is at least the color count) — while other
 		// dimensions keep the scalar one-level-per-color shape.
-		p, err := newIC0Ordered(m, OrderingMulticolor)
+		p, err := newIC0(m, OrderingMulticolor, PrecisionAuto)
 		if err != nil {
 			t.Fatalf("ic0: %v", err)
 		}
@@ -118,17 +118,11 @@ func FuzzMulticolorOrdering(f *testing.F) {
 			r[i] = float64(i%7) - 3
 		}
 		want := make([]float64, n)
-		p.applyPar(want, r, 1, nil)
+		p.Apply(want, r)
 		got := make([]float64, n)
 		for _, w := range []int{2, 4} {
-			p.applyPar(got, r, w, nil)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d: dst[%d] = %x, want %x", w, i, got[i], want[i])
-				}
-			}
 			ws := NewWorkspace(w)
-			p.applyPar(got, r, w, ws)
+			p.applyPar(got, r, ws)
 			ws.Close()
 			for i := range want {
 				if got[i] != want[i] {

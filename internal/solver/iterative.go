@@ -58,9 +58,11 @@ type Options struct {
 	MaxIter int
 	// Restart is the GMRES restart length m (default 60).
 	Restart int
-	// Workers is the number of goroutines for matrix-vector products
-	// (default GOMAXPROCS, matching the Workers convention of the array
-	// and root packages).
+	// Workers is the solve's parallelism (default DefaultWorkers: GOMAXPROCS
+	// unless host-profile tuning installed a measured ceiling): the gang
+	// size of the per-call workspace when Work is nil, a cap on the
+	// mat-vec's fan-out otherwise, and the worker count OrderingAuto
+	// resolves against.
 	Workers int
 	// Precond selects the preconditioner (default PrecondAuto: block-
 	// Jacobi-3 below AutoIC0Threshold DoFs, IC0 at and above it).
@@ -92,7 +94,8 @@ type Options struct {
 	// Work optionally supplies a reusable Workspace (pooled work vectors,
 	// resident parallel gang). The returned solution vector is then owned
 	// by the workspace and valid only until its next solve — copy it to
-	// retain it. nil allocates per call. Runtime-only: never serialized.
+	// retain it. nil builds a per-call workspace whose gang of Workers is
+	// closed before the solve returns. Runtime-only: never serialized.
 	Work *Workspace
 }
 
@@ -136,14 +139,6 @@ func jacobi(a *sparse.CSR) []float64 {
 	return d
 }
 
-// CG solves the symmetric positive-definite system a·x = b with a
-// preconditioned conjugate-gradient iteration; it is PCG under its
-// historical name (the preconditioner comes from Options.Precond, default
-// PrecondAuto). x0 may be nil.
-func CG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
-	return PCG(a, b, x0, opt)
-}
-
 // GMRES solves a·x = b with left-preconditioned restarted GMRES(m) using
 // modified Gram–Schmidt orthogonalization and Givens rotations. This is the
 // global-stage solver recommended by the paper (§4.3). The preconditioner
@@ -151,7 +146,8 @@ func CG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
 // (default PrecondAuto); x0 optionally seeds the iteration and may be nil.
 // Like PCG, GMRES draws its work vectors, Krylov basis, and Hessenberg from
 // Options.Work when supplied (the returned solution then aliases workspace
-// memory) and drives level-scheduled preconditioners through the
+// memory; otherwise a per-call workspace with its own gang is closed on
+// return) and drives level-scheduled preconditioners through the
 // workspace's resident gang.
 func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
 	n := a.NRows
@@ -170,8 +166,8 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		tBuild := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		var err error
 		// Worker-aware ordering resolution, matching PCG: see
-		// ResolveOrderingFor.
-		pre, err = NewPreconditionerPrec(kind, ResolveOrderingFor(opt.Ordering, a, opt.Workers), opt.Precision, a)
+		// ResolveOrdering.
+		pre, err = NewPreconditioner(kind, resolveOrderingOf(opt.Ordering, a, opt.Workers), opt.Precision, a)
 		if err != nil {
 			return nil, st, err
 		}
@@ -184,7 +180,8 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 	st.Precision = precisionOf(pre)
 	ws := opt.Work
 	if ws == nil {
-		ws = &Workspace{}
+		ws = NewWorkspace(opt.Workers)
+		defer ws.Close()
 	}
 	ws.reset()
 	ws.prepMatVec(a, opt.MatBlocked, opt.Workers)
@@ -192,7 +189,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 	apply := func(dst, src []float64) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		if wa != nil {
-			wa.applyPar(dst, src, opt.Workers, ws)
+			wa.applyPar(dst, src, ws)
 		} else {
 			pre.Apply(dst, src)
 		}
@@ -230,7 +227,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 	for totalIt < opt.MaxIter {
 		// r = M⁻¹(b − A·x); the true (unpreconditioned) residual for the
 		// convergence check falls out of the same mat-vec.
-		ws.matvec(a, w, x, opt.Workers)
+		ws.matvec(a, w, x)
 		var ss float64
 		for i := range b {
 			d := b[i] - w[i]
@@ -266,7 +263,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		for k = 0; k < m && totalIt < opt.MaxIter; k++ {
 			totalIt++
 			// w = M⁻¹·A·v[k]
-			ws.matvec(a, pw, v[k], opt.Workers)
+			ws.matvec(a, pw, v[k])
 			apply(w, pw)
 			// Modified Gram–Schmidt.
 			for j := 0; j <= k; j++ {
@@ -313,7 +310,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 			linalg.Axpy(y[j], v[j], x)
 		}
 	}
-	ws.matvec(a, w, x, opt.Workers)
+	ws.matvec(a, w, x)
 	linalg.Sub(r, b, w)
 	res := linalg.Norm2(r) / bnorm
 	st.Iterations, st.Residual = totalIt, res

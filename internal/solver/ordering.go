@@ -21,8 +21,8 @@ const (
 	// multicolor ordering when they are narrow (max level width of the
 	// lower-triangular pattern below AutoMulticolorWidth rows), the system
 	// is at least AutoMulticolorMinDoFs, and the resolving solve has more
-	// than one worker (ResolveOrderingFor; with one worker — a single core,
-	// or one chain of a saturated batch — wide levels buy nothing and the
+	// than one worker (ResolveOrdering; with one worker — a single core, or
+	// one chain of a saturated batch — wide levels buy nothing and the
 	// multicolor factor costs extra iterations).
 	OrderingAuto OrderingKind = iota
 	// OrderingNatural factors in the matrix's own row order. On the reduced
@@ -30,10 +30,12 @@ const (
 	// measured 18×18 at 1 445 levels ≤ 24 rows wide), so the level-scheduled
 	// solves fall back to their serial loops.
 	OrderingNatural
-	// OrderingRCM factors under the reverse Cuthill–McKee ordering (RCM).
-	// Bandwidth reduction makes the DAG even deeper; exposed for the
-	// measurement harness and ablations, not expected to win.
-	OrderingRCM
+	// Value 2 is reserved: it was the reverse Cuthill–McKee IC0 ordering,
+	// deleted after it lost to natural at every measured lattice (18×18:
+	// 18 iterations / 285 ms against 16 / 239 ms). Journals written before
+	// the deletion replay it as natural (see internal/jobqueue), so the
+	// value must never be reused.
+	_
 	// OrderingMulticolor factors under the greedy multicolor ordering
 	// (Multicolor): rows of one color are mutually independent, so the
 	// factor's forward and backward schedules collapse to one level per
@@ -41,7 +43,8 @@ const (
 	// parallel preconditioner application.
 	OrderingMulticolor
 
-	// NumOrderings bounds the kinds, for stats arrays indexed by ordering.
+	// NumOrderings bounds the kind values, for stats arrays indexed by
+	// ordering (the reserved value 2 keeps an always-zero slot).
 	NumOrderings = 4
 )
 
@@ -73,8 +76,6 @@ func (k OrderingKind) String() string {
 		return "auto"
 	case OrderingNatural:
 		return "natural"
-	case OrderingRCM:
-		return "rcm"
 	case OrderingMulticolor:
 		return "multicolor"
 	}
@@ -89,12 +90,10 @@ func ParseOrdering(s string) (OrderingKind, error) {
 		return OrderingAuto, nil
 	case "natural":
 		return OrderingNatural, nil
-	case "rcm":
-		return OrderingRCM, nil
 	case "multicolor":
 		return OrderingMulticolor, nil
 	}
-	return OrderingAuto, fmt.Errorf("solver: unknown ordering %q (want auto, natural, rcm, or multicolor)", s)
+	return OrderingAuto, fmt.Errorf("solver: unknown ordering %q (want auto, natural, or multicolor)", s)
 }
 
 // Multicolor computes a greedy multicolor (graph-coloring) ordering of the
@@ -185,54 +184,19 @@ func csrRows(m *sparse.CSR) func(r int) []int32 {
 // [3·colorPtr[c], 3·colorPtr[c+1])). n must be divisible by 3. Deterministic
 // for a fixed pattern.
 func MulticolorNodes(a *sparse.CSR) (perm []int32, colorPtr []int32) {
-	n := a.NRows
-	nb := n / sparse.BlockSize
-	color := make([]int32, nb)
-	for i := range color {
-		color[i] = -1
-	}
-	// mark[c] holds the most recent node whose neighborhood saw color c;
-	// duplicate scalar couplings to the same neighbor just re-mark it, so no
-	// dedup pass is needed.
-	var mark []int32
-	var ncolors int32
-	for v := 0; v < nb; v++ {
-		for i := 0; i < sparse.BlockSize; i++ {
-			r := sparse.BlockSize*v + i
-			for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-				w := int(a.ColIdx[p]) / sparse.BlockSize
-				if w == v || w < 0 || w >= nb {
-					continue
-				}
-				if c := color[w]; c >= 0 {
-					mark[c] = int32(v)
-				}
-			}
+	// Node v's neighbors in the quotient graph are the nodes of every column
+	// its scalar rows couple to; duplicate couplings to the same neighbor
+	// just re-mark its color, so no dedup pass is needed.
+	var adj []int32
+	nodePerm, colorPtr := Multicolor(a.NRows/sparse.BlockSize, func(v int) []int32 {
+		adj = adj[:0]
+		for p := a.RowPtr[sparse.BlockSize*v]; p < a.RowPtr[sparse.BlockSize*(v+1)]; p++ {
+			adj = append(adj, a.ColIdx[p]/sparse.BlockSize)
 		}
-		c := int32(0)
-		for c < ncolors && mark[c] == int32(v) {
-			c++
-		}
-		if c == ncolors {
-			ncolors++
-			mark = append(mark, -1)
-		}
-		color[v] = c
-	}
-	colorPtr = make([]int32, ncolors+1)
-	for _, c := range color {
-		colorPtr[c+1]++
-	}
-	for c := int32(0); c < ncolors; c++ {
-		colorPtr[c+1] += colorPtr[c]
-	}
-	perm = make([]int32, n)
-	next := make([]int32, ncolors)
-	copy(next, colorPtr[:ncolors])
-	for v := 0; v < nb; v++ {
-		c := color[v]
-		q := next[c]
-		next[c]++
+		return adj
+	})
+	perm = make([]int32, a.NRows)
+	for v, q := range nodePerm {
 		for i := 0; i < sparse.BlockSize; i++ {
 			perm[sparse.BlockSize*v+i] = sparse.BlockSize*q + int32(i)
 		}
@@ -273,68 +237,54 @@ func NaturalLevelWidth(a *sparse.CSR) int {
 	return int(max)
 }
 
-// ResolveOrdering maps OrderingAuto to the concrete ordering chosen for the
-// matrix at GOMAXPROCS parallelism; see ResolveOrderingFor.
-func ResolveOrdering(k OrderingKind, a *sparse.CSR) OrderingKind {
-	return ResolveOrderingFor(k, a, 0)
-}
-
-// ResolveOrderingFor maps OrderingAuto to the concrete ordering chosen for
-// the matrix and the solve's worker count: multicolor when the system is
-// large enough for fan-out to matter (AutoMulticolorMinDoFs), the
-// natural-order schedule is too narrow to fan out (NaturalLevelWidth below
-// AutoMulticolorWidth), and the solve actually runs parallel kernels
-// (workers > 1; 0 defaults to GOMAXPROCS); natural otherwise. The worker
-// count matters: a batch engine that splits the machine across concurrent
-// chains hands each solve only a share of GOMAXPROCS, and a 1-worker solve
-// would pay the coloring's extra iterations with zero fan-out benefit.
-// Concrete kinds resolve to themselves. The probe costs one O(nnz) sweep —
-// callers that resolve per solve (the assembly cache) memoize it.
-func ResolveOrderingFor(k OrderingKind, a *sparse.CSR, workers int) OrderingKind {
-	if k != OrderingAuto {
-		return k
-	}
-	if normWorkers(workers) <= 1 || a.NRows < AutoMulticolorMinDoFs {
-		return OrderingNatural // skip the probe when the cheap guards decide
-	}
-	return OrderingFromWidth(k, a.NRows, NaturalLevelWidth(a), workers)
-}
-
-// OrderingFromWidth applies the OrderingAuto rule to a precomputed
-// natural-order level width (NaturalLevelWidth), for callers that memoize
-// the O(nnz) probe — the assembly cache resolves per solve but probes each
-// lattice once. Semantics match ResolveOrderingFor.
-func OrderingFromWidth(k OrderingKind, n, width, workers int) OrderingKind {
+// ResolveOrdering maps OrderingAuto to the concrete ordering chosen for an
+// n-DoF system and the solve's worker count: multicolor when the system is
+// large enough for fan-out to matter (AutoMulticolorMinDoFs), the solve
+// actually runs parallel kernels (workers > 1; 0 means DefaultWorkers), and
+// the natural-order schedule is too narrow to fan out (width below
+// AutoMulticolorWidth); natural otherwise. The worker count matters: a batch
+// engine that splits the machine across concurrent chains hands each solve
+// only a share of the cores, and a 1-worker solve would pay the coloring's
+// extra iterations with zero fan-out benefit. width returns the system's
+// NaturalLevelWidth; it is called only when the cheap guards leave the
+// choice open, so callers that resolve per solve (the assembly cache) pass a
+// memoized probe. Concrete kinds resolve to themselves. This is the one home
+// of the OrderingAuto rule.
+func ResolveOrdering(k OrderingKind, n, workers int, width func() int) OrderingKind {
 	if k != OrderingAuto {
 		return k
 	}
 	if normWorkers(workers) <= 1 || n < AutoMulticolorMinDoFs {
 		return OrderingNatural
 	}
-	if width < AutoMulticolorWidth() {
+	if width() < AutoMulticolorWidth() {
 		return OrderingMulticolor
 	}
 	return OrderingNatural
 }
 
+// resolveOrderingOf is ResolveOrdering for a matrix without a memoized
+// width: the O(nnz) probe runs on a when the guards leave the choice open.
+func resolveOrderingOf(k OrderingKind, a *sparse.CSR, workers int) OrderingKind {
+	return ResolveOrdering(k, a.NRows, workers, func() int { return NaturalLevelWidth(a) })
+}
+
 // orderingPerm materializes the permutation of a concrete ordering kind for
-// the pattern of a: nil for the natural ordering (identity). Multicolor is
+// the pattern of a: nil for the natural ordering (identity) and for the
+// reserved value 2, which therefore factors as natural. Multicolor is
 // node-blocked on 3-DoF systems (MulticolorNodes) so blocked factor storage
 // survives the reordering; scalar coloring remains for dimensions not
 // divisible by 3.
 func orderingPerm(k OrderingKind, a *sparse.CSR) []int32 {
-	switch k {
-	case OrderingRCM:
-		return RCM(a)
-	case OrderingMulticolor:
-		if a.NRows == a.NCols && a.NRows%sparse.BlockSize == 0 {
-			perm, _ := MulticolorNodes(a)
-			return perm
-		}
-		perm, _ := Multicolor(a.NRows, csrRows(a))
+	if k != OrderingMulticolor {
+		return nil
+	}
+	if a.NRows == a.NCols && a.NRows%sparse.BlockSize == 0 {
+		perm, _ := MulticolorNodes(a)
 		return perm
 	}
-	return nil
+	perm, _ := Multicolor(a.NRows, csrRows(a))
+	return perm
 }
 
 // Ordered is implemented by preconditioners that factor under a symmetric

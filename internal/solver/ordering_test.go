@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/sparse"
@@ -86,11 +87,11 @@ func TestMulticolorValidColoring(t *testing.T) {
 func TestMulticolorCollapsesLevels(t *testing.T) {
 	// Blocked path: n divisible by 3 → node coloring + tiled factor.
 	a := latticeLike(12, 12, 9) // narrow natural DAG by construction
-	natural, err := newIC0Ordered(a, OrderingNatural)
+	natural, err := newIC0(a, OrderingNatural, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	colored, err := newIC0Ordered(a, OrderingMulticolor)
+	colored, err := newIC0(a, OrderingMulticolor, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestMulticolorCollapsesLevels(t *testing.T) {
 	// the scalar coloring, with the original one-level-per-color contract
 	// and the NaturalLevelWidth probe matching the factored schedule.
 	s := latticeLike(11, 11, 10) // 1210 DoFs, not a multiple of 3
-	snat, err := newIC0Ordered(s, OrderingNatural)
+	snat, err := newIC0(s, OrderingNatural, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scol, err := newIC0Ordered(s, OrderingMulticolor)
+	scol, err := newIC0(s, OrderingMulticolor, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +203,8 @@ func TestOrderingResolve(t *testing.T) {
 	narrow := latticeLike(24, 24, 9) // 5184 DoFs ≥ AutoMulticolorMinDoFs
 	small := latticeLike(10, 10, 9)  // 900 DoFs: too small for fan-out
 	wide := blockIndependent(600, 12)
-	for _, k := range []OrderingKind{OrderingNatural, OrderingRCM, OrderingMulticolor} {
-		if got := ResolveOrdering(k, narrow); got != k {
+	for _, k := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
+		if got := resolveOrderingOf(k, narrow, 0); got != k {
 			t.Errorf("concrete kind %v resolved to %v", k, got)
 		}
 	}
@@ -213,44 +214,68 @@ func TestOrderingResolve(t *testing.T) {
 	if w := NaturalLevelWidth(wide); w < AutoMulticolorWidth() {
 		t.Fatalf("wide test matrix has natural width %d, want >= %d", w, AutoMulticolorWidth())
 	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		if got := ResolveOrdering(OrderingAuto, narrow); got != OrderingMulticolor {
+	if DefaultWorkers() > 1 {
+		if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingMulticolor {
 			t.Errorf("auto on a narrow schedule resolved to %v, want multicolor", got)
 		}
-	} else if got := ResolveOrdering(OrderingAuto, narrow); got != OrderingNatural {
+	} else if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingNatural {
 		t.Errorf("auto on one core resolved to %v, want natural", got)
 	}
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	if got := ResolveOrdering(OrderingAuto, wide); got != OrderingNatural {
+	if got := resolveOrderingOf(OrderingAuto, wide, 0); got != OrderingNatural {
 		t.Errorf("auto on a wide schedule resolved to %v, want natural", got)
 	}
-	if got := ResolveOrdering(OrderingAuto, narrow); got != OrderingMulticolor {
+	if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingMulticolor {
 		t.Errorf("auto at GOMAXPROCS=4 on a narrow schedule resolved to %v, want multicolor", got)
 	}
-	if got := ResolveOrdering(OrderingAuto, small); got != OrderingNatural {
+	if got := resolveOrderingOf(OrderingAuto, small, 0); got != OrderingNatural {
 		t.Errorf("auto below AutoMulticolorMinDoFs resolved to %v, want natural", got)
 	}
 	// Worker-aware resolution: a 1-worker solve keeps natural even on a
 	// parallel machine (a batch chain handed one worker must not pay the
 	// multicolor iteration penalty), and an explicit workers > 1 enables
 	// multicolor regardless of GOMAXPROCS.
-	if got := ResolveOrderingFor(OrderingAuto, narrow, 1); got != OrderingNatural {
+	if got := resolveOrderingOf(OrderingAuto, narrow, 1); got != OrderingNatural {
 		t.Errorf("auto with 1 worker resolved to %v, want natural", got)
 	}
-	if got := ResolveOrderingFor(OrderingAuto, narrow, 4); got != OrderingMulticolor {
+	if got := resolveOrderingOf(OrderingAuto, narrow, 4); got != OrderingMulticolor {
 		t.Errorf("auto with 4 workers resolved to %v, want multicolor", got)
 	}
-	if got := OrderingFromWidth(OrderingAuto, narrow.NRows, 24, 4); got != OrderingMulticolor {
-		t.Errorf("OrderingFromWidth(narrow) = %v, want multicolor", got)
+	// A memoized width decides without probing the matrix, and the probe is
+	// skipped altogether when the cheap guards already decide.
+	width := func(w int) func() int { return func() int { return w } }
+	if got := ResolveOrdering(OrderingAuto, narrow.NRows, 4, width(24)); got != OrderingMulticolor {
+		t.Errorf("ResolveOrdering(width 24) = %v, want multicolor", got)
 	}
-	if got := OrderingFromWidth(OrderingAuto, narrow.NRows, 600, 4); got != OrderingNatural {
-		t.Errorf("OrderingFromWidth(wide) = %v, want natural", got)
+	if got := ResolveOrdering(OrderingAuto, narrow.NRows, 4, width(600)); got != OrderingNatural {
+		t.Errorf("ResolveOrdering(width 600) = %v, want natural", got)
+	}
+	unreachable := func() int { t.Fatal("width probed although the guards decided"); return 0 }
+	if got := ResolveOrdering(OrderingAuto, narrow.NRows, 1, unreachable); got != OrderingNatural {
+		t.Errorf("ResolveOrdering(1 worker) = %v, want natural", got)
+	}
+	if got := ResolveOrdering(OrderingAuto, small.NRows, 4, unreachable); got != OrderingNatural {
+		t.Errorf("ResolveOrdering(small) = %v, want natural", got)
+	}
+}
+
+// TestDefaultWorkersGovernsAutoOrdering: with no explicit worker count the
+// OrderingAuto rule follows the tuning-aware DefaultWorkers, not
+// GOMAXPROCS — a host capped to one solver worker keeps the natural factor
+// on a multi-core machine.
+func TestDefaultWorkersGovernsAutoOrdering(t *testing.T) {
+	narrow := latticeLike(24, 24, 9)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	defer SetDefaultWorkers(SetDefaultWorkers(1))
+	if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingNatural {
+		t.Errorf("auto with DefaultWorkers 1 at GOMAXPROCS 4 resolved to %v, want natural", got)
 	}
 }
 
 func TestParseOrderingRoundTrip(t *testing.T) {
-	for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingRCM, OrderingMulticolor} {
+	for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingMulticolor} {
 		got, err := ParseOrdering(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseOrdering(%q) = %v, %v", k.String(), got, err)
@@ -259,13 +284,24 @@ func TestParseOrderingRoundTrip(t *testing.T) {
 	if k, err := ParseOrdering(""); err != nil || k != OrderingAuto {
 		t.Errorf("empty spelling: %v, %v", k, err)
 	}
-	if _, err := ParseOrdering("rainbow"); err == nil {
-		t.Error("unknown spelling did not error")
+	for _, bad := range []string{"rainbow", "rcm"} {
+		_, err := ParseOrdering(bad)
+		if err == nil {
+			t.Errorf("ParseOrdering(%q) did not error", bad)
+			continue
+		}
+		// The error lists every valid spelling, so a rejected request tells
+		// the caller what to send instead.
+		for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingMulticolor} {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("ParseOrdering(%q) error %q does not list %q", bad, err, k)
+			}
+		}
 	}
 }
 
-// TestPCGOrderingsAgree is the property test of the issue: PCG under the
-// natural, RCM, and multicolor orderings must converge to the same solution
+// TestPCGOrderingsAgree: PCG under the natural and multicolor orderings
+// must converge to the same solution
 // (the preconditioner changes the path, never the fixed point), and each
 // ordering must be bitwise identical across worker counts (the parallel
 // triangular solves and the permute scatter/gather are deterministic).
@@ -282,7 +318,7 @@ func TestPCGOrderingsAgree(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		var ref []float64
-		for _, ord := range []OrderingKind{OrderingNatural, OrderingRCM, OrderingMulticolor} {
+		for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
 			x1, st, err := PCG(a, b, nil, Options{Tol: 1e-10, Precond: PrecondIC0, Ordering: ord, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, ord, err)
@@ -292,7 +328,7 @@ func TestPCGOrderingsAgree(t *testing.T) {
 			}
 			// Worker counts must not change a single bit for a fixed ordering.
 			for _, w := range []int{2, 4, 8} {
-				m, err := NewPreconditionerOrdered(PrecondIC0, ord, a)
+				m, err := NewPreconditioner(PrecondIC0, ord, PrecisionAuto, a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -332,9 +368,9 @@ func TestPCGOrderingsAgree(t *testing.T) {
 	}
 }
 
-// TestIC0PermutedBitwiseAcrossDispatch extends the PR 4 bitwise contract to
-// permuted factors: spawn and pool dispatch at every worker count must match
-// the serial application exactly, for RCM and multicolor orderings.
+// TestIC0PermutedBitwiseAcrossDispatch extends the bitwise contract to
+// permuted factors: pooled dispatch at every pool size must match the serial
+// application exactly under the multicolor ordering.
 func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	systems := map[string]*sparse.CSR{
@@ -344,8 +380,8 @@ func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 		"dense-row": arrowCSR(400),
 	}
 	for name, a := range systems {
-		for _, ord := range []OrderingKind{OrderingRCM, OrderingMulticolor} {
-			p, err := newIC0Ordered(a, ord)
+		for _, ord := range []OrderingKind{OrderingMulticolor} {
+			p, err := newIC0(a, ord, PrecisionAuto)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, ord, err)
 			}
@@ -358,17 +394,11 @@ func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 				r[i] = rng.NormFloat64()
 			}
 			want := make([]float64, n)
-			p.applyPar(want, r, 1, nil)
-			for _, w := range []int{2, 4, 8} {
+			p.Apply(want, r)
+			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0), 8} {
 				got := make([]float64, n)
-				p.applyPar(got, r, w, nil)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s/%v spawn workers=%d: dst[%d] = %x, want %x", name, ord, w, i, got[i], want[i])
-					}
-				}
 				ws := NewWorkspace(w)
-				p.applyPar(got, r, w, ws)
+				p.applyPar(got, r, ws)
 				ws.Close()
 				for i := range want {
 					if got[i] != want[i] {
@@ -392,7 +422,7 @@ func TestPCGZeroAllocsMulticolor(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	for _, workers := range []int{1, 4} {
-		m, err := NewPreconditionerOrdered(PrecondIC0, OrderingMulticolor, a)
+		m, err := NewPreconditioner(PrecondIC0, OrderingMulticolor, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,11 +55,11 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 			if scalar.Blocked() {
 				t.Fatalf("%s/%v: layout-suppressed factor is blocked", name, ord)
 			}
-			b64, err := newIC0Prec(a, ord, PrecisionFloat64)
+			b64, err := newIC0(a, ord, PrecisionFloat64)
 			if err != nil {
 				t.Fatalf("%s/%v f64: %v", name, ord, err)
 			}
-			b32, err := newIC0Prec(a, ord, PrecisionAuto)
+			b32, err := newIC0(a, ord, PrecisionAuto)
 			if err != nil {
 				t.Fatalf("%s/%v f32: %v", name, ord, err)
 			}
@@ -75,11 +75,11 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 				r[i] = rng.NormFloat64()
 			}
 			want := make([]float64, n)
-			scalar.applyPar(want, r, 1, nil)
+			scalar.Apply(want, r)
 			scale := 1 + maxAbsVec(want)
 
 			got := make([]float64, n)
-			b64.applyPar(got, r, 1, nil)
+			b64.Apply(got, r)
 			if d := maxAbsDiff(got, want); d > 1e-9*scale {
 				t.Fatalf("%s/%v: blocked f64 apply differs from scalar by %g", name, ord, d)
 			}
@@ -87,14 +87,14 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 			copy(want64, got)
 
 			got32 := make([]float64, n)
-			b32.applyPar(got32, r, 1, nil)
+			b32.Apply(got32, r)
 			if d := maxAbsDiff(got32, want); d > 2e-4*scale {
 				t.Fatalf("%s/%v: blocked f32 apply differs from scalar by %g", name, ord, d)
 			}
 			want32 := make([]float64, n)
 			copy(want32, got32)
 
-			// Worker counts and pooled dispatch stay bitwise per layout.
+			// Pooled dispatch stays bitwise per layout at every pool size.
 			for _, w := range workerCounts {
 				ws := NewWorkspace(w)
 				for prec, pair := range map[string][2][]float64{
@@ -104,13 +104,7 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 					if prec == "f32" {
 						p = b32
 					}
-					p.applyPar(pair[1], r, w, nil)
-					for i := range pair[0] {
-						if pair[1][i] != pair[0][i] {
-							t.Fatalf("%s/%v %s spawn workers=%d: dst[%d] = %x, want %x", name, ord, prec, w, i, pair[1][i], pair[0][i])
-						}
-					}
-					p.applyPar(pair[1], r, w, ws)
+					p.applyPar(pair[1], r, ws)
 					for i := range pair[0] {
 						if pair[1][i] != pair[0][i] {
 							t.Fatalf("%s/%v %s pool workers=%d: dst[%d] = %x, want %x", name, ord, prec, w, i, pair[1][i], pair[0][i])
@@ -129,7 +123,7 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	a := randSPDSparse(rng, 700, 4) // 700 % 3 != 0: scalar layout
-	p, err := newIC0Prec(a, OrderingNatural, PrecisionFloat32)
+	p, err := newIC0(a, OrderingNatural, PrecisionFloat32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +148,7 @@ func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 	// padding must also stay scalar: elasticity3's off-diagonal node tiles
 	// hold 3 of 9 entries, below BlockFillMin.
 	sparse3 := elasticity3(6, 6, 5)
-	p, err = newIC0Prec(sparse3, OrderingNatural, PrecisionAuto)
+	p, err = newIC0(sparse3, OrderingNatural, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +259,7 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 	}
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 		for _, workers := range []int{1, 4} {
-			m, err := NewPreconditionerPrec(PrecondIC0, OrderingAuto, prec, a)
+			m, err := NewPreconditioner(PrecondIC0, OrderingAuto, prec, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +308,7 @@ func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	ws.reset()
 	ws.prepMatVec(a, bm, 4)
 	got := make([]float64, a.NRows)
-	ws.matvec(a, got, x, 4)
+	ws.matvec(a, got, x)
 	if d := maxAbsDiff(got, want); d > 1e-10*(1+maxAbsVec(want)) {
 		t.Fatalf("blocked workspace mat-vec differs from scalar by %g", d)
 	}
@@ -324,7 +318,7 @@ func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	wantO := make([]float64, other.NRows)
 	other.MulVec(wantO, xo)
 	gotO := make([]float64, other.NRows)
-	ws.matvec(other, gotO, xo, 4)
+	ws.matvec(other, gotO, xo)
 	for i := range wantO {
 		if gotO[i] != wantO[i] {
 			t.Fatalf("unbound matrix: dst[%d] = %x, want scalar %x", i, gotO[i], wantO[i])

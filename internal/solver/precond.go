@@ -47,7 +47,7 @@ const (
 // DefaultAutoIC0Threshold is the hand-measured fallback for the system size
 // (DoFs) at and above which PrecondAuto resolves to IC0 *when the
 // construction amortizes* — the assembly-cached path
-// (array.Assembly.Preconditioner), where the factor is built at most once
+// (array.Assembly.PreconditionerPrec), where the factor is built at most once
 // per lattice. Measured with the cached build and the level-scheduled
 // apply: once the build amortizes, IC0's ~6× iteration-count reduction wins
 // wall time at every measured lattice (28 vs 45 ms at 2 709 DoFs, 482 vs
@@ -140,36 +140,24 @@ func JacobiFamily(n int) PrecondKind {
 	return PrecondJacobi
 }
 
-// NewPreconditioner builds the requested preconditioner for the SPD matrix a,
-// resolving PrecondAuto against the matrix size first, with the default
-// (auto) ordering. Every construction in the package funnels through
-// NewPreconditionerOrdered so no solver path hardwires its own
-// preconditioner.
-func NewPreconditioner(kind PrecondKind, a *sparse.CSR) (Preconditioner, error) {
-	return NewPreconditionerOrdered(kind, OrderingAuto, a)
-}
-
-// NewPreconditionerOrdered is NewPreconditioner with an explicit symmetric
-// ordering for the factorizing kinds: IC0 factors the permuted matrix
+// NewPreconditioner builds the requested preconditioner for the SPD matrix
+// a, resolving PrecondAuto against the matrix size first (the one-shot
+// rule). Every construction in the package funnels through here so no
+// solver path hardwires its own preconditioner. For the factorizing kinds,
+// ord selects the symmetric ordering — IC0 factors the permuted matrix
 // P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes the factor's
-// dependency DAG without changing the preconditioned operator's symmetry.
-// The Jacobi family and the identity are ordering-invariant and ignore ord.
-// Factor storage precision defaults to PrecisionAuto.
-func NewPreconditionerOrdered(kind PrecondKind, ord OrderingKind, a *sparse.CSR) (Preconditioner, error) {
-	return NewPreconditionerPrec(kind, ord, PrecisionAuto, a)
-}
-
-// NewPreconditionerPrec is NewPreconditionerOrdered with an explicit factor
-// storage precision for the factorizing kinds (see Precision); the
-// ordering-invariant kinds ignore both ord and prec.
-func NewPreconditionerPrec(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.CSR) (Preconditioner, error) {
+// dependency DAG without changing the preconditioned operator's symmetry;
+// OrderingAuto resolves at DefaultWorkers — and prec the factor storage
+// precision (see Precision). The Jacobi family and the identity are
+// ordering- and precision-invariant and ignore both.
+func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.CSR) (Preconditioner, error) {
 	switch kind.Resolve(a.NRows) {
 	case PrecondJacobi:
 		return jacobiPrecond{inv: jacobi(a)}, nil
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a)
 	case PrecondIC0:
-		return newIC0Prec(a, ord, prec)
+		return newIC0(a, ord, prec)
 	case PrecondNone:
 		return identityPrecond{}, nil
 	}
@@ -177,10 +165,10 @@ func NewPreconditionerPrec(kind PrecondKind, ord OrderingKind, prec Precision, a
 }
 
 // parApplier is implemented by preconditioners whose application
-// parallelizes: the solvers drive it with their worker count and workspace
-// (resident pool + scratch) instead of plain Apply.
+// parallelizes: the solvers drive it with their workspace (resident pool +
+// scratch) instead of plain Apply.
 type parApplier interface {
-	applyPar(dst, r []float64, workers int, ws *Workspace)
+	applyPar(dst, r []float64, ws *Workspace)
 }
 
 // Sized is implemented by preconditioners whose memory footprint matters to
@@ -322,19 +310,13 @@ type ic0 struct {
 	prec Precision
 }
 
-// newIC0 factors in natural order (the serial-reference construction the
-// tests pin down); production paths go through newIC0Prec.
-func newIC0(a *sparse.CSR) (*ic0, error) { return newIC0Ordered(a, OrderingNatural) }
-
-func newIC0Ordered(a *sparse.CSR, ord OrderingKind) (*ic0, error) {
-	return newIC0Prec(a, ord, PrecisionAuto)
-}
-
-func newIC0Prec(a *sparse.CSR, ord OrderingKind, prec Precision) (*ic0, error) {
+// newIC0 factors a under the ordering ord (OrderingAuto resolved at
+// DefaultWorkers) with factor storage precision prec.
+func newIC0(a *sparse.CSR, ord OrderingKind, prec Precision) (*ic0, error) {
 	return newIC0Layout(a, ord, prec, true)
 }
 
-// newIC0Layout is newIC0Prec with the blocked-layout commit gated: block ==
+// newIC0Layout is newIC0 with the blocked-layout commit gated: block ==
 // false keeps the scalar factor even when the tiles would engage, so the
 // equivalence tests can compare the tiled kernels against a scalar factor of
 // the same system. Production paths always pass block == true.
@@ -342,7 +324,7 @@ func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
 	}
-	ord = ResolveOrdering(ord, a)
+	ord = resolveOrderingOf(ord, a, 0)
 	perm := orderingPerm(ord, a)
 	if perm == nil {
 		ord = OrderingNatural
@@ -442,17 +424,19 @@ func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (
 	return p, nil
 }
 
-// Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r via the level-scheduled
-// forward/backward solves at GOMAXPROCS parallelism (spawning goroutines per
-// level; the workspace-backed applyPar path dispatches through a resident
-// gang instead). Falls back to the serial loops when the schedule has no
-// level wide enough to pay for fan-out.
+// Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r with the serial triangular solves —
+// the reference the pooled applyPar matches bitwise. The solvers never call
+// it: they drive applyPar through their workspace's resident gang. Under a
+// non-natural ordering it draws one n-length scatter buffer per call.
 //
 //stressvet:noalloc
-func (p *ic0) Apply(dst, r []float64) { p.applyPar(dst, r, normWorkers(0), nil) }
+func (p *ic0) Apply(dst, r []float64) { p.applyPar(dst, r, nil) }
 
+// applyPar is Apply dispatched through ws's resident gang and scratch; a nil
+// ws runs serially.
+//
 //stressvet:noalloc
-func (p *ic0) applyPar(dst, r []float64, workers int, ws *Workspace) {
+func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 	var pool *sparse.Pool
 	var sc *sparse.TriScratch
 	var bsc *sparse.BlockTriScratch
@@ -461,12 +445,12 @@ func (p *ic0) applyPar(dst, r []float64, workers int, ws *Workspace) {
 	}
 	if p.perm == nil {
 		if p.bt != nil {
-			p.bt.SolveLowerPar(dst, r, workers, pool, bsc)
-			p.bt.SolveUpperPar(dst, dst, workers, pool, bsc)
+			p.bt.SolveLowerPar(dst, r, pool, bsc)
+			p.bt.SolveUpperPar(dst, dst, pool, bsc)
 			return
 		}
-		p.t.SolveLowerPar(dst, r, workers, pool, sc)
-		p.t.SolveUpperPar(dst, dst, workers, pool, sc)
+		p.t.SolveLowerPar(dst, r, pool, sc)
+		p.t.SolveUpperPar(dst, dst, pool, sc)
 		return
 	}
 	// Permuted application: scatter r into factor order, solve both
@@ -477,17 +461,17 @@ func (p *ic0) applyPar(dst, r []float64, workers int, ws *Workspace) {
 	if ws != nil {
 		buf = ws.permScratch(len(r)) //stressvet:allow noalloc -- inlined permScratch grows the cached scratch on first use; steady state reuses it
 	} else {
-		buf = make([]float64, len(r)) //stressvet:allow noalloc -- fallback when no workspace is supplied; steady-state callers pass ws
+		buf = make([]float64, len(r)) //stressvet:allow noalloc -- the serial reference Apply has no workspace; solvers always pass one
 	}
 	for i, v := range r {
 		buf[p.perm[i]] = v
 	}
 	if p.bt != nil {
-		p.bt.SolveLowerPar(buf, buf, workers, pool, bsc)
-		p.bt.SolveUpperPar(buf, buf, workers, pool, bsc)
+		p.bt.SolveLowerPar(buf, buf, pool, bsc)
+		p.bt.SolveUpperPar(buf, buf, pool, bsc)
 	} else {
-		p.t.SolveLowerPar(buf, buf, workers, pool, sc)
-		p.t.SolveUpperPar(buf, buf, workers, pool, sc)
+		p.t.SolveLowerPar(buf, buf, pool, sc)
+		p.t.SolveUpperPar(buf, buf, pool, sc)
 	}
 	for i := range dst {
 		dst[i] = buf[p.perm[i]]
@@ -537,9 +521,10 @@ func (p *ic0) MemoryBytes() int64 {
 // preconditioner build/apply timings.
 //
 // The iteration loop is allocation-free: the work vectors come from
-// Options.Work (or a per-call workspace when unset), the mat-vec runs
-// through a once-per-solve nnz-balanced partition, and a level-scheduled
-// preconditioner dispatches through the workspace's resident gang. With
+// Options.Work (or a per-call workspace with its own resident gang of
+// Options.Workers, closed on return, when unset), the mat-vec runs through a
+// once-per-solve nnz-balanced partition, and a level-scheduled
+// preconditioner dispatches through the workspace's gang. With
 // Options.Work and Options.M both set, the entire steady-state solve
 // performs zero allocations (BenchmarkPCGNoAlloc); the returned solution
 // then aliases workspace memory — see Workspace.
@@ -558,7 +543,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 		// The ordering resolves against this solve's worker count: a
 		// 1-worker solve keeps the natural factor even on a parallel
 		// machine (no fan-out to pay for the coloring's extra iterations).
-		m, err = NewPreconditionerPrec(kind, ResolveOrderingFor(opt.Ordering, a, opt.Workers), opt.Precision, a)
+		m, err = NewPreconditioner(kind, resolveOrderingOf(opt.Ordering, a, opt.Workers), opt.Precision, a)
 		if err != nil {
 			return nil, st, err
 		}
@@ -568,7 +553,8 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	st.Precision = precisionOf(m)
 	ws := opt.Work
 	if ws == nil {
-		ws = &Workspace{}
+		ws = NewWorkspace(opt.Workers)
+		defer ws.Close()
 	}
 	ws.reset()
 	ws.prepMatVec(a, opt.MatBlocked, opt.Workers)
@@ -585,7 +571,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	p := ws.vec(n)
 	ap := ws.vec(n)
 
-	ws.matvec(a, r, x, opt.Workers)
+	ws.matvec(a, r, x)
 	linalg.Sub(r, b, r)
 	bnorm := linalg.Norm2(b)
 	if bnorm == 0 {
@@ -594,7 +580,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 	}
 	tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	if wa != nil {
-		wa.applyPar(z, r, opt.Workers, ws)
+		wa.applyPar(z, r, ws)
 	} else {
 		m.Apply(z, r)
 	}
@@ -658,8 +644,8 @@ const pcgDriftFactor = 10
 // scratch (the ap vector between mat-vecs).
 //
 //stressvet:noalloc
-func pcgTrueResidual(a *sparse.CSR, ws *Workspace, opt Options, x, b, scratch []float64, bnorm float64) float64 {
-	ws.matvec(a, scratch, x, opt.Workers)
+func pcgTrueResidual(a *sparse.CSR, ws *Workspace, x, b, scratch []float64, bnorm float64) float64 {
+	ws.matvec(a, scratch, x)
 	var ss float64
 	for i := range b {
 		d := b[i] - scratch[i]
@@ -694,7 +680,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			}
 			// The recurrence claims convergence on a rounded factor: trust
 			// only the true residual.
-			trueRes := pcgTrueResidual(a, ws, opt, x, b, ap, bnorm)
+			trueRes := pcgTrueResidual(a, ws, x, b, ap, bnorm)
 			if trueRes <= opt.Tol {
 				return pcgConverged, it, trueRes, 0
 			}
@@ -705,7 +691,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			res = trueRes
 		} else if verify && it > 0 && it%pcgVerifyEvery == 0 {
 			// Long solves: catch recurrence drift before a false convergence.
-			trueRes := pcgTrueResidual(a, ws, opt, x, b, ap, bnorm)
+			trueRes := pcgTrueResidual(a, ws, x, b, ap, bnorm)
 			if trueRes > pcgDriftFactor*res && st.Refinements < pcgMaxRefinements {
 				refine = true
 				res = trueRes
@@ -724,7 +710,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			linalg.Sub(r, b, ap)
 			tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 			if wa != nil {
-				wa.applyPar(z, r, opt.Workers, ws)
+				wa.applyPar(z, r, ws)
 			} else {
 				m.Apply(z, r)
 			}
@@ -733,7 +719,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 			rz = linalg.Dot(r, z)
 			continue
 		}
-		ws.matvec(a, ap, p, opt.Workers)
+		ws.matvec(a, ap, p)
 		pap = linalg.Dot(p, ap)
 		if pap <= 0 {
 			return pcgBreakdown, it, res, pap
@@ -743,7 +729,7 @@ func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *
 		linalg.Axpy(-alpha, ap, r)
 		tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		if wa != nil {
-			wa.applyPar(z, r, opt.Workers, ws)
+			wa.applyPar(z, r, ws)
 		} else {
 			m.Apply(z, r)
 		}

@@ -1,8 +1,11 @@
 package solver
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/sparse"
@@ -61,11 +64,10 @@ func abs(x float64) float64 {
 	return x
 }
 
-// TestIC0ParallelBitwiseMatchesSerial is the issue's correctness contract
-// for the level-scheduled preconditioner: across random SPD systems, worker
-// counts (1, 2, GOMAXPROCS, 8), dispatch modes (spawn and resident pool),
-// and degenerate shapes (diagonal, single dense row), the parallel apply
-// must be bitwise identical to the serial reference.
+// TestIC0ParallelBitwiseMatchesSerial is the correctness contract for the
+// level-scheduled preconditioner: across random SPD systems, pool sizes (1,
+// 2, GOMAXPROCS, 8) and degenerate shapes (diagonal, single dense row), the
+// pooled apply must be bitwise identical to the serial reference.
 func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	systems := map[string]*sparse.CSR{
@@ -78,7 +80,7 @@ func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
-		p, err := newIC0(a)
+		p, err := newIC0(a, OrderingNatural, PrecisionAuto)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -88,17 +90,11 @@ func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 			r[i] = rng.NormFloat64()
 		}
 		want := make([]float64, n)
-		p.applyPar(want, r, 1, nil) // serial reference
+		p.Apply(want, r) // serial reference
 		for _, w := range workerCounts {
 			got := make([]float64, n)
-			p.applyPar(got, r, w, nil)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s spawn workers=%d: dst[%d] = %x, want %x", name, w, i, got[i], want[i])
-				}
-			}
 			ws := NewWorkspace(w)
-			p.applyPar(got, r, w, ws)
+			p.applyPar(got, r, ws)
 			ws.Close()
 			for i := range want {
 				if got[i] != want[i] {
@@ -124,7 +120,7 @@ func TestPCGWorkspaceMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v plain: %v", kind, err)
 		}
-		m, err := NewPreconditioner(kind, a)
+		m, err := NewPreconditioner(kind, OrderingAuto, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +161,7 @@ func TestPCGZeroAllocs(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	for _, workers := range []int{1, 4} {
-		m, err := NewPreconditioner(PrecondIC0, a)
+		m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +196,7 @@ func TestPCGZeroAllocsParallelMatVec(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	m, err := NewPreconditioner(PrecondIC0, a)
+	m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +248,68 @@ func TestGMRESWorkspaceMatchesPlain(t *testing.T) {
 			t.Fatalf("x[%d] = %x, plain %x (not bitwise equal)", i, got[i], want[i])
 		}
 	}
+}
+
+// TestSolveWithoutWorkspaceReleasesGang: a solve without Options.Work runs on
+// a per-call workspace whose resident gang must be gone once the solve
+// returns — on success and on every error return (breakdown,
+// non-convergence, non-finite residual) — so repeated bare solves never
+// leak goroutines.
+func TestSolveWithoutWorkspaceReleasesGang(t *testing.T) {
+	a := elasticity3(6, 6, 5)
+	n := a.NRows
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	nan := make([]float64, n)
+	for i := range nan {
+		nan[i] = math.NaN()
+	}
+	// -I: every search direction has pᵀAp < 0, so PCG breaks down at once.
+	negTr := sparse.NewTriplet(n, n, n)
+	for i := 0; i < n; i++ {
+		negTr.Add(i, i, -1)
+	}
+	neg := negTr.ToCSR()
+	base := runtime.NumGoroutine()
+	opt := Options{Tol: 1e-9, Workers: 4}
+	stalled := Options{Tol: 1e-14, MaxIter: 2, Workers: 4, Precond: PrecondNone}
+	for trial := 0; trial < 5; trial++ {
+		for name, solve := range map[string]func() error{
+			"pcg":   func() error { _, _, err := PCG(a, b, nil, opt); return err },
+			"gmres": func() error { _, _, err := GMRES(a, b, nil, opt); return err },
+			"pcg-breakdown": func() error {
+				_, _, err := PCG(neg, b, nil, Options{Workers: 4, Precond: PrecondNone})
+				return wantErr(err, "breakdown")
+			},
+			"pcg-maxiter":     func() error { _, _, err := PCG(a, b, nil, stalled); return wantErr(err, "did not converge") },
+			"gmres-maxiter":   func() error { _, _, err := GMRES(a, b, nil, stalled); return wantErr(err, "did not converge") },
+			"pcg-nonfinite":   func() error { _, _, err := PCG(a, b, nan, opt); return wantErr(err, "non-finite") },
+			"gmres-nonfinite": func() error { _, _, err := GMRES(a, b, nan, opt); return wantErr(err, "non-finite") },
+		} {
+			if err := solve(); err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+		}
+	}
+	// Pool.Close waits for the gang to exit, so every solve's goroutines
+	// are gone by the time it returns.
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after repeated bare solves, want the baseline %d", got, base)
+	}
+}
+
+// wantErr turns an expected solver error into nil, and anything else —
+// success included — into a test failure message.
+func wantErr(err error, substr string) error {
+	if err == nil {
+		return fmt.Errorf("solve succeeded, want an error containing %q", substr)
+	}
+	if !strings.Contains(err.Error(), substr) {
+		return fmt.Errorf("error %q does not contain %q", err, substr)
+	}
+	return nil
 }
 
 // TestRCMFragmented exercises the rolling-cursor seed selection on a

@@ -127,7 +127,7 @@ func TestBlockJacobiRequiresMultipleOf3(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.Add(i, i, 1)
 	}
-	if _, err := NewPreconditioner(PrecondBlockJacobi3, tr.ToCSR()); err == nil {
+	if _, err := NewPreconditioner(PrecondBlockJacobi3, OrderingAuto, PrecisionAuto, tr.ToCSR()); err == nil {
 		t.Error("expected error for n not divisible by 3")
 	}
 }

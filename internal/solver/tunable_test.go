@@ -34,12 +34,12 @@ func TestTunableSettersRoundTrip(t *testing.T) {
 	// Width 0 is meaningful: no natural schedule is narrower than zero rows,
 	// so OrderingAuto never switches to multicolor.
 	SetAutoMulticolorWidth(0)
-	if got := OrderingFromWidth(OrderingAuto, 1<<20, 1, 8); got != OrderingNatural {
-		t.Errorf("OrderingFromWidth with width threshold 0 = %v, want natural", got)
+	if got := ResolveOrdering(OrderingAuto, 1<<20, 8, func() int { return 1 }); got != OrderingNatural {
+		t.Errorf("ResolveOrdering with width threshold 0 = %v, want natural", got)
 	}
 	SetAutoMulticolorWidth(128)
-	if got := OrderingFromWidth(OrderingAuto, 1<<20, 100, 8); got != OrderingMulticolor {
-		t.Errorf("OrderingFromWidth(width=100) under threshold 128 = %v, want multicolor", got)
+	if got := ResolveOrdering(OrderingAuto, 1<<20, 8, func() int { return 100 }); got != OrderingMulticolor {
+		t.Errorf("ResolveOrdering(width=100) under threshold 128 = %v, want multicolor", got)
 	}
 	SetAutoMulticolorWidth(-1)
 	if got := AutoMulticolorWidth(); got != DefaultAutoMulticolorWidth {

@@ -8,10 +8,12 @@ import (
 // Workspace pools the state an iterative solve reuses across calls: the work
 // vectors, the GMRES Hessenberg, the pooled matrix-vector op with its
 // nnz-balanced row partition, the triangular-solve scratch, and (optionally)
-// a resident sparse.Pool worker gang. With a Workspace in Options.Work and a
-// prebuilt preconditioner in Options.M, the PCG hot loop performs zero
-// allocations in steady state — no vector makes, no closure per mat-vec, no
-// goroutine fan-out when the gang is resident (see BenchmarkPCGNoAlloc).
+// a resident sparse.Pool worker gang — the only parallel dispatcher of a
+// solve: every pooled kernel runs on it, and a workspace without one runs
+// them serially. With a Workspace in Options.Work and a prebuilt
+// preconditioner in Options.M, the PCG hot loop performs zero allocations in
+// steady state — no vector makes, no closure per mat-vec, no goroutine
+// fan-out (see BenchmarkPCGNoAlloc).
 //
 // A Workspace serves one solve at a time; it is not safe for concurrent use.
 // The solution slice returned by a workspace-backed solve is owned by the
@@ -27,7 +29,7 @@ type Workspace struct {
 	mvReady  bool
 	// Blocked mat-vec binding: when prepMatVec receives the 3×3-tiled form
 	// of the matrix, matvec runs the blocked kernel instead — pooled over
-	// tile-balanced block-row chunks when the gang is resident, serial
+	// tile-balanced block-row chunks when the gang fans out, serial
 	// otherwise. bmFor records which CSR the binding stands in for.
 	bmv       sparse.BlockMatVec
 	bmvBounds []int32
@@ -116,24 +118,21 @@ func (w *Workspace) prepMatVec(a *sparse.CSR, bm *sparse.BCSR, workers int) {
 	w.mvReady = false
 	w.bmvReady = false
 	w.bm, w.bmFor = nil, nil
-	if bm != nil && bm.NRows == a.NRows && bm.NCols == a.NCols {
+	blocked := bm != nil && bm.NRows == a.NRows && bm.NCols == a.NCols
+	if blocked {
 		w.bm, w.bmFor = bm, a
-		if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
-			return
-		}
-		if pw := w.pool.Workers(); workers > pw {
-			workers = pw
-		}
+	}
+	if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
+		return // matvec runs the serial kernel of the bound form
+	}
+	if pw := w.pool.Workers(); workers > pw {
+		workers = pw
+	}
+	if blocked {
 		w.bmvBounds = sparse.PartitionByWorkInto(w.bmvBounds, bm.BRowPtr, 0, bm.NBRows(), workers)
 		w.bmv.M = bm
 		w.bmvReady = true
 		return
-	}
-	if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
-		return
-	}
-	if pw := w.pool.Workers(); workers > pw {
-		workers = pw
 	}
 	w.mvBounds = sparse.PartitionByWorkInto(w.mvBounds, a.RowPtr, 0, a.NRows, workers)
 	w.mv.M = a
@@ -141,18 +140,19 @@ func (w *Workspace) prepMatVec(a *sparse.CSR, bm *sparse.BCSR, workers int) {
 }
 
 // matvec computes dst = a·x, preferring the blocked binding when prepMatVec
-// installed one for this matrix, then the pooled scalar binding
-// (allocation-free), falling back to MulVecPar otherwise.
+// installed one for this matrix, then the pooled scalar binding, and running
+// the serial kernel of the bound form when the gang does not fan out (no
+// gang, one worker, or a system under sparse.MinParRows). Allocation-free.
 //
 //stressvet:noalloc
-func (w *Workspace) matvec(a *sparse.CSR, dst, x []float64, workers int) {
+func (w *Workspace) matvec(a *sparse.CSR, dst, x []float64) {
 	if w.bmFor == a {
 		if w.bmvReady {
 			w.bmv.Dst, w.bmv.X = dst, x
 			w.pool.Run(w.bmvBounds, &w.bmv)
 			return
 		}
-		w.bm.MulVecPar(dst, x, workers)
+		w.bm.MulVec(dst, x)
 		return
 	}
 	if w.mvReady && w.mv.M == a {
@@ -160,7 +160,7 @@ func (w *Workspace) matvec(a *sparse.CSR, dst, x []float64, workers int) {
 		w.pool.Run(w.mvBounds, &w.mv)
 		return
 	}
-	a.MulVecPar(dst, x, workers)
+	a.MulVec(dst, x)
 }
 
 // hessenberg returns a pooled (rows × cols) dense matrix for GMRES.

@@ -150,7 +150,7 @@ func (m *BCSR) MulVec(dst, x []float64) {
 }
 
 // mulVecRange is the blocked mat-vec kernel over block rows [lo, hi); the
-// serial, spawned, and pooled paths all run it, so their results are bitwise
+// serial and pooled paths all run it, so their results are bitwise
 // identical.
 //
 //stressvet:noalloc
@@ -172,7 +172,7 @@ func (m *BCSR) mulVecRange(dst, x []float64, lo, hi int) {
 	}
 }
 
-// MulVecPar computes dst = m·x using at most nworkers goroutines over
+// MulVecPar computes dst = m·x on a transient pool of at most nworkers over
 // contiguous block-row chunks balanced by tile count (uniform 9-flop tiles,
 // so tile count is the exact work profile — the blocked analogue of
 // PartitionByWork's scalar-nnz weighting). Falls back to the serial kernel
@@ -183,8 +183,7 @@ func (m *BCSR) MulVecPar(dst, x []float64, nworkers int) {
 		return
 	}
 	bounds := PartitionByWork(m.BRowPtr, 0, m.NBRows(), nworkers)
-	op := BlockMatVec{M: m, Dst: dst, X: x}
-	parallelChunks(bounds, nworkers, &op)
+	runTransient(bounds, nworkers, &BlockMatVec{M: m, Dst: dst, X: x})
 }
 
 // BlockMatVec is a pooled blocked matrix-vector product: dst = M·x over the

@@ -169,7 +169,8 @@ func TestBCSRFillAndMemory(t *testing.T) {
 }
 
 // TestBCSRMulVecParBitwiseMatchesSerial: partitioning never splits a block
-// row, so every worker count and dispatch mode must reproduce the serial
+// row, so every worker count — through MulVecPar's transient pool and through
+// explicit bounds on a resident pool — must reproduce the serial
 // blocked matvec bit for bit. The matrix clears MinParRows so the parallel
 // path actually engages.
 func TestBCSRMulVecParBitwiseMatchesSerial(t *testing.T) {
@@ -196,7 +197,7 @@ func TestBCSRMulVecParBitwiseMatchesSerial(t *testing.T) {
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0), 8} {
 		got := make([]float64, m.NRows)
 		b.MulVecPar(got, x, w)
-		check("spawn", w, got)
+		check("transient", w, got)
 
 		// The pooled path the solver Workspace drives: explicit chunk
 		// bounds through a resident pool.
@@ -395,7 +396,7 @@ func TestBlockLowerTriSingleMatchesRoundedScalar(t *testing.T) {
 
 // TestBlockLowerTriParBitwiseMatchesSerial is the blocked analogue of the
 // scalar level-scheduling contract: the parallel sweeps share the serial row
-// kernels, so every worker count, dispatch mode, and precision must be
+// kernels, so every pool size and precision must be
 // bitwise identical to the serial blocked solve.
 func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
@@ -430,22 +431,20 @@ func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 			}
 			for _, w := range workerCounts {
 				got := make([]float64, n)
-				bt.SolveLowerPar(got, b, w, nil, nil)
-				check("lower/spawn", w, got, wantL)
-				bt.SolveUpperPar(got, b, w, nil, nil)
-				check("upper/spawn", w, got, wantU)
-
 				pool := NewPool(w)
 				var sc BlockTriScratch
-				bt.SolveLowerPar(got, b, w, pool, &sc)
-				check("lower/pool", w, got, wantL)
-				bt.SolveUpperPar(got, b, w, pool, &sc)
-				check("upper/pool", w, got, wantU)
+				bt.SolveLowerPar(got, b, pool, &sc)
+				check("lower", w, got, wantL)
+				bt.SolveUpperPar(got, b, pool, &sc)
+				check("upper", w, got, wantU)
 				pool.Close()
 			}
 			inPlace := make([]float64, n)
 			copy(inPlace, b)
-			bt.SolveLowerPar(inPlace, inPlace, 4, nil, nil)
+			pool := NewPool(4)
+			var sc BlockTriScratch
+			bt.SolveLowerPar(inPlace, inPlace, pool, &sc)
+			pool.Close()
 			check("lower/in-place", 4, inPlace, wantL)
 		}
 	}

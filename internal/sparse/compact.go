@@ -5,7 +5,8 @@ import "sort"
 // CompactRows sorts the column indices within each row and sums duplicate
 // entries, returning the compacted matrix. Rows are processed in parallel
 // over nnz-balanced chunks; this is the finishing step of scatter-style
-// assemblies that append unordered duplicated entries row by row.
+// assemblies that append unordered duplicated entries row by row. Both
+// passes share one transient pool of workers.
 func (m *CSR) CompactRows(workers int) *CSR {
 	n := m.NRows
 	newLen := make([]int32, n)
@@ -14,7 +15,9 @@ func (m *CSR) CompactRows(workers int) *CSR {
 		v float64
 	}
 	bounds := PartitionByWork(m.RowPtr, 0, n, workers)
-	parallelChunks(bounds, workers, funcRunner(func(lo, hi int) {
+	pool := NewPool(workers)
+	defer pool.Close()
+	pool.Run(bounds, funcRunner(func(lo, hi int) {
 		var buf []pair
 		for r := lo; r < hi; r++ {
 			start, end := m.RowPtr[r], m.RowPtr[r+1]
@@ -46,7 +49,7 @@ func (m *CSR) CompactRows(workers int) *CSR {
 	nnz := int(outPtr[n])
 	outCol := make([]int32, nnz)
 	outVal := make([]float64, nnz)
-	parallelChunks(bounds, workers, funcRunner(func(lo, hi int) {
+	pool.Run(bounds, funcRunner(func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			src := m.RowPtr[r]
 			dst := outPtr[r]

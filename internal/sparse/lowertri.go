@@ -167,29 +167,29 @@ func (o *triRun) RunRange(lo, hi int) {
 }
 
 // SolveLowerPar solves L·dst = b with the forward level schedule: levels run
-// in order, rows within a level in parallel across at most workers
-// goroutines (through pool when non-nil — allocation-free — or spawned
-// otherwise). Levels too narrow to pay for fan-out run inline serially, and
-// a schedule with no parallelizable level at all falls back to the plain
-// serial loop. Results are bitwise identical to SolveLower for every worker
-// count. sc may be nil when pool is nil. dst and b may alias.
+// in order, rows within a level in parallel across pool's gang. Levels too
+// narrow to pay for fan-out run inline, and a nil or single-worker pool — or
+// a schedule with no parallelizable level at all — takes the plain serial
+// loop. Results are bitwise identical to SolveLower for every pool size. sc
+// carries the dispatched op and must be non-nil when pool is. dst and b may
+// alias.
 //
 //stressvet:noalloc
-func (t *LowerTri) SolveLowerPar(dst, b []float64, workers int, pool *Pool, sc *TriScratch) {
-	t.solvePar(t.Fwd, dst, b, false, workers, pool, sc)
+func (t *LowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *TriScratch) {
+	t.solvePar(t.Fwd, dst, b, false, pool, sc)
 }
 
 // SolveUpperPar solves Lᵀ·dst = b with the backward level schedule; see
 // SolveLowerPar.
 //
 //stressvet:noalloc
-func (t *LowerTri) SolveUpperPar(dst, b []float64, workers int, pool *Pool, sc *TriScratch) {
-	t.solvePar(t.Bwd, dst, b, true, workers, pool, sc)
+func (t *LowerTri) SolveUpperPar(dst, b []float64, pool *Pool, sc *TriScratch) {
+	t.solvePar(t.Bwd, dst, b, true, pool, sc)
 }
 
 //stressvet:noalloc
-func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, workers int, pool *Pool, sc *TriScratch) {
-	if workers <= 1 || !s.parallel {
+func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, pool *Pool, sc *TriScratch) {
+	if !s.fansOut(pool) {
 		if upper {
 			t.SolveUpper(dst, b)
 		} else {
@@ -197,28 +197,12 @@ func (t *LowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, work
 		}
 		return
 	}
-	scratch := sc
-	if scratch == nil {
-		scratch = new(TriScratch) //stressvet:allow noalloc -- fallback when the caller passes no scratch; pooled hot paths always do
-	}
 	// A plain pointer dispatched through the Runner interface: no closures,
-	// so the allocation-free pooled path stays allocation-free (a captured
-	// variable cell would be heap-allocated on every call, serial included).
-	op := &scratch.op
+	// so the pooled path stays allocation-free (a captured variable cell
+	// would be heap-allocated on every call).
+	op := &sc.op
 	*op = triRun{t: t, order: s.Order, dst: dst, b: b, upper: upper}
-	for l := 0; l < s.NumLevels(); l++ {
-		bounds := s.levelBounds(l)
-		if len(bounds) == 2 {
-			// Single chunk: too little work in this level to fan out.
-			op.RunRange(int(bounds[0]), int(bounds[1]))
-			continue
-		}
-		if pool != nil {
-			pool.Run(bounds, op)
-		} else {
-			parallelChunks(bounds, workers, op)
-		}
-	}
+	s.run(pool, op)
 	*op = triRun{}
 }
 
@@ -263,6 +247,28 @@ func (s *LevelSchedule) MaxWidth() int {
 // levelBounds returns the chunk boundaries of level l.
 func (s *LevelSchedule) levelBounds(l int) []int32 {
 	return s.Chunks[s.LevelChunk[l] : s.LevelChunk[l+1]+1]
+}
+
+// fansOut reports whether a solve over the schedule dispatches through pool
+// at all: it needs a gang of more than one worker and at least one level
+// split into several chunks.
+func (s *LevelSchedule) fansOut(pool *Pool) bool {
+	return s.parallel && pool != nil && pool.Workers() > 1
+}
+
+// run sweeps the levels in order, dispatching each multi-chunk level through
+// pool and running single-chunk levels inline (too little work to fan out).
+//
+//stressvet:noalloc
+func (s *LevelSchedule) run(pool *Pool, op Runner) {
+	for l := 0; l < s.NumLevels(); l++ {
+		bounds := s.levelBounds(l)
+		if len(bounds) == 2 {
+			op.RunRange(int(bounds[0]), int(bounds[1]))
+			continue
+		}
+		pool.Run(bounds, op)
+	}
 }
 
 // levelChunkWork is the minimum nnz a chunk should carry, ~4× the work that
@@ -380,7 +386,7 @@ func newLevelScheduleScaled(level []int32, rowPtr []int32, unitWork int32) *Leve
 		if parts < 1 {
 			parts = 1
 		}
-		bounds := partitionByWork(nil, pw, lo, hi, parts)
+		bounds := PartitionByWork(pw, lo, hi, parts)
 		if len(bounds) > 2 {
 			s.parallel = true
 		}

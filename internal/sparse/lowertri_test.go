@@ -123,25 +123,8 @@ func TestPartitionByWorkBalancesHeavyRows(t *testing.T) {
 	}
 }
 
-func TestParallelChunksCoversAll(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		n := 1000
-		hit := make([]int32, n)
-		bounds := []int32{0, 100, 101, 500, 1000}
-		parallelChunks(bounds, workers, funcRunner(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hit[i]++
-			}
-		}))
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d hit %d times", workers, i, h)
-			}
-		}
-	}
-}
-
 func TestPoolRun(t *testing.T) {
+	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 2, 4} {
 		p := NewPool(workers)
 		m := benchCSR(500, 9)
@@ -165,6 +148,10 @@ func TestPoolRun(t *testing.T) {
 			}
 		}
 		p.Close()
+		// Close returns only after the gang has exited.
+		if got := runtime.NumGoroutine(); got > base {
+			t.Fatalf("workers=%d: %d goroutines after Close, want the baseline %d", workers, got, base)
+		}
 	}
 }
 
@@ -234,9 +221,9 @@ func TestLowerTriSolvesInverse(t *testing.T) {
 }
 
 // TestLowerTriParBitwiseMatchesSerial is the level-scheduling correctness
-// contract: for every matrix shape, worker count, and dispatch mode (spawn
-// and pool), the parallel solves must be bitwise identical to the serial
-// reference — the row kernel is shared, only the schedule differs.
+// contract: for every matrix shape and pool size, the parallel solves must
+// be bitwise identical to the serial reference — the row kernel is shared,
+// only the schedule differs.
 func TestLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
@@ -261,23 +248,21 @@ func TestLowerTriParBitwiseMatchesSerial(t *testing.T) {
 		}
 		for _, w := range workerCounts {
 			got := make([]float64, n)
-			tri.SolveLowerPar(got, b, w, nil, nil)
-			check("lower/spawn", w, got, wantL)
-			tri.SolveUpperPar(got, b, w, nil, nil)
-			check("upper/spawn", w, got, wantU)
-
 			pool := NewPool(w)
 			var sc TriScratch
-			tri.SolveLowerPar(got, b, w, pool, &sc)
-			check("lower/pool", w, got, wantL)
-			tri.SolveUpperPar(got, b, w, pool, &sc)
-			check("upper/pool", w, got, wantU)
+			tri.SolveLowerPar(got, b, pool, &sc)
+			check("lower", w, got, wantL)
+			tri.SolveUpperPar(got, b, pool, &sc)
+			check("upper", w, got, wantU)
 			pool.Close()
 		}
 		// In-place: dst aliasing b must give the same bits.
 		inPlace := make([]float64, n)
 		copy(inPlace, b)
-		tri.SolveLowerPar(inPlace, inPlace, 4, nil, nil)
+		pool := NewPool(4)
+		var sc TriScratch
+		tri.SolveLowerPar(inPlace, inPlace, pool, &sc)
+		pool.Close()
 		check("lower/in-place", 4, inPlace, wantL)
 	}
 }

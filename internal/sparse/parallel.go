@@ -1,10 +1,5 @@
 package sparse
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // MinParRows is the matrix size below which the parallel kernels fall back
 // to their serial loops: under it the goroutine fan-out costs more than the
 // arithmetic it distributes. Exported so solver workspaces apply the same
@@ -24,19 +19,13 @@ const MinParRows = 4096
 // this package (MulVecPar, the level-scheduled triangular solves) partitions
 // through here.
 func PartitionByWork(pref []int32, lo, hi, parts int) []int32 {
-	return partitionByWork(nil, pref, lo, hi, parts)
+	return PartitionByWorkInto(nil, pref, lo, hi, parts)
 }
 
 // PartitionByWorkInto is PartitionByWork appending into dst's backing array,
 // for callers (the allocation-free solver hot loops) that re-partition every
 // solve without allocating.
 func PartitionByWorkInto(dst []int32, pref []int32, lo, hi, parts int) []int32 {
-	return partitionByWork(dst, pref, lo, hi, parts)
-}
-
-// partitionByWork is PartitionByWork appending into dst (reused across calls
-// by the allocation-free solver hot loops).
-func partitionByWork(dst []int32, pref []int32, lo, hi, parts int) []int32 {
 	dst = dst[:0]
 	if hi <= lo {
 		return dst
@@ -80,45 +69,15 @@ type funcRunner func(lo, hi int)
 // RunRange implements Runner.
 func (f funcRunner) RunRange(lo, hi int) { f(lo, hi) }
 
-// parallelChunks runs r over each [bounds[i], bounds[i+1]) chunk using at
-// most workers goroutines (including the caller), waiting for completion.
-// Chunks are claimed through an atomic cursor so a worker finishing early
-// steals the remainder. This is the spawn-per-call dispatch; hot loops use
-// a resident Pool instead.
-//
-//stressvet:gang -- workers-1 goroutines; the caller participates as the last worker
-func parallelChunks(bounds []int32, workers int, r Runner) {
-	n := len(bounds) - 1
-	if n < 1 {
-		return
-	}
-	if workers > n {
+// runTransient runs r over the chunks on a pool of workers that lives for
+// this one call — the dispatch of the one-shot kernels (MulVecPar,
+// CompactRows) whose callers own no resident gang. Hot loops hold a Pool
+// across calls instead (solver.Workspace).
+func runTransient(bounds []int32, workers int, r Runner) {
+	if n := len(bounds) - 1; workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			r.RunRange(int(bounds[i]), int(bounds[i+1]))
-		}
-		return
-	}
-	var next atomic.Int32
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			r.RunRange(int(bounds[i]), int(bounds[i+1]))
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 0; w < workers-1; w++ {
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
+	p := NewPool(workers)
+	p.Run(bounds, r)
+	p.Close()
 }

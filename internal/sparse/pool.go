@@ -23,7 +23,7 @@ type poolTask struct {
 // and that cost recurs every iteration of an iterative solver; a Pool pays
 // it once. A Pool serves one Run at a time — it is meant to be owned by a
 // single solve (via solver.Workspace), not shared. Close releases the
-// goroutines; a pool is not usable after Close.
+// goroutines and returns once they have exited.
 type Pool struct {
 	workers int
 	tasks   chan poolTask
@@ -32,6 +32,9 @@ type Pool struct {
 	// completion, or a Run with more chunks than channel capacity would
 	// deadlock against the caller still submitting.
 	wg sync.WaitGroup
+	// running counts the resident goroutines that have not exited; Close
+	// waits on it so a closed pool leaves no goroutine behind.
+	running sync.WaitGroup
 }
 
 // NewPool creates a pool with the given total parallelism: workers−1
@@ -47,6 +50,7 @@ func NewPool(workers int) *Pool {
 	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.tasks = make(chan poolTask, workers)
+		p.running.Add(workers - 1)
 		for i := 0; i < workers-1; i++ {
 			// The channel travels as an argument so the goroutine never
 			// reads the struct field, which Close overwrites.
@@ -65,6 +69,7 @@ func (p *Pool) worker(tasks <-chan poolTask) {
 		t.r.RunRange(int(t.lo), int(t.hi))
 		p.wg.Done()
 	}
+	p.running.Done()
 }
 
 // Run executes r over each [bounds[i], bounds[i+1]) chunk, distributing
@@ -100,13 +105,14 @@ func (p *Pool) Run(bounds []int32, r Runner) {
 	p.wg.Wait()
 }
 
-// Close stops the resident goroutines; a closed pool remains usable, with
-// Run executing serially on the calling goroutine. Close must not race a
-// Run and must not be called twice.
+// Close stops the resident goroutines and waits for them to exit; a closed
+// pool remains usable, with Run executing serially on the calling
+// goroutine. Close must not race a Run; closing twice is harmless.
 func (p *Pool) Close() {
 	if p.tasks != nil {
 		close(p.tasks)
 		p.tasks = nil
+		p.running.Wait()
 	}
 }
 

@@ -86,15 +86,14 @@ const (
 	OrderingAuto = solver.OrderingAuto
 	// OrderingNatural factors in the matrix's own row order.
 	OrderingNatural = solver.OrderingNatural
-	// OrderingRCM factors under the reverse Cuthill–McKee ordering.
-	OrderingRCM = solver.OrderingRCM
 	// OrderingMulticolor factors under the greedy multicolor ordering: one
 	// wide dependency level per color, parallel preconditioner application.
 	OrderingMulticolor = solver.OrderingMulticolor
 )
 
-// ParseOrdering maps the flag/JSON spellings ("auto", "natural", "rcm",
-// "multicolor") to an Ordering.
+// ParseOrdering maps the flag/JSON spellings ("auto", "natural",
+// "multicolor") to an Ordering; any other spelling — including the deleted
+// "rcm" — is an error that lists the valid ones.
 func ParseOrdering(s string) (Ordering, error) { return solver.ParseOrdering(s) }
 
 // Factor-precision choices for SolverOptions.Precision.
