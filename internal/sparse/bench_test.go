@@ -141,3 +141,27 @@ func BenchmarkTranspose(b *testing.B) {
 		_ = m.Transpose()
 	}
 }
+
+// nopRunner is the trivial kernel: every cost BenchmarkPoolRun sees is
+// dispatch.
+type nopRunner struct{}
+
+func (*nopRunner) RunRange(lo, hi int) {}
+
+// BenchmarkPoolRun measures one warm round trip through a 2-worker Pool —
+// publish, claim both chunks, await completion — with a kernel that does no
+// work: the dispatch cost levelChunkWork and MinParRows are sized against.
+// At -cpu 1 the caller runs both chunks itself (the member cannot run
+// concurrently); at -cpu ≥ 2 one chunk is handed to the spinning member.
+func BenchmarkPoolRun(b *testing.B) {
+	p := NewPool(2)
+	defer p.Close()
+	bounds := []int32{0, 1, 2}
+	r := &nopRunner{}
+	p.Run(bounds, r) // wake the member
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Run(bounds, r)
+	}
+}

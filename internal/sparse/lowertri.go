@@ -271,8 +271,10 @@ func (s *LevelSchedule) run(pool *Pool, op Runner) {
 	}
 }
 
-// levelChunkWork is the minimum nnz a chunk should carry, ~4× the work that
-// pays for one pool dispatch: chunks below it cost more in scheduling than
+// levelChunkWork is the minimum nnz a chunk should carry: at the blocked
+// kernels' roughly half a nanosecond per stored entry, about a microsecond
+// of work, several times a warm pool handoff (BenchmarkPoolRun: 0.1–0.4 µs
+// on a 2-vCPU x86_64 host). Chunks below it cost more in scheduling than
 // they recover in parallelism, so narrow levels collapse to a single chunk
 // and run inline. Deep, narrow dependency DAGs (bandwidth-ordered factors,
 // the reduced global matrices in natural lattice order) therefore fall back

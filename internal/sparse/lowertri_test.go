@@ -123,38 +123,6 @@ func TestPartitionByWorkBalancesHeavyRows(t *testing.T) {
 	}
 }
 
-func TestPoolRun(t *testing.T) {
-	base := runtime.NumGoroutine()
-	for _, workers := range []int{1, 2, 4} {
-		p := NewPool(workers)
-		m := benchCSR(500, 9)
-		x := make([]float64, m.NCols)
-		for i := range x {
-			x[i] = float64(i%11) - 5
-		}
-		want := make([]float64, m.NRows)
-		m.MulVec(want, x)
-		op := &MatVec{M: m, Dst: make([]float64, m.NRows), X: x}
-		// Repeated Runs through the same pool, varying chunk counts.
-		for _, parts := range []int{1, 2, 7, 16} {
-			for i := range op.Dst {
-				op.Dst[i] = -1
-			}
-			p.Run(PartitionByWork(m.RowPtr, 0, m.NRows, parts), op)
-			for i := range want {
-				if op.Dst[i] != want[i] {
-					t.Fatalf("workers=%d parts=%d: dst[%d]=%g want %g", workers, parts, i, op.Dst[i], want[i])
-				}
-			}
-		}
-		p.Close()
-		// Close returns only after the gang has exited.
-		if got := runtime.NumGoroutine(); got > base {
-			t.Fatalf("workers=%d: %d goroutines after Close, want the baseline %d", workers, got, base)
-		}
-	}
-}
-
 func lowerTris(t *testing.T) map[string]*LowerTri {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
