@@ -151,9 +151,12 @@ func (*nopRunner) RunRange(lo, hi int) {}
 // BenchmarkPoolRun measures one warm round trip through a 2-worker Pool —
 // publish, claim both chunks, await completion — with a kernel that does no
 // work: the dispatch cost levelChunkWork and MinParRows are sized against.
-// At -cpu 1 the caller runs both chunks itself (the member cannot run
-// concurrently); at -cpu ≥ 2 one chunk is handed to the spinning member.
+// It needs two processors: on one, the member cannot run alongside the
+// caller, which claims both chunks itself and never hands one off.
 func BenchmarkPoolRun(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("a handoff needs GOMAXPROCS ≥ 2")
+	}
 	p := NewPool(2)
 	defer p.Close()
 	bounds := []int32{0, 1, 2}

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -33,10 +32,11 @@ func epochOf(w uint64) uint32 { return uint32(w>>epochShift) & epochMask }
 const (
 	// spinPolls is how many times an idle gang member polls the dispatch
 	// word after its last Run before it parks. A poll count rather than a
-	// wall-clock budget keeps the kernel package free of time sources; on a
-	// 2-vCPU x86_64 host it spans 60–170 µs — longer than the gap between
-	// the level dispatches of one triangular solve, shorter than the serial
-	// stretches between a solve's iterations.
+	// wall-clock budget keeps the kernel package free of time sources.
+	// Measured on the 12×12 hotspot solve (2-vCPU x86_64), it spans
+	// 36–47 µs; the solve issues ~4 600 Runs, 98 % of the gaps between
+	// them are shorter than that (median 0.3 µs, max 0.35 ms), and members
+	// park in the ~85 longer ones.
 	spinPolls = 1 << 14
 	// yieldPolls is how often a spinning goroutine — an idle member or the
 	// caller awaiting completion — yields its processor, so an
@@ -79,9 +79,11 @@ type Pool struct {
 	word   atomic.Uint64 // the dispatch word (see chunkBits)
 	done   atomic.Int32  // completed chunks of the current Run
 
-	// running counts the resident goroutines that have not exited; Close
-	// waits on it so a closed pool leaves no goroutine behind.
-	running sync.WaitGroup
+	// live counts the gang members still in their loop. The last one to
+	// leave closes gone, which Close waits on, so a closed pool leaves no
+	// member behind.
+	live atomic.Int32
+	gone chan struct{}
 }
 
 // NewPool creates a pool with the given total parallelism: workers−1
@@ -98,7 +100,8 @@ func NewPool(workers int) *Pool {
 	if workers > 1 {
 		p.wake = make(chan struct{}, workers-1)
 		p.parked.Store(int32(workers - 1))
-		p.running.Add(workers - 1)
+		p.live.Store(int32(workers - 1))
+		p.gone = make(chan struct{})
 		for i := 0; i < workers-1; i++ {
 			// The channel travels as an argument so the goroutine never
 			// reads the struct field, which Close overwrites.
@@ -117,7 +120,7 @@ func (p *Pool) Workers() int { return p.workers }
 //
 //stressvet:noalloc
 func (p *Pool) worker(wake <-chan struct{}) {
-	defer p.running.Done()
+	defer p.leave()
 	<-wake
 	var seen uint32 // epoch of the last Run this member looked at
 	for idle := 0; ; {
@@ -146,6 +149,16 @@ func (p *Pool) worker(wake <-chan struct{}) {
 			continue // counted back out: no token is owed to this member
 		}
 		<-wake
+	}
+}
+
+// leave takes a returning member off the live count; the last one out
+// releases Close.
+//
+//stressvet:noalloc
+func (p *Pool) leave() {
+	if p.live.Add(-1) == 0 {
+		close(p.gone)
 	}
 }
 
@@ -241,7 +254,7 @@ func (p *Pool) Close() {
 	for p.unpark() {
 		p.wake <- struct{}{}
 	}
-	p.running.Wait()
+	<-p.gone
 	p.wake = nil
 }
 

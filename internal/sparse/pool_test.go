@@ -50,9 +50,9 @@ func waitParked(t *testing.T, p *Pool) {
 }
 
 // settledGoroutines returns runtime.NumGoroutine once it is at most base,
-// or after a second. Close joins the gang on its last signal, which a
-// goroutine necessarily sends just before it returns, so a member can still
-// be counted for the few instructions between the two.
+// or after a second. A member releases Close just before it returns, so it
+// can still be counted for the few instructions between the two; whether
+// Close joined the gang is checked on the live count, with no settling.
 func settledGoroutines(base int) int {
 	deadline := time.Now().Add(time.Second)
 	n := runtime.NumGoroutine()
@@ -110,7 +110,11 @@ func TestPoolRun(t *testing.T) {
 				waitParked(t, p)
 			}
 			within(t, time.Minute, p.Close)
-			// Close returns only after the gang has exited.
+			// Close returns only after every member has left its loop.
+			if n := p.live.Load(); n != 0 {
+				t.Fatalf("workers=%d closeParked=%v: %d gang members still live when Close returned", workers, closeParked, n)
+			}
+			// And none of them leaks.
 			if got := settledGoroutines(base); got > base {
 				t.Fatalf("workers=%d closeParked=%v: %d goroutines after Close, want the baseline %d", workers, closeParked, got, base)
 			}
