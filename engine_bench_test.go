@@ -1,6 +1,11 @@
 package morestress
 
-import "testing"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/solver"
+)
 
 // BenchmarkBatchEngine measures a warm-cache batch of 8 identical-spec
 // scenarios: after the first build, every job must skip the local stage
@@ -75,4 +80,50 @@ func BenchmarkEngineDirectSweep(b *testing.B) {
 		b.Fatalf("factorizations = %d, want 1", s.Factorizations)
 	}
 	b.ReportMetric(float64(s.FactorHits), "factor-hits")
+}
+
+// BenchmarkEngineHotspotSolve is the Krylov-bound steady state the serving
+// path runs on a large lattice: one warm engine (ROM, assembly and IC0
+// factor cached) solving 10×10 scenarios whose per-block ΔT maps rotate
+// through four off-centre hotspots. A ΔT map bypasses the warm-start seed,
+// so every op is a full default-solver (GMRES) solve from zero on a system
+// above AutoIC0Threshold; the bench fails if the solve resolves to another
+// preconditioner, so it keeps measuring the IC0 path.
+func BenchmarkEngineHotspotSolve(b *testing.B) {
+	const dim = 10
+	e := NewEngine(EngineOptions{})
+	cfg := testConfig(15)
+	var maps [4]func(row, col int) float64
+	for i := range maps {
+		r0, c0 := float64(1+2*i), float64(dim-2-i)
+		maps[i] = func(row, col int) float64 {
+			dr, dc := float64(row)-r0, float64(col)-c0
+			return -250 + 120*math.Exp(-(dr*dr+dc*dc)/8)
+		}
+	}
+	job := func(i int) Job {
+		return Job{Config: cfg, Rows: dim, Cols: dim, DeltaT: -250, DeltaTMap: maps[i%len(maps)]}
+	}
+	res, err := e.Solve(job(0)) // warm the ROM, assembly and factor caches
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := res.Result.Solution.Stats.Precond; got != solver.PrecondIC0 {
+		b.Fatalf("%d free DoFs resolved to %v, want IC0 (above AutoIC0Threshold)", len(res.Result.Solution.QFree), got)
+	}
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Solve(job(i + 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Result.Solution.Stats.Warm {
+			b.Fatal("a ΔT-map solve was warm-started")
+		}
+		iters += res.Result.Solution.Stats.Iterations
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+	b.ReportMetric(float64(len(res.Result.Solution.QFree)), "free-dofs")
 }

@@ -14,11 +14,11 @@ import (
 
 // TestMeasureReducedGlobalPrecond regenerates the iterations/ms tables of
 // docs/SOLVER_TUNING.md and the reduced_global_precond section of
-// BENCH_global.json: PCG on the reduced global matrix at coarse resolution,
-// (5,5,5) nodes, Tol 1e-8, for each lattice size, preconditioner, and — for
-// IC0 — symmetric ordering (natural, multicolor). It reports the cold
-// solve (first solve on the lattice: preconditioner build + iterate), the
-// warm solve (assembly-cached preconditioner, the serving path's
+// BENCH_global.json: PCG and GMRES (the serving default) on the reduced
+// global matrix at coarse resolution, (5,5,5) nodes, Tol 1e-8, for each
+// lattice size, preconditioner, and — for IC0 — symmetric ordering
+// (natural, multicolor). It reports the cold solve (first solve on the
+// lattice: preconditioner build + iterate), the warm solve (assembly-cached preconditioner, the serving path's
 // per-scenario cost), and the factor's dependency-level shape (levels ×
 // widest level), which is what the ordering changes. Run at -cpu 1 and
 // -cpu 4 to measure the serial-fallback and fan-out regimes; the
@@ -52,7 +52,7 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 		{solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto},
 	}
 	for _, size := range []int{6, 12, 18} {
-		base := &Problem{ROM: r, Bx: size, By: size, DeltaT: -250, BC: ClampedTopBottom, Solver: CG}
+		base := &Problem{ROM: r, Bx: size, By: size, DeltaT: -250, BC: ClampedTopBottom}
 		asm, err := NewAssembly(base, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -61,57 +61,63 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 			size, size, runtime.GOMAXPROCS(0), asm.NumFree(), asm.Red.Aff.NNZ(),
 			solver.NaturalLevelWidth(asm.Red.Aff), asm.BuildTime)
 		for _, v := range variants {
-			solveOnce := func(a *Assembly) (*Solution, time.Duration) {
-				p := *base
-				p.Assembly = a
-				p.Opt = solver.Options{Tol: 1e-8, Precond: v.kind, Ordering: v.ord, Precision: v.prec}
-				t0 := time.Now()
-				sol, err := Solve(&p)
+			for _, sk := range []struct {
+				name string
+				kind SolverKind
+			}{{"pcg", CG}, {"gmres", GMRES}} {
+				solveOnce := func(a *Assembly) (*Solution, time.Duration) {
+					p := *base
+					p.Assembly = a
+					p.Solver = sk.kind
+					p.Opt = solver.Options{Tol: 1e-8, Precond: v.kind, Ordering: v.ord, Precision: v.prec}
+					t0 := time.Now()
+					sol, err := Solve(&p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sol, time.Since(t0)
+				}
+				// Cold: fresh assembly copy → preconditioner built in-solve.
+				coldAsm, err := NewAssembly(base, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return sol, time.Since(t0)
-			}
-			// Cold: fresh assembly copy → preconditioner built in-solve.
-			coldAsm, err := NewAssembly(base, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			coldSol, cold := solveOnce(coldAsm)
-			// Warm: shared assembly whose preconditioner cache is populated.
-			ap, err := asm.PreconditionerPrec(v.kind, v.ord, v.prec, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			levels, width := -1, -1
-			if fl, ok := ap.M.(solver.FactorLevels); ok {
-				levels, width = fl.Levels()
-			}
-			blocked := false
-			if bl, ok := ap.M.(interface{ Blocked() bool }); ok {
-				blocked = bl.Blocked()
-			}
-			var factorBytes int64 = -1
-			if sz, ok := ap.M.(solver.Sized); ok {
-				factorBytes = sz.MemoryBytes()
-			}
-			best := time.Duration(1 << 62)
-			var warmSol *Solution
-			for i := 0; i < 3; i++ {
-				sol, d := solveOnce(asm)
-				if d < best {
-					best = d
+				coldSol, cold := solveOnce(coldAsm)
+				// Warm: shared assembly whose preconditioner cache is populated.
+				ap, err := asm.PreconditionerPrec(v.kind, v.ord, v.prec, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				warmSol = sol
+				levels, width := -1, -1
+				if fl, ok := ap.M.(solver.FactorLevels); ok {
+					levels, width = fl.Levels()
+				}
+				blocked := false
+				if bl, ok := ap.M.(interface{ Blocked() bool }); ok {
+					blocked = bl.Blocked()
+				}
+				var factorBytes int64 = -1
+				if sz, ok := ap.M.(solver.Sized); ok {
+					factorBytes = sz.MemoryBytes()
+				}
+				best := time.Duration(1 << 62)
+				var warmSol *Solution
+				for i := 0; i < 3; i++ {
+					sol, d := solveOnce(asm)
+					if d < best {
+						best = d
+					}
+					warmSol = sol
+				}
+				fmt.Printf("MEASURE %dx%d %-5s %-14s %-10s prec=%-7s blocked=%-5v it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms refine=%d bytes=%9d levels=%5d width=%5d shared=%v\n",
+					size, size, sk.name, v.kind, v.ord, warmSol.Precision, blocked, warmSol.Stats.Iterations,
+					float64(cold)/1e6, float64(best)/1e6,
+					float64(coldSol.Stats.PrecondBuild)/1e6,
+					float64(warmSol.Stats.PrecondApply)/1e6,
+					warmSol.Stats.Refinements, factorBytes,
+					levels, width,
+					warmSol.PrecondShared)
 			}
-			fmt.Printf("MEASURE %dx%d %-14s %-10s prec=%-7s blocked=%-5v it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms refine=%d bytes=%9d levels=%5d width=%5d shared=%v\n",
-				size, size, v.kind, v.ord, warmSol.Precision, blocked, warmSol.Stats.Iterations,
-				float64(cold)/1e6, float64(best)/1e6,
-				float64(coldSol.Stats.PrecondBuild)/1e6,
-				float64(warmSol.Stats.PrecondApply)/1e6,
-				warmSol.Stats.Refinements, factorBytes,
-				levels, width,
-				warmSol.PrecondShared)
 		}
 	}
 }

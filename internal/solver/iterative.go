@@ -139,16 +139,22 @@ func jacobi(a *sparse.CSR) []float64 {
 	return d
 }
 
-// GMRES solves a·x = b with left-preconditioned restarted GMRES(m) using
+// GMRES solves a·x = b with right-preconditioned restarted GMRES(m) using
 // modified Gram–Schmidt orthogonalization and Givens rotations. This is the
-// global-stage solver recommended by the paper (§4.3). The preconditioner
-// comes from Options.M when prebuilt or is constructed from Options.Precond
-// (default PrecondAuto); x0 optionally seeds the iteration and may be nil.
-// Like PCG, GMRES draws its work vectors, Krylov basis, and Hessenberg from
-// Options.Work when supplied (the returned solution then aliases workspace
-// memory; otherwise a per-call workspace with its own gang is closed on
-// return) and drives level-scheduled preconditioners through the
-// workspace's resident gang.
+// global-stage solver recommended by the paper (§4.3). It builds the Krylov
+// space of A·M⁻¹ and updates x by M⁻¹ of its least-squares combination, so
+// the residual the Arnoldi recurrence minimizes is the true b−A·x: the inner
+// convergence test needs no rescaling and a cycle runs until the true
+// residual estimate meets Tol (Saad, Iterative Methods for Sparse Linear
+// Systems, §9.3.2). The preconditioner comes from Options.M when prebuilt or
+// is constructed from Options.Precond (default PrecondAuto); x0 optionally
+// seeds the iteration and may be nil. Like PCG, GMRES draws its work vectors,
+// Krylov basis, and Hessenberg from Options.Work when supplied (the returned
+// solution then aliases workspace memory; otherwise a per-call workspace with
+// its own gang is closed on return) and drives level-scheduled
+// preconditioners through the workspace's resident gang. Basis vectors are
+// taken lazily, as the Arnoldi step first reaches them, so a solve whose
+// longest cycle runs k ≪ m iterations holds at most k+1 of them, not m+1.
 func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
 	n := a.NRows
 	if a.NCols != n || len(b) != n {
@@ -174,9 +180,11 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		st.PrecondBuild = time.Since(tBuild)
 	}
 	st.Ordering = orderingOf(pre)
-	// GMRES needs no refinement guard for float32 factors: every restart
-	// already recomputes the true residual b−A·x and the convergence test
-	// runs on it, so a rounded factor can slow convergence but never fake it.
+	// GMRES needs no refinement guard for float32 factors: a rounded factor
+	// is still a fixed linear M⁻¹, so right preconditioning stays exact
+	// (no flexible variant is needed), and every restart recomputes the
+	// true residual b−A·x that the convergence test runs on — a rounded
+	// factor can slow convergence but never fake it.
 	st.Precision = precisionOf(pre)
 	ws := opt.Work
 	if ws == nil {
@@ -208,50 +216,38 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		return x, st, nil
 	}
 
-	// Krylov basis (m+1 vectors) and Hessenberg in Givens-reduced form.
-	v := make([][]float64, m+1)
-	for i := range v {
-		v[i] = ws.vec(n)
-	}
+	// Hessenberg in Givens-reduced form, then the Krylov basis: v[0] is
+	// taken after the fixed scratch and v[k+1] when the Arnoldi step first
+	// reaches it, so the take order — and workspace reuse — stays positional.
 	h := ws.hessenberg(m+1, m)
 	cs := ws.vec(m)
 	sn := ws.vec(m)
 	g := ws.vec(m + 1)
 	w := ws.vec(n)
-	pw := ws.vec(n)
 	r := ws.vec(n)
 	pr := ws.vec(n)
 	yBuf := ws.vec(m)
+	v := make([][]float64, m+1)
+	v[0] = ws.vec(n)
 
 	totalIt := 0
 	for totalIt < opt.MaxIter {
-		// r = M⁻¹(b − A·x); the true (unpreconditioned) residual for the
-		// convergence check falls out of the same mat-vec.
+		// r = b − A·x. Under right preconditioning this is also the residual
+		// the Arnoldi recurrence starts from, so no apply is needed here.
 		ws.matvec(a, w, x)
-		var ss float64
-		for i := range b {
-			d := b[i] - w[i]
-			ss += d * d
-		}
-		trueRes := math.Sqrt(ss) / bnorm
 		linalg.Sub(r, b, w)
-		apply(pr, r)
-		copy(r, pr)
 		beta := linalg.Norm2(r)
-		if trueRes <= opt.Tol {
-			st.Iterations, st.Residual, st.Converged = totalIt, trueRes, true
+		res := beta / bnorm
+		if res <= opt.Tol {
+			st.Iterations, st.Residual, st.Converged = totalIt, res, true
 			return x, st, nil
 		}
 		// A non-finite residual (NaN/Inf seed or restart blow-up) can never
 		// converge; fail now instead of burning MaxIter iterations —
 		// warm-start callers fall back to a cold solve on this error.
-		if math.IsNaN(trueRes) || math.IsInf(trueRes, 0) {
+		if math.IsNaN(res) || math.IsInf(res, 0) {
 			st.Iterations = totalIt
 			return x, st, fmt.Errorf("solver: GMRES residual is non-finite at iteration %d: %w", totalIt, ErrStalled)
-		}
-		if beta == 0 {
-			st.Iterations, st.Residual, st.Converged = totalIt, trueRes, trueRes <= opt.Tol
-			return x, st, nil
 		}
 		for i := range v[0] {
 			v[0][i] = r[i] / beta
@@ -262,9 +258,9 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		var k int
 		for k = 0; k < m && totalIt < opt.MaxIter; k++ {
 			totalIt++
-			// w = M⁻¹·A·v[k]
-			ws.matvec(a, pw, v[k])
-			apply(w, pw)
+			// w = A·M⁻¹·v[k]
+			apply(pr, v[k])
+			ws.matvec(a, w, pr)
 			// Modified Gram–Schmidt.
 			for j := 0; j <= k; j++ {
 				hjk := linalg.Dot(w, v[j])
@@ -274,6 +270,9 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 			hn := linalg.Norm2(w)
 			h.Set(k+1, k, hn)
 			if hn > 0 {
+				if v[k+1] == nil {
+					v[k+1] = ws.vec(n)
+				}
 				for i := range v[k+1] {
 					v[k+1][i] = w[i] / hn
 				}
@@ -292,12 +291,15 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 			h.Set(k+1, k, 0)
 			g[k+1] = -s * g[k]
 			g[k] = c * g[k]
-			if math.Abs(g[k+1])/bnorm <= opt.Tol/10 || hn == 0 {
+			// |g[k+1]| is the true residual norm of the cycle's iterate (in
+			// exact arithmetic); the restart's true-residual check confirms it.
+			if math.Abs(g[k+1])/bnorm <= opt.Tol || hn == 0 {
 				k++
 				break
 			}
 		}
-		// Solve the k×k triangular system and update x.
+		// Solve the k×k triangular system, then x += M⁻¹·(V_k·y) with V_k·y
+		// accumulated in r (free until the next restart recomputes it).
 		y := yBuf[:k]
 		for i := k - 1; i >= 0; i-- {
 			s := g[i]
@@ -306,9 +308,12 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 			}
 			y[i] = s / h.At(i, i)
 		}
+		linalg.Zero(r)
 		for j := 0; j < k; j++ {
-			linalg.Axpy(y[j], v[j], x)
+			linalg.Axpy(y[j], v[j], r)
 		}
+		apply(pr, r)
+		linalg.Add(x, x, pr)
 	}
 	ws.matvec(a, w, x)
 	linalg.Sub(r, b, w)

@@ -323,6 +323,56 @@ func TestGMRESWithInitialGuess(t *testing.T) {
 	}
 }
 
+// TestGMRESScaleInvariant solves s·A·x = s·b across twelve orders of
+// magnitude of s. Preconditioned GMRES is scale invariant in exact
+// arithmetic (Jacobi and IC0 of s·A are s·M), so the iteration count must
+// not move and every scale must land on the same solution. A stopping test
+// that compares a preconditioned residual against the unpreconditioned ‖b‖
+// breaks this: it fires too early or too late depending on s.
+func TestGMRESScaleInvariant(t *testing.T) {
+	base := laplacian3D(12, 12, 6)
+	rng := rand.New(rand.NewSource(11))
+	rhs := randVec(rng, base.NRows)
+	const tol = 1e-8
+	for _, kind := range []PrecondKind{PrecondJacobi, PrecondIC0} {
+		var refX []float64
+		refIt := -1
+		for _, s := range []float64{1, 1e-6, 1e6} {
+			a := base.Clone()
+			for i := range a.Vals {
+				a.Vals[i] *= s
+			}
+			b := make([]float64, len(rhs))
+			for i, v := range rhs {
+				b[i] = s * v
+			}
+			x, stats, err := GMRES(a, b, nil, Options{Tol: tol, Precond: kind, Workers: 1})
+			if err != nil {
+				t.Fatalf("%v scale %g: %v", kind, s, err)
+			}
+			if r := residual(base, x, rhs); r > tol {
+				t.Errorf("%v scale %g: residual %g > %g", kind, s, r, tol)
+			}
+			if refX == nil {
+				refX, refIt = x, stats.Iterations
+				continue
+			}
+			if stats.Iterations != refIt {
+				t.Errorf("%v scale %g: %d iterations, %d at scale 1", kind, s, stats.Iterations, refIt)
+			}
+			var num, den float64
+			for i := range x {
+				d := x[i] - refX[i]
+				num += d * d
+				den += refX[i] * refX[i]
+			}
+			if e := math.Sqrt(num / den); e > tol {
+				t.Errorf("%v scale %g: solution differs from scale 1 by %g (relative)", kind, s, e)
+			}
+		}
+	}
+}
+
 func TestCGAndGMRESAgree(t *testing.T) {
 	a := laplacian3D(6, 6, 6)
 	rng := rand.New(rand.NewSource(9))
