@@ -275,14 +275,20 @@ type Solution struct {
 // preconditioner, built lazily on first use and cached on the Assembly per
 // concrete PrecondKind (the preconditioner depends only on the reduced
 // matrix, so every scenario, ΔT sweep, and async job on the lattice shares
-// it). The reduced system itself is immutable after NewAssembly; the
-// preconditioner cache is internally synchronized, so an Assembly is safe
-// to share across concurrent Solve calls.
+// it). The reduced matrix A_ff is held once, as 3×3 tiles (Blocked): every
+// Krylov mat-vec and preconditioner build reads them, and the direct solver
+// expands them to a transient CSR only when it factors. The reduced system
+// itself is immutable after NewAssembly; the preconditioner cache is
+// internally synchronized, so an Assembly is safe to share across concurrent
+// Solve calls.
 type Assembly struct {
 	// Lat is the global surface-node lattice.
 	Lat *Lattice
-	// Red is the reduced system (A_ff, A_fb, unit thermal load b_f); nil in
-	// the degenerate case where every DoF is constrained (AllBC).
+	// Red is the reduced system — unit thermal load b_f and the free/BC
+	// index maps — nil in the degenerate case where every DoF is
+	// constrained (AllBC). Its A_ff is nil: the tiled copy (Blocked) is the
+	// only one. Its A_fb is kept only under PrescribedBoundary, the one BC
+	// whose right-hand side lifts boundary values through it.
 	Red *fem.Reduced
 	// BC is the boundary-condition kind the constraint mask was built for.
 	BC BCKind
@@ -296,9 +302,11 @@ type Assembly struct {
 	// BuildTime is the one-shot cost of the matrix assembly + reduction.
 	BuildTime time.Duration
 
+	// aff is the reduced matrix A_ff as 3×3 tiles (nil when AllBC).
+	aff *sparse.BCSR
+
 	// pmu guards preconds, the lazily built per-(kind, ordering, precision)
-	// preconditioner cache, the memoized level-width probe, and the memoized
-	// blocked form of the reduced matrix.
+	// preconditioner cache, and the memoized level-width probe.
 	pmu      sync.Mutex
 	preconds map[precondKey]*assemblyPrecond
 	// widthKnown/naturalWidth memoize solver.NaturalLevelWidth of the
@@ -307,12 +315,6 @@ type Assembly struct {
 	// also depends on the solve's worker count.
 	widthKnown   bool
 	naturalWidth int
-	// bmKnown/bm memoize the 3×3-tiled (BCSR) form of the reduced matrix,
-	// built by Blocked on the lattice's first iterative solve and shared by
-	// every solve after it (the blocked mat-vec kernel reads it); bm stays
-	// nil when the reduced dimension is not a multiple of sparse.BlockSize.
-	bmKnown bool
-	bm      *sparse.BCSR
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
@@ -376,7 +378,7 @@ func (a *Assembly) naturalLevelWidth() int {
 	// Probe outside the lock so a multi-second first lookup does not block
 	// concurrent PreconditionerPrec requests for other kinds; the sweep is
 	// idempotent, so a concurrent double-compute is benign.
-	width = solver.NaturalLevelWidth(a.Red.Aff)
+	width = solver.NaturalLevelWidth(a.aff)
 	a.pmu.Lock()
 	a.widthKnown, a.naturalWidth = true, width
 	a.pmu.Unlock()
@@ -410,7 +412,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	// amortized threshold rather than the one-shot one.
 	resolved := kind.ResolveAmortized(a.Red.NFree())
 	if resolved == solver.PrecondIC0 {
-		ord = solver.ResolveOrdering(ord, a.Red.Aff.NRows, workers, a.naturalLevelWidth)
+		ord = solver.ResolveOrdering(ord, a.aff.NRows, workers, a.naturalLevelWidth)
 		if prec == solver.PrecisionAuto {
 			prec = solver.PrecisionFloat32
 		}
@@ -431,7 +433,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	a.pmu.Unlock()
 	e.once.Do(func() {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		e.m, e.err = solver.NewPreconditioner(resolved, ord, prec, a.Red.Aff)
+		e.m, e.err = solver.NewPreconditioner(resolved, ord, prec, a.aff)
 		e.build = time.Since(t0)
 	})
 	a.pmu.Lock()
@@ -450,32 +452,9 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	return out, nil
 }
 
-// Blocked returns the 3×3-tiled (BCSR) form of the reduced matrix, building
-// and memoizing it on first use; nil when the reduced dimension is not a
-// multiple of sparse.BlockSize or there are no free DoFs. Iterative solves
-// hand it to the solver as Options.MatBlocked so the mat-vec hot loop runs
-// the tiled kernel; the footprint is counted by MemoryBytes like the cached
-// preconditioners.
-func (a *Assembly) Blocked() *sparse.BCSR {
-	if a.Red == nil {
-		return nil
-	}
-	a.pmu.Lock()
-	known, bm := a.bmKnown, a.bm
-	a.pmu.Unlock()
-	if known {
-		return bm
-	}
-	// Convert outside the lock (one pass over the matrix) so a multi-second
-	// first conversion does not block concurrent Preconditioner requests;
-	// the conversion is deterministic, so a concurrent double-build is
-	// benign.
-	bm, _ = sparse.NewBCSR(a.Red.Aff)
-	a.pmu.Lock()
-	a.bmKnown, a.bm = true, bm
-	a.pmu.Unlock()
-	return bm
-}
+// Blocked returns the reduced matrix A_ff as 3×3 tiles (BCSR) — the only
+// copy the assembly holds; nil when there are no free DoFs.
+func (a *Assembly) Blocked() *sparse.BCSR { return a.aff }
 
 // NewAssembly runs the load-independent part of the global stage for the
 // problem: lattice enumeration, unit-load matrix assembly, and Dirichlet
@@ -523,7 +502,17 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 		if err != nil {
 			return nil, err
 		}
-		asm.Red = red
+		// Dirichlet reduction removes whole nodes, so A_ff tiles exactly;
+		// the tiles replace the CSR.
+		aff, err := sparse.NewBCSR(red.Aff)
+		if err != nil {
+			return nil, fmt.Errorf("array: reduced matrix: %w", err)
+		}
+		red.Aff = nil
+		if p.BC != PrescribedBoundary {
+			red.Afb = nil
+		}
+		asm.Red, asm.aff = red, aff
 	}
 	asm.BuildTime = time.Since(start)
 	return asm, nil
@@ -544,7 +533,10 @@ func (a *Assembly) NumFree() int {
 func (a *Assembly) MemoryBytes() int64 {
 	b := int64(4*len(a.Lat.Index)) + int64(24*len(a.Lat.Nodes)) + int64(4*len(a.BCNodes))
 	if a.Red != nil {
-		b += a.Red.Aff.MemoryBytes() + a.Red.Afb.MemoryBytes()
+		b += a.aff.MemoryBytes()
+		if a.Red.Afb != nil {
+			b += a.Red.Afb.MemoryBytes()
+		}
 		b += int64(8*len(a.Red.Bf)) + int64(4*(len(a.Red.FreeIdx)+len(a.Red.BCIdx)))
 	}
 	a.pmu.Lock()
@@ -554,9 +546,6 @@ func (a *Assembly) MemoryBytes() int64 {
 				b += s.MemoryBytes()
 			}
 		}
-	}
-	if a.bm != nil {
-		b += a.bm.MemoryBytes()
 	}
 	a.pmu.Unlock()
 	return b
@@ -733,12 +722,6 @@ func Solve(p *Problem) (*Solution, error) {
 		drewFromCache = true
 		precondBuild = ap.Build
 	}
-	if p.Solver != Direct {
-		// The 3×3-tiled form of the reduced matrix (nil when the dimension
-		// does not tile) routes the solver's mat-vec through the blocked
-		// kernel; built once per assembly, shared by every solve.
-		opt.MatBlocked = asm.Blocked()
-	}
 	x0 := p.X0
 	if len(x0) != len(rhs) {
 		x0 = nil
@@ -746,9 +729,9 @@ func Solve(p *Problem) (*Solution, error) {
 	solve := func(seed []float64) (qf []float64, stats solver.Stats, err error) {
 		switch p.Solver {
 		case CG:
-			return solver.PCG(red.Aff, rhs, seed, opt)
+			return solver.PCG(asm.aff, rhs, seed, opt)
 		case Direct:
-			factor := func() (*solver.CholFactor, error) { return solver.NewCholesky(red.Aff) }
+			factor := func() (*solver.CholFactor, error) { return solver.NewCholesky(asm.aff.ToCSR()) }
 			var chol *solver.CholFactor
 			if p.Factors != nil && p.FactorKey != "" {
 				chol, err = p.Factors.GetOrFactor(p.FactorKey, factor)
@@ -760,7 +743,7 @@ func Solve(p *Problem) (*Solution, error) {
 			}
 			return chol.Solve(rhs), solver.Stats{Converged: true, Ordering: solver.OrderingNatural, Precision: solver.PrecisionFloat64}, nil
 		default:
-			return solver.GMRES(red.Aff, rhs, seed, opt)
+			return solver.GMRES(asm.aff, rhs, seed, opt)
 		}
 	}
 	qf, stats, err := solve(x0)

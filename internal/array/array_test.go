@@ -249,6 +249,53 @@ func TestPrescribedBoundaryReproducesLinearField(t *testing.T) {
 	}
 }
 
+// TestAssemblyHoldsOneTiledCopy: a clamped assembly holds A_ff only as 3×3
+// tiles and drops A_fb (its right-hand side never lifts boundary values),
+// a prescribed one keeps A_fb for the lift, and MemoryBytes is exactly the
+// sum of the parts each still holds, cached preconditioners included.
+func TestAssemblyHoldsOneTiledCopy(t *testing.T) {
+	r := buildROM(t, 3, true)
+	parts := func(asm *Assembly) int64 {
+		return int64(4*len(asm.Lat.Index)) + int64(24*len(asm.Lat.Nodes)) + int64(4*len(asm.BCNodes)) +
+			asm.Blocked().MemoryBytes() + int64(8*len(asm.Red.Bf)) +
+			int64(4*(len(asm.Red.FreeIdx)+len(asm.Red.BCIdx)))
+	}
+	clamped, err := NewAssembly(&Problem{ROM: r, Bx: 3, By: 3, DeltaT: -250, BC: ClampedTopBottom}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clamped.Red.Aff != nil || clamped.Red.Afb != nil {
+		t.Fatalf("clamped assembly holds CSR A_ff (%v) or A_fb (%v)", clamped.Red.Aff != nil, clamped.Red.Afb != nil)
+	}
+	if bm := clamped.Blocked(); bm == nil || bm.NRows != clamped.NumFree() {
+		t.Fatalf("clamped assembly tiles missing or mis-sized: %v", bm)
+	}
+	want := parts(clamped)
+	if got := clamped.MemoryBytes(); got != want {
+		t.Errorf("clamped MemoryBytes = %d, want %d", got, want)
+	}
+	ap, err := clamped.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want += ap.M.(solver.Sized).MemoryBytes()
+	if got := clamped.MemoryBytes(); got != want {
+		t.Errorf("clamped MemoryBytes with IC0 = %d, want %d", got, want)
+	}
+
+	zero := func(mesh.Vec3) [3]float64 { return [3]float64{} }
+	prescribed, err := NewAssembly(&Problem{ROM: r, Bx: 3, By: 3, DeltaT: -250, BC: PrescribedBoundary, BoundaryDisp: zero}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prescribed.Red.Aff != nil || prescribed.Red.Afb == nil {
+		t.Fatalf("prescribed assembly: CSR A_ff held %v, A_fb held %v; want only A_fb", prescribed.Red.Aff != nil, prescribed.Red.Afb != nil)
+	}
+	if got, want := prescribed.MemoryBytes(), parts(prescribed)+prescribed.Red.Afb.MemoryBytes(); got != want {
+		t.Errorf("prescribed MemoryBytes = %d, want %d", got, want)
+	}
+}
+
 func TestGMRESAndCGAgreeOnGlobalProblem(t *testing.T) {
 	r := buildROM(t, 3, true)
 	base := Problem{

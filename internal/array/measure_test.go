@@ -58,8 +58,8 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Printf("MEASURE %dx%d gomaxprocs=%d free_dofs=%d nnz=%d natural_width=%d assembly_build=%v\n",
-			size, size, runtime.GOMAXPROCS(0), asm.NumFree(), asm.Red.Aff.NNZ(),
-			solver.NaturalLevelWidth(asm.Red.Aff), asm.BuildTime)
+			size, size, runtime.GOMAXPROCS(0), asm.NumFree(), asm.Blocked().ScalarNNZ,
+			solver.NaturalLevelWidth(asm.Blocked()), asm.BuildTime)
 		for _, v := range variants {
 			for _, sk := range []struct {
 				name string

@@ -139,7 +139,7 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 	}
 	// Auto resolves to a concrete ordering (memoized per assembly) and must
 	// share that entry rather than cache a duplicate under OrderingAuto.
-	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.Red.Aff.NRows, 0, asm.naturalLevelWidth)
+	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 0, asm.naturalLevelWidth)
 	want, err := asm.PreconditionerPrec(solver.PrecondIC0, resolved, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +320,7 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	}
 	// Control: the same lattice handed 4 workers explicitly does switch, so
 	// the default — not the system — decided above.
-	if got := solver.ResolveOrdering(solver.OrderingAuto, asm.Red.Aff.NRows, 4, asm.naturalLevelWidth); got != solver.OrderingMulticolor {
+	if got := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 4, asm.naturalLevelWidth); got != solver.OrderingMulticolor {
 		t.Errorf("auto ordering at 4 workers resolved to %v, want multicolor", got)
 	}
 }

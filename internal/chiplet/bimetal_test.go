@@ -8,6 +8,7 @@ import (
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // TestBimetalCurvatureMatchesTimoshenko validates the warpage physics of the
@@ -64,7 +65,11 @@ func TestBimetalCurvatureMatchesTimoshenko(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xf, _, err := solver.PCG(red.Aff, red.RHS(deltaT, nil), nil, solver.Options{Tol: 1e-9, Workers: 8})
+	aff, err := sparse.NewBCSR(red.Aff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xf, _, err := solver.PCG(aff, red.RHS(deltaT, nil), nil, solver.Options{Tol: 1e-9, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

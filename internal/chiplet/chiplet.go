@@ -16,6 +16,7 @@ import (
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // Stack describes the package geometry (all µm). Layers are centered
@@ -220,7 +221,13 @@ func SolveCoarse(st Stack, res Resolution, deltaT float64, extraBreaks []float64
 		// pick serial IC0) does not apply.
 		opt.Precond = solver.JacobiFamily(red.NFree())
 	}
-	xf, stats, err := solver.PCG(red.Aff, rhs, nil, opt)
+	// The 3-2-1 constraints remove 6 DoFs, so A_ff still tiles, though the
+	// tiles after the first constrained node straddle two nodes.
+	aff, err := sparse.NewBCSR(red.Aff)
+	if err != nil {
+		return nil, fmt.Errorf("chiplet: coarse system: %w", err)
+	}
+	xf, stats, err := solver.PCG(aff, rhs, nil, opt)
 	if err != nil {
 		return nil, fmt.Errorf("chiplet: coarse solve failed: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fem"
 	"repro/internal/mesh"
-	"repro/internal/solver"
 )
 
 // solveQuadratic runs the reference solve with 20-node serendipity elements
@@ -70,7 +69,7 @@ func solveQuadratic(p *Problem, grid *mesh.Grid, model *fem.Model) (*Result, err
 		opt.Workers = p.Workers
 	}
 	opt = referencePrecond(opt, p.Precond, red.NFree())
-	xf, stats, err := solver.PCG(red.Aff, rhs, nil, opt)
+	xf, stats, err := pcgReduced(red, rhs, opt)
 	if err != nil {
 		return nil, fmt.Errorf("reffem: quadratic solve failed: %w", err)
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // BCKind selects the boundary condition, mirroring the global-stage kinds.
@@ -138,6 +139,17 @@ func referencePrecond(opt solver.Options, legacy solver.PrecondKind, nfree int) 
 	return opt
 }
 
+// pcgReduced tiles the reduced matrix A_ff into 3×3 blocks and solves it
+// with PCG. Both reference models constrain whole nodes, so the dimension
+// always tiles. Shared by the trilinear and quadratic paths.
+func pcgReduced(red *fem.Reduced, rhs []float64, opt solver.Options) ([]float64, solver.Stats, error) {
+	aff, err := sparse.NewBCSR(red.Aff)
+	if err != nil {
+		return nil, solver.Stats{}, err
+	}
+	return solver.PCG(aff, rhs, nil, opt)
+}
+
 // Solve assembles and solves the full fine-mesh array problem.
 func Solve(p *Problem) (*Result, error) {
 	if p.Workers <= 0 {
@@ -215,7 +227,7 @@ func Solve(p *Problem) (*Result, error) {
 		opt.Workers = p.Workers
 	}
 	opt = referencePrecond(opt, p.Precond, red.NFree())
-	xf, stats, err := solver.PCG(red.Aff, rhs, nil, opt)
+	xf, stats, err := pcgReduced(red, rhs, opt)
 	if err != nil {
 		return nil, fmt.Errorf("reffem: solve failed: %w", err)
 	}

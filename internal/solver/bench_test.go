@@ -42,20 +42,22 @@ func BenchmarkCholeskySolve(b *testing.B) {
 }
 
 func BenchmarkPCG(b *testing.B) {
-	a, rhs := benchMatrix(20, 20, 10)
+	a, rhs := benchMatrix(19, 20, 10)
+	at := tiled(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := PCG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+		if _, _, err := PCG(at, rhs, nil, Options{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkGMRES(b *testing.B) {
-	a, rhs := benchMatrix(20, 20, 10)
+	a, rhs := benchMatrix(19, 20, 10)
+	at := tiled(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := GMRES(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+		if _, _, err := GMRES(at, rhs, nil, Options{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +68,8 @@ func BenchmarkGMRES(b *testing.B) {
 // sides. The alternative — an iterative solve per right-hand side — is what
 // the reuse avoids.
 func BenchmarkAblationFactorReuse(b *testing.B) {
-	a, _ := benchMatrix(16, 16, 8)
+	a, _ := benchMatrix(15, 16, 8)
+	at := tiled(a)
 	rng := rand.New(rand.NewSource(7))
 	const nrhs = 32
 	rhss := make([][]float64, nrhs)
@@ -91,7 +94,7 @@ func BenchmarkAblationFactorReuse(b *testing.B) {
 	b.Run("iterative-per-rhs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, rhs := range rhss {
-				if _, _, err := PCG(a, rhs, nil, Options{Tol: 1e-8}); err != nil {
+				if _, _, err := PCG(at, rhs, nil, Options{Tol: 1e-8}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,10 +184,10 @@ func blockIndependent(blocks, bs int) *sparse.CSR {
 // (independent dense blocks) has levels as wide as the block count and is
 // where the schedule fans out — run with -cpu 1,4 to see it.
 func BenchmarkIC0Apply(b *testing.B) {
-	narrow := latticeLike(28, 28, 15) // 11760 DoFs, ~250 nnz/row
+	narrow := tiled(latticeLike(28, 28, 15)) // 11760 DoFs, ~250 nnz/row
 	systems := []struct {
 		name string
-		a    *sparse.CSR
+		a    *sparse.BCSR
 		ord  OrderingKind
 	}{
 		{"narrowDAG", narrow, OrderingNatural},
@@ -192,7 +195,7 @@ func BenchmarkIC0Apply(b *testing.B) {
 		// collapses to one wide level per color, so this is the regime the
 		// reduced global matrices run in after PR 5's OrderingAuto.
 		{"narrowDAG-multicolor", narrow, OrderingMulticolor},
-		{"wideDAG", blockIndependent(600, 24), OrderingNatural}, // 14400 DoFs, 24 levels × 600 rows
+		{"wideDAG", tiled(blockIndependent(600, 24)), OrderingNatural}, // 14400 DoFs, 24 levels × 600 rows
 	}
 	rng := rand.New(rand.NewSource(3))
 	workers := runtime.GOMAXPROCS(0)
@@ -231,7 +234,7 @@ func BenchmarkIC0Apply(b *testing.B) {
 // traffic) and the halved factor bytes both show up as serial ns/op. Run
 // with -cpu 1,4; the pool rows dispatch through a resident Workspace gang.
 func BenchmarkIC0ApplyBlocked(b *testing.B) {
-	a := latticeLike(28, 28, 15)
+	a := tiled(latticeLike(28, 28, 15))
 	scalar, err := newIC0Layout(a, OrderingNatural, PrecisionFloat64, false)
 	if err != nil {
 		b.Fatal(err)
@@ -284,7 +287,7 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 // work vectors. Must report 0 allocs/op after the warmup solve
 // (TestPCGZeroAllocs asserts the same contract).
 func BenchmarkPCGNoAlloc(b *testing.B) {
-	a := elasticity3(12, 12, 8)
+	a := tiled(elasticity3(12, 12, 8))
 	rng := rand.New(rand.NewSource(4))
 	rhs := make([]float64, a.NRows)
 	for i := range rhs {
@@ -313,7 +316,7 @@ func BenchmarkPCGNoAlloc(b *testing.B) {
 // elasticity-like system — the data behind docs/SOLVER_TUNING.md. The
 // iterations metric is the converged iteration count.
 func BenchmarkPCGPrecond(b *testing.B) {
-	a := elasticity3(12, 12, 8)
+	a := tiled(elasticity3(12, 12, 8))
 	rng := rand.New(rand.NewSource(42))
 	rhs := make([]float64, a.NRows)
 	for i := range rhs {

@@ -8,8 +8,9 @@ import (
 )
 
 // spd3 builds a tiny SPD system with 3 DoFs per node — the shape of a
-// reduced global stiffness matrix — whose solution is all ones.
-func spd3(nodes int) (a *sparse.CSR, b []float64) {
+// reduced global stiffness matrix — whose solution is all ones, held as the
+// 3×3 tiles the solvers take.
+func spd3(nodes int) (a *sparse.BCSR, b []float64) {
 	n := 3 * nodes
 	tr := sparse.NewTriplet(n, n, 9*nodes+2*(n-3))
 	for i := 0; i < n; i++ {
@@ -19,13 +20,17 @@ func spd3(nodes int) (a *sparse.CSR, b []float64) {
 			tr.Add(i+3, i, -1)
 		}
 	}
+	a, err := sparse.NewBCSR(tr.ToCSR())
+	if err != nil {
+		panic(err)
+	}
 	b = make([]float64, n)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1
 	}
-	tr.ToCSR().MulVec(b, x)
-	return tr.ToCSR(), b
+	a.MulVec(b, x)
+	return a, b
 }
 
 // ExamplePCG solves an SPD system with the preconditioned conjugate

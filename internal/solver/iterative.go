@@ -85,12 +85,6 @@ type Options struct {
 	// resolved and recorded in Stats either way. Runtime-only: never
 	// serialized.
 	M Preconditioner
-	// MatBlocked optionally supplies the 3×3-tiled form of the system
-	// matrix (e.g. assembly-cached); the workspace mat-vec then runs the
-	// blocked kernel instead of the scalar CSR one. Must represent the same
-	// matrix as a — dimension mismatches are ignored (scalar path). Runtime-
-	// only: never serialized.
-	MatBlocked *sparse.BCSR
 	// Work optionally supplies a reusable Workspace (pooled work vectors,
 	// resident parallel gang). The returned solution vector is then owned
 	// by the workspace and valid only until its next solve — copy it to
@@ -124,24 +118,10 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// jacobi builds the inverse-diagonal preconditioner of a, falling back to 1
-// for zero diagonal entries (which cannot occur on an SPD matrix but keeps
-// the solver total).
-func jacobi(a *sparse.CSR) []float64 {
-	d := a.Diag()
-	for i, v := range d {
-		if v != 0 {
-			d[i] = 1 / v
-		} else {
-			d[i] = 1
-		}
-	}
-	return d
-}
-
-// GMRES solves a·x = b with right-preconditioned restarted GMRES(m) using
-// modified Gram–Schmidt orthogonalization and Givens rotations. This is the
-// global-stage solver recommended by the paper (§4.3). It builds the Krylov
+// GMRES solves a·x = b, with a held as 3×3 tiles, by right-preconditioned
+// restarted GMRES(m) using modified Gram–Schmidt orthogonalization and Givens
+// rotations. This is the global-stage solver recommended by the paper
+// (§4.3). It builds the Krylov
 // space of A·M⁻¹ and updates x by M⁻¹ of its least-squares combination, so
 // the residual the Arnoldi recurrence minimizes is the true b−A·x: the inner
 // convergence test needs no rescaling and a cycle runs until the true
@@ -155,7 +135,7 @@ func jacobi(a *sparse.CSR) []float64 {
 // preconditioners through the workspace's resident gang. Basis vectors are
 // taken lazily, as the Arnoldi step first reaches them, so a solve whose
 // longest cycle runs k ≪ m iterations holds at most k+1 of them, not m+1.
-func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
+func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
 	n := a.NRows
 	if a.NCols != n || len(b) != n {
 		return nil, Stats{}, fmt.Errorf("solver: GMRES dimension mismatch: matrix %d×%d, b %d", a.NRows, a.NCols, len(b))
@@ -192,7 +172,7 @@ func GMRES(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error
 		defer ws.Close()
 	}
 	ws.reset()
-	ws.prepMatVec(a, opt.MatBlocked, opt.Workers)
+	ws.prepMatVec(a, opt.Workers)
 	wa, _ := pre.(parApplier)
 	apply := func(dst, src []float64) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics

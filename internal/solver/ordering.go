@@ -161,39 +161,26 @@ func Multicolor(n int, rowsOf func(r int) []int32) (perm []int32, colorPtr []int
 	return perm, colorPtr
 }
 
-// csrRows adapts a CSR pattern to Multicolor's rowsOf.
-func csrRows(m *sparse.CSR) func(r int) []int32 {
-	return func(r int) []int32 { return m.ColIdx[m.RowPtr[r]:m.RowPtr[r+1]] }
-}
-
 // MulticolorNodes is the block-aware multicolor ordering for 3-DoF node
-// systems: it colors the *node quotient graph* (nodes adjacent when any of
-// their scalar DoFs couple) with the same greedy rule as Multicolor, then
-// expands the node permutation so each node's 3 rows stay contiguous —
-// perm[3v+c] = 3·newNode(v)+c. Blocked (3×3-tiled) storage survives the
-// reordering intact, and the coloring is coarser than the scalar one (node
-// cliques collapse to single vertices), which is why it costs fewer extra
-// PCG iterations than coloring scalar rows: the intra-node couplings that
-// scalar coloring is forced to separate stay together.
+// systems: it colors the *node quotient graph* — the tile pattern of a, where
+// nodes are adjacent when any of their scalar DoFs couple — with the same
+// greedy rule as Multicolor, then expands the node permutation so each
+// node's 3 rows stay contiguous — perm[3v+c] = 3·newNode(v)+c. Blocked
+// (3×3-tiled) storage survives the reordering intact, and the coloring is
+// coarser than a scalar one (node cliques collapse to single vertices),
+// which is why it costs fewer extra PCG iterations than coloring scalar
+// rows: the intra-node couplings that scalar coloring is forced to separate
+// stay together.
 //
 // Under the returned permutation no two adjacent nodes share a color, so
 // the blocked factor's dependency schedules collapse to one block level per
 // color (the scalar factor still chains up to 3 rows inside each node).
 // The returned perm maps perm[old] = new over scalar indices; colorPtr
 // bounds each color class in *node* units (class c covers scalar rows
-// [3·colorPtr[c], 3·colorPtr[c+1])). n must be divisible by 3. Deterministic
-// for a fixed pattern.
-func MulticolorNodes(a *sparse.CSR) (perm []int32, colorPtr []int32) {
-	// Node v's neighbors in the quotient graph are the nodes of every column
-	// its scalar rows couple to; duplicate couplings to the same neighbor
-	// just re-mark its color, so no dedup pass is needed.
-	var adj []int32
-	nodePerm, colorPtr := Multicolor(a.NRows/sparse.BlockSize, func(v int) []int32 {
-		adj = adj[:0]
-		for p := a.RowPtr[sparse.BlockSize*v]; p < a.RowPtr[sparse.BlockSize*(v+1)]; p++ {
-			adj = append(adj, a.ColIdx[p]/sparse.BlockSize)
-		}
-		return adj
+// [3·colorPtr[c], 3·colorPtr[c+1])). Deterministic for a fixed pattern.
+func MulticolorNodes(a *sparse.BCSR) (perm []int32, colorPtr []int32) {
+	nodePerm, colorPtr := Multicolor(a.NBRows(), func(v int) []int32 {
+		return a.BColIdx[a.BRowPtr[v]:a.BRowPtr[v+1]]
 	})
 	perm = make([]int32, a.NRows)
 	for v, q := range nodePerm {
@@ -205,24 +192,29 @@ func MulticolorNodes(a *sparse.CSR) (perm []int32, colorPtr []int32) {
 }
 
 // NaturalLevelWidth returns the maximum dependency-level width (rows) of the
-// lower-triangular pattern of a in its natural order — the zero-fill IC0
-// factor pattern, computed without factoring (one O(nnz) sweep). This is the
+// lower-triangular scalar pattern of a in its natural order — the zero-fill
+// IC0 factor pattern, computed without factoring (one O(nnz) sweep over the
+// tiles, skipping their zero padding as the factor does). This is the
 // number OrderingAuto compares against AutoMulticolorWidth, and the
 // measurement harness reports it next to the post-ordering schedule shape.
-func NaturalLevelWidth(a *sparse.CSR) int {
-	n := a.NRows
-	level := make([]int32, n)
+func NaturalLevelWidth(a *sparse.BCSR) int {
+	level := make([]int32, a.NRows)
 	width := make([]int32, 0, 64)
 	var max int32
-	for r := 0; r < n; r++ {
+	for r := 0; r < a.NRows; r++ {
+		br, i := r/sparse.BlockSize, r%sparse.BlockSize
 		var lv int32
-		for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-			c := a.ColIdx[p]
-			if int(c) >= r {
-				continue
+		for p := a.BRowPtr[br]; p < a.BRowPtr[br+1]; p++ {
+			c0 := int(sparse.BlockSize * a.BColIdx[p])
+			if c0 >= r {
+				break // block columns ascend: the rest lie on or above the diagonal
 			}
-			if d := level[c] + 1; d > lv {
-				lv = d
+			for j, v := range a.Vals[9*p+sparse.BlockSize*int32(i):][:sparse.BlockSize] {
+				if c := c0 + j; c < r && v != 0 {
+					if d := level[c] + 1; d > lv {
+						lv = d
+					}
+				}
 			}
 		}
 		level[r] = lv
@@ -265,25 +257,20 @@ func ResolveOrdering(k OrderingKind, n, workers int, width func() int) OrderingK
 
 // resolveOrderingOf is ResolveOrdering for a matrix without a memoized
 // width: the O(nnz) probe runs on a when the guards leave the choice open.
-func resolveOrderingOf(k OrderingKind, a *sparse.CSR, workers int) OrderingKind {
+func resolveOrderingOf(k OrderingKind, a *sparse.BCSR, workers int) OrderingKind {
 	return ResolveOrdering(k, a.NRows, workers, func() int { return NaturalLevelWidth(a) })
 }
 
 // orderingPerm materializes the permutation of a concrete ordering kind for
 // the pattern of a: nil for the natural ordering (identity) and for the
 // reserved value 2, which therefore factors as natural. Multicolor is
-// node-blocked on 3-DoF systems (MulticolorNodes) so blocked factor storage
-// survives the reordering; scalar coloring remains for dimensions not
-// divisible by 3.
-func orderingPerm(k OrderingKind, a *sparse.CSR) []int32 {
+// node-blocked (MulticolorNodes) so blocked factor storage survives the
+// reordering.
+func orderingPerm(k OrderingKind, a *sparse.BCSR) []int32 {
 	if k != OrderingMulticolor {
 		return nil
 	}
-	if a.NRows == a.NCols && a.NRows%sparse.BlockSize == 0 {
-		perm, _ := MulticolorNodes(a)
-		return perm
-	}
-	perm, _ := Multicolor(a.NRows, csrRows(a))
+	perm, _ := MulticolorNodes(a)
 	return perm
 }
 

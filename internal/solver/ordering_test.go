@@ -52,6 +52,11 @@ func checkMulticolor(t *testing.T, m *sparse.CSR, perm, colorPtr []int32) {
 	}
 }
 
+// csrRows adapts a scalar CSR pattern to Multicolor's rowsOf.
+func csrRows(m *sparse.CSR) func(r int) []int32 {
+	return func(r int) []int32 { return m.ColIdx[m.RowPtr[r]:m.RowPtr[r+1]] }
+}
+
 func TestMulticolorValidColoring(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	systems := map[string]*sparse.CSR{
@@ -80,13 +85,12 @@ func TestMulticolorValidColoring(t *testing.T) {
 // TestMulticolorCollapsesLevels is the tentpole's shape contract: on a
 // lattice-like system whose natural-order IC0 DAG is deep and narrow, the
 // multicolor-ordered factor's schedule must collapse to one level per color
-// — orders of magnitude fewer, each wide. Since PR 9 the factor layout
-// depends on the dimension: 3-DoF systems commit to the blocked (3×3-tiled)
-// factor and the node coloring (one *block* level per node color), while
-// other dimensions keep the scalar factor and the scalar row coloring.
+// — orders of magnitude fewer, each wide. Dense-tiled systems commit to the
+// blocked (3×3-tiled) factor and the node coloring (one *block* level per
+// node color).
 func TestMulticolorCollapsesLevels(t *testing.T) {
-	// Blocked path: n divisible by 3 → node coloring + tiled factor.
-	a := latticeLike(12, 12, 9) // narrow natural DAG by construction
+	ac := latticeLike(12, 12, 9) // narrow natural DAG by construction
+	a := tiled(ac)
 	natural, err := newIC0(a, OrderingNatural, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +104,7 @@ func TestMulticolorCollapsesLevels(t *testing.T) {
 	}
 	_, nodePtr := MulticolorNodes(a)
 	nodeColors := len(nodePtr) - 1
-	_, scalarPtr := Multicolor(a.NRows, csrRows(a))
+	_, scalarPtr := Multicolor(ac.NRows, csrRows(ac))
 	if nodeColors > len(scalarPtr)-1 {
 		t.Errorf("node coloring uses %d colors, more than the %d scalar colors", nodeColors, len(scalarPtr)-1)
 	}
@@ -116,24 +120,16 @@ func TestMulticolorCollapsesLevels(t *testing.T) {
 		t.Errorf("multicolor max level width %d not wider than natural %d", cWidth, nWidth)
 	}
 
-	// Scalar path: dimension not divisible by 3 keeps the scalar factor and
-	// the scalar coloring, with the original one-level-per-color contract
-	// and the NaturalLevelWidth probe matching the factored schedule.
-	s := latticeLike(11, 11, 10) // 1210 DoFs, not a multiple of 3
+	// Scalar layout: a system whose tiles are mostly padding keeps the
+	// scalar factor, and the NaturalLevelWidth probe must match its
+	// factored natural-order schedule.
+	s := tiled(elasticity3(10, 10, 6))
 	snat, err := newIC0(s, OrderingNatural, PrecisionAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scol, err := newIC0(s, OrderingMulticolor, PrecisionAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snat.Blocked() || scol.Blocked() {
-		t.Fatalf("non-3-DoF factors unexpectedly blocked (natural %v, multicolor %v)", snat.Blocked(), scol.Blocked())
-	}
-	_, sPtr := Multicolor(s.NRows, csrRows(s))
-	if sLevels, _ := scol.Levels(); sLevels != len(sPtr)-1 {
-		t.Errorf("scalar multicolor factor has %d levels, want one per color (%d)", sLevels, len(sPtr)-1)
+	if snat.Blocked() {
+		t.Fatal("low-fill factor unexpectedly blocked")
 	}
 	_, sWidth := snat.Levels()
 	if w := NaturalLevelWidth(s); w != sWidth {
@@ -154,7 +150,7 @@ func TestMulticolorNodesContiguous(t *testing.T) {
 		"diagonal":   diagonalCSR(42),
 	}
 	for name, m := range systems {
-		perm, colorPtr := MulticolorNodes(m)
+		perm, colorPtr := MulticolorNodes(tiled(m))
 		n := m.NRows
 		nb := n / 3
 		seen := make([]bool, n)
@@ -200,9 +196,9 @@ func TestMulticolorNodesContiguous(t *testing.T) {
 // themselves; auto picks multicolor only for narrow natural schedules and
 // only when parallelism is available.
 func TestOrderingResolve(t *testing.T) {
-	narrow := latticeLike(24, 24, 9) // 5184 DoFs ≥ AutoMulticolorMinDoFs
-	small := latticeLike(10, 10, 9)  // 900 DoFs: too small for fan-out
-	wide := blockIndependent(600, 12)
+	narrow := tiled(latticeLike(24, 24, 9)) // 5184 DoFs ≥ AutoMulticolorMinDoFs
+	small := tiled(latticeLike(10, 10, 9))  // 900 DoFs: too small for fan-out
+	wide := tiled(blockIndependent(600, 12))
 	for _, k := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
 		if got := resolveOrderingOf(k, narrow, 0); got != k {
 			t.Errorf("concrete kind %v resolved to %v", k, got)
@@ -265,7 +261,7 @@ func TestOrderingResolve(t *testing.T) {
 // GOMAXPROCS — a host capped to one solver worker keeps the natural factor
 // on a multi-core machine.
 func TestDefaultWorkersGovernsAutoOrdering(t *testing.T) {
-	narrow := latticeLike(24, 24, 9)
+	narrow := tiled(latticeLike(24, 24, 9))
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	defer SetDefaultWorkers(SetDefaultWorkers(1))
@@ -307,10 +303,10 @@ func TestParseOrderingRoundTrip(t *testing.T) {
 // triangular solves and the permute scatter/gather are deterministic).
 func TestPCGOrderingsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	systems := map[string]*sparse.CSR{
-		"lattice":    latticeLike(8, 8, 6),
-		"elasticity": elasticity3(7, 6, 5),
-		"random":     randSPDSparse(rng, 1200, 6),
+	systems := map[string]*sparse.BCSR{
+		"lattice":    tiled(latticeLike(8, 8, 6)),
+		"elasticity": tiled(elasticity3(7, 6, 5)),
+		"random":     tiled(randSPDSparse(rng, 1200, 6)),
 	}
 	for name, a := range systems {
 		b := make([]float64, a.NRows)
@@ -373,11 +369,11 @@ func TestPCGOrderingsAgree(t *testing.T) {
 // application exactly under the multicolor ordering.
 func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	systems := map[string]*sparse.CSR{
-		"lattice":   latticeLike(9, 9, 6),
-		"random":    randSPDSparse(rng, 1100, 5),
-		"diagonal":  diagonalCSR(500),
-		"dense-row": arrowCSR(400),
+	systems := map[string]*sparse.BCSR{
+		"lattice":   tiled(latticeLike(9, 9, 6)),
+		"random":    tiled(randSPDSparse(rng, 1101, 5)),
+		"diagonal":  tiled(diagonalCSR(501)),
+		"dense-row": tiled(arrowCSR(399)),
 	}
 	for name, a := range systems {
 		for _, ord := range []OrderingKind{OrderingMulticolor} {
@@ -415,7 +411,7 @@ func TestIC0PermutedBitwiseAcrossDispatch(t *testing.T) {
 // workspace, so a steady-state solve with a multicolor IC0 allocates
 // nothing.
 func TestPCGZeroAllocsMulticolor(t *testing.T) {
-	a := elasticity3(10, 10, 8)
+	a := tiled(elasticity3(10, 10, 8))
 	rng := rand.New(rand.NewSource(41))
 	b := make([]float64, a.NRows)
 	for i := range b {

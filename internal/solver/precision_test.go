@@ -41,9 +41,9 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 	// Dense per-node tiles: the factor fill clears BlockFillMin, as the
 	// reduced global matrices do. (elasticity3's ⅓-full off-diagonal tiles
 	// stay scalar — TestPrecisionDegradesOnScalarLayout covers that side.)
-	systems := map[string]*sparse.CSR{
-		"lattice-9x8":   latticeLike(9, 8, 3),
-		"lattice-11x11": latticeLike(11, 11, 3),
+	systems := map[string]*sparse.BCSR{
+		"lattice-9x8":   tiled(latticeLike(9, 8, 3)),
+		"lattice-11x11": tiled(latticeLike(11, 11, 3)),
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
@@ -118,20 +118,23 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 }
 
 // TestPrecisionDegradesOnScalarLayout: an explicit float32 request on a
-// matrix that keeps the scalar factor layout (dimension not a multiple of
-// the block size) must degrade honestly to float64 storage and say so.
+// matrix that keeps the scalar factor layout must degrade honestly to
+// float64 storage and say so. elasticity3's off-diagonal node tiles hold 3
+// of 9 entries, below BlockFillMin, so its factor stays scalar.
 func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	a := randSPDSparse(rng, 700, 4) // 700 % 3 != 0: scalar layout
-	p, err := newIC0(a, OrderingNatural, PrecisionFloat32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Blocked() {
-		t.Fatal("700-DoF factor committed to tiles")
-	}
-	if got := p.FactorPrecision(); got != PrecisionFloat64 {
-		t.Fatalf("scalar-layout factor precision = %v, want float64", got)
+	a := tiled(elasticity3(6, 6, 5))
+	for _, prec := range []Precision{PrecisionFloat32, PrecisionAuto} {
+		p, err := newIC0(a, OrderingNatural, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Blocked() {
+			t.Fatalf("%v: sparse-tile factor committed to tiles below BlockFillMin", prec)
+		}
+		if got := p.FactorPrecision(); got != PrecisionFloat64 {
+			t.Fatalf("%v: scalar-layout factor precision = %v, want float64", prec, got)
+		}
 	}
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -144,20 +147,6 @@ func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 	if stats.Precision != PrecisionFloat64 {
 		t.Fatalf("Stats.Precision = %v, want float64 on the scalar layout", stats.Precision)
 	}
-	// A dimension that divides by the block size but whose tiles are mostly
-	// padding must also stay scalar: elasticity3's off-diagonal node tiles
-	// hold 3 of 9 entries, below BlockFillMin.
-	sparse3 := elasticity3(6, 6, 5)
-	p, err = newIC0(sparse3, OrderingNatural, PrecisionAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Blocked() {
-		t.Error("sparse-tile factor committed to tiles below BlockFillMin")
-	}
-	if got := p.FactorPrecision(); got != PrecisionFloat64 {
-		t.Errorf("sparse-tile factor precision = %v, want float64", got)
-	}
 }
 
 // TestMixedPrecisionPCGMatchesFloat64 is the solve-level equivalence
@@ -166,9 +155,9 @@ func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
 // tolerance; the rounded factor may cost extra iterations but not accuracy.
 func TestMixedPrecisionPCGMatchesFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	systems := map[string]*sparse.CSR{
-		"lattice-12x12": latticeLike(12, 12, 3),
-		"lattice-11x11": latticeLike(11, 11, 3),
+	systems := map[string]*sparse.BCSR{
+		"lattice-12x12": tiled(latticeLike(12, 12, 3)),
+		"lattice-11x11": tiled(latticeLike(11, 11, 3)),
 	}
 	for name, a := range systems {
 		b := make([]float64, a.NRows)
@@ -204,7 +193,7 @@ func TestMixedPrecisionPCGMatchesFloat64(t *testing.T) {
 // restarts the solve must surface ErrPrecision (which also matches
 // ErrStalled so warm-start fallbacks fire too).
 func TestPCGPrecisionStall(t *testing.T) {
-	a := latticeLike(8, 8, 3)
+	a := tiled(latticeLike(8, 8, 3))
 	rng := rand.New(rand.NewSource(73))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -247,11 +236,7 @@ func TestPCGPrecisionStall(t *testing.T) {
 // steady state (the float32 path includes the true-residual verification
 // mat-vec on convergence).
 func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
-	a := latticeLike(16, 16, 3) // 768 DoFs of dense tiles: the factor commits to the blocked layout
-	bm, err := sparse.NewBCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tiled(latticeLike(16, 16, 3)) // 768 DoFs of dense tiles: the factor commits to the blocked layout
 	rng := rand.New(rand.NewSource(79))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -267,7 +252,7 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 				t.Fatalf("%v: preconditioner not a blocked factor of the requested precision", prec)
 			}
 			ws := NewWorkspace(workers)
-			opt := Options{Tol: 1e-8, Precond: PrecondIC0, M: m, Work: ws, Workers: workers, MatBlocked: bm}
+			opt := Options{Tol: 1e-8, Precond: PrecondIC0, M: m, Work: ws, Workers: workers}
 			if _, _, err := PCG(a, b, nil, opt); err != nil {
 				t.Fatal(err)
 			}
@@ -284,17 +269,14 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 	}
 }
 
-// TestWorkspaceBlockedMatVecMatchesScalar: the workspace binds the tiled
-// mat-vec to one matrix identity; for that matrix the dispatch must agree
-// with the scalar product to rounding noise, and a different matrix through
-// the same workspace must fall back to the scalar path untouched.
+// TestWorkspaceBlockedMatVecMatchesScalar: the workspace binds the pooled
+// tiled mat-vec to one matrix identity; for that matrix the dispatch must
+// agree with the scalar CSR product to rounding noise, and a different
+// matrix through the same workspace must run the serial tiled kernel.
 func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
-	a := elasticity3(8, 8, 6)
-	bm, err := sparse.NewBCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := elasticity3(5, 5, 4)
+	a := elasticity3(12, 12, 10) // 4320 DoFs ≥ MinParRows: the binding fans out
+	bm := tiled(a)
+	other := tiled(elasticity3(5, 5, 4))
 	rng := rand.New(rand.NewSource(83))
 	x := make([]float64, a.NRows)
 	for i := range x {
@@ -306,14 +288,17 @@ func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	ws := NewWorkspace(4)
 	defer ws.Close()
 	ws.reset()
-	ws.prepMatVec(a, bm, 4)
+	ws.prepMatVec(bm, 4)
+	if !ws.bmvReady {
+		t.Fatal("workspace did not bind the pooled mat-vec")
+	}
 	got := make([]float64, a.NRows)
-	ws.matvec(a, got, x)
+	ws.matvec(bm, got, x)
 	if d := maxAbsDiff(got, want); d > 1e-10*(1+maxAbsVec(want)) {
 		t.Fatalf("blocked workspace mat-vec differs from scalar by %g", d)
 	}
 
-	// A matrix the workspace was not prepped for must not use the tiles.
+	// A matrix the workspace was not prepped for runs the serial kernel.
 	xo := x[:other.NRows]
 	wantO := make([]float64, other.NRows)
 	other.MulVec(wantO, xo)
@@ -321,7 +306,7 @@ func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	ws.matvec(other, gotO, xo)
 	for i := range wantO {
 		if gotO[i] != wantO[i] {
-			t.Fatalf("unbound matrix: dst[%d] = %x, want scalar %x", i, gotO[i], wantO[i])
+			t.Fatalf("unbound matrix: dst[%d] = %x, want serial %x", i, gotO[i], wantO[i])
 		}
 	}
 }

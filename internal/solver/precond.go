@@ -141,21 +141,21 @@ func JacobiFamily(n int) PrecondKind {
 }
 
 // NewPreconditioner builds the requested preconditioner for the SPD matrix
-// a, resolving PrecondAuto against the matrix size first (the one-shot
-// rule). Every construction in the package funnels through here so no
-// solver path hardwires its own preconditioner. For the factorizing kinds,
-// ord selects the symmetric ordering — IC0 factors the permuted matrix
-// P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes the factor's
-// dependency DAG without changing the preconditioned operator's symmetry;
-// OrderingAuto resolves at DefaultWorkers — and prec the factor storage
-// precision (see Precision). The Jacobi family and the identity are
-// ordering- and precision-invariant and ignore both.
-func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.CSR) (Preconditioner, error) {
+// a, held as 3×3 tiles, resolving PrecondAuto against the matrix size first
+// (the one-shot rule). Every construction in the package funnels through
+// here so no solver path hardwires its own preconditioner. For the
+// factorizing kinds, ord selects the symmetric ordering — IC0 factors the
+// permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes
+// the factor's dependency DAG without changing the preconditioned
+// operator's symmetry; OrderingAuto resolves at DefaultWorkers — and prec
+// the factor storage precision (see Precision). The Jacobi family and the
+// identity are ordering- and precision-invariant and ignore both.
+func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.BCSR) (Preconditioner, error) {
 	switch kind.Resolve(a.NRows) {
 	case PrecondJacobi:
 		return jacobiPrecond{inv: jacobi(a)}, nil
 	case PrecondBlockJacobi3:
-		return newBlockJacobi3(a)
+		return newBlockJacobi3(a), nil
 	case PrecondIC0:
 		return newIC0(a, ord, prec)
 	case PrecondNone:
@@ -186,6 +186,25 @@ func (identityPrecond) MemoryBytes() int64 { return 0 }
 
 type jacobiPrecond struct{ inv []float64 }
 
+// jacobi builds the inverse-diagonal preconditioner of a from its diagonal
+// tiles, falling back to 1 for zero (or unstored) diagonal entries, which
+// cannot occur on an SPD matrix but keep the solver total.
+func jacobi(a *sparse.BCSR) []float64 {
+	d := make([]float64, a.NRows)
+	for br := 0; br < a.NBRows(); br++ {
+		t := a.DiagTile(br)
+		for i := 0; i < sparse.BlockSize; i++ {
+			r := sparse.BlockSize*br + i
+			if t != nil && t[4*i] != 0 {
+				d[r] = 1 / t[4*i]
+			} else {
+				d[r] = 1
+			}
+		}
+	}
+	return d
+}
+
 //stressvet:noalloc
 func (p jacobiPrecond) Apply(dst, r []float64) {
 	for i, v := range r {
@@ -200,20 +219,15 @@ type blockJacobi3 struct {
 	inv []float64 // 9 entries per block, row-major
 }
 
-func newBlockJacobi3(a *sparse.CSR) (*blockJacobi3, error) {
-	n := a.NRows
-	if n%3 != 0 {
-		return nil, fmt.Errorf("solver: block-Jacobi(3) requires dimension divisible by 3, got %d", n)
-	}
-	nb := n / 3
+func newBlockJacobi3(a *sparse.BCSR) *blockJacobi3 {
+	nb := a.NBRows()
 	inv := make([]float64, 9*nb)
 	var blk [9]float64
 	for b := 0; b < nb; b++ {
-		for i := 0; i < 3; i++ {
-			row := 3*b + i
-			for j := 0; j < 3; j++ {
-				blk[3*i+j] = a.At(row, 3*b+j)
-			}
+		if t := a.DiagTile(b); t != nil {
+			copy(blk[:], t)
+		} else {
+			blk = [9]float64{}
 		}
 		if err := invert3(blk[:], inv[9*b:9*b+9]); err != nil {
 			// Identity rows (inactive nodes) or missing diagonal: fall back
@@ -230,7 +244,7 @@ func newBlockJacobi3(a *sparse.CSR) (*blockJacobi3, error) {
 			}
 		}
 	}
-	return &blockJacobi3{inv: inv}, nil
+	return &blockJacobi3{inv: inv}
 }
 
 // invert3 inverts a 3×3 matrix via the adjugate; returns an error for a
@@ -287,17 +301,16 @@ const BlockFillMin = 0.45
 // ic0 is a zero-fill incomplete Cholesky factorization: L has the sparsity
 // of the lower triangle of (possibly symmetrically permuted) A and
 // P·A·Pᵀ ≈ L·Lᵀ. The factor is held either as a scalar sparse.LowerTri or,
-// when the matrix is 3-DoF node-blocked and dense enough in tiles
-// (BlockFillMin), as a sparse.BlockLowerTri — 3×3 tile micro-kernels,
-// optionally float32 values. Either way the dependency-level schedules let
-// each application's forward/backward solves run rows in parallel — and,
-// because each row (or block row) is computed by one shared kernel, the
-// parallel application is bitwise identical to the serial one for every
-// worker count. Under a non-natural ordering the application is
-// Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two triangular solves in
-// place, gather back — the permutes are deterministic, so the worker-count
-// bitwise contract holds for every ordering. An ic0 is immutable after
-// construction and safe to share across concurrent solves.
+// when its tiles are dense enough (BlockFillMin), as a sparse.BlockLowerTri
+// — 3×3 tile micro-kernels, optionally float32 values. Either way the
+// dependency-level schedules let each application's forward/backward solves
+// run rows in parallel — and, because each row (or block row) is computed
+// by one shared kernel, the parallel application is bitwise identical to
+// the serial one for every worker count. Under a non-natural ordering the
+// application is Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two triangular
+// solves in place, gather back — the permutes are deterministic, so the
+// worker-count bitwise contract holds for every ordering. An ic0 is
+// immutable after construction and safe to share across concurrent solves.
 type ic0 struct {
 	// Exactly one of t (scalar factor) and bt (blocked factor) is non-nil.
 	t  *sparse.LowerTri
@@ -311,8 +324,11 @@ type ic0 struct {
 }
 
 // newIC0 factors a under the ordering ord (OrderingAuto resolved at
-// DefaultWorkers) with factor storage precision prec.
-func newIC0(a *sparse.CSR, ord OrderingKind, prec Precision) (*ic0, error) {
+// DefaultWorkers) with factor storage precision prec. The factorization
+// runs on the scalar pattern: the tiles are expanded to a transient CSR that
+// drops their zero padding, so the factor is the one the scalar matrix
+// itself would give.
+func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
 	return newIC0Layout(a, ord, prec, true)
 }
 
@@ -320,7 +336,7 @@ func newIC0(a *sparse.CSR, ord OrderingKind, prec Precision) (*ic0, error) {
 // false keeps the scalar factor even when the tiles would engage, so the
 // equivalence tests can compare the tiled kernels against a scalar factor of
 // the same system. Production paths always pass block == true.
-func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (*ic0, error) {
+func newIC0Layout(a *sparse.BCSR, ord OrderingKind, prec Precision, block bool) (*ic0, error) {
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
 	}
@@ -329,7 +345,7 @@ func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (
 	if perm == nil {
 		ord = OrderingNatural
 	}
-	csc := a.ToCSC()
+	csc := a.ToCSR().ToCSC()
 	if perm != nil {
 		csc = csc.Permute(perm)
 	}
@@ -406,13 +422,13 @@ func newIC0Layout(a *sparse.CSR, ord OrderingKind, prec Precision, block bool) (
 		return nil, fmt.Errorf("solver: IC0: %w", err)
 	}
 	p := &ic0{t: t, perm: perm, ord: ord, prec: PrecisionFloat64}
-	// Commit to the 3×3-tiled layout when the dimension is node-blocked and
-	// the tiles are dense enough to pay (reduced global matrices always are;
-	// unstructured patterns fall back to the scalar factor). PrecisionAuto
-	// resolves to float32 exactly when blocking engages — the scalar layout
-	// keeps float64 storage, so an explicit PrecisionFloat32 request on an
-	// unblockable matrix degrades gracefully and Stats report the truth.
-	if block && n%sparse.BlockSize == 0 {
+	// Commit to the 3×3-tiled layout when the tiles are dense enough to pay
+	// (reduced global matrices always are; low-fill stencils keep the scalar
+	// factor). PrecisionAuto resolves to float32 exactly when blocking
+	// engages — the scalar layout keeps float64 storage, so an explicit
+	// PrecisionFloat32 request on a low-fill matrix degrades gracefully and
+	// Stats report the truth.
+	if block {
 		single := prec != PrecisionFloat64
 		if bt, berr := sparse.NewBlockLowerTri(t, single); berr == nil && bt.Fill() >= BlockFillMin {
 			p.bt, p.t = bt, nil
@@ -513,22 +529,22 @@ func (p *ic0) MemoryBytes() int64 {
 }
 
 // PCG is the preconditioned conjugate gradient for symmetric positive-
-// definite systems. The preconditioner comes from Options.M when prebuilt
-// (e.g. assembly-cached) or is constructed from Options.Precond (default
-// PrecondAuto, resolved against the system size); x0 optionally seeds the
-// iteration (warm start) and may be nil. The returned Stats record the
+// definite systems, with a held as 3×3 tiles. The preconditioner comes from
+// Options.M when prebuilt (e.g. assembly-cached) or is constructed from
+// Options.Precond (default PrecondAuto, resolved against the system size);
+// x0 optionally seeds the iteration (warm start) and may be nil. The returned Stats record the
 // resolved preconditioner kind, whether the solve was warm-started, and the
 // preconditioner build/apply timings.
 //
 // The iteration loop is allocation-free: the work vectors come from
 // Options.Work (or a per-call workspace with its own resident gang of
 // Options.Workers, closed on return, when unset), the mat-vec runs through a
-// once-per-solve nnz-balanced partition, and a level-scheduled
+// once-per-solve tile-balanced partition, and a level-scheduled
 // preconditioner dispatches through the workspace's gang. With
 // Options.Work and Options.M both set, the entire steady-state solve
 // performs zero allocations (BenchmarkPCGNoAlloc); the returned solution
 // then aliases workspace memory — see Workspace.
-func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
+func PCG(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error) {
 	n := a.NRows
 	if a.NCols != n || len(b) != n {
 		return nil, Stats{}, fmt.Errorf("solver: PCG dimension mismatch: matrix %d×%d, b %d", a.NRows, a.NCols, len(b))
@@ -557,7 +573,7 @@ func PCG(a *sparse.CSR, b, x0 []float64, opt Options) ([]float64, Stats, error) 
 		defer ws.Close()
 	}
 	ws.reset()
-	ws.prepMatVec(a, opt.MatBlocked, opt.Workers)
+	ws.prepMatVec(a, opt.Workers)
 	wa, _ := m.(parApplier)
 
 	x := ws.vec(n)
@@ -644,7 +660,7 @@ const pcgDriftFactor = 10
 // scratch (the ap vector between mat-vecs).
 //
 //stressvet:noalloc
-func pcgTrueResidual(a *sparse.CSR, ws *Workspace, x, b, scratch []float64, bnorm float64) float64 {
+func pcgTrueResidual(a *sparse.BCSR, ws *Workspace, x, b, scratch []float64, bnorm float64) float64 {
 	ws.matvec(a, scratch, x)
 	var ss float64
 	for i := range b {
@@ -669,7 +685,7 @@ func pcgTrueResidual(a *sparse.CSR, ws *Workspace, x, b, scratch []float64, bnor
 // back to a float64 factor.
 //
 //stressvet:noalloc
-func pcgSteady(a *sparse.CSR, b []float64, m Preconditioner, wa parApplier, ws *Workspace, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
+func pcgSteady(a *sparse.BCSR, b []float64, m Preconditioner, wa parApplier, ws *Workspace, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
 	verify := st.Precision == PrecisionFloat32
 	for it = 0; it < opt.MaxIter; it++ {
 		res = linalg.Norm2(r) / bnorm

@@ -70,13 +70,13 @@ func abs(x float64) float64 {
 // pooled apply must be bitwise identical to the serial reference.
 func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	systems := map[string]*sparse.CSR{
-		"laplacian":  laplacian3D(9, 8, 7),
-		"elasticity": elasticity3(7, 6, 5),
-		"random-1":   randSPDSparse(rng, 700, 4),
-		"random-2":   randSPDSparse(rng, 1500, 8),
-		"diagonal":   diagonalCSR(600),
-		"dense-row":  arrowCSR(500),
+	systems := map[string]*sparse.BCSR{
+		"laplacian":  tiled(laplacian3D(9, 8, 7)),
+		"elasticity": tiled(elasticity3(7, 6, 5)),
+		"random-1":   tiled(randSPDSparse(rng, 702, 4)),
+		"random-2":   tiled(randSPDSparse(rng, 1500, 8)),
+		"diagonal":   tiled(diagonalCSR(600)),
+		"dense-row":  tiled(arrowCSR(501)),
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
@@ -109,7 +109,7 @@ func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 // fast path computes exactly what the plain path computes: same iterations,
 // bitwise-equal solution.
 func TestPCGWorkspaceMatchesPlain(t *testing.T) {
-	a := elasticity3(8, 7, 6)
+	a := tiled(elasticity3(8, 7, 6))
 	rng := rand.New(rand.NewSource(7))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -154,7 +154,7 @@ func TestPCGWorkspaceMatchesPlain(t *testing.T) {
 // steady-state PCG solve performs zero allocations. testing.AllocsPerRun
 // measures process-wide mallocs, so the gang's work counts too.
 func TestPCGZeroAllocs(t *testing.T) {
-	a := elasticity3(10, 10, 8) // 2400 DoFs: serial mat-vec, pooled tri solves
+	a := tiled(elasticity3(10, 10, 8)) // 2400 DoFs: serial mat-vec, pooled tri solves
 	rng := rand.New(rand.NewSource(9))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -190,7 +190,7 @@ func TestPCGZeroAllocsParallelMatVec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large no-alloc system is slow")
 	}
-	a := elasticity3(16, 16, 6) // 4608 DoFs ≥ MinParRows
+	a := tiled(elasticity3(16, 16, 6)) // 4608 DoFs ≥ MinParRows
 	rng := rand.New(rand.NewSource(11))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -220,7 +220,7 @@ func TestPCGZeroAllocsParallelMatVec(t *testing.T) {
 // plain path (same iterations, bitwise solution) and that repeated use of
 // one workspace across PCG and GMRES solves stays consistent.
 func TestGMRESWorkspaceMatchesPlain(t *testing.T) {
-	a := elasticity3(6, 6, 5)
+	a := tiled(elasticity3(6, 6, 5))
 	rng := rand.New(rand.NewSource(13))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -256,7 +256,7 @@ func TestGMRESWorkspaceMatchesPlain(t *testing.T) {
 // non-convergence, non-finite residual) — so repeated bare solves never
 // leak goroutines.
 func TestSolveWithoutWorkspaceReleasesGang(t *testing.T) {
-	a := elasticity3(6, 6, 5)
+	a := tiled(elasticity3(6, 6, 5))
 	n := a.NRows
 	b := make([]float64, n)
 	for i := range b {
@@ -271,7 +271,7 @@ func TestSolveWithoutWorkspaceReleasesGang(t *testing.T) {
 	for i := 0; i < n; i++ {
 		negTr.Add(i, i, -1)
 	}
-	neg := negTr.ToCSR()
+	neg := tiled(negTr.ToCSR())
 	base := runtime.NumGoroutine()
 	opt := Options{Tol: 1e-9, Workers: 4}
 	stalled := Options{Tol: 1e-14, MaxIter: 2, Workers: 4, Precond: PrecondNone}

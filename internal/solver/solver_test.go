@@ -33,6 +33,16 @@ func laplacian3D(nx, ny, nz int) *sparse.CSR {
 	return tr.ToCSR()
 }
 
+// tiled blocks a test matrix into the 3×3 tiles the solvers take; every
+// solver fixture is node-blocked (n % 3 == 0).
+func tiled(a *sparse.CSR) *sparse.BCSR {
+	bm, err := sparse.NewBCSR(a)
+	if err != nil {
+		panic(err)
+	}
+	return bm
+}
+
 func randVec(rng *rand.Rand, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
@@ -219,10 +229,10 @@ func TestCholeskyRandomSPD(t *testing.T) {
 }
 
 func TestCGConverges(t *testing.T) {
-	a := laplacian3D(8, 8, 8)
+	a := laplacian3D(9, 8, 8)
 	rng := rand.New(rand.NewSource(4))
 	b := randVec(rng, a.NRows)
-	x, stats, err := PCG(a, b, nil, Options{Tol: 1e-10})
+	x, stats, err := PCG(tiled(a), b, nil, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +246,7 @@ func TestCGConverges(t *testing.T) {
 
 func TestCGZeroRHS(t *testing.T) {
 	a := laplacian3D(3, 3, 3)
-	x, stats, err := PCG(a, make([]float64, a.NRows), nil, Options{})
+	x, stats, err := PCG(tiled(a), make([]float64, a.NRows), nil, Options{})
 	if err != nil || !stats.Converged {
 		t.Fatalf("zero rhs: %v %v", stats, err)
 	}
@@ -248,19 +258,20 @@ func TestCGZeroRHS(t *testing.T) {
 }
 
 func TestCGRejectsIndefinite(t *testing.T) {
-	tr := sparse.NewTriplet(2, 2, 2)
+	tr := sparse.NewTriplet(3, 3, 3)
 	tr.Add(0, 0, 1)
 	tr.Add(1, 1, -1)
-	if _, _, err := PCG(tr.ToCSR(), []float64{0, 1}, nil, Options{}); err == nil {
+	tr.Add(2, 2, 1)
+	if _, _, err := PCG(tiled(tr.ToCSR()), []float64{0, 1, 0}, nil, Options{}); err == nil {
 		t.Error("expected CG breakdown on indefinite matrix")
 	}
 }
 
 func TestGMRESConverges(t *testing.T) {
-	a := laplacian3D(8, 8, 8)
+	a := laplacian3D(9, 8, 8)
 	rng := rand.New(rand.NewSource(5))
 	b := randVec(rng, a.NRows)
-	x, stats, err := GMRES(a, b, nil, Options{Tol: 1e-10})
+	x, stats, err := GMRES(tiled(a), b, nil, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +286,7 @@ func TestGMRESConverges(t *testing.T) {
 func TestGMRESNonsymmetric(t *testing.T) {
 	// GMRES must handle a nonsymmetric (lifted) system; build one by
 	// overwriting a Laplacian row with an identity row.
-	a := laplacian3D(5, 5, 5).Clone()
+	a := laplacian3D(6, 5, 5).Clone()
 	for p := a.RowPtr[0]; p < a.RowPtr[1]; p++ {
 		if a.ColIdx[p] == 0 {
 			a.Vals[p] = 1
@@ -285,7 +296,7 @@ func TestGMRESNonsymmetric(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	b := randVec(rng, a.NRows)
-	x, _, err := GMRES(a, b, nil, Options{Tol: 1e-9, Restart: 40})
+	x, _, err := GMRES(tiled(a), b, nil, Options{Tol: 1e-9, Restart: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +309,7 @@ func TestGMRESRestartSmall(t *testing.T) {
 	a := laplacian3D(6, 6, 4)
 	rng := rand.New(rand.NewSource(7))
 	b := randVec(rng, a.NRows)
-	x, _, err := GMRES(a, b, nil, Options{Tol: 1e-8, Restart: 5})
+	x, _, err := GMRES(tiled(a), b, nil, Options{Tol: 1e-8, Restart: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,13 +319,13 @@ func TestGMRESRestartSmall(t *testing.T) {
 }
 
 func TestGMRESWithInitialGuess(t *testing.T) {
-	a := laplacian3D(5, 5, 5)
+	a := laplacian3D(6, 5, 5)
 	rng := rand.New(rand.NewSource(8))
 	want := randVec(rng, a.NRows)
 	b := make([]float64, a.NRows)
 	a.MulVec(b, want)
 	// Start from the exact solution: should converge immediately.
-	_, stats, err := GMRES(a, b, want, Options{Tol: 1e-10})
+	_, stats, err := GMRES(tiled(a), b, want, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +357,7 @@ func TestGMRESScaleInvariant(t *testing.T) {
 			for i, v := range rhs {
 				b[i] = s * v
 			}
-			x, stats, err := GMRES(a, b, nil, Options{Tol: tol, Precond: kind, Workers: 1})
+			x, stats, err := GMRES(tiled(a), b, nil, Options{Tol: tol, Precond: kind, Workers: 1})
 			if err != nil {
 				t.Fatalf("%v scale %g: %v", kind, s, err)
 			}
@@ -377,11 +388,11 @@ func TestCGAndGMRESAgree(t *testing.T) {
 	a := laplacian3D(6, 6, 6)
 	rng := rand.New(rand.NewSource(9))
 	b := randVec(rng, a.NRows)
-	xc, _, err := PCG(a, b, nil, Options{Tol: 1e-11})
+	xc, _, err := PCG(tiled(a), b, nil, Options{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	xg, _, err := GMRES(a, b, nil, Options{Tol: 1e-11})
+	xg, _, err := GMRES(tiled(a), b, nil, Options{Tol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +412,7 @@ func TestSolversMatchCholesky(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := chol.Solve(b)
-	iter, _, err := PCG(a, b, nil, Options{Tol: 1e-12})
+	iter, _, err := PCG(tiled(a), b, nil, Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,14 @@ import (
 )
 
 // Workspace pools the state an iterative solve reuses across calls: the work
-// vectors, the GMRES Hessenberg, the pooled matrix-vector op with its
-// nnz-balanced row partition, the triangular-solve scratch, and (optionally)
-// a resident sparse.Pool worker gang — the only parallel dispatcher of a
-// solve: every pooled kernel runs on it, and a workspace without one runs
-// them serially. With a Workspace in Options.Work and a prebuilt
-// preconditioner in Options.M, the PCG hot loop performs zero allocations in
-// steady state — no vector makes, no closure per mat-vec, no goroutine
-// fan-out (see BenchmarkPCGNoAlloc).
+// vectors, the GMRES Hessenberg, the pooled 3×3-tiled matrix-vector op with
+// its tile-balanced block-row partition, the triangular-solve scratch, and
+// (optionally) a resident sparse.Pool worker gang — the only parallel
+// dispatcher of a solve: every pooled kernel runs on it, and a workspace
+// without one runs them serially. With a Workspace in Options.Work and a
+// prebuilt preconditioner in Options.M, the PCG hot loop performs zero
+// allocations in steady state — no vector makes, no closure per mat-vec, no
+// goroutine fan-out (see BenchmarkPCGNoAlloc).
 //
 // A Workspace serves one solve at a time; it is not safe for concurrent use.
 // The solution slice returned by a workspace-backed solve is owned by the
@@ -24,18 +24,11 @@ type Workspace struct {
 	vecs [][]float64
 	used int
 
-	mv       sparse.MatVec
-	mvBounds []int32
-	mvReady  bool
-	// Blocked mat-vec binding: when prepMatVec receives the 3×3-tiled form
-	// of the matrix, matvec runs the blocked kernel instead — pooled over
-	// tile-balanced block-row chunks when the gang fans out, serial
-	// otherwise. bmFor records which CSR the binding stands in for.
+	// The pooled mat-vec binding: prepMatVec fills it when the gang fans
+	// out; otherwise matvec runs the serial tiled kernel.
 	bmv       sparse.BlockMatVec
 	bmvBounds []int32
 	bmvReady  bool
-	bm        *sparse.BCSR
-	bmFor     *sparse.CSR
 	tri       sparse.TriScratch
 	btri      sparse.BlockTriScratch
 	// permBuf is the scratch of permuted preconditioner applications
@@ -69,14 +62,11 @@ func (w *Workspace) Close() {
 }
 
 // reset starts a new solve: every pooled vector returns to the free list and
-// the mat-vec bindings are cleared.
+// the mat-vec binding is cleared.
 func (w *Workspace) reset() {
 	w.used = 0
-	w.mvReady = false
-	w.mv = sparse.MatVec{}
 	w.bmvReady = false
 	w.bmv = sparse.BlockMatVec{}
-	w.bm, w.bmFor = nil, nil
 }
 
 // vec returns a length-n scratch vector with unspecified contents (callers
@@ -109,55 +99,31 @@ func (w *Workspace) permScratch(n int) []float64 {
 }
 
 // prepMatVec binds the matrix-vector product to a for the duration of a
-// solve: the work-balanced row partition is computed once here and reused by
-// every matvec call of the solve. When bm supplies the 3×3-tiled form of the
-// same matrix, the blocked kernel takes over — the partition is then over
-// block rows, weighted by tile count (the blocked work profile), and the
-// serial path runs the tiled kernel too.
-func (w *Workspace) prepMatVec(a *sparse.CSR, bm *sparse.BCSR, workers int) {
-	w.mvReady = false
+// solve: the block-row partition, weighted by tile count (the blocked work
+// profile), is computed once here and reused by every matvec call of the
+// solve.
+func (w *Workspace) prepMatVec(a *sparse.BCSR, workers int) {
 	w.bmvReady = false
-	w.bm, w.bmFor = nil, nil
-	blocked := bm != nil && bm.NRows == a.NRows && bm.NCols == a.NCols
-	if blocked {
-		w.bm, w.bmFor = bm, a
-	}
 	if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
-		return // matvec runs the serial kernel of the bound form
+		return // matvec runs the serial kernel
 	}
 	if pw := w.pool.Workers(); workers > pw {
 		workers = pw
 	}
-	if blocked {
-		w.bmvBounds = sparse.PartitionByWorkInto(w.bmvBounds, bm.BRowPtr, 0, bm.NBRows(), workers)
-		w.bmv.M = bm
-		w.bmvReady = true
-		return
-	}
-	w.mvBounds = sparse.PartitionByWorkInto(w.mvBounds, a.RowPtr, 0, a.NRows, workers)
-	w.mv.M = a
-	w.mvReady = true
+	w.bmvBounds = sparse.PartitionByWorkInto(w.bmvBounds, a.BRowPtr, 0, a.NBRows(), workers)
+	w.bmv.M = a
+	w.bmvReady = true
 }
 
-// matvec computes dst = a·x, preferring the blocked binding when prepMatVec
-// installed one for this matrix, then the pooled scalar binding, and running
-// the serial kernel of the bound form when the gang does not fan out (no
-// gang, one worker, or a system under sparse.MinParRows). Allocation-free.
+// matvec computes dst = a·x on the pooled binding when prepMatVec installed
+// one for a, and with the serial tiled kernel otherwise (no gang, one
+// worker, or a system under sparse.MinParRows). Allocation-free.
 //
 //stressvet:noalloc
-func (w *Workspace) matvec(a *sparse.CSR, dst, x []float64) {
-	if w.bmFor == a {
-		if w.bmvReady {
-			w.bmv.Dst, w.bmv.X = dst, x
-			w.pool.Run(w.bmvBounds, &w.bmv)
-			return
-		}
-		w.bm.MulVec(dst, x)
-		return
-	}
-	if w.mvReady && w.mv.M == a {
-		w.mv.Dst, w.mv.X = dst, x
-		w.pool.Run(w.mvBounds, &w.mv)
+func (w *Workspace) matvec(a *sparse.BCSR, dst, x []float64) {
+	if w.bmvReady && w.bmv.M == a {
+		w.bmv.Dst, w.bmv.X = dst, x
+		w.pool.Run(w.bmvBounds, &w.bmv)
 		return
 	}
 	a.MulVec(dst, x)

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockSize is the tile edge of the blocked storage formats. The global
 // stage's DoFs are 3-component node displacements, so every reduced global
@@ -57,83 +60,59 @@ func NewBCSR(m *CSR) (*BCSR, error) {
 	if m.NRows%BlockSize != 0 || m.NCols%BlockSize != 0 {
 		return nil, fmt.Errorf("sparse: BCSR requires dimensions divisible by %d, got %d×%d", BlockSize, m.NRows, m.NCols)
 	}
-	nbr := m.NRows / BlockSize
-	nbc := m.NCols / BlockSize
 	b := &BCSR{NRows: m.NRows, NCols: m.NCols, ScalarNNZ: m.NNZ()}
-	b.BRowPtr = make([]int32, nbr+1)
-	// Pass 1: count distinct block columns per block row. Scalar rows keep
-	// their columns ascending, so a 3-way merge over the block row's scalar
-	// rows with a last-seen stamp per row counts without a visited array.
-	seen := make([]int32, nbc)
-	for i := range seen {
-		seen[i] = -1
-	}
-	for br := 0; br < nbr; br++ {
-		var cnt int32
-		for i := 0; i < BlockSize; i++ {
-			r := BlockSize*br + i
-			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-				bc := m.ColIdx[p] / BlockSize
-				if seen[bc] != int32(br) {
-					seen[bc] = int32(br)
-					cnt++
-				}
-			}
-		}
-		b.BRowPtr[br+1] = b.BRowPtr[br] + cnt
-	}
-	nt := int(b.BRowPtr[nbr])
-	b.BColIdx = make([]int32, nt)
-	b.Vals = make([]float64, 9*nt)
-	// Pass 2: emit each block row's tile set in ascending block-column order
-	// (merge of three ascending sequences), then scatter the scalar values
-	// into their tiles.
-	pos := make([]int32, nbc) // block col -> tile slot, valid for current row
-	for br := 0; br < nbr; br++ {
-		lo := b.BRowPtr[br]
-		// Collect the distinct block columns (stamp with ^br to distinguish
-		// from pass 1's stamps).
-		cnt := lo
-		for i := 0; i < BlockSize; i++ {
-			r := BlockSize*br + i
-			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-				bc := m.ColIdx[p] / BlockSize
-				if seen[bc] != ^int32(br) {
-					seen[bc] = ^int32(br)
-					b.BColIdx[cnt] = bc
-					cnt++
-				}
-			}
-		}
-		sortInt32(b.BColIdx[lo:cnt])
-		for q := lo; q < cnt; q++ {
-			pos[b.BColIdx[q]] = q
-		}
-		for i := 0; i < BlockSize; i++ {
-			r := BlockSize*br + i
-			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-				c := m.ColIdx[p]
-				q := pos[c/BlockSize]
-				b.Vals[9*q+int32(BlockSize*i)+c%BlockSize] = m.Vals[p]
-			}
-		}
-	}
+	b.BRowPtr, b.BColIdx, b.Vals = tileRows(m.NRows/BlockSize, m.NCols/BlockSize, m.RowPtr, m.ColIdx, m.Vals)
 	return b, nil
 }
 
-// sortInt32 is an insertion sort for the short per-row block-column runs
-// (structured FEM rows hold ≤ 9 block neighbors), avoiding sort.Slice's
-// closure allocation in the construction path.
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
+// ToCSR expands the tiles into a scalar CSR matrix, dropping exact zeros —
+// the tile padding, and any zero the source CSR stored. On a source without
+// stored zeros, ToCSR(NewBCSR(m)) reproduces m bitwise.
+func (m *BCSR) ToCSR() *CSR {
+	nbr := m.NBRows()
+	rowPtr := make([]int32, m.NRows+1)
+	for br := 0; br < nbr; br++ {
+		for p := m.BRowPtr[br]; p < m.BRowPtr[br+1]; p++ {
+			for k, v := range m.Vals[9*p : 9*p+9] {
+				if v != 0 {
+					rowPtr[BlockSize*br+k/BlockSize+1]++
+				}
+			}
 		}
-		s[j+1] = v
 	}
+	for r := 0; r < m.NRows; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	nnz := rowPtr[m.NRows]
+	colIdx := make([]int32, nnz)
+	vals := make([]float64, nnz)
+	for br := 0; br < nbr; br++ {
+		for i := 0; i < BlockSize; i++ {
+			q := rowPtr[BlockSize*br+i]
+			for p := m.BRowPtr[br]; p < m.BRowPtr[br+1]; p++ {
+				for j := int32(0); j < BlockSize; j++ {
+					if v := m.Vals[9*p+int32(BlockSize*i)+j]; v != 0 {
+						colIdx[q] = BlockSize*m.BColIdx[p] + j
+						vals[q] = v
+						q++
+					}
+				}
+			}
+		}
+	}
+	return &CSR{NRows: m.NRows, NCols: m.NCols, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
+}
+
+// DiagTile returns block row br's diagonal tile (9 values, row-major, aliasing
+// Vals), or nil when the block row stores none.
+func (m *BCSR) DiagTile(br int) []float64 {
+	lo, hi := m.BRowPtr[br], m.BRowPtr[br+1]
+	k, ok := slices.BinarySearch(m.BColIdx[lo:hi], int32(br))
+	if !ok {
+		return nil
+	}
+	q := 9 * (int(lo) + k)
+	return m.Vals[q : q+9 : q+9]
 }
 
 // MulVec computes dst = m·x with the blocked kernel: one tile GEMV per

@@ -168,6 +168,117 @@ func TestBCSRFillAndMemory(t *testing.T) {
 	}
 }
 
+// drop321 removes DoFs the way a 3-2-1 rigid-body constraint does — all of
+// node a, two components of node b, one of node c — so the dimension stays
+// a multiple of BlockSize but every tile past node a straddles two nodes.
+func drop321(m *CSR, a, b, c int) *CSR {
+	keep := make([]int32, m.NRows)
+	for _, d := range []int{3 * a, 3*a + 1, 3*a + 2, 3*b + 1, 3*b + 2, 3*c + 2} {
+		keep[d] = -1
+	}
+	var n int32
+	for i := range keep {
+		if keep[i] == 0 {
+			keep[i] = n
+			n++
+		}
+	}
+	return m.Extract(keep, keep, int(n), int(n))
+}
+
+func sameCSR(t *testing.T, name string, got, want *CSR) {
+	t.Helper()
+	if got.NRows != want.NRows || got.NCols != want.NCols {
+		t.Fatalf("%s: %d×%d, want %d×%d", name, got.NRows, got.NCols, want.NRows, want.NCols)
+	}
+	for i := range want.RowPtr {
+		if got.RowPtr[i] != want.RowPtr[i] {
+			t.Fatalf("%s: RowPtr[%d] = %d, want %d", name, i, got.RowPtr[i], want.RowPtr[i])
+		}
+	}
+	if got.NNZ() != want.NNZ() {
+		t.Fatalf("%s: nnz %d, want %d", name, got.NNZ(), want.NNZ())
+	}
+	for p := range want.ColIdx {
+		if got.ColIdx[p] != want.ColIdx[p] || math.Float64bits(got.Vals[p]) != math.Float64bits(want.Vals[p]) {
+			t.Fatalf("%s: entry %d = (%d, %x), want (%d, %x)", name, p, got.ColIdx[p], got.Vals[p], want.ColIdx[p], want.Vals[p])
+		}
+	}
+}
+
+// TestBCSRToCSRRoundTrip: expanding the tiles reproduces the source CSR
+// bitwise — pattern and values — on node-blocked, misaligned (3-2-1) and
+// random patterns, none of which store exact zeros.
+func TestBCSRToCSRRoundTrip(t *testing.T) {
+	blocked := nodeBlockCSR(10, 6)
+	cases := map[string]*CSR{
+		"node-blocked":  blocked,
+		"misaligned":    drop321(blocked, 20, 27, 33),
+		"random-999":    blockCSR(999, 9, 11),
+		"partial-tiles": partialBlockCSR(600),
+		"one-block":     blockDiagCSR(1),
+	}
+	for name, m := range cases {
+		if m.NRows%BlockSize != 0 {
+			t.Fatalf("%s: fixture dimension %d does not tile", name, m.NRows)
+		}
+		b, err := NewBCSR(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameCSR(t, name, b.ToCSR(), m)
+	}
+}
+
+// TestBCSRToCSRDropsStoredZeros: a zero the source CSR stores (here an
+// assembly cancellation) is indistinguishable from tile padding, so the
+// expansion drops it — and nothing else.
+func TestBCSRToCSRDropsStoredZeros(t *testing.T) {
+	tr := NewTriplet(6, 6, 12)
+	for i := 0; i < 6; i++ {
+		tr.Add(i, i, float64(i+2))
+	}
+	tr.Add(0, 4, 1.5)
+	tr.Add(4, 0, 1.5)
+	tr.Add(1, 5, 2) // cancels to a stored zero
+	tr.Add(1, 5, -2)
+	m := tr.ToCSR()
+	if m.NNZ() != 9 {
+		t.Fatalf("fixture stores %d entries, want 9 (one of them zero)", m.NNZ())
+	}
+	want := NewTriplet(6, 6, 8)
+	for i := 0; i < 6; i++ {
+		want.Add(i, i, float64(i+2))
+	}
+	want.Add(0, 4, 1.5)
+	want.Add(4, 0, 1.5)
+	b, err := NewBCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "stored-zero", b.ToCSR(), want.ToCSR())
+}
+
+// TestBCSRDiagTile: DiagTile aliases the stored diagonal tile of a block
+// row and reports nil for a block row without one.
+func TestBCSRDiagTile(t *testing.T) {
+	tr := NewTriplet(6, 6, 4)
+	tr.Add(0, 0, 1)
+	tr.Add(2, 1, 7)
+	tr.Add(3, 0, 5) // block row 1 stores only an off-diagonal tile
+	b, err := NewBCSR(tr.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := b.DiagTile(0)
+	if len(d) != 9 || d[0] != 1 || d[7] != 7 {
+		t.Fatalf("DiagTile(0) = %v, want [1 0 0 0 0 0 0 7 0]", d)
+	}
+	if d := b.DiagTile(1); d != nil {
+		t.Fatalf("DiagTile(1) = %v, want nil", d)
+	}
+}
+
 // TestBCSRMulVecParBitwiseMatchesSerial: partitioning never splits a block
 // row, so every worker count — through MulVecPar's transient pool and through
 // explicit bounds on a resident pool — must reproduce the serial

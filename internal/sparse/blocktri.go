@@ -82,8 +82,8 @@ func NewBlockLowerTri(src *LowerTri, single bool) (*BlockLowerTri, error) {
 	// Both triangles share the tiling routine: ascending block columns per
 	// block row naturally put the diagonal tile last in the lower triangle
 	// (all block cols ≤ br) and first in the upper (all block cols ≥ br).
-	t.BRowPtr, t.BColIdx, t.Vals = tileRows(nbr, src.RowPtr, src.ColIdx, src.Vals)
-	t.BUpPtr, t.BUpIdx, t.UpVals = tileRows(nbr, src.UpPtr, src.UpIdx, src.UpVals)
+	t.BRowPtr, t.BColIdx, t.Vals = tileRows(nbr, nbr, src.RowPtr, src.ColIdx, src.Vals)
+	t.BUpPtr, t.BUpIdx, t.UpVals = tileRows(nbr, nbr, src.UpPtr, src.UpIdx, src.UpVals)
 	if single {
 		t.Vals32 = roundTiles(t.Vals)
 		t.UpVals32 = roundTiles(t.UpVals)
@@ -93,12 +93,15 @@ func NewBlockLowerTri(src *LowerTri, single bool) (*BlockLowerTri, error) {
 	return t, nil
 }
 
-// tileRows groups the scalar rows of one triangle into 3×3 tiles, returning
-// block-row pointers, ascending block-column indices, and zero-filled tile
-// values.
-func tileRows(nbr int, rowPtr, colIdx []int32, vals []float64) (bPtr, bIdx []int32, bVals []float64) {
+// tileRows groups nbr block rows of scalar CSR arrays (block-column count
+// nbc) into 3×3 tiles, returning block-row pointers, ascending block-column
+// indices, and zero-filled tile values. NewBCSR and both triangles of
+// NewBlockLowerTri share it.
+func tileRows(nbr, nbc int, rowPtr, colIdx []int32, vals []float64) (bPtr, bIdx []int32, bVals []float64) {
 	bPtr = make([]int32, nbr+1)
-	seen := make([]int32, nbr)
+	// Pass 1: count distinct block columns per block row, with a last-seen
+	// stamp per block column so no visited set needs clearing.
+	seen := make([]int32, nbc)
 	for i := range seen {
 		seen[i] = -1
 	}
@@ -119,7 +122,10 @@ func tileRows(nbr int, rowPtr, colIdx []int32, vals []float64) (bPtr, bIdx []int
 	nt := int(bPtr[nbr])
 	bIdx = make([]int32, nt)
 	bVals = make([]float64, 9*nt)
-	pos := make([]int32, nbr)
+	// Pass 2: collect each block row's tile set (stamped with ^br to tell it
+	// from pass 1's stamps), sort it ascending, then scatter the scalar
+	// values into their tiles.
+	pos := make([]int32, nbc) // block col -> tile slot, valid for current row
 	for br := 0; br < nbr; br++ {
 		lo := bPtr[br]
 		cnt := lo
@@ -148,6 +154,24 @@ func tileRows(nbr int, rowPtr, colIdx []int32, vals []float64) (bPtr, bIdx []int
 		}
 	}
 	return bPtr, bIdx, bVals
+}
+
+// sortInt32 is an insertion sort for one block row's collected block
+// columns, avoiding sort.Slice's closure allocation in the construction
+// path. The runs are long — the reduced global matrix averages 82 tiles per
+// block row — but nearly sorted: the first scalar row of a node contributes
+// its block columns already ascending and the other two add few new ones, so
+// the sort stays close to linear.
+func sortInt32(s []int32) {
+	for i := 1; i < len(s); i++ {
+		v := s[i]
+		j := i - 1
+		for j >= 0 && s[j] > v {
+			s[j+1] = s[j]
+			j--
+		}
+		s[j+1] = v
+	}
 }
 
 // roundTiles converts tile values to single precision.

@@ -161,23 +161,6 @@ func (m *CSR) At(r, c int) float64 {
 	return 0
 }
 
-// Diag extracts the main diagonal into a fresh slice (square matrices).
-func (m *CSR) Diag() []float64 {
-	if m.NRows != m.NCols {
-		panic("sparse: Diag requires a square matrix")
-	}
-	d := make([]float64, m.NRows)
-	for r := 0; r < m.NRows; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			if int(m.ColIdx[p]) == r {
-				d[r] = m.Vals[p]
-				break
-			}
-		}
-	}
-	return d
-}
-
 // Transpose returns mᵀ as a new CSR matrix.
 func (m *CSR) Transpose() *CSR {
 	nnz := m.NNZ()

@@ -161,18 +161,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestDiag(t *testing.T) {
-	tr := NewTriplet(3, 3, 4)
-	tr.Add(0, 0, 2)
-	tr.Add(1, 2, 5)
-	tr.Add(2, 2, 7)
-	m := tr.ToCSR()
-	d := m.Diag()
-	if d[0] != 2 || d[1] != 0 || d[2] != 7 {
-		t.Errorf("Diag: %v", d)
-	}
-}
-
 func TestIsSymmetric(t *testing.T) {
 	tr := NewTriplet(3, 3, 6)
 	tr.Add(0, 1, 2)
