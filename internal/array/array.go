@@ -270,8 +270,8 @@ type Solution struct {
 // Assembly is the assemble-once snapshot of a lattice's reduced global
 // system: everything about the global stage that does not depend on the
 // thermal load. Solving a scenario against a prebuilt Assembly costs one
-// RHS build plus the linear solve; the matrix scatter, compaction, and
-// Dirichlet reduction are paid once per lattice — and so is each
+// RHS build plus the linear solve; the tile scatter that assembles the
+// reduced matrix is paid once per lattice — and so is each
 // preconditioner, built lazily on first use and cached on the Assembly per
 // concrete PrecondKind (the preconditioner depends only on the reduced
 // matrix, so every scenario, ΔT sweep, and async job on the lattice shares
@@ -299,7 +299,7 @@ type Assembly struct {
 	AllBC bool
 	// NNZ is the stored-entry count of the full assembled matrix.
 	NNZ int
-	// BuildTime is the one-shot cost of the matrix assembly + reduction.
+	// BuildTime is the one-shot cost of NewAssembly.
 	BuildTime time.Duration
 
 	// aff is the reduced matrix A_ff as 3×3 tiles (nil when AllBC).
@@ -457,10 +457,12 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 func (a *Assembly) Blocked() *sparse.BCSR { return a.aff }
 
 // NewAssembly runs the load-independent part of the global stage for the
-// problem: lattice enumeration, unit-load matrix assembly, and Dirichlet
-// reduction. The result can be placed in Problem.Assembly for every
-// scenario on the same lattice (same ROM content, dimensions, dummy layout,
-// and BC kind).
+// problem: lattice enumeration, the constraint split, and the scatter of
+// every block's 3×3 stiffness tiles straight into the reduced A_ff (and,
+// under PrescribedBoundary, A_fb) with the unit load b_f. The result is
+// bitwise independent of workers. It can be placed in Problem.Assembly for
+// every scenario on the same lattice (same ROM content, dimensions, dummy
+// layout, and BC kind).
 func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -470,11 +472,14 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 	}
 	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	lat := NewLattice(p.Bx, p.By, p.ROM.Spec.Nodes, p.ROM.Spec.Geom.Pitch, p.ROM.Spec.Geom.Height)
-	k, f := assembleGlobal(p, lat, workers)
 
-	isBC := make([]bool, lat.NumDoFs())
+	// Dirichlet reduction removes whole nodes: number the free and the
+	// constrained nodes apart, each in id order.
+	freeOf := make([]int32, lat.NumNodes())
+	bcOf := make([]int32, lat.NumNodes())
 	var bcNodes []int32
-	for id := 0; id < lat.NumNodes(); id++ {
+	nFree := 0
+	for id := range freeOf {
 		var fixed bool
 		switch p.BC {
 		case ClampedTopBottom:
@@ -483,34 +488,33 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 			fixed = lat.OnOuterBoundary(id)
 		}
 		if fixed {
-			isBC[3*id] = true
-			isBC[3*id+1] = true
-			isBC[3*id+2] = true
+			freeOf[id], bcOf[id] = -1, int32(len(bcNodes))
 			bcNodes = append(bcNodes, int32(id))
+		} else {
+			freeOf[id], bcOf[id] = int32(nFree), -1
+			nFree++
 		}
 	}
-	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, NNZ: k.NNZ()}
-	asm.AllBC = true
-	for _, b := range isBC {
-		if !b {
-			asm.AllBC = false
-			break
-		}
-	}
+	inc := newIncidence(p, lat)
+	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, workers)
+	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs}
 	if !asm.AllBC {
-		red, err := fem.Reduce(k, f, isBC)
-		if err != nil {
-			return nil, err
+		red := &fem.Reduced{
+			Bf:      inc.unitLoad(freeOf, nFree),
+			FreeIdx: make([]int32, 0, 3*nFree),
+			BCIdx:   make([]int32, 0, 3*len(bcNodes)),
+			NFull:   lat.NumDoFs(),
 		}
-		// Dirichlet reduction removes whole nodes, so A_ff tiles exactly;
-		// the tiles replace the CSR.
-		aff, err := sparse.NewBCSR(red.Aff)
-		if err != nil {
-			return nil, fmt.Errorf("array: reduced matrix: %w", err)
+		for id, fi := range freeOf {
+			idx := &red.BCIdx
+			if fi >= 0 {
+				idx = &red.FreeIdx
+			}
+			*idx = append(*idx, 3*int32(id), 3*int32(id)+1, 3*int32(id)+2)
 		}
-		red.Aff = nil
-		if p.BC != PrescribedBoundary {
-			red.Afb = nil
+		if p.BC == PrescribedBoundary {
+			afb, _ := inc.scatter(freeOf, bcOf, nFree, len(bcNodes), workers)
+			red.Afb = afb.ToCSR()
 		}
 		asm.Red, asm.aff = red, aff
 	}

@@ -123,8 +123,6 @@ type BuildStats struct {
 
 // Build runs the one-shot local stage with the given worker count
 // (0 = GOMAXPROCS).
-//
-//stressvet:gang -- basis solves bounded by a `workers`-slot semaphore
 func Build(spec Spec, workers int) (*ROM, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -200,12 +198,11 @@ func Build(spec Spec, workers int) (*ROM, error) {
 	// thermal problem (ΔT = 1, zero boundary), task-parallel as in §4.2.
 	basis := make([][]float64, n)
 	var basisT []float64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	solveOne := func(i int) {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
+	parallelFor(n+1, workers, func(i int) {
+		if i == n {
+			basisT = red.Expand(chol.Solve(red.RHS(1, nil)), nil)
+			return
+		}
 		surfNode, comp := i/3, i%3
 		ubc := make([]float64, nbc)
 		for bn := 0; bn < bcNodes; bn++ {
@@ -217,21 +214,7 @@ func Build(spec Spec, workers int) (*ROM, error) {
 		rhs := red.RHS(0, ubc)
 		xf := chol.Solve(rhs)
 		basis[i] = red.Expand(xf, ubc)
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go solveOne(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		rhs := red.RHS(1, nil)
-		xf := chol.Solve(rhs)
-		basisT = red.Expand(xf, nil)
-	}()
-	wg.Wait()
+	})
 
 	// Project: A_elem[i][j] = f_iᵀ·K·f_j (Eq. 18), b_elem[i] = f_iᵀ·F
 	// (Eq. 19). Compute W_i = K·f_i once per basis vector, in parallel.

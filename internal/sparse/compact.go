@@ -1,6 +1,6 @@
 package sparse
 
-import "sort"
+import "slices"
 
 // CompactRows sorts the column indices within each row and sums duplicate
 // entries, returning the compacted matrix. Rows are processed in parallel
@@ -10,22 +10,18 @@ import "sort"
 func (m *CSR) CompactRows(workers int) *CSR {
 	n := m.NRows
 	newLen := make([]int32, n)
-	type pair struct {
-		c int32
-		v float64
-	}
 	bounds := PartitionByWork(m.RowPtr, 0, n, workers)
 	pool := NewPool(workers)
 	defer pool.Close()
 	pool.Run(bounds, funcRunner(func(lo, hi int) {
-		var buf []pair
+		var buf []colVal
 		for r := lo; r < hi; r++ {
 			start, end := m.RowPtr[r], m.RowPtr[r+1]
 			buf = buf[:0]
 			for p := start; p < end; p++ {
-				buf = append(buf, pair{m.ColIdx[p], m.Vals[p]})
+				buf = append(buf, colVal{m.ColIdx[p], m.Vals[p]})
 			}
-			sort.Slice(buf, func(i, j int) bool { return buf[i].c < buf[j].c })
+			slices.SortFunc(buf, byCol)
 			// Merge duplicates in place back into the row segment.
 			w := start
 			for i := 0; i < len(buf); {

@@ -5,7 +5,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -84,23 +86,30 @@ type CSR struct {
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
+// colVal is one stored entry of a row being sorted by column.
+type colVal struct {
+	c int32
+	v float64
+}
+
+// byCol orders entries by column for slices.SortFunc, which expands the
+// same pdqsort template as sort.Slice: duplicates land in the same order,
+// so every summed entry keeps the bits a sort.Slice compaction gives it.
+func byCol(a, b colVal) int { return cmp.Compare(a.c, b.c) }
+
 // sortRowsAndSum sorts column indices within each row and merges duplicates.
 func (m *CSR) sortRowsAndSum() {
 	outCol := m.ColIdx[:0]
 	outVal := m.Vals[:0]
 	newPtr := make([]int32, m.NRows+1)
-	type pair struct {
-		c int32
-		v float64
-	}
-	var buf []pair
+	var buf []colVal
 	for r := 0; r < m.NRows; r++ {
 		start, end := m.RowPtr[r], m.RowPtr[r+1]
 		buf = buf[:0]
 		for p := start; p < end; p++ {
-			buf = append(buf, pair{m.ColIdx[p], m.Vals[p]})
+			buf = append(buf, colVal{m.ColIdx[p], m.Vals[p]})
 		}
-		sort.Slice(buf, func(i, j int) bool { return buf[i].c < buf[j].c })
+		slices.SortFunc(buf, byCol)
 		for i := 0; i < len(buf); {
 			c := buf[i].c
 			v := buf[i].v

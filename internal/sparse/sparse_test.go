@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -344,5 +346,68 @@ func TestCompactRowsMatchesTriplet(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortSliceCompact is the row compaction as it was written against the
+// reflective sort.Slice: each row's entries sorted by column, duplicates
+// summed in sorted order.
+func sortSliceCompact(m *CSR) *CSR {
+	out := &CSR{NRows: m.NRows, NCols: m.NCols, RowPtr: make([]int32, m.NRows+1)}
+	type pair struct {
+		c int32
+		v float64
+	}
+	for r := 0; r < m.NRows; r++ {
+		var buf []pair
+		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
+			buf = append(buf, pair{m.ColIdx[p], m.Vals[p]})
+		}
+		sort.Slice(buf, func(i, j int) bool { return buf[i].c < buf[j].c })
+		for i := 0; i < len(buf); {
+			c, v := buf[i].c, buf[i].v
+			for i++; i < len(buf) && buf[i].c == c; i++ {
+				v += buf[i].v
+			}
+			out.ColIdx = append(out.ColIdx, c)
+			out.Vals = append(out.Vals, v)
+		}
+		out.RowPtr[r+1] = int32(len(out.Vals))
+	}
+	return out
+}
+
+// TestRowSortKeepsSortSliceBits: CompactRows and Triplet.ToCSR sort each row
+// with slices.SortFunc, which must permute duplicate columns exactly as
+// sort.Slice did — on rows long enough to leave insertion sort and full of
+// duplicates whose sum depends on the order, the compacted values are
+// bitwise those of the sort.Slice compaction.
+func TestRowSortKeepsSortSliceBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const nr, nc = 40, 12
+	raw := &CSR{NRows: nr, NCols: nc, RowPtr: make([]int32, nr+1)}
+	tr := NewTriplet(nr, nc, 0)
+	for r := 0; r < nr; r++ {
+		for range 1 + rng.Intn(400) {
+			c := int32(rng.Intn(nc))
+			v := rng.NormFloat64()
+			raw.ColIdx = append(raw.ColIdx, c)
+			raw.Vals = append(raw.Vals, v)
+			tr.Add(r, int(c), v)
+		}
+		raw.RowPtr[r+1] = int32(len(raw.Vals))
+	}
+	want := sortSliceCompact(raw)
+	same := func(m *CSR) bool {
+		if !slices.Equal(m.RowPtr, want.RowPtr) || !slices.Equal(m.ColIdx, want.ColIdx) {
+			return false
+		}
+		return slices.EqualFunc(m.Vals, want.Vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+	}
+	if !same(tr.ToCSR()) {
+		t.Error("Triplet.ToCSR differs from the sort.Slice compaction")
+	}
+	if !same(raw.Clone().CompactRows(3)) {
+		t.Error("CompactRows differs from the sort.Slice compaction")
 	}
 }
