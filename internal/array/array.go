@@ -835,57 +835,96 @@ func (p *Problem) blockDeltaT(bx, by int) float64 {
 	return p.DeltaT
 }
 
-// VMField reconstructs each block's fine displacement field (Eq. 15) and
-// samples the von Mises stress on the mid-height cut plane with a gs×gs
-// grid per block, returning a (Bx·gs)×(By·gs) field. Parallel over blocks.
+// VMField reconstructs each block's fine displacement field (Eq. 15) on
+// the mid-height cut plane and samples its von Mises stress with a gs×gs
+// grid per block, returning a (Bx·gs)×(By·gs) field. Only the element
+// layer the plane cuts is reconstructed, rom.PlaneBatch same-ROM blocks
+// per pass over its basis slab; the result is bitwise equal to sampling
+// each block's full Reconstruct with SampleVM. Parallel over batches.
 //
-//stressvet:gang -- fixed pool of `workers` goroutines draining the block-job channel
+//stressvet:gang -- fixed pool of `workers` goroutines draining the batch channel
 func (s *Solution) VMField(gs int, workers int) *field.Grid2D {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := field.New(s.Prob.Bx*gs, s.Prob.By*gs)
-	zCut := s.Prob.ROM.Spec.Geom.Height / 2
+	batches := s.planeBatches()
+	samplers := make(map[*rom.ROM]*rom.PlaneSampler, 2)
+	for _, b := range batches {
+		if samplers[b.r] == nil {
+			samplers[b.r] = b.r.NewPlaneSampler(gs)
+		}
+	}
+	workers = min(workers, len(batches))
 
-	type job struct{ bx, by int }
-	jobs := make(chan job)
+	jobs := make(chan planeBatch)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range jobs {
-				r := s.blockROM(jb.bx, jb.by)
-				q := s.BlockDoFs(jb.bx, jb.by)
-				dt := s.Prob.blockDeltaT(jb.bx, jb.by)
-				u := r.Reconstruct(q, dt)
-				vm := r.SampleVM(u, dt, zCut, gs)
-				for gy := 0; gy < gs; gy++ {
-					dst := (jb.by*gs+gy)*out.NX + jb.bx*gs
-					copy(out.V[dst:dst+gs], vm[gy*gs:(gy+1)*gs])
+			var u, q [rom.PlaneBatch][]float64
+			var dt [rom.PlaneBatch]float64
+			vm := make([]float64, gs*gs)
+			for b := range jobs {
+				n := len(b.blocks)
+				for k, blk := range b.blocks {
+					q[k] = s.BlockDoFs(blk[0], blk[1])
+					dt[k] = s.Prob.blockDeltaT(blk[0], blk[1])
+					if nd := len(b.r.BasisT); len(u[k]) < nd {
+						u[k] = make([]float64, nd)
+					}
+				}
+				b.r.ReconstructPlane(u[:n], q[:n], dt[:n])
+				for k, blk := range b.blocks {
+					samplers[b.r].VonMises(vm, u[k], dt[k])
+					for gy := 0; gy < gs; gy++ {
+						dst := (blk[1]*gs+gy)*out.NX + blk[0]*gs
+						copy(out.V[dst:dst+gs], vm[gy*gs:(gy+1)*gs])
+					}
 				}
 			}
 		}()
 	}
-	for by := 0; by < s.Prob.By; by++ {
-		for bx := 0; bx < s.Prob.Bx; bx++ {
-			jobs <- job{bx, by}
-		}
+	for _, b := range batches {
+		jobs <- b
 	}
 	close(jobs)
 	wg.Wait()
 	return out
 }
 
+// planeBatch is up to rom.PlaneBatch blocks (bx, by) sharing one ROM.
+type planeBatch struct {
+	r      *rom.ROM
+	blocks [][2]int
+}
+
+// planeBatches groups the blocks by ROM, in row-major order, into batches
+// of rom.PlaneBatch; each ROM's last batch may be short.
+func (s *Solution) planeBatches() []planeBatch {
+	var batches []planeBatch
+	open := make(map[*rom.ROM]int, 2)
+	for by := 0; by < s.Prob.By; by++ {
+		for bx := 0; bx < s.Prob.Bx; bx++ {
+			r := s.blockROM(bx, by)
+			i, ok := open[r]
+			if !ok || len(batches[i].blocks) == rom.PlaneBatch {
+				i = len(batches)
+				open[r] = i
+				batches = append(batches, planeBatch{r: r, blocks: make([][2]int, 0, rom.PlaneBatch)})
+			}
+			batches[i].blocks = append(batches[i].blocks, [2]int{bx, by})
+		}
+	}
+	return batches
+}
+
 // StressAt evaluates the reconstructed stress tensor (Voigt) at a global
-// physical point.
+// physical point, reconstructing only the fine element that contains it.
 func (s *Solution) StressAt(p mesh.Vec3) [6]float64 {
 	bx, by, local := s.locate(p)
-	r := s.blockROM(bx, by)
-	q := s.BlockDoFs(bx, by)
-	dt := s.Prob.blockDeltaT(bx, by)
-	u := r.Reconstruct(q, dt)
-	return r.StressAtPoint(u, dt, local)
+	return s.blockROM(bx, by).StressAt(s.BlockDoFs(bx, by), s.Prob.blockDeltaT(bx, by), local)
 }
 
 // locate maps a global point to its block and block-local coordinates.
@@ -910,11 +949,9 @@ func (s *Solution) locate(p mesh.Vec3) (bx, by int, local mesh.Vec3) {
 }
 
 // DisplacementAt evaluates the reconstructed displacement at a global
-// physical point (the block containing it is located first).
+// physical point (the block containing it is located first), reconstructing
+// only the fine element that contains it.
 func (s *Solution) DisplacementAt(p mesh.Vec3) [3]float64 {
 	bx, by, local := s.locate(p)
-	r := s.blockROM(bx, by)
-	q := s.BlockDoFs(bx, by)
-	u := r.Reconstruct(q, s.Prob.blockDeltaT(bx, by))
-	return r.DisplacementAtPoint(u, local)
+	return s.blockROM(bx, by).DisplacementAt(s.BlockDoFs(bx, by), s.Prob.blockDeltaT(bx, by), local)
 }

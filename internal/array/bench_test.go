@@ -65,19 +65,25 @@ func BenchmarkGlobalSolvers(b *testing.B) {
 	}
 }
 
-// BenchmarkVMFieldReconstruction isolates the per-block reconstruction and
-// mid-plane sampling (Eq. 15 post-processing).
+// BenchmarkVMFieldReconstruction times Solution.VMField — the Eq. 15
+// reconstruction on the mid-height cut plane and its von Mises sampling —
+// on a 6×6 lattice of the (5,5,5)-node coarse unit cell serving builds by
+// default, at the per-block grid sizes of a /solve response (gs=40) and of
+// a ΔT-sweep scenario (gs=10).
 func BenchmarkVMFieldReconstruction(b *testing.B) {
-	r := benchROM(b)
-	sol, err := Solve(&Problem{
-		ROM: r, Bx: 6, By: 6, DeltaT: -250,
-		BC: ClampedTopBottom, Opt: solver.Options{Tol: 1e-9},
-	})
+	r := servedROM(b, true)
+	sol, err := Solve(&Problem{ROM: r, Bx: 6, By: 6, DeltaT: -250, BC: ClampedTopBottom})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sol.VMField(20, 0)
+	for _, gs := range []int{40, 10} {
+		b.Run(fmt.Sprintf("gs=%d", gs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if f := sol.VMField(gs, 0); len(f.V) != 36*gs*gs {
+					b.Fatal("wrong field size")
+				}
+			}
+		})
 	}
 }

@@ -241,46 +241,40 @@ func (m *QuadModel) ElemNodes(e int) [20]int32 {
 // DisplacementAtPoint interpolates the displacement at physical point p.
 func (m *QuadModel) DisplacementAtPoint(u []float64, p mesh.Vec3) [3]float64 {
 	e, xi, eta, zeta := m.Grid.Locate(p)
+	ue := m.elemDisp(u, e)
+	return QuadElemDisplacement(&ue, xi, eta, zeta)
+}
+
+// QuadElemDisplacement interpolates an element's nodal displacements ue
+// (three per node in ElemNodes order) at reference point (ξ, η, ζ).
+func QuadElemDisplacement(ue *[60]float64, xi, eta, zeta float64) [3]float64 {
 	n := QuadShapeFunctions(xi, eta, zeta)
-	nodes := m.ElemNodes(e)
-	var out [3]float64
-	for a := 0; a < 20; a++ {
-		idx := int(nodes[a])
-		out[0] += n[a] * u[3*idx]
-		out[1] += n[a] * u[3*idx+1]
-		out[2] += n[a] * u[3*idx+2]
-	}
-	return out
+	return interpolate(n[:], ue[:])
 }
 
 // StressAtPoint recovers the stress tensor (Voigt) at physical point p.
 func (m *QuadModel) StressAtPoint(u []float64, deltaT float64, p mesh.Vec3) [6]float64 {
 	e, xi, eta, zeta := m.Grid.Locate(p)
+	ue := m.elemDisp(u, e)
+	return m.ElemStress(&ue, deltaT, e, xi, eta, zeta)
+}
+
+// ElemStress evaluates the stress tensor (Voigt, Eq. 1) at reference point
+// (ξ, η, ζ) of element e from its nodal displacements ue, three per node
+// in ElemNodes order.
+func (m *QuadModel) ElemStress(ue *[60]float64, deltaT float64, e int, xi, eta, zeta float64) [6]float64 {
 	hx, hy, hz := m.Grid.ElemSize(e)
 	g := QuadShapeGradients(xi, eta, zeta, hx, hy, hz)
-	nodes := m.ElemNodes(e)
-	var eps [6]float64
-	for a := 0; a < 20; a++ {
-		idx := int(nodes[a])
-		ux, uy, uz := u[3*idx], u[3*idx+1], u[3*idx+2]
-		dx, dy, dz := g[a][0], g[a][1], g[a][2]
-		eps[0] += dx * ux
-		eps[1] += dy * uy
-		eps[2] += dz * uz
-		eps[3] += dz*uy + dy*uz
-		eps[4] += dz*ux + dx*uz
-		eps[5] += dy*ux + dx*uy
-	}
 	mat := m.Mats[m.Grid.MatID[e]]
 	lambda, mu := mat.Lame()
-	tr := eps[0] + eps[1] + eps[2]
-	th := mat.ThermalStressCoeff() * deltaT
-	var s [6]float64
-	s[0] = lambda*tr + 2*mu*eps[0] - th
-	s[1] = lambda*tr + 2*mu*eps[1] - th
-	s[2] = lambda*tr + 2*mu*eps[2] - th
-	s[3] = mu * eps[3]
-	s[4] = mu * eps[4]
-	s[5] = mu * eps[5]
-	return s
+	return hooke(strain(g[:], ue[:]), lambda, mu, mat.ThermalStressCoeff()*deltaT)
+}
+
+// elemDisp gathers element e's 60 nodal displacements from the full field.
+func (m *QuadModel) elemDisp(u []float64, e int) [60]float64 {
+	var ue [60]float64
+	for a, n := range m.ElemNodes(e) {
+		copy(ue[3*a:3*a+3], u[3*n:3*n+3])
+	}
+	return ue
 }

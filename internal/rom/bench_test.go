@@ -76,3 +76,27 @@ func BenchmarkSampleVM(b *testing.B) {
 		_ = r.SampleVM(u, -250, 25, 100)
 	}
 }
+
+// BenchmarkReconstructPlane reconstructs the cut-plane layer of PlaneBatch
+// blocks in one pass over the slab; BenchmarkReconstruct's q pattern (a
+// fifth of the DoFs zero) repeated per block.
+func BenchmarkReconstructPlane(b *testing.B) {
+	r, err := Build(PaperSpec(15, mesh.CoarseResolution()), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var u, q [PlaneBatch][]float64
+	var dt [PlaneBatch]float64
+	for k := range q {
+		u[k] = make([]float64, len(r.BasisT))
+		q[k] = make([]float64, r.N)
+		for i := range q[k] {
+			q[k][i] = float64(i%5) * float64(k+1) * 1e-3
+		}
+		dt[k] = -250
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ReconstructPlane(u[:], q[:], dt[:])
+	}
+}

@@ -109,6 +109,13 @@ type ROM struct {
 	BasisT []float64
 	// Stats from the build.
 	Stats BuildStats
+
+	// slab holds the basis rows of the cut-plane layer — the DoFs
+	// [slabLo, slabHi) that the mid-height plane z = H/2 touches — once
+	// more, row-major: slab[d·N+i] = Basis[i][slabLo+d]. One pass over it
+	// reconstructs the layer of several blocks (ReconstructPlane).
+	slab           []float64
+	slabLo, slabHi int
 }
 
 // BuildStats records the cost of the one-shot local stage.
@@ -241,16 +248,36 @@ func Build(spec Spec, workers int) (*ROM, error) {
 		N: n, Aelem: aelem, Belem: belem,
 		Basis: basis, BasisT: basisT,
 		Stats: BuildStats{
-			BuildTime:   time.Since(start),
 			FineDoFs:    ndof,
 			FreeDoFs:    red.NFree(),
 			FactorNNZ:   chol.NNZ(),
 			LocalSolves: n + 1,
 		},
 	}
-	r.Stats.MemoryBytes = r.memoryBytes()
+	r.finish()
+	r.Stats.BuildTime = time.Since(start)
 	return r, nil
 }
+
+// finish derives what Build and Load both hold beyond the basis: the
+// cut-plane slab, and the footprint that counts it.
+func (r *ROM) finish() {
+	if r.Quad != nil {
+		r.slabLo, r.slabHi = r.Quad.LayerDoFs(r.cutZ())
+	} else {
+		r.slabLo, r.slabHi = r.Model.LayerDoFs(r.cutZ())
+	}
+	r.slab = make([]float64, (r.slabHi-r.slabLo)*r.N)
+	for i, f := range r.Basis {
+		for d, v := range f[r.slabLo:r.slabHi] {
+			r.slab[d*r.N+i] = v
+		}
+	}
+	r.Stats.MemoryBytes = r.memoryBytes()
+}
+
+// cutZ is the height of the cut plane the field is sampled on (§5.2).
+func (r *ROM) cutZ() float64 { return r.Spec.Geom.Height / 2 }
 
 func (r *ROM) memoryBytes() int64 {
 	var b int64
@@ -258,6 +285,7 @@ func (r *ROM) memoryBytes() int64 {
 		b += int64(len(f)) * 8
 	}
 	b += int64(len(r.BasisT)) * 8
+	b += int64(len(r.slab)) * 8
 	b += int64(len(r.Aelem.Data))*8 + int64(len(r.Belem))*8
 	return b
 }
@@ -291,13 +319,65 @@ func (r *ROM) StressAtPoint(u []float64, deltaT float64, p mesh.Vec3) [6]float64
 	return r.Model.StressAtPoint(u, deltaT, p)
 }
 
-// DisplacementAtPoint interpolates a reconstructed fine field at a
-// block-local point.
-func (r *ROM) DisplacementAtPoint(u []float64, p mesh.Vec3) [3]float64 {
+// StressAt recovers the stress tensor at a block-local point of the block
+// with element DoFs q and thermal load deltaT. It reconstructs (Eq. 15)
+// only the nodes of the fine element containing p, each in Reconstruct's
+// order, so it is bitwise equal to StressAtPoint(Reconstruct(q, deltaT),
+// deltaT, p).
+func (r *ROM) StressAt(q []float64, deltaT float64, p mesh.Vec3) [6]float64 {
+	e, xi, eta, zeta := r.Grid.Locate(p)
 	if r.Quad != nil {
-		return r.Quad.DisplacementAtPoint(u, p)
+		var ue [60]float64
+		nodes := r.Quad.ElemNodes(e)
+		r.reconstructNodes(ue[:], nodes[:], q, deltaT)
+		return r.Quad.ElemStress(&ue, deltaT, e, xi, eta, zeta)
 	}
-	return r.Model.DisplacementAtPoint(u, p)
+	var ue [24]float64
+	nodes := r.Grid.ElemNodes(e)
+	r.reconstructNodes(ue[:], nodes[:], q, deltaT)
+	return r.Model.ElemStress(&ue, deltaT, e, xi, eta, zeta)
+}
+
+// DisplacementAt interpolates the displacement at a block-local point of
+// the block with element DoFs q and thermal load deltaT, reconstructing
+// only the containing element's nodes like StressAt.
+func (r *ROM) DisplacementAt(q []float64, deltaT float64, p mesh.Vec3) [3]float64 {
+	e, xi, eta, zeta := r.Grid.Locate(p)
+	if r.Quad != nil {
+		var ue [60]float64
+		nodes := r.Quad.ElemNodes(e)
+		r.reconstructNodes(ue[:], nodes[:], q, deltaT)
+		return fem.QuadElemDisplacement(&ue, xi, eta, zeta)
+	}
+	var ue [24]float64
+	nodes := r.Grid.ElemNodes(e)
+	r.reconstructNodes(ue[:], nodes[:], q, deltaT)
+	return fem.ElemDisplacement(&ue, xi, eta, zeta)
+}
+
+// reconstructNodes writes Reconstruct's values at the given fine nodes
+// into ue (three per node), summing the same terms in the same order.
+func (r *ROM) reconstructNodes(ue []float64, nodes []int32, q []float64, deltaT float64) {
+	if len(q) != r.N {
+		panic(fmt.Sprintf("rom: got %d DoFs, want %d", len(q), r.N))
+	}
+	for a, n := range nodes {
+		for c := 0; c < 3; c++ {
+			ue[3*a+c] = deltaT * r.BasisT[3*int(n)+c]
+		}
+	}
+	for i, qi := range q {
+		if qi == 0 {
+			continue
+		}
+		f := r.Basis[i]
+		for a, n := range nodes {
+			d := 3 * int(n)
+			ue[3*a] += qi * f[d]
+			ue[3*a+1] += qi * f[d+1]
+			ue[3*a+2] += qi * f[d+2]
+		}
+	}
 }
 
 // SampleVM evaluates the von Mises stress on a gs×gs grid over the plane
@@ -316,6 +396,136 @@ func (r *ROM) SampleVM(u []float64, deltaT float64, zCut float64, gs int) []floa
 		}
 	}
 	return out
+}
+
+// PlaneBatch is the number of blocks ReconstructPlane reconstructs per
+// pass over the slab.
+const PlaneBatch = 4
+
+// ReconstructPlane reconstructs (Eq. 15) the cut-plane layer of several
+// blocks: for each block b it writes ΔT_b·f_T + Σ_i q[b][i]·f_i into the
+// layer DoFs of u[b], a full-length field whose other DoFs it leaves
+// alone. It streams the slab once per PlaneBatch blocks, and each value is
+// the ascending-i sum Reconstruct forms, skipping the same q_i = 0 terms,
+// so the layer is bitwise equal to Reconstruct's.
+func (r *ROM) ReconstructPlane(u, q [][]float64, deltaT []float64) {
+	if len(u) != len(q) || len(q) != len(deltaT) {
+		panic(fmt.Sprintf("rom: ReconstructPlane got %d fields, %d DoF vectors, %d loads", len(u), len(q), len(deltaT)))
+	}
+	for _, qb := range q {
+		if len(qb) != r.N {
+			panic(fmt.Sprintf("rom: ReconstructPlane got %d DoFs, want %d", len(qb), r.N))
+		}
+	}
+	cols := make([]int, 0, r.N)
+	coef := make([]float64, PlaneBatch*r.N)
+	for len(q) > 0 {
+		k := min(len(q), PlaneBatch)
+		// A batch shares one pass when every column is zero in all of its
+		// blocks or in none: then skipping the all-zero columns skips
+		// exactly the terms Reconstruct skips.
+		if k < PlaneBatch || !r.sameZeros(q[:k]) {
+			k = 1
+		}
+		cols = cols[:0]
+		for i := 0; i < r.N; i++ {
+			if q[0][i] != 0 {
+				cols = append(cols, i)
+			}
+		}
+		for b := 0; b < k; b++ {
+			for j, i := range cols {
+				coef[b*len(cols)+j] = q[b][i]
+			}
+		}
+		if k == PlaneBatch {
+			r.plane4(u, cols, coef[:PlaneBatch*len(cols)], deltaT)
+		} else {
+			r.plane1(u[0], cols, coef[:len(cols)], deltaT[0])
+		}
+		u, q, deltaT = u[k:], q[k:], deltaT[k:]
+	}
+}
+
+// sameZeros reports whether the DoF vectors have their zeros at the same
+// indices.
+func (r *ROM) sameZeros(q [][]float64) bool {
+	for i := 0; i < r.N; i++ {
+		z := q[0][i] == 0
+		for _, qb := range q[1:] {
+			if (qb[i] == 0) != z {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// plane1 reconstructs one block's layer from the slab columns cols with
+// coefficients c (c[j] multiplies column cols[j]).
+func (r *ROM) plane1(u []float64, cols []int, c []float64, deltaT float64) {
+	ul := u[r.slabLo:r.slabHi]
+	for d, t := range r.BasisT[r.slabLo:r.slabHi] {
+		row := r.slab[d*r.N : (d+1)*r.N]
+		acc := deltaT * t
+		for j, i := range cols {
+			acc += c[j] * row[i]
+		}
+		ul[d] = acc
+	}
+}
+
+// plane4 reconstructs four blocks' layers in one pass over the slab, each
+// block's sum in its own accumulator; c holds the four blocks' coefficient
+// runs back to back.
+func (r *ROM) plane4(u [][]float64, cols []int, c []float64, deltaT []float64) {
+	m := len(cols)
+	c0, c1, c2, c3 := c[:m], c[m:2*m], c[2*m:3*m], c[3*m:4*m]
+	u0, u1, u2, u3 := u[0][r.slabLo:r.slabHi], u[1][r.slabLo:r.slabHi], u[2][r.slabLo:r.slabHi], u[3][r.slabLo:r.slabHi]
+	t0, t1, t2, t3 := deltaT[0], deltaT[1], deltaT[2], deltaT[3]
+	for d, t := range r.BasisT[r.slabLo:r.slabHi] {
+		row := r.slab[d*r.N : (d+1)*r.N]
+		a0, a1, a2, a3 := t0*t, t1*t, t2*t, t3*t
+		for j, i := range cols {
+			s := row[i]
+			a0 += c0[j] * s
+			a1 += c1[j] * s
+			a2 += c2[j] * s
+			a3 += c3[j] * s
+		}
+		u0[d], u1[d], u2[d], u3[d] = a0, a1, a2, a3
+	}
+}
+
+// PlaneSampler evaluates the von Mises stress on SampleVM's gs×gs lattice
+// of the cut plane z = H/2, from fields whose layer ReconstructPlane filled.
+type PlaneSampler struct {
+	r   *ROM
+	gs  int
+	tri *fem.PlaneGrid // nil for a quadratic ROM, which samples per point
+}
+
+// NewPlaneSampler locates SampleVM's gs×gs lattice on the cut plane once.
+func (r *ROM) NewPlaneSampler(gs int) *PlaneSampler {
+	s := &PlaneSampler{r: r, gs: gs}
+	if r.Quad == nil {
+		xs := make([]float64, gs)
+		for g := range xs {
+			xs[g] = (float64(g) + 0.5) * r.Spec.Geom.Pitch / float64(gs)
+		}
+		s.tri = r.Model.NewPlaneGrid(xs, xs, r.cutZ())
+	}
+	return s
+}
+
+// VonMises writes SampleVM(u, deltaT, H/2, gs) into dst (length gs²),
+// reading only the layer DoFs of u.
+func (s *PlaneSampler) VonMises(dst, u []float64, deltaT float64) {
+	if s.tri != nil {
+		s.tri.VonMises(dst, u, deltaT)
+		return
+	}
+	copy(dst, s.r.SampleVM(u, deltaT, s.r.cutZ(), s.gs))
 }
 
 // parallelFor runs fn(i) for i in [0, n) on up to workers goroutines.

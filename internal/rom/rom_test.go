@@ -3,6 +3,7 @@ package rom
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/lagrange"
@@ -264,6 +265,141 @@ func TestBuildArbitraryNodeCounts(t *testing.T) {
 			for j := i + 1; j < r.N; j++ {
 				if d := math.Abs(r.Aelem.At(i, j) - r.Aelem.At(j, i)); d > 1e-8*(1+math.Abs(r.Aelem.At(i, j))) {
 					t.Fatalf("%v: asymmetry at (%d,%d)", nodes, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestMemoryBytesCountsHeldParts checks that MemoryBytes is the sum of the
+// arrays the model holds — basis, thermal basis, cut-plane slab, A_elem
+// and b_elem — after Build and after Load, which rebuilds the slab and
+// recounts rather than trusting the saved figure.
+func TestMemoryBytesCountsHeldParts(t *testing.T) {
+	r, err := Build(testSpec(3, true), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, r *ROM) {
+		t.Helper()
+		lo, hi := r.Model.LayerDoFs(r.Spec.Geom.Height / 2)
+		if len(r.slab) != (hi-lo)*r.N || r.slabLo != lo || r.slabHi != hi {
+			t.Fatalf("%s: slab holds %d values for DoFs [%d, %d), want %d for [%d, %d)",
+				name, len(r.slab), r.slabLo, r.slabHi, (hi-lo)*r.N, lo, hi)
+		}
+		for i, f := range r.Basis {
+			for d := lo; d < hi; d++ {
+				if math.Float64bits(r.slab[(d-lo)*r.N+i]) != math.Float64bits(f[d]) {
+					t.Fatalf("%s: slab row %d column %d differs from the basis", name, d-lo, i)
+				}
+			}
+		}
+		want := int64(len(r.BasisT)+len(r.slab)+len(r.Aelem.Data)+len(r.Belem)) * 8
+		for _, f := range r.Basis {
+			want += int64(len(f)) * 8
+		}
+		if r.Stats.MemoryBytes != want {
+			t.Errorf("%s: MemoryBytes = %d, want %d", name, r.Stats.MemoryBytes, want)
+		}
+	}
+	check("built", r)
+	r.Stats.MemoryBytes = 1
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded", loaded)
+}
+
+// TestReconstructPlaneMatchesReconstruct checks the batched layer
+// reconstruction bit for bit against Reconstruct, for trilinear and
+// quadratic ROMs, batches that are and are not multiples of PlaneBatch,
+// and DoF vectors that are dense, share their zeros, or have zeros of
+// their own; DoFs outside the layer must be left alone.
+func TestReconstructPlaneMatchesReconstruct(t *testing.T) {
+	tri, err := Build(testSpec(3, true), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := testSpec(2, true)
+	qs.Quadratic = true
+	quad, err := Build(qs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	patterns := map[string]func(b, i int) bool{ // reports whether q[b][i] is zero
+		"dense":  func(int, int) bool { return false },
+		"shared": func(_, i int) bool { return i%3 == 1 },
+		"mixed":  func(b, i int) bool { return (i+b)%4 == 0 },
+	}
+	for name, r := range map[string]*ROM{"trilinear": tri, "quadratic": quad} {
+		for pname, zero := range patterns {
+			for _, n := range []int{1, 3, 4, 5, 9} {
+				u := make([][]float64, n)
+				q := make([][]float64, n)
+				dt := make([]float64, n)
+				for b := range q {
+					u[b] = make([]float64, len(r.BasisT))
+					for d := range u[b] {
+						u[b][d] = math.NaN()
+					}
+					q[b] = make([]float64, r.N)
+					for i := range q[b] {
+						if !zero(b, i) {
+							q[b][i] = rng.NormFloat64() * 1e-3
+						}
+					}
+					dt[b] = -250 + 10*float64(b)
+				}
+				r.ReconstructPlane(u, q, dt)
+				for b := range q {
+					want := r.Reconstruct(q[b], dt[b])
+					for d, v := range u[b] {
+						inLayer := d >= r.slabLo && d < r.slabHi
+						if inLayer && math.Float64bits(v) != math.Float64bits(want[d]) {
+							t.Fatalf("%s/%s/n=%d: block %d DoF %d = %v, want %v", name, pname, n, b, d, v, want[d])
+						}
+						if !inLayer && !math.IsNaN(v) {
+							t.Fatalf("%s/%s/n=%d: block %d DoF %d outside the layer was written", name, pname, n, b, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReconstructNodesMatchesReconstruct checks the per-element
+// reconstruction behind StressAt and DisplacementAt bit for bit against
+// Reconstruct at every element's nodes. The DoF vector has zeros and only
+// negative nonzeros, and ΔT < 0, so a boundary DoF Reconstruct leaves at
+// −0 turns +0 if a skipped zero term is added.
+func TestReconstructNodesMatchesReconstruct(t *testing.T) {
+	r, err := Build(testSpec(3, true), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	q := make([]float64, r.N)
+	for i := range q {
+		if i%3 != 0 {
+			q[i] = -rng.Float64() * 1e-3
+		}
+	}
+	want := r.Reconstruct(q, -250)
+	for e := 0; e < r.Grid.NumElems(); e++ {
+		nodes := r.Grid.ElemNodes(e)
+		var ue [24]float64
+		r.reconstructNodes(ue[:], nodes[:], q, -250)
+		for a, n := range nodes {
+			for c := 0; c < 3; c++ {
+				if got, w := ue[3*a+c], want[3*int(n)+c]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("element %d node %d component %d: %v, want %v", e, n, c, got, w)
 				}
 			}
 		}

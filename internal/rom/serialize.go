@@ -67,11 +67,25 @@ func Load(rd io.Reader) (*ROM, error) {
 	if wire.Spec.Quadratic {
 		quad = fem.NewQuadModel(grid, model.Mats)
 	}
-	return &ROM{
+	ndof := 3 * grid.NumNodes()
+	if quad != nil {
+		ndof = quad.NumDoFs()
+	}
+	if len(wire.BasisT) != ndof {
+		return nil, fmt.Errorf("rom: thermal basis has %d DoFs, mesh has %d", len(wire.BasisT), ndof)
+	}
+	for i, f := range wire.Basis {
+		if len(f) != ndof {
+			return nil, fmt.Errorf("rom: basis %d has %d DoFs, mesh has %d", i, len(f), ndof)
+		}
+	}
+	r := &ROM{
 		Spec: wire.Spec, Surf: surf, Grid: grid,
 		Model: model, Quad: quad,
 		N: wire.N, Aelem: aelem, Belem: wire.Belem,
 		Basis: wire.Basis, BasisT: wire.BasisT,
 		Stats: wire.Stats,
-	}, nil
+	}
+	r.finish()
+	return r, nil
 }

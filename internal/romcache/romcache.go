@@ -182,8 +182,9 @@ func (c *Cache) sweepOrphans() {
 	}
 }
 
-// romBytes is the default Size: the model's recorded build-time footprint,
-// recounted structurally when the record is missing (older spill files).
+// romBytes is the default Size: the footprint Build and Load record (basis
+// and cut-plane slab included), recounted structurally for a model
+// assembled without one.
 func romBytes(r *rom.ROM) int64 {
 	if b := r.Stats.MemoryBytes; b > 0 {
 		return b
