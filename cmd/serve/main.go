@@ -176,7 +176,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
 	precondFlag := flag.String("precond", "auto",
-		"default iterative preconditioner: auto, jacobi, block-jacobi3, ic0, or none (per-request \"precond\" overrides)")
+		"default iterative preconditioner: auto, block-jacobi3 (bj3), ic0, or none (per-request \"precond\" overrides)")
 	orderingFlag := flag.String("ordering", "auto",
 		"default IC0 factor ordering: auto, natural, or multicolor (per-request \"ordering\" overrides)")
 	precisionFlag := flag.String("precision", "auto",

@@ -182,11 +182,11 @@ type EngineStats struct {
 	// their preconditioner factor (keys are the solver.Precision spellings:
 	// "float64", "float32"). Precisions that never ran are omitted.
 	PrecisionCounts map[string]int64
-	// Refinements sums the iterative-refinement restarts performed by
-	// float32-factor solves; PrecisionFallbacks counts solves whose float32
-	// factor exhausted the refinement budget and were retried against a
-	// float64 rebuild.
-	Refinements, PrecisionFallbacks int64
+	// PrecisionFallbacks counts solves (GMRES or PCG) that stalled under a
+	// float32 factor and were retried against a float64 one.
+	PrecisionFallbacks int64
+	// Refinements is always zero; the frozen e2ebench harness reads it.
+	Refinements int64
 }
 
 // Merge adds o's counters into s, including the ROM cache section and the
@@ -219,7 +219,6 @@ func (s *EngineStats) Merge(o EngineStats) {
 	s.Iterations += o.Iterations
 	s.PrecondBuilds += o.PrecondBuilds
 	s.PrecondHits += o.PrecondHits
-	s.Refinements += o.Refinements
 	s.PrecisionFallbacks += o.PrecisionFallbacks
 	for k, n := range o.OrderingCounts {
 		if s.OrderingCounts == nil {
@@ -273,7 +272,7 @@ type Engine struct {
 	precondBuilds, precondHits                 atomic.Int64
 	orderingCounts                             [solver.NumOrderings]atomic.Int64
 	precisionCounts                            [solver.NumPrecisions]atomic.Int64
-	refinements, precisionFallbacks            atomic.Int64
+	precisionFallbacks                         atomic.Int64
 }
 
 // NewEngine creates an engine. A zero EngineOptions is valid.
@@ -344,7 +343,6 @@ func (e *Engine) Stats() EngineStats {
 		Iterations:         e.iterations.Load(),
 		PrecondBuilds:      e.precondBuilds.Load(),
 		PrecondHits:        e.precondHits.Load(),
-		Refinements:        e.refinements.Load(),
 		PrecisionFallbacks: e.precisionFallbacks.Load(),
 	}
 }
@@ -573,7 +571,6 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 		if pr := sol.Precision; pr >= 0 && int(pr) < len(e.precisionCounts) {
 			e.precisionCounts[pr].Add(1)
 		}
-		e.refinements.Add(int64(sol.Stats.Refinements))
 		if sol.PrecisionFallback {
 			e.precisionFallbacks.Add(1)
 		}

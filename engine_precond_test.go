@@ -46,7 +46,7 @@ func TestEnginePrecondCacheSharedAcrossScenarios(t *testing.T) {
 func TestEnginePrecondCacheDistinctPerKind(t *testing.T) {
 	cfg := testConfig(15)
 	e := NewEngine(EngineOptions{Workers: 1, DisableWarmStart: true})
-	kinds := []Precond{solver.PrecondJacobi, solver.PrecondBlockJacobi3}
+	kinds := []Precond{solver.PrecondBlockJacobi3, solver.PrecondIC0}
 	var jobs []Job
 	for round := 0; round < 2; round++ {
 		for _, k := range kinds {

@@ -234,7 +234,7 @@ type Solution struct {
 	Stats solver.Stats
 	// Ordering is the symmetric ordering the solve's preconditioner
 	// factored under (mirrors Stats.Ordering; OrderingNatural for direct
-	// solves, the Jacobi family, and the degenerate all-constrained case).
+	// solves, block-Jacobi-3, and the degenerate all-constrained case).
 	Ordering solver.OrderingKind
 	// Timings of the two global-stage phases. When AssemblyShared is true,
 	// AssembleTime covers only the per-scenario RHS build; the matrix
@@ -250,16 +250,16 @@ type Solution struct {
 	// solve that populates the cache records the cost in
 	// Stats.PrecondBuild.
 	PrecondShared bool
-	// WarmFallback reports that the warm-started solve diverged and the
-	// recorded Stats are from the cold retry.
+	// WarmFallback reports that the warm-started solve stalled and the
+	// recorded Stats are from the retry, started from zero.
 	WarmFallback bool
 	// Precision is the storage precision of the solve's preconditioner
 	// factor (mirrors Stats.Precision; PrecisionFloat64 for direct solves,
-	// the Jacobi family, and the degenerate all-constrained case).
+	// block-Jacobi-3, and the degenerate all-constrained case).
 	Precision solver.Precision
-	// PrecisionFallback reports that the float32-factor solve exhausted its
-	// iterative-refinement budget (solver.ErrPrecision) and the recorded
-	// Stats are from the retry against a float64 rebuild of the factor.
+	// PrecisionFallback reports that the solve stalled under a float32
+	// factor (solver.ErrStalled, from GMRES or PCG) and the recorded Stats
+	// are from the retry against the assembly's float64 factor.
 	PrecisionFallback bool
 	// GlobalDoFs is the size of the abstract global system.
 	GlobalDoFs int
@@ -394,15 +394,14 @@ func (a *Assembly) naturalLevelWidth() int {
 // ordering permutation lives inside the cached factor, so "the ordering +
 // permuted factor" is one entry; PrecondAuto and OrderingAuto resolve to
 // concrete values first so an explicit request for the resolved pair shares
-// the same entry. Only the factorizing kinds are ordering-sensitive; the
-// Jacobi family caches under OrderingNatural regardless of the requested
-// ordering. Only the factorizing kinds are precision-sensitive: for IC0,
-// PrecisionAuto and PrecisionFloat32 build the identical factor (float32
-// storage exactly when the factor commits to the 3×3-tiled form) and so
-// share one cache entry, while PrecisionFloat64 caches separately — the
-// float64 rebuild a precision-stalled solve retries against lives next to
-// the float32 factor it replaces. The Jacobi family always caches under
-// PrecisionFloat64.
+// the same entry. Only the factorizing kinds are ordering- and
+// precision-sensitive; the others cache under OrderingNatural and
+// PrecisionFloat64 whatever is requested. For IC0, PrecisionAuto and
+// PrecisionFloat32 build the identical factor (float32 storage exactly when
+// the factor commits to the 3×3-tiled form) and so share one cache entry,
+// while PrecisionFloat64 caches separately — the float64 factor a stalled
+// float32 solve retries against lives next to the float32 factor it
+// replaces.
 func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision, workers int) (AssemblyPrecond, error) {
 	if a.Red == nil {
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
@@ -704,7 +703,7 @@ func Solve(p *Problem) (*Solution, error) {
 	// scenario after it (including the cold retry of a failed warm start).
 	// A caller-supplied Opt.M wins over the cache.
 	precondShared := false
-	drewFromCache := false
+	drewPrec := solver.PrecisionFloat64
 	var precondBuild time.Duration
 	if p.Solver != Direct && opt.M == nil {
 		kind := opt.Precond
@@ -712,7 +711,7 @@ func Solve(p *Problem) (*Solution, error) {
 			// One-shot solve: the assembly (and so the cache) dies with this
 			// call, nothing amortizes the build — resolve Auto with the
 			// one-shot rule so mid-size standalone solves keep the cheap
-			// Jacobi family instead of paying an unamortized IC0 factor.
+			// block-Jacobi-3 instead of paying an unamortized IC0 factor.
 			kind = kind.Resolve(asm.NumFree())
 		}
 		ap, err := asm.PreconditionerPrec(kind, opt.Ordering, opt.Precision, opt.Workers)
@@ -723,7 +722,7 @@ func Solve(p *Problem) (*Solution, error) {
 		opt.Precond = ap.Kind
 		opt.Ordering = ap.Ordering
 		precondShared = ap.Hit
-		drewFromCache = true
+		drewPrec = ap.Precision
 		precondBuild = ap.Build
 	}
 	x0 := p.X0
@@ -751,15 +750,18 @@ func Solve(p *Problem) (*Solution, error) {
 		}
 	}
 	qf, stats, err := solve(x0)
-	precFellBack := false
-	if err != nil && drewFromCache && errors.Is(err, solver.ErrPrecision) {
-		// The float32 factor exhausted its refinement budget: the root cause
-		// is the factor's precision, not the seed, so a cold retry with the
-		// same factor would stall the same way. Rebuild in float64 — cached
-		// on the assembly like any other precision, so a sweep that trips
-		// the guard once pays the rebuild once — and retry with the same
-		// seed. opt.Precond/Ordering are concrete after the first draw, so
-		// the request resolves to the sibling cache entry.
+	// One retry after a stall (GMRES or PCG): from zero if the attempt was
+	// seeded, and against the assembly's float64 factor — the sibling cache
+	// entry of the concrete kind/ordering drawn above, built once per
+	// lattice — if the factor was float32. A cold float64 stall has nothing
+	// to change; structural failures (breakdowns) are not stalls.
+	stalled := errors.Is(err, solver.ErrStalled)
+	fellBack := stalled && x0 != nil
+	precFellBack := stalled && drewPrec == solver.PrecisionFloat32
+	if fellBack {
+		x0 = nil
+	}
+	if precFellBack {
 		ap, perr := asm.PreconditionerPrec(opt.Precond, opt.Ordering, solver.PrecisionFloat64, opt.Workers)
 		if perr != nil {
 			return nil, fmt.Errorf("array: float64 fallback preconditioner: %w (after %v)", perr, err)
@@ -767,17 +769,9 @@ func Solve(p *Problem) (*Solution, error) {
 		opt.M = ap.M
 		opt.Precision = solver.PrecisionFloat64
 		precondBuild += ap.Build
-		precFellBack = true
-		qf, stats, err = solve(x0)
 	}
-	fellBack := false
-	if err != nil && x0 != nil && errors.Is(err, solver.ErrStalled) {
-		// A bad warm seed can stall the iteration; the scenario is still
-		// solvable from zero. Retry cold and record the fallback. Structural
-		// failures (breakdowns, dimension mismatches) are not retried — a
-		// different start cannot fix them.
-		qf, stats, err = solve(nil)
-		fellBack = true
+	if fellBack || precFellBack {
+		qf, stats, err = solve(x0)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("array: global solve failed: %w", err)

@@ -396,7 +396,7 @@ func TestBlockJacobiPrecondGlobal(t *testing.T) {
 		Opt: solver.Options{Tol: 1e-10},
 	}
 	pj := base
-	pj.Opt.Precond = solver.PrecondJacobi // pin: the auto default would also pick block-Jacobi-3 here
+	pj.Opt.Precond = solver.PrecondIC0 // reference: the auto default would also pick block-Jacobi-3 here
 	pb := base
 	pb.Opt.Precond = solver.PrecondBlockJacobi3
 	sj, err := Solve(&pj)
@@ -407,7 +407,7 @@ func TestBlockJacobiPrecondGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("global GMRES iterations: Jacobi %d, block-Jacobi %d", sj.Stats.Iterations, sb.Stats.Iterations)
+	t.Logf("global GMRES iterations: IC0 %d, block-Jacobi %d", sj.Stats.Iterations, sb.Stats.Iterations)
 	var maxDiff float64
 	for i := range sj.Q {
 		if d := math.Abs(sj.Q[i] - sb.Q[i]); d > maxDiff {

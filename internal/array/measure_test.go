@@ -45,7 +45,6 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 	// comparison against the pr-8 scalar rows); the remaining orderings run
 	// at the auto precision the serving path uses.
 	variants := []variant{
-		{solver.PrecondJacobi, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat32},
@@ -109,12 +108,12 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 					}
 					warmSol = sol
 				}
-				fmt.Printf("MEASURE %dx%d %-5s %-14s %-10s prec=%-7s blocked=%-5v it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms refine=%d bytes=%9d levels=%5d width=%5d shared=%v\n",
+				fmt.Printf("MEASURE %dx%d %-5s %-14s %-10s prec=%-7s blocked=%-5v it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d levels=%5d width=%5d shared=%v\n",
 					size, size, sk.name, v.kind, v.ord, warmSol.Precision, blocked, warmSol.Stats.Iterations,
 					float64(cold)/1e6, float64(best)/1e6,
 					float64(coldSol.Stats.PrecondBuild)/1e6,
 					float64(warmSol.Stats.PrecondApply)/1e6,
-					warmSol.Stats.Refinements, factorBytes,
+					factorBytes,
 					levels, width,
 					warmSol.PrecondShared)
 			}

@@ -1,6 +1,8 @@
 package array
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/solver"
@@ -62,7 +64,7 @@ func TestAssemblyPrecondDistinctPerPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !j2.Hit || j1.M != j2.M || j1.Precision != solver.PrecisionFloat64 {
-		t.Errorf("jacobi family did not collapse precisions: hit=%v same=%v prec=%v", j2.Hit, j1.M == j2.M, j1.Precision)
+		t.Errorf("block-jacobi3 did not collapse precisions: hit=%v same=%v prec=%v", j2.Hit, j1.M == j2.M, j1.Precision)
 	}
 }
 
@@ -120,5 +122,82 @@ func TestSolveSurfacesPrecision(t *testing.T) {
 	}
 	if dsol.Precision != solver.PrecisionFloat64 || dsol.Stats.Precision != solver.PrecisionFloat64 {
 		t.Errorf("direct solve precision surfaced as %v / %v, want float64", dsol.Precision, dsol.Stats.Precision)
+	}
+}
+
+// TestStallRetriesOnceWithFloat64Factor: a GMRES or PCG solve that stalls
+// (solver.ErrStalled) under the assembly's float32 IC0 factor is retried
+// once against the float64 factor, which the retry builds and caches on the
+// assembly. At Tol 1e-17 neither attempt can converge, so Solve fails with
+// the retry's stall; an explicit float64 request that stalls from zero has
+// nothing to change, so it is not retried and builds no second factor.
+func TestStallRetriesOnceWithFloat64Factor(t *testing.T) {
+	for name, kind := range map[string]SolverKind{"gmres": GMRES, "cg": CG} {
+		p := precondProblem(t)
+		p.Solver = kind
+		p.Opt = solver.Options{Tol: 1e-17, MaxIter: 20, Precond: solver.PrecondIC0}
+		asm, err := NewAssembly(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Assembly = asm
+		if _, err := Solve(p); !errors.Is(err, solver.ErrStalled) {
+			t.Fatalf("%s: error %v does not wrap ErrStalled", name, err)
+		}
+		f64, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionFloat64, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f64.Hit {
+			t.Errorf("%s: the float32 stall did not retry against a cached float64 factor", name)
+		}
+		before := asm.MemoryBytes()
+		q := *p
+		q.Opt.Precision = solver.PrecisionFloat64
+		if _, err := Solve(&q); !errors.Is(err, solver.ErrStalled) {
+			t.Fatalf("%s float64: error %v does not wrap ErrStalled", name, err)
+		}
+		if after := asm.MemoryBytes(); after != before {
+			t.Errorf("%s: a float64 stall changed MemoryBytes %d → %d", name, before, after)
+		}
+	}
+}
+
+// TestBadSeedUnderFloat32RetriesColdInFloat64: the one retry applies both
+// adjustments at once — a poisoned seed under the float32 factor reruns from
+// zero against the float64 factor, and the Solution flags both fallbacks.
+func TestBadSeedUnderFloat32RetriesColdInFloat64(t *testing.T) {
+	p := precondProblem(t)
+	p.Solver = GMRES
+	p.Opt.Precond = solver.PrecondIC0
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Assembly = asm
+	good, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *p
+	bad.X0 = make([]float64, len(good.QFree))
+	for i := range bad.X0 {
+		bad.X0[i] = math.NaN()
+	}
+	sol, err := Solve(&bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.WarmFallback || !sol.PrecisionFallback || sol.Stats.Warm {
+		t.Errorf("fallbacks: warm=%v precision=%v stats.warm=%v, want true, true, false",
+			sol.WarmFallback, sol.PrecisionFallback, sol.Stats.Warm)
+	}
+	if sol.Precision != solver.PrecisionFloat64 {
+		t.Errorf("retry ran under %v, want float64", sol.Precision)
+	}
+	for i := range sol.Q {
+		if d := math.Abs(sol.Q[i] - good.Q[i]); d > 1e-6 {
+			t.Fatalf("retry solution deviates by %g at %d", d, i)
+		}
 	}
 }

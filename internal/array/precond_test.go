@@ -65,21 +65,21 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jac, err := asm.PreconditionerPrec(solver.PrecondJacobi, solver.OrderingAuto, solver.PrecisionAuto, 0)
+	bj, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jac.Hit || jac.Build <= 0 {
-		t.Errorf("first jacobi request: hit=%v build=%v", jac.Hit, jac.Build)
+	if bj.Hit || bj.Build <= 0 {
+		t.Errorf("first block-jacobi3 request: hit=%v build=%v", bj.Hit, bj.Build)
 	}
 	ic, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ic.Hit {
-		t.Error("ic0 hit the jacobi entry")
+		t.Error("ic0 hit the block-jacobi3 entry")
 	}
-	if ic.M == jac.M {
+	if ic.M == bj.M {
 		t.Error("distinct kinds share one preconditioner")
 	}
 	again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
@@ -161,7 +161,7 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !j2.Hit || j1.M != j2.M || j2.Ordering != solver.OrderingNatural {
-		t.Errorf("jacobi family did not collapse orderings: hit=%v same=%v ord=%v", j2.Hit, j1.M == j2.M, j2.Ordering)
+		t.Errorf("block-jacobi3 did not collapse orderings: hit=%v same=%v ord=%v", j2.Hit, j1.M == j2.M, j2.Ordering)
 	}
 }
 
@@ -269,11 +269,11 @@ func TestAssemblyMemoryBytesCountsPreconds(t *testing.T) {
 	if afterIC <= before {
 		t.Errorf("MemoryBytes %d → %d did not grow after caching IC0", before, afterIC)
 	}
-	if _, err := asm.PreconditionerPrec(solver.PrecondJacobi, solver.OrderingAuto, solver.PrecisionAuto, 0); err != nil {
+	if _, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingAuto, solver.PrecisionAuto, 0); err != nil {
 		t.Fatal(err)
 	}
 	if after := asm.MemoryBytes(); after <= afterIC {
-		t.Errorf("MemoryBytes %d → %d did not grow after caching jacobi", afterIC, after)
+		t.Errorf("MemoryBytes %d → %d did not grow after caching block-jacobi3", afterIC, after)
 	}
 }
 

@@ -92,9 +92,18 @@ func toJobWire(j morestress.Job) jobWire {
 // re-runs such jobs under the natural ordering, the one RCM lost to.
 const journaledRCM morestress.Ordering = 2
 
+// journaledJacobi is the Precond value the deleted scalar Jacobi
+// preconditioner was journaled as. The solver keeps the value reserved;
+// replay re-runs such jobs under block-Jacobi-3, which matched it within
+// one iteration on every measured lattice.
+const journaledJacobi morestress.Precond = 1
+
 func (w jobWire) job() morestress.Job {
 	if w.Ordering == journaledRCM {
 		w.Ordering = morestress.OrderingNatural
+	}
+	if w.Precond == journaledJacobi {
+		w.Precond = morestress.PrecondBlockJacobi3
 	}
 	return morestress.Job{
 		Config: w.Config, Rows: w.Rows, Cols: w.Cols,

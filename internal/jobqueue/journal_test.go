@@ -380,6 +380,49 @@ func TestRecoverMapsRetiredOrdering(t *testing.T) {
 	}
 }
 
+// TestRecoverMapsRetiredPrecond: journals written before scalar Jacobi was
+// deleted carry its Precond value 1. Replay must re-run those scenarios under
+// block-Jacobi-3, while IC0 (3) keeps its value and meaning.
+func TestRecoverMapsRetiredPrecond(t *testing.T) {
+	dir := t.TempDir()
+	log1 := openJournal(t, dir)
+	jac, ic := toJobWire(scenario(1)), toJobWire(scenario(2))
+	jac.Precond, ic.Precond = 1, 3
+	rec, err := encodeRecord(recSubmit, submitRec{
+		ID: "old-job", Submitted: time.Now(), Scenarios: []jobWire{jac, ic},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log1.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	log1.Close()
+
+	log2 := openJournal(t, dir)
+	var mu sync.Mutex
+	got := make(map[float64]morestress.Precond)
+	record := func(ctx context.Context, sc morestress.Job) (*morestress.JobResult, error) {
+		mu.Lock()
+		got[sc.DeltaT] = sc.Options.Precond
+		mu.Unlock()
+		return solveVM(ctx, sc)
+	}
+	q := newTestQueue(t, Options{Workers: 1, Journal: log2, Solve: record})
+	if st, err := q.Recover(); err != nil || st.Requeued != 1 {
+		t.Fatalf("recover = %+v, %v; want 1 requeued", st, err)
+	}
+	waitState(t, q, "old-job", StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if got[1] != morestress.PrecondBlockJacobi3 {
+		t.Errorf("journaled precond 1 replayed as %v, want block-jacobi3", got[1])
+	}
+	if got[2] != morestress.PrecondIC0 {
+		t.Errorf("journaled precond 3 replayed as %v, want ic0", got[2])
+	}
+}
+
 func TestSubmitRegeneratesCollidingID(t *testing.T) {
 	ids := []string{"aaaa", "aaaa", "bbbb"}
 	calls := 0

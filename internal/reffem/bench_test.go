@@ -17,7 +17,6 @@ func BenchmarkAblationPrecond(b *testing.B) {
 		name string
 		k    solver.PrecondKind
 	}{
-		{"Jacobi", solver.PrecondJacobi},
 		{"BlockJacobi3", solver.PrecondBlockJacobi3},
 		{"IC0", solver.PrecondIC0},
 	} {

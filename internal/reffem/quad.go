@@ -68,7 +68,7 @@ func solveQuadratic(p *Problem, grid *mesh.Grid, model *fem.Model) (*Result, err
 	if opt.Workers == 0 {
 		opt.Workers = p.Workers
 	}
-	opt = referencePrecond(opt, p.Precond, red.NFree())
+	opt = referencePrecond(opt, p.Precond)
 	xf, stats, err := pcgReduced(red, rhs, opt)
 	if err != nil {
 		return nil, fmt.Errorf("reffem: quadratic solve failed: %w", err)

@@ -2,7 +2,7 @@
 // baseline (ANSYS in the paper): a conventional finite-element solve of the
 // entire TSV array on the full fine mesh — the same discretization the local
 // stage uses per block, replicated over every block — with a
-// Jacobi-preconditioned CG solver (the paper likewise sets ANSYS to its
+// block-Jacobi-3-preconditioned CG solver (the paper likewise sets ANSYS to its
 // iterative solver for these model sizes). It also solves sub-models under
 // prescribed boundary displacements for scenario 2.
 package reffem
@@ -126,15 +126,16 @@ func (p *Problem) blockOf(x, y float64) (bx, by int) {
 
 // referencePrecond resolves the preconditioner for a reference solve: the
 // legacy Problem.Precond field folds into Opt (which wins when set), and a
-// still-unresolved Auto picks solver.JacobiFamily — see that helper for why
-// the size-based auto rule does not apply to the full-resolution baselines.
-// Shared by the trilinear and quadratic paths.
-func referencePrecond(opt solver.Options, legacy solver.PrecondKind, nfree int) solver.Options {
+// still-unresolved Auto picks block-Jacobi-3 instead of the size-based auto
+// rule: the full-resolution systems are far larger and sparser than the
+// reduced global matrices the IC0 threshold was tuned on, and serial IC0
+// does not pay off there. Shared by the trilinear and quadratic paths.
+func referencePrecond(opt solver.Options, legacy solver.PrecondKind) solver.Options {
 	if opt.Precond == solver.PrecondAuto {
 		opt.Precond = legacy
 	}
 	if opt.Precond == solver.PrecondAuto {
-		opt.Precond = solver.JacobiFamily(nfree)
+		opt.Precond = solver.PrecondBlockJacobi3
 	}
 	return opt
 }
@@ -226,7 +227,7 @@ func Solve(p *Problem) (*Result, error) {
 	if opt.Workers == 0 {
 		opt.Workers = p.Workers
 	}
-	opt = referencePrecond(opt, p.Precond, red.NFree())
+	opt = referencePrecond(opt, p.Precond)
 	xf, stats, err := pcgReduced(red, rhs, opt)
 	if err != nil {
 		return nil, fmt.Errorf("reffem: solve failed: %w", err)

@@ -677,7 +677,6 @@ func mergeStats(dst, src *serveapi.StatsResponse, idx int) {
 		}
 		dst.Solver.PrecisionCounts[k] += v
 	}
-	dst.Solver.Refinements += src.Solver.Refinements
 	dst.Solver.PrecisionFallbacks += src.Solver.PrecisionFallbacks
 	dst.Cache.Hits += src.Cache.Hits
 	dst.Cache.Misses += src.Cache.Misses
@@ -712,7 +711,6 @@ func mergeStats(dst, src *serveapi.StatsResponse, idx int) {
 		WarmStarts:         src.Solver.WarmStarts,
 		Factorizations:     src.Factorizations,
 		FactorHits:         src.FactorHits,
-		Refinements:        src.Solver.Refinements,
 		PrecisionFallbacks: src.Solver.PrecisionFallbacks,
 	})
 }

@@ -78,8 +78,9 @@ type JobRequest struct {
 	Tol         float64  `json:"tol"`
 	MaxIter     int      `json:"maxIter"`
 	// Precond selects the iterative preconditioner: "auto" (default,
-	// size-resolved), "jacobi", "block-jacobi3"/"bj3", "ic0", or "none".
-	// Empty falls back to the server's -precond flag.
+	// size-resolved), "block-jacobi3"/"bj3", "ic0", or "none"; any other
+	// spelling, including the deleted scalar "jacobi", is a 400 that lists
+	// these. Empty falls back to the server's -precond flag.
 	Precond string `json:"precond"`
 	// Ordering selects the IC0 factor ordering: "auto" (default, picks
 	// multicolor when the natural dependency levels are too narrow to fan
@@ -215,12 +216,10 @@ type JobResponse struct {
 	WarmStart     bool   `json:"warmStart,omitempty"`
 	PrecondCached bool   `json:"precondCached,omitempty"`
 	// Precision is the storage precision the preconditioner factor was
-	// held in ("float64" or "float32"); Refinements counts the
-	// iterative-refinement restarts a float32-factor solve performed, and
-	// PrecisionFallback reports that the float32 factor stalled and the
-	// recorded solve ran against a float64 rebuild.
+	// held in ("float64" or "float32"), and PrecisionFallback reports
+	// that the solve stalled under a float32 factor and the recorded solve
+	// ran against the lattice's float64 factor.
 	Precision         string         `json:"precision,omitempty"`
-	Refinements       int            `json:"refinements,omitempty"`
 	PrecisionFallback bool           `json:"precisionFallback,omitempty"`
 	GlobalDoFs        int            `json:"globalDoFs"`
 	MaxVonMises       float64        `json:"maxVonMises,omitempty"`
@@ -250,7 +249,6 @@ func toResponse(res *morestress.JobResult, includeField bool) JobResponse {
 		out.WarmStart = r.Stats.Warm
 		out.PrecondCached = r.Solution.PrecondShared
 		out.Precision = r.Solution.Precision.String()
-		out.Refinements = r.Stats.Refinements
 		out.PrecisionFallback = r.Solution.PrecisionFallback
 	}
 	out.GlobalDoFs = r.GlobalDoFs
@@ -450,11 +448,9 @@ type StatsResponse struct {
 		OrderingCounts map[string]int64 `json:"orderingCounts"`
 		// PrecisionCounts tallies iterative solves by the storage precision
 		// of their preconditioner factor ("float64", "float32");
-		// Refinements sums the iterative-refinement restarts of
-		// float32-factor solves and PrecisionFallbacks counts solves that
-		// fell back to a float64 rebuild.
+		// PrecisionFallbacks counts solves that stalled under a float32
+		// factor and were retried against a float64 one.
 		PrecisionCounts    map[string]int64 `json:"precisionCounts"`
-		Refinements        int64            `json:"refinements"`
 		PrecisionFallbacks int64            `json:"precisionFallbacks"`
 		// WarmStartRate is WarmStarts / IterativeSolves (0 when none ran).
 		WarmStartRate float64 `json:"warmStartRate"`
@@ -512,9 +508,8 @@ type ShardStats struct {
 	WarmStarts      int64 `json:"warmStarts"`
 	Factorizations  int64 `json:"factorizations"`
 	FactorHits      int64 `json:"factorHits"`
-	// Refinements and PrecisionFallbacks report the shard's mixed-precision
-	// behavior (see the solver section for the fleet totals).
-	Refinements        int64 `json:"refinements,omitempty"`
+	// PrecisionFallbacks reports the shard's float64 retries (see the
+	// solver section for the fleet total).
 	PrecisionFallbacks int64 `json:"precisionFallbacks,omitempty"`
 }
 
@@ -563,7 +558,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out.Solver.PrecondHits = es.PrecondHits
 	out.Solver.OrderingCounts = es.OrderingCounts
 	out.Solver.PrecisionCounts = es.PrecisionCounts
-	out.Solver.Refinements = es.Refinements
 	out.Solver.PrecisionFallbacks = es.PrecisionFallbacks
 	if es.IterativeSolves > 0 {
 		out.Solver.WarmStartRate = float64(es.WarmStarts) / float64(es.IterativeSolves)
@@ -609,7 +603,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				WarmStarts:         es.WarmStarts,
 				Factorizations:     es.Factorizations,
 				FactorHits:         es.FactorHits,
-				Refinements:        es.Refinements,
 				PrecisionFallbacks: es.PrecisionFallbacks,
 			}
 		}

@@ -229,12 +229,12 @@ func TestSolvePrecondField(t *testing.T) {
 		return resp, out
 	}
 
-	resp, out := post(`{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"solver":"cg","precond":"jacobi"}`)
+	resp, out := post(`{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"solver":"cg","precond":"bj3"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Precond != "jacobi" {
-		t.Errorf("precond = %q, want jacobi", out.Precond)
+	if out.Precond != "block-jacobi3" {
+		t.Errorf("precond = %q, want block-jacobi3", out.Precond)
 	}
 
 	resp, out = post(cheapJob)
@@ -277,6 +277,36 @@ func TestRetiredOrderingRejected(t *testing.T) {
 			continue
 		}
 		for _, valid := range []string{"auto", "natural", "multicolor"} {
+			if !strings.Contains(out["error"], valid) {
+				t.Errorf("%s: error %q does not list %q", path, out["error"], valid)
+			}
+		}
+	}
+}
+
+// TestRetiredPrecondRejected: the deleted scalar "jacobi" preconditioner is
+// an unknown spelling on every submission endpoint — a 400 whose error lists
+// the preconditioners that remain.
+func TestRetiredPrecondRejected(t *testing.T) {
+	ts := testServer(t)
+	job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"precond":"jacobi"}`
+	for path, body := range map[string]string{
+		"/solve": job,
+		"/batch": `{"jobs":[` + job + `]}`,
+		"/jobs":  `{"jobs":[` + job + `]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil {
+			t.Errorf("%s: status %d (decode %v), want 400", path, resp.StatusCode, err)
+			continue
+		}
+		for _, valid := range []string{"auto", "block-jacobi3", "ic0", "none"} {
 			if !strings.Contains(out["error"], valid) {
 				t.Errorf("%s: error %q does not list %q", path, out["error"], valid)
 			}

@@ -10,11 +10,13 @@ import (
 	"repro/internal/sparse"
 )
 
-// ErrStalled tags iterative failures that may be specific to the starting
-// point — non-convergence within MaxIter, or a non-finite residual from a
-// poisoned seed. Warm-start callers retry these from zero (errors.Is);
-// structural failures (dimension mismatches, SPD breakdowns, preconditioner
-// construction errors) are not tagged, as a different start cannot fix them.
+// ErrStalled tags iterative failures that a different start or a float64
+// factor may fix — non-convergence within MaxIter, a non-finite residual
+// from a poisoned seed, or a float32-factor PCG whose true residual missed
+// Tol when the recurrence claimed convergence. The array layer retries these
+// once (errors.Is), from zero and/or against a float64 factor; structural
+// failures (dimension mismatches, SPD breakdowns, preconditioner
+// construction errors) are not tagged, as neither change can fix them.
 var ErrStalled = errors.New("iteration stalled")
 
 // Stats reports the outcome of an iterative solve.
@@ -33,11 +35,6 @@ type Stats struct {
 	// factor values (PrecisionFloat64 for the non-factorizing kinds; prebuilt
 	// Options.M preconditioners report their own).
 	Precision Precision
-	// Refinements counts the iterative-refinement restarts a float32-factor
-	// PCG solve took when the recurrence residual diverged from the true
-	// residual (always zero for float64 factors and for GMRES, whose
-	// restarts recompute the true residual anyway).
-	Refinements int
 	// Warm reports whether the solve was seeded with an initial guess.
 	Warm bool
 	// PrecondBuild is the preconditioner construction cost paid by this
@@ -64,8 +61,12 @@ type Options struct {
 	// mat-vec's fan-out otherwise, and the worker count OrderingAuto
 	// resolves against.
 	Workers int
-	// Precond selects the preconditioner (default PrecondAuto: block-
-	// Jacobi-3 below AutoIC0Threshold DoFs, IC0 at and above it).
+	// Precond selects the preconditioner (default PrecondAuto). A bare
+	// GMRES/PCG call builds its preconditioner for that solve alone, so Auto
+	// resolves with the one-shot rule: block-Jacobi-3 below
+	// AutoIC0OneShotThreshold DoFs, IC0 at and above it. Callers that
+	// amortize the build (array.Assembly) resolve at AutoIC0Threshold and
+	// pass the result in M.
 	Precond PrecondKind
 	// Ordering selects the symmetric ordering the factorizing
 	// preconditioners (IC0) are built under (default OrderingAuto:
@@ -160,11 +161,11 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 		st.PrecondBuild = time.Since(tBuild)
 	}
 	st.Ordering = orderingOf(pre)
-	// GMRES needs no refinement guard for float32 factors: a rounded factor
-	// is still a fixed linear M⁻¹, so right preconditioning stays exact
-	// (no flexible variant is needed), and every restart recomputes the
-	// true residual b−A·x that the convergence test runs on — a rounded
-	// factor can slow convergence but never fake it.
+	// GMRES needs no extra guard for float32 factors: a rounded factor is
+	// still a fixed linear M⁻¹, so right preconditioning stays exact (no
+	// flexible variant is needed), and every restart recomputes the true
+	// residual b−A·x that the convergence test runs on — a rounded factor
+	// can slow convergence but never fake it.
 	st.Precision = precisionOf(pre)
 	ws := opt.Work
 	if ws == nil {

@@ -10,8 +10,8 @@ import (
 // preconditioner factors under. The ordering changes the *shape* of the
 // factor's dependency DAG (and therefore how well the level-scheduled
 // triangular solves parallelize) and, mildly, the factor's quality (iteration
-// count); it never changes what the preconditioned solve converges to. The
-// Jacobi-family preconditioners are ordering-invariant and ignore it.
+// count); it never changes what the preconditioned solve converges to.
+// Block-Jacobi-3 and the identity are ordering-invariant and ignore it.
 type OrderingKind int
 
 const (

@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Precision selects the storage precision of a factorizing preconditioner's
 // values (today: the IC0 factor). The PCG/GMRES iterations always run in
@@ -19,11 +16,11 @@ const (
 	// PrecisionAuto — the zero value, and therefore the default wherever an
 	// Options travels unset — stores the factor in float32 when the blocked
 	// (3×3-tiled) layout engages, float64 otherwise. The float32 choice is
-	// guarded at solve time: PCG re-checks the true residual on convergence
-	// and iteratively refines (restarts the recurrence from the true
-	// residual) when the rounded factor made them diverge, and the array
-	// layer falls back to a float64 factor if refinement is exhausted —
-	// results still match the float64 path at the solve tolerance.
+	// guarded at solve time: GMRES tests the true residual at every
+	// restart, PCG re-checks it when the recurrence claims convergence, and
+	// a solve that stalls under a float32 factor is retried once by the
+	// array layer against a float64 factor — results still match the
+	// float64 path at the solve tolerance.
 	PrecisionAuto Precision = iota
 	// PrecisionFloat64 stores the factor in double precision.
 	PrecisionFloat64
@@ -35,13 +32,6 @@ const (
 	// NumPrecisions bounds the kinds, for stats arrays indexed by precision.
 	NumPrecisions = 3
 )
-
-// ErrPrecision tags solve failures caused by single-precision factor
-// storage: the recurrence residual converged but the true residual did not,
-// and iterative refinement ran out of attempts. Callers that can rebuild the
-// preconditioner retry with PrecisionFloat64 (the array layer does); the
-// error also matches ErrStalled, so warm-start fallbacks fire too.
-var ErrPrecision = errors.New("mixed-precision factor stalled")
 
 // String returns the flag/JSON spelling of the kind (see ParsePrecision).
 func (p Precision) String() string {
@@ -72,15 +62,15 @@ func ParsePrecision(s string) (Precision, error) {
 }
 
 // FactorPrecisioned is implemented by preconditioners whose stored factor
-// precision matters to the solve loop: PCG enables its true-residual
-// verification/refinement guard only for float32 factors, and the stats
-// plumbing reports the concrete precision per solve.
+// precision matters to the solve loop: PCG checks the true residual on
+// convergence only for float32 factors, and the stats plumbing reports the
+// concrete precision per solve.
 type FactorPrecisioned interface {
 	FactorPrecision() Precision
 }
 
 // precisionOf reports the storage precision of a preconditioner's values.
-// Preconditioners without the method store float64 (the Jacobi family, the
+// Preconditioners without the method store float64 (block-Jacobi-3, the
 // identity).
 func precisionOf(m Preconditioner) Precision {
 	if fp, ok := m.(FactorPrecisioned); ok {

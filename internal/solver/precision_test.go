@@ -187,11 +187,11 @@ func TestMixedPrecisionPCGMatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestPCGPrecisionStall forces the float32 refinement guard to exhaustion:
-// at a tolerance below the true-residual floor the recurrence keeps
-// claiming convergence, each verification fails, and after pcgMaxRefinements
-// restarts the solve must surface ErrPrecision (which also matches
-// ErrStalled so warm-start fallbacks fire too).
+// TestPCGPrecisionStall drives the float32 guard: at a tolerance below the
+// true-residual floor the recurrence eventually claims convergence, the true
+// residual does not confirm it, and the solve must fail with an error that
+// wraps ErrStalled (which the array layer retries against a float64 factor)
+// instead of reporting a convergence it did not reach.
 func TestPCGPrecisionStall(t *testing.T) {
 	a := tiled(latticeLike(8, 8, 3))
 	rng := rand.New(rand.NewSource(73))
@@ -199,34 +199,22 @@ func TestPCGPrecisionStall(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
+	const tol = 1e-17
 	_, stats, err := PCG(a, b, nil, Options{
-		Tol: 1e-17, MaxIter: 40 * a.NRows,
+		Tol: tol, MaxIter: 40 * a.NRows,
 		Precond: PrecondIC0, Precision: PrecisionFloat32,
 	})
-	if err == nil {
+	if err == nil || stats.Converged {
 		t.Fatal("PCG converged below the float64 residual floor")
-	}
-	if !errors.Is(err, ErrPrecision) {
-		t.Fatalf("error %v does not match ErrPrecision", err)
 	}
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("error %v does not match ErrStalled", err)
 	}
-	if stats.Refinements != pcgMaxRefinements {
-		t.Errorf("Refinements = %d, want the full budget %d", stats.Refinements, pcgMaxRefinements)
+	if stats.Precision != PrecisionFloat32 {
+		t.Errorf("Stats.Precision = %v, want float32", stats.Precision)
 	}
-	// The same impossible tolerance with a float64 factor must never report
-	// a precision failure — the guard is float32-specific. (Unguarded PCG
-	// trusts the recurrence residual, so it may well claim convergence.)
-	_, s64, err := PCG(a, b, nil, Options{
-		Tol: 1e-17, MaxIter: 2 * a.NRows,
-		Precond: PrecondIC0, Precision: PrecisionFloat64,
-	})
-	if errors.Is(err, ErrPrecision) {
-		t.Fatalf("float64 solve reported ErrPrecision: %v", err)
-	}
-	if s64.Refinements != 0 {
-		t.Errorf("float64 solve took %d refinements, want 0", s64.Refinements)
+	if stats.Residual <= tol {
+		t.Errorf("reported residual %g meets tol %g on a failed solve", stats.Residual, tol)
 	}
 }
 

@@ -27,11 +27,15 @@ const (
 	// and above AutoIC0Threshold DoFs on the assembly-cached path that
 	// builds the factor once per lattice (ResolveAmortized), at and above
 	// AutoIC0OneShotThreshold for bare solves that pay the build every
-	// call (Resolve) — and scalar Jacobi when the dimension is not a
-	// multiple of 3.
+	// call (Resolve).
 	PrecondAuto PrecondKind = iota
-	// PrecondJacobi is the inverse-diagonal preconditioner.
-	PrecondJacobi
+	// Value 1 is reserved: it was the scalar inverse-diagonal (Jacobi)
+	// preconditioner, deleted because every system the solvers take is
+	// 3×3-tiled and block-Jacobi-3 matched it within one iteration on every
+	// measured lattice. Journals written before the deletion replay it as
+	// block-Jacobi-3 (see internal/jobqueue), so the value must never be
+	// reused.
+	_
 	// PrecondBlockJacobi3 inverts the 3×3 diagonal blocks — the natural
 	// choice for displacement problems with 3 DoFs per node, which couples
 	// the x/y/z components of each node.
@@ -60,7 +64,7 @@ const DefaultAutoIC0Threshold = 2500
 // AutoIC0OneShotThreshold is the crossover for solves that pay the IC0
 // construction every time (bare PCG/GMRES calls with no prebuilt Options.M,
 // which build their preconditioner per call): the ~60–600 ms factorization
-// only reaches wall-time parity with the Jacobi family around 20k DoFs.
+// only reaches wall-time parity with block-Jacobi-3 around 20k DoFs.
 const AutoIC0OneShotThreshold = 20000
 
 // Resolve maps PrecondAuto to the concrete kind chosen for an n-DoF system
@@ -82,14 +86,10 @@ func (k PrecondKind) resolve(n, ic0At int) PrecondKind {
 	if k != PrecondAuto {
 		return k
 	}
-	switch {
-	case n >= ic0At:
+	if n >= ic0At {
 		return PrecondIC0
-	case n%3 == 0:
-		return PrecondBlockJacobi3
-	default:
-		return PrecondJacobi
 	}
+	return PrecondBlockJacobi3
 }
 
 // String returns the flag/JSON spelling of the kind (see ParsePrecond).
@@ -97,8 +97,6 @@ func (k PrecondKind) String() string {
 	switch k {
 	case PrecondAuto:
 		return "auto"
-	case PrecondJacobi:
-		return "jacobi"
 	case PrecondBlockJacobi3:
 		return "block-jacobi3"
 	case PrecondIC0:
@@ -110,13 +108,13 @@ func (k PrecondKind) String() string {
 }
 
 // ParsePrecond maps the String spellings (plus "" and the "bj3" shorthand)
-// back to a kind; the serve flags and request fields go through here.
+// back to a kind; the serve flags and request fields go through here. The
+// deleted scalar "jacobi" is an unknown spelling, and the error lists the
+// kinds that remain.
 func ParsePrecond(s string) (PrecondKind, error) {
 	switch s {
 	case "", "auto":
 		return PrecondAuto, nil
-	case "jacobi":
-		return PrecondJacobi, nil
 	case "block-jacobi3", "bj3":
 		return PrecondBlockJacobi3, nil
 	case "ic0":
@@ -124,20 +122,7 @@ func ParsePrecond(s string) (PrecondKind, error) {
 	case "none":
 		return PrecondNone, nil
 	}
-	return PrecondAuto, fmt.Errorf("solver: unknown preconditioner %q (want auto, jacobi, block-jacobi3, ic0, or none)", s)
-}
-
-// JacobiFamily picks the parallel Jacobi-family preconditioner for an n-DoF
-// system: block-Jacobi-3 when the dimension is node-blocked, scalar Jacobi
-// otherwise. The full-resolution FEM baselines (reffem, chiplet) use this
-// instead of the size-based auto rule — their systems are far larger and
-// sparser than the reduced global matrices the IC0 threshold was tuned on,
-// and serial IC0 does not pay off there.
-func JacobiFamily(n int) PrecondKind {
-	if n%3 == 0 {
-		return PrecondBlockJacobi3
-	}
-	return PrecondJacobi
+	return PrecondAuto, fmt.Errorf("solver: unknown preconditioner %q (want auto, block-jacobi3, ic0, or none)", s)
 }
 
 // NewPreconditioner builds the requested preconditioner for the SPD matrix
@@ -148,12 +133,10 @@ func JacobiFamily(n int) PrecondKind {
 // permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes
 // the factor's dependency DAG without changing the preconditioned
 // operator's symmetry; OrderingAuto resolves at DefaultWorkers — and prec
-// the factor storage precision (see Precision). The Jacobi family and the
+// the factor storage precision (see Precision). Block-Jacobi-3 and the
 // identity are ordering- and precision-invariant and ignore both.
 func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.BCSR) (Preconditioner, error) {
 	switch kind.Resolve(a.NRows) {
-	case PrecondJacobi:
-		return jacobiPrecond{inv: jacobi(a)}, nil
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a), nil
 	case PrecondIC0:
@@ -183,36 +166,6 @@ type identityPrecond struct{}
 func (identityPrecond) Apply(dst, r []float64) { copy(dst, r) }
 
 func (identityPrecond) MemoryBytes() int64 { return 0 }
-
-type jacobiPrecond struct{ inv []float64 }
-
-// jacobi builds the inverse-diagonal preconditioner of a from its diagonal
-// tiles, falling back to 1 for zero (or unstored) diagonal entries, which
-// cannot occur on an SPD matrix but keep the solver total.
-func jacobi(a *sparse.BCSR) []float64 {
-	d := make([]float64, a.NRows)
-	for br := 0; br < a.NBRows(); br++ {
-		t := a.DiagTile(br)
-		for i := 0; i < sparse.BlockSize; i++ {
-			r := sparse.BlockSize*br + i
-			if t != nil && t[4*i] != 0 {
-				d[r] = 1 / t[4*i]
-			} else {
-				d[r] = 1
-			}
-		}
-	}
-	return d
-}
-
-//stressvet:noalloc
-func (p jacobiPrecond) Apply(dst, r []float64) {
-	for i, v := range r {
-		dst[i] = p.inv[i] * v
-	}
-}
-
-func (p jacobiPrecond) MemoryBytes() int64 { return int64(8 * len(p.inv)) }
 
 // blockJacobi3 stores the inverse of each 3×3 diagonal block.
 type blockJacobi3 struct {
@@ -511,8 +464,8 @@ func (p *ic0) Levels() (count, maxWidth int) {
 }
 
 // FactorPrecision reports the concrete storage precision of the factor
-// values (implements FactorPrecisioned; PCG keys its true-residual
-// verification guard off this).
+// values (implements FactorPrecisioned; PCG keys its true-residual check
+// off this).
 func (p *ic0) FactorPrecision() Precision { return p.prec }
 
 // Blocked reports whether the factor committed to the 3×3-tiled layout.
@@ -615,13 +568,10 @@ func PCG(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error)
 	case pcgBreakdown:
 		st.Iterations, st.Residual = it, res
 		return x, st, fmt.Errorf("solver: PCG breakdown, pᵀAp=%g (matrix not SPD?)", pap)
-	case pcgPrecisionStall:
-		st.Iterations, st.Residual = it, res
-		return x, st, fmt.Errorf("solver: PCG float32 factor could not reach tol %g (true residual %g after %d refinements): %w (%w)",
-			opt.Tol, res, st.Refinements, ErrPrecision, ErrStalled)
 	}
 	st.Iterations, st.Residual = it, res
-	return x, st, fmt.Errorf("solver: PCG did not converge in %d iterations (residual %g): %w", it, res, ErrStalled)
+	return x, st, fmt.Errorf("solver: PCG did not converge to tol %g in %d iterations (residual %g, %v factor): %w",
+		opt.Tol, it, res, st.Precision, ErrStalled)
 }
 
 // pcgOutcome is how the steady-state PCG loop ended; PCG translates it into
@@ -629,32 +579,11 @@ func PCG(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error)
 type pcgOutcome uint8
 
 const (
-	pcgMaxIter pcgOutcome = iota
+	pcgStalled pcgOutcome = iota
 	pcgConverged
 	pcgNonFinite
 	pcgBreakdown
-	pcgPrecisionStall
 )
-
-// pcgMaxRefinements caps the iterative-refinement restarts a float32-factor
-// solve may take before giving up (pcgPrecisionStall → the array layer
-// rebuilds with a float64 factor). Each refinement restarts the recurrence
-// from the true residual, which recovers the usual rounding drift in one
-// shot; needing more than a couple means the rounded factor genuinely cannot
-// steer this system to the requested tolerance.
-const pcgMaxRefinements = 3
-
-// pcgVerifyEvery is the iteration stride of the float32 drift check: every
-// so many iterations the true residual ‖b−Ax‖ is recomputed and compared
-// against the recurrence residual, catching divergence long before a false
-// convergence — at ~1–2% amortized cost (one extra mat-vec per stride).
-const pcgVerifyEvery = 64
-
-// pcgDriftFactor flags drift when the true residual exceeds the recurrence
-// residual by this factor at a periodic check. Exact-arithmetic PCG keeps
-// them equal; float64 rounding alone stays within a small constant, so an
-// order of magnitude of divergence is a reliable float32-rounding signature.
-const pcgDriftFactor = 10
 
 // pcgTrueResidual recomputes res = ‖b−A·x‖/bnorm from scratch, clobbering
 // scratch (the ap vector between mat-vecs).
@@ -675,65 +604,33 @@ func pcgTrueResidual(a *sparse.BCSR, ws *Workspace, x, b, scratch []float64, bno
 // (BenchmarkPCGNoAlloc pins the runtime contract; stressvet's noalloc rules
 // and -escape gate pin it statically).
 //
-// For float32-factor preconditioners (Stats.Precision), the recurrence
-// residual is verified against the true residual ‖b−A·x‖ on convergence and
-// at a periodic drift check. When they diverge, the loop iteratively
-// refines: recompute r = b−A·x exactly, reapply the preconditioner, and
-// restart the recurrence from the true state — recovering the float64
-// trajectory at the cost of one extra mat-vec + apply. Refinement is bounded
-// by pcgMaxRefinements; exhaustion is pcgPrecisionStall and the caller falls
-// back to a float64 factor.
+// Under a float32 factor (Stats.Precision) the recurrence residual is not
+// trusted on its own: when it claims convergence, the true residual
+// ‖b−A·x‖ is recomputed, and if that misses Tol the loop ends as
+// pcgStalled, so the error wraps ErrStalled and the array layer retries
+// once against a float64 factor.
 //
 //stressvet:noalloc
 func pcgSteady(a *sparse.BCSR, b []float64, m Preconditioner, wa parApplier, ws *Workspace, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
 	verify := st.Precision == PrecisionFloat32
 	for it = 0; it < opt.MaxIter; it++ {
 		res = linalg.Norm2(r) / bnorm
-		refine := false
 		if res <= opt.Tol {
 			if !verify {
 				return pcgConverged, it, res, 0
 			}
 			// The recurrence claims convergence on a rounded factor: trust
 			// only the true residual.
-			trueRes := pcgTrueResidual(a, ws, x, b, ap, bnorm)
-			if trueRes <= opt.Tol {
-				return pcgConverged, it, trueRes, 0
+			if res = pcgTrueResidual(a, ws, x, b, ap, bnorm); res <= opt.Tol {
+				return pcgConverged, it, res, 0
 			}
-			if st.Refinements >= pcgMaxRefinements {
-				return pcgPrecisionStall, it, trueRes, 0
-			}
-			refine = true
-			res = trueRes
-		} else if verify && it > 0 && it%pcgVerifyEvery == 0 {
-			// Long solves: catch recurrence drift before a false convergence.
-			trueRes := pcgTrueResidual(a, ws, x, b, ap, bnorm)
-			if trueRes > pcgDriftFactor*res && st.Refinements < pcgMaxRefinements {
-				refine = true
-				res = trueRes
-			}
+			return pcgStalled, it, res, 0
 		}
 		// A non-finite residual (NaN/Inf seed or mid-iteration blow-up) can
 		// never converge; fail now instead of burning MaxIter iterations —
 		// warm-start callers fall back to a cold solve on this error.
 		if math.IsNaN(res) || math.IsInf(res, 0) {
 			return pcgNonFinite, it, res, 0
-		}
-		if refine {
-			// Restart the recurrence from the exact residual (ap still holds
-			// A·x from pcgTrueResidual): r = b − A·x, z = M⁻¹r, p = z.
-			st.Refinements++
-			linalg.Sub(r, b, ap)
-			tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-			if wa != nil {
-				wa.applyPar(z, r, ws)
-			} else {
-				m.Apply(z, r)
-			}
-			st.PrecondApply += time.Since(tApply)
-			copy(p, z)
-			rz = linalg.Dot(r, z)
-			continue
 		}
 		ws.matvec(a, ap, p)
 		pap = linalg.Dot(p, ap)
@@ -757,5 +654,5 @@ func pcgSteady(a *sparse.BCSR, b []float64, m Preconditioner, wa parApplier, ws 
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return pcgMaxIter, it, linalg.Norm2(r) / bnorm, 0
+	return pcgStalled, it, linalg.Norm2(r) / bnorm, 0
 }

@@ -1,8 +1,9 @@
 // Package solver provides the linear solvers of the MORE-Stress pipeline: a
 // reverse Cuthill–McKee fill-reducing ordering, a sparse Cholesky
 // factorization for the one-shot local stage (one factorization, many
-// right-hand sides), and Jacobi-preconditioned CG and restarted GMRES
-// iterative solvers for the reference FEM and the global stage.
+// right-hand sides), and preconditioned CG and restarted GMRES iterative
+// solvers (block-Jacobi-3 or IC0) for the reference FEM and the global
+// stage.
 package solver
 
 import (

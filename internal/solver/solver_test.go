@@ -336,7 +336,7 @@ func TestGMRESWithInitialGuess(t *testing.T) {
 
 // TestGMRESScaleInvariant solves s·A·x = s·b across twelve orders of
 // magnitude of s. Preconditioned GMRES is scale invariant in exact
-// arithmetic (Jacobi and IC0 of s·A are s·M), so the iteration count must
+// arithmetic (block-Jacobi-3 and IC0 of s·A are s·M), so the iteration count must
 // not move and every scale must land on the same solution. A stopping test
 // that compares a preconditioned residual against the unpreconditioned ‖b‖
 // breaks this: it fires too early or too late depending on s.
@@ -345,7 +345,7 @@ func TestGMRESScaleInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rhs := randVec(rng, base.NRows)
 	const tol = 1e-8
-	for _, kind := range []PrecondKind{PrecondJacobi, PrecondIC0} {
+	for _, kind := range []PrecondKind{PrecondBlockJacobi3, PrecondIC0} {
 		var refX []float64
 		refIt := -1
 		for _, s := range []float64{1, 1e-6, 1e6} {

@@ -61,10 +61,10 @@ const (
 // Preconditioner choices for SolverOptions.Precond.
 const (
 	// PrecondAuto (the default) picks by system size: block-Jacobi-3 for
-	// small lattices, IC0 at and above solver.AutoIC0Threshold DoFs.
+	// small lattices, IC0 at and above solver.AutoIC0Threshold DoFs
+	// (solver.AutoIC0OneShotThreshold for a bare array.Solve without a
+	// shared assembly, which builds its preconditioner for that one solve).
 	PrecondAuto = solver.PrecondAuto
-	// PrecondJacobi is the inverse-diagonal preconditioner.
-	PrecondJacobi = solver.PrecondJacobi
 	// PrecondBlockJacobi3 inverts the per-node 3×3 diagonal blocks.
 	PrecondBlockJacobi3 = solver.PrecondBlockJacobi3
 	// PrecondIC0 is zero-fill incomplete Cholesky.
@@ -73,8 +73,9 @@ const (
 	PrecondNone = solver.PrecondNone
 )
 
-// ParsePrecond maps the flag/JSON spellings ("auto", "jacobi",
-// "block-jacobi3"/"bj3", "ic0", "none") to a Precond.
+// ParsePrecond maps the flag/JSON spellings ("auto", "block-jacobi3"/"bj3",
+// "ic0", "none") to a Precond. The deleted scalar "jacobi" is an error that
+// lists these.
 func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 
 // Ordering choices for SolverOptions.Ordering.
@@ -104,10 +105,9 @@ const (
 	// PrecisionFloat64 forces double-precision factor storage.
 	PrecisionFloat64 = solver.PrecisionFloat64
 	// PrecisionFloat32 requests single-precision factor storage — roughly
-	// half the factor bytes; PCG guards convergence with iterative
-	// refinement and the array layer retries against a float64 rebuild if
-	// the refinement budget runs out. Degrades to float64 when the factor
-	// cannot tile.
+	// half the factor bytes; a solve that stalls under it (GMRES or PCG) is
+	// retried once against a float64 factor. Degrades to float64 when the
+	// factor cannot tile.
 	PrecisionFloat32 = solver.PrecisionFloat32
 )
 
