@@ -40,10 +40,8 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 		prec solver.Precision
 	}
 	// The two explicit IC0 precisions at the natural ordering measure the
-	// blocked layout in both storage widths (the reduced matrices always
-	// clear BlockFillMin, so float64 here IS the blocked-vs-scalar apply
-	// comparison against the pr-8 scalar rows); the remaining orderings run
-	// at the auto precision the serving path uses.
+	// factor in both storage widths; the remaining orderings run at the auto
+	// precision the serving path uses.
 	variants := []variant{
 		{solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionFloat64},
 		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat64},
@@ -91,10 +89,6 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 				if fl, ok := ap.M.(solver.FactorLevels); ok {
 					levels, width = fl.Levels()
 				}
-				blocked := false
-				if bl, ok := ap.M.(interface{ Blocked() bool }); ok {
-					blocked = bl.Blocked()
-				}
 				var factorBytes int64 = -1
 				if sz, ok := ap.M.(solver.Sized); ok {
 					factorBytes = sz.MemoryBytes()
@@ -108,8 +102,8 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 					}
 					warmSol = sol
 				}
-				fmt.Printf("MEASURE %dx%d %-5s %-14s %-10s prec=%-7s blocked=%-5v it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d levels=%5d width=%5d shared=%v\n",
-					size, size, sk.name, v.kind, v.ord, warmSol.Precision, blocked, warmSol.Stats.Iterations,
+				fmt.Printf("MEASURE %dx%d %-5s %-14s %-10s prec=%-7s it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d levels=%5d width=%5d shared=%v\n",
+					size, size, sk.name, v.kind, v.ord, warmSol.Precision, warmSol.Stats.Iterations,
 					float64(cold)/1e6, float64(best)/1e6,
 					float64(coldSol.Stats.PrecondBuild)/1e6,
 					float64(warmSol.Stats.PrecondApply)/1e6,

@@ -282,20 +282,19 @@ func TestQuadSerialParallelIdentical(t *testing.T) {
 	if a1.K.NNZ() != a8.K.NNZ() {
 		t.Fatal("nnz differs")
 	}
-	// The atomic scatter interleaves duplicates in nondeterministic order,
-	// so summation differs at roundoff relative to the matrix scale.
-	var scale float64
-	for _, v := range a1.K.Vals {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
+	// Fixed scatter segments make the assembly independent of the worker
+	// count, bit for bit.
 	for i := range a1.K.Vals {
 		if a1.K.ColIdx[i] != a8.K.ColIdx[i] {
 			t.Fatal("pattern differs between serial and parallel quadratic assembly")
 		}
-		if math.Abs(a1.K.Vals[i]-a8.K.Vals[i]) > 1e-11*scale {
+		if math.Float64bits(a1.K.Vals[i]) != math.Float64bits(a8.K.Vals[i]) {
 			t.Fatal("values differ between serial and parallel quadratic assembly")
+		}
+	}
+	for i := range a1.F {
+		if math.Float64bits(a1.F[i]) != math.Float64bits(a8.F[i]) {
+			t.Fatal("load differs between serial and parallel quadratic assembly")
 		}
 	}
 }

@@ -3,15 +3,18 @@ package fem
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mesh"
 	"repro/internal/sparse"
 )
 
 // Assemble builds the quadratic global stiffness and thermal load (ΔT = 1).
-// The scatter is parallel over elements with atomic per-row cursors and a
-// parallel compaction pass (the same scheme as the global-stage assembly).
+// A serial pass in element order gives every (element, local node) pair a
+// fixed 60-entry segment in each of its node's three rows and sums the load;
+// the scatter then runs in parallel over elements, each writing only its own
+// segments, and the compaction sums each row's duplicates in an order fixed
+// by its segments. The result is bitwise identical across runs and worker
+// counts.
 // Void elements are skipped; isolated nodes carry identity rows.
 //
 //stressvet:gang -- `workers` scatter goroutines over disjoint element chunks
@@ -60,51 +63,52 @@ func (m *QuadModel) Assemble(workers int) (*Assembled, error) {
 		}
 	}
 
-	// Pass 1: raw row counts (60 entries per element row, 1 for identity
-	// rows of inactive nodes).
-	rowCount := make([]int32, ndof+1)
-	for id, act := range active {
-		if !act {
-			rowCount[3*id+1] = 1
-			rowCount[3*id+2] = 1
-			rowCount[3*id+3] = 1
-		}
-	}
+	// Pass 1, serial in element order: the load, and for each (element,
+	// local node) the segment slot — how many earlier elements share the
+	// node. Inactive nodes hold one identity entry per row instead.
+	f := make([]float64, ndof)
+	slot := make([]int32, 20*ne)
+	uses := make([]int32, m.NumNodes())
 	for e := 0; e < ne; e++ {
-		if elemMat[e] == nil {
+		em := elemMat[e]
+		if em == nil {
 			continue
 		}
-		for _, id := range m.ElemNodes(e) {
-			rowCount[3*id+1] += 60
-			rowCount[3*id+2] += 60
-			rowCount[3*id+3] += 60
+		for a, id := range m.ElemNodes(e) {
+			slot[20*e+a] = uses[id]
+			uses[id]++
+			for c := 0; c < 3; c++ {
+				f[3*id+int32(c)] += em.F[3*a+c]
+			}
+		}
+	}
+	rowPtr := make([]int32, ndof+1)
+	for id, n := range uses {
+		w := 60 * n
+		if !active[id] {
+			w = 1
+		}
+		for c := 1; c <= 3; c++ {
+			rowPtr[3*id+c] = w
 		}
 	}
 	for i := 0; i < ndof; i++ {
-		rowCount[i+1] += rowCount[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
-	nnzRaw := int(rowCount[ndof])
+	nnzRaw := int(rowPtr[ndof])
 	colIdx := make([]int32, nnzRaw)
 	vals := make([]float64, nnzRaw)
-	cursor := make([]int32, ndof)
-	copy(cursor, rowCount[:ndof])
-
-	// Identity rows first (no contention).
 	for id, act := range active {
-		if act {
-			continue
-		}
-		for c := 0; c < 3; c++ {
-			r := 3*id + c
-			p := cursor[r]
-			colIdx[p] = int32(r)
-			vals[p] = 1
-			cursor[r] = p + 1
+		if !act {
+			for c := 0; c < 3; c++ {
+				r := 3*id + c
+				colIdx[rowPtr[r]] = int32(r)
+				vals[rowPtr[r]] = 1
+			}
 		}
 	}
 
-	// Pass 2: parallel element scatter.
-	fBufs := make([][]float64, workers)
+	// Pass 2: parallel element scatter into the fixed segments.
 	var wg sync.WaitGroup
 	chunk := (ne + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -116,10 +120,8 @@ func (m *QuadModel) Assemble(workers int) (*Assembled, error) {
 			break
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fb := make([]float64, ndof)
-			fBufs[w] = fb
 			var dofs [60]int32
 			for e := lo; e < hi; e++ {
 				em := elemMat[e]
@@ -133,30 +135,15 @@ func (m *QuadModel) Assemble(workers int) (*Assembled, error) {
 					dofs[3*a+2] = 3*nodes[a] + 2
 				}
 				for i := 0; i < 60; i++ {
-					gi := dofs[i]
-					base := atomic.AddInt32(&cursor[gi], 60) - 60
-					seg := int(base)
-					row := &em.K[i]
-					for j := 0; j < 60; j++ {
-						colIdx[seg+j] = dofs[j]
-						vals[seg+j] = row[j]
-					}
-					fb[gi] += em.F[i]
+					seg := rowPtr[dofs[i]] + 60*slot[20*e+i/3]
+					copy(colIdx[seg:seg+60], dofs[:])
+					copy(vals[seg:seg+60], em.K[i][:])
 				}
 			}
-		}(w, lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 
-	f := make([]float64, ndof)
-	for _, fb := range fBufs {
-		if fb == nil {
-			continue
-		}
-		for i, v := range fb {
-			f[i] += v
-		}
-	}
-	raw := &sparse.CSR{NRows: ndof, NCols: ndof, RowPtr: rowCount, ColIdx: colIdx, Vals: vals}
+	raw := &sparse.CSR{NRows: ndof, NCols: ndof, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
 	return &Assembled{K: raw.CompactRows(workers), F: f, ActiveNode: active}, nil
 }

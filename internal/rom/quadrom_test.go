@@ -71,3 +71,40 @@ func TestQuadraticROMSaveLoad(t *testing.T) {
 		t.Fatal("stress recovery differs after round trip")
 	}
 }
+
+// TestQuadraticROMBuildDeterministic: the quadratic assembly gives every
+// element's rows fixed segments and sums the load in element order, so
+// three builds at each of 1, 2 and 4 workers agree bit for bit.
+func TestQuadraticROMBuildDeterministic(t *testing.T) {
+	spec := testSpec(2, true)
+	spec.Quadratic = true
+	flat := func(r *ROM) []float64 {
+		v := append(append(append([]float64(nil), r.Aelem.Data...), r.Belem...), r.BasisT...)
+		for _, f := range r.Basis {
+			v = append(v, f...)
+		}
+		return v
+	}
+	var want []float64
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 3; run++ {
+			r, err := Build(spec, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := flat(r)
+			if want == nil {
+				want = got
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d run %d: %d values, want %d", workers, run, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("workers=%d run %d: value %d = %x, first build %x", workers, run, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

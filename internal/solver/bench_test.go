@@ -227,18 +227,12 @@ func BenchmarkIC0Apply(b *testing.B) {
 
 // BenchmarkIC0ApplyBlocked measures the 3×3-tiled factor application on the
 // same system as BenchmarkIC0Apply's narrowDAG (latticeLike(28,28,15):
-// 11760 DoFs of dense node tiles, the reduced-global regime) so the
-// scalar64/serial row is directly comparable to the pr-8 narrowDAG/serial
-// baseline. f64 and f32 rows are the blocked factor in both storage
-// precisions — the apply is bandwidth-bound, so the tile layout (~1/3 index
-// traffic) and the halved factor bytes both show up as serial ns/op. Run
-// with -cpu 1,4; the pool rows dispatch through a resident Workspace gang.
+// 11760 DoFs of dense node tiles, the reduced-global regime) in both storage
+// precisions — the apply is bandwidth-bound, so the halved factor bytes
+// show up as serial ns/op. Run with -cpu 1,4; the pool rows dispatch
+// through a resident Workspace gang.
 func BenchmarkIC0ApplyBlocked(b *testing.B) {
 	a := tiled(latticeLike(28, 28, 15))
-	scalar, err := newIC0Layout(a, OrderingNatural, PrecisionFloat64, false)
-	if err != nil {
-		b.Fatal(err)
-	}
 	f64, err := newIC0(a, OrderingNatural, PrecisionFloat64)
 	if err != nil {
 		b.Fatal(err)
@@ -247,9 +241,8 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !f64.Blocked() || !f32.Blocked() || f32.FactorPrecision() != PrecisionFloat32 {
-		b.Fatalf("factors not blocked as expected (f64 blocked=%v, f32 blocked=%v prec=%v)",
-			f64.Blocked(), f32.Blocked(), f32.FactorPrecision())
+	if f32.FactorPrecision() != PrecisionFloat32 {
+		b.Fatalf("auto factor precision %v, want float32", f32.FactorPrecision())
 	}
 	rng := rand.New(rand.NewSource(3))
 	r := make([]float64, a.NRows)
@@ -275,7 +268,6 @@ func BenchmarkIC0ApplyBlocked(b *testing.B) {
 			}
 		}
 	}
-	b.Run("scalar64/serial", serial(scalar))
 	b.Run("f64/serial", serial(f64))
 	b.Run("f32/serial", serial(f32))
 	b.Run("f64/pool", pooled(f64))

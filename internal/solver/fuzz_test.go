@@ -89,13 +89,8 @@ func FuzzMulticolorOrdering(f *testing.F) {
 			}
 		}
 		// Contract 4: the multicolor factor applies bitwise identically at
-		// every pool size. The level-count contract is layout-aware under
-		// the node coloring: one block level per node color when the factor
-		// commits to tiles, and between 1 and 3·nc scalar levels otherwise
-		// (rows of one color couple only inside their node, which chains
-		// ≤ 3 rows). The scalar depth can fall below nc: the node path that
-		// forced a color may couple different components at each step, so
-		// no scalar row chain follows it (testdata seed ce91933f8466185f).
+		// every pool size, and its schedule has one block level per node
+		// color.
 		bm := tiled(m)
 		p, err := newIC0(bm, OrderingMulticolor, PrecisionAuto)
 		if err != nil {
@@ -104,12 +99,8 @@ func FuzzMulticolorOrdering(f *testing.F) {
 		lv, _ := p.Levels()
 		_, nodePtr := MulticolorNodes(bm)
 		nc := len(nodePtr) - 1
-		if p.Blocked() {
-			if lv != nc {
-				t.Fatalf("blocked factor has %d levels, want one per node color (%d)", lv, nc)
-			}
-		} else if lv < 1 || lv > 3*nc {
-			t.Fatalf("scalar factor under node coloring has %d levels, want within [1, %d]", lv, 3*nc)
+		if lv != nc {
+			t.Fatalf("factor has %d levels, want one per node color (%d)", lv, nc)
 		}
 		r := make([]float64, n)
 		for i := range r {

@@ -75,8 +75,8 @@ type Options struct {
 	// prebuilt preconditioner, which carries its own ordering.
 	Ordering OrderingKind
 	// Precision selects the storage precision of the factorizing
-	// preconditioners' values (default PrecisionAuto: float32 when the
-	// blocked factor layout engages, float64 otherwise — see Precision).
+	// preconditioners' values (default PrecisionAuto: float32 — see
+	// Precision).
 	// Ignored when Options.M supplies a prebuilt preconditioner, which
 	// carries its own precision.
 	Precision Precision

@@ -173,8 +173,7 @@ func Multicolor(n int, rowsOf func(r int) []int32) (perm []int32, colorPtr []int
 // stay together.
 //
 // Under the returned permutation no two adjacent nodes share a color, so
-// the blocked factor's dependency schedules collapse to one block level per
-// color (the scalar factor still chains up to 3 rows inside each node).
+// the factor's dependency schedules collapse to one block level per color.
 // The returned perm maps perm[old] = new over scalar indices; colorPtr
 // bounds each color class in *node* units (class c covers scalar rows
 // [3·colorPtr[c], 3·colorPtr[c+1])). Deterministic for a fixed pattern.
@@ -192,11 +191,14 @@ func MulticolorNodes(a *sparse.BCSR) (perm []int32, colorPtr []int32) {
 }
 
 // NaturalLevelWidth returns the maximum dependency-level width (rows) of the
-// lower-triangular scalar pattern of a in its natural order — the zero-fill
-// IC0 factor pattern, computed without factoring (one O(nnz) sweep over the
-// tiles, skipping their zero padding as the factor does). This is the
-// number OrderingAuto compares against AutoMulticolorWidth, and the
-// measurement harness reports it next to the post-ordering schedule shape.
+// lower-triangular scalar pattern of a in its natural order — the scalar
+// zero-fill IC(0) pattern, computed without factoring (one O(nnz) sweep over
+// the tiles, skipping their exact zeros). This is the number OrderingAuto
+// compares against AutoMulticolorWidth, which is calibrated in these scalar
+// rows, and the measurement harness reports it next to the post-ordering
+// schedule shape. The block factor's own schedule advances whole block rows,
+// so its width (Levels, in scalar rows) reads wider: 48 against this
+// probe's 17 on the served 12×12 lattice.
 func NaturalLevelWidth(a *sparse.BCSR) int {
 	level := make([]int32, a.NRows)
 	width := make([]int32, 0, 64)
@@ -264,8 +266,7 @@ func resolveOrderingOf(k OrderingKind, a *sparse.BCSR, workers int) OrderingKind
 // orderingPerm materializes the permutation of a concrete ordering kind for
 // the pattern of a: nil for the natural ordering (identity) and for the
 // reserved value 2, which therefore factors as natural. Multicolor is
-// node-blocked (MulticolorNodes) so blocked factor storage survives the
-// reordering.
+// node-blocked (MulticolorNodes), so the permutation moves whole 3×3 tiles.
 func orderingPerm(k OrderingKind, a *sparse.BCSR) []int32 {
 	if k != OrderingMulticolor {
 		return nil

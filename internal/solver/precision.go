@@ -6,16 +6,15 @@ import "fmt"
 // values (today: the IC0 factor). The PCG/GMRES iterations always run in
 // float64 — precision only rounds the *stored factor entries*, trading a
 // slightly weaker preconditioner for half the factor bytes. Triangular
-// solves are bandwidth-bound, so on the blocked path this is a direct
-// apply-time win; the solve kernels widen each tile entry to float64 on
+// solves are bandwidth-bound, so this is a direct apply-time win; the solve kernels widen each tile entry to float64 on
 // load, so the arithmetic (and the worker-count bitwise contract) is
 // unchanged for a fixed stored factor.
 type Precision int
 
 const (
 	// PrecisionAuto — the zero value, and therefore the default wherever an
-	// Options travels unset — stores the factor in float32 when the blocked
-	// (3×3-tiled) layout engages, float64 otherwise. The float32 choice is
+	// Options travels unset — stores the factor in float32, on every matrix
+	// (the IC0 factor is always 3×3-tiled). The float32 choice is
 	// guarded at solve time: GMRES tests the true residual at every
 	// restart, PCG re-checks it when the recurrence claims convergence, and
 	// a solve that stalls under a float32 factor is retried once by the
@@ -24,9 +23,8 @@ const (
 	PrecisionAuto Precision = iota
 	// PrecisionFloat64 stores the factor in double precision.
 	PrecisionFloat64
-	// PrecisionFloat32 requests single-precision factor storage. Only the
-	// blocked factor layout supports it; a matrix that stays on the scalar
-	// path keeps float64 storage and reports so in Stats.Precision.
+	// PrecisionFloat32 requests single-precision factor storage, which is
+	// what PrecisionAuto resolves to.
 	PrecisionFloat32
 
 	// NumPrecisions bounds the kinds, for stats arrays indexed by precision.

@@ -31,16 +31,13 @@ func maxAbsVec(v []float64) float64 {
 }
 
 // TestBlockedIC0ApplyMatchesScalar compares the tiled factor application
-// against the scalar factor of the same system (newIC0Layout with blocking
-// suppressed): same factorization, same values, only the storage layout and
-// kernel grouping differ — so float64 tiles must agree to rounding noise,
-// and float32 tiles to single-precision rounding of the factor, across
-// orderings, worker counts, and dispatch modes.
+// against the scalar reference IC(0) of the same system (referenceIC0): on
+// these zero-free tile patterns both factor the same pattern, so float64
+// tiles must agree to rounding noise, and float32 tiles to single-precision
+// rounding of the factor, across orderings, worker counts, and dispatch
+// modes.
 func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	// Dense per-node tiles: the factor fill clears BlockFillMin, as the
-	// reduced global matrices do. (elasticity3's ⅓-full off-diagonal tiles
-	// stay scalar — TestPrecisionDegradesOnScalarLayout covers that side.)
 	systems := map[string]*sparse.BCSR{
 		"lattice-9x8":   tiled(latticeLike(9, 8, 3)),
 		"lattice-11x11": tiled(latticeLike(11, 11, 3)),
@@ -48,12 +45,9 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
 		for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-			scalar, err := newIC0Layout(a, ord, PrecisionFloat64, false)
+			scalar, err := referenceIC0(a, ord)
 			if err != nil {
 				t.Fatalf("%s/%v scalar: %v", name, ord, err)
-			}
-			if scalar.Blocked() {
-				t.Fatalf("%s/%v: layout-suppressed factor is blocked", name, ord)
 			}
 			b64, err := newIC0(a, ord, PrecisionFloat64)
 			if err != nil {
@@ -63,11 +57,11 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v f32: %v", name, ord, err)
 			}
-			if !b64.Blocked() || b64.FactorPrecision() != PrecisionFloat64 {
-				t.Fatalf("%s/%v: f64 factor blocked=%v precision=%v", name, ord, b64.Blocked(), b64.FactorPrecision())
+			if b64.FactorPrecision() != PrecisionFloat64 {
+				t.Fatalf("%s/%v: f64 factor precision=%v", name, ord, b64.FactorPrecision())
 			}
-			if !b32.Blocked() || b32.FactorPrecision() != PrecisionFloat32 {
-				t.Fatalf("%s/%v: auto factor blocked=%v precision=%v, want blocked float32", name, ord, b32.Blocked(), b32.FactorPrecision())
+			if b32.FactorPrecision() != PrecisionFloat32 {
+				t.Fatalf("%s/%v: auto factor precision=%v, want float32", name, ord, b32.FactorPrecision())
 			}
 			n := a.NRows
 			r := make([]float64, n)
@@ -114,38 +108,6 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 				ws.Close()
 			}
 		}
-	}
-}
-
-// TestPrecisionDegradesOnScalarLayout: an explicit float32 request on a
-// matrix that keeps the scalar factor layout must degrade honestly to
-// float64 storage and say so. elasticity3's off-diagonal node tiles hold 3
-// of 9 entries, below BlockFillMin, so its factor stays scalar.
-func TestPrecisionDegradesOnScalarLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	a := tiled(elasticity3(6, 6, 5))
-	for _, prec := range []Precision{PrecisionFloat32, PrecisionAuto} {
-		p, err := newIC0(a, OrderingNatural, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Blocked() {
-			t.Fatalf("%v: sparse-tile factor committed to tiles below BlockFillMin", prec)
-		}
-		if got := p.FactorPrecision(); got != PrecisionFloat64 {
-			t.Fatalf("%v: scalar-layout factor precision = %v, want float64", prec, got)
-		}
-	}
-	b := make([]float64, a.NRows)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	_, stats, err := PCG(a, b, nil, Options{Tol: 1e-8, Precond: PrecondIC0, Precision: PrecisionFloat32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Precision != PrecisionFloat64 {
-		t.Fatalf("Stats.Precision = %v, want float64 on the scalar layout", stats.Precision)
 	}
 }
 
@@ -224,7 +186,7 @@ func TestPCGPrecisionStall(t *testing.T) {
 // steady state (the float32 path includes the true-residual verification
 // mat-vec on convergence).
 func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
-	a := tiled(latticeLike(16, 16, 3)) // 768 DoFs of dense tiles: the factor commits to the blocked layout
+	a := tiled(latticeLike(16, 16, 3)) // 768 DoFs of dense tiles
 	rng := rand.New(rand.NewSource(79))
 	b := make([]float64, a.NRows)
 	for i := range b {
@@ -236,8 +198,8 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ic, ok := m.(*ic0); !ok || !ic.Blocked() || ic.FactorPrecision() != prec {
-				t.Fatalf("%v: preconditioner not a blocked factor of the requested precision", prec)
+			if ic, ok := m.(*ic0); !ok || ic.FactorPrecision() != prec {
+				t.Fatalf("%v: preconditioner not an IC0 factor of the requested precision", prec)
 			}
 			ws := NewWorkspace(workers)
 			opt := Options{Tol: 1e-8, Precond: PrecondIC0, M: m, Work: ws, Workers: workers}

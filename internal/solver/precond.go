@@ -40,9 +40,9 @@ const (
 	// choice for displacement problems with 3 DoFs per node, which couples
 	// the x/y/z components of each node.
 	PrecondBlockJacobi3
-	// PrecondIC0 is zero-fill incomplete Cholesky — far fewer iterations,
-	// with the triangular solves level-scheduled so each application runs
-	// across cores (sparse.LowerTri).
+	// PrecondIC0 is zero-fill block incomplete Cholesky on the 3×3 tiles —
+	// far fewer iterations, with the triangular solves level-scheduled so
+	// each application runs across cores (sparse.BlockLowerTri).
 	PrecondIC0
 	// PrecondNone applies the identity.
 	PrecondNone
@@ -241,55 +241,35 @@ func (p *blockJacobi3) Apply(dst, r []float64) {
 
 func (p *blockJacobi3) MemoryBytes() int64 { return int64(8 * len(p.inv)) }
 
-// BlockFillMin is the minimum blocked-storage fill ratio (scalar entries per
-// stored tile entry, sparse.BlockLowerTri.Fill) at which IC0 commits to the
-// 3×3-tiled factor layout. Node-blocked FEM factors sit near 0.9 (only the
-// diagonal tiles' zero upper halves are padding); patterns that scatter
-// isolated scalars across tiles fall below and keep the scalar layout, where
-// zero-fill would inflate factor bytes instead of saving bandwidth. 0.45
-// marks the break-even: below it the padded value bytes exceed the ~⅓ index
-// bytes the tiles save.
-const BlockFillMin = 0.45
-
-// ic0 is a zero-fill incomplete Cholesky factorization: L has the sparsity
-// of the lower triangle of (possibly symmetrically permuted) A and
-// P·A·Pᵀ ≈ L·Lᵀ. The factor is held either as a scalar sparse.LowerTri or,
-// when its tiles are dense enough (BlockFillMin), as a sparse.BlockLowerTri
-// — 3×3 tile micro-kernels, optionally float32 values. Either way the
-// dependency-level schedules let each application's forward/backward solves
-// run rows in parallel — and, because each row (or block row) is computed
-// by one shared kernel, the parallel application is bitwise identical to
-// the serial one for every worker count. Under a non-natural ordering the
-// application is Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two triangular
-// solves in place, gather back — the permutes are deterministic, so the
-// worker-count bitwise contract holds for every ordering. An ic0 is
-// immutable after construction and safe to share across concurrent solves.
+// ic0 is a zero-fill block incomplete Cholesky factorization: L has the
+// 3×3-tile pattern of the lower triangle of (possibly symmetrically
+// permuted) A and P·A·Pᵀ ≈ L·Lᵀ, held as a sparse.BlockLowerTri — tile
+// micro-kernels, float32 or float64 values. The dependency-level schedules
+// let each application's forward/backward solves run block rows in
+// parallel, and because each block row is computed by one shared kernel,
+// the parallel application is bitwise identical to the serial one for every
+// worker count. Under a non-natural ordering the application is
+// Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two triangular solves in
+// place, gather back — the permutes are deterministic, so the worker-count
+// bitwise contract holds for every ordering. An ic0 is immutable after
+// construction and safe to share across concurrent solves.
 type ic0 struct {
-	// Exactly one of t (scalar factor) and bt (blocked factor) is non-nil.
-	t  *sparse.LowerTri
-	bt *sparse.BlockLowerTri
+	l *sparse.BlockLowerTri
 	// perm maps original→permuted index (nil for the natural ordering).
 	perm []int32
 	ord  OrderingKind
-	// prec is the concrete storage precision of the factor values
-	// (PrecisionFloat32 only on the blocked path).
+	// prec is the concrete storage precision of the factor values.
 	prec Precision
 }
 
 // newIC0 factors a under the ordering ord (OrderingAuto resolved at
-// DefaultWorkers) with factor storage precision prec. The factorization
-// runs on the scalar pattern: the tiles are expanded to a transient CSR that
-// drops their zero padding, so the factor is the one the scalar matrix
-// itself would give.
+// DefaultWorkers) with factor storage precision prec (PrecisionAuto stores
+// float32). The factorization is block IC(0) on the tile pattern (Saad,
+// Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 10): it runs on
+// the tiles as stored, so an exact zero inside a stored tile stays in the
+// pattern. It is serial, so the factor is bitwise identical across runs and
+// worker counts.
 func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
-	return newIC0Layout(a, ord, prec, true)
-}
-
-// newIC0Layout is newIC0 with the blocked-layout commit gated: block ==
-// false keeps the scalar factor even when the tiles would engage, so the
-// equivalence tests can compare the tiled kernels against a scalar factor of
-// the same system. Production paths always pass block == true.
-func newIC0Layout(a *sparse.BCSR, ord OrderingKind, prec Precision, block bool) (*ic0, error) {
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
 	}
@@ -298,99 +278,177 @@ func newIC0Layout(a *sparse.BCSR, ord OrderingKind, prec Precision, block bool) 
 	if perm == nil {
 		ord = OrderingNatural
 	}
-	csc := a.ToCSR().ToCSC()
-	if perm != nil {
-		csc = csc.Permute(perm)
+	colPtr, rowIdx, vals := permutedLowerCols(a, perm)
+	if err := factorBlockIC0(colPtr, rowIdx, vals); err != nil {
+		return nil, err
 	}
-	l := csc.LowerTriangle()
-	n := l.NCols
-	// Column-oriented left-looking IC(0): for each column j, subtract the
-	// contributions of earlier columns restricted to the existing pattern.
-	colStart := make([]int32, n) // position of the diagonal in each column
-	for j := 0; j < n; j++ {
-		if l.ColPtr[j] == l.ColPtr[j+1] || l.RowIdx[l.ColPtr[j]] != int32(j) {
-			return nil, fmt.Errorf("solver: IC0 missing diagonal at column %d", j)
-		}
-		colStart[j] = l.ColPtr[j]
-	}
-	// x is a dense accumulator for the current column.
-	x := make([]float64, n)
-	// For the left-looking update we need, for each row i, the list of
-	// columns j < i with L[i,j] ≠ 0 — build row links incrementally:
-	// next[j] walks column j downward as the factorization proceeds.
-	next := make([]int32, n)
-	for j := 0; j < n; j++ {
-		next[j] = l.ColPtr[j] + 1 // first sub-diagonal entry
-	}
-	// head[i] chains the columns whose next entry has row i.
-	head := make([]int32, n)
-	link := make([]int32, n)
-	for i := range head {
-		head[i] = -1
-	}
-	pushCol := func(j int32) {
-		if next[j] < l.ColPtr[j+1] {
-			i := l.RowIdx[next[j]]
-			link[j] = head[i]
-			head[i] = j
-		}
-	}
-	for j := 0; j < n; j++ {
-		// Scatter column j of the current (partially updated) matrix.
-		for p := l.ColPtr[j]; p < l.ColPtr[j+1]; p++ {
-			x[l.RowIdx[p]] = l.Vals[p]
-		}
-		// Apply updates from all columns k < j with L[j,k] != 0.
-		for k := head[j]; k != -1; {
-			nextK := link[k]
-			pjk := next[k] // entry L[j,k]
-			ljk := l.Vals[pjk]
-			// Subtract ljk * column k (rows >= j) on the pattern of col j.
-			for p := pjk; p < l.ColPtr[k+1]; p++ {
-				x[l.RowIdx[p]] -= ljk * l.Vals[p]
-			}
-			// Advance column k to its next row and re-chain.
-			next[k] = pjk + 1
-			pushCol(k)
-			k = nextK
-		}
-		// Pivot.
-		d := x[j]
-		if d <= 0 {
-			// Standard IC0 breakdown remedy: shift to a safe positive value.
-			d = math.Abs(d) + 1e-12
-		}
-		d = math.Sqrt(d)
-		l.Vals[colStart[j]] = d
-		x[j] = 0
-		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
-			i := l.RowIdx[p]
-			l.Vals[p] = x[i] / d
-			x[i] = 0
-		}
-		pushCol(int32(j))
-	}
-	t, err := sparse.NewLowerTriFromCSC(l)
+	single := prec != PrecisionFloat64
+	l, err := sparse.NewBlockLowerTri(colPtr, rowIdx, vals, single)
 	if err != nil {
 		return nil, fmt.Errorf("solver: IC0: %w", err)
 	}
-	p := &ic0{t: t, perm: perm, ord: ord, prec: PrecisionFloat64}
-	// Commit to the 3×3-tiled layout when the tiles are dense enough to pay
-	// (reduced global matrices always are; low-fill stencils keep the scalar
-	// factor). PrecisionAuto resolves to float32 exactly when blocking
-	// engages — the scalar layout keeps float64 storage, so an explicit
-	// PrecisionFloat32 request on a low-fill matrix degrades gracefully and
-	// Stats report the truth.
-	if block {
-		single := prec != PrecisionFloat64
-		if bt, berr := sparse.NewBlockLowerTri(t, single); berr == nil && bt.Fill() >= BlockFillMin {
-			p.bt, p.t = bt, nil
-			if single {
-				p.prec = PrecisionFloat32
+	p := &ic0{l: l, perm: perm, ord: ord, prec: PrecisionFloat64}
+	if single {
+		p.prec = PrecisionFloat32
+	}
+	return p, nil
+}
+
+// permutedLowerCols returns the lower triangle of P·A·Pᵀ in block-column
+// form for the node-level scalar permutation perm (nil = natural): block
+// column J holds the tiles (I, J), I ≥ J, rows ascending. Tile (I, J) of the
+// permuted matrix is tile (inv I, inv J) of a as stored, so sweeping the
+// permuted block rows in ascending order and appending each tile to its
+// column — a counting transpose — yields sorted columns with no CSR or CSC
+// copy and no tile transposed.
+func permutedLowerCols(a *sparse.BCSR, perm []int32) (colPtr, rowIdx []int32, vals []float64) {
+	nb := a.NBRows()
+	newOf := make([]int32, nb) // old block index → permuted
+	oldOf := make([]int32, nb) // permuted block index → old
+	for v := range newOf {
+		q := int32(v)
+		if perm != nil {
+			q = perm[sparse.BlockSize*v] / sparse.BlockSize
+		}
+		newOf[v], oldOf[q] = q, int32(v)
+	}
+	colPtr = make([]int32, nb+1)
+	for i := 0; i < nb; i++ {
+		old := oldOf[i]
+		for p := a.BRowPtr[old]; p < a.BRowPtr[old+1]; p++ {
+			if j := newOf[a.BColIdx[p]]; j <= int32(i) {
+				colPtr[j+1]++
 			}
 		}
 	}
-	return p, nil
+	for j := 0; j < nb; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowIdx = make([]int32, colPtr[nb])
+	vals = make([]float64, 9*len(rowIdx))
+	next := make([]int32, nb)
+	copy(next, colPtr[:nb])
+	for i := 0; i < nb; i++ {
+		old := oldOf[i]
+		for p := a.BRowPtr[old]; p < a.BRowPtr[old+1]; p++ {
+			if j := newOf[a.BColIdx[p]]; j <= int32(i) {
+				q := next[j]
+				next[j] = q + 1
+				rowIdx[q] = int32(i)
+				copy(vals[9*q:9*q+9], a.Vals[9*p:9*p+9])
+			}
+		}
+	}
+	return colPtr, rowIdx, vals
+}
+
+// factorBlockIC0 overwrites the lower triangle in block-column form (as
+// permutedLowerCols returns it) with its zero-fill block incomplete Cholesky
+// factor, left-looking: for each block column J it scatters the column's
+// tiles into a tile accumulator indexed by block row, subtracts
+// L_IK·L_JKᵀ for every earlier column K with a tile in row J (skipping the
+// rows I outside column J's pattern — the dropped fill), takes a dense 3×3
+// Cholesky of the diagonal tile and sets L_IJ = X_IJ·L_JJ⁻ᵀ. A non-positive
+// pivot d is shifted to |d|+1e-12, the standard IC(0) breakdown remedy.
+func factorBlockIC0(colPtr, rowIdx []int32, vals []float64) error {
+	nb := len(colPtr) - 1
+	for j := 0; j < nb; j++ {
+		if colPtr[j] == colPtr[j+1] || rowIdx[colPtr[j]] != int32(j) {
+			return fmt.Errorf("solver: IC0 missing diagonal at block column %d", j)
+		}
+	}
+	x := make([]float64, 9*nb)
+	// mark[i] == j while block row i is in column j's pattern.
+	mark := make([]int32, nb)
+	for i := range mark {
+		mark[i] = -1
+	}
+	// next[k] walks column k downward as the factorization proceeds; head[i]
+	// chains the columns whose next tile lies in block row i.
+	next := make([]int32, nb)
+	head := make([]int32, nb)
+	link := make([]int32, nb)
+	for i := range head {
+		head[i] = -1
+	}
+	push := func(k int32) {
+		if next[k] < colPtr[k+1] {
+			i := rowIdx[next[k]]
+			link[k] = head[i]
+			head[i] = k
+		}
+	}
+	for j := int32(0); j < int32(nb); j++ {
+		lo, hi := colPtr[j], colPtr[j+1]
+		for p := lo; p < hi; p++ {
+			copy(x[9*rowIdx[p]:9*rowIdx[p]+9], vals[9*p:9*p+9])
+			mark[rowIdx[p]] = j
+		}
+		for k := head[j]; k != -1; {
+			nextK := link[k]
+			pjk := next[k]
+			schurUpdate(x, mark, j, rowIdx[pjk:colPtr[k+1]], vals[9*pjk:9*colPtr[k+1]])
+			next[k] = pjk + 1
+			push(k)
+			k = nextK
+		}
+		d := vals[9*lo : 9*lo+9 : 9*lo+9]
+		chol3(d, x[9*j:9*j+9])
+		for p := lo + 1; p < hi; p++ {
+			xi := x[9*rowIdx[p] : 9*rowIdx[p]+9 : 9*rowIdx[p]+9]
+			li := vals[9*p : 9*p+9 : 9*p+9]
+			for r := 0; r < 9; r += 3 {
+				y0 := xi[r] / d[0]
+				y1 := (xi[r+1] - y0*d[3]) / d[4]
+				li[r], li[r+1], li[r+2] = y0, y1, (xi[r+2]-y0*d[6]-y1*d[7])/d[8]
+			}
+		}
+		next[j] = lo + 1
+		push(j)
+	}
+	return nil
+}
+
+// schurUpdate subtracts L_IK·L_JKᵀ from the accumulator tile of every block
+// row I of one column K's remaining tiles that column j's pattern holds
+// (mark[I] == j): rows lists those block rows (the first is J itself) and
+// tiles their values, the first being L_JK.
+func schurUpdate(x []float64, mark []int32, j int32, rows []int32, tiles []float64) {
+	m := tiles[0:9:9]
+	m0, m1, m2, m3, m4, m5, m6, m7, m8 := m[0], m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]
+	for q, i := range rows {
+		if mark[i] != j {
+			continue
+		}
+		l := tiles[9*q : 9*q+9 : 9*q+9]
+		xi := x[9*i : 9*i+9 : 9*i+9]
+		for r := 0; r < 9; r += 3 {
+			a0, a1, a2 := l[r], l[r+1], l[r+2]
+			xi[r] -= a0*m0 + a1*m1 + a2*m2
+			xi[r+1] -= a0*m3 + a1*m4 + a2*m5
+			xi[r+2] -= a0*m6 + a1*m7 + a2*m8
+		}
+	}
+}
+
+// chol3 writes into d the lower-triangular Cholesky factor of the symmetric
+// 3×3 tile whose lower triangle x holds, shifting each non-positive pivot
+// as factorBlockIC0 describes. The upper entries of d are zeroed.
+func chol3(d, x []float64) {
+	pivot := func(v float64) float64 {
+		if v <= 0 {
+			v = math.Abs(v) + 1e-12
+		}
+		return math.Sqrt(v)
+	}
+	l00 := pivot(x[0])
+	l10, l20 := x[3]/l00, x[6]/l00
+	l11 := pivot(x[4] - l10*l10)
+	l21 := (x[7] - l20*l10) / l11
+	l22 := pivot(x[8] - l20*l20 - l21*l21)
+	d[0], d[1], d[2] = l00, 0, 0
+	d[3], d[4], d[5] = l10, l11, 0
+	d[6], d[7], d[8] = l20, l21, l22
 }
 
 // Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r with the serial triangular solves —
@@ -407,19 +465,13 @@ func (p *ic0) Apply(dst, r []float64) { p.applyPar(dst, r, nil) }
 //stressvet:noalloc
 func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 	var pool *sparse.Pool
-	var sc *sparse.TriScratch
-	var bsc *sparse.BlockTriScratch
+	var sc *sparse.BlockTriScratch
 	if ws != nil {
-		pool, sc, bsc = ws.pool, &ws.tri, &ws.btri
+		pool, sc = ws.pool, &ws.tri
 	}
 	if p.perm == nil {
-		if p.bt != nil {
-			p.bt.SolveLowerPar(dst, r, pool, bsc)
-			p.bt.SolveUpperPar(dst, dst, pool, bsc)
-			return
-		}
-		p.t.SolveLowerPar(dst, r, pool, sc)
-		p.t.SolveUpperPar(dst, dst, pool, sc)
+		p.l.SolveLowerPar(dst, r, pool, sc)
+		p.l.SolveUpperPar(dst, dst, pool, sc)
 		return
 	}
 	// Permuted application: scatter r into factor order, solve both
@@ -435,13 +487,8 @@ func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 	for i, v := range r {
 		buf[p.perm[i]] = v
 	}
-	if p.bt != nil {
-		p.bt.SolveLowerPar(buf, buf, pool, bsc)
-		p.bt.SolveUpperPar(buf, buf, pool, bsc)
-	} else {
-		p.t.SolveLowerPar(buf, buf, pool, sc)
-		p.t.SolveUpperPar(buf, buf, pool, sc)
-	}
+	p.l.SolveLowerPar(buf, buf, pool, sc)
+	p.l.SolveUpperPar(buf, buf, pool, sc)
 	for i := range dst {
 		dst[i] = buf[p.perm[i]]
 	}
@@ -452,15 +499,11 @@ func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 func (p *ic0) Ordering() OrderingKind { return p.ord }
 
 // Levels reports the factor's forward-schedule shape: dependency-level count
-// and widest level in rows (implements FactorLevels; the measurement harness
-// and the BENCH snapshot read it). For a blocked factor the count is in
-// block levels (block rows advance together) and the width is converted to
-// scalar rows so the number stays comparable across layouts.
+// and widest level (implements FactorLevels; the measurement harness and the
+// BENCH snapshot read it). The count is in block levels (block rows advance
+// together) and the width is in scalar rows.
 func (p *ic0) Levels() (count, maxWidth int) {
-	if p.bt != nil {
-		return p.bt.Fwd.NumLevels(), sparse.BlockSize * p.bt.Fwd.MaxWidth()
-	}
-	return p.t.Fwd.NumLevels(), p.t.Fwd.MaxWidth()
+	return p.l.Fwd.NumLevels(), sparse.BlockSize * p.l.Fwd.MaxWidth()
 }
 
 // FactorPrecision reports the concrete storage precision of the factor
@@ -468,18 +511,9 @@ func (p *ic0) Levels() (count, maxWidth int) {
 // off this).
 func (p *ic0) FactorPrecision() Precision { return p.prec }
 
-// Blocked reports whether the factor committed to the 3×3-tiled layout.
-func (p *ic0) Blocked() bool { return p.bt != nil }
-
 // MemoryBytes reports the factor's footprint (both triangles + schedules +
 // the ordering permutation, when present).
-func (p *ic0) MemoryBytes() int64 {
-	b := int64(4 * len(p.perm))
-	if p.bt != nil {
-		return b + p.bt.MemoryBytes()
-	}
-	return b + p.t.MemoryBytes()
-}
+func (p *ic0) MemoryBytes() int64 { return int64(4*len(p.perm)) + p.l.MemoryBytes() }
 
 // PCG is the preconditioned conjugate gradient for symmetric positive-
 // definite systems, with a held as 3×3 tiles. The preconditioner comes from

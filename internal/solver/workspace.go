@@ -29,8 +29,7 @@ type Workspace struct {
 	bmv       sparse.BlockMatVec
 	bmvBounds []int32
 	bmvReady  bool
-	tri       sparse.TriScratch
-	btri      sparse.BlockTriScratch
+	tri       sparse.BlockTriScratch
 	// permBuf is the scratch of permuted preconditioner applications
 	// (ic0 under a non-natural ordering). A dedicated field rather than a
 	// vec(): applyPar runs once per iteration, and the vec free-list is

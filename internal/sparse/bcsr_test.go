@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -372,65 +373,172 @@ func TestBCSRPartitionWeighsBlockRows(t *testing.T) {
 	}
 }
 
-// blockTris builds the blocked-factor test set: the lowertri_test.go shapes
-// at dimensions divisible by BlockSize.
-func blockTris(t *testing.T) map[string]*LowerTri {
-	t.Helper()
-	rng := rand.New(rand.NewSource(41))
-	cases := map[string]*CSC{
-		"random-300":    randLowerCSC(rng, 300, 6),
-		"random-3000":   randLowerCSC(rng, 3000, 12),
-		"diagonal":      diagCSC(501),
-		"dense-row":     denseLastRowCSC(402),
-		"serial-chain":  chainCSC(300),
-		"single-block":  diagCSC(3),
-		"random-sparse": randLowerCSC(rng, 801, 2),
+// blockCase is one blocked-factor test shape: a scalar lower-triangular
+// factor in CSC (diagonal first in each column), the reference the tiled
+// solves are checked against.
+type blockCase struct{ l *CSC }
+
+// blockCols groups a scalar lower-triangular CSC into the block-column form
+// NewBlockLowerTri takes. Read as rows, the CSC arrays are Lᵀ, so tiling
+// them gives the tiles of Lᵀ by block row — L's block columns — and
+// transposing each tile gives L_IJ.
+func blockCols(l *CSC) (colPtr, rowIdx []int32, vals []float64) {
+	nb := l.NCols / BlockSize
+	colPtr, rowIdx, vals = tileRows(nb, nb, l.ColPtr, l.RowIdx, l.Vals)
+	for p := range rowIdx {
+		v := vals[9*p : 9*p+9]
+		v[1], v[3] = v[3], v[1]
+		v[2], v[6] = v[6], v[2]
+		v[5], v[7] = v[7], v[5]
 	}
-	out := make(map[string]*LowerTri, len(cases))
-	for name, csc := range cases {
-		tri, err := NewLowerTriFromCSC(csc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = tri
-	}
-	return out
+	return colPtr, rowIdx, vals
 }
 
-func TestNewBlockLowerTriRejectsBadDims(t *testing.T) {
-	tri, err := NewLowerTriFromCSC(chainCSC(4))
+// tri builds the tiled factor of the case.
+func (c blockCase) tri(t *testing.T, single bool) *BlockLowerTri {
+	t.Helper()
+	colPtr, rowIdx, vals := blockCols(c.l)
+	bt, err := NewBlockLowerTri(colPtr, rowIdx, vals, single)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBlockLowerTri(tri, false); err == nil {
-		t.Error("N=4 accepted, want divisibility error")
+	return bt
+}
+
+// solveLower solves L·dst = b with the scalar columns of the case.
+func (c blockCase) solveLower(dst, b []float64) {
+	l := c.l
+	copy(dst, b)
+	for j := 0; j < l.NCols; j++ {
+		dst[j] /= l.Vals[l.ColPtr[j]]
+		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
+			dst[l.RowIdx[p]] -= l.Vals[p] * dst[j]
+		}
 	}
-	if _, err := NewBlockLowerTri(tri, true); err == nil {
-		t.Error("N=4 accepted in single precision, want divisibility error")
+}
+
+// solveUpper solves Lᵀ·dst = b with the scalar columns of the case.
+func (c blockCase) solveUpper(dst, b []float64) {
+	l := c.l
+	copy(dst, b)
+	for j := l.NCols - 1; j >= 0; j-- {
+		v := dst[j]
+		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
+			v -= l.Vals[p] * dst[l.RowIdx[p]]
+		}
+		dst[j] = v / l.Vals[l.ColPtr[j]]
+	}
+}
+
+// blockTris builds the blocked-factor test set: random, diagonal, arrow and
+// chain factors at dimensions divisible by BlockSize.
+func blockTris(t *testing.T) map[string]blockCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(41))
+	return map[string]blockCase{
+		"random-300":    {randLowerCSC(rng, 300, 6)},
+		"random-3000":   {randLowerCSC(rng, 3000, 12)},
+		"diagonal":      {diagCSC(501)},
+		"dense-row":     {denseLastRowCSC(402)},
+		"serial-chain":  {chainCSC(300)},
+		"single-block":  {diagCSC(3)},
+		"random-sparse": {randLowerCSC(rng, 801, 2)},
+	}
+}
+
+// TestNewBlockLowerTriRejectsBadDims: a column form whose pointers, tiles
+// and values disagree in length, or whose block rows leave the matrix, is
+// rejected instead of indexing out of range.
+func TestNewBlockLowerTriRejectsBadDims(t *testing.T) {
+	colPtr, rowIdx, vals := blockCols(chainCSC(6))
+	bad := map[string]func() ([]int32, []int32, []float64){
+		"no pointers":      func() ([]int32, []int32, []float64) { return nil, nil, nil },
+		"short values":     func() ([]int32, []int32, []float64) { return colPtr, rowIdx, vals[:len(vals)-1] },
+		"pointer overrun":  func() ([]int32, []int32, []float64) { return []int32{0, 1, 4}, rowIdx, vals },
+		"row out of range": func() ([]int32, []int32, []float64) { return colPtr, []int32{0, 2, 1}, vals },
+	}
+	for name, in := range bad {
+		for _, single := range []bool{false, true} {
+			c, r, v := in()
+			if _, err := NewBlockLowerTri(c, r, v, single); err == nil {
+				t.Errorf("%s (single=%v) accepted", name, single)
+			}
+		}
+	}
+}
+
+// TestNewBlockLowerTriRejectsMissingDiagonal: every block column must open
+// with its diagonal tile and list its block rows strictly ascending.
+func TestNewBlockLowerTriRejectsMissingDiagonal(t *testing.T) {
+	tile := make([]float64, 9)
+	for name, in := range map[string][2][]int32{
+		"missing diagonal": {{0, 1, 2}, {1, 1}},
+		"rows descending":  {{0, 3, 4}, {0, 2, 1, 1}},
+		"repeated row":     {{0, 3, 4}, {0, 1, 1, 1}},
+	} {
+		colPtr, rowIdx := in[0], in[1]
+		if _, err := NewBlockLowerTri(colPtr, rowIdx, slices.Repeat(tile, len(rowIdx)), false); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestBlockLowerTriSolvesInverse checks the serial solves against the
+// definition: L·(SolveLower(b)) must reproduce b, and likewise for Lᵀ,
+// with the products taken over the stored tiles.
+func TestBlockLowerTriSolvesInverse(t *testing.T) {
+	for name, c := range blockTris(t) {
+		// A fresh per-case rng: map iteration order is random, so drawing b
+		// from one shared stream would make each case's data — and its
+		// rounding — depend on the order.
+		rng := rand.New(rand.NewSource(5))
+		bt := c.tri(t, false)
+		n := bt.N
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		for dir, tri := range map[string]struct {
+			solve    func(dst, b []float64)
+			ptr, idx []int32
+			vals     []float64
+		}{
+			"L":  {bt.SolveLower, bt.BRowPtr, bt.BColIdx, bt.Vals},
+			"Lᵀ": {bt.SolveUpper, bt.BUpPtr, bt.BUpIdx, bt.UpVals},
+		} {
+			y := make([]float64, n)
+			tri.solve(y, b)
+			back := &BCSR{NRows: n, NCols: n, BRowPtr: tri.ptr, BColIdx: tri.idx, Vals: tri.vals}
+			got := make([]float64, n)
+			back.MulVec(got, y)
+			for r := range got {
+				if d := got[r] - b[r]; d > 1e-9 || d < -1e-9 {
+					t.Errorf("%s: (%s·y)[%d] = %g, want %g", name, dir, r, got[r], b[r])
+					break
+				}
+			}
+		}
 	}
 }
 
 // TestBlockLowerTriMatchesScalar: the float64 blocked solves regroup the
-// same products as the scalar reference (three columns per tile instead of
-// one), so they agree to rounding noise on every factor shape.
+// same products as the scalar column sweeps (three columns per tile instead
+// of one), so they agree to rounding noise on every factor shape.
 func TestBlockLowerTriMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for name, tri := range blockTris(t) {
-		bt, err := NewBlockLowerTri(tri, false)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for name, c := range blockTris(t) {
+		bt := c.tri(t, false)
 		if bt.Single() {
 			t.Fatalf("%s: double-precision factor reports Single()", name)
 		}
-		n := tri.N
+		n := bt.N
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
 		for dir, solves := range map[string][2]func([]float64, []float64){
-			"lower": {tri.SolveLower, bt.SolveLower},
-			"upper": {tri.SolveUpper, bt.SolveUpper},
+			"lower": {c.solveLower, bt.SolveLower},
+			"upper": {c.solveUpper, bt.SolveUpper},
 		} {
 			want := make([]float64, n)
 			solves[0](want, b)
@@ -461,35 +569,24 @@ func TestBlockLowerTriSingleMatchesRoundedScalar(t *testing.T) {
 		"serial-chain": chainCSC(300),
 	}
 	for name, csc := range cases {
-		tri, err := NewLowerTriFromCSC(csc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		bt, err := NewBlockLowerTri(tri, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		bt := blockCase{csc}.tri(t, true)
 		if !bt.Single() {
 			t.Fatalf("%s: single-precision factor does not report Single()", name)
 		}
 		// Scalar reference over the same rounded values.
-		rounded := &CSC{NRows: csc.NRows, NCols: csc.NCols, ColPtr: csc.ColPtr,
-			RowIdx: csc.RowIdx, Vals: make([]float64, len(csc.Vals))}
+		rounded := blockCase{&CSC{NRows: csc.NRows, NCols: csc.NCols, ColPtr: csc.ColPtr,
+			RowIdx: csc.RowIdx, Vals: make([]float64, len(csc.Vals))}}
 		for i, v := range csc.Vals {
-			rounded.Vals[i] = float64(float32(v))
+			rounded.l.Vals[i] = float64(float32(v))
 		}
-		rtri, err := NewLowerTriFromCSC(rounded)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		n := tri.N
+		n := bt.N
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
 		for dir, solves := range map[string][2]func([]float64, []float64){
-			"lower": {rtri.SolveLower, bt.SolveLower},
-			"upper": {rtri.SolveUpper, bt.SolveUpper},
+			"lower": {rounded.solveLower, bt.SolveLower},
+			"upper": {rounded.solveUpper, bt.SolveUpper},
 		} {
 			want := make([]float64, n)
 			solves[0](want, b)
@@ -505,24 +602,21 @@ func TestBlockLowerTriSingleMatchesRoundedScalar(t *testing.T) {
 	}
 }
 
-// TestBlockLowerTriParBitwiseMatchesSerial is the blocked analogue of the
-// scalar level-scheduling contract: the parallel sweeps share the serial row
-// kernels, so every pool size and precision must be
-// bitwise identical to the serial blocked solve.
+// TestBlockLowerTriParBitwiseMatchesSerial is the level-scheduling
+// correctness contract: the parallel sweeps share the serial block-row
+// kernels, so every pool size and precision must be bitwise identical to
+// the serial blocked solve.
 func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
-	for name, tri := range blockTris(t) {
+	for name, c := range blockTris(t) {
 		for _, single := range []bool{false, true} {
-			bt, err := NewBlockLowerTri(tri, single)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			bt := c.tri(t, single)
 			prec := "f64"
 			if single {
 				prec = "f32"
 			}
-			n := tri.N
+			n := bt.N
 			b := make([]float64, n)
 			for i := range b {
 				b[i] = rng.NormFloat64()
@@ -563,19 +657,16 @@ func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 
 // TestBlockScheduleWeighsTiles pins the unitWork=9 calibration: a block
 // diagonal with 500 tiles carries 4500 scalar-entry units of work per level
-// and must pre-split for parallel sweeps, while the scalar schedule of the
-// same 1500-row factor (1500 units) stays serial. Without the scale the
-// blocked schedule would count 500 raw pointer units and collapse too.
+// and must pre-split for parallel sweeps, while a schedule of 1500 rows of
+// one entry each (1500 units) stays serial. Without the scale the blocked
+// schedule would count 500 raw pointer units and collapse too.
 func TestBlockScheduleWeighsTiles(t *testing.T) {
-	tri, err := NewLowerTriFromCSC(diagCSC(1500))
-	if err != nil {
-		t.Fatal(err)
+	bt := blockCase{diagCSC(1500)}.tri(t, false)
+	rowPtr := make([]int32, 1501)
+	for i := range rowPtr {
+		rowPtr[i] = int32(i)
 	}
-	bt, err := NewBlockLowerTri(tri, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tri.Fwd.parallel {
+	if newLevelSchedule(make([]int32, 1500), rowPtr, 1).parallel {
 		t.Error("scalar diagonal-1500 schedule claims to be parallelizable")
 	}
 	if !bt.Fwd.parallel || !bt.Bwd.parallel {
@@ -590,18 +681,8 @@ func TestBlockScheduleWeighsTiles(t *testing.T) {
 // tiles in half the value bytes; index and schedule overhead is unchanged.
 func TestBlockLowerTriMemoryHalvedBySingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	tri, err := NewLowerTriFromCSC(randLowerCSC(rng, 900, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	double, err := NewBlockLowerTri(tri, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewBlockLowerTri(tri, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := blockCase{randLowerCSC(rng, 900, 8)}
+	double, single := c.tri(t, false), c.tri(t, true)
 	saved := double.MemoryBytes() - single.MemoryBytes()
 	want := 4 * int64(len(double.Vals)+len(double.UpVals))
 	if saved != want {

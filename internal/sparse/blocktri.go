@@ -2,13 +2,16 @@ package sparse
 
 import "fmt"
 
-// BlockLowerTri is the 3×3-tiled form of a LowerTri factor: both triangles
-// regrouped into dense tiles (zero-filled where the scalar pattern is
-// absent), with dependency levels scheduled over block rows instead of
-// scalar rows. The forward/backward sweeps become small GEMV micro-kernels —
-// one column index per tile instead of per scalar, unrolled 3×3 inner loops —
-// which is where the blocked apply win comes from: triangular solves are
-// bandwidth-bound and the tiled layout moves ~1/3 the index bytes.
+// BlockLowerTri is a sparse lower-triangular factor L held as dense 3×3
+// tiles, stored for fast repeated solves of L·y = b and Lᵀ·z = y — the
+// application of the block incomplete-Cholesky preconditioner. Both
+// triangles are kept by block rows, so each solve is a gather over finished
+// block rows, and block rows that do not depend on one another are grouped
+// into dependency levels (Fwd, Bwd) computed once from the tile pattern.
+// The sweeps are small GEMV micro-kernels — one column index per tile
+// instead of per scalar, unrolled 3×3 inner loops — and because every block
+// row is computed by the same kernel whatever the schedule, the parallel
+// solves are bitwise identical to the serial ones.
 //
 // Values are stored in exactly one precision: float64 (Vals/UpVals) or
 // float32 (Vals32/UpVals32). The solve kernels always accumulate in float64,
@@ -30,8 +33,6 @@ type BlockLowerTri struct {
 	Vals32, UpVals32 []float32
 	// Fwd and Bwd are dependency schedules over block rows.
 	Fwd, Bwd *LevelSchedule
-	// ScalarNNZ is the stored-entry count of one scalar triangle.
-	ScalarNNZ int
 }
 
 // NBRows returns the number of block rows.
@@ -39,16 +40,6 @@ func (t *BlockLowerTri) NBRows() int { return t.N / BlockSize }
 
 // Single reports whether the factor values are stored in float32.
 func (t *BlockLowerTri) Single() bool { return t.Vals32 != nil }
-
-// Fill returns the fraction of stored tile entries backed by the scalar
-// pattern (diagonal tiles count their zero upper halves as padding, so even
-// a fully dense node-block factor reads below 1.0).
-func (t *BlockLowerTri) Fill() float64 {
-	if len(t.BColIdx) == 0 {
-		return 1
-	}
-	return float64(t.ScalarNNZ) / float64(9*len(t.BColIdx))
-}
 
 // MemoryBytes estimates the storage footprint (both triangles + schedules).
 func (t *BlockLowerTri) MemoryBytes() int64 {
@@ -63,40 +54,85 @@ func (t *BlockLowerTri) MemoryBytes() int64 {
 	return b
 }
 
-// NewBlockLowerTri tiles a scalar LowerTri into 3×3 blocks. The dimension
-// must be a multiple of BlockSize (Dirichlet reduction constrains whole
-// nodes, so reduced global factors always qualify; arbitrary matrices may
-// not — callers fall back to the scalar factor on error). When single is
-// true the tile values are stored in float32.
-//
-// Callers should check Fill() before committing to the blocked form: a
-// scalar pattern that scatters one entry per tile inflates memory 9× and
-// loses the bandwidth win (the solver keeps the scalar factor below
-// BlockFillMin).
-func NewBlockLowerTri(src *LowerTri, single bool) (*BlockLowerTri, error) {
-	if src.N%BlockSize != 0 {
-		return nil, fmt.Errorf("sparse: BlockLowerTri requires dimension divisible by %d, got %d", BlockSize, src.N)
+// NewBlockLowerTri builds the factor from L in block-column form, the
+// layout a left-looking factorization produces: colPtr bounds each block
+// column's tiles (len nb+1), rowIdx holds their block rows — strictly
+// ascending, diagonal tile first — and vals holds 9 values per tile, L_IJ
+// row-major, the diagonal tiles lower-triangular. Read by columns, those
+// tiles are the block rows of Lᵀ, so the upper triangle shares colPtr and
+// rowIdx (not copied) and transposes each tile; the lower block rows come
+// from one counting transpose, which leaves their block columns ascending
+// and the diagonal tile last. When single is true the tile values are
+// stored in float32. vals is only read.
+func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, single bool) (*BlockLowerTri, error) {
+	nb := len(colPtr) - 1
+	if nb < 0 || colPtr[0] != 0 || int(colPtr[nb]) != len(rowIdx) || len(vals) != 9*len(rowIdx) {
+		return nil, fmt.Errorf("sparse: BlockLowerTri column form is inconsistent: %d pointers, %d tiles, %d values",
+			len(colPtr), len(rowIdx), len(vals))
 	}
-	t := &BlockLowerTri{N: src.N, ScalarNNZ: len(src.Vals)}
-	nbr := t.NBRows()
-	// Both triangles share the tiling routine: ascending block columns per
-	// block row naturally put the diagonal tile last in the lower triangle
-	// (all block cols ≤ br) and first in the upper (all block cols ≥ br).
-	t.BRowPtr, t.BColIdx, t.Vals = tileRows(nbr, nbr, src.RowPtr, src.ColIdx, src.Vals)
-	t.BUpPtr, t.BUpIdx, t.UpVals = tileRows(nbr, nbr, src.UpPtr, src.UpIdx, src.UpVals)
+	for j := 0; j < nb; j++ {
+		lo, hi := colPtr[j], colPtr[j+1]
+		if lo >= hi || rowIdx[lo] != int32(j) {
+			return nil, fmt.Errorf("sparse: BlockLowerTri missing diagonal tile at block column %d", j)
+		}
+		for p := lo + 1; p < hi; p++ {
+			if rowIdx[p] <= rowIdx[p-1] || int(rowIdx[p]) >= nb {
+				return nil, fmt.Errorf("sparse: BlockLowerTri block column %d: rows not ascending within [%d, %d)", j, j, nb)
+			}
+		}
+	}
+	t := &BlockLowerTri{N: BlockSize * nb, BUpPtr: colPtr, BUpIdx: rowIdx}
+	t.BRowPtr = make([]int32, nb+1)
+	for _, i := range rowIdx {
+		t.BRowPtr[i+1]++
+	}
+	for i := 0; i < nb; i++ {
+		t.BRowPtr[i+1] += t.BRowPtr[i]
+	}
+	// pos[p] is the lower-triangle slot of column tile p.
+	t.BColIdx = make([]int32, len(rowIdx))
+	pos := make([]int32, len(rowIdx))
+	next := make([]int32, nb)
+	copy(next, t.BRowPtr[:nb])
+	for j := 0; j < nb; j++ {
+		for p := colPtr[j]; p < colPtr[j+1]; p++ {
+			q := next[rowIdx[p]]
+			next[rowIdx[p]] = q + 1
+			t.BColIdx[q] = int32(j)
+			pos[p] = q
+		}
+	}
 	if single {
-		t.Vals32 = roundTiles(t.Vals)
-		t.UpVals32 = roundTiles(t.UpVals)
-		t.Vals, t.UpVals = nil, nil
+		t.Vals32, t.UpVals32 = make([]float32, len(vals)), make([]float32, len(vals))
+		emitTiles(t.Vals32, t.UpVals32, vals, pos)
+	} else {
+		t.Vals, t.UpVals = make([]float64, len(vals)), make([]float64, len(vals))
+		emitTiles(t.Vals, t.UpVals, vals, pos)
 	}
 	t.buildSchedules()
 	return t, nil
 }
 
+// emitTiles stores column tile p of vals in the lower slot pos[p] as is and
+// in the upper slot p transposed, rounding to the storage type T.
+func emitTiles[T float32 | float64](lower, upper []T, vals []float64, pos []int32) {
+	for p, q := range pos {
+		src := vals[9*p : 9*p+9 : 9*p+9]
+		lo := lower[9*q : 9*q+9 : 9*q+9]
+		up := upper[9*p : 9*p+9 : 9*p+9]
+		for i := 0; i < BlockSize; i++ {
+			for j := 0; j < BlockSize; j++ {
+				v := T(src[BlockSize*i+j])
+				lo[BlockSize*i+j] = v
+				up[BlockSize*j+i] = v
+			}
+		}
+	}
+}
+
 // tileRows groups nbr block rows of scalar CSR arrays (block-column count
 // nbc) into 3×3 tiles, returning block-row pointers, ascending block-column
-// indices, and zero-filled tile values. NewBCSR and both triangles of
-// NewBlockLowerTri share it.
+// indices, and zero-filled tile values. NewBCSR tiles with it.
 func tileRows(nbr, nbc int, rowPtr, colIdx []int32, vals []float64) (bPtr, bIdx []int32, bVals []float64) {
 	bPtr = make([]int32, nbr+1)
 	// Pass 1: count distinct block columns per block row, with a last-seen
@@ -174,19 +210,10 @@ func sortInt32(s []int32) {
 	}
 }
 
-// roundTiles converts tile values to single precision.
-func roundTiles(v []float64) []float32 {
-	s := make([]float32, len(v))
-	for i, x := range v {
-		s[i] = float32(x)
-	}
-	return s
-}
-
 // buildSchedules computes forward/backward dependency levels over block
 // rows. Tiles carry uniform 9-entry work, so the chunk partitioner weighs
-// block rows by tile count scaled to scalar-entry units — keeping the
-// levelChunkWork calibration shared with the scalar schedules.
+// block rows by tile count scaled to scalar-entry units, the levelChunkWork
+// calibration.
 func (t *BlockLowerTri) buildSchedules() {
 	nbr := t.NBRows()
 	level := make([]int32, nbr)
@@ -199,7 +226,7 @@ func (t *BlockLowerTri) buildSchedules() {
 		}
 		level[br] = lv
 	}
-	t.Fwd = newLevelScheduleScaled(level, t.BRowPtr, 9)
+	t.Fwd = newLevelSchedule(level, t.BRowPtr, 9)
 	for br := nbr - 1; br >= 0; br-- {
 		var lv int32
 		for p := t.BUpPtr[br] + 1; p < t.BUpPtr[br+1]; p++ {
@@ -209,7 +236,7 @@ func (t *BlockLowerTri) buildSchedules() {
 		}
 		level[br] = lv
 	}
-	t.Bwd = newLevelScheduleScaled(level, t.BUpPtr, 9)
+	t.Bwd = newLevelSchedule(level, t.BUpPtr, 9)
 }
 
 // blockFwdRow computes one block row of the forward solve: a 3×3 GEMV
@@ -299,7 +326,7 @@ func (t *BlockLowerTri) SolveUpper(dst, b []float64) {
 }
 
 // BlockTriScratch carries the per-caller state of the parallel blocked
-// solves, mirroring TriScratch: a shared factor keeps no mutable state and
+// solves (the dispatched op), so a shared factor keeps no mutable state and
 // pooled solves allocate nothing. Not safe for two concurrent solves; the
 // zero value is ready to use.
 type BlockTriScratch struct {
@@ -344,11 +371,13 @@ func (o *blockTriRun) RunRange(lo, hi int) {
 	}
 }
 
-// SolveLowerPar solves L·dst = b with the forward block-level schedule;
-// semantics match LowerTri.SolveLowerPar (dispatched through pool's gang,
-// serial for a nil or single-worker pool and for narrow schedules, bitwise
-// identical to SolveLower for every pool size). sc must be non-nil when
-// pool is.
+// SolveLowerPar solves L·dst = b with the forward block-level schedule:
+// levels run in order, block rows within a level in parallel across pool's
+// gang. Levels too narrow to pay for fan-out run inline, and a nil or
+// single-worker pool — or a schedule with no parallelizable level at all —
+// takes the plain serial loop. Results are bitwise identical to SolveLower
+// for every pool size. sc carries the dispatched op and must be non-nil when
+// pool is. dst and b may alias.
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {

@@ -33,36 +33,6 @@ func (m *CSC) ToCSR() *CSR {
 	return asCSR.Transpose()
 }
 
-// LowerTriangle returns the lower triangle (including diagonal) of a
-// symmetric matrix in CSC form, which is the input format for Cholesky.
-func (m *CSC) LowerTriangle() *CSC {
-	ptr := make([]int32, m.NCols+1)
-	for c := 0; c < m.NCols; c++ {
-		for p := m.ColPtr[c]; p < m.ColPtr[c+1]; p++ {
-			if m.RowIdx[p] >= int32(c) {
-				ptr[c+1]++
-			}
-		}
-	}
-	for i := 0; i < m.NCols; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	nnz := int(ptr[m.NCols])
-	rows := make([]int32, nnz)
-	vals := make([]float64, nnz)
-	k := 0
-	for c := 0; c < m.NCols; c++ {
-		for p := m.ColPtr[c]; p < m.ColPtr[c+1]; p++ {
-			if m.RowIdx[p] >= int32(c) {
-				rows[k] = m.RowIdx[p]
-				vals[k] = m.Vals[p]
-				k++
-			}
-		}
-	}
-	return &CSC{NRows: m.NRows, NCols: m.NCols, ColPtr: ptr, RowIdx: rows, Vals: vals}
-}
-
 // Permute returns P·m·Pᵀ for the symmetric permutation perm, where
 // perm[old] = new. Row indices within each column are re-sorted.
 func (m *CSC) Permute(perm []int32) *CSC {

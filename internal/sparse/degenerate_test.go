@@ -46,7 +46,7 @@ func TestLevelScheduleGappedLevels(t *testing.T) {
 	// Rows at levels {0, 2, 5}: levels 1, 3, 4 are empty.
 	level := []int32{0, 2, 5, 0, 2, 5, 0}
 	rowPtr := []int32{0, 1, 3, 6, 7, 9, 12, 13}
-	s := newLevelSchedule(level, rowPtr)
+	s := newLevelSchedule(level, rowPtr, 1)
 	if got := s.NumLevels(); got != 3 {
 		t.Fatalf("NumLevels = %d, want 3 (empty levels compacted)", got)
 	}
@@ -92,7 +92,7 @@ func TestLevelScheduleGappedLevels(t *testing.T) {
 // produces: empty schedules, all-diagonal factors (one level), and
 // single-row levels.
 func TestLevelScheduleDegenerateShapes(t *testing.T) {
-	empty := newLevelSchedule(nil, []int32{0})
+	empty := newLevelSchedule(nil, []int32{0}, 1)
 	if empty.NumLevels() != 0 || empty.MaxWidth() != 0 || empty.parallel {
 		t.Errorf("empty schedule: levels=%d width=%d parallel=%v", empty.NumLevels(), empty.MaxWidth(), empty.parallel)
 	}
@@ -103,7 +103,7 @@ func TestLevelScheduleDegenerateShapes(t *testing.T) {
 	for i := range rowPtr {
 		rowPtr[i] = int32(i)
 	}
-	diag := newLevelSchedule(level, rowPtr)
+	diag := newLevelSchedule(level, rowPtr, 1)
 	if diag.NumLevels() != 1 || diag.MaxWidth() != n {
 		t.Errorf("diagonal schedule: levels=%d width=%d, want 1, %d", diag.NumLevels(), diag.MaxWidth(), n)
 	}
@@ -111,7 +111,7 @@ func TestLevelScheduleDegenerateShapes(t *testing.T) {
 	for i := range level {
 		level[i] = int32(i)
 	}
-	chain := newLevelSchedule(level, rowPtr)
+	chain := newLevelSchedule(level, rowPtr, 1)
 	if chain.NumLevels() != n || chain.MaxWidth() != 1 || chain.parallel {
 		t.Errorf("chain schedule: levels=%d width=%d parallel=%v", chain.NumLevels(), chain.MaxWidth(), chain.parallel)
 	}

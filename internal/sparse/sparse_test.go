@@ -216,26 +216,6 @@ func TestCSCRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLowerTriangle(t *testing.T) {
-	tr := NewTriplet(3, 3, 9)
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			tr.Add(r, c, 1)
-		}
-	}
-	lt := tr.ToCSR().ToCSC().LowerTriangle()
-	if lt.NNZ() != 6 {
-		t.Fatalf("lower triangle nnz %d, want 6", lt.NNZ())
-	}
-	for c := 0; c < 3; c++ {
-		for p := lt.ColPtr[c]; p < lt.ColPtr[c+1]; p++ {
-			if lt.RowIdx[p] < int32(c) {
-				t.Fatal("entry above diagonal")
-			}
-		}
-	}
-}
-
 func TestPermute(t *testing.T) {
 	// A 3×3 symmetric matrix permuted by reversal must equal the manual
 	// reindexing.
