@@ -109,8 +109,8 @@ func runIngest(baselinePath string, raw []byte, base *baseline, cfg ingestConfig
 	set[key] = updated
 	tun := tuning.Derive(updated, true)
 	fmt.Printf("ingest: profile %s ok (%d benchmarks, %d loadgen endpoints)\n", key, len(updated.Benchmarks), len(updated.Loadgen))
-	fmt.Printf("ingest: derived tunables for %s: ic0_threshold=%d multicolor_width=%d workers=%d\n",
-		key, tun.IC0Threshold, tun.MulticolorWidth, tun.Workers)
+	fmt.Printf("ingest: derived tunables for %s: ic0_threshold=%d workers=%d\n",
+		key, tun.IC0Threshold, tun.Workers)
 	fmt.Printf("ingest: derivation: %s\n", tun.Source)
 
 	wrote := false
@@ -330,9 +330,8 @@ func gateLoadgen(b *strings.Builder, pinned *tuning.HostProfile, eps map[string]
 }
 
 // deriveTuningData refreshes the profile's measured aggregates from the
-// benchmark rows internal/solver/tuning documents: the multicolor IC0-apply
-// speedup from BenchmarkIC0Apply's narrowDAG-multicolor rows and the
-// parallel mat-vec speedup from BenchmarkBlockedMulVec's blocked rows.
+// benchmark rows internal/solver/tuning documents: the parallel mat-vec
+// speedup from BenchmarkBlockedMulVec's blocked rows.
 // Crossover rows come from the MEASURE=1 harness, not bench output, so any
 // existing ones are preserved untouched.
 func deriveTuningData(p *tuning.HostProfile) {
@@ -340,13 +339,10 @@ func deriveTuningData(p *tuning.HostProfile) {
 	if td == nil {
 		td = &tuning.TuningData{}
 	}
-	if s, pool, ok := valuePair(p, "BenchmarkIC0Apply", "narrowDAG-multicolor/serial", "narrowDAG-multicolor/levelsched-pool"); ok {
-		td.MulticolorApplySpeedup = roundRatio(s / pool)
-	}
 	if s, par, ok := valuePair(p, "BenchmarkBlockedMulVec", "blocked/serial", "blocked/par"); ok {
 		td.MatvecParSpeedup = roundRatio(s / par)
 	}
-	if td.MulticolorApplySpeedup != 0 || td.MatvecParSpeedup != 0 || len(td.PrecondCrossover) > 0 {
+	if td.MatvecParSpeedup != 0 || len(td.PrecondCrossover) > 0 {
 		p.Tuning = td
 	}
 }

@@ -32,7 +32,7 @@ const ingestBaseline = `{
       },
       "tuning": {
         "precond_crossover": [ { "dofs": 2709, "ic0_warm_ms": 14, "bj3_warm_ms": 20 } ],
-        "multicolor_apply_speedup": 1.04
+        "matvec_par_speedup": 1.04
       }
     }
   }
@@ -135,11 +135,8 @@ func TestIngestRoundTrip(t *testing.T) {
 	if p.Tuning == nil || len(p.Tuning.PrecondCrossover) != 1 || p.Tuning.PrecondCrossover[0].DoFs != 2709 {
 		t.Errorf("crossover rows did not survive ingest: %+v", p.Tuning)
 	}
-	// 1280000/1210000 = 1.06, 830000/910000 = 0.91 — re-derived from the
-	// fresh rows, not the pinned 1.04.
-	if p.Tuning.MulticolorApplySpeedup != 1.06 {
-		t.Errorf("MulticolorApplySpeedup = %v, want 1.06", p.Tuning.MulticolorApplySpeedup)
-	}
+	// 830000/910000 = 0.91 — re-derived from the fresh rows, not the
+	// pinned 1.04.
 	if p.Tuning.MatvecParSpeedup != 0.91 {
 		t.Errorf("MatvecParSpeedup = %v, want 0.91", p.Tuning.MatvecParSpeedup)
 	}
@@ -156,8 +153,8 @@ func TestIngestRoundTrip(t *testing.T) {
 	if tun.IC0Threshold != 2500 {
 		t.Errorf("derived IC0Threshold = %d, want 2500", tun.IC0Threshold)
 	}
-	if tun.MulticolorWidth != 0 || tun.Workers != 1 {
-		t.Errorf("derived width/workers = %d/%d, want 0/1 on n1", tun.MulticolorWidth, tun.Workers)
+	if tun.Workers != 1 {
+		t.Errorf("derived workers = %d, want 1 on n1", tun.Workers)
 	}
 
 	// The -snapshot artifact is a bare host_profiles object tuning can parse.

@@ -144,8 +144,7 @@ func main() {
 		}
 		log.Printf("router: tuning snapshot unusable, keeping hand-set defaults: %v", err)
 	}
-	log.Printf("router: tuning: ic0 threshold %d, multicolor width %d (%s)",
-		tun.IC0Threshold, tun.MulticolorWidth, tun.Source)
+	log.Printf("router: tuning: ic0 threshold %d (%s)", tun.IC0Threshold, tun.Source)
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {

@@ -133,12 +133,13 @@
 // and warmStart. See docs/SOLVER_TUNING.md for guidance and measurements.
 //
 // The thresholds behind "auto" are measured, not guessed: at startup the
-// process derives the IC0 crossover, multicolor ordering width, and worker
-// default from the ingested host profile matching this GOOS/GOARCH/nproc
-// (-tuning FILE points at a bench-global/v2 baseline or bare host_profiles
-// snapshot; empty uses the embedded snapshot; hand-set constants remain the
-// fallback when no profile matches). See docs/MEASUREMENT.md for how
-// profiles are produced and ingested.
+// process derives the IC0 crossover and the worker default from the
+// ingested host profile matching this GOOS/GOARCH/nproc (-tuning FILE
+// points at a bench-global/v2 baseline or bare host_profiles snapshot; empty
+// uses the embedded snapshot; hand-set constants remain the fallback when no
+// profile matches). The ordering needs no knob of its own: "auto" picks
+// multicolor IC0 from the system size and the solve's worker count. See
+// docs/MEASUREMENT.md for how profiles are produced and ingested.
 package main
 
 import (
@@ -212,8 +213,8 @@ func main() {
 		}
 		log.Printf("serve: tuning snapshot unusable, keeping hand-set defaults: %v", err)
 	}
-	log.Printf("serve: tuning: ic0 threshold %d, multicolor width %d, workers %d (%s)",
-		tun.IC0Threshold, tun.MulticolorWidth, tun.Workers, tun.Source)
+	log.Printf("serve: tuning: ic0 threshold %d, workers %d (%s)",
+		tun.IC0Threshold, tun.Workers, tun.Source)
 	engineOpt := morestress.EngineOptions{
 		Workers:          *workers,
 		CacheBytes:       *cacheBytes,

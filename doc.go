@@ -52,8 +52,9 @@
 //     amortized IC0 above solver.AutoIC0Threshold DoFs;
 //     SolverOptions.Precond overrides) with level-scheduled IC0 triangular
 //     solves, an auto-selected symmetric factor ordering
-//     (SolverOptions.Ordering: multicolor when the natural-order
-//     dependency levels are too narrow to fan out, natural otherwise) and
+//     (SolverOptions.Ordering: multicolor when the system reaches
+//     solver.AutoMulticolorMinDoFs and the solve runs more than one
+//     worker, natural otherwise) and
 //     an allocation-free PCG hot loop, and uniform-ΔT sweeps are chained
 //     in ΔT order so each solve warm-starts from its neighbor's solution,
 //     falling back to a cold solve on divergence. EngineStats and

@@ -306,15 +306,9 @@ type Assembly struct {
 	aff *sparse.BCSR
 
 	// pmu guards preconds, the lazily built per-(kind, ordering, precision)
-	// preconditioner cache, and the memoized level-width probe.
+	// preconditioner cache.
 	pmu      sync.Mutex
 	preconds map[precondKey]*assemblyPrecond
-	// widthKnown/naturalWidth memoize solver.NaturalLevelWidth of the
-	// reduced matrix — the O(nnz) part of the OrderingAuto rule — paid once
-	// per lattice. The decision itself is re-derived per solve because it
-	// also depends on the solve's worker count.
-	widthKnown   bool
-	naturalWidth int
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
@@ -350,8 +344,9 @@ type AssemblyPrecond struct {
 	// reduced system size).
 	Kind solver.PrecondKind
 	// Ordering is the concrete symmetric ordering the preconditioner was
-	// built under (Auto resolved against the reduced matrix's level
-	// structure; OrderingNatural for the ordering-invariant kinds).
+	// built under (Auto resolved against the reduced system size and the
+	// requesting solve's workers; OrderingNatural for the ordering-invariant
+	// kinds).
 	Ordering solver.OrderingKind
 	// Precision is the concrete storage precision of the built factor:
 	// float32 only when an IC0 factor committed to the 3×3-tiled form,
@@ -363,26 +358,6 @@ type AssemblyPrecond struct {
 	Hit bool
 	// Build is the construction cost paid by this call; zero on a hit.
 	Build time.Duration
-}
-
-// naturalLevelWidth returns the reduced matrix's natural-order level width
-// (solver.NaturalLevelWidth), memoizing the O(nnz) probe so the per-solve
-// OrderingAuto resolution pays it at most once per lattice.
-func (a *Assembly) naturalLevelWidth() int {
-	a.pmu.Lock()
-	known, width := a.widthKnown, a.naturalWidth
-	a.pmu.Unlock()
-	if known {
-		return width
-	}
-	// Probe outside the lock so a multi-second first lookup does not block
-	// concurrent PreconditionerPrec requests for other kinds; the sweep is
-	// idempotent, so a concurrent double-compute is benign.
-	width = solver.NaturalLevelWidth(a.aff)
-	a.pmu.Lock()
-	a.widthKnown, a.naturalWidth = true, width
-	a.pmu.Unlock()
-	return width
 }
 
 // PreconditionerPrec returns the lattice's shared preconditioner for the
@@ -411,7 +386,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	// amortized threshold rather than the one-shot one.
 	resolved := kind.ResolveAmortized(a.Red.NFree())
 	if resolved == solver.PrecondIC0 {
-		ord = solver.ResolveOrdering(ord, a.aff.NRows, workers, a.naturalLevelWidth)
+		ord = solver.ResolveOrdering(ord, a.aff.NRows, workers)
 		if prec == solver.PrecisionAuto {
 			prec = solver.PrecisionFloat32
 		}

@@ -22,7 +22,8 @@ import (
 // per-scenario cost), and the factor's dependency-level shape (levels ×
 // widest level), which is what the ordering changes. Run at -cpu 1 and
 // -cpu 4 to measure the serial-fallback and fan-out regimes; the
-// AutoMulticolorWidth / AutoIC0Threshold constants come from these tables.
+// AutoIC0Threshold default and the OrderingAuto range come from these
+// tables.
 // Gated behind MEASURE=1 because the large lattices take minutes.
 func TestMeasureReducedGlobalPrecond(t *testing.T) {
 	if os.Getenv("MEASURE") == "" {
@@ -54,9 +55,8 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Printf("MEASURE %dx%d gomaxprocs=%d free_dofs=%d nnz=%d natural_width=%d assembly_build=%v\n",
-			size, size, runtime.GOMAXPROCS(0), asm.NumFree(), asm.Blocked().ScalarNNZ,
-			solver.NaturalLevelWidth(asm.Blocked()), asm.BuildTime)
+		fmt.Printf("MEASURE %dx%d gomaxprocs=%d free_dofs=%d nnz=%d assembly_build=%v\n",
+			size, size, runtime.GOMAXPROCS(0), asm.NumFree(), asm.Blocked().ScalarNNZ, asm.BuildTime)
 		for _, v := range variants {
 			for _, sk := range []struct {
 				name string

@@ -137,9 +137,9 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 	if !again.Hit || again.M != mc.M {
 		t.Errorf("repeat multicolor request: hit=%v same=%v", again.Hit, again.M == mc.M)
 	}
-	// Auto resolves to a concrete ordering (memoized per assembly) and must
-	// share that entry rather than cache a duplicate under OrderingAuto.
-	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 0, asm.naturalLevelWidth)
+	// Auto resolves to a concrete ordering and must share that entry rather
+	// than cache a duplicate under OrderingAuto.
+	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 0)
 	want, err := asm.PreconditionerPrec(solver.PrecondIC0, resolved, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -318,9 +318,43 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	if ap.Ordering != solver.OrderingNatural {
 		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want natural", ap.Ordering)
 	}
-	// Control: the same lattice handed 4 workers explicitly does switch, so
+	// Control: the same system handed 4 workers explicitly does switch, so
 	// the default — not the system — decided above.
-	if got := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 4, asm.naturalLevelWidth); got != solver.OrderingMulticolor {
+	if got := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 4); got != solver.OrderingMulticolor {
 		t.Errorf("auto ordering at 4 workers resolved to %v, want multicolor", got)
+	}
+}
+
+// TestAutoOrderingOnServedLattices pins what OrderingAuto decides on the
+// served (5,5,5) coarse cell for the lattices the benchmark workloads run:
+// the new-design shapes stay natural on size alone, and the 12×12 hotspot
+// lattice factors multicolor at 2 workers but natural at 1. The decision
+// follows the system size and the worker count only.
+func TestAutoOrderingOnServedLattices(t *testing.T) {
+	r := servedROM(t, true)
+	for _, c := range []struct {
+		bx, by, workers, free int
+		want                  solver.OrderingKind
+	}{
+		{4, 8, 2, 2457, solver.OrderingNatural},
+		{5, 7, 2, 2646, solver.OrderingNatural},
+		{6, 6, 2, 2709, solver.OrderingNatural},
+		{12, 12, 2, 9945, solver.OrderingMulticolor},
+		{12, 12, 1, 9945, solver.OrderingNatural},
+	} {
+		asm, err := NewAssembly(&Problem{ROM: r, Bx: c.bx, By: c.by, DeltaT: -250, BC: ClampedTopBottom}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := asm.NumFree(); n != c.free {
+			t.Errorf("%d×%d: %d free DoFs, want %d", c.bx, c.by, n, c.free)
+		}
+		ap, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ap.Ordering != c.want {
+			t.Errorf("%d×%d at %d workers: auto ordering %v, want %v", c.bx, c.by, c.workers, ap.Ordering, c.want)
+		}
 	}
 }

@@ -50,6 +50,11 @@ const (
 	// result, so the per-job cap alone would still let maxBatchJobs
 	// at-cap jobs allocate ~34 GB. 2²⁵ float64s ≈ 268 MB.
 	maxBatchFieldSamples = 1 << 25
+	// minTol is the tightest iterative tolerance a request may ask for. A
+	// float64 residual cannot certify much below it, so a tighter tol only
+	// runs the solve to MaxIter (10·n iterations), and then runs the
+	// float64 retry to MaxIter as well, holding a worker slot throughout.
+	minTol = 1e-12
 )
 
 // fieldSamples returns the request's total von Mises sample count.
@@ -75,17 +80,20 @@ type JobRequest struct {
 	DeltaT      *float64 `json:"deltaT"`
 	GridSamples int      `json:"gridSamples"`
 	Solver      string   `json:"solver"` // "gmres" (default), "cg", or "direct"
-	Tol         float64  `json:"tol"`
-	MaxIter     int      `json:"maxIter"`
+	// Tol is the relative residual tolerance of the iterative solvers: 0
+	// (the default, 1e-8) or in [1e-12, 1); anything else is a 400.
+	Tol     float64 `json:"tol"`
+	MaxIter int     `json:"maxIter"`
 	// Precond selects the iterative preconditioner: "auto" (default,
 	// size-resolved), "block-jacobi3"/"bj3", "ic0", or "none"; any other
 	// spelling, including the deleted scalar "jacobi", is a 400 that lists
 	// these. Empty falls back to the server's -precond flag.
 	Precond string `json:"precond"`
 	// Ordering selects the IC0 factor ordering: "auto" (default, picks
-	// multicolor when the natural dependency levels are too narrow to fan
-	// out), "natural", or "multicolor"; any other spelling is a 400 that
-	// lists these. Empty falls back to the server's -ordering flag.
+	// multicolor when the system is large enough for the parallel kernels
+	// and the solve runs more than one worker), "natural", or "multicolor";
+	// any other spelling is a 400 that lists these. Empty falls back to the
+	// server's -ordering flag.
 	Ordering string `json:"ordering"`
 	// Precision selects the IC0 factor storage precision: "auto" (default,
 	// float32 when the factor tiles), "float64"/"f64"/"double", or
@@ -166,6 +174,9 @@ func (r *JobRequest) ToJobPrec(defaultPrecond morestress.Precond, defaultOrderin
 		job.Solver = morestress.SolveDirect
 	default:
 		return job, fmt.Errorf("unknown solver %q (want \"gmres\", \"cg\", or \"direct\")", r.Solver)
+	}
+	if r.Tol != 0 && !(r.Tol >= minTol && r.Tol < 1) {
+		return job, fmt.Errorf("tol must be 0 (default 1e-8) or in [%g, 1), got %g", minTol, r.Tol)
 	}
 	precond := defaultPrecond
 	if r.Precond != "" {

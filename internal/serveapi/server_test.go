@@ -206,6 +206,50 @@ func TestBatchRejectsEmptyAndBadJobs(t *testing.T) {
 	}
 }
 
+// TestTolRange: a tol outside [1e-12, 1) — one a float64 residual cannot
+// certify, or no tolerance at all — is a 400 naming the range on every
+// submission endpoint, before it reaches a worker; the tightest accepted
+// tol still converges.
+func TestTolRange(t *testing.T) {
+	ts := testServer(t)
+	for _, tol := range []string{"1e-300", "-1", "1"} {
+		job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"tol":` + tol + `}`
+		for path, body := range map[string]string{
+			"/solve": job,
+			"/batch": `{"jobs":[` + job + `]}`,
+			"/jobs":  `{"jobs":[` + job + `]}`,
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]string
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil {
+				t.Errorf("tol %s on %s: status %d (decode %v), want 400", tol, path, resp.StatusCode, err)
+				continue
+			}
+			if !strings.Contains(out["error"], "[1e-12, 1)") {
+				t.Errorf("tol %s on %s: error %q does not name the range", tol, path, out["error"])
+			}
+		}
+	}
+	resp, err := http.Post(ts.URL+"/solve", "application/json",
+		strings.NewReader(`{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"tol":1e-12}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out JobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !out.Converged {
+		t.Errorf("tol 1e-12: status %d, converged %v (%s), want a converged 200", resp.StatusCode, out.Converged, out.Error)
+	}
+}
+
 // TestSolvePrecondField checks the per-request preconditioner control: a
 // named preconditioner is honored and echoed in the response, an unknown
 // one is a 400, and an iterative response always names its (auto-resolved)

@@ -70,9 +70,10 @@ type Options struct {
 	Precond PrecondKind
 	// Ordering selects the symmetric ordering the factorizing
 	// preconditioners (IC0) are built under (default OrderingAuto:
-	// multicolor when the natural-order dependency levels are too narrow to
-	// fan out, natural otherwise). Ignored when Options.M supplies a
-	// prebuilt preconditioner, which carries its own ordering.
+	// multicolor when the system reaches AutoMulticolorMinDoFs and Workers
+	// is more than one, natural otherwise — see ResolveOrdering). Ignored
+	// when Options.M supplies a prebuilt preconditioner, which carries its
+	// own ordering.
 	Ordering OrderingKind
 	// Precision selects the storage precision of the factorizing
 	// preconditioners' values (default PrecisionAuto: float32 — see
@@ -119,6 +120,70 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
+// krylovPrecond is the preconditioner side of one PCG or GMRES solve: the
+// preconditioner, its pooled application when it has one, and the
+// workspace whose gang drives both it and the mat-vec.
+type krylovPrecond struct {
+	m  Preconditioner
+	wa parApplier
+	ws *Workspace
+	// own marks a per-call workspace, which done closes.
+	own bool
+}
+
+// setupKrylov is the preamble PCG and GMRES share, so the Auto policies
+// resolve in one place. It resolves the preconditioner kind with the
+// one-shot rule and the ordering at opt.Workers (ResolveOrdering), builds M
+// unless opt.M supplies it (timed into Stats.PrecondBuild), records the
+// kind, ordering, precision and warm start in Stats, and borrows opt.Work —
+// or opens a per-call workspace of opt.Workers — with the mat-vec bound to
+// a. opt must already carry its defaults (withDefaults).
+func setupKrylov(a *sparse.BCSR, warm bool, opt Options) (krylovPrecond, Stats, error) {
+	kind := opt.Precond.Resolve(a.NRows)
+	st := Stats{Precond: kind, Warm: warm}
+	m := opt.M
+	if m == nil {
+		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
+		var err error
+		m, err = NewPreconditioner(kind, ResolveOrdering(opt.Ordering, a.NRows, opt.Workers), opt.Precision, a)
+		if err != nil {
+			return krylovPrecond{}, st, err
+		}
+		st.PrecondBuild = time.Since(t0)
+	}
+	st.Ordering, st.Precision = orderingOf(m), precisionOf(m)
+	kp := krylovPrecond{m: m, ws: opt.Work}
+	if kp.ws == nil {
+		kp.ws, kp.own = NewWorkspace(opt.Workers), true
+	}
+	kp.ws.reset()
+	kp.ws.prepMatVec(a, opt.Workers)
+	kp.wa, _ = m.(parApplier)
+	return kp, st, nil
+}
+
+// done closes the per-call workspace setupKrylov opened; a borrowed
+// Options.Work stays open.
+func (kp *krylovPrecond) done() {
+	if kp.own {
+		kp.ws.Close()
+	}
+}
+
+// apply computes dst = M⁻¹·src — through the workspace's gang when the
+// preconditioner parallelizes — and adds its wall time to st.PrecondApply.
+//
+//stressvet:noalloc
+func (kp *krylovPrecond) apply(dst, src []float64, st *Stats) {
+	t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
+	if kp.wa != nil {
+		kp.wa.applyPar(dst, src, kp.ws)
+	} else {
+		kp.m.Apply(dst, src)
+	}
+	st.PrecondApply += time.Since(t0)
+}
+
 // GMRES solves a·x = b, with a held as 3×3 tiles, by right-preconditioned
 // restarted GMRES(m) using modified Gram–Schmidt orthogonalization and Givens
 // rotations. This is the global-stage solver recommended by the paper
@@ -146,44 +211,17 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 	if m > n {
 		m = n
 	}
-	kind := opt.Precond.Resolve(n)
-	st := Stats{Precond: kind, Warm: x0 != nil}
-	pre := opt.M
-	if pre == nil {
-		tBuild := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		var err error
-		// Worker-aware ordering resolution, matching PCG: see
-		// ResolveOrdering.
-		pre, err = NewPreconditioner(kind, resolveOrderingOf(opt.Ordering, a, opt.Workers), opt.Precision, a)
-		if err != nil {
-			return nil, st, err
-		}
-		st.PrecondBuild = time.Since(tBuild)
-	}
-	st.Ordering = orderingOf(pre)
 	// GMRES needs no extra guard for float32 factors: a rounded factor is
 	// still a fixed linear M⁻¹, so right preconditioning stays exact (no
 	// flexible variant is needed), and every restart recomputes the true
 	// residual b−A·x that the convergence test runs on — a rounded factor
 	// can slow convergence but never fake it.
-	st.Precision = precisionOf(pre)
-	ws := opt.Work
-	if ws == nil {
-		ws = NewWorkspace(opt.Workers)
-		defer ws.Close()
+	kp, st, err := setupKrylov(a, x0 != nil, opt)
+	if err != nil {
+		return nil, st, err
 	}
-	ws.reset()
-	ws.prepMatVec(a, opt.Workers)
-	wa, _ := pre.(parApplier)
-	apply := func(dst, src []float64) {
-		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		if wa != nil {
-			wa.applyPar(dst, src, ws)
-		} else {
-			pre.Apply(dst, src)
-		}
-		st.PrecondApply += time.Since(t0)
-	}
+	defer kp.done()
+	ws := kp.ws
 
 	x := ws.vec(n)
 	if x0 != nil {
@@ -240,7 +278,7 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 		for k = 0; k < m && totalIt < opt.MaxIter; k++ {
 			totalIt++
 			// w = A·M⁻¹·v[k]
-			apply(pr, v[k])
+			kp.apply(pr, v[k], &st)
 			ws.matvec(a, w, pr)
 			// Modified Gram–Schmidt.
 			for j := 0; j <= k; j++ {
@@ -293,7 +331,7 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 		for j := 0; j < k; j++ {
 			linalg.Axpy(y[j], v[j], r)
 		}
-		apply(pr, r)
+		kp.apply(pr, r, &st)
 		linalg.Add(x, x, pr)
 	}
 	ws.matvec(a, w, x)

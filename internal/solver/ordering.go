@@ -16,13 +16,11 @@ type OrderingKind int
 
 const (
 	// OrderingAuto — the zero value, and therefore the default wherever an
-	// Options travels unset — keeps the natural ordering when its dependency
-	// levels are already wide enough to fan out, and switches to the greedy
-	// multicolor ordering when they are narrow (max level width of the
-	// lower-triangular pattern below AutoMulticolorWidth rows), the system
-	// is at least AutoMulticolorMinDoFs, and the resolving solve has more
-	// than one worker (ResolveOrdering; with one worker — a single core, or
-	// one chain of a saturated batch — wide levels buy nothing and the
+	// Options travels unset — switches IC0 to the greedy multicolor ordering
+	// when the system is at least AutoMulticolorMinDoFs and the resolving
+	// solve has more than one worker, and keeps the natural ordering
+	// otherwise (ResolveOrdering; with one worker — a single core, or one
+	// chain of a saturated batch — wide levels buy nothing and the
 	// multicolor factor costs extra iterations).
 	OrderingAuto OrderingKind = iota
 	// OrderingNatural factors in the matrix's own row order. On the reduced
@@ -48,21 +46,8 @@ const (
 	NumOrderings = 4
 )
 
-// DefaultAutoMulticolorWidth is the hand-measured fallback for the
-// natural-order schedule width (rows in the widest dependency level of the
-// lower-triangular pattern) below which OrderingAuto switches IC0 to the
-// multicolor ordering. Measured on the reduced global lattices and the
-// bench systems (docs/SOLVER_TUNING.md): the natural-order reduced factors
-// top out at 9–24 rows per level — far below any useful fan-out — while
-// systems whose natural DAGs already parallelize (wideDAG: 600-row levels)
-// sit well above. A level only splits into multiple chunks near ~64 rows at
-// the reduced matrices' row density, so the threshold sits at that knee.
-// The live value is AutoMulticolorWidth (tunable.go): host-profile tuning
-// may re-derive it — or zero it, disabling the switch — at startup.
-const DefaultAutoMulticolorWidth = 64
-
 // AutoMulticolorMinDoFs is the system size below which OrderingAuto keeps
-// the natural ordering even when the schedule is narrow. It equals
+// the natural ordering whatever the worker count. It equals
 // sparse.MinParRows: below it the mat-vec runs serially anyway, and the
 // measured small-lattice trade (6×6 reduced global, 2 709 DoFs: +5 PCG
 // iterations for levels that barely split into two chunks) never recovers
@@ -190,77 +175,23 @@ func MulticolorNodes(a *sparse.BCSR) (perm []int32, colorPtr []int32) {
 	return perm, colorPtr
 }
 
-// NaturalLevelWidth returns the maximum dependency-level width (rows) of the
-// lower-triangular scalar pattern of a in its natural order — the scalar
-// zero-fill IC(0) pattern, computed without factoring (one O(nnz) sweep over
-// the tiles, skipping their exact zeros). This is the number OrderingAuto
-// compares against AutoMulticolorWidth, which is calibrated in these scalar
-// rows, and the measurement harness reports it next to the post-ordering
-// schedule shape. The block factor's own schedule advances whole block rows,
-// so its width (Levels, in scalar rows) reads wider: 48 against this
-// probe's 17 on the served 12×12 lattice.
-func NaturalLevelWidth(a *sparse.BCSR) int {
-	level := make([]int32, a.NRows)
-	width := make([]int32, 0, 64)
-	var max int32
-	for r := 0; r < a.NRows; r++ {
-		br, i := r/sparse.BlockSize, r%sparse.BlockSize
-		var lv int32
-		for p := a.BRowPtr[br]; p < a.BRowPtr[br+1]; p++ {
-			c0 := int(sparse.BlockSize * a.BColIdx[p])
-			if c0 >= r {
-				break // block columns ascend: the rest lie on or above the diagonal
-			}
-			for j, v := range a.Vals[9*p+sparse.BlockSize*int32(i):][:sparse.BlockSize] {
-				if c := c0 + j; c < r && v != 0 {
-					if d := level[c] + 1; d > lv {
-						lv = d
-					}
-				}
-			}
-		}
-		level[r] = lv
-		for int(lv) >= len(width) {
-			width = append(width, 0)
-		}
-		width[lv]++
-		if width[lv] > max {
-			max = width[lv]
-		}
-	}
-	return int(max)
-}
-
 // ResolveOrdering maps OrderingAuto to the concrete ordering chosen for an
 // n-DoF system and the solve's worker count: multicolor when the system is
-// large enough for fan-out to matter (AutoMulticolorMinDoFs), the solve
-// actually runs parallel kernels (workers > 1; 0 means DefaultWorkers), and
-// the natural-order schedule is too narrow to fan out (width below
-// AutoMulticolorWidth); natural otherwise. The worker count matters: a batch
-// engine that splits the machine across concurrent chains hands each solve
-// only a share of the cores, and a 1-worker solve would pay the coloring's
-// extra iterations with zero fan-out benefit. width returns the system's
-// NaturalLevelWidth; it is called only when the cheap guards leave the
-// choice open, so callers that resolve per solve (the assembly cache) pass a
-// memoized probe. Concrete kinds resolve to themselves. This is the one home
-// of the OrderingAuto rule.
-func ResolveOrdering(k OrderingKind, n, workers int, width func() int) OrderingKind {
+// large enough for fan-out to matter (AutoMulticolorMinDoFs) and the solve
+// actually runs parallel kernels (workers > 1; 0 means DefaultWorkers),
+// natural otherwise. The worker count matters: a batch engine that splits
+// the machine across concurrent chains hands each solve only a share of the
+// cores, and a 1-worker solve would pay the coloring's extra iterations with
+// zero fan-out benefit. Concrete kinds resolve to themselves. This is the
+// one home of the OrderingAuto rule.
+func ResolveOrdering(k OrderingKind, n, workers int) OrderingKind {
 	if k != OrderingAuto {
 		return k
 	}
-	if normWorkers(workers) <= 1 || n < AutoMulticolorMinDoFs {
-		return OrderingNatural
-	}
-	if width() < AutoMulticolorWidth() {
+	if n >= AutoMulticolorMinDoFs && normWorkers(workers) > 1 {
 		return OrderingMulticolor
 	}
 	return OrderingNatural
-}
-
-// resolveOrderingOf is ResolveOrdering for a matrix without a memoized
-// width: the O(nnz) probe runs on a when the guards leave the choice open.
-func resolveOrderingOf(k OrderingKind, a *sparse.BCSR, workers int) OrderingKind {
-	return ResolveOrdering(k, a.NRows, workers, func() int { return NaturalLevelWidth(a) })
 }
 
 // orderingPerm materializes the permutation of a concrete ordering kind for

@@ -114,18 +114,6 @@ func TestMulticolorCollapsesLevels(t *testing.T) {
 	if cWidth <= nWidth {
 		t.Errorf("multicolor max level width %d not wider than natural %d", cWidth, nWidth)
 	}
-
-	// A system whose tiles are mostly padding: the NaturalLevelWidth probe
-	// must match the natural-order schedule of the scalar zero-fill pattern,
-	// the reference factor's.
-	s := tiled(elasticity3(10, 10, 6))
-	ref, err := referenceIC0(s, OrderingNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, sWidth := NaturalLevelWidth(s), ref.levelWidth(); w != sWidth {
-		t.Errorf("NaturalLevelWidth probe says %d, the scalar factor's schedule says %d", w, sWidth)
-	}
 }
 
 // TestMulticolorNodesContiguous pins the block-aware coloring's structural
@@ -184,66 +172,43 @@ func TestMulticolorNodesContiguous(t *testing.T) {
 }
 
 // TestOrderingResolve pins the auto rule: concrete kinds resolve to
-// themselves; auto picks multicolor only for narrow natural schedules and
-// only when parallelism is available.
+// themselves; auto picks multicolor exactly when the system reaches
+// AutoMulticolorMinDoFs and the solve runs more than one worker.
 func TestOrderingResolve(t *testing.T) {
-	narrow := tiled(latticeLike(24, 24, 9)) // 5184 DoFs ≥ AutoMulticolorMinDoFs
-	small := tiled(latticeLike(10, 10, 9))  // 900 DoFs: too small for fan-out
-	wide := tiled(blockIndependent(600, 12))
+	const big, small = AutoMulticolorMinDoFs, AutoMulticolorMinDoFs - 1
 	for _, k := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-		if got := resolveOrderingOf(k, narrow, 0); got != k {
-			t.Errorf("concrete kind %v resolved to %v", k, got)
+		for _, n := range []int{small, big} {
+			for _, w := range []int{0, 1, 4} {
+				if got := ResolveOrdering(k, n, w); got != k {
+					t.Errorf("concrete kind %v (n=%d, workers=%d) resolved to %v", k, n, w, got)
+				}
+			}
 		}
 	}
-	if w := NaturalLevelWidth(narrow); w >= AutoMulticolorWidth() {
-		t.Fatalf("narrow test matrix has natural width %d, want < %d", w, AutoMulticolorWidth())
-	}
-	if w := NaturalLevelWidth(wide); w < AutoMulticolorWidth() {
-		t.Fatalf("wide test matrix has natural width %d, want >= %d", w, AutoMulticolorWidth())
-	}
-	if DefaultWorkers() > 1 {
-		if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingMulticolor {
-			t.Errorf("auto on a narrow schedule resolved to %v, want multicolor", got)
+	for _, c := range []struct {
+		n, workers int
+		want       OrderingKind
+	}{
+		{big, 2, OrderingMulticolor},
+		{big, 4, OrderingMulticolor},
+		{1 << 20, 2, OrderingMulticolor},
+		// A 1-worker solve keeps natural even on a parallel machine: a batch
+		// chain handed one worker must not pay the multicolor iteration
+		// penalty.
+		{big, 1, OrderingNatural},
+		{1 << 20, 1, OrderingNatural},
+		{small, 4, OrderingNatural},
+		{0, 4, OrderingNatural},
+	} {
+		if got := ResolveOrdering(OrderingAuto, c.n, c.workers); got != c.want {
+			t.Errorf("ResolveOrdering(auto, n=%d, workers=%d) = %v, want %v", c.n, c.workers, got, c.want)
 		}
-	} else if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingNatural {
-		t.Errorf("auto on one core resolved to %v, want natural", got)
 	}
+	// workers 0 follows DefaultWorkers (GOMAXPROCS without a tuned ceiling).
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	if got := resolveOrderingOf(OrderingAuto, wide, 0); got != OrderingNatural {
-		t.Errorf("auto on a wide schedule resolved to %v, want natural", got)
-	}
-	if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingMulticolor {
-		t.Errorf("auto at GOMAXPROCS=4 on a narrow schedule resolved to %v, want multicolor", got)
-	}
-	if got := resolveOrderingOf(OrderingAuto, small, 0); got != OrderingNatural {
-		t.Errorf("auto below AutoMulticolorMinDoFs resolved to %v, want natural", got)
-	}
-	// Worker-aware resolution: a 1-worker solve keeps natural even on a
-	// parallel machine (a batch chain handed one worker must not pay the
-	// multicolor iteration penalty), and an explicit workers > 1 enables
-	// multicolor regardless of GOMAXPROCS.
-	if got := resolveOrderingOf(OrderingAuto, narrow, 1); got != OrderingNatural {
-		t.Errorf("auto with 1 worker resolved to %v, want natural", got)
-	}
-	if got := resolveOrderingOf(OrderingAuto, narrow, 4); got != OrderingMulticolor {
-		t.Errorf("auto with 4 workers resolved to %v, want multicolor", got)
-	}
-	// A memoized width decides without probing the matrix, and the probe is
-	// skipped altogether when the cheap guards already decide.
-	width := func(w int) func() int { return func() int { return w } }
-	if got := ResolveOrdering(OrderingAuto, narrow.NRows, 4, width(24)); got != OrderingMulticolor {
-		t.Errorf("ResolveOrdering(width 24) = %v, want multicolor", got)
-	}
-	if got := ResolveOrdering(OrderingAuto, narrow.NRows, 4, width(600)); got != OrderingNatural {
-		t.Errorf("ResolveOrdering(width 600) = %v, want natural", got)
-	}
-	unreachable := func() int { t.Fatal("width probed although the guards decided"); return 0 }
-	if got := ResolveOrdering(OrderingAuto, narrow.NRows, 1, unreachable); got != OrderingNatural {
-		t.Errorf("ResolveOrdering(1 worker) = %v, want natural", got)
-	}
-	if got := ResolveOrdering(OrderingAuto, small.NRows, 4, unreachable); got != OrderingNatural {
-		t.Errorf("ResolveOrdering(small) = %v, want natural", got)
+	if got := ResolveOrdering(OrderingAuto, big, 0); got != OrderingMulticolor {
+		t.Errorf("auto at GOMAXPROCS=4 resolved to %v, want multicolor", got)
 	}
 }
 
@@ -252,11 +217,10 @@ func TestOrderingResolve(t *testing.T) {
 // GOMAXPROCS — a host capped to one solver worker keeps the natural factor
 // on a multi-core machine.
 func TestDefaultWorkersGovernsAutoOrdering(t *testing.T) {
-	narrow := tiled(latticeLike(24, 24, 9))
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	defer SetDefaultWorkers(SetDefaultWorkers(1))
-	if got := resolveOrderingOf(OrderingAuto, narrow, 0); got != OrderingNatural {
+	if got := ResolveOrdering(OrderingAuto, AutoMulticolorMinDoFs, 0); got != OrderingNatural {
 		t.Errorf("auto with DefaultWorkers 1 at GOMAXPROCS 4 resolved to %v, want natural", got)
 	}
 }

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/sparse"
@@ -132,15 +131,16 @@ func ParsePrecond(s string) (PrecondKind, error) {
 // factorizing kinds, ord selects the symmetric ordering — IC0 factors the
 // permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes
 // the factor's dependency DAG without changing the preconditioned
-// operator's symmetry; OrderingAuto resolves at DefaultWorkers — and prec
-// the factor storage precision (see Precision). Block-Jacobi-3 and the
-// identity are ordering- and precision-invariant and ignore both.
+// operator's symmetry; OrderingAuto resolves at DefaultWorkers
+// (ResolveOrdering) — and prec the factor storage precision (see
+// Precision). Block-Jacobi-3 and the identity are ordering- and
+// precision-invariant and ignore both.
 func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.BCSR) (Preconditioner, error) {
 	switch kind.Resolve(a.NRows) {
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a), nil
 	case PrecondIC0:
-		return newIC0(a, ord, prec)
+		return newIC0(a, ResolveOrdering(ord, a.NRows, 0), prec)
 	case PrecondNone:
 		return identityPrecond{}, nil
 	}
@@ -262,18 +262,16 @@ type ic0 struct {
 	prec Precision
 }
 
-// newIC0 factors a under the ordering ord (OrderingAuto resolved at
-// DefaultWorkers) with factor storage precision prec (PrecisionAuto stores
-// float32). The factorization is block IC(0) on the tile pattern (Saad,
-// Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 10): it runs on
-// the tiles as stored, so an exact zero inside a stored tile stays in the
-// pattern. It is serial, so the factor is bitwise identical across runs and
-// worker counts.
+// newIC0 factors a under the concrete ordering ord with factor storage
+// precision prec (PrecisionAuto stores float32). The factorization is block
+// IC(0) on the tile pattern (Saad, Iterative Methods for Sparse Linear
+// Systems, 2nd ed., ch. 10): it runs on the tiles as stored, so an exact
+// zero inside a stored tile stays in the pattern. It is serial, so the
+// factor is bitwise identical across runs and worker counts.
 func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
 	}
-	ord = resolveOrderingOf(ord, a, 0)
 	perm := orderingPerm(ord, a)
 	if perm == nil {
 		ord = OrderingNatural
@@ -537,31 +535,12 @@ func PCG(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error)
 		return nil, Stats{}, fmt.Errorf("solver: PCG dimension mismatch: matrix %d×%d, b %d", a.NRows, a.NCols, len(b))
 	}
 	opt = opt.withDefaults(n)
-	kind := opt.Precond.Resolve(n)
-	st := Stats{Precond: kind, Warm: x0 != nil}
-	m := opt.M
-	if m == nil {
-		tBuild := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		var err error
-		// The ordering resolves against this solve's worker count: a
-		// 1-worker solve keeps the natural factor even on a parallel
-		// machine (no fan-out to pay for the coloring's extra iterations).
-		m, err = NewPreconditioner(kind, resolveOrderingOf(opt.Ordering, a, opt.Workers), opt.Precision, a)
-		if err != nil {
-			return nil, st, err
-		}
-		st.PrecondBuild = time.Since(tBuild)
+	kp, st, err := setupKrylov(a, x0 != nil, opt)
+	if err != nil {
+		return nil, st, err
 	}
-	st.Ordering = orderingOf(m)
-	st.Precision = precisionOf(m)
-	ws := opt.Work
-	if ws == nil {
-		ws = NewWorkspace(opt.Workers)
-		defer ws.Close()
-	}
-	ws.reset()
-	ws.prepMatVec(a, opt.Workers)
-	wa, _ := m.(parApplier)
+	defer kp.done()
+	ws := kp.ws
 
 	x := ws.vec(n)
 	if x0 != nil {
@@ -581,17 +560,11 @@ func PCG(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error)
 		st.Converged = true
 		return x, st, nil
 	}
-	tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-	if wa != nil {
-		wa.applyPar(z, r, ws)
-	} else {
-		m.Apply(z, r)
-	}
-	st.PrecondApply += time.Since(tApply)
+	kp.apply(z, r, &st)
 	copy(p, z)
 	rz := linalg.Dot(r, z)
 
-	outcome, it, res, pap := pcgSteady(a, b, m, wa, ws, &st, opt, x, r, z, p, ap, bnorm, rz)
+	outcome, it, res, pap := pcgSteady(a, b, &kp, &st, opt, x, r, z, p, ap, bnorm, rz)
 	switch outcome {
 	case pcgConverged:
 		st.Iterations, st.Residual, st.Converged = it, res, true
@@ -645,7 +618,8 @@ func pcgTrueResidual(a *sparse.BCSR, ws *Workspace, x, b, scratch []float64, bno
 // once against a float64 factor.
 //
 //stressvet:noalloc
-func pcgSteady(a *sparse.BCSR, b []float64, m Preconditioner, wa parApplier, ws *Workspace, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
+func pcgSteady(a *sparse.BCSR, b []float64, kp *krylovPrecond, st *Stats, opt Options, x, r, z, p, ap []float64, bnorm, rz float64) (outcome pcgOutcome, it int, res, pap float64) {
+	ws := kp.ws
 	verify := st.Precision == PrecisionFloat32
 	for it = 0; it < opt.MaxIter; it++ {
 		res = linalg.Norm2(r) / bnorm
@@ -674,13 +648,7 @@ func pcgSteady(a *sparse.BCSR, b []float64, m Preconditioner, wa parApplier, ws 
 		alpha := rz / pap
 		linalg.Axpy(alpha, p, x)
 		linalg.Axpy(-alpha, ap, r)
-		tApply := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		if wa != nil {
-			wa.applyPar(z, r, ws)
-		} else {
-			m.Apply(z, r)
-		}
-		st.PrecondApply += time.Since(tApply)
+		kp.apply(z, r, st)
 		rzNew := linalg.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew

@@ -21,10 +21,10 @@ type scalarIC0 struct {
 	perm []int32 // original→permuted scalar index, nil for natural
 }
 
-// referenceIC0 factors a with the scalar reference under the same ordering
-// newIC0 would use.
+// referenceIC0 factors a with the scalar reference under the concrete
+// ordering ord, as newIC0 does.
 func referenceIC0(a *sparse.BCSR, ord OrderingKind) (*scalarIC0, error) {
-	perm := orderingPerm(resolveOrderingOf(ord, a, 0), a)
+	perm := orderingPerm(ord, a)
 	csc := a.ToCSR().ToCSC()
 	if perm != nil {
 		csc = csc.Permute(perm)
@@ -141,21 +141,6 @@ func (s *scalarIC0) at(i, j int) float64 {
 		return s.l.Vals[int(lo)+k]
 	}
 	return 0
-}
-
-// levelWidth returns the widest dependency level, in rows, of the forward
-// solve with L.
-func (s *scalarIC0) levelWidth() int {
-	l := s.l
-	level := make([]int, l.NCols)
-	width := make([]int, l.NCols)
-	for j := 0; j < l.NCols; j++ {
-		width[level[j]]++ // every dependency of row j lies in an earlier column
-		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
-			level[l.RowIdx[p]] = max(level[l.RowIdx[p]], level[j]+1)
-		}
-	}
-	return slices.Max(width)
 }
 
 // compareWithReference factors a both ways under ord — the block factor in

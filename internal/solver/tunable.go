@@ -5,24 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// The auto-selection knobs — the PrecondAuto IC0 crossover, the
-// OrderingAuto multicolor width, and the package-wide worker default — are
-// startup-tunable: internal/solver/tuning derives them from the measured
-// host profiles in BENCH_global.json (the embedded snapshot, or a -tuning
-// file on serve/router) and applies them before the first solve. The
-// Default* constants remain the hand-measured fallback used whenever no
-// profile matches the running host. The values are atomics so a tuning
+// The auto-selection knobs — the PrecondAuto IC0 crossover and the
+// package-wide worker default — are startup-tunable: internal/solver/tuning
+// derives them from the measured host profiles in BENCH_global.json (the
+// embedded snapshot, or a -tuning file on serve/router) and applies them
+// before the first solve. DefaultAutoIC0Threshold and the GOMAXPROCS
+// fallback remain in force whenever no profile matches the running host. The values are atomics so a tuning
 // application racing an in-flight solve is merely a stale read, never a
 // data race; they are meant to be set once at process startup.
 var (
-	autoIC0Threshold    atomic.Int64
-	autoMulticolorWidth atomic.Int64
-	defaultWorkers      atomic.Int64
+	autoIC0Threshold atomic.Int64
+	defaultWorkers   atomic.Int64
 )
 
 func init() {
 	autoIC0Threshold.Store(DefaultAutoIC0Threshold)
-	autoMulticolorWidth.Store(DefaultAutoMulticolorWidth)
 }
 
 // AutoIC0Threshold is the system size (DoFs) at and above which PrecondAuto
@@ -39,26 +36,6 @@ func SetAutoIC0Threshold(n int) int {
 		n = DefaultAutoIC0Threshold
 	}
 	return int(autoIC0Threshold.Swap(int64(n)))
-}
-
-// AutoMulticolorWidth is the natural-order schedule width (rows in the
-// widest dependency level) below which OrderingAuto switches IC0 to the
-// multicolor ordering. It starts at DefaultAutoMulticolorWidth and may be
-// replaced at startup by a measured host-profile value
-// (SetAutoMulticolorWidth); 0 disables the multicolor switch entirely (no
-// natural schedule is narrower than zero rows), which is what tuning
-// installs on hosts where the measured fan-out never pays.
-func AutoMulticolorWidth() int { return int(autoMulticolorWidth.Load()) }
-
-// SetAutoMulticolorWidth installs a measured multicolor width threshold and
-// returns the previous value; n < 0 restores DefaultAutoMulticolorWidth
-// (0 is a meaningful value: never switch). Intended for process startup
-// (internal/solver/tuning) and tests.
-func SetAutoMulticolorWidth(n int) int {
-	if n < 0 {
-		n = DefaultAutoMulticolorWidth
-	}
-	return int(autoMulticolorWidth.Swap(int64(n)))
 }
 
 // DefaultWorkers is the package-wide worker-count default applied wherever

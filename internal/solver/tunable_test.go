@@ -10,7 +10,6 @@ import (
 // auto-resolution rules they back.
 func TestTunableSettersRoundTrip(t *testing.T) {
 	defer SetAutoIC0Threshold(0)
-	defer SetAutoMulticolorWidth(-1)
 	defer SetDefaultWorkers(0)
 
 	if got := AutoIC0Threshold(); got != DefaultAutoIC0Threshold {
@@ -29,21 +28,6 @@ func TestTunableSettersRoundTrip(t *testing.T) {
 	SetAutoIC0Threshold(0) // sentinel restores the default
 	if got := AutoIC0Threshold(); got != DefaultAutoIC0Threshold {
 		t.Errorf("SetAutoIC0Threshold(0) left %d, want default %d", got, DefaultAutoIC0Threshold)
-	}
-
-	// Width 0 is meaningful: no natural schedule is narrower than zero rows,
-	// so OrderingAuto never switches to multicolor.
-	SetAutoMulticolorWidth(0)
-	if got := ResolveOrdering(OrderingAuto, 1<<20, 8, func() int { return 1 }); got != OrderingNatural {
-		t.Errorf("ResolveOrdering with width threshold 0 = %v, want natural", got)
-	}
-	SetAutoMulticolorWidth(128)
-	if got := ResolveOrdering(OrderingAuto, 1<<20, 8, func() int { return 100 }); got != OrderingMulticolor {
-		t.Errorf("ResolveOrdering(width=100) under threshold 128 = %v, want multicolor", got)
-	}
-	SetAutoMulticolorWidth(-1)
-	if got := AutoMulticolorWidth(); got != DefaultAutoMulticolorWidth {
-		t.Errorf("SetAutoMulticolorWidth(-1) left %d, want default %d", got, DefaultAutoMulticolorWidth)
 	}
 
 	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {

@@ -3,9 +3,9 @@
 // profile sections of a bench-global/v2 snapshot (BENCH_global.json, the
 // embedded copy of its host_profiles section, or a -tuning file handed to
 // serve/router), matches the running host by (GOOS, GOARCH, nproc), and
-// derives the live values of solver.AutoIC0Threshold,
-// solver.AutoMulticolorWidth, and solver.DefaultWorkers from that host's
-// own measurements instead of the hand-set constants.
+// derives the live values of solver.AutoIC0Threshold and
+// solver.DefaultWorkers from that host's own measurements instead of the
+// hand-set defaults.
 //
 // The derivation rules are deliberately conservative and documented in
 // docs/MEASUREMENT.md:
@@ -15,16 +15,11 @@
 //     beats block-Jacobi-3, rounded down to the nearest 500 DoFs. The
 //     crossover is a cost-ratio property, so it also transfers to profiles
 //     matched on (GOOS, GOARCH) alone.
-//   - Multicolor width: kept at the default when the profile's measured
-//     IC0-apply pool-vs-serial speedup on the multicolor ordering
-//     (tuning.multicolor_apply_speedup, derived by benchcheck -ingest from
-//     BenchmarkIC0Apply) shows the fan-out paying; zeroed — which disables
-//     the OrderingAuto switch outright — when it measures as a loss.
-//     nproc-sensitive, so it only applies on an exact host match.
 //   - Worker default: capped at 1 when the profile measures parallel
 //     kernels losing to serial (tuning.matvec_par_speedup < 1, or a
 //     single-hardware-thread host); left at the GOMAXPROCS fallback
-//     otherwise. Exact host match only.
+//     otherwise. Exact host match only. A 1-worker default also keeps
+//     OrderingAuto on the natural factor (solver.ResolveOrdering).
 //
 // When no profile matches, every knob keeps its hand-set default — the
 // package can only ever replace a constant with a measurement, never leave
@@ -104,10 +99,6 @@ type TuningData struct {
 	// (TestMeasureReducedGlobalPrecond): warm per-solve wall time of the
 	// assembly-cached IC0 and block-Jacobi-3 preconditioners by system size.
 	PrecondCrossover []CrossoverRow `json:"precond_crossover,omitempty"`
-	// MulticolorApplySpeedup is serial-ns / pool-ns of the multicolor-ordered
-	// IC0 apply (BenchmarkIC0Apply narrowDAG-multicolor rows): > 1 means the
-	// level-scheduled fan-out beats the serial sweep on this host.
-	MulticolorApplySpeedup float64 `json:"multicolor_apply_speedup,omitempty"`
 	// MatvecParSpeedup is serial-ns / par-ns of the blocked mat-vec
 	// (BenchmarkBlockedMulVec blocked rows): > 1 means the partitioned
 	// fan-out beats the serial kernel on this host.
@@ -208,9 +199,6 @@ func distance(a, b int) int {
 type Tunables struct {
 	// IC0Threshold feeds solver.SetAutoIC0Threshold.
 	IC0Threshold int
-	// MulticolorWidth feeds solver.SetAutoMulticolorWidth; 0 disables the
-	// OrderingAuto multicolor switch.
-	MulticolorWidth int
 	// Workers feeds solver.SetDefaultWorkers; 0 keeps the GOMAXPROCS
 	// fallback.
 	Workers int
@@ -221,17 +209,16 @@ type Tunables struct {
 // Defaults returns the hand-set constants as a Tunables.
 func Defaults() Tunables {
 	return Tunables{
-		IC0Threshold:    solver.DefaultAutoIC0Threshold,
-		MulticolorWidth: solver.DefaultAutoMulticolorWidth,
-		Workers:         0,
-		Source:          "hand-set defaults (no matching host profile)",
+		IC0Threshold: solver.DefaultAutoIC0Threshold,
+		Workers:      0,
+		Source:       "hand-set defaults (no matching host profile)",
 	}
 }
 
 // Derive computes the solver knobs from a matched host profile. A nil
 // profile yields Defaults. When exact is false only the nproc-insensitive
-// IC0 crossover is derived; the width and worker knobs keep their defaults
-// because they encode how well *this core count* fans out.
+// IC0 crossover is derived; the worker knob keeps its default because it
+// encodes how well *this core count* fans out.
 func Derive(p *HostProfile, exact bool) Tunables {
 	t := Defaults()
 	if p == nil {
@@ -247,23 +234,17 @@ func Derive(p *HostProfile, exact bool) Tunables {
 		if len(notes) == 0 {
 			t.Source = fmt.Sprintf("hand-set defaults (nearest profile %s has no crossover data)", key)
 		} else {
-			t.Source = strings.Join(append(notes, "width/workers defaults (inexact nproc match)"), "; ")
+			t.Source = strings.Join(append(notes, "workers default (inexact nproc match)"), "; ")
 		}
 		return t
 	}
 	td := p.Tuning
-	switch {
-	case p.NProc == 1:
+	if p.NProc == 1 {
 		// One hardware thread: fan-out is pure dispatch overhead, and the
 		// multicolor factor's extra iterations buy nothing.
-		t.MulticolorWidth = 0
 		t.Workers = 1
-		notes = append(notes, "multicolor off + workers 1 (single-hardware-thread host)")
-	case td != nil && td.MulticolorApplySpeedup > 0 && td.MulticolorApplySpeedup < 1.02:
-		t.MulticolorWidth = 0
-		notes = append(notes, fmt.Sprintf("multicolor off (measured apply speedup %.2f)", td.MulticolorApplySpeedup))
-	}
-	if p.NProc > 1 && td != nil && td.MatvecParSpeedup > 0 && td.MatvecParSpeedup < 1 {
+		notes = append(notes, "workers 1 (single-hardware-thread host)")
+	} else if td != nil && td.MatvecParSpeedup > 0 && td.MatvecParSpeedup < 1 {
 		t.Workers = 1
 		notes = append(notes, fmt.Sprintf("workers 1 (measured mat-vec par speedup %.2f)", td.MatvecParSpeedup))
 	}
@@ -304,7 +285,6 @@ func ic0Crossover(p *HostProfile) (threshold, atDoFs int, ok bool) {
 // Apply installs the tunables into the solver package.
 func Apply(t Tunables) {
 	solver.SetAutoIC0Threshold(t.IC0Threshold)
-	solver.SetAutoMulticolorWidth(t.MulticolorWidth)
 	solver.SetDefaultWorkers(t.Workers)
 }
 

@@ -23,16 +23,14 @@ func sampleSet() Set {
 					{DoFs: 9945, IC0WarmMS: 85, BJ3WarmMS: 140},
 					{DoFs: 21717, IC0WarmMS: 239, BJ3WarmMS: 1257},
 				},
-				MulticolorApplySpeedup: 1.05,
-				MatvecParSpeedup:       0.91,
+				MatvecParSpeedup: 0.91,
 			},
 		},
 		"linux/amd64/n4": &HostProfile{
 			GOOS: "linux", GOARCH: "amd64", NProc: 4,
 			Tuning: &TuningData{
-				PrecondCrossover:       []CrossoverRow{{DoFs: 9945, IC0WarmMS: 60, BJ3WarmMS: 90}},
-				MulticolorApplySpeedup: 1.8,
-				MatvecParSpeedup:       2.2,
+				PrecondCrossover: []CrossoverRow{{DoFs: 9945, IC0WarmMS: 60, BJ3WarmMS: 90}},
+				MatvecParSpeedup: 2.2,
 			},
 		},
 	}
@@ -68,10 +66,8 @@ func TestDeriveSingleThreadHost(t *testing.T) {
 	if tun.IC0Threshold != 2500 {
 		t.Errorf("IC0Threshold = %d, want 2500 (derived from the 2709-DoF crossover)", tun.IC0Threshold)
 	}
-	// One hardware thread: multicolor off, workers capped at 1.
-	if tun.MulticolorWidth != 0 {
-		t.Errorf("MulticolorWidth = %d, want 0 on a single-thread host", tun.MulticolorWidth)
-	}
+	// One hardware thread: workers capped at 1, which also keeps
+	// OrderingAuto natural.
 	if tun.Workers != 1 {
 		t.Errorf("Workers = %d, want 1 on a single-thread host", tun.Workers)
 	}
@@ -83,9 +79,6 @@ func TestDeriveMultiCoreHost(t *testing.T) {
 	tun := Derive(p, exact)
 	if tun.IC0Threshold != 9500 {
 		t.Errorf("IC0Threshold = %d, want 9500 (9945-DoF crossover rounded down)", tun.IC0Threshold)
-	}
-	if tun.MulticolorWidth != solver.DefaultAutoMulticolorWidth {
-		t.Errorf("MulticolorWidth = %d, want default %d (measured fan-out pays)", tun.MulticolorWidth, solver.DefaultAutoMulticolorWidth)
 	}
 	if tun.Workers != 0 {
 		t.Errorf("Workers = %d, want 0 (GOMAXPROCS fallback: measured par speedup > 1)", tun.Workers)
@@ -99,16 +92,15 @@ func TestDeriveInexactMatchKeepsNprocSensitiveDefaults(t *testing.T) {
 	if tun.IC0Threshold != 9500 {
 		t.Errorf("IC0Threshold = %d, want 9500 (crossover transfers across nproc)", tun.IC0Threshold)
 	}
-	if tun.MulticolorWidth != solver.DefaultAutoMulticolorWidth || tun.Workers != 0 {
-		t.Errorf("inexact match derived width=%d workers=%d, want defaults %d/0",
-			tun.MulticolorWidth, tun.Workers, solver.DefaultAutoMulticolorWidth)
+	if tun.Workers != 0 {
+		t.Errorf("inexact match derived workers=%d, want default 0", tun.Workers)
 	}
 }
 
 func TestDeriveNilProfileIsDefaults(t *testing.T) {
 	tun := Derive(nil, false)
 	d := Defaults()
-	if tun.IC0Threshold != d.IC0Threshold || tun.MulticolorWidth != d.MulticolorWidth || tun.Workers != d.Workers {
+	if tun.IC0Threshold != d.IC0Threshold || tun.Workers != d.Workers {
 		t.Errorf("Derive(nil) = %+v, want defaults %+v", tun, d)
 	}
 }
@@ -156,18 +148,12 @@ func TestApplyRoundTrip(t *testing.T) {
 	if got := solver.AutoIC0Threshold(); got != 2500 {
 		t.Errorf("solver.AutoIC0Threshold() = %d after Apply, want 2500", got)
 	}
-	if got := solver.AutoMulticolorWidth(); got != 0 {
-		t.Errorf("solver.AutoMulticolorWidth() = %d after Apply, want 0", got)
-	}
 	if got := solver.DefaultWorkers(); got != 1 {
 		t.Errorf("solver.DefaultWorkers() = %d after Apply, want 1", got)
 	}
 	Reset()
 	if got := solver.AutoIC0Threshold(); got != solver.DefaultAutoIC0Threshold {
 		t.Errorf("Reset left AutoIC0Threshold at %d", got)
-	}
-	if got := solver.AutoMulticolorWidth(); got != solver.DefaultAutoMulticolorWidth {
-		t.Errorf("Reset left AutoMulticolorWidth at %d", got)
 	}
 	if got := solver.DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Reset left DefaultWorkers at %d", got)

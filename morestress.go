@@ -80,10 +80,9 @@ func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 
 // Ordering choices for SolverOptions.Ordering.
 const (
-	// OrderingAuto (the default) keeps the natural ordering when its
-	// dependency levels already fan out and switches IC0 to multicolor when
-	// they are narrow (solver.AutoMulticolorWidth) and parallelism is
-	// available.
+	// OrderingAuto (the default) switches IC0 to multicolor when the system
+	// reaches solver.AutoMulticolorMinDoFs and the solve runs more than one
+	// worker, and keeps the natural ordering otherwise.
 	OrderingAuto = solver.OrderingAuto
 	// OrderingNatural factors in the matrix's own row order.
 	OrderingNatural = solver.OrderingNatural
