@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -23,14 +22,13 @@ type ingestConfig struct {
 	Profile   string  // host-profile key; "" = the running host
 	Tolerance float64 // regression factor for ns/op and loadgen p99 gates
 	Write     bool    // splice the updated profile back into -baseline
-	Snapshot  string  // also write the bare host_profiles object here
 }
 
 // runIngest parses each artifact, gates it against the pinned profile for
 // the target host (exact key when present, else the nearest same-platform
 // profile — the generous tolerance absorbs the host difference), folds the
-// measurements into the profile, re-derives its tuning aggregates, and —
-// only when the gate passed — persists per -write/-snapshot.
+// measurements into the profile, and — only when the gate passed — persists
+// it per -write.
 func runIngest(baselinePath string, raw []byte, base *baseline, cfg ingestConfig) error {
 	set := base.HostProfiles
 	if set == nil {
@@ -100,45 +98,25 @@ func runIngest(baselinePath string, raw []byte, base *baseline, cfg ingestConfig
 			fmt.Fprintf(&b, "read: %s: bench output, %d benchmark(s)\n", f, len(folded))
 		}
 	}
-	deriveTuningData(updated)
 	fmt.Print(b.String())
 	if failures > 0 {
 		return fmt.Errorf("%d ingest regression(s); baseline left untouched", failures)
 	}
 
 	set[key] = updated
-	tun := tuning.Derive(updated, true)
 	fmt.Printf("ingest: profile %s ok (%d benchmarks, %d loadgen endpoints)\n", key, len(updated.Benchmarks), len(updated.Loadgen))
-	fmt.Printf("ingest: derived tunables for %s: ic0_threshold=%d workers=%d\n",
-		key, tun.IC0Threshold, tun.Workers)
-	fmt.Printf("ingest: derivation: %s\n", tun.Source)
-
-	wrote := false
-	if cfg.Write {
-		out, err := spliceHostProfiles(raw, set)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(baselinePath, out, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("ingest: wrote %s\n", baselinePath)
-		wrote = true
+	if !cfg.Write {
+		fmt.Println("ingest: gate-only run (no -write), baseline unchanged")
+		return nil
 	}
-	if cfg.Snapshot != "" {
-		out, err := json.MarshalIndent(set, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.Snapshot, append(out, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("ingest: wrote %s\n", cfg.Snapshot)
-		wrote = true
+	out, err := spliceHostProfiles(raw, set)
+	if err != nil {
+		return err
 	}
-	if !wrote {
-		fmt.Println("ingest: gate-only run (no -write/-snapshot), baseline unchanged")
+	if err := os.WriteFile(baselinePath, out, 0o644); err != nil {
+		return err
 	}
+	fmt.Printf("ingest: wrote %s\n", baselinePath)
 	return nil
 }
 
@@ -187,11 +165,6 @@ func cloneProfile(p *tuning.HostProfile) *tuning.HostProfile {
 			c := *e
 			out.Loadgen[k] = &c
 		}
-	}
-	if p.Tuning != nil {
-		c := *p.Tuning
-		c.PrecondCrossover = append([]tuning.CrossoverRow(nil), p.Tuning.PrecondCrossover...)
-		out.Tuning = &c
 	}
 	return &out
 }
@@ -328,36 +301,6 @@ func gateLoadgen(b *strings.Builder, pinned *tuning.HostProfile, eps map[string]
 	}
 	return failures
 }
-
-// deriveTuningData refreshes the profile's measured aggregates from the
-// benchmark rows internal/solver/tuning documents: the parallel mat-vec
-// speedup from BenchmarkBlockedMulVec's blocked rows.
-// Crossover rows come from the MEASURE=1 harness, not bench output, so any
-// existing ones are preserved untouched.
-func deriveTuningData(p *tuning.HostProfile) {
-	td := p.Tuning
-	if td == nil {
-		td = &tuning.TuningData{}
-	}
-	if s, par, ok := valuePair(p, "BenchmarkBlockedMulVec", "blocked/serial", "blocked/par"); ok {
-		td.MatvecParSpeedup = roundRatio(s / par)
-	}
-	if td.MatvecParSpeedup != 0 || len(td.PrecondCrossover) > 0 {
-		p.Tuning = td
-	}
-}
-
-func valuePair(p *tuning.HostProfile, bench, numKey, denKey string) (num, den float64, ok bool) {
-	e := p.Benchmarks[bench]
-	if e == nil || e.Values == nil {
-		return 0, 0, false
-	}
-	num, okN := e.Values[numKey]
-	den, okD := e.Values[denKey]
-	return num, den, okN && okD && den > 0
-}
-
-func roundRatio(r float64) float64 { return math.Round(r*100) / 100 }
 
 // spliceHostProfiles replaces (or appends) the baseline's host_profiles
 // section in the raw file bytes, leaving every other byte — key order,

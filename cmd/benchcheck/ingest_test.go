@@ -10,8 +10,8 @@ import (
 	"repro/internal/solver/tuning"
 )
 
-// ingestBaseline pins a linux/amd64/n1 profile with bench rows, a loadgen
-// section, and crossover rows, mirroring the real snapshot's shape.
+// ingestBaseline pins a linux/amd64/n1 profile with bench rows and a loadgen
+// section, mirroring the real snapshot's shape.
 const ingestBaseline = `{
   "schema": "bench-global/v2",
   "pr": 10,
@@ -29,10 +29,6 @@ const ingestBaseline = `{
       "loadgen": {
         "solve": { "count": 1000, "errors": 0, "rejected": 0,
           "p50_ms": 20, "p95_ms": 60, "p99_ms": 100, "max_ms": 200, "throughput_rps": 40 }
-      },
-      "tuning": {
-        "precond_crossover": [ { "dofs": 2709, "ic0_warm_ms": 14, "bj3_warm_ms": 20 } ],
-        "matvec_par_speedup": 1.04
       }
     }
   }
@@ -87,22 +83,18 @@ func writeFile(t *testing.T, dir, name, content string) string {
 }
 
 // TestIngestRoundTrip is the acceptance proof for the measurement loop: a
-// bench artifact and a loadgen report fold into the host profile, the
-// written baseline re-parses, the tuning ratios are re-derived from the new
-// rows, the crossover rows survive untouched, and internal/solver/tuning
-// resolves thresholds from the written profile.
+// bench artifact and a loadgen report fold into the host profile, and the
+// written baseline re-parses with the new rows and untouched key order.
 func TestIngestRoundTrip(t *testing.T) {
 	dir, basePath, raw, base := writeIngestFixture(t)
 	bench := writeFile(t, dir, "bench.txt", ingestBenchOutput)
 	report := writeFile(t, dir, "loadgen.json", ingestLoadgenReport)
-	snapshot := filepath.Join(dir, "snapshot.json")
 
 	err := runIngest(basePath, raw, base, ingestConfig{
 		Files:     []string{bench, report},
 		Profile:   "linux/amd64/n1",
 		Tolerance: 3.0,
 		Write:     true,
-		Snapshot:  snapshot,
 	})
 	if err != nil {
 		t.Fatalf("runIngest: %v", err)
@@ -132,14 +124,6 @@ func TestIngestRoundTrip(t *testing.T) {
 	if p.Loadgen["solve"] == nil || p.Loadgen["solve"].P99MS != 90 {
 		t.Errorf("loadgen solve endpoint not refreshed: %+v", p.Loadgen)
 	}
-	if p.Tuning == nil || len(p.Tuning.PrecondCrossover) != 1 || p.Tuning.PrecondCrossover[0].DoFs != 2709 {
-		t.Errorf("crossover rows did not survive ingest: %+v", p.Tuning)
-	}
-	// 830000/910000 = 0.91 — re-derived from the fresh rows, not the
-	// pinned 1.04.
-	if p.Tuning.MatvecParSpeedup != 0.91 {
-		t.Errorf("MatvecParSpeedup = %v, want 0.91", p.Tuning.MatvecParSpeedup)
-	}
 	if p.UpdatedPR != base.PR {
 		t.Errorf("UpdatedPR = %d, want %d", p.UpdatedPR, base.PR)
 	}
@@ -147,32 +131,10 @@ func TestIngestRoundTrip(t *testing.T) {
 	if at, schemaAt := strings.Index(string(rewritten), `"benchmarks"`), strings.Index(string(rewritten), `"schema"`); at < schemaAt {
 		t.Error("splice reordered top-level keys")
 	}
-
-	// The written profile drives the solver knobs end to end.
-	tun := tuning.Derive(p, true)
-	if tun.IC0Threshold != 2500 {
-		t.Errorf("derived IC0Threshold = %d, want 2500", tun.IC0Threshold)
-	}
-	if tun.Workers != 1 {
-		t.Errorf("derived workers = %d, want 1 on n1", tun.Workers)
-	}
-
-	// The -snapshot artifact is a bare host_profiles object tuning can parse.
-	snapRaw, err := os.ReadFile(snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapSet, err := tuning.Parse(snapRaw)
-	if err != nil {
-		t.Fatalf("snapshot does not re-parse: %v", err)
-	}
-	if snapSet["linux/amd64/n1"] == nil {
-		t.Error("snapshot lost the profile")
-	}
 }
 
 // TestIngestGateFailures: injected regressions must exit non-zero and leave
-// both the baseline and the snapshot untouched.
+// the baseline untouched.
 func TestIngestGateFailures(t *testing.T) {
 	cases := map[string]struct {
 		artifact string // file content
@@ -206,13 +168,11 @@ func TestIngestGateFailures(t *testing.T) {
 				ext = ".json"
 			}
 			artifact := writeFile(t, dir, "artifact"+ext, tc.artifact)
-			snapshot := filepath.Join(dir, "snapshot.json")
 			err := runIngest(basePath, raw, base, ingestConfig{
 				Files:     []string{artifact},
 				Profile:   "linux/amd64/n1",
 				Tolerance: 3.0,
 				Write:     true,
-				Snapshot:  snapshot,
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
@@ -220,9 +180,6 @@ func TestIngestGateFailures(t *testing.T) {
 			after, readErr := os.ReadFile(basePath)
 			if readErr != nil || string(after) != ingestBaseline {
 				t.Error("failed gate rewrote the baseline")
-			}
-			if _, statErr := os.Stat(snapshot); statErr == nil {
-				t.Error("failed gate wrote the snapshot")
 			}
 		})
 	}

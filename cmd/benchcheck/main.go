@@ -18,9 +18,8 @@
 // cmd/loadgen JSON reports — into the profile matching the running (or
 // -profile-named) host: new numbers are gated against the pinned profile
 // first (ns/op and loadgen p99 beyond -tolerance× fail, and nothing is
-// written then), -write persists the updated baseline, and -snapshot
-// regenerates the embedded tuning snapshot the serve/router binaries derive
-// their solver thresholds from. docs/MEASUREMENT.md documents the loop.
+// written then), and -write persists the updated baseline.
+// docs/MEASUREMENT.md documents the loop.
 //
 // Usage:
 //
@@ -29,7 +28,7 @@
 //	benchcheck -baseline BENCH_global.json -bench out.txt \
 //	    -tolerance 3 -require BenchmarkBatchEngine,BenchmarkPCGNoAlloc
 //	benchcheck -baseline BENCH_global.json -ingest bench.txt,loadgen.json \
-//	    [-profile linux/amd64/n4] [-write] [-snapshot internal/solver/tuning/snapshot.json]
+//	    [-profile linux/amd64/n4] [-write]
 package main
 
 import (
@@ -55,7 +54,6 @@ func main() {
 	ingest := flag.String("ingest", "", "comma-separated measurement artifacts (go test -bench output and/or cmd/loadgen JSON reports) to fold into the host profile, gating against its pinned values first")
 	profile := flag.String("profile", "", "host-profile key goos/goarch/nN the ingested artifacts were measured on (default: the running host)")
 	write := flag.Bool("write", false, "persist the ingested host profile back into -baseline (skipped when the gate fails)")
-	snapshot := flag.String("snapshot", "", "also write the updated host_profiles section to this path (the internal/solver/tuning embedded snapshot)")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*baselinePath)
@@ -74,7 +72,6 @@ func main() {
 			Profile:   *profile,
 			Tolerance: *tolerance,
 			Write:     *write,
-			Snapshot:  *snapshot,
 		}); err != nil {
 			fatal(err)
 		}
@@ -201,9 +198,8 @@ func parseBaseline(raw []byte) (*baseline, error) {
 		}
 		out.Benchmarks[name] = e
 	}
-	// The host_profiles section shares its schema (and validation) with the
-	// runtime consumer, internal/solver/tuning — the file serving tunes
-	// itself from is the same file CI gates.
+	// The host_profiles section's schema and validation live in
+	// internal/solver/tuning, shared with cmd/loadgen's report rows.
 	set, err := tuning.Parse(raw)
 	if err != nil {
 		return nil, err

@@ -82,13 +82,12 @@
 //	router -replicas URL[,URL...] [-addr :8080]
 //	       [-probe-interval 500ms] [-probe-timeout 2s]
 //	       [-retries 2N] [-backoff 50ms]
-//	       [-precond auto] [-ordering auto] [-tuning FILE]
+//	       [-precond auto] [-ordering auto]
 //
 // -precond/-ordering only feed request validation during key derivation
 // (the lattice key does not depend on solver options); they should match
-// the replicas' flags. -tuning likewise mirrors the replicas: it loads the
-// same measured host-profile thresholds (see docs/MEASUREMENT.md) so the
-// router's "auto" resolution agrees with theirs.
+// the replicas' flags. The router never resolves "auto" itself: the
+// replicas do, by a rule fixed in code.
 package main
 
 import (
@@ -104,7 +103,6 @@ import (
 
 	morestress "repro"
 	"repro/internal/router"
-	"repro/internal/solver/tuning"
 )
 
 //stressvet:gang -- one goroutine carries ListenAndServe so main can select on shutdown signals
@@ -118,8 +116,6 @@ func main() {
 	precondFlag := flag.String("precond", "auto", "default preconditioner assumed during request validation (match the replicas)")
 	orderingFlag := flag.String("ordering", "auto", "default IC0 ordering assumed during request validation (match the replicas)")
 	precisionFlag := flag.String("precision", "auto", "default IC0 factor precision assumed during request validation (match the replicas)")
-	tuningPath := flag.String("tuning", "",
-		"bench-global/v2 file (or bare host_profiles snapshot) so \"auto\" resolves with the same measured thresholds as the replicas (empty = embedded snapshot)")
 	flag.Parse()
 
 	precond, err := morestress.ParsePrecond(*precondFlag)
@@ -134,17 +130,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The router never solves, but "auto" preconditioner/ordering decisions
-	// made during request validation should agree with what the replicas will
-	// actually do — resolve the same measured thresholds they do.
-	tun, err := tuning.Startup(*tuningPath)
-	if err != nil {
-		if *tuningPath != "" {
-			log.Fatalf("router: -tuning %s: %v", *tuningPath, err)
-		}
-		log.Printf("router: tuning snapshot unusable, keeping hand-set defaults: %v", err)
-	}
-	log.Printf("router: tuning: ic0 threshold %d (%s)", tun.IC0Threshold, tun.Source)
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {

@@ -88,7 +88,6 @@
 //	      [-queue-depth 64] [-job-workers 1] [-job-ttl 10m]
 //	      [-job-field-budget 134217728] [-journal-dir DIR]
 //	      [-precond auto] [-warm-start=true] [-assembly-bytes 1073741824]
-//	      [-tuning FILE]
 //
 // Defaults: -cache-bytes is 2 GiB (romcache.DefaultMaxBytes); -cache-entries
 // is 0, meaning the byte budget alone governs admission (set it to add a
@@ -132,14 +131,10 @@
 // iterations; per-scenario SSE events carry iterations, residual, precond,
 // and warmStart. See docs/SOLVER_TUNING.md for guidance and measurements.
 //
-// The thresholds behind "auto" are measured, not guessed: at startup the
-// process derives the IC0 crossover and the worker default from the
-// ingested host profile matching this GOOS/GOARCH/nproc (-tuning FILE
-// points at a bench-global/v2 baseline or bare host_profiles snapshot; empty
-// uses the embedded snapshot; hand-set constants remain the fallback when no
-// profile matches). The ordering needs no knob of its own: "auto" picks
-// multicolor IC0 from the system size and the solve's worker count. See
-// docs/MEASUREMENT.md for how profiles are produced and ingested.
+// The rules behind "auto" are fixed in code and measured in
+// docs/SOLVER_TUNING.md: IC0 from solver.AutoIC0Threshold (2 500) free DoFs,
+// block-Jacobi-3 below, and multicolor IC0 from the system size and the
+// solve's worker count (GOMAXPROCS by default).
 package main
 
 import (
@@ -156,7 +151,6 @@ import (
 	"repro/internal/romcache"
 	"repro/internal/router"
 	"repro/internal/serveapi"
-	"repro/internal/solver/tuning"
 	"repro/internal/wal"
 )
 
@@ -184,8 +178,6 @@ func main() {
 		"default IC0 factor storage precision: auto, float64, or float32 (per-request \"precision\" overrides)")
 	warmStart := flag.Bool("warm-start", true,
 		"seed iterative solves with the latest solution on the same lattice")
-	tuningPath := flag.String("tuning", "",
-		"bench-global/v2 file (or bare host_profiles snapshot) to derive solver thresholds from (empty = embedded snapshot, hand-set defaults when no profile matches)")
 	assemblyBytes := flag.Int64("assembly-bytes", 1<<30,
 		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
 	flag.Parse()
@@ -202,19 +194,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Resolve measured solver thresholds for this host before any engine is
-	// built: NewEngine snapshots solver.DefaultWorkers at construction. An
-	// explicit -tuning file that fails to load is an operator error; a stale
-	// embedded snapshot just falls back to the hand-set defaults.
-	tun, err := tuning.Startup(*tuningPath)
-	if err != nil {
-		if *tuningPath != "" {
-			log.Fatalf("serve: -tuning %s: %v", *tuningPath, err)
-		}
-		log.Printf("serve: tuning snapshot unusable, keeping hand-set defaults: %v", err)
-	}
-	log.Printf("serve: tuning: ic0 threshold %d, workers %d (%s)",
-		tun.IC0Threshold, tun.Workers, tun.Source)
 	engineOpt := morestress.EngineOptions{
 		Workers:          *workers,
 		CacheBytes:       *cacheBytes,

@@ -49,7 +49,7 @@
 //     kind, and factor ordering (cached on the assembly — the IC0 factor
 //     is no longer rebuilt per solve), the iterative solvers default to
 //     auto-selected preconditioning (block-Jacobi-3 for small lattices,
-//     amortized IC0 above solver.AutoIC0Threshold DoFs;
+//     IC0 at and above solver.AutoIC0Threshold DoFs;
 //     SolverOptions.Precond overrides) with level-scheduled IC0 triangular
 //     solves, an auto-selected symmetric factor ordering
 //     (SolverOptions.Ordering: multicolor when the system reaches

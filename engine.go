@@ -278,8 +278,6 @@ type Engine struct {
 // NewEngine creates an engine. A zero EngineOptions is valid.
 func NewEngine(opt EngineOptions) *Engine {
 	if opt.Workers <= 0 {
-		// solver.DefaultWorkers is GOMAXPROCS unless host-profile tuning
-		// installed a measured ceiling at startup (internal/solver/tuning).
 		opt.Workers = solver.DefaultWorkers()
 	}
 	if opt.MaxFactors <= 0 {

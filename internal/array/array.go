@@ -75,9 +75,10 @@ type Problem struct {
 	// Opt configures the iterative solver, including the preconditioner
 	// (Opt.Precond, default solver.PrecondAuto).
 	Opt solver.Options
-	// Workers bounds the parallelism (0 = GOMAXPROCS for assembly; the
-	// iterative solve then follows solver.DefaultWorkers, the default the
-	// OrderingAuto rule resolves against everywhere).
+	// Workers bounds the parallelism of the assembly and, unless
+	// Opt.Workers sets its own, of the iterative solve (0 = GOMAXPROCS,
+	// solver.DefaultWorkers — the count the OrderingAuto rule resolves
+	// against).
 	Workers int
 	// Assembly optionally supplies a prebuilt assemble-once snapshot of the
 	// reduced global system. The matrix depends only on the ROM content,
@@ -316,8 +317,7 @@ type Assembly struct {
 // storage precision the factor was built under (the ordering-invariant
 // kinds always cache under OrderingNatural and PrecisionFloat64 so
 // spellings share one entry; PrecisionAuto canonicalizes to PrecisionFloat32
-// for IC0 because both build the identical factor — float32 exactly when
-// the factor commits to 3×3 tiles).
+// for IC0 because both build the identical float32 factor).
 type precondKey struct {
 	kind solver.PrecondKind
 	ord  solver.OrderingKind
@@ -349,8 +349,8 @@ type AssemblyPrecond struct {
 	// kinds).
 	Ordering solver.OrderingKind
 	// Precision is the concrete storage precision of the built factor:
-	// float32 only when an IC0 factor committed to the 3×3-tiled form,
-	// float64 otherwise (including every non-factorizing kind).
+	// the requested one for IC0 (PrecisionAuto resolves to float32),
+	// float64 for every non-factorizing kind.
 	Precision solver.Precision
 	// Hit reports that the preconditioner was already cached (or is being
 	// built by a concurrent caller this call waited on) rather than built
@@ -372,19 +372,15 @@ type AssemblyPrecond struct {
 // the same entry. Only the factorizing kinds are ordering- and
 // precision-sensitive; the others cache under OrderingNatural and
 // PrecisionFloat64 whatever is requested. For IC0, PrecisionAuto and
-// PrecisionFloat32 build the identical factor (float32 storage exactly when
-// the factor commits to the 3×3-tiled form) and so share one cache entry,
-// while PrecisionFloat64 caches separately — the float64 factor a stalled
-// float32 solve retries against lives next to the float32 factor it
+// PrecisionFloat32 build the identical float32 factor and so share one cache
+// entry, while PrecisionFloat64 caches separately — the float64 factor a
+// stalled float32 solve retries against lives next to the float32 factor it
 // replaces.
 func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision, workers int) (AssemblyPrecond, error) {
 	if a.Red == nil {
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
-	// Amortized resolution: the whole point of this cache is that the
-	// construction is paid once per lattice, so Auto switches to IC0 at the
-	// amortized threshold rather than the one-shot one.
-	resolved := kind.ResolveAmortized(a.Red.NFree())
+	resolved := kind.Resolve(a.Red.NFree())
 	if resolved == solver.PrecondIC0 {
 		ord = solver.ResolveOrdering(ord, a.aff.NRows, workers)
 		if prec == solver.PrecisionAuto {
@@ -671,7 +667,7 @@ func Solve(p *Problem) (*Solution, error) {
 	tSolve := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	opt := p.Opt
 	if opt.Workers == 0 {
-		opt.Workers = p.Workers
+		opt.Workers = workers
 	}
 	// Iterative solves draw their preconditioner from the assembly's
 	// per-kind cache: built on the lattice's first solve, shared by every
@@ -681,15 +677,7 @@ func Solve(p *Problem) (*Solution, error) {
 	drewPrec := solver.PrecisionFloat64
 	var precondBuild time.Duration
 	if p.Solver != Direct && opt.M == nil {
-		kind := opt.Precond
-		if !shared {
-			// One-shot solve: the assembly (and so the cache) dies with this
-			// call, nothing amortizes the build — resolve Auto with the
-			// one-shot rule so mid-size standalone solves keep the cheap
-			// block-Jacobi-3 instead of paying an unamortized IC0 factor.
-			kind = kind.Resolve(asm.NumFree())
-		}
-		ap, err := asm.PreconditionerPrec(kind, opt.Ordering, opt.Precision, opt.Workers)
+		ap, err := asm.PreconditionerPrec(opt.Precond, opt.Ordering, opt.Precision, opt.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("array: global preconditioner: %w", err)
 		}

@@ -89,10 +89,9 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	if !again.Hit || again.M != ic.M || again.Build != 0 {
 		t.Errorf("repeat ic0 request: hit=%v same=%v build=%v", again.Hit, again.M == ic.M, again.Build)
 	}
-	// Auto resolves against the reduced size (amortized rule — the cache is
-	// what amortizes it) and must share the resolved kind's entry rather
-	// than cache a duplicate under PrecondAuto.
-	resolved := solver.PrecondKind(solver.PrecondAuto).ResolveAmortized(asm.NumFree())
+	// Auto resolves against the reduced size and must share the resolved
+	// kind's entry rather than cache a duplicate under PrecondAuto.
+	resolved := solver.PrecondKind(solver.PrecondAuto).Resolve(asm.NumFree())
 	want, err := asm.PreconditionerPrec(resolved, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -296,13 +295,11 @@ func TestAssemblyPrecondRequiresFreeDoFs(t *testing.T) {
 
 // TestAutoOrderingFollowsDefaultWorkers: with no explicit worker count the
 // assembly cache resolves OrderingAuto through the same rule as a bare
-// solve, at the tuning-aware solver.DefaultWorkers — not GOMAXPROCS. A host
-// whose tuning caps the solver at one worker must get the natural factor on
-// a multi-core machine, exactly as a bare PCG would.
+// solve, at solver.DefaultWorkers (GOMAXPROCS). A process held to one
+// worker must get the natural factor, exactly as a bare PCG would.
 func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
+	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	defer solver.SetDefaultWorkers(solver.SetDefaultWorkers(1))
 	p := &Problem{ROM: buildROM(t, 4, true), Bx: 12, By: 12, DeltaT: -250, BC: ClampedTopBottom, Solver: GMRES}
 	asm, err := NewAssembly(p, 0)
 	if err != nil {
@@ -329,7 +326,10 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 // served (5,5,5) coarse cell for the lattices the benchmark workloads run:
 // the new-design shapes stay natural on size alone, and the 12×12 hotspot
 // lattice factors multicolor at 2 workers but natural at 1. The decision
-// follows the system size and the worker count only.
+// follows the system size and the worker count only. PrecondAuto likewise
+// follows the size alone: a bare Solve, which builds its own assembly and
+// factor for one solve, resolves it as the engine's cached path does, on
+// either side of solver.AutoIC0Threshold.
 func TestAutoOrderingOnServedLattices(t *testing.T) {
 	r := servedROM(t, true)
 	for _, c := range []struct {
@@ -355,6 +355,21 @@ func TestAutoOrderingOnServedLattices(t *testing.T) {
 		}
 		if ap.Ordering != c.want {
 			t.Errorf("%d×%d at %d workers: auto ordering %v, want %v", c.bx, c.by, c.workers, ap.Ordering, c.want)
+		}
+	}
+	for _, c := range []struct {
+		bx, by int
+		want   solver.PrecondKind
+	}{
+		{4, 8, solver.PrecondBlockJacobi3}, // 2 457 free DoFs
+		{6, 6, solver.PrecondIC0},          // 2 709 free DoFs
+	} {
+		sol, err := Solve(&Problem{ROM: r, Bx: c.bx, By: c.by, DeltaT: -250, BC: ClampedTopBottom, Solver: GMRES})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Stats.Precond != c.want {
+			t.Errorf("%d×%d bare Solve: auto preconditioner %v, want %v", c.bx, c.by, sol.Stats.Precond, c.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/linalg"
@@ -55,18 +56,16 @@ type Options struct {
 	MaxIter int
 	// Restart is the GMRES restart length m (default 60).
 	Restart int
-	// Workers is the solve's parallelism (default DefaultWorkers: GOMAXPROCS
-	// unless host-profile tuning installed a measured ceiling): the gang
+	// Workers is the solve's parallelism (default DefaultWorkers): the gang
 	// size of the per-call workspace when Work is nil, a cap on the
 	// mat-vec's fan-out otherwise, and the worker count OrderingAuto
 	// resolves against.
 	Workers int
-	// Precond selects the preconditioner (default PrecondAuto). A bare
-	// GMRES/PCG call builds its preconditioner for that solve alone, so Auto
-	// resolves with the one-shot rule: block-Jacobi-3 below
-	// AutoIC0OneShotThreshold DoFs, IC0 at and above it. Callers that
-	// amortize the build (array.Assembly) resolve at AutoIC0Threshold and
-	// pass the result in M.
+	// Precond selects the preconditioner (default PrecondAuto:
+	// block-Jacobi-3 below AutoIC0Threshold DoFs, IC0 at and above it — see
+	// PrecondKind.Resolve). The rule is the same whether the call builds its
+	// preconditioner for this solve alone or a caller that caches it
+	// (array.Assembly) passes it in M.
 	Precond PrecondKind
 	// Ordering selects the symmetric ordering the factorizing
 	// preconditioners (IC0) are built under (default OrderingAuto:
@@ -95,10 +94,13 @@ type Options struct {
 	Work *Workspace
 }
 
-// normWorkers applies the package-wide worker-count default (DefaultWorkers:
-// GOMAXPROCS unless host-profile tuning installed a measured ceiling) so
-// that every matrix-vector product — including the out-of-band true-residual
-// checks — agrees with Options.withDefaults.
+// DefaultWorkers is the package-wide worker-count default applied wherever
+// an Options.Workers (or EngineOptions.Workers) travels zero: GOMAXPROCS.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+
+// normWorkers applies the package-wide worker-count default (DefaultWorkers)
+// so that every matrix-vector product — including the out-of-band
+// true-residual checks — agrees with Options.withDefaults.
 func normWorkers(w int) int {
 	if w <= 0 {
 		return DefaultWorkers()
@@ -132,9 +134,9 @@ type krylovPrecond struct {
 }
 
 // setupKrylov is the preamble PCG and GMRES share, so the Auto policies
-// resolve in one place. It resolves the preconditioner kind with the
-// one-shot rule and the ordering at opt.Workers (ResolveOrdering), builds M
-// unless opt.M supplies it (timed into Stats.PrecondBuild), records the
+// resolve in one place. It resolves the preconditioner kind (Resolve) and
+// the ordering at opt.Workers (ResolveOrdering), builds M unless opt.M
+// supplies it (timed into Stats.PrecondBuild), records the
 // kind, ordering, precision and warm start in Stats, and borrows opt.Work —
 // or opens a per-call workspace of opt.Workers — with the mat-vec bound to
 // a. opt must already carry its defaults (withDefaults).

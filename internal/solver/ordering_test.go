@@ -204,7 +204,7 @@ func TestOrderingResolve(t *testing.T) {
 			t.Errorf("ResolveOrdering(auto, n=%d, workers=%d) = %v, want %v", c.n, c.workers, got, c.want)
 		}
 	}
-	// workers 0 follows DefaultWorkers (GOMAXPROCS without a tuned ceiling).
+	// workers 0 follows DefaultWorkers (GOMAXPROCS).
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	if got := ResolveOrdering(OrderingAuto, big, 0); got != OrderingMulticolor {
@@ -213,15 +213,20 @@ func TestOrderingResolve(t *testing.T) {
 }
 
 // TestDefaultWorkersGovernsAutoOrdering: with no explicit worker count the
-// OrderingAuto rule follows the tuning-aware DefaultWorkers, not
-// GOMAXPROCS — a host capped to one solver worker keeps the natural factor
-// on a multi-core machine.
+// OrderingAuto rule follows DefaultWorkers (GOMAXPROCS) — a process held to
+// one solver worker keeps the natural factor, and an explicit worker count
+// overrides the default.
 func TestDefaultWorkersGovernsAutoOrdering(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
+	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	defer SetDefaultWorkers(SetDefaultWorkers(1))
+	if got := DefaultWorkers(); got != 1 {
+		t.Fatalf("DefaultWorkers() = %d at GOMAXPROCS 1", got)
+	}
 	if got := ResolveOrdering(OrderingAuto, AutoMulticolorMinDoFs, 0); got != OrderingNatural {
-		t.Errorf("auto with DefaultWorkers 1 at GOMAXPROCS 4 resolved to %v, want natural", got)
+		t.Errorf("auto with DefaultWorkers 1 resolved to %v, want natural", got)
+	}
+	if got := ResolveOrdering(OrderingAuto, AutoMulticolorMinDoFs, 2); got != OrderingMulticolor {
+		t.Errorf("auto with 2 explicit workers at GOMAXPROCS 1 resolved to %v, want multicolor", got)
 	}
 }
 

@@ -20,13 +20,9 @@ type PrecondKind int
 const (
 	// PrecondAuto — the zero value, and therefore the default wherever an
 	// Options travels unset — picks a preconditioner from the system size
-	// and whether the construction amortizes: block-Jacobi-3 for small
-	// systems (the natural choice for displacement problems with 3 DoFs
-	// per node), IC0 where its ~6× iteration-count savings dominate — at
-	// and above AutoIC0Threshold DoFs on the assembly-cached path that
-	// builds the factor once per lattice (ResolveAmortized), at and above
-	// AutoIC0OneShotThreshold for bare solves that pay the build every
-	// call (Resolve).
+	// alone (Resolve): block-Jacobi-3 for small systems, IC0 at and above
+	// AutoIC0Threshold DoFs, where its ~3–5× iteration-count savings
+	// dominate.
 	PrecondAuto PrecondKind = iota
 	// Value 1 is reserved: it was the scalar inverse-diagonal (Jacobi)
 	// preconditioner, deleted because every system the solvers take is
@@ -47,45 +43,24 @@ const (
 	PrecondNone
 )
 
-// DefaultAutoIC0Threshold is the hand-measured fallback for the system size
-// (DoFs) at and above which PrecondAuto resolves to IC0 *when the
-// construction amortizes* — the assembly-cached path
-// (array.Assembly.PreconditionerPrec), where the factor is built at most once
-// per lattice. Measured with the cached build and the level-scheduled
-// apply: once the build amortizes, IC0's ~6× iteration-count reduction wins
-// wall time at every measured lattice (28 vs 45 ms at 2 709 DoFs, 482 vs
-// 1 364 ms at 21 717 — docs/SOLVER_TUNING.md has the table), so the
-// threshold sits just below the smallest measured crossover. The live value
-// is AutoIC0Threshold (tunable.go): host-profile tuning may re-derive it
-// from that host's own measurements at startup.
-const DefaultAutoIC0Threshold = 2500
+// AutoIC0Threshold is the system size (DoFs) at and above which PrecondAuto
+// resolves to IC0; below it, block-Jacobi-3. One rule serves every entry
+// point. A factor cached on an array.Assembly wins at every measured size
+// above the threshold, and since IC0 is factored straight from the 3×3
+// tiles a bare cold solve that builds the factor for one use stays close to
+// block-Jacobi-3 (from a ~25 % win to a ~20 % loss on 2 vCPUs;
+// docs/SOLVER_TUNING.md has the tables). The threshold sits just below the
+// 2 709-DoF lattice, the smallest measured warm crossover.
+const AutoIC0Threshold = 2500
 
-// AutoIC0OneShotThreshold is the crossover for solves that pay the IC0
-// construction every time (bare PCG/GMRES calls with no prebuilt Options.M,
-// which build their preconditioner per call): the ~60–600 ms factorization
-// only reaches wall-time parity with block-Jacobi-3 around 20k DoFs.
-const AutoIC0OneShotThreshold = 20000
-
-// Resolve maps PrecondAuto to the concrete kind chosen for an n-DoF system
-// using the one-shot rule (the preconditioner is built for this solve
-// alone); concrete kinds resolve to themselves. Callers that amortize the
-// construction across solves use ResolveAmortized instead.
+// Resolve maps PrecondAuto to the concrete kind chosen for an n-DoF system:
+// IC0 at and above AutoIC0Threshold, block-Jacobi-3 below it. Concrete
+// kinds resolve to themselves.
 func (k PrecondKind) Resolve(n int) PrecondKind {
-	return k.resolve(n, AutoIC0OneShotThreshold)
-}
-
-// ResolveAmortized maps PrecondAuto to the concrete kind chosen when the
-// preconditioner's construction is shared across many solves (the
-// assembly-cache path), where IC0 pays off at much smaller systems.
-func (k PrecondKind) ResolveAmortized(n int) PrecondKind {
-	return k.resolve(n, AutoIC0Threshold())
-}
-
-func (k PrecondKind) resolve(n, ic0At int) PrecondKind {
 	if k != PrecondAuto {
 		return k
 	}
-	if n >= ic0At {
+	if n >= AutoIC0Threshold {
 		return PrecondIC0
 	}
 	return PrecondBlockJacobi3
@@ -126,7 +101,7 @@ func ParsePrecond(s string) (PrecondKind, error) {
 
 // NewPreconditioner builds the requested preconditioner for the SPD matrix
 // a, held as 3×3 tiles, resolving PrecondAuto against the matrix size first
-// (the one-shot rule). Every construction in the package funnels through
+// (Resolve). Every construction in the package funnels through
 // here so no solver path hardwires its own preconditioner. For the
 // factorizing kinds, ord selects the symmetric ordering — IC0 factors the
 // permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes

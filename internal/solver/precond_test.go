@@ -209,36 +209,25 @@ func TestIC0MatchesFullCholeskyOnTridiagonal(t *testing.T) {
 }
 
 func TestPrecondAutoResolution(t *testing.T) {
-	// One-shot rule (bare solver calls build the preconditioner per solve).
+	// One rule for every entry point: the size alone decides, whether the
+	// preconditioner is built for one solve or cached across many.
 	cases := []struct {
 		kind PrecondKind
 		n    int
 		want PrecondKind
 	}{
 		{PrecondAuto, 300, PrecondBlockJacobi3},
-		{PrecondAuto, AutoIC0Threshold() + 2, PrecondBlockJacobi3}, // amortized crossover is not the one-shot one
-		{PrecondAuto, AutoIC0OneShotThreshold, PrecondIC0},
-		{PrecondAuto, AutoIC0OneShotThreshold + 3, PrecondIC0},
+		{PrecondAuto, AutoIC0Threshold - 1, PrecondBlockJacobi3},
+		{PrecondAuto, AutoIC0Threshold, PrecondIC0},
+		{PrecondAuto, 2709, PrecondIC0},  // served 6×6: block-Jacobi-3 under the deleted one-shot rule
+		{PrecondAuto, 20000, PrecondIC0}, // the deleted one-shot crossover is no boundary
 		{PrecondBlockJacobi3, 1 << 20, PrecondBlockJacobi3},
+		{PrecondIC0, 3, PrecondIC0},
 		{PrecondNone, 3, PrecondNone},
 	}
 	for _, c := range cases {
 		if got := c.kind.Resolve(c.n); got != c.want {
 			t.Errorf("Resolve(%v, n=%d) = %v, want %v", c.kind, c.n, got, c.want)
-		}
-	}
-	// Amortized rule (assembly-cached path): IC0 from the lower threshold.
-	amortized := []struct {
-		n    int
-		want PrecondKind
-	}{
-		{300, PrecondBlockJacobi3},
-		{AutoIC0Threshold(), PrecondIC0},
-		{AutoIC0OneShotThreshold, PrecondIC0},
-	}
-	for _, c := range amortized {
-		if got := PrecondAuto.ResolveAmortized(c.n); got != c.want {
-			t.Errorf("ResolveAmortized(auto, n=%d) = %v, want %v", c.n, got, c.want)
 		}
 	}
 }

@@ -60,10 +60,9 @@ const (
 
 // Preconditioner choices for SolverOptions.Precond.
 const (
-	// PrecondAuto (the default) picks by system size: block-Jacobi-3 for
-	// small lattices, IC0 at and above solver.AutoIC0Threshold DoFs
-	// (solver.AutoIC0OneShotThreshold for a bare array.Solve without a
-	// shared assembly, which builds its preconditioner for that one solve).
+	// PrecondAuto (the default) picks by system size alone: block-Jacobi-3
+	// for small lattices, IC0 at and above solver.AutoIC0Threshold DoFs —
+	// the same rule for an engine solve and a bare one.
 	PrecondAuto = solver.PrecondAuto
 	// PrecondBlockJacobi3 inverts the per-node 3×3 diagonal blocks.
 	PrecondBlockJacobi3 = solver.PrecondBlockJacobi3
@@ -98,15 +97,13 @@ func ParseOrdering(s string) (Ordering, error) { return solver.ParseOrdering(s) 
 
 // Factor-precision choices for SolverOptions.Precision.
 const (
-	// PrecisionAuto (the default) stores the IC0 factor in float32 exactly
-	// when the factor commits to the 3×3-tiled kernels, float64 otherwise.
+	// PrecisionAuto (the default) stores the IC0 factor in float32.
 	PrecisionAuto = solver.PrecisionAuto
 	// PrecisionFloat64 forces double-precision factor storage.
 	PrecisionFloat64 = solver.PrecisionFloat64
 	// PrecisionFloat32 requests single-precision factor storage — roughly
 	// half the factor bytes; a solve that stalls under it (GMRES or PCG) is
-	// retried once against a float64 factor. Degrades to float64 when the
-	// factor cannot tile.
+	// retried once against a float64 factor.
 	PrecisionFloat32 = solver.PrecisionFloat32
 )
 
