@@ -30,7 +30,10 @@
 //	   └────────────┴─────▶ cancelled
 //
 // Finished jobs (and their results) are kept for -job-ttl, then garbage-
-// collected; polling an expired ID returns 404.
+// collected; polling an expired ID returns 404. A finished scenario keeps
+// only what its response reports: the solver report, timings, peak stress,
+// and the sampled field if the scenario set includeField. The solution
+// vectors are not kept.
 //
 // A polling round trip:
 //
@@ -97,8 +100,9 @@
 // parallelizes within each solve); -job-ttl is the finished-result
 // retention; -job-field-budget caps the aggregate field samples of all
 // tracked async jobs, queued through retained (default 2²⁷ ≈ 1 GiB of
-// float64 samples — results held for the TTL count against it, so parked
-// results cannot exhaust memory; over-budget submissions get 429).
+// float64 samples — a job is charged every scenario's samples for its
+// whole TTL, an upper bound on the fields it keeps, so parked results
+// cannot exhaust memory; over-budget submissions get 429).
 //
 // # Durability
 //

@@ -219,8 +219,8 @@ func (l *Lattice) BlockDoFMap(r *rom.ROM, bx, by int) []int32 {
 type Solution struct {
 	// Prob is a snapshot of the solved problem for post-processing (field
 	// reconstruction needs the ROMs and the ΔT field). Its Assembly and X0
-	// are cleared so a retained Solution — e.g. an async job result held
-	// for its TTL — does not pin the reduced global matrix or the
+	// are cleared so a retained Solution — e.g. a JobResult a caller keeps
+	// for post-processing — does not pin the reduced global matrix or the
 	// warm-start seed beyond the solve.
 	Prob    *Problem
 	Lattice *Lattice

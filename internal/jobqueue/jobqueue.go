@@ -12,7 +12,9 @@
 // bounded: when Depth jobs are already queued, Submit fails with
 // ErrQueueFull so the HTTP layer can push back (429) instead of buffering
 // without limit. Finished jobs — done, failed, or cancelled — are retained
-// for TTL so results can be fetched after completion, then garbage-collected.
+// for TTL so results can be fetched after completion, then garbage-collected;
+// each finished scenario is held as a compact Result, without the solution
+// vectors.
 //
 // Scenarios within a job run sequentially through the SolveFunc (the Engine
 // parallelizes internally, and the queue's Workers setting runs that many
@@ -122,10 +124,10 @@ type Options struct {
 	// MaxCost bounds the aggregate cost of every tracked job — queued,
 	// running, and finished-but-retained (0 = unlimited). Each Submit
 	// declares its job's cost in caller-defined units (the HTTP layer uses
-	// field sample counts, the dominant memory term of a retained result);
-	// the budget is released when the job expires or is deleted. Submit
-	// returns ErrOverloaded while the budget is exhausted, so results held
-	// for the TTL cannot accumulate without bound.
+	// field sample counts, the only term of a retained Result that grows
+	// with the request); the budget is released when the job expires or is
+	// deleted. Submit returns ErrOverloaded while the budget is exhausted,
+	// so results held for the TTL cannot accumulate without bound.
 	MaxCost int64
 	// Solve runs one scenario; required.
 	Solve SolveFunc
@@ -164,9 +166,95 @@ type Snapshot struct {
 	// solve time (start to finish, or to now while running).
 	Wait, Run time.Duration
 	// Results holds one entry per completed scenario, in submission order.
-	Results []*morestress.JobResult
+	Results []Result
 	// Err is the job-level failure message, set when State is failed.
 	Err string
+}
+
+// Result is the compact outcome of one finished scenario. It is what a job
+// retains for its TTL, what the scenario's event reports, and what its 'C'
+// journal record holds, so a job recovered from the journal reads exactly
+// like the live one. NewResult converts the SolveFunc's JobResult once, when
+// the scenario finishes: the runtime solution graph (the global solution
+// vectors, the problem snapshot, the lattice) is not kept, and the sampled
+// field only where the job's meta asks for it (see Submit).
+//
+// The field names are the journal's gob names; renaming one stops older
+// journals from restoring it.
+type Result struct {
+	// Index is the scenario's position in the job.
+	Index int
+	// Err is the scenario's failure message, empty on success; a failed
+	// scenario carries nothing below Total.
+	Err              string
+	CacheHit         bool
+	LocalWait, Total time.Duration
+	// Stats is the global solve's report; its Ordering and Precision mirror
+	// the solution's.
+	Stats      morestress.SolverStats
+	GlobalTime time.Duration
+	GlobalDoFs int
+	// Iterative reports a GMRES/PCG global solve (ArrayResult.Iterative):
+	// only then do Stats' preconditioner, ordering, precision and
+	// warm-start fields, PrecondShared and PrecisionFallback mean anything.
+	Iterative         bool
+	PrecondShared     bool
+	PrecisionFallback bool
+	// MaxVonMises is the peak of the sampled field (0 without one); it is
+	// kept when the field itself is dropped.
+	MaxVonMises float64
+	// VM is the sampled von Mises field, nil when none was sampled or the
+	// job's meta did not ask to keep it.
+	VM *morestress.Field
+}
+
+// NewResult converts a scenario's JobResult into its compact retained form,
+// keeping the sampled field only when keepField is set.
+func NewResult(r *morestress.JobResult, keepField bool) Result {
+	out := Result{Index: r.Index, CacheHit: r.CacheHit, LocalWait: r.LocalWait, Total: r.Total}
+	if r.Err != nil {
+		out.Err = r.Err.Error()
+		return out
+	}
+	a := r.Result
+	if a == nil {
+		return out
+	}
+	out.Stats, out.GlobalTime, out.GlobalDoFs = a.Stats, a.GlobalTime, a.GlobalDoFs
+	if a.Iterative() {
+		out.Iterative = true
+		out.PrecondShared = a.Solution.PrecondShared
+		out.PrecisionFallback = a.Solution.PrecisionFallback
+	}
+	if a.VM != nil {
+		out.MaxVonMises = a.VM.Max()
+		if keepField {
+			out.VM = a.VM
+		}
+	}
+	return out
+}
+
+// keepField reports whether scenario i of a job with this meta keeps its
+// sampled field: metas with a KeepField method decide, any other meta
+// keeps every field.
+func keepField(meta any, i int) bool {
+	k, ok := meta.(interface{ KeepField(i int) bool })
+	return !ok || k.KeepField(i)
+}
+
+// scenarioEvent is the EventScenario that reports r.
+func scenarioEvent(r Result) Event {
+	ev := Event{Type: EventScenario, Scenario: r.Index, Err: r.Err}
+	if r.Err == "" && r.Iterative {
+		ev.Iterations = r.Stats.Iterations
+		ev.Residual = r.Stats.Residual
+		ev.Precond = r.Stats.Precond.String()
+		ev.Precision = r.Stats.Precision.String()
+		ev.WarmStart = r.Stats.Warm
+		ev.PrecondCached = r.PrecondShared
+	}
+	return ev
 }
 
 // Stats aggregates a queue.
@@ -216,17 +304,17 @@ type job struct {
 
 	mu sync.Mutex
 	// All fields below are guarded by mu.
-	state     State                   // guarded by mu
-	submitted time.Time               // guarded by mu
-	started   time.Time               // guarded by mu
-	finished  time.Time               // guarded by mu
-	completed int                     // guarded by mu
-	failed    int                     // guarded by mu
-	results   []*morestress.JobResult // guarded by mu
-	err       error                   // guarded by mu
-	events    []Event                 // guarded by mu
-	subs      map[int]chan Event      // guarded by mu
-	nextSub   int                     // guarded by mu
+	state     State              // guarded by mu
+	submitted time.Time          // guarded by mu
+	started   time.Time          // guarded by mu
+	finished  time.Time          // guarded by mu
+	completed int                // guarded by mu
+	failed    int                // guarded by mu
+	results   []Result           // guarded by mu
+	err       error              // guarded by mu
+	events    []Event            // guarded by mu
+	subs      map[int]chan Event // guarded by mu
+	nextSub   int                // guarded by mu
 }
 
 // Queue is a bounded asynchronous job queue; safe for concurrent use.
@@ -311,7 +399,9 @@ func New(opt Options) (*Queue, error) {
 
 // Submit enqueues a job of one or more scenarios and returns its ID without
 // waiting for it to run. meta is an opaque per-job value handed back in
-// every Snapshot (the HTTP layer stores response-shaping flags there); cost
+// every Snapshot (the HTTP layer stores response-shaping flags there); when
+// it has a KeepField(i int) bool method, scenario i keeps its sampled field
+// only where that returns true (any other meta keeps every field); cost
 // draws from Options.MaxCost for the job's tracked lifetime (pass 0 when no
 // budget is configured). Returns ErrQueueFull when the FIFO is at capacity
 // and ErrOverloaded when the cost budget is exhausted — the two
@@ -710,27 +800,14 @@ func (q *Queue) run(j *job) {
 			q.journalBestEffort(recState, stateRec{ID: j.id, State: StateCancelled, Time: now})
 			return
 		}
-		res.Index = i
 		q.solveNanos.Add(int64(q.opt.now().Sub(start)))
 		q.scenariosSolved.Add(1)
+		r := NewResult(res, keepField(j.meta, i))
+		r.Index = i
 		j.mu.Lock()
-		j.results = append(j.results, res)
-		j.completed++
-		ev := Event{Type: EventScenario, Scenario: i}
-		if res.Err != nil {
-			j.failed++
-			ev.Err = res.Err.Error()
-		} else if res.Result != nil && res.Result.Iterative() {
-			ev.Iterations = res.Result.Stats.Iterations
-			ev.Residual = res.Result.Stats.Residual
-			ev.Precond = res.Result.Stats.Precond.String()
-			ev.Precision = res.Result.Stats.Precision.String()
-			ev.WarmStart = res.Result.Stats.Warm
-			ev.PrecondCached = res.Result.Solution.PrecondShared
-		}
-		j.publishLocked(ev)
+		j.addResultLocked(r)
 		j.mu.Unlock()
-		q.journalBestEffort(recScenario, scenarioRec{ID: j.id, Result: toResultWire(res)})
+		q.journalBestEffort(recScenario, scenarioRec{ID: j.id, Result: r})
 	}
 
 	// Every scenario was recorded (interrupted ones return inside the
@@ -756,6 +833,17 @@ func (q *Queue) run(j *job) {
 		rec.Err = jerr.Error()
 	}
 	q.journalBestEffort(recState, rec)
+}
+
+// addResultLocked records one finished scenario and publishes its event.
+// Callers hold j.mu.
+func (j *job) addResultLocked(r Result) {
+	j.results = append(j.results, r)
+	j.completed++
+	if r.Err != "" {
+		j.failed++
+	}
+	j.publishLocked(scenarioEvent(r))
 }
 
 // finishLocked lands the job in a terminal state, publishes the final event,
@@ -806,7 +894,7 @@ func (j *job) snapshotLocked(now time.Time) Snapshot {
 		Submitted: j.submitted,
 		Started:   j.started,
 		Finished:  j.finished,
-		Results:   append([]*morestress.JobResult(nil), j.results...),
+		Results:   append([]Result(nil), j.results...),
 	}
 	if j.err != nil {
 		s.Err = j.err.Error()

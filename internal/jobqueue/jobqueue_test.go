@@ -113,7 +113,7 @@ func TestScenarioErrorFailsJob(t *testing.T) {
 	if s.Err == "" {
 		t.Error("failed job carries no error")
 	}
-	if s.Results[1].Err == nil {
+	if s.Results[1].Err == "" {
 		t.Error("failing scenario's result has no error")
 	}
 	if st := q.Stats(); st.Failed != 1 || st.Done != 0 {

@@ -6,7 +6,7 @@ package jobqueue
 //
 //	'S' submit            job ID, scenarios, meta, cost, submit time
 //	'T' state transition  running / done / failed / cancelled (+ time, error)
-//	'C' scenario complete one scenario's outcome, positioned by index
+//	'C' scenario complete one scenario's Result, positioned by index
 //
 // Submit journals synchronously under q.mu — the 202 the HTTP layer returns
 // is only sent after the record is on disk, so an accepted job is a promise
@@ -122,52 +122,6 @@ func journalable(j morestress.Job) bool {
 	return j.DeltaTMap == nil && j.Options.M == nil && j.Options.Work == nil
 }
 
-// resultWire is the serializable projection of a JobResult. The solve
-// outcome — convergence, iterations, residual, the sampled field, timing —
-// survives recovery; the runtime Solution graph (assembly snapshot,
-// warm-start seed, preconditioner provenance) does not, so a restored
-// result reports Iterative() false.
-type resultWire struct {
-	Index            int
-	Err              string
-	CacheHit         bool
-	LocalWait, Total time.Duration
-	HasResult        bool
-	VM               *morestress.Field
-	Stats            morestress.SolverStats
-	GlobalTime       time.Duration
-	GlobalDoFs       int
-}
-
-func toResultWire(r *morestress.JobResult) resultWire {
-	w := resultWire{Index: r.Index, CacheHit: r.CacheHit, LocalWait: r.LocalWait, Total: r.Total}
-	if r.Err != nil {
-		w.Err = r.Err.Error()
-	}
-	if r.Result != nil {
-		w.HasResult = true
-		w.VM = r.Result.VM
-		w.Stats = r.Result.Stats
-		w.GlobalTime = r.Result.GlobalTime
-		w.GlobalDoFs = r.Result.GlobalDoFs
-	}
-	return w
-}
-
-func (w resultWire) result() *morestress.JobResult {
-	r := &morestress.JobResult{Index: w.Index, CacheHit: w.CacheHit, LocalWait: w.LocalWait, Total: w.Total}
-	if w.Err != "" {
-		r.Err = errors.New(w.Err)
-	}
-	if w.HasResult {
-		r.Result = &morestress.ArrayResult{
-			VM: w.VM, Stats: w.Stats,
-			GlobalTime: w.GlobalTime, GlobalDoFs: w.GlobalDoFs,
-		}
-	}
-	return r
-}
-
 // submitRec journals one accepted job.
 type submitRec struct {
 	ID        string
@@ -185,10 +139,11 @@ type stateRec struct {
 	Err   string
 }
 
-// scenarioRec journals one completed scenario.
+// scenarioRec journals one completed scenario in the form the job retains
+// it.
 type scenarioRec struct {
 	ID     string
-	Result resultWire
+	Result Result
 }
 
 // encodeRecord frames one journal payload: a kind tag followed by the gob
@@ -270,8 +225,7 @@ func (q *Queue) compactLocked() error {
 			if j.err != nil {
 				errMsg = j.err.Error()
 			}
-			results := make([]*morestress.JobResult, len(j.results))
-			copy(results, j.results)
+			results := append([]Result(nil), j.results...)
 			j.mu.Unlock()
 
 			scenarios := make([]jobWire, len(j.scenarios))
@@ -290,7 +244,7 @@ func (q *Queue) compactLocked() error {
 				}
 			}
 			for _, r := range results {
-				if err := emitRec(recScenario, scenarioRec{ID: j.id, Result: toResultWire(r)}); err != nil {
+				if err := emitRec(recScenario, scenarioRec{ID: j.id, Result: r}); err != nil {
 					return err
 				}
 			}
@@ -326,7 +280,7 @@ type replayJob struct {
 	state             State
 	started, finished time.Time
 	errMsg            string
-	results           []*resultWire // positioned by scenario index
+	results           []*Result // positioned by scenario index
 }
 
 // Recover replays the journal and rebuilds the queue's state: accepted jobs
@@ -401,8 +355,7 @@ func (q *Queue) Recover() (RecoverStats, error) {
 			for len(rj.results) <= idx {
 				rj.results = append(rj.results, nil)
 			}
-			w := rec.Result
-			rj.results[idx] = &w
+			rj.results[idx] = &rec.Result
 		default:
 			return fmt.Errorf("jobqueue: unknown journal record kind %q", kind)
 		}
@@ -465,19 +418,20 @@ func (q *Queue) restoreLocked(rj *replayJob) {
 		j.state = StateRunning
 		j.publishLocked(Event{Type: EventState, State: StateRunning})
 	}
-	for _, w := range rj.results {
-		if w == nil {
+	for _, r := range rj.results {
+		if r == nil {
 			continue // hole from a lost record; the surviving results keep their indices
 		}
-		res := w.result()
-		j.results = append(j.results, res)
-		j.completed++
-		ev := Event{Type: EventScenario, Scenario: res.Index}
-		if res.Err != nil {
-			j.failed++
-			ev.Err = res.Err.Error()
+		// Records from before the compact form carry every sampled field
+		// and no MaxVonMises: derive the peak, then keep only the fields
+		// the meta asks for, as a live run would have.
+		if r.VM != nil {
+			r.MaxVonMises = r.VM.Max()
+			if !keepField(j.meta, r.Index) {
+				r.VM = nil
+			}
 		}
-		j.publishLocked(ev)
+		j.addResultLocked(*r)
 	}
 	var jerr error
 	if rj.errMsg != "" {

@@ -88,11 +88,11 @@ func TestRecoverRestoresFinishedJobs(t *testing.T) {
 	}
 	for i, want := range []float64{3, 5} {
 		r := s.Results[i]
-		if r == nil || r.Result == nil || r.Result.VM == nil {
+		if r.VM == nil {
 			t.Fatalf("result %d missing payload: %+v", i, r)
 		}
-		if r.Index != i || r.Result.VM.V[0] != want || r.Result.GlobalDoFs != 7 {
-			t.Errorf("result %d = index %d VM %v DoFs %d", i, r.Index, r.Result.VM.V, r.Result.GlobalDoFs)
+		if r.Index != i || r.VM.V[0] != want || r.GlobalDoFs != 7 {
+			t.Errorf("result %d = index %d VM %v DoFs %d", i, r.Index, r.VM.V, r.GlobalDoFs)
 		}
 	}
 	// Subscribers to a restored finished job get a coherent replayed
@@ -290,7 +290,7 @@ func TestJournalCompactionKeepsLogBounded(t *testing.T) {
 		if !ok || s.State != StateDone || len(s.Results) != 1 {
 			t.Fatalf("job %s after compaction: ok=%v %+v", id, ok, s)
 		}
-		if vm := s.Results[0].Result.VM; vm.V[0] != float64(i+1) {
+		if vm := s.Results[0].VM; vm.V[0] != float64(i+1) {
 			t.Errorf("job %s result VM %v, want leading %d", id, vm.V, i+1)
 		}
 	}

@@ -15,11 +15,17 @@ import (
 )
 
 // jobMeta is the per-job metadata the HTTP layer stores in the queue: the
-// response-shaping flags of the original request, needed again when the
-// result is fetched. The fields are exported because the queue journals meta
-// through gob when -journal-dir is set.
+// response-shaping flags of the original request. The fields are exported
+// because the queue journals meta through gob when -journal-dir is set.
 type jobMeta struct {
 	IncludeField []bool // per scenario
+}
+
+// KeepField tells the queue which scenarios keep their sampled field: those
+// whose request set includeField. Every other field is dropped when its
+// scenario finishes; its peak survives as the result's MaxVonMises.
+func (m *jobMeta) KeepField(i int) bool {
+	return m != nil && i < len(m.IncludeField) && m.IncludeField[i]
 }
 
 func init() {
@@ -132,11 +138,9 @@ func toJobStatus(snap jobqueue.Snapshot) JobStatusResponse {
 		out.FinishedAt = snap.Finished.Format(time.RFC3339Nano)
 	}
 	if snap.State.Terminal() && len(snap.Results) > 0 {
-		meta, _ := snap.Meta.(*jobMeta)
 		out.Results = make([]JobResponse, len(snap.Results))
 		for i, res := range snap.Results {
-			include := meta != nil && i < len(meta.IncludeField) && meta.IncludeField[i]
-			out.Results[i] = toResponse(res, include)
+			out.Results[i] = toResponse(res)
 		}
 	}
 	return out
@@ -248,16 +252,22 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestre
 // synchronous path caps one /batch response at maxBatchFieldSamples because
 // all its fields are in memory at once; the async path retains results
 // after completion, so without this aggregate bound a client could park
-// many at-cap results in the TTL window and exhaust memory. Four full-size
-// batches ≈ 1 GiB of float64 samples.
+// many at-cap results in the TTL window and exhaust memory. A finished
+// scenario keeps only its compact jobqueue.Result, whose one
+// request-sized term is the field, kept only where includeField was set; a
+// job is charged every scenario's samples, so the budget is an upper bound
+// on what is retained. Four full-size batches ≈ 1 GiB of float64 samples.
 const DefaultJobFieldBudget = 4 * maxBatchFieldSamples
 
 // NewQueue wires a jobqueue over the engine: scenarios run one at a time
 // per queue worker through Engine.Solve (which parallelizes internally and
 // shares the ROM and factor caches with the synchronous endpoints).
-// Cancellation takes effect at scenario boundaries. fieldBudget bounds the
-// aggregate field samples of tracked jobs (0 = unlimited). journal, when
-// non-nil, makes accepted jobs durable across restarts.
+// Cancellation takes effect at scenario boundaries. Each finished scenario
+// is kept as a compact jobqueue.Result: no solution vectors, and a field
+// only where the request set includeField. fieldBudget bounds the
+// aggregate field samples of tracked jobs, and so what they retain (0 =
+// unlimited). journal, when non-nil, makes accepted jobs durable across
+// restarts.
 func NewQueue(e morestress.Solver, depth, workers int, ttl time.Duration, fieldBudget int64, journal *wal.Log) (*jobqueue.Queue, error) {
 	return jobqueue.New(jobqueue.Options{
 		Depth:   depth,

@@ -240,34 +240,35 @@ type JobResponse struct {
 	Field             *FieldResponse `json:"field,omitempty"`
 }
 
-func toResponse(res *morestress.JobResult, includeField bool) JobResponse {
+// toResponse renders one scenario's compact result. /solve, /batch and
+// /jobs/{id} all answer through it, so a job recovered from the journal
+// answers like a live one. The field is returned when the result kept it,
+// which NewResult and the queue do only where the request set includeField.
+func toResponse(r jobqueue.Result) JobResponse {
 	out := JobResponse{
-		CacheHit:    res.CacheHit,
-		LocalWaitMS: float64(res.LocalWait) / float64(time.Millisecond),
-		TotalMS:     float64(res.Total) / float64(time.Millisecond),
+		CacheHit:    r.CacheHit,
+		LocalWaitMS: float64(r.LocalWait) / float64(time.Millisecond),
+		TotalMS:     float64(r.Total) / float64(time.Millisecond),
 	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
+	if r.Err != "" {
+		out.Error = r.Err
 		return out
 	}
-	r := res.Result
 	out.Converged = r.Stats.Converged
 	out.Iterations = r.Stats.Iterations
 	out.Residual = r.Stats.Residual
-	if r.Iterative() {
+	if r.Iterative {
 		out.Precond = r.Stats.Precond.String()
-		out.Ordering = r.Solution.Ordering.String()
+		out.Ordering = r.Stats.Ordering.String()
 		out.WarmStart = r.Stats.Warm
-		out.PrecondCached = r.Solution.PrecondShared
-		out.Precision = r.Solution.Precision.String()
-		out.PrecisionFallback = r.Solution.PrecisionFallback
+		out.PrecondCached = r.PrecondShared
+		out.Precision = r.Stats.Precision.String()
+		out.PrecisionFallback = r.PrecisionFallback
 	}
 	out.GlobalDoFs = r.GlobalDoFs
+	out.MaxVonMises = r.MaxVonMises
 	if r.VM != nil {
-		out.MaxVonMises = r.VM.Max()
-		if includeField {
-			out.Field = &FieldResponse{NX: r.VM.NX, NY: r.VM.NY, V: r.VM.V}
-		}
+		out.Field = &FieldResponse{NX: r.VM.NX, NY: r.VM.NY, V: r.VM.V}
 	}
 	return out
 }
@@ -381,11 +382,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, _ := s.engine.Solve(job)
-	if res.Err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, toResponse(res, false))
-		return
+	out := toResponse(jobqueue.NewResult(res, req.IncludeField))
+	status := http.StatusOK
+	if out.Error != "" {
+		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, http.StatusOK, toResponse(res, req.IncludeField))
+	writeJSON(w, status, out)
 }
 
 // BatchRequest wraps the /batch payload.
@@ -417,7 +419,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var out BatchResponse
 	out.Results = make([]JobResponse, len(br.Results))
 	for i := range br.Results {
-		out.Results[i] = toResponse(&br.Results[i], include[i])
+		out.Results[i] = toResponse(jobqueue.NewResult(&br.Results[i], include[i]))
 	}
 	st := br.Stats
 	out.Stats.Jobs = st.Jobs
