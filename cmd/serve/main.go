@@ -100,9 +100,9 @@
 // parallelizes within each solve); -job-ttl is the finished-result
 // retention; -job-field-budget caps the aggregate field samples of all
 // tracked async jobs, queued through retained (default 2²⁷ ≈ 1 GiB of
-// float64 samples — a job is charged every scenario's samples for its
-// whole TTL, an upper bound on the fields it keeps, so parked results
-// cannot exhaust memory; over-budget submissions get 429).
+// float64 samples — a job is charged its includeField scenarios' samples
+// for its whole TTL and, until it finishes, its largest dropped field, so
+// parked results cannot exhaust memory; over-budget submissions get 429).
 //
 // # Durability
 //

@@ -127,7 +127,7 @@ func asyncDemo(engine *morestress.Engine) {
 			DeltaT: -60 * float64(i+1),
 		}
 	}
-	id, err := queue.Submit(scenarios, nil, 0)
+	id, err := queue.Submit(scenarios, nil, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -466,7 +466,7 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 		}
 	}
 	inc := newIncidence(p, lat)
-	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, workers)
+	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, true, workers)
 	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs}
 	if !asm.AllBC {
 		red := &fem.Reduced{
@@ -483,7 +483,7 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 			*idx = append(*idx, 3*int32(id), 3*int32(id)+1, 3*int32(id)+2)
 		}
 		if p.BC == PrescribedBoundary {
-			afb, _ := inc.scatter(freeOf, bcOf, nFree, len(bcNodes), workers)
+			afb, _ := inc.scatter(freeOf, bcOf, nFree, len(bcNodes), false, workers)
 			red.Afb = afb.ToCSR()
 		}
 		asm.Red, asm.aff = red, aff

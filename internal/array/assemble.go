@@ -100,9 +100,13 @@ type tileRow struct{ off, n, pairs int32 }
 
 // scatter assembles the block tiles that couple row nodes (rowOf[g] ≥ 0) to
 // column nodes (colOf[g] ≥ 0) as a BCSR matrix of nr×nc node tiles; rowOf
-// must number the row nodes in ascending node order. It also returns the
-// number of coupled node pairs in the full lattice, each of which the full
-// assembled matrix stores as one dense tile.
+// must number the row nodes in ascending node order. With sym (rowOf and
+// colOf the same numbering) it keeps only the tiles on and right of the
+// block diagonal, as a Sym BCSR: every element stiffness is symmetric, and
+// tile (J, I) sums the transposes of tile (I, J)'s terms in the same block
+// order, so the dropped triangle is bitwise the transpose of the kept one.
+// It also returns the number of coupled node pairs in the full lattice,
+// each of which the full assembled matrix stores as one dense tile.
 //
 // The symbolic pass merges the ascending node lists of a node's (at most
 // four) blocks into its sorted tile row; nodes on the same blocks share
@@ -110,7 +114,7 @@ type tileRow struct{ off, n, pairs int32 }
 // adds every block's tiles, in ascending block order, row-parallel over
 // tile-balanced chunks. Each tile entry is therefore summed in the same
 // order on any worker count, and the result is bitwise reproducible.
-func (in *incidence) scatter(rowOf, colOf []int32, nr, nc, workers int) (*sparse.BCSR, int) {
+func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool, workers int) (*sparse.BCSR, int) {
 	memo := map[[4]int32]tileRow{}
 	var cols []int32
 	rows := make([]tileRow, nr)
@@ -155,20 +159,25 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc, workers int) (*sparse
 		}
 		pairs += int(tr.pairs)
 		if row := rowOf[g]; row >= 0 {
+			if sym {
+				// The row's columns ascend: drop those left of the diagonal.
+				k, _ := slices.BinarySearch(cols[tr.off:tr.off+tr.n], row)
+				tr.off, tr.n = tr.off+int32(k), tr.n-int32(k)
+			}
 			rows[row], rowNode[row] = tr, int32(g)
 			rowPtr[row+1] = rowPtr[row] + tr.n
 		}
 	}
-	a := &sparse.BCSR{
-		NRows: sparse.BlockSize * nr, NCols: sparse.BlockSize * nc,
-		BRowPtr: rowPtr, BColIdx: make([]int32, rowPtr[nr]),
-		Vals: make([]float64, 9*rowPtr[nr]),
+	colIdx := make([]int32, rowPtr[nr])
+	for i, tr := range rows {
+		copy(colIdx[rowPtr[i]:rowPtr[i+1]], cols[tr.off:tr.off+tr.n])
 	}
-	k := &tileScatter{in: in, a: a, cols: cols, rows: rows, rowNode: rowNode, colOf: colOf}
+	a := sparse.NewBCSRTiles(sparse.BlockSize*nr, sparse.BlockSize*nc, rowPtr, colIdx, make([]float64, 9*rowPtr[nr]), sym)
+	k := &tileScatter{in: in, a: a, colOf: colOf, rowNode: rowNode}
 	pool := sparse.NewPool(workers)
 	pool.Run(sparse.PartitionByWork(rowPtr, 0, nr, workers), k)
 	pool.Close()
-	a.ScalarNNZ = 9*len(a.BColIdx) - int(k.zeros.Load())
+	a.ScalarNNZ = int(k.nnz.Load())
 	return a, pairs
 }
 
@@ -176,24 +185,21 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc, workers int) (*sparse
 type tileScatter struct {
 	in      *incidence
 	a       *sparse.BCSR
-	cols    []int32   // the distinct row patterns
-	rows    []tileRow // tile row i's pattern
-	rowNode []int32   // tile row i's lattice node
+	rowNode []int32 // tile row i's lattice node
 	colOf   []int32
-	// zeros counts the tile scalars that sum to exactly zero — the entries
-	// a zero-skipping scalar assembly would not store.
-	zeros atomic.Int64
+	// nnz counts the logical matrix's tile scalars that do not sum to
+	// exactly zero — the entries a zero-skipping scalar assembly would
+	// store, both triangles of a Sym matrix included.
+	nnz atomic.Int64
 }
 
 // RunRange implements sparse.Runner over tile rows [lo, hi).
 func (k *tileScatter) RunRange(lo, hi int) {
 	in, a := k.in, k.a
 	pos := make([]int32, a.NCols/sparse.BlockSize)
-	zeros := 0
+	nnz := 0
 	for i := lo; i < hi; i++ {
-		tr := k.rows[i]
 		q0 := a.BRowPtr[i]
-		copy(a.BColIdx[q0:a.BRowPtr[i+1]], k.cols[tr.off:tr.off+tr.n])
 		for q := q0; q < a.BRowPtr[i+1]; q++ {
 			pos[a.BColIdx[q]] = q
 		}
@@ -205,7 +211,7 @@ func (k *tileScatter) RunRange(lo, hi int) {
 			r0 := r.Aelem.Data[3*s*n : 3*(s+1)*n]
 			for j, h := range in.node[b*in.nS : (b+1)*in.nS] {
 				c := k.colOf[h]
-				if c < 0 {
+				if c < 0 || (a.Sym && int(c) < i) {
 					continue
 				}
 				tile := a.Vals[9*pos[c] : 9*pos[c]+9 : 9*pos[c]+9]
@@ -218,13 +224,20 @@ func (k *tileScatter) RunRange(lo, hi int) {
 				}
 			}
 		}
-		for _, v := range a.Vals[9*q0 : 9*a.BRowPtr[i+1]] {
-			if v == 0 {
-				zeros++
+		for q := q0; q < a.BRowPtr[i+1]; q++ {
+			n := 0
+			for _, v := range a.Vals[9*q : 9*q+9] {
+				if v != 0 {
+					n++
+				}
 			}
+			if a.Sym && int(a.BColIdx[q]) != i {
+				n *= 2 // the mirrored tile below the diagonal
+			}
+			nnz += n
 		}
 	}
-	k.zeros.Add(int64(zeros))
+	k.nnz.Add(int64(nnz))
 }
 
 // unitLoad assembles the element loads for a unit thermal field (ΔT ≡ 1,

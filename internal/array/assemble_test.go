@@ -193,6 +193,10 @@ func TestTileScatterMatchesReference(t *testing.T) {
 					return
 				}
 				got := asm.Blocked()
+				if !got.Sym {
+					t.Fatal("A_ff is not stored as its upper block triangle")
+				}
+				want = upperOf(want)
 				if got.NRows != want.NRows || got.NCols != want.NCols ||
 					!slices.Equal(got.BRowPtr, want.BRowPtr) || !slices.Equal(got.BColIdx, want.BColIdx) {
 					t.Fatalf("tile pattern differs: %d×%d with %d tiles, want %d×%d with %d",
@@ -201,6 +205,9 @@ func TestTileScatterMatchesReference(t *testing.T) {
 				tol := 1e-15 * maxAbs(want.Vals)
 				nnz := 0
 				for i, v := range got.Vals {
+					if v != 0 && !isDiagTile(got, i/9) {
+						nnz++ // its mirror below the diagonal
+					}
 					w := want.Vals[i]
 					if math.Abs(v-w) > tol {
 						t.Fatalf("tile value %d = %g, want %g (tol %g)", i, v, w, tol)
@@ -230,6 +237,29 @@ func TestTileScatterMatchesReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// upperOf returns the tiles of b on and right of the block diagonal.
+func upperOf(b *sparse.BCSR) *sparse.BCSR {
+	ptr := make([]int32, b.NBRows()+1)
+	var idx []int32
+	var vals []float64
+	for i := range b.NBRows() {
+		for p := b.BRowPtr[i]; p < b.BRowPtr[i+1]; p++ {
+			if int(b.BColIdx[p]) >= i {
+				idx = append(idx, b.BColIdx[p])
+				vals = append(vals, b.Vals[9*p:9*p+9]...)
+			}
+		}
+		ptr[i+1] = int32(len(idx))
+	}
+	return sparse.NewBCSRTiles(b.NRows, b.NCols, ptr, idx, vals, true)
+}
+
+// isDiagTile reports whether stored tile p of b lies on the block diagonal.
+func isDiagTile(b *sparse.BCSR, p int) bool {
+	i, _ := slices.BinarySearch(b.BRowPtr, int32(p)+1)
+	return int(b.BColIdx[p]) == i-1
 }
 
 // assertCSRNear checks got against want entry by entry: shared entries
@@ -303,4 +333,51 @@ func TestAssemblyBitwiseReproducible(t *testing.T) {
 
 func bitwiseEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestSymScatterKeepsUpperOfFull: the reduced A_ff is stored as its upper
+// block triangle, and those tiles are bitwise the upper tiles of the full
+// scatter, whose lower tiles are bitwise their mirrors' transposes — so
+// dropping them loses nothing. Storing one triangle cuts the A_ff share of
+// Assembly.MemoryBytes by at least 45 %.
+func TestSymScatterKeepsUpperOfFull(t *testing.T) {
+	r := servedROM(t, true)
+	for _, n := range []int{6, 12, 18} {
+		if testing.Short() && n > 6 {
+			continue
+		}
+		p := &Problem{ROM: r, Bx: n, By: n, DeltaT: -250, BC: ClampedTopBottom}
+		asm, err := NewAssembly(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := asm.Lat
+		freeOf := make([]int32, lat.NumNodes())
+		nFree := 0
+		for id := range freeOf {
+			freeOf[id] = -1
+			if !lat.OnTopOrBottom(id) {
+				freeOf[id] = int32(nFree)
+				nFree++
+			}
+		}
+		full, _ := newIncidence(p, lat).scatter(freeOf, freeOf, nFree, nFree, false, 2)
+		sym := asm.Blocked()
+		if !sym.Sym || full.Sym {
+			t.Fatalf("%dx%d: Sym flags %v/%v, want true/false", n, n, sym.Sym, full.Sym)
+		}
+		if got := sym.Full(); !slices.Equal(got.BRowPtr, full.BRowPtr) || !slices.Equal(got.BColIdx, full.BColIdx) ||
+			!bitwiseEqual(got.Vals, full.Vals) || sym.ScalarNNZ != full.ScalarNNZ {
+			t.Fatalf("%dx%d: upper tiles mirrored differ from the full scatter", n, n)
+		}
+		up := upperOf(full)
+		if !slices.Equal(sym.BRowPtr, up.BRowPtr) || !slices.Equal(sym.BColIdx, up.BColIdx) || !bitwiseEqual(sym.Vals, up.Vals) {
+			t.Fatalf("%dx%d: upper tiles differ from the full scatter's", n, n)
+		}
+		saved := full.MemoryBytes() - sym.MemoryBytes()
+		t.Logf("%dx%d: %d of %d tiles stored, A_ff %d → %d bytes", n, n, sym.NNZBlocks(), full.NNZBlocks(), full.MemoryBytes(), sym.MemoryBytes())
+		if saved*100 < 45*full.MemoryBytes() {
+			t.Errorf("%dx%d: upper storage saves %d of %d A_ff bytes, want ≥ 45%%", n, n, saved, full.MemoryBytes())
+		}
+	}
 }

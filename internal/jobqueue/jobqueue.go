@@ -125,9 +125,11 @@ type Options struct {
 	// running, and finished-but-retained (0 = unlimited). Each Submit
 	// declares its job's cost in caller-defined units (the HTTP layer uses
 	// field sample counts, the only term of a retained Result that grows
-	// with the request); the budget is released when the job expires or is
-	// deleted. Submit returns ErrOverloaded while the budget is exhausted,
-	// so results held for the TTL cannot accumulate without bound.
+	// with the request) in two parts: what the finished job retains,
+	// released when it expires or is deleted, and what only its run holds,
+	// released when it reaches a terminal state. Submit returns
+	// ErrOverloaded while the budget is exhausted, so results held for the
+	// TTL cannot accumulate without bound.
 	MaxCost int64
 	// Solve runs one scenario; required.
 	Solve SolveFunc
@@ -273,8 +275,9 @@ type Stats struct {
 	SolveTime       time.Duration
 	// Expired counts finished jobs dropped by TTL garbage collection.
 	Expired int64
-	// RetainedCost is the summed cost of every tracked job; MaxCost its
-	// budget (0 = unlimited).
+	// RetainedCost is the summed cost every tracked job holds now (its
+	// running part only until it finishes); MaxCost its budget (0 =
+	// unlimited).
 	RetainedCost, MaxCost int64
 	// JournalErrors counts journal appends that failed after the job was
 	// already accepted (the job still runs; a crash before its terminal
@@ -297,7 +300,9 @@ type job struct {
 	id        string
 	scenarios []morestress.Job
 	meta      any
-	cost      int64
+	cost      int64 // held until the job expires
+	running   int64 // held until the job reaches a terminal state
+	budget    *atomic.Int64
 	seq       int64 // admission order, assigned under Queue.mu; immutable after
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -334,12 +339,15 @@ type Queue struct {
 	// guarded by mu
 	jobs      map[string]*job
 	pending   []*job       // guarded by mu; FIFO: pending[0] runs next
-	cost      int64        // guarded by mu; summed cost of every tracked job
 	closed    bool         // guarded by mu
 	nextSeq   int64        // guarded by mu; admission counter behind job.seq
 	recovered RecoverStats // guarded by mu; result of the startup Recover
 
-	running                   atomic.Int64
+	running atomic.Int64
+	// cost is the summed cost every tracked job holds. It grows only under
+	// mu (admission), so a check-then-add there is exact; a job's running
+	// part is released when the job finishes, under its own lock.
+	cost                      atomic.Int64
 	submitted, jobsDone       atomic.Int64
 	jobsFailed, jobsCancelled atomic.Int64
 	scenariosSolved, expired  atomic.Int64
@@ -401,12 +409,13 @@ func New(opt Options) (*Queue, error) {
 // waiting for it to run. meta is an opaque per-job value handed back in
 // every Snapshot (the HTTP layer stores response-shaping flags there); when
 // it has a KeepField(i int) bool method, scenario i keeps its sampled field
-// only where that returns true (any other meta keeps every field); cost
-// draws from Options.MaxCost for the job's tracked lifetime (pass 0 when no
-// budget is configured). Returns ErrQueueFull when the FIFO is at capacity
+// only where that returns true (any other meta keeps every field). cost
+// draws from Options.MaxCost for the job's tracked lifetime and running
+// only until the job finishes (pass 0s when no budget is configured).
+// Returns ErrQueueFull when the FIFO is at capacity
 // and ErrOverloaded when the cost budget is exhausted — the two
 // backpressure signals — and ErrClosed after Close.
-func (q *Queue) Submit(scenarios []morestress.Job, meta any, cost int64) (string, error) {
+func (q *Queue) Submit(scenarios []morestress.Job, meta any, cost, running int64) (string, error) {
 	if len(scenarios) == 0 {
 		return "", ErrNoScenarios
 	}
@@ -422,6 +431,8 @@ func (q *Queue) Submit(scenarios []morestress.Job, meta any, cost int64) (string
 		scenarios: scenarios,
 		meta:      meta,
 		cost:      cost,
+		running:   running,
+		budget:    &q.cost,
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     StatePending,
@@ -439,7 +450,7 @@ func (q *Queue) Submit(scenarios []morestress.Job, meta any, cost int64) (string
 		q.mu.Unlock()
 		cancel()
 		return "", ErrQueueFull
-	case q.opt.MaxCost > 0 && q.cost+cost > q.opt.MaxCost:
+	case q.opt.MaxCost > 0 && q.cost.Load()+cost+running > q.opt.MaxCost:
 		q.mu.Unlock()
 		cancel()
 		return "", ErrOverloaded
@@ -458,7 +469,7 @@ func (q *Queue) Submit(scenarios []morestress.Job, meta any, cost int64) (string
 	q.nextSeq++
 	q.jobs[id] = j
 	q.pending = append(q.pending, j)
-	q.cost += cost
+	q.cost.Add(cost + running)
 	// Publish the pending event while still holding q.mu: workers pop
 	// under the same lock, so no later event can precede it.
 	j.mu.Lock()
@@ -472,13 +483,13 @@ func (q *Queue) Submit(scenarios []morestress.Job, meta any, cost int64) (string
 		for i, sc := range scenarios {
 			wire[i] = toJobWire(sc)
 		}
-		rec := submitRec{ID: id, Submitted: j.submitted, Cost: cost, Scenarios: wire, Meta: meta}
+		rec := submitRec{ID: id, Submitted: j.submitted, Cost: cost, Running: running, Scenarios: wire, Meta: meta}
 		if err := q.journalLocked(recSubmit, rec); err != nil {
 			// Undo the admission: a job whose acceptance never reached
 			// disk was never accepted.
 			delete(q.jobs, id)
 			q.pending = q.pending[:len(q.pending)-1]
-			q.cost -= cost
+			q.cost.Add(-cost - running)
 			q.mu.Unlock()
 			cancel()
 			return "", fmt.Errorf("jobqueue: journal submit: %w", err)
@@ -640,11 +651,10 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	retained := len(q.jobs)
 	depth := len(q.pending)
-	cost := q.cost
 	q.mu.Unlock()
 	return Stats{
 		Depth:           depth,
-		RetainedCost:    cost,
+		RetainedCost:    q.cost.Load(),
 		MaxCost:         q.opt.MaxCost,
 		Capacity:        q.opt.Depth,
 		Running:         int(q.running.Load()),
@@ -847,8 +857,10 @@ func (j *job) addResultLocked(r Result) {
 }
 
 // finishLocked lands the job in a terminal state, publishes the final event,
-// and closes every subscriber. Callers hold j.mu.
+// closes every subscriber, and releases the job's running cost. Callers hold
+// j.mu.
 func (j *job) finishLocked(s State, err error, now time.Time) {
+	j.budget.Add(-j.running)
 	j.state = s
 	j.err = err
 	j.finished = now
@@ -943,7 +955,7 @@ func (q *Queue) gcSweep(now time.Time) {
 		j.mu.Unlock()
 		if expired {
 			delete(q.jobs, id)
-			q.cost -= j.cost
+			q.cost.Add(-j.cost)
 			q.expired.Add(1)
 		}
 	}

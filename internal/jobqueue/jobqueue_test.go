@@ -67,7 +67,7 @@ func waitState(t *testing.T, q *Queue, id string, want State) Snapshot {
 
 func TestSubmitRunsToDone(t *testing.T) {
 	q := newTestQueue(t, Options{Solve: stubSolve(0, nil)})
-	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, "meta-value", 0)
+	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, "meta-value", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestScenarioErrorFailsJob(t *testing.T) {
 		return &morestress.JobResult{}, nil
 	}
 	q := newTestQueue(t, Options{Solve: solve})
-	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestScenarioErrorFailsJob(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	q := newTestQueue(t, Options{Solve: stubSolve(0, nil)})
-	if _, err := q.Submit(nil, nil, 0); !errors.Is(err, ErrNoScenarios) {
+	if _, err := q.Submit(nil, nil, 0, 0); !errors.Is(err, ErrNoScenarios) {
 		t.Errorf("empty submit: err = %v, want ErrNoScenarios", err)
 	}
 	if _, err := New(Options{}); err == nil {
@@ -146,17 +146,17 @@ func TestBackpressure(t *testing.T) {
 	defer close(block)
 
 	// First job occupies the worker; two more fill the FIFO.
-	first, err := q.Submit([]morestress.Job{scenario(0)}, nil, 0)
+	first, err := q.Submit([]morestress.Job{scenario(0)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, first, StateRunning)
 	for i := 0; i < 2; i++ {
-		if _, err := q.Submit([]morestress.Job{scenario(float64(i + 1))}, nil, 0); err != nil {
+		if _, err := q.Submit([]morestress.Job{scenario(float64(i + 1))}, nil, 0, 0); err != nil {
 			t.Fatalf("fill submit %d: %v", i, err)
 		}
 	}
-	if _, err := q.Submit([]morestress.Job{scenario(9)}, nil, 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit([]morestress.Job{scenario(9)}, nil, 0, 0); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("over-capacity submit: err = %v, want ErrQueueFull", err)
 	}
 	if st := q.Stats(); st.Depth != 2 || st.Capacity != 2 {
@@ -177,12 +177,12 @@ func TestCancelPendingNeverRuns(t *testing.T) {
 	}
 	q := newTestQueue(t, Options{Workers: 1, Solve: solve})
 
-	first, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	first, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, first, StateRunning)
-	second, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0)
+	second, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCancelRunningStopsAtBoundary(t *testing.T) {
 		return &morestress.JobResult{}, nil
 	}
 	q := newTestQueue(t, Options{Solve: solve})
-	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestSubscribeReplaysAndStreams(t *testing.T) {
 		return &morestress.JobResult{}, nil
 	}
 	q := newTestQueue(t, Options{Solve: solve})
-	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestGCRespectsTTL(t *testing.T) {
 	// A long GCInterval keeps the background loop out of the way; the test
 	// drives gcSweep directly.
 	q := newTestQueue(t, Options{Solve: stubSolve(0, nil), TTL: ttl, GCInterval: time.Hour, now: clock})
-	id, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,12 +385,12 @@ func TestGCSkipsUnfinished(t *testing.T) {
 	}
 	q := newTestQueue(t, Options{Workers: 1, TTL: time.Millisecond, GCInterval: time.Hour, Solve: solve})
 	defer close(block)
-	running, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	running, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, running, StateRunning)
-	pending, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0)
+	pending, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestCloseRejectsSubmitAndStopsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCloseRejectsSubmitAndStopsWork(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return (running job not cancelled)")
 	}
-	if _, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0); !errors.Is(err, ErrClosed) {
+	if _, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0, 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: err = %v, want ErrClosed", err)
 	}
 	q.Close() // idempotent
@@ -468,7 +468,7 @@ func TestQueueRaceStress(t *testing.T) {
 					// Unique ΔT per (producer, job, scenario).
 					scs[s] = scenario(float64(p*1_000_000 + n*1_000 + s))
 				}
-				id, err := q.Submit(scs, p, 0)
+				id, err := q.Submit(scs, p, 0, 0)
 				if err != nil {
 					t.Errorf("producer %d submit %d: %v", p, n, err)
 					return
@@ -603,16 +603,16 @@ func TestCancelFreesQueueCapacity(t *testing.T) {
 	q := newTestQueue(t, Options{Depth: 1, Workers: 1, Solve: solve})
 	defer close(block)
 
-	first, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	first, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, first, StateRunning)
-	queued, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0)
+	queued, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit([]morestress.Job{scenario(3)}, nil, 0); !errors.Is(err, ErrQueueFull) {
+	if _, err := q.Submit([]morestress.Job{scenario(3)}, nil, 0, 0); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue not full before cancel: %v", err)
 	}
 	if err := q.Cancel(queued); err != nil {
@@ -621,7 +621,7 @@ func TestCancelFreesQueueCapacity(t *testing.T) {
 	if st := q.Stats(); st.Depth != 0 {
 		t.Errorf("depth = %d after cancelling the only queued job, want 0", st.Depth)
 	}
-	replacement, err := q.Submit([]morestress.Job{scenario(4)}, nil, 0)
+	replacement, err := q.Submit([]morestress.Job{scenario(4)}, nil, 0, 0)
 	if err != nil {
 		t.Fatalf("submit after cancel still rejected: %v", err)
 	}
@@ -647,12 +647,12 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer close(block)
-	running, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	running, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, running, StateRunning)
-	queued, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0)
+	queued, err := q.Submit([]morestress.Job{scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +704,7 @@ func TestCloseCancelsQueuedJobs(t *testing.T) {
 func TestPendingEventAlwaysFirst(t *testing.T) {
 	q := newTestQueue(t, Options{Workers: 4, Solve: stubSolve(0, nil)})
 	for i := 0; i < 50; i++ {
-		id, err := q.Submit([]morestress.Job{scenario(float64(i))}, nil, 0)
+		id, err := q.Submit([]morestress.Job{scenario(float64(i))}, nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -734,7 +734,7 @@ func TestCancelDuringFinalScenario(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	q := newTestQueue(t, Options{Solve: solve})
-	id, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,7 +773,7 @@ func TestCancelDuringFinalScenario(t *testing.T) {
 // even when the SolveFunc (like Engine.Solve) always reports index 0.
 func TestResultIndexStamped(t *testing.T) {
 	q := newTestQueue(t, Options{Solve: stubSolve(0, nil)})
-	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, nil, 0)
+	id, err := q.Submit([]morestress.Job{scenario(1), scenario(2), scenario(3)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,20 +800,20 @@ func TestResultBudget(t *testing.T) {
 	const ttl = time.Minute
 	q := newTestQueue(t, Options{Solve: stubSolve(0, nil), TTL: ttl, GCInterval: time.Hour, MaxCost: 100, now: clock})
 
-	heavy, err := q.Submit([]morestress.Job{scenario(1)}, nil, 60)
+	heavy, err := q.Submit([]morestress.Job{scenario(1)}, nil, 60, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q, heavy, StateDone)
 	// The finished job still holds its cost: 60 + 50 > 100.
-	if _, err := q.Submit([]morestress.Job{scenario(2)}, nil, 50); !errors.Is(err, ErrOverloaded) {
+	if _, err := q.Submit([]morestress.Job{scenario(2)}, nil, 50, 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-budget submit: err = %v, want ErrOverloaded", err)
 	}
 	if st := q.Stats(); st.RetainedCost != 60 || st.MaxCost != 100 {
 		t.Errorf("stats cost = %d/%d, want 60/100", st.RetainedCost, st.MaxCost)
 	}
 	// 40 still fits alongside the retained 60.
-	small, err := q.Submit([]morestress.Job{scenario(3)}, nil, 40)
+	small, err := q.Submit([]morestress.Job{scenario(3)}, nil, 40, 0)
 	if err != nil {
 		t.Fatalf("in-budget submit rejected: %v", err)
 	}
@@ -827,7 +827,41 @@ func TestResultBudget(t *testing.T) {
 	if st := q.Stats(); st.RetainedCost != 0 {
 		t.Errorf("retained cost = %d after GC, want 0", st.RetainedCost)
 	}
-	if _, err := q.Submit([]morestress.Job{scenario(4)}, nil, 100); err != nil {
+	if _, err := q.Submit([]morestress.Job{scenario(4)}, nil, 100, 0); err != nil {
 		t.Errorf("submit after GC rejected: %v", err)
+	}
+}
+
+// TestRunningCostReleasedAtFinish: the running part of a job's cost holds
+// the budget only until the job reaches a terminal state — done or
+// cancelled while queued — while the retained part stays until expiry.
+func TestRunningCostReleasedAtFinish(t *testing.T) {
+	gate := make(chan struct{})
+	q := newTestQueue(t, Options{
+		Depth: 4, TTL: time.Hour, GCInterval: time.Hour, MaxCost: 100,
+		Solve: func(ctx context.Context, sc morestress.Job) (*morestress.JobResult, error) {
+			<-gate
+			return &morestress.JobResult{Result: &morestress.ArrayResult{}}, nil
+		},
+	})
+	first, err := q.Submit([]morestress.Job{scenario(1)}, nil, 10, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := q.Submit([]morestress.Job{scenario(2)}, nil, 5, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 10+30 + 5+40 + 20 > 100 while both run or wait.
+	if _, err := q.Submit([]morestress.Job{scenario(3)}, nil, 0, 20); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("over-budget submit: err = %v, want ErrOverloaded", err)
+	}
+	if err := q.Cancel(queued); err != nil {
+		t.Fatal(err)
+	}
+	gate <- struct{}{}
+	waitState(t, q, first, StateDone)
+	if st := q.Stats(); st.RetainedCost != 15 {
+		t.Errorf("retained cost = %d after both jobs finished, want the kept 10+5", st.RetainedCost)
 	}
 }

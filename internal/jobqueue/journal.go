@@ -127,6 +127,7 @@ type submitRec struct {
 	ID        string
 	Submitted time.Time
 	Cost      int64
+	Running   int64
 	Scenarios []jobWire
 	Meta      any
 }
@@ -233,7 +234,7 @@ func (q *Queue) compactLocked() error {
 				scenarios[i] = toJobWire(sc)
 			}
 			if err := emitRec(recSubmit, submitRec{
-				ID: j.id, Submitted: j.submitted, Cost: j.cost,
+				ID: j.id, Submitted: j.submitted, Cost: j.cost, Running: j.running,
 				Scenarios: scenarios, Meta: j.meta,
 			}); err != nil {
 				return err
@@ -462,6 +463,8 @@ func (q *Queue) newJobLocked(rj *replayJob) *job {
 		scenarios: scenarios,
 		meta:      rj.sub.Meta,
 		cost:      rj.sub.Cost,
+		running:   rj.sub.Running,
+		budget:    &q.cost,
 		ctx:       ctx,
 		cancel:    cancel,
 		seq:       q.nextSeq,
@@ -471,6 +474,6 @@ func (q *Queue) newJobLocked(rj *replayJob) *job {
 	}
 	q.nextSeq++
 	q.jobs[j.id] = j
-	q.cost += j.cost
+	q.cost.Add(j.cost + j.running)
 	return j
 }

@@ -56,7 +56,7 @@ func TestRecoverRestoresFinishedJobs(t *testing.T) {
 	dir := t.TempDir()
 	log1 := openJournal(t, dir)
 	q1 := newTestQueue(t, Options{Journal: log1, Solve: solveVM})
-	id, err := q1.Submit([]morestress.Job{scenario(3), scenario(5)}, "remember-me", 11)
+	id, err := q1.Submit([]morestress.Job{scenario(3), scenario(5)}, "remember-me", 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +129,15 @@ func TestRecoverRequeuesPendingAndRerunsRunning(t *testing.T) {
 		return solveVM(ctx, sc)
 	}
 	q1 := newTestQueue(t, Options{Workers: 1, Journal: log1, Solve: blocking})
-	id1, err := q1.Submit([]morestress.Job{scenario(1), scenario(2)}, nil, 0)
+	id1, err := q1.Submit([]morestress.Job{scenario(1), scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := q1.Submit([]morestress.Job{scenario(3)}, nil, 0)
+	id2, err := q1.Submit([]morestress.Job{scenario(3)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id3, err := q1.Submit([]morestress.Job{scenario(4)}, nil, 0)
+	id3, err := q1.Submit([]morestress.Job{scenario(4)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,12 @@ func TestCleanShutdownPersistsCancellations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1, err := q1.Submit([]morestress.Job{scenario(1)}, nil, 0)
+	id1, err := q1.Submit([]morestress.Job{scenario(1)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, q1, id1, StateRunning)
-	id2, err := q1.Submit([]morestress.Job{scenario(2)}, nil, 0)
+	id2, err := q1.Submit([]morestress.Job{scenario(2)}, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRecoverDropsExpiredJobs(t *testing.T) {
 	t0 := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	log1 := openJournal(t, dir)
 	q1 := newTestQueue(t, Options{Journal: log1, TTL: time.Minute, Solve: solveVM, now: func() time.Time { return t0 }})
-	id, err := q1.Submit([]morestress.Job{scenario(1)}, nil, 5)
+	id, err := q1.Submit([]morestress.Job{scenario(1)}, nil, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestJournalCompactionKeepsLogBounded(t *testing.T) {
 	q1 := newTestQueue(t, Options{Journal: log1, CompactBytes: 1, Solve: solveVM})
 	var ids []string
 	for i := 0; i < 5; i++ {
-		id, err := q1.Submit([]morestress.Job{scenario(float64(i + 1))}, nil, 0)
+		id, err := q1.Submit([]morestress.Job{scenario(float64(i + 1))}, nil, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,12 +302,12 @@ func TestSubmitRejectsUnjournalableScenarios(t *testing.T) {
 	q := newTestQueue(t, Options{Journal: log1, Solve: solveVM})
 	sc := scenario(1)
 	sc.DeltaTMap = func(row, col int) float64 { return 1 }
-	if _, err := q.Submit([]morestress.Job{sc}, nil, 0); err != ErrNotJournalable {
+	if _, err := q.Submit([]morestress.Job{sc}, nil, 0, 0); err != ErrNotJournalable {
 		t.Errorf("Submit with DeltaTMap under a journal: %v, want ErrNotJournalable", err)
 	}
 	// Without a journal the same job is accepted.
 	q2 := newTestQueue(t, Options{Solve: solveVM})
-	if _, err := q2.Submit([]morestress.Job{sc}, nil, 0); err != nil {
+	if _, err := q2.Submit([]morestress.Job{sc}, nil, 0, 0); err != nil {
 		t.Errorf("Submit with DeltaTMap without a journal: %v", err)
 	}
 }
@@ -440,14 +440,14 @@ func TestSubmitRegeneratesCollidingID(t *testing.T) {
 			return id, nil
 		},
 	})
-	id1, err := q.Submit([]morestress.Job{scenario(1)}, "first", 3)
+	id1, err := q.Submit([]morestress.Job{scenario(1)}, "first", 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id1 != "aaaa" {
 		t.Fatalf("first id = %q", id1)
 	}
-	id2, err := q.Submit([]morestress.Job{scenario(2)}, "second", 4)
+	id2, err := q.Submit([]morestress.Job{scenario(2)}, "second", 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func BenchmarkSubmitJournaled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Submit(scenarios, nil, 0); err != nil {
+		if _, err := q.Submit(scenarios, nil, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

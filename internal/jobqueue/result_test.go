@@ -91,7 +91,7 @@ func TestResultHoldsNoSolution(t *testing.T) {
 // reports the iterative solve in both the result and its event.
 func TestResultKeepsFieldOnlyWhenAsked(t *testing.T) {
 	q := newTestQueue(t, Options{Solve: solveIterative})
-	id, err := q.Submit([]morestress.Job{scenario(-3), scenario(-5)}, keepMeta{Keep: []bool{true, false}}, 0)
+	id, err := q.Submit([]morestress.Job{scenario(-3), scenario(-5)}, keepMeta{Keep: []bool{true, false}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,16 +75,26 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// The job's cost against the queue budget is its field sample count —
-	// the dominant memory term of a result retained for the TTL. A job
-	// bigger than the whole budget can never be admitted, so reject it as
+	// The job's cost against the queue budget is the field samples it
+	// holds — the dominant memory term of a result retained for the TTL:
+	// every includeField scenario's for the job's lifetime, plus, while it
+	// runs, the largest field it computes and then drops. A job bigger
+	// than the whole budget can never be admitted, so reject it as
 	// permanently oversized rather than retryably throttled.
-	if max := s.queue.Stats().MaxCost; max > 0 && samples > max {
+	var kept, transient int64
+	for i, n := range samples {
+		if include[i] {
+			kept += n
+		} else {
+			transient = max(transient, n)
+		}
+	}
+	if limit := s.queue.Stats().MaxCost; limit > 0 && kept+transient > limit {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("job fields would hold %d samples, above this server's %d-sample budget; shrink gridSamples or split the job", samples, max))
+			fmt.Errorf("job fields would hold %d samples, above this server's %d-sample budget; shrink gridSamples or split the job", kept+transient, limit))
 		return
 	}
-	id, err := s.queue.Submit(jobs, &jobMeta{IncludeField: include}, samples)
+	id, err := s.queue.Submit(jobs, &jobMeta{IncludeField: include}, kept, transient)
 	switch {
 	case errors.Is(err, jobqueue.ErrQueueFull):
 		// The backlog drains on the solve timescale.
@@ -209,42 +219,45 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBatch parses and validates a batch-shaped request body ({"jobs":
-// [...]}), shared by POST /batch and POST /jobs. It returns the translated
-// scenarios, each scenario's includeField flag, and the request's total
+// [...]}), shared by POST /batch and POST /jobs, and caps the field samples
+// summed over every scenario (a /batch response holds them all at once).
+// It returns the translated scenarios and each one's includeField flag and
 // field sample count; ok is false when the response has already been
 // written.
-func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestress.Job, []bool, int64, bool) {
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestress.Job, []bool, []int64, bool) {
 	var req BatchRequest
 	if !decodeJSON(w, r, &req) {
-		return nil, nil, 0, false
+		return nil, nil, nil, false
 	}
 	if len(req.Jobs) == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("batch has no jobs"))
-		return nil, nil, 0, false
+		return nil, nil, nil, false
 	}
 	if len(req.Jobs) > maxBatchJobs {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("batch exceeds %d jobs", maxBatchJobs))
-		return nil, nil, 0, false
+		return nil, nil, nil, false
 	}
 	jobs := make([]morestress.Job, len(req.Jobs))
 	include := make([]bool, len(req.Jobs))
+	samples := make([]int64, len(req.Jobs))
 	var batchSamples int64
 	for i := range req.Jobs {
 		job, err := req.Jobs[i].ToJobPrec(s.Precond, s.Ordering, s.Precision)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
-			return nil, nil, 0, false
+			return nil, nil, nil, false
 		}
 		jobs[i] = job
 		include[i] = req.Jobs[i].IncludeField
-		batchSamples += req.Jobs[i].fieldSamples()
+		samples[i] = req.Jobs[i].fieldSamples()
+		batchSamples += samples[i]
 	}
 	if batchSamples > maxBatchFieldSamples {
 		httpError(w, http.StatusBadRequest,
 			fmt.Errorf("batch fields would hold %d samples; the sum of rows·cols·gridSamples² must not exceed %d", batchSamples, maxBatchFieldSamples))
-		return nil, nil, 0, false
+		return nil, nil, nil, false
 	}
-	return jobs, include, batchSamples, true
+	return jobs, include, samples, true
 }
 
 // DefaultJobFieldBudget bounds the field samples summed over every tracked
@@ -254,9 +267,11 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestre
 // after completion, so without this aggregate bound a client could park
 // many at-cap results in the TTL window and exhaust memory. A finished
 // scenario keeps only its compact jobqueue.Result, whose one
-// request-sized term is the field, kept only where includeField was set; a
-// job is charged every scenario's samples, so the budget is an upper bound
-// on what is retained. Four full-size batches ≈ 1 GiB of float64 samples.
+// request-sized term is the field, kept only where includeField was set. A
+// job is charged those kept fields until it expires, plus, until it
+// finishes, its largest dropped field — scenarios run one at a time, so
+// that covers the one field being computed. Four full-size batches ≈ 1 GiB
+// of float64 samples.
 const DefaultJobFieldBudget = 4 * maxBatchFieldSamples
 
 // NewQueue wires a jobqueue over the engine: scenarios run one at a time

@@ -399,12 +399,15 @@ func TestJobsBackpressure429(t *testing.T) {
 	}
 }
 
+// keptCheapJob is cheapJob with its 32-sample field kept in the result.
+var keptCheapJob = strings.TrimSuffix(cheapJob, "}") + `,"includeField":true}`
+
 // TestJobsFieldBudget429 checks genuine budget exhaustion surfaces as a
 // retryable 429: a job that fits the budget on its own is rejected while
 // an earlier job's retained cost occupies it.
 func TestJobsFieldBudget429(t *testing.T) {
 	engine := morestress.NewEngine(morestress.EngineOptions{Workers: 2})
-	queue, err := NewQueue(engine, 8, 1, time.Minute, 40, nil) // cheapJob costs 1·2·4² = 32
+	queue, err := NewQueue(engine, 8, 1, time.Minute, 40, nil) // keptCheapJob costs 1·2·4² = 32
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +415,13 @@ func TestJobsFieldBudget429(t *testing.T) {
 	ts := httptest.NewServer(New(engine, queue).Routes())
 	t.Cleanup(ts.Close)
 
-	// The first job fits (32 ≤ 40) and holds its cost for the TTL even
-	// after finishing.
-	if code := postJSON(t, ts.URL+"/jobs", `{"jobs":[`+cheapJob+`]}`, nil); code != http.StatusAccepted {
+	// The first job fits (32 ≤ 40) and holds its kept field's cost for the
+	// TTL even after finishing.
+	if code := postJSON(t, ts.URL+"/jobs", `{"jobs":[`+keptCheapJob+`]}`, nil); code != http.StatusAccepted {
 		t.Fatalf("first submit: status %d, want 202", code)
 	}
 	// The second would also fit an empty budget, but 32+32 > 40.
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"jobs":[`+cheapJob+`]}`))
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"jobs":[`+keptCheapJob+`]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +435,44 @@ func TestJobsFieldBudget429(t *testing.T) {
 	// A field-less job costs nothing and is accepted.
 	if code := postJSON(t, ts.URL+"/jobs", `{"jobs":[{"resolution":"coarse","nodes":3,"rows":1,"cols":1,"deltaT":-50}]}`, nil); code != http.StatusAccepted {
 		t.Errorf("zero-cost submit: status %d, want 202", code)
+	}
+}
+
+// TestJobsDroppedFieldFreesBudget: a scenario without includeField keeps
+// no field once it finishes, so its job holds the field's cost only while
+// it runs. With a 50-sample budget, a finished 32-sample job of that kind
+// leaves room for a second identical job.
+func TestJobsDroppedFieldFreesBudget(t *testing.T) {
+	engine := morestress.NewEngine(morestress.EngineOptions{Workers: 2})
+	queue, err := NewQueue(engine, 8, 1, time.Minute, 50, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(queue.Close)
+	ts := httptest.NewServer(New(engine, queue).Routes())
+	t.Cleanup(ts.Close)
+
+	var sub SubmitResponse
+	if code := postJSON(t, ts.URL+"/jobs", `{"jobs":[`+cheapJob+`]}`, &sub); code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d, want 202", code)
+	}
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		s, code := getStatus(t, ts.URL+sub.Poll)
+		if code != http.StatusOK || s.State == "failed" || s.State == "cancelled" {
+			t.Fatalf("first job: status %d, state %q", code, s.State)
+		}
+		if s.State == "done" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job did not finish")
+		}
+	}
+	if st := queue.Stats(); st.RetainedCost != 0 {
+		t.Errorf("finished field-less job still holds %d samples of the budget", st.RetainedCost)
+	}
+	if code := postJSON(t, ts.URL+"/jobs", `{"jobs":[`+cheapJob+`]}`, nil); code != http.StatusAccepted {
+		t.Fatalf("second identical submit: status %d, want 202", code)
 	}
 }
 

@@ -6,3 +6,6 @@ var (
 	CompareWithReference = compareWithReference
 	ReferenceIC0         = referenceIC0
 )
+
+// CheckSymLayout is the upper-triangle layout contract (sym_test.go).
+var CheckSymLayout = checkSymLayout

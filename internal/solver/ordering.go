@@ -147,7 +147,8 @@ func Multicolor(n int, rowsOf func(r int) []int32) (perm []int32, colorPtr []int
 }
 
 // MulticolorNodes is the block-aware multicolor ordering for 3-DoF node
-// systems: it colors the *node quotient graph* — the tile pattern of a, where
+// systems: it colors the *node quotient graph* — the tile pattern of a (both
+// triangles, also when a stores only the upper one), where
 // nodes are adjacent when any of their scalar DoFs couple — with the same
 // greedy rule as Multicolor, then expands the node permutation so each
 // node's 3 rows stay contiguous — perm[3v+c] = 3·newNode(v)+c. Blocked
@@ -163,8 +164,13 @@ func Multicolor(n int, rowsOf func(r int) []int32) (perm []int32, colorPtr []int
 // bounds each color class in *node* units (class c covers scalar rows
 // [3·colorPtr[c], 3·colorPtr[c+1])). Deterministic for a fixed pattern.
 func MulticolorNodes(a *sparse.BCSR) (perm []int32, colorPtr []int32) {
+	// A Sym matrix stores only the upper tiles, so a node's neighbors are
+	// the rows of its lower-triangle column followed by its stored row.
+	lptr, lrows, _ := a.Lower()
+	var adj []int32
 	nodePerm, colorPtr := Multicolor(a.NBRows(), func(v int) []int32 {
-		return a.BColIdx[a.BRowPtr[v]:a.BRowPtr[v+1]]
+		adj = append(append(adj[:0], lrows[lptr[v]:lptr[v+1]]...), a.BColIdx[a.BRowPtr[v]:a.BRowPtr[v+1]]...)
+		return adj
 	})
 	perm = make([]int32, a.NRows)
 	for v, q := range nodePerm {

@@ -239,7 +239,7 @@ func TestWorkspaceBlockedMatVecMatchesScalar(t *testing.T) {
 	defer ws.Close()
 	ws.reset()
 	ws.prepMatVec(bm, 4)
-	if !ws.bmvReady {
+	if !ws.bmvPar {
 		t.Fatal("workspace did not bind the pooled mat-vec")
 	}
 	got := make([]float64, a.NRows)

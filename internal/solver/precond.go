@@ -270,10 +270,11 @@ func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
 // permutedLowerCols returns the lower triangle of P·A·Pᵀ in block-column
 // form for the node-level scalar permutation perm (nil = natural): block
 // column J holds the tiles (I, J), I ≥ J, rows ascending. Tile (I, J) of the
-// permuted matrix is tile (inv I, inv J) of a as stored, so sweeping the
-// permuted block rows in ascending order and appending each tile to its
-// column — a counting transpose — yields sorted columns with no CSR or CSC
-// copy and no tile transposed.
+// permuted matrix is tile (inv I, inv J) of a: a stored tile of block row
+// inv I, or, for a Sym matrix whose upper triangle holds it as (inv J,
+// inv I), that tile transposed. Sweeping the permuted block rows in
+// ascending order and appending each tile to its column — a counting
+// transpose — yields sorted columns with no CSR or CSC copy.
 func permutedLowerCols(a *sparse.BCSR, perm []int32) (colPtr, rowIdx []int32, vals []float64) {
 	nb := a.NBRows()
 	newOf := make([]int32, nb) // old block index → permuted
@@ -285,14 +286,25 @@ func permutedLowerCols(a *sparse.BCSR, perm []int32) (colPtr, rowIdx []int32, va
 		}
 		newOf[v], oldOf[q] = q, int32(v)
 	}
-	colPtr = make([]int32, nb+1)
-	for i := 0; i < nb; i++ {
+	lptr, lrows, ltiles := a.Lower()
+	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of
+	// permuted block row i, read from stored tile p.
+	each := func(i int32, f func(j, p int32, transposed bool)) {
 		old := oldOf[i]
 		for p := a.BRowPtr[old]; p < a.BRowPtr[old+1]; p++ {
-			if j := newOf[a.BColIdx[p]]; j <= int32(i) {
-				colPtr[j+1]++
+			if j := newOf[a.BColIdx[p]]; j <= i {
+				f(j, p, false)
 			}
 		}
+		for q := lptr[old]; q < lptr[old+1]; q++ {
+			if j := newOf[lrows[q]]; j < i {
+				f(j, ltiles[q], true)
+			}
+		}
+	}
+	colPtr = make([]int32, nb+1)
+	for i := int32(0); i < int32(nb); i++ {
+		each(i, func(j, _ int32, _ bool) { colPtr[j+1]++ })
 	}
 	for j := 0; j < nb; j++ {
 		colPtr[j+1] += colPtr[j]
@@ -301,16 +313,20 @@ func permutedLowerCols(a *sparse.BCSR, perm []int32) (colPtr, rowIdx []int32, va
 	vals = make([]float64, 9*len(rowIdx))
 	next := make([]int32, nb)
 	copy(next, colPtr[:nb])
-	for i := 0; i < nb; i++ {
-		old := oldOf[i]
-		for p := a.BRowPtr[old]; p < a.BRowPtr[old+1]; p++ {
-			if j := newOf[a.BColIdx[p]]; j <= int32(i) {
-				q := next[j]
-				next[j] = q + 1
-				rowIdx[q] = int32(i)
-				copy(vals[9*q:9*q+9], a.Vals[9*p:9*p+9])
+	for i := int32(0); i < int32(nb); i++ {
+		each(i, func(j, p int32, transposed bool) {
+			q := next[j]
+			next[j] = q + 1
+			rowIdx[q] = i
+			dst, src := vals[9*q:9*q+9:9*q+9], a.Vals[9*p:9*p+9:9*p+9]
+			if !transposed {
+				copy(dst, src)
+				return
 			}
-		}
+			for r := 0; r < 3; r++ {
+				dst[3*r], dst[3*r+1], dst[3*r+2] = src[r], src[3+r], src[6+r]
+			}
+		})
 	}
 	return colPtr, rowIdx, vals
 }

@@ -95,6 +95,15 @@ func TestIC0IterationsMatchReferenceOnServed(t *testing.T) {
 	}
 }
 
+// TestSymLayoutOnServed runs the upper-triangle layout contract on the
+// served 6×6 and 12×12 reduced matrices.
+func TestSymLayoutOnServed(t *testing.T) {
+	for _, size := range []int{6, 12} {
+		a, _ := servedMatrix(t, size)
+		solver.CheckSymLayout(t, fmt.Sprintf("served %dx%d", size, size), a)
+	}
+}
+
 // BenchmarkIC0Build times one float32 IC0 build — the serving default — on
 // the served 6×6 and 12×12 lattices under both orderings: the cold
 // global-stage term a new lattice pays once.

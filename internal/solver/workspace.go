@@ -7,7 +7,7 @@ import (
 
 // Workspace pools the state an iterative solve reuses across calls: the work
 // vectors, the GMRES Hessenberg, the pooled 3×3-tiled matrix-vector op with
-// its tile-balanced block-row partition, the triangular-solve scratch, and
+// its spill slab, the triangular-solve scratch, and
 // (optionally) a resident sparse.Pool worker gang — the only parallel
 // dispatcher of a solve: every pooled kernel runs on it, and a workspace
 // without one runs them serially. With a Workspace in Options.Work and a
@@ -24,12 +24,13 @@ type Workspace struct {
 	vecs [][]float64
 	used int
 
-	// The pooled mat-vec binding: prepMatVec fills it when the gang fans
-	// out; otherwise matvec runs the serial tiled kernel.
-	bmv       sparse.BlockMatVec
-	bmvBounds []int32
-	bmvReady  bool
-	tri       sparse.BlockTriScratch
+	// The mat-vec binding prepMatVec fills: the op, its spill slab (grown
+	// at most once per size increase), and whether the gang shares the
+	// matrix's stripes.
+	bmv    sparse.BlockMatVec
+	spill  []float64
+	bmvPar bool
+	tri    sparse.BlockTriScratch
 	// permBuf is the scratch of permuted preconditioner applications
 	// (ic0 under a non-natural ordering). A dedicated field rather than a
 	// vec(): applyPar runs once per iteration, and the vec free-list is
@@ -64,7 +65,7 @@ func (w *Workspace) Close() {
 // the mat-vec binding is cleared.
 func (w *Workspace) reset() {
 	w.used = 0
-	w.bmvReady = false
+	w.bmvPar = false
 	w.bmv = sparse.BlockMatVec{}
 }
 
@@ -98,34 +99,36 @@ func (w *Workspace) permScratch(n int) []float64 {
 }
 
 // prepMatVec binds the matrix-vector product to a for the duration of a
-// solve: the block-row partition, weighted by tile count (the blocked work
-// profile), is computed once here and reused by every matvec call of the
-// solve.
+// solve: the op and its spill slab are set once here and reused by every
+// matvec call of the solve. The gang shares a's stripes when the solve runs
+// parallel kernels (workers > 1) on a system of at least sparse.MinParRows.
 func (w *Workspace) prepMatVec(a *sparse.BCSR, workers int) {
-	w.bmvReady = false
-	if w.pool == nil || workers <= 1 || a.NRows < sparse.MinParRows {
-		return // matvec runs the serial kernel
+	n := a.SpillLen()
+	if cap(w.spill) < n {
+		w.spill = make([]float64, n)
 	}
-	if pw := w.pool.Workers(); workers > pw {
-		workers = pw
-	}
-	w.bmvBounds = sparse.PartitionByWorkInto(w.bmvBounds, a.BRowPtr, 0, a.NBRows(), workers)
-	w.bmv.M = a
-	w.bmvReady = true
+	w.bmv = sparse.BlockMatVec{M: a, Spill: w.spill[:n]}
+	w.bmvPar = w.pool != nil && workers > 1 && a.NRows >= sparse.MinParRows
 }
 
-// matvec computes dst = a·x on the pooled binding when prepMatVec installed
-// one for a, and with the serial tiled kernel otherwise (no gang, one
-// worker, or a system under sparse.MinParRows). Allocation-free.
+// matvec computes dst = a·x on the binding prepMatVec installed for a: the
+// gang runs the stripes when bmvPar is set, the calling goroutine runs them
+// in order otherwise, and either way the spill slabs fold in stripe order,
+// so the product is bitwise the same. Allocation-free.
 //
 //stressvet:noalloc
 func (w *Workspace) matvec(a *sparse.BCSR, dst, x []float64) {
-	if w.bmvReady && w.bmv.M == a {
-		w.bmv.Dst, w.bmv.X = dst, x
-		w.pool.Run(w.bmvBounds, &w.bmv)
+	if w.bmv.M != a {
+		a.MulVec(dst, x)
 		return
 	}
-	a.MulVec(dst, x)
+	w.bmv.Dst, w.bmv.X = dst, x
+	if w.bmvPar {
+		w.pool.Run(a.Stripes(), &w.bmv)
+	} else {
+		w.bmv.RunRange(0, a.NBRows())
+	}
+	w.bmv.Fold()
 }
 
 // hessenberg returns a pooled (rows × cols) dense matrix for GMRES.

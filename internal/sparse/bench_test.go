@@ -78,9 +78,11 @@ func nodeBlockCSR(nx, ny int) *CSR {
 // BenchmarkBlockedMulVec compares the scalar CSR mat-vec against the
 // 3×3-tiled BCSR one on a node-blocked matrix (120×120 nodes, 43200 rows,
 // ~1.16M nnz): one index per tile instead of per scalar is ~1/3 the index
-// traffic, and the unrolled tile kernel keeps three running sums. Run with
-// -cpu 1,4: the serial rows isolate the kernel, the par rows add the
-// nnz-balanced fan-out (which partitions by block-nnz on the tiled path).
+// traffic, and the unrolled tile kernel keeps three running sums. The
+// blocked-sym rows run the symmetrized matrix from its upper triangle,
+// reading each off-diagonal tile once for two products. Run with -cpu 1,4:
+// the serial rows isolate the kernel, the par rows add the fan-out over
+// the matrix's tile-balanced stripes.
 func BenchmarkBlockedMulVec(b *testing.B) {
 	m := nodeBlockCSR(120, 120)
 	bm, err := NewBCSR(m)
@@ -111,6 +113,25 @@ func BenchmarkBlockedMulVec(b *testing.B) {
 	b.Run("blocked/par", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bm.MulVecPar(dst, x, workers)
+		}
+	})
+	// The same pattern made symmetric is stored as its upper triangle; the
+	// serial row runs the stripes on a caller-owned spill slab, as a
+	// solver workspace does.
+	sm, err := NewBCSR(symmetrize(m))
+	if err != nil || !sm.Sym {
+		b.Fatalf("symmetrized matrix not stored Sym (err %v)", err)
+	}
+	b.Run("blocked-sym/serial", func(b *testing.B) {
+		op := &BlockMatVec{M: sm, Dst: dst, X: x, Spill: make([]float64, sm.SpillLen())}
+		for i := 0; i < b.N; i++ {
+			op.RunRange(0, sm.NBRows())
+			op.Fold()
+		}
+	})
+	b.Run("blocked-sym/par", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sm.MulVecPar(dst, x, workers)
 		}
 	})
 }

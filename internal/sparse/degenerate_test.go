@@ -35,7 +35,6 @@ func TestPartitionByWorkDegenerate(t *testing.T) {
 	check("zero-work", PartitionByWork(pref, 1, 3, 2), 1, 3)
 	allZero := []int32{0, 0, 0, 0, 0}
 	check("all-zero-work", PartitionByWork(allZero, 0, 4, 3), 0, 4)
-	check("into-reuse", PartitionByWorkInto(make([]int32, 0, 8), pref, 0, 7, 3), 0, 7)
 }
 
 // TestLevelScheduleGappedLevels: schedules built from level arrays with

@@ -19,19 +19,11 @@ const MinParRows = 4096
 // which every dispatcher in this package treats as a no-op. Structured
 // FEM matrices have heavy boundary rows, so equal-count row chunks can be
 // 2× imbalanced where equal-nnz chunks are not; every parallel row sweep in
-// this package (MulVecPar, the level-scheduled triangular solves) partitions
-// through here.
+// this package (the BCSR product's stripes, CSR.MulVecPar, the
+// level-scheduled triangular solves) partitions through here.
 func PartitionByWork(pref []int32, lo, hi, parts int) []int32 {
-	return PartitionByWorkInto(nil, pref, lo, hi, parts)
-}
-
-// PartitionByWorkInto is PartitionByWork appending into dst's backing array,
-// for callers (the allocation-free solver hot loops) that re-partition every
-// solve without allocating.
-func PartitionByWorkInto(dst []int32, pref []int32, lo, hi, parts int) []int32 {
-	dst = dst[:0]
 	if hi <= lo {
-		return dst
+		return nil
 	}
 	if parts > hi-lo {
 		parts = hi - lo
@@ -39,7 +31,8 @@ func PartitionByWorkInto(dst []int32, pref []int32, lo, hi, parts int) []int32 {
 	if parts < 1 {
 		parts = 1
 	}
-	dst = append(dst, int32(lo))
+	dst := make([]int32, 1, parts+1)
+	dst[0] = int32(lo)
 	total := int64(pref[hi] - pref[lo])
 	prev := lo
 	for k := 1; k < parts; k++ {
