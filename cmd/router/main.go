@@ -82,12 +82,10 @@
 //	router -replicas URL[,URL...] [-addr :8080]
 //	       [-probe-interval 500ms] [-probe-timeout 2s]
 //	       [-retries 2N] [-backoff 50ms]
-//	       [-precond auto] [-ordering auto]
 //
-// -precond/-ordering only feed request validation during key derivation
-// (the lattice key does not depend on solver options); they should match
-// the replicas' flags. The router never resolves "auto" itself: the
-// replicas do, by a rule fixed in code.
+// The router validates a request only to derive its lattice key, which
+// does not depend on solver options; it never resolves "auto" itself. The
+// replicas do, by rules fixed in code, so the router has no solver flags.
 package main
 
 import (
@@ -101,7 +99,6 @@ import (
 	"syscall"
 	"time"
 
-	morestress "repro"
 	"repro/internal/router"
 )
 
@@ -113,23 +110,8 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
 	retries := flag.Int("retries", 0, "max forwarding attempts per request across the failover order (0 = twice per replica)")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base pause between failover attempts (grows linearly)")
-	precondFlag := flag.String("precond", "auto", "default preconditioner assumed during request validation (match the replicas)")
-	orderingFlag := flag.String("ordering", "auto", "default IC0 ordering assumed during request validation (match the replicas)")
-	precisionFlag := flag.String("precision", "auto", "default IC0 factor precision assumed during request validation (match the replicas)")
 	flag.Parse()
 
-	precond, err := morestress.ParsePrecond(*precondFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ordering, err := morestress.ParseOrdering(*orderingFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	precision, err := morestress.ParsePrecision(*precisionFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -145,9 +127,6 @@ func main() {
 		ProbeTimeout:  *probeTimeout,
 		Retries:       *retries,
 		Backoff:       *backoff,
-		Precond:       precond,
-		Ordering:      ordering,
-		Precision:     precision,
 	})
 	if err != nil {
 		log.Fatal(err)

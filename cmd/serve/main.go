@@ -90,7 +90,7 @@
 //	      [-cache-bytes 2147483648] [-cache-entries 0] [-cache-dir DIR]
 //	      [-queue-depth 64] [-job-workers 1] [-job-ttl 10m]
 //	      [-job-field-budget 134217728] [-journal-dir DIR]
-//	      [-precond auto] [-warm-start=true] [-assembly-bytes 1073741824]
+//	      [-warm-start=true] [-assembly-bytes 1073741824]
 //
 // Defaults: -cache-bytes is 2 GiB (romcache.DefaultMaxBytes); -cache-entries
 // is 0, meaning the byte budget alone governs admission (set it to add a
@@ -127,8 +127,8 @@
 // The reduced global solve dominates warm-cache request time, so the engine
 // assembles each lattice's global matrix once (shared by every scenario on
 // that lattice), defaults the iterative solvers to preconditioned CG/GMRES
-// (-precond auto picks block-Jacobi-3 for small lattices and IC0 for large
-// ones; per-request "precond" overrides), and warm-starts each iterative
+// ("auto" picks block-Jacobi-3 for small lattices and IC0 for large ones;
+// the per-request "precond" field overrides), and warm-starts each iterative
 // solve from the latest solution of the same lattice (-warm-start=false
 // disables). GET /stats reports the machinery under "solver": assemblies
 // built vs reused, warm-start hit rate, divergence fallbacks, and total
@@ -137,8 +137,12 @@
 //
 // The rules behind "auto" are fixed in code and measured in
 // docs/SOLVER_TUNING.md: IC0 from solver.AutoIC0Threshold (2 500) free DoFs,
-// block-Jacobi-3 below, and multicolor IC0 from the system size and the
-// solve's worker count (GOMAXPROCS by default).
+// block-Jacobi-3 below, and the multicolor IC0 ordering from
+// solver.AutoMulticolorMinDoFs (4 096) free DoFs, natural below, stored in
+// float32. The IC0 ordering and precision are not settable: they follow the
+// lattice's size alone, so each lattice holds one factor and a request gets
+// the same answer at any -workers or core count. Requests that name
+// "ordering" or "precision" get a 400.
 package main
 
 import (
@@ -174,30 +178,12 @@ func main() {
 		"aggregate field samples across tracked async jobs, 429 beyond it (0 = unlimited)")
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
-	precondFlag := flag.String("precond", "auto",
-		"default iterative preconditioner: auto, block-jacobi3 (bj3), ic0, or none (per-request \"precond\" overrides)")
-	orderingFlag := flag.String("ordering", "auto",
-		"default IC0 factor ordering: auto, natural, or multicolor (per-request \"ordering\" overrides)")
-	precisionFlag := flag.String("precision", "auto",
-		"default IC0 factor storage precision: auto, float64, or float32 (per-request \"precision\" overrides)")
 	warmStart := flag.Bool("warm-start", true,
 		"seed iterative solves with the latest solution on the same lattice")
 	assemblyBytes := flag.Int64("assembly-bytes", 1<<30,
 		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
 	flag.Parse()
 
-	precond, err := morestress.ParsePrecond(*precondFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ordering, err := morestress.ParseOrdering(*orderingFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	precision, err := morestress.ParsePrecision(*precisionFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	engineOpt := morestress.EngineOptions{
 		Workers:          *workers,
 		CacheBytes:       *cacheBytes,
@@ -216,6 +202,7 @@ func main() {
 	}
 	var journal *wal.Log
 	if *journalDir != "" {
+		var err error
 		journal, err = wal.Open(*journalDir, wal.Options{})
 		if err != nil {
 			log.Fatal(err)
@@ -227,9 +214,6 @@ func main() {
 	}
 	srv := serveapi.New(solver, queue)
 	srv.Journal = journal
-	srv.Precond = precond
-	srv.Ordering = ordering
-	srv.Precision = precision
 	srv.PerShard = perShard
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,

@@ -53,8 +53,9 @@
 //     SolverOptions.Precond overrides) with level-scheduled IC0 triangular
 //     solves, an auto-selected symmetric factor ordering
 //     (SolverOptions.Ordering: multicolor when the system reaches
-//     solver.AutoMulticolorMinDoFs and the solve runs more than one
-//     worker, natural otherwise) and
+//     solver.AutoMulticolorMinDoFs, natural below it — the size alone
+//     decides, so a lattice has one factor and one answer at every worker
+//     count) and
 //     an allocation-free PCG hot loop, and uniform-ΔT sweeps are chained
 //     in ΔT order so each solve warm-starts from its neighbor's solution,
 //     falling back to a cold solve on divergence. EngineStats and

@@ -1,8 +1,11 @@
 package morestress
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/mesh"
 	"repro/internal/solver"
 )
 
@@ -114,6 +117,54 @@ func TestEngineOrderingCounts(t *testing.T) {
 		if res.Solution.Ordering != res.Solution.Stats.Ordering {
 			t.Errorf("Solution.Ordering %v != Stats.Ordering %v", res.Solution.Ordering, res.Solution.Stats.Ordering)
 		}
+	}
+}
+
+// TestEngineBatchThenSolveShareOneFactor: a lattice solved through
+// BatchSolve, whose concurrent jobs each get a share of the cores, and then
+// through Engine.Solve, which gets them all, holds one IC0 factor and gives
+// one answer. The factor's ordering follows the lattice's size alone: the
+// 1×48 strip of the served (5,5,5) coarse cell (4 797 free DoFs) factors
+// multicolor on every path.
+func TestEngineBatchThenSolveShareOneFactor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := DefaultConfig(15)
+	cfg.Resolution = mesh.CoarseResolution()
+	hotspot := func(col float64) func(int, int) float64 {
+		return func(row, c int) float64 {
+			dr, dc := float64(row)-0.5, float64(c)-col
+			return -250 + 100*math.Exp(-(dr*dr+dc*dc)/8)
+		}
+	}
+	jobs := []Job{
+		{Config: cfg, Rows: 1, Cols: 48, DeltaT: -250, DeltaTMap: hotspot(12)},
+		{Config: cfg, Rows: 1, Cols: 48, DeltaT: -250, DeltaTMap: hotspot(30)},
+	}
+	e := NewEngine(EngineOptions{Workers: 2})
+	br := e.BatchSolve(jobs)
+	if br.Stats.Errors != 0 {
+		t.Fatalf("batch errors: %+v", br.Stats)
+	}
+	solo, err := e.Solve(jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats()
+	if s.PrecondBuilds != 1 {
+		t.Errorf("precond builds = %d, want 1 (one lattice, one factor)", s.PrecondBuilds)
+	}
+	if len(s.OrderingCounts) != 1 || s.OrderingCounts["multicolor"] != 3 {
+		t.Errorf("ordering counts = %v, want {multicolor: 3}", s.OrderingCounts)
+	}
+	q, ref := solo.Result.Solution.Q, br.Results[0].Result.Solution.Q
+	diffs := 0
+	for i := range ref {
+		if math.Float64bits(q[i]) != math.Float64bits(ref[i]) {
+			diffs++
+		}
+	}
+	if diffs != 0 || len(q) != len(ref) {
+		t.Errorf("Engine.Solve and BatchSolve answers differ in %d of %d Q entries", diffs, len(ref))
 	}
 }
 

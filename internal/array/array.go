@@ -344,9 +344,8 @@ type AssemblyPrecond struct {
 	// reduced system size).
 	Kind solver.PrecondKind
 	// Ordering is the concrete symmetric ordering the preconditioner was
-	// built under (Auto resolved against the reduced system size and the
-	// requesting solve's workers; OrderingNatural for the ordering-invariant
-	// kinds).
+	// built under (Auto resolved against the reduced system size;
+	// OrderingNatural for the ordering-invariant kinds).
 	Ordering solver.OrderingKind
 	// Precision is the concrete storage precision of the built factor:
 	// the requested one for IC0 (PrecisionAuto resolves to float32),
@@ -362,27 +361,26 @@ type AssemblyPrecond struct {
 
 // PreconditionerPrec returns the lattice's shared preconditioner for the
 // requested kind, ordering and factor precision, building and caching it on
-// first use; workers is the requesting solve's parallelism (0 =
-// solver.DefaultWorkers), consulted only by the OrderingAuto resolution
-// (solver.ResolveOrdering) — a 1-worker solve keeps the natural factor.
-// Distinct (kind, ordering, precision) triples cache independently — the
-// ordering permutation lives inside the cached factor, so "the ordering +
-// permuted factor" is one entry; PrecondAuto and OrderingAuto resolve to
-// concrete values first so an explicit request for the resolved pair shares
-// the same entry. Only the factorizing kinds are ordering- and
-// precision-sensitive; the others cache under OrderingNatural and
-// PrecisionFloat64 whatever is requested. For IC0, PrecisionAuto and
-// PrecisionFloat32 build the identical float32 factor and so share one cache
-// entry, while PrecisionFloat64 caches separately — the float64 factor a
-// stalled float32 solve retries against lives next to the float32 factor it
-// replaces.
-func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision, workers int) (AssemblyPrecond, error) {
+// first use. Distinct (kind, ordering, precision) triples cache
+// independently — the ordering permutation lives inside the cached factor,
+// so "the ordering + permuted factor" is one entry; PrecondAuto and
+// OrderingAuto resolve to concrete values first, by the system size alone,
+// so an explicit request for the resolved pair shares the same entry and
+// every solve of a lattice shares one factor whatever its parallelism. Only
+// the factorizing kinds are ordering- and precision-sensitive; the others
+// cache under OrderingNatural and PrecisionFloat64 whatever is requested.
+// For IC0, PrecisionAuto and PrecisionFloat32 build the identical float32
+// factor and so share one cache entry, while PrecisionFloat64 caches
+// separately — the float64 factor a stalled float32 solve retries against
+// lives next to the float32 factor it replaces. The trailing worker count
+// is unused; it stays for existing callers.
+func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision, _ int) (AssemblyPrecond, error) {
 	if a.Red == nil {
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
 	resolved := kind.Resolve(a.Red.NFree())
 	if resolved == solver.PrecondIC0 {
-		ord = solver.ResolveOrdering(ord, a.aff.NRows, workers)
+		ord = solver.ResolveOrdering(ord, a.aff.NRows)
 		if prec == solver.PrecisionAuto {
 			prec = solver.PrecisionFloat32
 		}
@@ -677,7 +675,7 @@ func Solve(p *Problem) (*Solution, error) {
 	drewPrec := solver.PrecisionFloat64
 	var precondBuild time.Duration
 	if p.Solver != Direct && opt.M == nil {
-		ap, err := asm.PreconditionerPrec(opt.Precond, opt.Ordering, opt.Precision, opt.Workers)
+		ap, err := asm.PreconditionerPrec(opt.Precond, opt.Ordering, opt.Precision, 0)
 		if err != nil {
 			return nil, fmt.Errorf("array: global preconditioner: %w", err)
 		}
@@ -725,7 +723,7 @@ func Solve(p *Problem) (*Solution, error) {
 		x0 = nil
 	}
 	if precFellBack {
-		ap, perr := asm.PreconditionerPrec(opt.Precond, opt.Ordering, solver.PrecisionFloat64, opt.Workers)
+		ap, perr := asm.PreconditionerPrec(opt.Precond, opt.Ordering, solver.PrecisionFloat64, 0)
 		if perr != nil {
 			return nil, fmt.Errorf("array: float64 fallback preconditioner: %w (after %v)", perr, err)
 		}

@@ -296,39 +296,6 @@ func TestAssemblyHoldsOneTiledCopy(t *testing.T) {
 	}
 }
 
-func TestGMRESAndCGAgreeOnGlobalProblem(t *testing.T) {
-	r := buildROM(t, 3, true)
-	base := Problem{
-		ROM: r, Bx: 2, By: 2, DeltaT: -250,
-		BC:  ClampedTopBottom,
-		Opt: solver.Options{Tol: 1e-11},
-	}
-	pg := base
-	pg.Solver = GMRES
-	pc := base
-	pc.Solver = CG
-	sg, err := Solve(&pg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Solve(&pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxDiff, scale float64
-	for i := range sg.Q {
-		if d := math.Abs(sg.Q[i] - sc.Q[i]); d > maxDiff {
-			maxDiff = d
-		}
-		if a := math.Abs(sg.Q[i]); a > scale {
-			scale = a
-		}
-	}
-	if maxDiff > 1e-6*scale {
-		t.Errorf("GMRES and CG disagree: max diff %g (scale %g)", maxDiff, scale)
-	}
-}
-
 func TestSolutionReconstructionContinuity(t *testing.T) {
 	// Displacement at a shared block face evaluated from either side must
 	// agree (conforming interpolation).
@@ -353,38 +320,6 @@ func TestSolutionReconstructionContinuity(t *testing.T) {
 				t.Errorf("discontinuity at y=%g z=%g comp %d: %g vs %g", y, z, c, left[c], right[c])
 			}
 		}
-	}
-}
-
-func TestDirectSolverMatchesIterative(t *testing.T) {
-	r := buildROM(t, 3, true)
-	base := Problem{
-		ROM: r, Bx: 2, By: 2, DeltaT: -250,
-		BC:  ClampedTopBottom,
-		Opt: solver.Options{Tol: 1e-11},
-	}
-	pi := base
-	pd := base
-	pd.Solver = Direct
-	si, err := Solve(&pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := Solve(&pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxDiff, scale float64
-	for i := range si.Q {
-		if d := math.Abs(si.Q[i] - sd.Q[i]); d > maxDiff {
-			maxDiff = d
-		}
-		if a := math.Abs(si.Q[i]); a > scale {
-			scale = a
-		}
-	}
-	if maxDiff > 1e-6*scale {
-		t.Errorf("direct and iterative global solves disagree: %g (scale %g)", maxDiff, scale)
 	}
 }
 

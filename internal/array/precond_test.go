@@ -138,7 +138,7 @@ func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
 	}
 	// Auto resolves to a concrete ordering and must share that entry rather
 	// than cache a duplicate under OrderingAuto.
-	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 0)
+	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree())
 	want, err := asm.PreconditionerPrec(solver.PrecondIC0, resolved, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -293,10 +293,11 @@ func TestAssemblyPrecondRequiresFreeDoFs(t *testing.T) {
 	}
 }
 
-// TestAutoOrderingFollowsDefaultWorkers: with no explicit worker count the
-// assembly cache resolves OrderingAuto through the same rule as a bare
-// solve, at solver.DefaultWorkers (GOMAXPROCS). A process held to one
-// worker must get the natural factor, exactly as a bare PCG would.
+// TestAutoOrderingFollowsDefaultWorkers: the assembly cache resolves
+// OrderingAuto through the same size rule as a bare solve, and no worker
+// count moves it. A process held to one worker still factors a lattice of
+// at least solver.AutoMulticolorMinDoFs multicolor, and a request that
+// names 1 or 4 workers shares that one factor.
 func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -306,30 +307,33 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := asm.NumFree(); n < solver.AutoMulticolorMinDoFs {
-		t.Fatalf("lattice has %d free DoFs, want ≥ %d so the worker count decides", n, solver.AutoMulticolorMinDoFs)
+		t.Fatalf("lattice has %d free DoFs, want ≥ %d so the size rule picks multicolor", n, solver.AutoMulticolorMinDoFs)
 	}
 	ap, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap.Ordering != solver.OrderingNatural {
-		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want natural", ap.Ordering)
+	if ap.Ordering != solver.OrderingMulticolor {
+		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want multicolor", ap.Ordering)
 	}
-	// Control: the same system handed 4 workers explicitly does switch, so
-	// the default — not the system — decided above.
-	if got := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree(), 4); got != solver.OrderingMulticolor {
-		t.Errorf("auto ordering at 4 workers resolved to %v, want multicolor", got)
+	for _, w := range []int{1, 4} {
+		again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Hit || again.M != ap.M {
+			t.Errorf("%d workers: hit=%v, same factor=%v; want the one cached factor", w, again.Hit, again.M == ap.M)
+		}
 	}
 }
 
 // TestAutoOrderingOnServedLattices pins what OrderingAuto decides on the
 // served (5,5,5) coarse cell for the lattices the benchmark workloads run:
-// the new-design shapes stay natural on size alone, and the 12×12 hotspot
-// lattice factors multicolor at 2 workers but natural at 1. The decision
-// follows the system size and the worker count only. PrecondAuto likewise
-// follows the size alone: a bare Solve, which builds its own assembly and
-// factor for one solve, resolves it as the engine's cached path does, on
-// either side of solver.AutoIC0Threshold.
+// the new-design shapes stay natural and the 12×12 hotspot lattice factors
+// multicolor, at 1 worker as at 2 — the system size alone decides.
+// PrecondAuto likewise follows the size alone: a bare Solve, which builds
+// its own assembly and factor for one solve, resolves it as the engine's
+// cached path does, on either side of solver.AutoIC0Threshold.
 func TestAutoOrderingOnServedLattices(t *testing.T) {
 	r := servedROM(t, true)
 	for _, c := range []struct {
@@ -340,7 +344,7 @@ func TestAutoOrderingOnServedLattices(t *testing.T) {
 		{5, 7, 2, 2646, solver.OrderingNatural},
 		{6, 6, 2, 2709, solver.OrderingNatural},
 		{12, 12, 2, 9945, solver.OrderingMulticolor},
-		{12, 12, 1, 9945, solver.OrderingNatural},
+		{12, 12, 1, 9945, solver.OrderingMulticolor},
 	} {
 		asm, err := NewAssembly(&Problem{ROM: r, Bx: c.bx, By: c.by, DeltaT: -250, BC: ClampedTopBottom}, 0)
 		if err != nil {

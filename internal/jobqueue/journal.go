@@ -61,7 +61,10 @@ const (
 var ErrNotJournalable = errors.New("jobqueue: job carries runtime-only state (DeltaTMap / prebuilt preconditioner / workspace) and cannot be journaled")
 
 // jobWire is the serializable projection of a morestress.Job: everything
-// recovery needs to re-run the scenario, and nothing runtime-only.
+// recovery needs to re-run the scenario, and nothing runtime-only. Ordering
+// and Precision mirror the Job's options: served requests always journal
+// auto, and records accepted while requests could name either replay as
+// they were accepted.
 type jobWire struct {
 	Config      morestress.Config
 	Rows, Cols  int

@@ -39,15 +39,6 @@ type ProxyOptions struct {
 	// Client issues the forwarded requests (default: http.Client with no
 	// overall timeout — solves are long; per-probe timeouts still apply).
 	Client *http.Client
-	// Precond, Ordering, and Precision are the defaults used when deriving
-	// routing keys from requests that do not name them. They must match the
-	// replicas' own -precond/-ordering/-precision flags only if those flags
-	// differ per replica (they never should); the lattice key does not
-	// depend on solver options, so these exist purely to satisfy request
-	// validation.
-	Precond   morestress.Precond
-	Ordering  morestress.Ordering
-	Precision morestress.Precision
 }
 
 // replica is one backend in the fleet.
@@ -185,7 +176,7 @@ func (p *Proxy) SolveKey(body []byte) (string, error) {
 	if err := dec.Decode(&req); err != nil {
 		return "", err
 	}
-	job, err := req.ToJobPrec(p.opt.Precond, p.opt.Ordering, p.opt.Precision)
+	job, err := req.ToJob(morestress.PrecondAuto, morestress.OrderingAuto)
 	if err != nil {
 		return "", err
 	}
@@ -270,7 +261,7 @@ func (p *Proxy) batchKey(body []byte) (string, error) {
 	if len(req.Jobs) == 0 {
 		return "", errors.New("batch has no jobs")
 	}
-	job, err := req.Jobs[0].ToJobPrec(p.opt.Precond, p.opt.Ordering, p.opt.Precision)
+	job, err := req.Jobs[0].ToJob(morestress.PrecondAuto, morestress.OrderingAuto)
 	if err != nil {
 		return "", err
 	}
@@ -301,7 +292,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	parts := make([][]int, p.table.Len())
 	for i := range req.Jobs {
 		key := ""
-		if job, err := req.Jobs[i].ToJobPrec(p.opt.Precond, p.opt.Ordering, p.opt.Precision); err == nil {
+		if job, err := req.Jobs[i].ToJob(morestress.PrecondAuto, morestress.OrderingAuto); err == nil {
 			key = morestress.LatticeKey(job)
 		}
 		sh := p.table.Pick(key)

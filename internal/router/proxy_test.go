@@ -422,24 +422,54 @@ func TestProxyProbeRecoversReplica(t *testing.T) {
 	}
 }
 
-// TestProxyRejectsRetiredOrdering: a request naming the deleted "rcm"
-// ordering derives no lattice key at the proxy, is forwarded raw, and comes
-// back as the replica's 400.
-func TestProxyRejectsRetiredOrdering(t *testing.T) {
-	ps, _ := testFleet(t, 2)
-	job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"ordering":"rcm"}`
-	for path, body := range map[string]string{
-		"/solve": job,
-		"/batch": `{"jobs":[` + job + `]}`,
-		"/jobs":  `{"jobs":[` + job + `]}`,
+// TestRetiredRequestFieldsRejected: "ordering" and "precision" are no
+// longer request fields — the IC0 factor's ordering and precision follow the
+// lattice's size alone — so naming either, with any value ("auto"
+// included), is a 400 naming the field on /solve, /batch and /jobs. A
+// replica answers it itself; through the router the body derives no lattice
+// key, routes by the empty key, and the owning replica's 400 comes back.
+func TestRetiredRequestFieldsRejected(t *testing.T) {
+	ps, urls := testFleet(t, 2)
+	var cases []struct{ field, path, body string }
+	for field, values := range map[string][]string{
+		"ordering":  {"auto", "natural", "multicolor", "rcm"},
+		"precision": {"auto", "float64", "float32"},
 	} {
-		var out map[string]string
-		if code := postJSON(t, ps.URL+path, body, &out); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, code)
-		} else if !strings.Contains(out["error"], "multicolor") {
-			t.Errorf("%s: error %q does not list the valid orderings", path, out["error"])
+		for _, v := range values {
+			job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"` + field + `":"` + v + `"}`
+			cases = append(cases,
+				struct{ field, path, body string }{field, "/solve", job},
+				struct{ field, path, body string }{field, "/batch", `{"jobs":[` + job + `]}`},
+				struct{ field, path, body string }{field, "/jobs", `{"jobs":[` + job + `]}`})
 		}
 	}
+	check := func(base string) {
+		t.Helper()
+		for _, c := range cases {
+			var out map[string]string
+			if code := postJSON(t, base+c.path, c.body, &out); code != http.StatusBadRequest {
+				t.Errorf("%s%s %s: status %d, want 400", base, c.path, c.body, code)
+			} else if want := fmt.Sprintf("unknown field %q", c.field); !strings.Contains(out["error"], want) {
+				t.Errorf("%s%s %s: error %q does not say %s", base, c.path, c.body, out["error"], want)
+			}
+		}
+	}
+	check(ps.URL)
+	// Every routed request reached the empty key's owner and no other
+	// replica; the /stats read below is each replica's one further request.
+	owner := NewTable(urls).Pick("")
+	for i, u := range urls {
+		var st serveapi.StatsResponse
+		getJSON(t, u+"/stats", &st)
+		want := int64(1)
+		if i == owner {
+			want += int64(len(cases))
+		}
+		if st.Requests != want {
+			t.Errorf("replica %d (owner %d) counted %d requests, want %d", i, owner, st.Requests, want)
+		}
+	}
+	check(urls[0])
 }
 
 func TestSolveKeyCanonical(t *testing.T) {

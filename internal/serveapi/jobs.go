@@ -242,7 +242,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]morestre
 	samples := make([]int64, len(req.Jobs))
 	var batchSamples int64
 	for i := range req.Jobs {
-		job, err := req.Jobs[i].ToJobPrec(s.Precond, s.Ordering, s.Precision)
+		job, err := req.Jobs[i].ToJob(morestress.PrecondAuto, morestress.OrderingAuto)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
 			return nil, nil, nil, false

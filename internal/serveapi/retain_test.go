@@ -90,7 +90,7 @@ func TestRecoveredJobAnswersLikeLive(t *testing.T) {
 	body := `{"jobs":[` +
 		`{` + cell + `,"deltaT":-100,"includeField":true},` +
 		`{` + cell + `,"deltaT":-150},` +
-		`{` + cell + `,"deltaT":-200,"solver":"cg","precond":"ic0","ordering":"natural","precision":"float32","includeField":true},` +
+		`{` + cell + `,"deltaT":-200,"solver":"cg","precond":"ic0","includeField":true},` +
 		`{` + cell + `,"deltaT":-250,"solver":"direct"}]}`
 	live := finishedJob(t, ts1.URL, body)
 	liveEvents := scenarioEvents(t, ts1.URL, live.ID)

@@ -87,32 +87,23 @@ type JobRequest struct {
 	// Precond selects the iterative preconditioner: "auto" (default,
 	// size-resolved), "block-jacobi3"/"bj3", "ic0", or "none"; any other
 	// spelling, including the deleted scalar "jacobi", is a 400 that lists
-	// these. Empty falls back to the server's -precond flag.
+	// these. The IC0 factor's ordering and precision are not request
+	// fields: the server resolves both by the lattice's size alone, so a
+	// lattice holds one factor and answers alike on every replica. A
+	// request that names "ordering" or "precision" is a 400 (unknown
+	// field).
 	Precond string `json:"precond"`
-	// Ordering selects the IC0 factor ordering: "auto" (default, picks
-	// multicolor when the system is large enough for the parallel kernels
-	// and the solve runs more than one worker), "natural", or "multicolor";
-	// any other spelling is a 400 that lists these. Empty falls back to the
-	// server's -ordering flag.
-	Ordering string `json:"ordering"`
-	// Precision selects the IC0 factor storage precision: "auto" (default,
-	// float32 when the factor tiles), "float64"/"f64"/"double", or
-	// "float32"/"f32"/"single". Empty falls back to the server's
-	// -precision flag.
-	Precision string `json:"precision"`
 
 	// IncludeField returns the sampled von Mises field in the response
 	// (requires gridSamples > 0).
 	IncludeField bool `json:"includeField"`
 }
 
+// ToJob validates the request and converts it to an engine job.
+// defaultPrecond applies when the request names no preconditioner;
+// defaultOrdering is the job's factor ordering (every server passes
+// OrderingAuto). The factor precision is always PrecisionAuto.
 func (r *JobRequest) ToJob(defaultPrecond morestress.Precond, defaultOrdering morestress.Ordering) (morestress.Job, error) {
-	return r.ToJobPrec(defaultPrecond, defaultOrdering, morestress.PrecisionAuto)
-}
-
-// ToJobPrec is ToJob with an explicit default for the factor precision (the
-// server's -precision flag), applied when the request does not name one.
-func (r *JobRequest) ToJobPrec(defaultPrecond morestress.Precond, defaultOrdering morestress.Ordering, defaultPrecision morestress.Precision) (morestress.Job, error) {
 	var job morestress.Job
 	pitch := r.Pitch
 	if pitch == 0 {
@@ -185,21 +176,7 @@ func (r *JobRequest) ToJobPrec(defaultPrecond morestress.Precond, defaultOrderin
 			return job, err
 		}
 	}
-	ordering := defaultOrdering
-	if r.Ordering != "" {
-		var err error
-		if ordering, err = morestress.ParseOrdering(r.Ordering); err != nil {
-			return job, err
-		}
-	}
-	precision := defaultPrecision
-	if r.Precision != "" {
-		var err error
-		if precision, err = morestress.ParsePrecision(r.Precision); err != nil {
-			return job, err
-		}
-	}
-	job.Options = morestress.SolverOptions{Tol: r.Tol, MaxIter: r.MaxIter, Precond: precond, Ordering: ordering, Precision: precision}
+	job.Options = morestress.SolverOptions{Tol: r.Tol, MaxIter: r.MaxIter, Precond: precond, Ordering: defaultOrdering}
 	return job, nil
 }
 
@@ -282,12 +259,6 @@ type Server struct {
 	// (nil otherwise); held so /stats can report it and /readyz can check
 	// that it still takes appends.
 	Journal *wal.Log
-	// Precond, Ordering, and Precision are the server-wide defaults
-	// (-precond, -ordering, and -precision flags), applied to requests that
-	// do not name one.
-	Precond   morestress.Precond
-	Ordering  morestress.Ordering
-	Precision morestress.Precision
 	// PerShard, when the engine is an in-process shard set, returns the
 	// per-shard engine snapshots /stats breaks out under "shards" (nil for
 	// a single engine).
@@ -376,7 +347,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	job, err := req.ToJobPrec(s.Precond, s.Ordering, s.Precision)
+	job, err := req.ToJob(morestress.PrecondAuto, morestress.OrderingAuto)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -295,39 +295,6 @@ func TestSolvePrecondField(t *testing.T) {
 	}
 }
 
-// TestSolveOrderingField: the per-request "ordering" field selects the IC0
-// factor ordering, the response names the concrete ordering the solve ran
-// under, and /stats tallies solves per ordering.
-// TestRetiredOrderingRejected: the deleted "rcm" ordering is an unknown
-// spelling on every submission endpoint — a 400 whose error lists the valid
-// orderings, so a client still sending it learns what to send instead.
-func TestRetiredOrderingRejected(t *testing.T) {
-	ts := testServer(t)
-	job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"ordering":"rcm"}`
-	for path, body := range map[string]string{
-		"/solve": job,
-		"/batch": `{"jobs":[` + job + `]}`,
-		"/jobs":  `{"jobs":[` + job + `]}`,
-	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out map[string]string
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || err != nil {
-			t.Errorf("%s: status %d (decode %v), want 400", path, resp.StatusCode, err)
-			continue
-		}
-		for _, valid := range []string{"auto", "natural", "multicolor"} {
-			if !strings.Contains(out["error"], valid) {
-				t.Errorf("%s: error %q does not list %q", path, out["error"], valid)
-			}
-		}
-	}
-}
-
 // TestRetiredPrecondRejected: the deleted scalar "jacobi" preconditioner is
 // an unknown spelling on every submission endpoint — a 400 whose error lists
 // the preconditioners that remain.
@@ -358,6 +325,11 @@ func TestRetiredPrecondRejected(t *testing.T) {
 	}
 }
 
+// TestSolveOrderingField: the response's "ordering" and "precision" fields
+// name the concrete factor a solve ran under, chosen by the lattice's size
+// alone — a 1×48 strip on the served (5,5,5) coarse cell (4 797 free DoFs)
+// factors IC0 multicolor in float32, a 1×2 lattice runs the natural
+// ordering — and /stats tallies solves per ordering.
 func TestSolveOrderingField(t *testing.T) {
 	ts := testServer(t)
 
@@ -377,12 +349,12 @@ func TestSolveOrderingField(t *testing.T) {
 		return resp, out
 	}
 
-	resp, out := post(`{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"solver":"cg","precond":"ic0","ordering":"multicolor"}`)
+	resp, out := post(`{"resolution":"coarse","rows":1,"cols":48,"deltaT":-100}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Precond != "ic0" || out.Ordering != "multicolor" {
-		t.Errorf("precond/ordering = %q/%q, want ic0/multicolor", out.Precond, out.Ordering)
+	if out.Precond != "ic0" || out.Ordering != "multicolor" || out.Precision != "float32" {
+		t.Errorf("1×48: precond/ordering/precision = %q/%q/%q, want ic0/multicolor/float32", out.Precond, out.Ordering, out.Precision)
 	}
 
 	// An iterative solve always names a concrete ordering, never "auto".
@@ -390,13 +362,8 @@ func TestSolveOrderingField(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Ordering == "" || out.Ordering == "auto" {
-		t.Errorf("iterative response should name the concrete ordering, got %q", out.Ordering)
-	}
-
-	resp, _ = post(`{"rows":1,"cols":1,"ordering":"bogus"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown ordering: status %d, want 400", resp.StatusCode)
+	if out.Ordering != "natural" {
+		t.Errorf("1×2: ordering %q, want natural", out.Ordering)
 	}
 
 	resp, err := http.Get(ts.URL + "/stats")

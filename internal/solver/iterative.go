@@ -57,9 +57,9 @@ type Options struct {
 	// Restart is the GMRES restart length m (default 60).
 	Restart int
 	// Workers is the solve's parallelism (default DefaultWorkers): the gang
-	// size of the per-call workspace when Work is nil, a cap on the
-	// mat-vec's fan-out otherwise, and the worker count OrderingAuto
-	// resolves against.
+	// size of the per-call workspace when Work is nil and a cap on the
+	// mat-vec's fan-out otherwise. It does not change the answer: the
+	// parallel kernels are bitwise identical at every worker count.
 	Workers int
 	// Precond selects the preconditioner (default PrecondAuto:
 	// block-Jacobi-3 below AutoIC0Threshold DoFs, IC0 at and above it — see
@@ -69,8 +69,8 @@ type Options struct {
 	Precond PrecondKind
 	// Ordering selects the symmetric ordering the factorizing
 	// preconditioners (IC0) are built under (default OrderingAuto:
-	// multicolor when the system reaches AutoMulticolorMinDoFs and Workers
-	// is more than one, natural otherwise — see ResolveOrdering). Ignored
+	// multicolor when the system reaches AutoMulticolorMinDoFs, natural
+	// below it — see ResolveOrdering). Ignored
 	// when Options.M supplies a prebuilt preconditioner, which carries its
 	// own ordering.
 	Ordering OrderingKind
@@ -135,7 +135,7 @@ type krylovPrecond struct {
 
 // setupKrylov is the preamble PCG and GMRES share, so the Auto policies
 // resolve in one place. It resolves the preconditioner kind (Resolve) and
-// the ordering at opt.Workers (ResolveOrdering), builds M unless opt.M
+// the ordering by the system size (ResolveOrdering), builds M unless opt.M
 // supplies it (timed into Stats.PrecondBuild), records the
 // kind, ordering, precision and warm start in Stats, and borrows opt.Work —
 // or opens a per-call workspace of opt.Workers — with the mat-vec bound to
@@ -147,7 +147,7 @@ func setupKrylov(a *sparse.BCSR, warm bool, opt Options) (krylovPrecond, Stats, 
 	if m == nil {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		var err error
-		m, err = NewPreconditioner(kind, ResolveOrdering(opt.Ordering, a.NRows, opt.Workers), opt.Precision, a)
+		m, err = NewPreconditioner(kind, opt.Ordering, opt.Precision, a)
 		if err != nil {
 			return krylovPrecond{}, st, err
 		}

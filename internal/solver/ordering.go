@@ -17,11 +17,10 @@ type OrderingKind int
 const (
 	// OrderingAuto — the zero value, and therefore the default wherever an
 	// Options travels unset — switches IC0 to the greedy multicolor ordering
-	// when the system is at least AutoMulticolorMinDoFs and the resolving
-	// solve has more than one worker, and keeps the natural ordering
-	// otherwise (ResolveOrdering; with one worker — a single core, or one
-	// chain of a saturated batch — wide levels buy nothing and the
-	// multicolor factor costs extra iterations).
+	// when the system is at least AutoMulticolorMinDoFs and keeps the
+	// natural ordering otherwise (ResolveOrdering). The rule reads the
+	// matrix alone, never the host or the solve's worker count, so one
+	// lattice gets one factor and one answer wherever it is solved.
 	OrderingAuto OrderingKind = iota
 	// OrderingNatural factors in the matrix's own row order. On the reduced
 	// global lattices this yields deep, narrow dependency DAGs (PR 4
@@ -47,14 +46,15 @@ const (
 )
 
 // AutoMulticolorMinDoFs is the system size below which OrderingAuto keeps
-// the natural ordering whatever the worker count. It equals
-// sparse.MinParRows: below it the mat-vec runs serially anyway, and the
-// measured small-lattice trade (6×6 reduced global, 2 709 DoFs: +5 PCG
-// iterations for levels that barely split into two chunks) never recovers
-// the coloring's weaker factor — docs/SOLVER_TUNING.md has the table.
+// the natural ordering. It equals sparse.MinParRows: below it the mat-vec
+// runs serially anyway, and the measured small-lattice trade (6×6 reduced
+// global, 2 709 DoFs: +5 PCG iterations for levels that barely split into
+// two chunks) never recovers the coloring's weaker factor —
+// docs/SOLVER_TUNING.md has the table.
 const AutoMulticolorMinDoFs = sparse.MinParRows
 
-// String returns the flag/JSON spelling of the kind (see ParseOrdering).
+// String returns the JSON spelling of the kind, as responses and stats
+// report it.
 func (k OrderingKind) String() string {
 	switch k {
 	case OrderingAuto:
@@ -65,20 +65,6 @@ func (k OrderingKind) String() string {
 		return "multicolor"
 	}
 	return fmt.Sprintf("ordering(%d)", int(k))
-}
-
-// ParseOrdering maps the String spellings (plus "") back to a kind; the
-// serve flags and request fields go through here.
-func ParseOrdering(s string) (OrderingKind, error) {
-	switch s {
-	case "", "auto":
-		return OrderingAuto, nil
-	case "natural":
-		return OrderingNatural, nil
-	case "multicolor":
-		return OrderingMulticolor, nil
-	}
-	return OrderingAuto, fmt.Errorf("solver: unknown ordering %q (want auto, natural, or multicolor)", s)
 }
 
 // Multicolor computes a greedy multicolor (graph-coloring) ordering of the
@@ -182,19 +168,16 @@ func MulticolorNodes(a *sparse.BCSR) (perm []int32, colorPtr []int32) {
 }
 
 // ResolveOrdering maps OrderingAuto to the concrete ordering chosen for an
-// n-DoF system and the solve's worker count: multicolor when the system is
-// large enough for fan-out to matter (AutoMulticolorMinDoFs) and the solve
-// actually runs parallel kernels (workers > 1; 0 means DefaultWorkers),
-// natural otherwise. The worker count matters: a batch engine that splits
-// the machine across concurrent chains hands each solve only a share of the
-// cores, and a 1-worker solve would pay the coloring's extra iterations with
-// zero fan-out benefit. Concrete kinds resolve to themselves. This is the
-// one home of the OrderingAuto rule.
-func ResolveOrdering(k OrderingKind, n, workers int) OrderingKind {
+// n-DoF system: multicolor when the system reaches AutoMulticolorMinDoFs,
+// natural below it. Concrete kinds resolve to themselves. The size is the
+// only input, so a lattice resolves the same way on every host, at every
+// worker count and on every entry point. This is the one home of the
+// OrderingAuto rule.
+func ResolveOrdering(k OrderingKind, n int) OrderingKind {
 	if k != OrderingAuto {
 		return k
 	}
-	if n >= AutoMulticolorMinDoFs && normWorkers(workers) > 1 {
+	if n >= AutoMulticolorMinDoFs {
 		return OrderingMulticolor
 	}
 	return OrderingNatural

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/sparse"
@@ -173,84 +172,31 @@ func TestMulticolorNodesContiguous(t *testing.T) {
 
 // TestOrderingResolve pins the auto rule: concrete kinds resolve to
 // themselves; auto picks multicolor exactly when the system reaches
-// AutoMulticolorMinDoFs and the solve runs more than one worker.
+// AutoMulticolorMinDoFs. The rule reads the size alone, so GOMAXPROCS —
+// the default worker count — cannot move it.
 func TestOrderingResolve(t *testing.T) {
 	const big, small = AutoMulticolorMinDoFs, AutoMulticolorMinDoFs - 1
 	for _, k := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-		for _, n := range []int{small, big} {
-			for _, w := range []int{0, 1, 4} {
-				if got := ResolveOrdering(k, n, w); got != k {
-					t.Errorf("concrete kind %v (n=%d, workers=%d) resolved to %v", k, n, w, got)
-				}
+		for _, n := range []int{0, small, big} {
+			if got := ResolveOrdering(k, n); got != k {
+				t.Errorf("concrete kind %v (n=%d) resolved to %v", k, n, got)
 			}
 		}
 	}
-	for _, c := range []struct {
-		n, workers int
-		want       OrderingKind
-	}{
-		{big, 2, OrderingMulticolor},
-		{big, 4, OrderingMulticolor},
-		{1 << 20, 2, OrderingMulticolor},
-		// A 1-worker solve keeps natural even on a parallel machine: a batch
-		// chain handed one worker must not pay the multicolor iteration
-		// penalty.
-		{big, 1, OrderingNatural},
-		{1 << 20, 1, OrderingNatural},
-		{small, 4, OrderingNatural},
-		{0, 4, OrderingNatural},
-	} {
-		if got := ResolveOrdering(OrderingAuto, c.n, c.workers); got != c.want {
-			t.Errorf("ResolveOrdering(auto, n=%d, workers=%d) = %v, want %v", c.n, c.workers, got, c.want)
-		}
-	}
-	// workers 0 follows DefaultWorkers (GOMAXPROCS).
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	if got := ResolveOrdering(OrderingAuto, big, 0); got != OrderingMulticolor {
-		t.Errorf("auto at GOMAXPROCS=4 resolved to %v, want multicolor", got)
-	}
-}
-
-// TestDefaultWorkersGovernsAutoOrdering: with no explicit worker count the
-// OrderingAuto rule follows DefaultWorkers (GOMAXPROCS) — a process held to
-// one solver worker keeps the natural factor, and an explicit worker count
-// overrides the default.
-func TestDefaultWorkersGovernsAutoOrdering(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	if got := DefaultWorkers(); got != 1 {
-		t.Fatalf("DefaultWorkers() = %d at GOMAXPROCS 1", got)
-	}
-	if got := ResolveOrdering(OrderingAuto, AutoMulticolorMinDoFs, 0); got != OrderingNatural {
-		t.Errorf("auto with DefaultWorkers 1 resolved to %v, want natural", got)
-	}
-	if got := ResolveOrdering(OrderingAuto, AutoMulticolorMinDoFs, 2); got != OrderingMulticolor {
-		t.Errorf("auto with 2 explicit workers at GOMAXPROCS 1 resolved to %v, want multicolor", got)
-	}
-}
-
-func TestParseOrderingRoundTrip(t *testing.T) {
-	for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingMulticolor} {
-		got, err := ParseOrdering(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseOrdering(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if k, err := ParseOrdering(""); err != nil || k != OrderingAuto {
-		t.Errorf("empty spelling: %v, %v", k, err)
-	}
-	for _, bad := range []string{"rainbow", "rcm"} {
-		_, err := ParseOrdering(bad)
-		if err == nil {
-			t.Errorf("ParseOrdering(%q) did not error", bad)
-			continue
-		}
-		// The error lists every valid spelling, so a rejected request tells
-		// the caller what to send instead.
-		for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, OrderingMulticolor} {
-			if !strings.Contains(err.Error(), k.String()) {
-				t.Errorf("ParseOrdering(%q) error %q does not list %q", bad, err, k)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct {
+			n    int
+			want OrderingKind
+		}{
+			{0, OrderingNatural},
+			{small, OrderingNatural},
+			{big, OrderingMulticolor},
+			{1 << 20, OrderingMulticolor},
+		} {
+			if got := ResolveOrdering(OrderingAuto, c.n); got != c.want {
+				t.Errorf("GOMAXPROCS %d: ResolveOrdering(auto, n=%d) = %v, want %v", procs, c.n, got, c.want)
 			}
 		}
 	}

@@ -31,7 +31,8 @@ const (
 	NumPrecisions = 3
 )
 
-// String returns the flag/JSON spelling of the kind (see ParsePrecision).
+// String returns the JSON spelling of the kind, as responses and stats
+// report it.
 func (p Precision) String() string {
 	switch p {
 	case PrecisionAuto:
@@ -42,21 +43,6 @@ func (p Precision) String() string {
 		return "float32"
 	}
 	return fmt.Sprintf("precision(%d)", int(p))
-}
-
-// ParsePrecision maps the String spellings (plus "" and the f64/f32
-// shorthands) back to a kind; the serve flags and request fields go through
-// here.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "auto":
-		return PrecisionAuto, nil
-	case "float64", "f64", "double":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "single":
-		return PrecisionFloat32, nil
-	}
-	return PrecisionAuto, fmt.Errorf("solver: unknown precision %q (want auto, float64, or float32)", s)
 }
 
 // FactorPrecisioned is implemented by preconditioners whose stored factor

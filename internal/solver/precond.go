@@ -106,7 +106,7 @@ func ParsePrecond(s string) (PrecondKind, error) {
 // factorizing kinds, ord selects the symmetric ordering — IC0 factors the
 // permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes
 // the factor's dependency DAG without changing the preconditioned
-// operator's symmetry; OrderingAuto resolves at DefaultWorkers
+// operator's symmetry; OrderingAuto resolves by the matrix size
 // (ResolveOrdering) — and prec the factor storage precision (see
 // Precision). Block-Jacobi-3 and the identity are ordering- and
 // precision-invariant and ignore both.
@@ -115,7 +115,7 @@ func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sp
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a), nil
 	case PrecondIC0:
-		return newIC0(a, ResolveOrdering(ord, a.NRows, 0), prec)
+		return newIC0(a, ResolveOrdering(ord, a.NRows), prec)
 	case PrecondNone:
 		return identityPrecond{}, nil
 	}

@@ -80,8 +80,9 @@ func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 // Ordering choices for SolverOptions.Ordering.
 const (
 	// OrderingAuto (the default) switches IC0 to multicolor when the system
-	// reaches solver.AutoMulticolorMinDoFs and the solve runs more than one
-	// worker, and keeps the natural ordering otherwise.
+	// reaches solver.AutoMulticolorMinDoFs and keeps the natural ordering
+	// below it. The rule reads the system size alone, so a lattice gets the
+	// same factor and the same answer at every worker count.
 	OrderingAuto = solver.OrderingAuto
 	// OrderingNatural factors in the matrix's own row order.
 	OrderingNatural = solver.OrderingNatural
@@ -89,11 +90,6 @@ const (
 	// wide dependency level per color, parallel preconditioner application.
 	OrderingMulticolor = solver.OrderingMulticolor
 )
-
-// ParseOrdering maps the flag/JSON spellings ("auto", "natural",
-// "multicolor") to an Ordering; any other spelling — including the deleted
-// "rcm" — is an error that lists the valid ones.
-func ParseOrdering(s string) (Ordering, error) { return solver.ParseOrdering(s) }
 
 // Factor-precision choices for SolverOptions.Precision.
 const (
@@ -106,10 +102,6 @@ const (
 	// retried once against a float64 factor.
 	PrecisionFloat32 = solver.PrecisionFloat32
 )
-
-// ParsePrecision maps the flag/JSON spellings ("auto", "float64"/"f64"/
-// "double", "float32"/"f32"/"single") to a Precision.
-func ParsePrecision(s string) (Precision, error) { return solver.ParsePrecision(s) }
 
 // PaperGeometry returns the geometry used throughout the paper's
 // experiments: h = 50 µm, d = 5 µm, t = 0.5 µm at the given pitch.
