@@ -422,13 +422,11 @@ func TestProxyProbeRecoversReplica(t *testing.T) {
 	}
 }
 
-// TestRetiredRequestFieldsRejected: "ordering" and "precision" are no
-// longer request fields — the IC0 factor's ordering and precision follow the
-// lattice's size alone — so naming either, with any value ("auto"
-// included), is a 400 naming the field on /solve, /batch and /jobs. A
-// replica answers it itself; through the router the body derives no lattice
-// key, routes by the empty key, and the owning replica's 400 comes back.
-func TestRetiredRequestFieldsRejected(t *testing.T) {
+// TestProxyRejectsRetiredOrdering: a request naming the retired "ordering"
+// or "precision" field, with any value ("auto" included), derives no lattice
+// key at the proxy, routes by the empty key, and the owning replica's 400
+// naming the field comes back on /solve, /batch and /jobs.
+func TestProxyRejectsRetiredOrdering(t *testing.T) {
 	ps, urls := testFleet(t, 2)
 	var cases []struct{ field, path, body string }
 	for field, values := range map[string][]string{
@@ -443,18 +441,14 @@ func TestRetiredRequestFieldsRejected(t *testing.T) {
 				struct{ field, path, body string }{field, "/jobs", `{"jobs":[` + job + `]}`})
 		}
 	}
-	check := func(base string) {
-		t.Helper()
-		for _, c := range cases {
-			var out map[string]string
-			if code := postJSON(t, base+c.path, c.body, &out); code != http.StatusBadRequest {
-				t.Errorf("%s%s %s: status %d, want 400", base, c.path, c.body, code)
-			} else if want := fmt.Sprintf("unknown field %q", c.field); !strings.Contains(out["error"], want) {
-				t.Errorf("%s%s %s: error %q does not say %s", base, c.path, c.body, out["error"], want)
-			}
+	for _, c := range cases {
+		var out map[string]string
+		if code := postJSON(t, ps.URL+c.path, c.body, &out); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.path, c.body, code)
+		} else if want := fmt.Sprintf("unknown field %q", c.field); !strings.Contains(out["error"], want) {
+			t.Errorf("%s %s: error %q does not say %s", c.path, c.body, out["error"], want)
 		}
 	}
-	check(ps.URL)
 	// Every routed request reached the empty key's owner and no other
 	// replica; the /stats read below is each replica's one further request.
 	owner := NewTable(urls).Pick("")
@@ -469,7 +463,6 @@ func TestRetiredRequestFieldsRejected(t *testing.T) {
 			t.Errorf("replica %d (owner %d) counted %d requests, want %d", i, owner, st.Requests, want)
 		}
 	}
-	check(urls[0])
 }
 
 func TestSolveKeyCanonical(t *testing.T) {

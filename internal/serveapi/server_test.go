@@ -295,6 +295,40 @@ func TestSolvePrecondField(t *testing.T) {
 	}
 }
 
+// TestRetiredOrderingRejected: "ordering" and "precision" are no longer
+// request fields — the IC0 factor's ordering and precision follow the
+// lattice's size alone — so naming either, with any value ("auto"
+// included), is a 400 naming the field on every submission endpoint.
+func TestRetiredOrderingRejected(t *testing.T) {
+	ts := testServer(t)
+	for field, values := range map[string][]string{
+		"ordering":  {"auto", "natural", "multicolor", "rcm"},
+		"precision": {"auto", "float64", "float32"},
+	} {
+		for _, v := range values {
+			job := `{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"` + field + `":"` + v + `"}`
+			for path, body := range map[string]string{
+				"/solve": job,
+				"/batch": `{"jobs":[` + job + `]}`,
+				"/jobs":  `{"jobs":[` + job + `]}`,
+			} {
+				resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out map[string]string
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || err != nil {
+					t.Errorf("%s %s: status %d (decode %v), want 400", path, body, resp.StatusCode, err)
+				} else if want := `unknown field "` + field + `"`; !strings.Contains(out["error"], want) {
+					t.Errorf("%s %s: error %q does not say %s", path, body, out["error"], want)
+				}
+			}
+		}
+	}
+}
+
 // TestRetiredPrecondRejected: the deleted scalar "jacobi" preconditioner is
 // an unknown spelling on every submission endpoint — a 400 whose error lists
 // the preconditioners that remain.
