@@ -5,12 +5,15 @@
 // invariants into build-time contracts. With -escape it additionally builds
 // the packages with -gcflags=-m and fails if the compiler proves a heap
 // allocation inside any //stressvet:noalloc function (the static form of
-// the runtime allocs/op assertions).
+// the runtime allocs/op assertions). With -bce it rebuilds the packages
+// that hold //stressvet:bce N kernels with -d=ssa/check_bce/debug=1 and
+// fails if one holds more than N bounds checks.
 //
 // Usage:
 //
 //	go run ./cmd/stressvet ./...                 # AST analyzers
 //	go run ./cmd/stressvet -escape ./...         # + compiler escape gate
+//	go run ./cmd/stressvet -escape -bce ./...    # + bounds-check gate
 //	go run ./cmd/stressvet -disable floatcmp ./internal/solver/
 //	go run ./cmd/stressvet -list
 //
@@ -36,6 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	escape := fs.Bool("escape", false, "also run the -gcflags=-m escape gate over //stressvet:noalloc functions")
+	bce := fs.Bool("bce", false, "also run the bounds-check gate over //stressvet:bce N functions")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("C", ".", "module directory to analyze from")
 	if err := fs.Parse(args); err != nil {
@@ -87,6 +91,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		findings = append(findings, esc...)
 	}
+	if *bce {
+		b, err := lint.BCECheck(*dir, patterns)
+		if err != nil {
+			fmt.Fprintln(stderr, "stressvet:", err)
+			return 2
+		}
+		findings = append(findings, b...)
+	}
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)
 	}
@@ -94,7 +106,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "stressvet: %d finding(s)\n", n)
 		return 1
 	}
-	fmt.Fprintf(stdout, "stressvet: %d package(s) clean (%d analyzers%s)\n",
-		len(pkgs), len(analyzers), map[bool]string{true: " + escape gate", false: ""}[*escape])
+	gates := ""
+	if *escape {
+		gates += " + escape gate"
+	}
+	if *bce {
+		gates += " + bce gate"
+	}
+	fmt.Fprintf(stdout, "stressvet: %d package(s) clean (%d analyzers%s)\n", len(pkgs), len(analyzers), gates)
 	return 0
 }

@@ -109,3 +109,23 @@ func TestEscapeCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestBCECheck runs the bounds-check gate over its fixture package: the
+// kernel over its budget and the malformed count are reported, the kernel
+// within its budget and the unannotated function are not.
+func TestBCECheck(t *testing.T) {
+	findings, err := lint.BCECheck(modDir, []string{"./internal/lint/testdata/src/bce"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		if f.Analyzer != "bce" || !strings.Contains(f.Pos.Filename, "bce") {
+			t.Errorf("unexpected finding %s", f)
+		}
+		got = append(got, f.Message)
+	}
+	if len(got) != 2 || !strings.Contains(got[0], "overBudget holds") || !strings.Contains(got[1], "malformed") {
+		t.Errorf("findings %q, want overBudget over budget and malformed's count rejected", got)
+	}
+}

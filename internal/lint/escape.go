@@ -64,12 +64,38 @@ type funcSpan struct {
 // checking needed) and returns the line spans of //stressvet:noalloc
 // functions plus the per-file stressvet:allow line sets.
 func noallocSpans(dir string, patterns []string) ([]funcSpan, map[string]allowSet, error) {
-	entries, err := goList(dir, patterns)
-	if err != nil {
-		return nil, nil, err
-	}
 	var spans []funcSpan
 	allows := make(map[string]allowSet)
+	err := parseModuleFiles(dir, patterns, func(_, path string, fset *token.FileSet, f *ast.File) {
+		fileAllows, _ := collectAllows(fset, f)
+		if len(fileAllows) > 0 {
+			allows[path] = fileAllows
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !hasDirective(fd.Doc, "noalloc") {
+				continue
+			}
+			spans = append(spans, funcSpan{
+				file:       path,
+				start:      fset.Position(fd.Pos()).Line,
+				end:        fset.Position(fd.End()).Line,
+				name:       fd.Name.Name,
+				panicLines: panicLines(fset, fd),
+			})
+		}
+	})
+	return spans, allows, err
+}
+
+// parseModuleFiles parses, comments included, every Go file of the
+// module's packages that patterns match (and of their in-module
+// dependencies) and hands each to visit with its package's import path.
+func parseModuleFiles(dir string, patterns []string, visit func(importPath, path string, fset *token.FileSet, f *ast.File)) error {
+	entries, err := goList(dir, patterns)
+	if err != nil {
+		return err
+	}
 	fset := token.NewFileSet()
 	for _, e := range entries {
 		if e.Standard || e.Module == nil {
@@ -79,28 +105,12 @@ func noallocSpans(dir string, patterns []string) ([]funcSpan, map[string]allowSe
 			path := filepath.Join(e.Dir, name)
 			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
-				return nil, nil, fmt.Errorf("lint: %v", err)
+				return fmt.Errorf("lint: %v", err)
 			}
-			fileAllows, _ := collectAllows(fset, f)
-			if len(fileAllows) > 0 {
-				allows[path] = fileAllows
-			}
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || !hasDirective(fd.Doc, "noalloc") {
-					continue
-				}
-				spans = append(spans, funcSpan{
-					file:       path,
-					start:      fset.Position(fd.Pos()).Line,
-					end:        fset.Position(fd.End()).Line,
-					name:       fd.Name.Name,
-					panicLines: panicLines(fset, fd),
-				})
-			}
+			visit(e.ImportPath, path, fset, f)
 		}
 	}
-	return spans, allows, nil
+	return nil
 }
 
 // panicLines returns the lines of fd's body covered by panic(...) calls.

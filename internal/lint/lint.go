@@ -111,8 +111,15 @@ const directivePrefix = "//stressvet:"
 // hasDirective reports whether the comment group carries the named stressvet
 // directive (e.g. name "noalloc" matches "//stressvet:noalloc").
 func hasDirective(doc *ast.CommentGroup, name string) bool {
+	_, ok := directiveArg(doc, name)
+	return ok
+}
+
+// directiveArg returns the argument of the named stressvet directive in doc
+// ("5" for "//stressvet:bce 5"), up to any " -- " justification.
+func directiveArg(doc *ast.CommentGroup, name string) (string, bool) {
 	if doc == nil {
-		return false
+		return "", false
 	}
 	for _, c := range doc.List {
 		text, ok := strings.CutPrefix(c.Text, directivePrefix)
@@ -120,12 +127,13 @@ func hasDirective(doc *ast.CommentGroup, name string) bool {
 			continue
 		}
 		// The directive word ends at the first space or " -- " separator.
-		word, _, _ := strings.Cut(text, " ")
+		word, rest, _ := strings.Cut(text, " ")
 		if word == name {
-			return true
+			arg, _, _ := strings.Cut(rest, " -- ")
+			return strings.TrimSpace(arg), true
 		}
 	}
-	return false
+	return "", false
 }
 
 // allowSet records, per file line, the analyzers suppressed on that line by

@@ -35,9 +35,11 @@ const (
 	// choice for displacement problems with 3 DoFs per node, which couples
 	// the x/y/z components of each node.
 	PrecondBlockJacobi3
-	// PrecondIC0 is zero-fill block incomplete Cholesky on the 3×3 tiles —
-	// far fewer iterations, with the triangular solves level-scheduled so
-	// each application runs across cores (sparse.BlockLowerTri).
+	// PrecondIC0 is zero-fill block incomplete Cholesky on the 3×3 tiles,
+	// with the negligible off-diagonal tiles dropped from the factor after
+	// factoring — far fewer iterations, with the triangular solves
+	// level-scheduled so each application runs across cores
+	// (sparse.BlockLowerTri).
 	PrecondIC0
 	// PrecondNone applies the identity.
 	PrecondNone
@@ -216,18 +218,19 @@ func (p *blockJacobi3) Apply(dst, r []float64) {
 
 func (p *blockJacobi3) MemoryBytes() int64 { return int64(8 * len(p.inv)) }
 
-// ic0 is a zero-fill block incomplete Cholesky factorization: L has the
-// 3×3-tile pattern of the lower triangle of (possibly symmetrically
-// permuted) A and P·A·Pᵀ ≈ L·Lᵀ, held as a sparse.BlockLowerTri — tile
-// micro-kernels, float32 or float64 values. The dependency-level schedules
-// let each application's forward/backward solves run block rows in
-// parallel, and because each block row is computed by one shared kernel,
-// the parallel application is bitwise identical to the serial one for every
-// worker count. Under a non-natural ordering the application is
-// Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two triangular solves in
-// place, gather back — the permutes are deterministic, so the worker-count
-// bitwise contract holds for every ordering. An ic0 is immutable after
-// construction and safe to share across concurrent solves.
+// ic0 is a zero-fill block incomplete Cholesky factorization with
+// post-factor tile dropping: L has the 3×3-tile pattern of the lower
+// triangle of (possibly symmetrically permuted) A, less the off-diagonal
+// tiles too small to matter (dropTiles), and P·A·Pᵀ ≈ L·Lᵀ, held as a
+// sparse.BlockLowerTri — tile micro-kernels, float32 or float64 values. The
+// dependency-level schedules let each application's forward/backward solves
+// run block rows in parallel, and because each block row is computed by one
+// shared kernel, the parallel application is bitwise identical to the
+// serial one for every worker count. Under a non-natural ordering the
+// application is Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two
+// triangular solves in place, gather back — the permutes are deterministic,
+// so the worker-count bitwise contract holds for every ordering. An ic0 is
+// immutable after construction and safe to share across concurrent solves.
 type ic0 struct {
 	l *sparse.BlockLowerTri
 	// perm maps original→permuted index (nil for the natural ordering).
@@ -237,13 +240,31 @@ type ic0 struct {
 	prec Precision
 }
 
+// dropTau is the tile-drop threshold τ of the IC0 factor: an off-diagonal
+// tile L_IJ is kept only when ‖L_IJ‖_F ≥ τ·√(‖L_II‖_F·‖L_JJ‖_F). Each
+// block's ROM couples all of its surface nodes, so the factor is full of
+// tiny tiles; at 1e-2 about half the tiles of the served 12×12 factor go,
+// and GMRES takes two or three more iterations for a much cheaper apply
+// (docs/SOLVER_TUNING.md has the measurement).
+const dropTau = 1e-2
+
 // newIC0 factors a under the concrete ordering ord with factor storage
-// precision prec (PrecisionAuto stores float32). The factorization is block
-// IC(0) on the tile pattern (Saad, Iterative Methods for Sparse Linear
-// Systems, 2nd ed., ch. 10): it runs on the tiles as stored, so an exact
-// zero inside a stored tile stays in the pattern. It is serial, so the
-// factor is bitwise identical across runs and worker counts.
+// precision prec (PrecisionAuto stores float32) and drops the tiles under
+// dropTau.
 func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
+	return newIC0Tau(a, ord, prec, dropTau)
+}
+
+// newIC0Tau is newIC0 with drop threshold tau; tau = 0 keeps the whole
+// IC(0) factor. The factorization is block IC(0) on the tile pattern (Saad,
+// Iterative Methods for Sparse Linear Systems, 2nd ed., ch. 10): it runs on
+// the tiles as stored, so an exact zero inside a stored tile stays in the
+// pattern. The drop follows the factorization (the threshold strategy of
+// §10.4 applied once, to the finished factor): on a prototype, dropping
+// from A before factoring cost more iterations for the same τ. Both steps
+// are serial, so the factor is bitwise identical across runs and worker
+// counts.
+func newIC0Tau(a *sparse.BCSR, ord OrderingKind, prec Precision, tau float64) (*ic0, error) {
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
 	}
@@ -255,6 +276,7 @@ func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
 	if err := factorBlockIC0(colPtr, rowIdx, vals); err != nil {
 		return nil, err
 	}
+	rowIdx, vals = dropTiles(colPtr, rowIdx, vals, tau)
 	single := prec != PrecisionFloat64
 	l, err := sparse.NewBlockLowerTri(colPtr, rowIdx, vals, single)
 	if err != nil {
@@ -265,6 +287,45 @@ func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
 		p.prec = PrecisionFloat32
 	}
 	return p, nil
+}
+
+// dropTiles compacts the factor in block-column form in place, keeping
+// every diagonal tile and each off-diagonal tile L_IJ with
+// ‖L_IJ‖_F ≥ tau·√(‖L_II‖_F·‖L_JJ‖_F), and returns the shortened rowIdx
+// and vals (colPtr is rewritten). The rule is invariant under scaling A,
+// and the kept factor still has its positive diagonal, so L·Lᵀ stays SPD.
+func dropTiles(colPtr, rowIdx []int32, vals []float64, tau float64) ([]int32, []float64) {
+	nb := len(colPtr) - 1
+	diag := make([]float64, nb) // ‖L_JJ‖_F
+	for j := range diag {
+		diag[j] = math.Sqrt(frob2(vals[9*colPtr[j] : 9*colPtr[j]+9]))
+	}
+	tau2 := tau * tau
+	w := int32(0)
+	for j := 0; j < nb; j++ {
+		lo, hi := colPtr[j], colPtr[j+1]
+		colPtr[j] = w
+		for p := lo; p < hi; p++ {
+			i := rowIdx[p]
+			if p > lo && frob2(vals[9*p:9*p+9]) < tau2*diag[i]*diag[j] {
+				continue
+			}
+			rowIdx[w] = i
+			copy(vals[9*w:9*w+9], vals[9*p:9*p+9])
+			w++
+		}
+	}
+	colPtr[nb] = w
+	return rowIdx[:w], vals[:9*w]
+}
+
+// frob2 is the squared Frobenius norm of a tile.
+func frob2(t []float64) float64 {
+	var s float64
+	for _, v := range t {
+		s += v * v
+	}
+	return s
 }
 
 // permutedLowerCols returns the lower triangle of P·A·Pᵀ in block-column

@@ -144,7 +144,8 @@ func (s *scalarIC0) at(i, j int) float64 {
 }
 
 // compareWithReference factors a both ways under ord — the block factor in
-// float64 — and returns their largest factor-entry and apply differences,
+// float64 and before the tile drop (τ = 0), so it is the whole IC(0)
+// factor — and returns their largest factor-entry and apply differences,
 // each relative to the reference's largest magnitude. Every lower entry of
 // every stored factor tile is compared, so a block factor entry the
 // reference pattern lacks counts against a reference value of zero.
@@ -153,7 +154,7 @@ func compareWithReference(a *sparse.BCSR, ord OrderingKind, seed int64) (factorR
 	if err != nil {
 		return 0, 0, err
 	}
-	p, err := newIC0(a, ord, PrecisionFloat64)
+	p, err := newIC0Tau(a, ord, PrecisionFloat64, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -163,9 +164,10 @@ func compareWithReference(a *sparse.BCSR, ord OrderingKind, seed int64) (factorR
 	}
 	l := p.l
 	for bi := 0; bi < l.NBRows(); bi++ {
-		for q := l.BRowPtr[bi]; q < l.BRowPtr[bi+1]; q++ {
-			bj := int(l.BColIdx[q])
-			for k, v := range l.Vals[9*q : 9*q+9] {
+		cols, first := l.Row(bi, false)
+		for q, bj32 := range cols {
+			bj := int(bj32)
+			for k, v := range l.Lower.Vals[9*(first+q) : 9*(first+q)+9] {
 				i, j := sparse.BlockSize*bi+k/sparse.BlockSize, sparse.BlockSize*bj+k%sparse.BlockSize
 				if j > i {
 					continue
@@ -244,10 +246,11 @@ func sameFactor(x, y *sparse.BlockLowerTri) bool {
 	bits32 := func(a, b []float32) bool {
 		return slices.EqualFunc(a, b, func(u, v float32) bool { return math.Float32bits(u) == math.Float32bits(v) })
 	}
-	return slices.Equal(x.BRowPtr, y.BRowPtr) && slices.Equal(x.BColIdx, y.BColIdx) &&
-		slices.Equal(x.BUpPtr, y.BUpPtr) && slices.Equal(x.BUpIdx, y.BUpIdx) &&
-		bits(x.Vals, y.Vals) && bits(x.UpVals, y.UpVals) &&
-		bits32(x.Vals32, y.Vals32) && bits32(x.UpVals32, y.UpVals32)
+	same := func(a, b *sparse.TriRows) bool {
+		return slices.Equal(a.Rows, b.Rows) && slices.Equal(a.Ptr, b.Ptr) && slices.Equal(a.Idx, b.Idx) &&
+			bits(a.Vals, b.Vals) && bits32(a.Vals32, b.Vals32)
+	}
+	return same(&x.Lower, &y.Lower) && same(&x.Upper, &y.Upper)
 }
 
 // TestIC0MissingDiagonal: a block row without its diagonal tile has no pivot
@@ -285,7 +288,8 @@ func TestIC0ShiftsNonPositivePivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.l.Vals[9*(p.l.BRowPtr[2]-1):] // block row 1's diagonal tile
+	cols, first := p.l.Row(1, false)
+	d := p.l.Lower.Vals[9*(first+len(cols)-1):] // block row 1's diagonal tile
 	want := math.Sqrt(3 + 1e-12)
 	for _, k := range []int{0, 4, 8} {
 		if d[k] != want {

@@ -411,6 +411,7 @@ func (m *BCSR) fullRows(dst, x []float64, lo, hi int) {
 // when it lies past it.
 //
 //stressvet:noalloc
+//stressvet:bce 19
 func (m *BCSR) symStripe(dst, x, spill []float64, s int) {
 	lo, hi := int(m.stripes[s]), int(m.stripes[s+1])
 	clear(dst[BlockSize*lo : BlockSize*hi])

@@ -499,16 +499,23 @@ func TestBlockLowerTriSolvesInverse(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		for dir, tri := range map[string]struct {
-			solve    func(dst, b []float64)
-			ptr, idx []int32
-			vals     []float64
+			solve func(dst, b []float64)
+			upper bool
+			vals  []float64
 		}{
-			"L":  {bt.SolveLower, bt.BRowPtr, bt.BColIdx, bt.Vals},
-			"Lᵀ": {bt.SolveUpper, bt.BUpPtr, bt.BUpIdx, bt.UpVals},
+			"L":  {bt.SolveLower, false, bt.Lower.Vals},
+			"Lᵀ": {bt.SolveUpper, true, bt.Upper.Vals},
 		} {
 			y := make([]float64, n)
 			tri.solve(y, b)
-			back := &BCSR{NRows: n, NCols: n, BRowPtr: tri.ptr, BColIdx: tri.idx, Vals: tri.vals}
+			// Gather the triangle's rows in ascending order for the product.
+			back := &BCSR{NRows: n, NCols: n, BRowPtr: []int32{0}}
+			for br := 0; br < bt.NBRows(); br++ {
+				cols, first := bt.Row(br, tri.upper)
+				back.BColIdx = append(back.BColIdx, cols...)
+				back.Vals = append(back.Vals, tri.vals[9*first:9*(first+len(cols))]...)
+				back.BRowPtr = append(back.BRowPtr, int32(len(back.BColIdx)))
+			}
 			got := make([]float64, n)
 			back.MulVec(got, y)
 			for r := range got {
@@ -655,6 +662,114 @@ func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBlockLowerTriSweepOrder pins the layout: a serial sweep stores L's
+// rows ascending and Lᵀ's descending, a fanned-out one its schedule's level
+// order. Whatever the order, the solves must be bitwise equal to a plain
+// ascending (descending) sweep that reads each row through Row and runs the
+// same kernel arithmetic.
+func TestBlockLowerTriSweepOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for name, c := range blockTris(t) {
+		for _, single := range []bool{false, true} {
+			bt := c.tri(t, single)
+			nb := bt.NBRows()
+			for _, dir := range []struct {
+				tri      *TriRows
+				sched    *LevelSchedule
+				backward bool
+			}{{&bt.Lower, bt.Fwd, false}, {&bt.Upper, bt.Bwd, true}} {
+				want := make([]int32, nb)
+				for k := range want {
+					want[k] = int32(k)
+					if dir.backward {
+						want[k] = int32(nb - 1 - k)
+					}
+				}
+				if dir.sched.parallel {
+					want = dir.sched.Order
+				}
+				if !slices.Equal(dir.tri.Rows, want) {
+					t.Fatalf("%s single=%v backward=%v: rows stored out of sweep order", name, single, dir.backward)
+				}
+			}
+			b := make([]float64, bt.N)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			got, want := make([]float64, bt.N), make([]float64, bt.N)
+			bt.SolveLower(got, b)
+			rowSweep(bt, want, b, false)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s single=%v: forward sweep differs from the row-by-row reference", name, single)
+			}
+			bt.SolveUpper(got, b)
+			rowSweep(bt, want, b, true)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s single=%v: backward sweep differs from the row-by-row reference", name, single)
+			}
+		}
+	}
+}
+
+// rowSweep is the reference sweep of TestBlockLowerTriSweepOrder: rows in
+// natural order (descending for Lᵀ), read through Row, with the kernels'
+// arithmetic spelled out.
+func rowSweep(bt *BlockLowerTri, dst, b []float64, upper bool) {
+	tile := func(p int) [9]float64 {
+		var t [9]float64
+		for k := range t {
+			if bt.Single() {
+				v := bt.Lower.Vals32
+				if upper {
+					v = bt.Upper.Vals32
+				}
+				t[k] = float64(v[9*p+k])
+			} else {
+				v := bt.Lower.Vals
+				if upper {
+					v = bt.Upper.Vals
+				}
+				t[k] = v[9*p+k]
+			}
+		}
+		return t
+	}
+	nb := bt.NBRows()
+	for k := 0; k < nb; k++ {
+		br := k
+		if upper {
+			br = nb - 1 - k
+		}
+		cols, first := bt.Row(br, upper)
+		diag, off := first+len(cols)-1, cols[:len(cols)-1]
+		if upper {
+			diag, off = first, cols[1:]
+		}
+		s0, s1, s2 := b[3*br], b[3*br+1], b[3*br+2]
+		for q, c := range off {
+			p := first + q
+			if upper {
+				p++
+			}
+			t := tile(p)
+			x0, x1, x2 := dst[3*c], dst[3*c+1], dst[3*c+2]
+			s0 -= t[0]*x0 + t[1]*x1 + t[2]*x2
+			s1 -= t[3]*x0 + t[4]*x1 + t[5]*x2
+			s2 -= t[6]*x0 + t[7]*x1 + t[8]*x2
+		}
+		d := tile(diag)
+		if upper {
+			z2 := s2 / d[8]
+			z1 := (s1 - d[5]*z2) / d[4]
+			dst[3*br], dst[3*br+1], dst[3*br+2] = (s0-d[1]*z1-d[2]*z2)/d[0], z1, z2
+			continue
+		}
+		y0 := s0 / d[0]
+		y1 := (s1 - d[3]*y0) / d[4]
+		dst[3*br], dst[3*br+1], dst[3*br+2] = y0, y1, (s2-d[6]*y0-d[7]*y1)/d[8]
+	}
+}
+
 // TestBlockScheduleWeighsTiles pins the unitWork=9 calibration: a block
 // diagonal with 500 tiles carries 4500 scalar-entry units of work per level
 // and must pre-split for parallel sweeps, while a schedule of 1500 rows of
@@ -684,7 +799,7 @@ func TestBlockLowerTriMemoryHalvedBySingle(t *testing.T) {
 	c := blockCase{randLowerCSC(rng, 900, 8)}
 	double, single := c.tri(t, false), c.tri(t, true)
 	saved := double.MemoryBytes() - single.MemoryBytes()
-	want := 4 * int64(len(double.Vals)+len(double.UpVals))
+	want := 4 * int64(len(double.Lower.Vals)+len(double.Upper.Vals))
 	if saved != want {
 		t.Errorf("single precision saves %d bytes, want %d (half the value arrays)", saved, want)
 	}

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // BlockLowerTri is a sparse lower-triangular factor L held as dense 3×3
 // tiles, stored for fast repeated solves of L·y = b and Lᵀ·z = y — the
@@ -8,48 +11,82 @@ import "fmt"
 // triangles are kept by block rows, so each solve is a gather over finished
 // block rows, and block rows that do not depend on one another are grouped
 // into dependency levels (Fwd, Bwd) computed once from the tile pattern.
-// The sweeps are small GEMV micro-kernels — one column index per tile
-// instead of per scalar, unrolled 3×3 inner loops — and because every block
-// row is computed by the same kernel whatever the schedule, the parallel
-// solves are bitwise identical to the serial ones.
+// Each triangle stores its rows in the order its sweep visits them, so a
+// sweep streams its tiles front to back. The sweeps are small GEMV
+// micro-kernels — one column index per tile instead of per scalar, unrolled
+// 3×3 inner loops — and because every block row is computed by the same
+// kernel whatever the schedule, the parallel solves are bitwise identical to
+// the serial ones.
 //
-// Values are stored in exactly one precision: float64 (Vals/UpVals) or
-// float32 (Vals32/UpVals32). The solve kernels always accumulate in float64,
-// so single-precision storage halves factor bytes without changing the
+// Values are stored in exactly one precision: float64 (Vals) or float32
+// (Vals32). The solve kernels always accumulate in float64, so
+// single-precision storage halves factor bytes without changing the
 // iteration arithmetic — only the stored factor entries are rounded.
 //
 // A BlockLowerTri is immutable after construction and safe to share across
 // concurrent solves (each caller brings its own BlockTriScratch).
 type BlockLowerTri struct {
 	N int // scalar dimension (multiple of BlockSize)
-	// Lower block rows: block columns ascending, diagonal tile last. The
-	// diagonal tile is itself lower-triangular (upper entries zero).
-	BRowPtr, BColIdx []int32
-	// Upper block rows (tiles of Lᵀ): diagonal tile first, then ascending.
-	BUpPtr, BUpIdx []int32
-	// Tile values, 9 per tile row-major: double-precision pair...
-	Vals, UpVals []float64
-	// ...or single-precision pair (exactly one pair is non-nil).
-	Vals32, UpVals32 []float32
+	// Lower holds the block rows of L: block columns ascending, diagonal
+	// tile last (itself lower-triangular, upper entries zero). Upper holds
+	// the block rows of Lᵀ: diagonal tile first, then ascending.
+	Lower, Upper TriRows
 	// Fwd and Bwd are dependency schedules over block rows.
 	Fwd, Bwd *LevelSchedule
+}
+
+// TriRows is one triangle of a BlockLowerTri, its block rows stored in the
+// order its sweep visits them: position k holds block row Rows[k], whose
+// block columns are Idx[Ptr[k]:Ptr[k+1]] and whose tiles are the 9 values
+// each, row-major, that start at 9·Ptr[k] in Vals (or Vals32). A sweep that
+// fans out visits its schedule's level order, and Rows is that schedule's
+// Order; a serial sweep visits L's rows ascending and Lᵀ's descending.
+type TriRows struct {
+	Rows, Ptr, Idx []int32
+	// Exactly one of Vals and Vals32 is non-nil.
+	Vals   []float64
+	Vals32 []float32
 }
 
 // NBRows returns the number of block rows.
 func (t *BlockLowerTri) NBRows() int { return t.N / BlockSize }
 
 // Single reports whether the factor values are stored in float32.
-func (t *BlockLowerTri) Single() bool { return t.Vals32 != nil }
+func (t *BlockLowerTri) Single() bool { return t.Lower.Vals32 != nil }
+
+// Tiles returns the number of tiles of L (diagonal tiles included).
+func (t *BlockLowerTri) Tiles() int { return len(t.Lower.Idx) }
+
+// Row returns block row br of L, or of Lᵀ when upper is set: its block
+// columns as stored and the index in the triangle's value array of its
+// first tile. It finds the row by a linear search of the sweep order, so it
+// serves tests and inspection, not sweeps.
+func (t *BlockLowerTri) Row(br int, upper bool) (cols []int32, first int) {
+	tr := &t.Lower
+	if upper {
+		tr = &t.Upper
+	}
+	k := slices.Index(tr.Rows, int32(br))
+	return tr.Idx[tr.Ptr[k]:tr.Ptr[k+1]], int(tr.Ptr[k])
+}
 
 // MemoryBytes estimates the storage footprint (both triangles + schedules).
+// A fanned-out triangle's row order is its schedule's Order and is counted
+// once.
 func (t *BlockLowerTri) MemoryBytes() int64 {
-	b := int64(len(t.BRowPtr)+len(t.BColIdx)+len(t.BUpPtr)+len(t.BUpIdx))*4 +
-		int64(len(t.Vals)+len(t.UpVals))*8 +
-		int64(len(t.Vals32)+len(t.UpVals32))*4
-	for _, s := range []*LevelSchedule{t.Fwd, t.Bwd} {
-		if s != nil {
-			b += int64(len(s.Order)+len(s.LevelPtr)+len(s.Chunks)+len(s.LevelChunk)) * 4
+	var b int64
+	for _, s := range []struct {
+		tri   *TriRows
+		sched *LevelSchedule
+	}{{&t.Lower, t.Fwd}, {&t.Upper, t.Bwd}} {
+		b += int64(len(s.tri.Ptr)+len(s.tri.Idx))*4 + int64(len(s.tri.Vals))*8 + int64(len(s.tri.Vals32))*4
+		if s.sched == nil {
+			continue
 		}
+		if !s.sched.parallel {
+			b += int64(len(s.tri.Rows)) * 4
+		}
+		b += int64(len(s.sched.Order)+len(s.sched.LevelPtr)+len(s.sched.Chunks)+len(s.sched.LevelChunk)) * 4
 	}
 	return b
 }
@@ -59,11 +96,11 @@ func (t *BlockLowerTri) MemoryBytes() int64 {
 // column's tiles (len nb+1), rowIdx holds their block rows — strictly
 // ascending, diagonal tile first — and vals holds 9 values per tile, L_IJ
 // row-major, the diagonal tiles lower-triangular. Read by columns, those
-// tiles are the block rows of Lᵀ, so the upper triangle shares colPtr and
-// rowIdx (not copied) and transposes each tile; the lower block rows come
-// from one counting transpose, which leaves their block columns ascending
-// and the diagonal tile last. When single is true the tile values are
-// stored in float32. vals is only read.
+// tiles are the block rows of Lᵀ. The dependency levels of both sweeps come
+// from that pattern first; then one emit pass over the columns writes each
+// tile to its slot in L, as is, and in Lᵀ, transposed, with each
+// triangle's rows already in its sweep order. When single is true the tile
+// values are stored in float32. The inputs are only read.
 func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, single bool) (*BlockLowerTri, error) {
 	nb := len(colPtr) - 1
 	if nb < 0 || colPtr[0] != 0 || int(colPtr[nb]) != len(rowIdx) || len(vals) != 9*len(rowIdx) {
@@ -81,50 +118,102 @@ func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, single bool) (*Blo
 			}
 		}
 	}
-	t := &BlockLowerTri{N: BlockSize * nb, BUpPtr: colPtr, BUpIdx: rowIdx}
-	t.BRowPtr = make([]int32, nb+1)
+	t := &BlockLowerTri{N: BlockSize * nb}
+	// rowPtr bounds L's block rows in ascending order, the forward
+	// schedule's work profile.
+	rowPtr := make([]int32, nb+1)
 	for _, i := range rowIdx {
-		t.BRowPtr[i+1]++
+		rowPtr[i+1]++
 	}
 	for i := 0; i < nb; i++ {
-		t.BRowPtr[i+1] += t.BRowPtr[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
-	// pos[p] is the lower-triangle slot of column tile p.
-	t.BColIdx = make([]int32, len(rowIdx))
-	pos := make([]int32, len(rowIdx))
-	next := make([]int32, nb)
-	copy(next, t.BRowPtr[:nb])
+	// Forward levels settle by ascending columns (row I waits on every J <
+	// I with a tile in its row), backward levels by descending ones (row J
+	// of Lᵀ waits on every I > J of column J).
+	level := make([]int32, nb)
 	for j := 0; j < nb; j++ {
-		for p := colPtr[j]; p < colPtr[j+1]; p++ {
-			q := next[rowIdx[p]]
-			next[rowIdx[p]] = q + 1
-			t.BColIdx[q] = int32(j)
-			pos[p] = q
+		for p := colPtr[j] + 1; p < colPtr[j+1]; p++ {
+			level[rowIdx[p]] = max(level[rowIdx[p]], level[j]+1)
 		}
 	}
-	if single {
-		t.Vals32, t.UpVals32 = make([]float32, len(vals)), make([]float32, len(vals))
-		emitTiles(t.Vals32, t.UpVals32, vals, pos)
-	} else {
-		t.Vals, t.UpVals = make([]float64, len(vals)), make([]float64, len(vals))
-		emitTiles(t.Vals, t.UpVals, vals, pos)
+	t.Fwd = newLevelSchedule(level, rowPtr, 9)
+	clear(level)
+	for j := nb - 1; j >= 0; j-- {
+		for p := colPtr[j] + 1; p < colPtr[j+1]; p++ {
+			level[j] = max(level[j], level[rowIdx[p]]+1)
+		}
 	}
-	t.buildSchedules()
+	t.Bwd = newLevelSchedule(level, colPtr, 9)
+
+	t.Lower.Rows = sweepOrder(t.Fwd, nb, false)
+	t.Upper.Rows = sweepOrder(t.Bwd, nb, true)
+	// Lay each triangle out in its sweep order. rowPtr turns into per-row
+	// tile counts, which next overwrites with each L row's first free
+	// slot; level is reused for each Lᵀ row's first slot.
+	for i := nb; i > 0; i-- {
+		rowPtr[i] -= rowPtr[i-1]
+	}
+	next := rowPtr[1:]
+	t.Lower.Ptr = make([]int32, nb+1)
+	for k, i := range t.Lower.Rows {
+		n := next[i]
+		next[i] = t.Lower.Ptr[k]
+		t.Lower.Ptr[k+1] = t.Lower.Ptr[k] + n
+	}
+	t.Upper.Ptr = make([]int32, nb+1)
+	for k, j := range t.Upper.Rows {
+		level[j] = t.Upper.Ptr[k]
+		t.Upper.Ptr[k+1] = t.Upper.Ptr[k] + colPtr[j+1] - colPtr[j]
+	}
+	t.Lower.Idx, t.Upper.Idx = make([]int32, len(rowIdx)), make([]int32, len(rowIdx))
+	if single {
+		t.Lower.Vals32, t.Upper.Vals32 = make([]float32, len(vals)), make([]float32, len(vals))
+		emitTiles(t, t.Lower.Vals32, t.Upper.Vals32, colPtr, rowIdx, vals, next, level)
+	} else {
+		t.Lower.Vals, t.Upper.Vals = make([]float64, len(vals)), make([]float64, len(vals))
+		emitTiles(t, t.Lower.Vals, t.Upper.Vals, colPtr, rowIdx, vals, next, level)
+	}
 	return t, nil
 }
 
-// emitTiles stores column tile p of vals in the lower slot pos[p] as is and
-// in the upper slot p transposed, rounding to the storage type T.
-func emitTiles[T float32 | float64](lower, upper []T, vals []float64, pos []int32) {
-	for p, q := range pos {
-		src := vals[9*p : 9*p+9 : 9*p+9]
-		lo := lower[9*q : 9*q+9 : 9*q+9]
-		up := upper[9*p : 9*p+9 : 9*p+9]
-		for i := 0; i < BlockSize; i++ {
-			for j := 0; j < BlockSize; j++ {
-				v := T(src[BlockSize*i+j])
-				lo[BlockSize*i+j] = v
-				up[BlockSize*j+i] = v
+// sweepOrder returns the order a sweep over s visits the nb block rows: s's
+// level order when s fans out, otherwise ascending, or descending for the
+// backward sweep.
+func sweepOrder(s *LevelSchedule, nb int, backward bool) []int32 {
+	if s.parallel {
+		return s.Order
+	}
+	rows := make([]int32, nb)
+	for k := range rows {
+		rows[k] = int32(k)
+		if backward {
+			rows[k] = int32(nb - 1 - k)
+		}
+	}
+	return rows
+}
+
+// emitTiles walks the block columns once and stores tile p of vals, block
+// (I, J), in slot next[I] of L as is and in slot upStart[J] + (p − colPtr[J])
+// of Lᵀ transposed, rounding to the storage type T; next[I] advances past
+// each slot it hands out.
+func emitTiles[T float32 | float64](t *BlockLowerTri, lower, upper []T, colPtr, rowIdx []int32, vals []float64, next, upStart []int32) {
+	for j, u := range upStart {
+		for p := colPtr[j]; p < colPtr[j+1]; p, u = p+1, u+1 {
+			i := rowIdx[p]
+			q := next[i]
+			next[i] = q + 1
+			t.Lower.Idx[q], t.Upper.Idx[u] = int32(j), i
+			src := vals[9*p : 9*p+9 : 9*p+9]
+			lo := lower[9*q : 9*q+9 : 9*q+9]
+			up := upper[9*u : 9*u+9 : 9*u+9]
+			for r := 0; r < BlockSize; r++ {
+				for c := 0; c < BlockSize; c++ {
+					v := T(src[BlockSize*r+c])
+					lo[BlockSize*r+c] = v
+					up[BlockSize*c+r] = v
+				}
 			}
 		}
 	}
@@ -210,119 +299,108 @@ func sortInt32(s []int32) {
 	}
 }
 
-// buildSchedules computes forward/backward dependency levels over block
-// rows. Tiles carry uniform 9-entry work, so the chunk partitioner weighs
-// block rows by tile count scaled to scalar-entry units, the levelChunkWork
-// calibration.
-func (t *BlockLowerTri) buildSchedules() {
-	nbr := t.NBRows()
-	level := make([]int32, nbr)
-	for br := 0; br < nbr; br++ {
-		var lv int32
-		for p := t.BRowPtr[br]; p < t.BRowPtr[br+1]-1; p++ {
-			if d := level[t.BColIdx[p]] + 1; d > lv {
-				lv = d
-			}
-		}
-		level[br] = lv
-	}
-	t.Fwd = newLevelSchedule(level, t.BRowPtr, 9)
-	for br := nbr - 1; br >= 0; br-- {
-		var lv int32
-		for p := t.BUpPtr[br] + 1; p < t.BUpPtr[br+1]; p++ {
-			if d := level[t.BUpIdx[p]] + 1; d > lv {
-				lv = d
-			}
-		}
-		level[br] = lv
-	}
-	t.Bwd = newLevelSchedule(level, t.BUpPtr, 9)
-}
-
-// blockFwdRow computes one block row of the forward solve: a 3×3 GEMV
-// subtract per off-diagonal tile, then the dense lower-triangular solve of
-// the diagonal tile. Accumulation is always float64 regardless of the stored
-// precision T. This single kernel serves the serial and parallel paths, so
-// they are bitwise identical for every worker count.
+// blockFwdRow computes block row br of the forward solve from its block
+// columns cols (diagonal last) and their tiles: a 3×3 GEMV subtract per
+// off-diagonal tile, then the dense lower-triangular solve of the diagonal
+// tile. The row is walked off the front of shrinking slices, so each tile
+// costs two bounds checks (its values and its x block). Accumulation is
+// always float64 regardless of the stored precision T. This single kernel
+// serves the serial and parallel paths, so they are bitwise identical for
+// every worker count.
 //
 //stressvet:noalloc
-func blockFwdRow[T float32 | float64](ptr, idx []int32, vals []T, dst, b []float64, br int32) {
+//stressvet:bce 5
+func blockFwdRow[T float32 | float64](cols []int32, tiles []T, dst, b []float64, br int) {
 	r := BlockSize * br
-	s0, s1, s2 := b[r], b[r+1], b[r+2]
-	end := ptr[br+1] - 1 // diagonal tile is last
-	for p := ptr[br]; p < end; p++ {
-		c := idx[p] * BlockSize
-		t := vals[9*p : 9*p+9 : 9*p+9]
-		x0, x1, x2 := dst[c], dst[c+1], dst[c+2]
+	bi := (*[3]float64)(b[r:])
+	s0, s1, s2 := bi[0], bi[1], bi[2]
+	for len(cols) > 1 {
+		t := (*[9]T)(tiles)
+		x := (*[3]float64)(dst[BlockSize*int(cols[0]):])
+		cols, tiles = cols[1:], tiles[9:]
+		x0, x1, x2 := x[0], x[1], x[2]
 		s0 -= float64(t[0])*x0 + float64(t[1])*x1 + float64(t[2])*x2
 		s1 -= float64(t[3])*x0 + float64(t[4])*x1 + float64(t[5])*x2
 		s2 -= float64(t[6])*x0 + float64(t[7])*x1 + float64(t[8])*x2
 	}
-	d := vals[9*end : 9*end+9 : 9*end+9]
+	d := (*[9]T)(tiles)
 	y0 := s0 / float64(d[0])
 	y1 := (s1 - float64(d[3])*y0) / float64(d[4])
 	y2 := (s2 - float64(d[6])*y0 - float64(d[7])*y1) / float64(d[8])
-	dst[r] = y0
-	dst[r+1] = y1
-	dst[r+2] = y2
+	o := (*[3]float64)(dst[r:])
+	o[0], o[1], o[2] = y0, y1, y2
 }
 
-// blockBwdRow computes one block row of the backward solve against the
-// upper-triangle tiles (Lᵀ, diagonal tile first and upper-triangular).
+// blockBwdRow computes block row br of the backward solve against the
+// tiles of Lᵀ, diagonal tile first and upper-triangular, as blockFwdRow
+// does the forward one.
 //
 //stressvet:noalloc
-func blockBwdRow[T float32 | float64](ptr, idx []int32, vals []T, dst, b []float64, br int32) {
+//stressvet:bce 5
+func blockBwdRow[T float32 | float64](cols []int32, tiles []T, dst, b []float64, br int) {
 	r := BlockSize * br
-	s0, s1, s2 := b[r], b[r+1], b[r+2]
-	pj := ptr[br] // diagonal tile is first
-	for p := pj + 1; p < ptr[br+1]; p++ {
-		c := idx[p] * BlockSize
-		t := vals[9*p : 9*p+9 : 9*p+9]
-		x0, x1, x2 := dst[c], dst[c+1], dst[c+2]
+	bi := (*[3]float64)(b[r:])
+	s0, s1, s2 := bi[0], bi[1], bi[2]
+	d := (*[9]T)(tiles)
+	tiles = tiles[9:]
+	for len(cols) > 1 {
+		t := (*[9]T)(tiles)
+		x := (*[3]float64)(dst[BlockSize*int(cols[1]):])
+		cols, tiles = cols[1:], tiles[9:]
+		x0, x1, x2 := x[0], x[1], x[2]
 		s0 -= float64(t[0])*x0 + float64(t[1])*x1 + float64(t[2])*x2
 		s1 -= float64(t[3])*x0 + float64(t[4])*x1 + float64(t[5])*x2
 		s2 -= float64(t[6])*x0 + float64(t[7])*x1 + float64(t[8])*x2
 	}
-	d := vals[9*pj : 9*pj+9 : 9*pj+9]
 	z2 := s2 / float64(d[8])
 	z1 := (s1 - float64(d[5])*z2) / float64(d[4])
 	z0 := (s0 - float64(d[1])*z1 - float64(d[2])*z2) / float64(d[0])
-	dst[r] = z0
-	dst[r+1] = z1
-	dst[r+2] = z2
+	o := (*[3]float64)(dst[r:])
+	o[0], o[1], o[2] = z0, z1, z2
 }
 
-// SolveLower solves L·dst = b serially over ascending block rows (the
+// sweepRows solves the rows at sweep positions [lo, hi) of one triangle
+// with the forward or backward kernel.
+//
+//stressvet:noalloc
+func sweepRows[T float32 | float64](tr *TriRows, vals []T, dst, b []float64, lo, hi int, upper bool) {
+	rows, ptr := tr.Rows[lo:hi], tr.Ptr[lo:hi+1]
+	for k, br := range rows {
+		p, e := int(ptr[k]), int(ptr[k+1])
+		if upper {
+			blockBwdRow(tr.Idx[p:e], vals[9*p:9*e], dst, b, int(br))
+		} else {
+			blockFwdRow(tr.Idx[p:e], vals[9*p:9*e], dst, b, int(br))
+		}
+	}
+}
+
+// sweep solves the rows at sweep positions [lo, hi) of tr in its stored
+// precision.
+//
+//stressvet:noalloc
+func (tr *TriRows) sweep(dst, b []float64, lo, hi int, upper bool) {
+	if tr.Vals32 != nil {
+		sweepRows(tr, tr.Vals32, dst, b, lo, hi, upper)
+		return
+	}
+	sweepRows(tr, tr.Vals, dst, b, lo, hi, upper)
+}
+
+// SolveLower solves L·dst = b serially, in the stored sweep order (the
 // reference the level-scheduled path matches bitwise). dst and b may alias.
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveLower(dst, b []float64) {
-	nbr := t.NBRows()
-	if t.Vals32 != nil {
-		for br := 0; br < nbr; br++ {
-			blockFwdRow(t.BRowPtr, t.BColIdx, t.Vals32, dst, b, int32(br))
-		}
-		return
-	}
-	for br := 0; br < nbr; br++ {
-		blockFwdRow(t.BRowPtr, t.BColIdx, t.Vals, dst, b, int32(br))
-	}
+	t.Lower.sweep(dst, b, 0, t.NBRows(), false)
 }
 
-// SolveUpper solves Lᵀ·dst = b serially over descending block rows. dst and
+// SolveUpper solves Lᵀ·dst = b serially, in the stored sweep order. dst and
 // b may alias.
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveUpper(dst, b []float64) {
-	if t.UpVals32 != nil {
-		for br := t.NBRows() - 1; br >= 0; br-- {
-			blockBwdRow(t.BUpPtr, t.BUpIdx, t.UpVals32, dst, b, int32(br))
-		}
-		return
-	}
-	for br := t.NBRows() - 1; br >= 0; br-- {
-		blockBwdRow(t.BUpPtr, t.BUpIdx, t.UpVals, dst, b, int32(br))
-	}
+	t.Upper.sweep(dst, b, 0, t.NBRows(), true)
 }
 
 // BlockTriScratch carries the per-caller state of the parallel blocked
@@ -333,43 +411,20 @@ type BlockTriScratch struct {
 	op blockTriRun
 }
 
-// blockTriRun is the Runner of one blocked level: it solves the scheduled
-// block rows order[lo:hi] with the forward or backward tile kernel.
+// blockTriRun is the Runner of one blocked level: it solves the rows at
+// sweep positions [lo, hi) of one triangle, which a fanned-out triangle
+// stores in its schedule's order.
 type blockTriRun struct {
-	t     *BlockLowerTri
-	order []int32
+	tr    *TriRows
 	dst   []float64
 	b     []float64
 	upper bool
 }
 
-// RunRange implements Runner over positions in the level order.
+// RunRange implements Runner over sweep positions.
 //
 //stressvet:noalloc
-func (o *blockTriRun) RunRange(lo, hi int) {
-	t := o.t
-	if o.upper {
-		if t.UpVals32 != nil {
-			for i := lo; i < hi; i++ {
-				blockBwdRow(t.BUpPtr, t.BUpIdx, t.UpVals32, o.dst, o.b, o.order[i])
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			blockBwdRow(t.BUpPtr, t.BUpIdx, t.UpVals, o.dst, o.b, o.order[i])
-		}
-		return
-	}
-	if t.Vals32 != nil {
-		for i := lo; i < hi; i++ {
-			blockFwdRow(t.BRowPtr, t.BColIdx, t.Vals32, o.dst, o.b, o.order[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		blockFwdRow(t.BRowPtr, t.BColIdx, t.Vals, o.dst, o.b, o.order[i])
-	}
-}
+func (o *blockTriRun) RunRange(lo, hi int) { o.tr.sweep(o.dst, o.b, lo, hi, o.upper) }
 
 // SolveLowerPar solves L·dst = b with the forward block-level schedule:
 // levels run in order, block rows within a level in parallel across pool's
@@ -381,7 +436,7 @@ func (o *blockTriRun) RunRange(lo, hi int) {
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {
-	t.solvePar(t.Fwd, dst, b, false, pool, sc)
+	t.solvePar(t.Fwd, &t.Lower, dst, b, false, pool, sc)
 }
 
 // SolveUpperPar solves Lᵀ·dst = b with the backward block-level schedule;
@@ -389,21 +444,17 @@ func (t *BlockLowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *BlockTri
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveUpperPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {
-	t.solvePar(t.Bwd, dst, b, true, pool, sc)
+	t.solvePar(t.Bwd, &t.Upper, dst, b, true, pool, sc)
 }
 
 //stressvet:noalloc
-func (t *BlockLowerTri) solvePar(s *LevelSchedule, dst, b []float64, upper bool, pool *Pool, sc *BlockTriScratch) {
+func (t *BlockLowerTri) solvePar(s *LevelSchedule, tr *TriRows, dst, b []float64, upper bool, pool *Pool, sc *BlockTriScratch) {
 	if !s.fansOut(pool) {
-		if upper {
-			t.SolveUpper(dst, b)
-		} else {
-			t.SolveLower(dst, b)
-		}
+		tr.sweep(dst, b, 0, t.NBRows(), upper)
 		return
 	}
 	op := &sc.op
-	*op = blockTriRun{t: t, order: s.Order, dst: dst, b: b, upper: upper}
+	*op = blockTriRun{tr: tr, dst: dst, b: b, upper: upper}
 	s.run(pool, op)
 	*op = blockTriRun{}
 }

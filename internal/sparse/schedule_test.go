@@ -147,13 +147,14 @@ func TestLevelScheduleRespectsDependencies(t *testing.T) {
 			}
 			// The forward sweep skips each lower row's last (diagonal) tile,
 			// the backward sweep each upper row's first.
-			ptr, idx, lo, hi := bt.BRowPtr, bt.BColIdx, int32(0), int32(-1)
-			if dir == "bwd" {
-				ptr, idx, lo, hi = bt.BUpPtr, bt.BUpIdx, 1, 0
-			}
 			for r := 0; r < nb; r++ {
-				for p := ptr[r] + lo; p < ptr[r+1]+hi; p++ {
-					if dep := idx[p]; levelOf[dep] >= levelOf[r] {
+				cols, _ := bt.Row(r, dir == "bwd")
+				deps := cols[:len(cols)-1]
+				if dir == "bwd" {
+					deps = cols[1:]
+				}
+				for _, dep := range deps {
+					if levelOf[dep] >= levelOf[r] {
 						t.Fatalf("%s %s: block row %d (level %d) depends on block row %d (level %d)",
 							name, dir, r, levelOf[r], dep, levelOf[dep])
 					}
