@@ -2,18 +2,18 @@
 // the internal/lint analyzer suite — noalloc, determinism, floatcmp,
 // lockcheck, workerbound — over the module's packages and exits non-zero on
 // any finding, turning the hot-path, determinism, and cache-discipline
-// invariants into build-time contracts. With -escape it additionally builds
-// the packages with -gcflags=-m and fails if the compiler proves a heap
-// allocation inside any //stressvet:noalloc function (the static form of
-// the runtime allocs/op assertions). With -bce it rebuilds the packages
-// that hold //stressvet:bce N kernels with -d=ssa/check_bce/debug=1 and
-// fails if one holds more than N bounds checks.
+// invariants into build-time contracts. With -escape it additionally runs
+// the compiler gates: it builds the packages with -gcflags=-m and fails if
+// the compiler proves a heap allocation inside any //stressvet:noalloc
+// function (the static form of the runtime allocs/op assertions), and it
+// rebuilds the packages that hold //stressvet:bce N kernels with
+// -d=ssa/check_bce/debug=1 and fails if one holds more than N bounds
+// checks.
 //
 // Usage:
 //
 //	go run ./cmd/stressvet ./...                 # AST analyzers
-//	go run ./cmd/stressvet -escape ./...         # + compiler escape gate
-//	go run ./cmd/stressvet -escape -bce ./...    # + bounds-check gate
+//	go run ./cmd/stressvet -escape ./...         # + compiler escape and bounds-check gates
 //	go run ./cmd/stressvet -disable floatcmp ./internal/solver/
 //	go run ./cmd/stressvet -list
 //
@@ -38,8 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stressvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
-	escape := fs.Bool("escape", false, "also run the -gcflags=-m escape gate over //stressvet:noalloc functions")
-	bce := fs.Bool("bce", false, "also run the bounds-check gate over //stressvet:bce N functions")
+	escape := fs.Bool("escape", false, "also run the compiler gates: -gcflags=-m escape over //stressvet:noalloc functions, bounds checks over //stressvet:bce N functions")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("C", ".", "module directory to analyze from")
 	if err := fs.Parse(args); err != nil {
@@ -83,21 +82,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings := lint.RunPackages(pkgs, analyzers)
-	if *escape && !disabled["noalloc"] {
-		esc, err := lint.EscapeCheck(*dir, patterns)
-		if err != nil {
-			fmt.Fprintln(stderr, "stressvet:", err)
-			return 2
+	if *escape {
+		gates := []func(string, []string) ([]lint.Finding, error){lint.EscapeCheck, lint.BCECheck}
+		if disabled["noalloc"] {
+			gates = gates[1:]
 		}
-		findings = append(findings, esc...)
-	}
-	if *bce {
-		b, err := lint.BCECheck(*dir, patterns)
-		if err != nil {
-			fmt.Fprintln(stderr, "stressvet:", err)
-			return 2
+		for _, gate := range gates {
+			f, err := gate(*dir, patterns)
+			if err != nil {
+				fmt.Fprintln(stderr, "stressvet:", err)
+				return 2
+			}
+			findings = append(findings, f...)
 		}
-		findings = append(findings, b...)
 	}
 	for _, f := range findings {
 		fmt.Fprintln(stdout, f)
@@ -106,13 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "stressvet: %d finding(s)\n", n)
 		return 1
 	}
-	gates := ""
-	if *escape {
-		gates += " + escape gate"
-	}
-	if *bce {
-		gates += " + bce gate"
-	}
-	fmt.Fprintf(stdout, "stressvet: %d package(s) clean (%d analyzers%s)\n", len(pkgs), len(analyzers), gates)
+	fmt.Fprintf(stdout, "stressvet: %d package(s) clean (%d analyzers%s)\n",
+		len(pkgs), len(analyzers), map[bool]string{true: " + compiler gates", false: ""}[*escape])
 	return 0
 }

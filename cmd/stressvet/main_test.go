@@ -97,6 +97,8 @@ func Equal(a, b float64) bool {
 	}
 }
 
+// TestEscapeGateFlag checks that -escape runs both compiler gates: the
+// escape gate and the bounds-check gate.
 func TestEscapeGateFlag(t *testing.T) {
 	const escSrc = `package scratch
 
@@ -104,6 +106,11 @@ func TestEscapeGateFlag(t *testing.T) {
 func Leak() *int {
 	x := 42
 	return &x
+}
+
+//stressvet:bce 0
+func Pair(s []float64, i int) float64 {
+	return s[i] + s[i+1]
 }
 `
 	dir := writeModule(t, map[string]string{"go.mod": goMod, "esc.go": escSrc})
@@ -113,6 +120,9 @@ func Leak() *int {
 	}
 	if !strings.Contains(stdout.String(), "noalloc/escape") {
 		t.Errorf("no escape-gate finding; output:\n%s", stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "[bce]") {
+		t.Errorf("no bounds-check-gate finding; output:\n%s", stdout.String())
 	}
 }
 
