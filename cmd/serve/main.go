@@ -77,8 +77,8 @@
 // With -shards N > 1 the process runs N independent engines behind one
 // listener, each owning the slice of lattice keyspace a rendezvous-hash
 // table assigns it (see internal/router). Requests route by lattice key —
-// the same string the engine's assembly, preconditioner, factor, and
-// warm-start caches are keyed by — so each lattice's cached state lives in
+// the same string the engine's assembly, preconditioner, unit-load solution,
+// and factor caches are keyed by — so each lattice's cached state lives in
 // exactly one shard and the lattice-keyed caches stop contending. The
 // content-addressed ROM cache stays shared across shards (ROMs are
 // lattice-independent). -workers is split evenly across shards. /stats
@@ -128,11 +128,11 @@
 // assembles each lattice's global matrix once (shared by every scenario on
 // that lattice), defaults the iterative solvers to preconditioned CG/GMRES
 // ("auto" picks block-Jacobi-3 for small lattices and IC0 for large ones;
-// the per-request "precond" field overrides), and warm-starts each iterative
-// solve from the latest solution of the same lattice (-warm-start=false
-// disables). GET /stats reports the machinery under "solver": assemblies
-// built vs reused, warm-start hit rate, divergence fallbacks, and total
-// iterations; per-scenario SSE events carry iterations, residual, precond,
+// the per-request "precond" field overrides), and answers each uniform-ΔT
+// iterative request as ΔT times the lattice's unit-load solution, solved
+// once (-warm-start=false solves every request cold). GET /stats reports
+// the machinery under "solver": assemblies built vs reused, warm-start hit
+// rate, and total iterations; per-scenario SSE events carry iterations, residual, precond,
 // and warmStart. See docs/SOLVER_TUNING.md for guidance and measurements.
 //
 // The rules behind "auto" are fixed in code and measured in
@@ -179,7 +179,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
 	warmStart := flag.Bool("warm-start", true,
-		"seed iterative solves with the latest solution on the same lattice")
+		"answer uniform-ΔT iterative requests as ΔT times the lattice's cached unit-load solution")
 	assemblyBytes := flag.Int64("assembly-bytes", 1<<30,
 		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
 	flag.Parse()

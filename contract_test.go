@@ -3,11 +3,13 @@ package morestress_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	morestress "repro"
 	"repro/internal/mesh"
+	"repro/internal/romcache"
 	"repro/internal/router"
 )
 
@@ -34,75 +36,179 @@ func stripJobs() []morestress.Job {
 // GOMAXPROCS 1, 2 and 4, through BatchSolve with 1 and 3 workers, and
 // through three in-process shards give bitwise identical Q and fields. Each
 // path runs on fresh engines and a fresh ROM cache, so the local stage is
-// inside the contract too. Warm starts are off, so a uniform answer does
-// not depend on what its lattice solved before.
+// inside the contract too. It holds with the default options, where uniform
+// jobs are scaled from a unit-load solution, and with DisableWarmStart,
+// where each job solves its own load.
 func TestAnswersIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves a 4 797-DoF lattice on six paths")
+		t.Skip("solves a 4 797-DoF lattice on six paths, twice")
 	}
 	jobs := stripJobs()
-	opt := morestress.EngineOptions{DisableWarmStart: true}
-	type path struct {
-		name  string
-		solve func() []morestress.JobResult
-	}
-	var paths []path
-	for _, procs := range []int{1, 2, 4} {
-		paths = append(paths, path{fmt.Sprintf("Engine.Solve/GOMAXPROCS=%d", procs), func() []morestress.JobResult {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			e := morestress.NewEngine(opt)
-			out := make([]morestress.JobResult, len(jobs))
-			for i, job := range jobs {
-				r, _ := e.Solve(job)
-				out[i] = *r
+	for _, c := range []struct {
+		name string
+		opt  morestress.EngineOptions
+	}{
+		{"default", morestress.EngineOptions{}},
+		{"DisableWarmStart", morestress.EngineOptions{DisableWarmStart: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opt := c.opt
+			var paths []answerPath
+			for _, procs := range []int{1, 2, 4} {
+				paths = append(paths, answerPath{fmt.Sprintf("Engine.Solve/GOMAXPROCS=%d", procs), func() []morestress.JobResult {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					return solveEach(morestress.NewEngine(opt), jobs)
+				}})
 			}
-			return out
-		}})
+			for _, workers := range []int{1, 3} {
+				paths = append(paths, answerPath{fmt.Sprintf("BatchSolve/workers=%d", workers), func() []morestress.JobResult {
+					o := opt
+					o.Workers = workers
+					return morestress.NewEngine(o).BatchSolve(jobs).Results
+				}})
+			}
+			paths = append(paths, answerPath{"Shards/3", func() []morestress.JobResult {
+				return router.NewShards(3, opt).BatchSolve(jobs).Results
+			}})
+			for _, got := range assertSameAnswers(t, paths) {
+				for i, r := range got {
+					if n := len(r.Result.Solution.QFree); n != 4797 {
+						t.Fatalf("job %d: %d free DoFs, want 4 797", i, n)
+					}
+					if o := r.Result.Stats.Ordering; o != morestress.OrderingMulticolor {
+						t.Errorf("job %d: ordering %v, want multicolor by size", i, o)
+					}
+				}
+			}
+		})
 	}
-	for _, workers := range []int{1, 3} {
-		paths = append(paths, path{fmt.Sprintf("BatchSolve/workers=%d", workers), func() []morestress.JobResult {
-			o := opt
-			o.Workers = workers
-			return morestress.NewEngine(o).BatchSolve(jobs).Results
-		}})
-	}
-	paths = append(paths, path{"Shards/3", func() []morestress.JobResult {
-		return router.NewShards(3, opt).BatchSolve(jobs).Results
-	}})
+}
 
-	var ref []morestress.JobResult
-	for _, p := range paths {
-		got := p.solve()
+// TestAnswersIndependentOfHistory is the contract that a uniform-ΔT answer
+// does not depend on what its lattice solved before: one set of uniform
+// jobs on a 6×6 lattice, submitted in three ΔT orders through
+// Engine.Solve, BatchSolve and three shards, each on fresh engines, gives
+// bitwise identical Q and fields, and each answer agrees with a
+// DisableWarmStart cold solve to rounding.
+func TestAnswersIndependentOfHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 6×6 lattice on nine paths")
+	}
+	cfg := morestress.DefaultConfig(15)
+	cfg.Resolution = mesh.CoarseResolution()
+	loads := []float64{-250, -200, -150, -100, -50, 40}
+	jobs := make([]morestress.Job, len(loads))
+	for i, dt := range loads {
+		jobs[i] = morestress.Job{Config: cfg, Rows: 6, Cols: 6, DeltaT: dt, GridSamples: 4 * (i % 2)}
+	}
+	// One ROM cache for every engine: the lattice caches under test stay
+	// private per engine, and the local stage runs once.
+	roms := romcache.New(romcache.Options{})
+	opt := morestress.EngineOptions{SharedCache: roms}
+	orders := [][]int{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}, rand.New(rand.NewSource(7)).Perm(len(jobs))}
+	// inOrder runs the jobs permuted by order through solve and returns
+	// the results in the jobs' own order.
+	inOrder := func(order []int, solve func([]morestress.Job) []morestress.JobResult) []morestress.JobResult {
+		perm := make([]morestress.Job, len(order))
+		for k, i := range order {
+			perm[k] = jobs[i]
+		}
+		got := solve(perm)
+		out := make([]morestress.JobResult, len(jobs))
+		for k, i := range order {
+			out[i] = got[k]
+		}
+		return out
+	}
+	var paths []answerPath
+	for _, order := range orders {
+		paths = append(paths,
+			answerPath{fmt.Sprintf("Engine.Solve/order=%v", order), func() []morestress.JobResult {
+				return inOrder(order, func(js []morestress.Job) []morestress.JobResult {
+					return solveEach(morestress.NewEngine(opt), js)
+				})
+			}},
+			answerPath{fmt.Sprintf("BatchSolve/order=%v", order), func() []morestress.JobResult {
+				return inOrder(order, func(js []morestress.Job) []morestress.JobResult {
+					o := opt
+					o.Workers = 2
+					return morestress.NewEngine(o).BatchSolve(js).Results
+				})
+			}},
+			answerPath{fmt.Sprintf("Shards/3/order=%v", order), func() []morestress.JobResult {
+				return inOrder(order, func(js []morestress.Job) []morestress.JobResult {
+					return router.NewShards(3, opt).BatchSolve(js).Results
+				})
+			}})
+	}
+	ref := assertSameAnswers(t, paths)[0]
+	cold := opt
+	cold.DisableWarmStart = true
+	for i, r := range morestress.NewEngine(cold).BatchSolve(jobs).Results {
+		if r.Err != nil {
+			t.Fatalf("cold job %d: %v", i, r.Err)
+		}
+		got, want := ref[i].Result.Solution.Q, r.Result.Solution.Q
+		var num, den float64
+		for k := range want {
+			d := got[k] - want[k]
+			num += d * d
+			den += want[k] * want[k]
+		}
+		if rel := math.Sqrt(num / den); !(rel <= 1e-12) {
+			t.Errorf("job %d (ΔT=%g): Q deviates from the cold solve by %.3g relative", i, loads[i], rel)
+		}
+	}
+}
+
+// answerPath is one way of solving a contract's jobs; solve returns the
+// results in the jobs' order.
+type answerPath struct {
+	name  string
+	solve func() []morestress.JobResult
+}
+
+// solveEach runs the jobs one by one through e.Solve.
+func solveEach(e *morestress.Engine, jobs []morestress.Job) []morestress.JobResult {
+	out := make([]morestress.JobResult, len(jobs))
+	for i, job := range jobs {
+		r, _ := e.Solve(job)
+		out[i] = *r
+	}
+	return out
+}
+
+// assertSameAnswers runs every path and fails unless each job's Q and field
+// are bitwise identical to those of the first path. It returns the results
+// of every path.
+func assertSameAnswers(t *testing.T, paths []answerPath) [][]morestress.JobResult {
+	t.Helper()
+	all := make([][]morestress.JobResult, len(paths))
+	for p, path := range paths {
+		got := path.solve()
 		for i, r := range got {
 			if r.Err != nil {
-				t.Fatalf("%s job %d: %v", p.name, i, r.Err)
-			}
-			if n := len(r.Result.Solution.QFree); n != 4797 {
-				t.Fatalf("%s: %d free DoFs, want 4 797", p.name, n)
-			}
-			if o := r.Result.Stats.Ordering; o != morestress.OrderingMulticolor {
-				t.Errorf("%s job %d: ordering %v, want multicolor by size", p.name, i, o)
+				t.Fatalf("%s job %d: %v", path.name, i, r.Err)
 			}
 		}
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for i := range jobs {
+		all[p] = got
+		ref := all[0]
+		for i := range got {
 			if d := bitDiffs(got[i].Result.Solution.Q, ref[i].Result.Solution.Q); d != 0 {
-				t.Errorf("%s job %d: %d of %d Q entries differ from %s", p.name, i, d, len(ref[i].Result.Solution.Q), paths[0].name)
+				t.Errorf("%s job %d: %d of %d Q entries differ from %s", path.name, i, d, len(ref[i].Result.Solution.Q), paths[0].name)
 			}
 			gf, rf := got[i].Result.VM, ref[i].Result.VM
 			if (gf == nil) != (rf == nil) {
-				t.Fatalf("%s job %d: field present %v, want %v", p.name, i, gf != nil, rf != nil)
+				t.Fatalf("%s job %d: field present %v, want %v", path.name, i, gf != nil, rf != nil)
 			}
 			if rf != nil {
 				if d := bitDiffs(gf.V, rf.V); d != 0 {
-					t.Errorf("%s job %d: %d of %d field samples differ from %s", p.name, i, d, len(rf.V), paths[0].name)
+					t.Errorf("%s job %d: %d of %d field samples differ from %s", path.name, i, d, len(rf.V), paths[0].name)
 				}
 			}
 		}
 	}
+	return all
 }
 
 // bitDiffs counts the entries of a and b whose bits differ (every entry

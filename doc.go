@@ -56,9 +56,10 @@
 //     solver.AutoMulticolorMinDoFs, natural below it — the size alone
 //     decides, so a lattice has one factor and one answer at every worker
 //     count) and
-//     an allocation-free PCG hot loop, and uniform-ΔT sweeps are chained
-//     in ΔT order so each solve warm-starts from its neighbor's solution,
-//     falling back to a cold solve on divergence. EngineStats and
+//     an allocation-free PCG hot loop, and every uniform-ΔT job is
+//     answered as ΔT times its lattice's unit-load solution, solved once
+//     (array.SolveUniform), so an answer does not depend on the order of
+//     the jobs. EngineStats and
 //     Solution/SolverStats surface assemblies and preconditioners reused,
 //     solves per ordering, warm-start hit rate, and iteration counts. See
 //     docs/SOLVER_TUNING.md for guidance and measurements.

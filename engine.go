@@ -3,7 +3,6 @@ package morestress
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,9 +84,9 @@ type BatchStats struct {
 	// batch (CPU-time-like; they exceed Wall under concurrency).
 	LocalTime, GlobalTime time.Duration
 	// Iterations sums the iterative global-solve iteration counts of the
-	// batch; WarmStarts counts the solves that were seeded from a previous
-	// solution on the same lattice. Together they quantify the warm-start
-	// payoff of a ΔT sweep.
+	// batch; WarmStarts counts the uniform-ΔT answers scaled from their
+	// lattice's cached unit-load solution instead of solved. Together they
+	// quantify the warm-start payoff of a ΔT sweep.
 	Iterations int64
 	WarmStarts int
 }
@@ -132,18 +131,19 @@ type EngineOptions struct {
 	// AssemblyBytes additionally bounds the assembly cache by the sum of
 	// the assemblies' MemoryBytes (0 = entry-count bound only).
 	AssemblyBytes int64
-	// DisableWarmStart turns off initial-guess reuse: by default the
-	// engine seeds each iterative solve on a lattice with the most recent
-	// solution of that lattice (scaled across uniform-ΔT scenarios),
-	// falling back to a cold solve on divergence.
+	// DisableWarmStart turns off unit-solution reuse: by default the
+	// engine answers every uniform-ΔT iterative job as ΔT times its
+	// lattice's unit-load solution (array.SolveUniform), solved once per
+	// lattice and solver options. With it set, each job solves its own
+	// right-hand side cold.
 	DisableWarmStart bool
 	// SharedCache, when non-nil, is used as the engine's ROM cache instead
 	// of building a private one (CacheBytes/CacheEntries/CacheDir/
 	// BuildWorkers are then ignored). The ROM cache is content-addressed
 	// and shard-agnostic, so in-process engine shards share one: each
 	// distinct unit cell pays the local stage once per process, while the
-	// lattice-keyed caches (assemblies, preconditioners, factors, seeds)
-	// stay private per shard.
+	// lattice-keyed caches (assemblies with their preconditioners and
+	// unit-load solutions, factors) stay private per shard.
 	SharedCache *romcache.Cache
 }
 
@@ -160,11 +160,10 @@ type EngineStats struct {
 	// counts solves that reused a cached one instead of re-scattering the
 	// global matrix.
 	Assemblies, AssemblyHits int64
-	// IterativeSolves counts global solves through GMRES/PCG. WarmStarts
-	// of them were seeded from a previous solution; WarmFallbacks
-	// diverged under the seed and were retried cold. The warm-start hit
-	// rate is WarmStarts / IterativeSolves.
-	IterativeSolves, WarmStarts, WarmFallbacks int64
+	// IterativeSolves counts global GMRES/PCG answers. WarmStarts of them
+	// were scaled from the lattice's cached unit-load solution instead of
+	// solved. The warm-start hit rate is WarmStarts / IterativeSolves.
+	IterativeSolves, WarmStarts int64
 	// Iterations sums the iteration counts of the iterative solves.
 	Iterations int64
 	// PrecondBuilds counts preconditioner constructions for iterative
@@ -217,7 +216,6 @@ func (s *EngineStats) Merge(o EngineStats) {
 	s.AssemblyHits += o.AssemblyHits
 	s.IterativeSolves += o.IterativeSolves
 	s.WarmStarts += o.WarmStarts
-	s.WarmFallbacks += o.WarmFallbacks
 	s.Iterations += o.Iterations
 	s.PrecondBuilds += o.PrecondBuilds
 	s.PrecondHits += o.PrecondHits
@@ -253,8 +251,9 @@ type Solver interface {
 // matrix once per lattice (shared by every solver kind, with the
 // preconditioners of iterative solves cached on the same snapshot — built
 // at most once per lattice and kind), shares sparse Cholesky
-// factorizations across repeated Direct solves, and warm-starts
-// iterative solves from the latest solution on the same lattice. The
+// factorizations across repeated Direct solves, and answers uniform-ΔT
+// iterative jobs as ΔT times one unit-load solution cached per lattice, so
+// an answer never depends on what its lattice solved before. The
 // Workers bound holds across every entry point: concurrent Solve calls and
 // overlapping BatchSolve calls together never run more than Workers jobs at
 // once. An Engine is safe for concurrent use; create one and reuse it.
@@ -263,18 +262,17 @@ type Engine struct {
 	cache      *romcache.Cache
 	factors    *factorCache
 	assemblies *memo[*array.Assembly]
-	seeds      *seedCache
 	// sem is the engine-wide job bound: every solve holds one slot, so
 	// Solve and BatchSolve share the same Workers budget.
 	sem chan struct{}
 
-	jobsDone, jobsFailed                       atomic.Int64
-	iterativeSolves, warmStarts, warmFallbacks atomic.Int64
-	iterations                                 atomic.Int64
-	precondBuilds, precondHits                 atomic.Int64
-	orderingCounts                             [solver.NumOrderings]atomic.Int64
-	precisionCounts                            [solver.NumPrecisions]atomic.Int64
-	precisionFallbacks                         atomic.Int64
+	jobsDone, jobsFailed        atomic.Int64
+	iterativeSolves, warmStarts atomic.Int64
+	iterations                  atomic.Int64
+	precondBuilds, precondHits  atomic.Int64
+	orderingCounts              [solver.NumOrderings]atomic.Int64
+	precisionCounts             [solver.NumPrecisions]atomic.Int64
+	precisionFallbacks          atomic.Int64
 }
 
 // NewEngine creates an engine. A zero EngineOptions is valid.
@@ -308,8 +306,7 @@ func NewEngine(opt EngineOptions) *Engine {
 			max: opt.MaxAssemblies, maxBytes: opt.AssemblyBytes,
 			size: (*array.Assembly).MemoryBytes,
 		},
-		seeds: &seedCache{max: 64},
-		sem:   make(chan struct{}, opt.Workers),
+		sem: make(chan struct{}, opt.Workers),
 	}
 }
 
@@ -339,7 +336,6 @@ func (e *Engine) Stats() EngineStats {
 		AssemblyHits:       e.assemblies.hits.Load(),
 		IterativeSolves:    e.iterativeSolves.Load(),
 		WarmStarts:         e.warmStarts.Load(),
-		WarmFallbacks:      e.warmFallbacks.Load(),
 		Iterations:         e.iterations.Load(),
 		PrecondBuilds:      e.precondBuilds.Load(),
 		PrecondHits:        e.precondHits.Load(),
@@ -348,17 +344,11 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // Solve runs a single job through the engine (cache-aware, factor-sharing,
-// warm-starting). The returned JobResult always carries the outcome; the
-// error mirrors JobResult.Err for convenience.
+// unit-solution-scaling). The returned JobResult always carries the outcome;
+// the error mirrors JobResult.Err for convenience.
 func (e *Engine) Solve(job Job) (*JobResult, error) {
 	res := e.solve(job, 0, solver.DefaultWorkers())
 	return res, res.Err
-}
-
-// solve computes the job's lattice key and delegates; BatchSolve threads
-// the keys it already computed for chain planning instead.
-func (e *Engine) solve(job Job, index, workers int) *JobResult {
-	return e.solveKeyed(job, index, workers, LatticeKey(job))
 }
 
 // BatchSolve runs every job on a pool of at most EngineOptions.Workers
@@ -366,44 +356,32 @@ func (e *Engine) solve(job Job, index, workers int) *JobResult {
 // stats. Jobs with the same unit-cell configuration share one ROM (the
 // local stage runs once per distinct configuration no matter how the jobs
 // interleave), jobs on the same lattice share one reduced-global assembly,
-// and uniform-ΔT iterative jobs on the same lattice are chained in ΔT order
-// so each solve warm-starts from its neighbor's solution.
+// and uniform-ΔT iterative jobs on the same lattice share one unit-load
+// solution, so the answers do not depend on the order of the jobs.
 //
-//stressvet:gang -- batch worker pool, capped at min(opt.Workers, number of chains)
+//stressvet:gang -- batch worker pool, capped at min(opt.Workers, len(jobs))
 func (e *Engine) BatchSolve(jobs []Job) *BatchResult {
 	start := time.Now()
 	out := &BatchResult{Results: make([]JobResult, len(jobs))}
-	chains, keys := e.planChains(jobs)
-	workers := e.opt.Workers
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Split the machine between concurrent chains so a batch does not
+	workers := max(1, min(e.opt.Workers, len(jobs)))
+	// Split the machine between concurrent jobs so a batch does not
 	// oversubscribe: each job's inner stages (mat-vecs, sampling) get an
 	// equal share of GOMAXPROCS.
-	inner := runtime.GOMAXPROCS(0) / workers
-	if inner < 1 {
-		inner = 1
-	}
+	inner := max(1, runtime.GOMAXPROCS(0)/workers)
 
-	next := make(chan []int)
+	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for chain := range next {
-				for _, i := range chain {
-					out.Results[i] = *e.solveKeyed(jobs[i], i, inner, keys[i])
-				}
+			for i := range next {
+				out.Results[i] = *e.solve(jobs[i], i, inner)
 			}
 		}()
 	}
-	for _, chain := range chains {
-		next <- chain
+	for i := range jobs {
+		next <- i
 	}
 	close(next)
 	wg.Wait()
@@ -432,37 +410,6 @@ func (e *Engine) BatchSolve(jobs []Job) *BatchResult {
 	return out
 }
 
-// planChains partitions the job indices into execution chains: uniform-ΔT
-// iterative jobs on the same lattice form one chain sorted by ΔT (they run
-// sequentially so each solve can warm-start from its neighbor — consecutive
-// ΔT scenarios differ by a smooth parameter, making the previous solution
-// an excellent seed); everything else is a singleton chain. The per-job
-// lattice keys are returned so the solve path does not re-hash the specs.
-func (e *Engine) planChains(jobs []Job) (chains [][]int, keys []string) {
-	chains = make([][]int, 0, len(jobs))
-	keys = make([]string, len(jobs))
-	grouped := make(map[string][]int)
-	var order []string // deterministic chain emission order
-	for i, job := range jobs {
-		key := LatticeKey(job)
-		keys[i] = key
-		if e.opt.DisableWarmStart || key == "" || job.Solver == SolveDirect || job.DeltaTMap != nil {
-			chains = append(chains, []int{i})
-			continue
-		}
-		if _, seen := grouped[key]; !seen {
-			order = append(order, key)
-		}
-		grouped[key] = append(grouped[key], i)
-	}
-	for _, key := range order {
-		idxs := grouped[key]
-		sort.SliceStable(idxs, func(a, b int) bool { return jobs[idxs[a]].DeltaT < jobs[idxs[b]].DeltaT })
-		chains = append(chains, idxs)
-	}
-	return chains, keys
-}
-
 // engineBC is the boundary condition of every engine job (globalProblem
 // builds the Problem with it); the cache keys bake it in so a future second
 // BC kind cannot silently collide.
@@ -472,7 +419,7 @@ const engineBC = array.ClampedTopBottom
 // SHA-256 of the unit-cell spec), array dimensions, and BC pattern —
 // everything the matrix depends on and nothing it does not (the thermal
 // load). It is the key of every lattice-affine cache in the engine
-// (assembly, preconditioner, factor, warm-start seed), and therefore also
+// (assembly, preconditioner, unit-load solution, factor), and therefore also
 // the routing key of the shard router: requests with equal LatticeKeys must
 // land on the same replica for those caches to stay hot. Empty when the
 // spec cannot be hashed.
@@ -484,7 +431,7 @@ func LatticeKey(job Job) string {
 	return fmt.Sprintf("%s|%dx%d|bc%d", key, job.Cols, job.Rows, engineBC)
 }
 
-func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult {
+func (e *Engine) solve(job Job, index, workers int) *JobResult {
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
 	if job.Config.Workers > 0 {
@@ -522,7 +469,7 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 		kind = array.Direct
 	}
 	prob := globalProblem(r, job.Rows, job.Cols, job.DeltaT, job.DeltaTMap, kind, job.Options, workers)
-	if key != "" {
+	if key := LatticeKey(job); key != "" {
 		// Assemble-once: the reduced global system depends on the ROM
 		// content, the array dimensions, and the BC pattern — not on ΔT —
 		// so every scenario on the lattice shares one assembly.
@@ -538,11 +485,12 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 			prob.Factors = e.factors
 			prob.FactorKey = key
 		}
-		if kind != array.Direct && !e.opt.DisableWarmStart && job.DeltaTMap == nil {
-			prob.X0 = e.seeds.get(key, job.DeltaT)
-		}
 	}
-	ar, err := solveGlobal(prob, job.GridSamples)
+	globalSolve := array.SolveUniform
+	if e.opt.DisableWarmStart {
+		globalSolve = array.Solve
+	}
+	ar, err := solveGlobal(prob, job.GridSamples, globalSolve)
 	if err != nil {
 		res.Err = fmt.Errorf("morestress: job global stage: %w", err)
 		return res
@@ -556,9 +504,6 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 		e.iterations.Add(int64(sol.Stats.Iterations))
 		if sol.Stats.Warm {
 			e.warmStarts.Add(1)
-		}
-		if sol.WarmFallback {
-			e.warmFallbacks.Add(1)
 		}
 		if sol.PrecondShared {
 			e.precondHits.Add(1)
@@ -574,9 +519,6 @@ func (e *Engine) solveKeyed(job Job, index, workers int, key string) *JobResult 
 		if sol.PrecisionFallback {
 			e.precisionFallbacks.Add(1)
 		}
-	}
-	if key != "" && !e.opt.DisableWarmStart && job.DeltaTMap == nil && len(sol.QFree) > 0 {
-		e.seeds.put(key, job.DeltaT, sol.QFree)
 	}
 	res.Result = ar
 	return res
@@ -672,72 +614,4 @@ type factorCache struct {
 // GetOrFactor implements array.FactorCache.
 func (f *factorCache) GetOrFactor(key string, build func() (*solver.CholFactor, error)) (*solver.CholFactor, error) {
 	return f.getOrBuild(key, build)
-}
-
-// seedCache holds the most recent reduced solution per lattice key for
-// warm-starting. Entries record the uniform ΔT they were solved at so a
-// seed can be rescaled to the target load: for a uniform thermal field the
-// reduced RHS — and therefore the solution — is linear in ΔT, so the scaled
-// seed of a converged neighbor is already at the solver's tolerance and a
-// sweep effectively pays one cold solve per lattice.
-type seedCache struct {
-	max int
-
-	mu sync.Mutex
-	m  map[string]seedEntry // guarded by mu
-}
-
-type seedEntry struct {
-	qf []float64
-	dt float64
-}
-
-// get returns a seed for solving the key's lattice at deltaT, nil when none
-// is applicable. The returned slice is freshly scaled (or shared read-only
-// when the loads match; solver entry points copy their x0 before iterating).
-func (s *seedCache) get(key string, deltaT float64) []float64 {
-	if deltaT == 0 {
-		return nil // the zero-load solution is zero: a "seed" would be a cold start counted as warm
-	}
-	s.mu.Lock()
-	e, ok := s.m[key]
-	s.mu.Unlock()
-	if !ok || e.dt == 0 || len(e.qf) == 0 {
-		return nil
-	}
-	if deltaT == e.dt { //stressvet:allow floatcmp -- exact-match fast path; inexact ratios fall through to scaling
-		return e.qf
-	}
-	scale := deltaT / e.dt
-	out := make([]float64, len(e.qf))
-	for i, v := range e.qf {
-		out[i] = scale * v
-	}
-	return out
-}
-
-// put records the solution of a uniform-ΔT solve. The slice must not be
-// mutated afterwards (Solution.QFree is freshly allocated per solve).
-func (s *seedCache) put(key string, deltaT float64, qf []float64) {
-	if deltaT == 0 {
-		return // zero-load solution is all zeros: no better than a cold start
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]seedEntry)
-	}
-	_, existed := s.m[key]
-	s.m[key] = seedEntry{qf: qf, dt: deltaT}
-	if !existed {
-		for k := range s.m {
-			if len(s.m) <= s.max {
-				break
-			}
-			if k == key {
-				continue
-			}
-			delete(s.m, k)
-		}
-	}
 }

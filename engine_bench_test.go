@@ -85,8 +85,8 @@ func BenchmarkEngineDirectSweep(b *testing.B) {
 // BenchmarkEngineHotspotSolve is the Krylov-bound steady state the serving
 // path runs on a large lattice: one warm engine (ROM, assembly and IC0
 // factor cached) solving 10×10 scenarios whose per-block ΔT maps rotate
-// through four off-centre hotspots. A ΔT map bypasses the warm-start seed,
-// so every op is a full default-solver (GMRES) solve from zero on a system
+// through four off-centre hotspots. A ΔT map is not a multiple of the unit
+// load, so every op is a full default-solver (GMRES) solve from zero on a system
 // above AutoIC0Threshold; the bench fails if the solve resolves to another
 // preconditioner, so it keeps measuring the IC0 path.
 func BenchmarkEngineHotspotSolve(b *testing.B) {

@@ -182,10 +182,10 @@ func TestLoadModelCorruptDummy(t *testing.T) {
 }
 
 // TestEngineWarmStartSweepMatchesCold is the correctness contract of the
-// warm-start machinery: a ΔT sweep solved with warm starts (and submitted in
-// scrambled ΔT order, so BatchSolve must re-order the chain itself) must
-// reproduce the cold-started solutions within the solver tolerance, while
-// doing measurably less iterative work on one shared assembly.
+// unit-solution reuse: a ΔT sweep (in scrambled ΔT order) answered as ΔT
+// times one cached unit-load solution must reproduce the cold solutions to
+// rounding, while doing measurably less iterative work on one shared
+// assembly.
 func TestEngineWarmStartSweepMatchesCold(t *testing.T) {
 	cfg := testConfig(15)
 	sweep := func() []Job {
@@ -210,20 +210,20 @@ func TestEngineWarmStartSweepMatchesCold(t *testing.T) {
 	}
 
 	for i := range warm.Results {
-		wv, cv := warm.Results[i].Result.VM, cold.Results[i].Result.VM
-		var maxDiff float64
-		for k := range wv.V {
-			if d := math.Abs(wv.V[k] - cv.V[k]); d > maxDiff {
-				maxDiff = d
-			}
+		wq, cq := warm.Results[i].Result.Solution.Q, cold.Results[i].Result.Solution.Q
+		var num, den float64
+		for k := range cq {
+			d := wq[k] - cq[k]
+			num += d * d
+			den += cq[k] * cq[k]
 		}
-		if maxDiff > 1e-4 {
-			t.Errorf("job %d (ΔT=%g): warm field deviates from cold by %g MPa", i, sweep()[i].DeltaT, maxDiff)
+		if rel := math.Sqrt(num / den); !(rel <= 1e-12) {
+			t.Errorf("job %d (ΔT=%g): warm Q deviates from cold by %.3g relative", i, sweep()[i].DeltaT, rel)
 		}
 	}
 
 	if warm.Stats.WarmStarts != len(warm.Results)-1 {
-		t.Errorf("warm starts = %d, want %d (all but the chain head)", warm.Stats.WarmStarts, len(warm.Results)-1)
+		t.Errorf("warm starts = %d, want %d (all but the job that solved the unit load)", warm.Stats.WarmStarts, len(warm.Results)-1)
 	}
 	if cold.Stats.WarmStarts != 0 {
 		t.Errorf("cold engine warm-started %d solves", cold.Stats.WarmStarts)
@@ -240,18 +240,15 @@ func TestEngineWarmStartSweepMatchesCold(t *testing.T) {
 	if ws.AssemblyHits != int64(len(warm.Results)-1) {
 		t.Errorf("assembly hits = %d, want %d", ws.AssemblyHits, len(warm.Results)-1)
 	}
-	if ws.WarmFallbacks != 0 {
-		t.Errorf("unexpected warm fallbacks: %d", ws.WarmFallbacks)
-	}
 	if rate := float64(ws.WarmStarts) / float64(ws.IterativeSolves); rate <= 0.5 {
 		t.Errorf("warm-start hit rate %.2f, want > 0.5", rate)
 	}
 }
 
-// TestEngineWarmStartAcrossSolveCalls checks the seed cache works outside
-// BatchSolve chains too: sequential Engine.Solve calls on one lattice (the
-// async job queue's access pattern) warm-start from each other, and a
-// different lattice never reuses a foreign seed.
+// TestEngineWarmStartAcrossSolveCalls checks the unit-solution reuse works
+// outside BatchSolve too: sequential Engine.Solve calls on one lattice (the
+// async job queue's access pattern) share one unit-load solution, and a
+// different lattice never reuses a foreign one.
 func TestEngineWarmStartAcrossSolveCalls(t *testing.T) {
 	cfg := testConfig(15)
 	e := NewEngine(EngineOptions{Workers: 1})
@@ -267,7 +264,7 @@ func TestEngineWarmStartAcrossSolveCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !second.Result.Stats.Warm {
-		t.Error("second solve on the lattice should warm-start from the first")
+		t.Error("second solve on the lattice should be scaled from the first's unit solution")
 	}
 	if second.Result.Stats.Iterations > first.Result.Stats.Iterations {
 		t.Errorf("warm solve took %d iterations vs %d cold", second.Result.Stats.Iterations, first.Result.Stats.Iterations)
@@ -277,9 +274,9 @@ func TestEngineWarmStartAcrossSolveCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if other.Result.Stats.Warm {
-		t.Error("a different lattice must not reuse a foreign seed")
+		t.Error("a different lattice must not reuse a foreign unit solution")
 	}
-	// Nonuniform (DeltaTMap) jobs neither consume nor overwrite seeds.
+	// Nonuniform (DeltaTMap) jobs solve their own right-hand side cold.
 	hot, err := e.Solve(Job{Config: cfg, Rows: 2, Cols: 3, DeltaT: -100,
 		DeltaTMap: func(r, c int) float64 { return -100 * float64(1+r+c) }, Solver: SolveCG})
 	if err != nil {
@@ -290,6 +287,37 @@ func TestEngineWarmStartAcrossSolveCalls(t *testing.T) {
 	}
 	if s := e.Stats(); s.Assemblies != 2 {
 		t.Errorf("assemblies = %d, want 2 (two lattices)", s.Assemblies)
+	}
+}
+
+// TestEngineZeroLoadAnswersCold: a ΔT = 0 job is solved, not scaled, on a
+// lattice whose unit-load solution is cached or not, and answers as a cold
+// solve of the zero load does: an all-+0 Q, residual 0, not warm.
+func TestEngineZeroLoadAnswersCold(t *testing.T) {
+	cfg := testConfig(15)
+	e := NewEngine(EngineOptions{Workers: 1})
+	zero := Job{Config: cfg, Rows: 2, Cols: 3, DeltaT: 0}
+	before, err := e.Solve(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Solve(Job{Config: cfg, Rows: 2, Cols: 3, DeltaT: -100}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.Solve(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*JobResult{"before the unit solve": before, "after it": after} {
+		st := r.Result.Stats
+		if st.Warm || st.Residual != 0 || !st.Converged {
+			t.Errorf("ΔT=0 %s: stats %+v, want cold, converged, residual 0", name, st)
+		}
+		for k, v := range r.Result.Solution.Q {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("ΔT=0 %s: Q[%d] = %v, want +0", name, k, v)
+			}
+		}
 	}
 }
 

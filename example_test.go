@@ -69,11 +69,10 @@ func ExamplePaperGeometry() {
 }
 
 // ExampleEngine_warmStart contrasts a ΔT sweep on the default engine —
-// which assembles the lattice's reduced system once, orders the sweep by
-// ΔT, and seeds each solve with its neighbor's solution — against an engine
-// with EngineOptions.DisableWarmStart, which solves every scenario from
-// zero. The solutions agree to solver tolerance; the iteration budget does
-// not.
+// which assembles the lattice's reduced system once, solves the unit load
+// once, and answers every scenario as ΔT times that solution — against an
+// engine with EngineOptions.DisableWarmStart, which solves every scenario
+// from zero. The answers agree to rounding; the iteration budget does not.
 func ExampleEngine_warmStart() {
 	sweep := func() []morestress.Job {
 		jobs := make([]morestress.Job, 4)

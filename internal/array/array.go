@@ -10,6 +10,7 @@ package array
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -226,9 +227,9 @@ type Solution struct {
 	Lattice *Lattice
 	// Q holds the global surface-node displacements (3 per node).
 	Q []float64
-	// QFree is the solution in reduced free-DoF ordering — the warm-start
-	// seed (Problem.X0) for the next solve on the same assembly. Empty in
-	// the degenerate all-constrained case.
+	// QFree is the solution in reduced free-DoF ordering, usable as the
+	// seed (Problem.X0) of another solve on the same assembly. Empty in the
+	// degenerate all-constrained case.
 	QFree []float64
 	// Stats reports the iterative solve, including the resolved
 	// preconditioner kind and whether the solve was warm-started.
@@ -249,7 +250,7 @@ type Solution struct {
 	// from the assembly's per-kind cache (built by an earlier solve on the
 	// same lattice) rather than being constructed by this call; the one
 	// solve that populates the cache records the cost in
-	// Stats.PrecondBuild.
+	// Stats.PrecondBuild. A scaled SolveUniform answer counts as shared.
 	PrecondShared bool
 	// WarmFallback reports that the warm-started solve stalled and the
 	// recorded Stats are from the retry, started from zero.
@@ -278,10 +279,11 @@ type Solution struct {
 // matrix, so every scenario, ΔT sweep, and async job on the lattice shares
 // it). The reduced matrix A_ff is held once, as 3×3 tiles (Blocked): every
 // Krylov mat-vec and preconditioner build reads them, and the direct solver
-// expands them to a transient CSR only when it factors. The reduced system
-// itself is immutable after NewAssembly; the preconditioner cache is
-// internally synchronized, so an Assembly is safe to share across concurrent
-// Solve calls.
+// expands them to a transient CSR only when it factors. The Assembly also
+// caches the unit-load solutions SolveUniform scales. The reduced system
+// itself is immutable after NewAssembly; both caches are internally
+// synchronized, so an Assembly is safe to share across concurrent Solve and
+// SolveUniform calls.
 type Assembly struct {
 	// Lat is the global surface-node lattice.
 	Lat *Lattice
@@ -306,10 +308,11 @@ type Assembly struct {
 	// aff is the reduced matrix A_ff as 3×3 tiles (nil when AllBC).
 	aff *sparse.BCSR
 
-	// pmu guards preconds, the lazily built per-(kind, ordering, precision)
-	// preconditioner cache.
-	pmu      sync.Mutex
-	preconds map[precondKey]*assemblyPrecond
+	// preconds caches the lazily built preconditioners, one per
+	// (kind, ordering, precision); units caches the unit-load solutions
+	// SolveUniform scales, at most maxUnitSolutions of them.
+	preconds onceMap[precondKey, solver.Preconditioner]
+	units    onceMap[unitKey, unitSolution]
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
@@ -324,16 +327,65 @@ type precondKey struct {
 	prec solver.Precision
 }
 
-// assemblyPrecond is one cached preconditioner: built once (the Once covers
-// concurrent first requests), then shared by every solve on the lattice.
-type assemblyPrecond struct {
-	once  sync.Once
-	m     solver.Preconditioner
-	err   error
-	build time.Duration
-	// ready is set under Assembly.pmu after the build completes, so
-	// MemoryBytes can read m without racing the builder.
+// onceMap caches values built at most once per key: the Once of an entry
+// covers concurrent first requests, and every later request shares the
+// result (an error included).
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V] // guarded by mu
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+	// ready is set under onceMap.mu after the build completes, so each can
+	// read v without racing the builder.
 	ready bool
+}
+
+// get returns key's entry, running build first if no request has; built
+// reports that this call ran it. max > 0 caps the entries: adding one past
+// it drops an arbitrary other entry, whose waiters still finish on their
+// own pointer and which a later request rebuilds.
+func (c *onceMap[K, V]) get(key K, max int, build func() (V, error)) (e *onceEntry[V], built bool) {
+	c.mu.Lock()
+	e = c.m[key]
+	if e == nil {
+		if c.m == nil {
+			c.m = make(map[K]*onceEntry[V])
+		}
+		e = &onceEntry[V]{}
+		c.m[key] = e
+		for k := range c.m {
+			if max <= 0 || len(c.m) <= max {
+				break
+			}
+			if k != key {
+				delete(c.m, k)
+			}
+		}
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		built = true
+		e.v, e.err = build()
+	})
+	c.mu.Lock()
+	e.ready = true
+	c.mu.Unlock()
+	return e, built
+}
+
+// each calls f on every value built without error.
+func (c *onceMap[K, V]) each(f func(V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.m {
+		if e.ready && e.err == nil {
+			f(e.v)
+		}
+	}
 }
 
 // AssemblyPrecond is the outcome of Assembly.PreconditionerPrec.
@@ -378,46 +430,34 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	if a.Red == nil {
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
-	resolved := kind.Resolve(a.Red.NFree())
-	if resolved == solver.PrecondIC0 {
-		ord = solver.ResolveOrdering(ord, a.aff.NRows)
-		if prec == solver.PrecisionAuto {
-			prec = solver.PrecisionFloat32
-		}
-	} else {
-		ord = solver.OrderingNatural
-		prec = solver.PrecisionFloat64
-	}
-	key := precondKey{kind: resolved, ord: ord, prec: prec}
-	a.pmu.Lock()
-	e, hit := a.preconds[key]
-	if e == nil {
-		if a.preconds == nil {
-			a.preconds = make(map[precondKey]*assemblyPrecond)
-		}
-		e = &assemblyPrecond{}
-		a.preconds[key] = e
-	}
-	a.pmu.Unlock()
-	e.once.Do(func() {
+	key := a.precondKey(kind, ord, prec)
+	var build time.Duration
+	e, built := a.preconds.get(key, 0, func() (solver.Preconditioner, error) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
-		e.m, e.err = solver.NewPreconditioner(resolved, ord, prec, a.aff)
-		e.build = time.Since(t0)
+		defer func() { build = time.Since(t0) }()
+		return solver.NewPreconditioner(key.kind, key.ord, key.prec, a.aff)
 	})
-	a.pmu.Lock()
-	e.ready = true
-	a.pmu.Unlock()
 	if e.err != nil {
-		return AssemblyPrecond{Kind: resolved, Ordering: ord}, e.err
+		return AssemblyPrecond{Kind: key.kind, Ordering: key.ord}, e.err
 	}
-	out := AssemblyPrecond{M: e.m, Kind: resolved, Ordering: ord, Precision: solver.PrecisionFloat64, Hit: hit}
-	if fp, ok := e.m.(solver.FactorPrecisioned); ok {
+	out := AssemblyPrecond{M: e.v, Kind: key.kind, Ordering: key.ord, Precision: solver.PrecisionFloat64, Hit: !built, Build: build}
+	if fp, ok := e.v.(solver.FactorPrecisioned); ok {
 		out.Precision = fp.FactorPrecision()
 	}
-	if !hit {
-		out.Build = e.build
-	}
 	return out, nil
+}
+
+// precondKey resolves a requested preconditioner to the key it caches
+// under; see PreconditionerPrec.
+func (a *Assembly) precondKey(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision) precondKey {
+	resolved := kind.Resolve(a.Red.NFree())
+	if resolved != solver.PrecondIC0 {
+		return precondKey{kind: resolved, ord: solver.OrderingNatural, prec: solver.PrecisionFloat64}
+	}
+	if prec == solver.PrecisionAuto {
+		prec = solver.PrecisionFloat32
+	}
+	return precondKey{kind: resolved, ord: solver.ResolveOrdering(ord, a.aff.NRows), prec: prec}
 }
 
 // Blocked returns the reduced matrix A_ff as 3×3 tiles (BCSR) — the only
@@ -499,9 +539,9 @@ func (a *Assembly) NumFree() int {
 }
 
 // MemoryBytes estimates the snapshot's storage footprint, for byte-budgeted
-// caches. Lazily cached preconditioners count too, so the assembly cache's
-// byte budget sees them (it re-sums entry sizes on every insert because of
-// exactly this growth).
+// caches. Lazily cached preconditioners and unit-load solutions count too,
+// so the assembly cache's byte budget sees them (it re-sums entry sizes on
+// every insert because of exactly this growth).
 func (a *Assembly) MemoryBytes() int64 {
 	b := int64(4*len(a.Lat.Index)) + int64(24*len(a.Lat.Nodes)) + int64(4*len(a.BCNodes))
 	if a.Red != nil {
@@ -511,15 +551,12 @@ func (a *Assembly) MemoryBytes() int64 {
 		}
 		b += int64(8*len(a.Red.Bf)) + int64(4*(len(a.Red.FreeIdx)+len(a.Red.BCIdx)))
 	}
-	a.pmu.Lock()
-	for _, e := range a.preconds {
-		if e.ready && e.err == nil {
-			if s, ok := e.m.(solver.Sized); ok {
-				b += s.MemoryBytes()
-			}
+	a.preconds.each(func(m solver.Preconditioner) {
+		if s, ok := m.(solver.Sized); ok {
+			b += s.MemoryBytes()
 		}
-	}
-	a.pmu.Unlock()
+	})
+	a.units.each(func(u unitSolution) { b += int64(8*len(u.qf)) + 128 }) // 128: the Stats, rounded up
 	return b
 }
 
@@ -739,8 +776,8 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 	if opt.Work != nil {
 		// A workspace-backed solve returns a vector owned by the workspace,
-		// valid only until its next solve; QFree is retained (seed caches,
-		// post-processing), so detach it.
+		// valid only until its next solve; QFree is retained (unit-solution
+		// cache, post-processing), so detach it.
 		qf = append([]float64(nil), qf...)
 	}
 	if p.Solver != Direct {
@@ -760,6 +797,91 @@ func Solve(p *Problem) (*Solution, error) {
 		PrecondShared:     precondShared,
 		PrecisionFallback: precFellBack,
 		GlobalDoFs:        ndof, MatrixNNZ: asm.NNZ,
+	}, nil
+}
+
+// maxUnitSolutions caps the unit-load solutions one Assembly keeps. Tol,
+// MaxIter and Restart are request fields, so without a cap one lattice could
+// collect a solution per distinct request.
+const maxUnitSolutions = 4
+
+// unitKey identifies a unit-load solution: the solver kind plus every option
+// that changes its numbers, with the preconditioner resolved. Workers is not
+// in it, because the solve is bitwise independent of it.
+type unitKey struct {
+	solver           SolverKind
+	precond          precondKey
+	tol              float64
+	maxIter, restart int
+}
+
+// unitKey is the key p's unit-load solution caches under.
+func (a *Assembly) unitKey(p *Problem) unitKey {
+	return unitKey{
+		solver:  p.Solver,
+		precond: a.precondKey(p.Opt.Precond, p.Opt.Ordering, p.Opt.Precision),
+		tol:     p.Opt.Tol, maxIter: p.Opt.MaxIter, restart: p.Opt.Restart,
+	}
+}
+
+// unitSolution is a cached unit-load (ΔT = 1) solve: the free-DoF solution
+// and the stats of the solve that produced it.
+type unitSolution struct {
+	qf    []float64
+	stats solver.Stats
+}
+
+// SolveUniform answers a uniform-ΔT problem on a shared Assembly as ΔT
+// times the unit-load solution (under ClampedTopBottom the reduced
+// right-hand side is ΔT·b_f), which the first request per unitKey solves
+// cold and caches on the Assembly. A scaled answer reports the unit solve's
+// Stats with 0 iterations and Warm set; the call that ran the unit solve
+// reports that solve's. Problems outside the superposition (no Assembly, a
+// per-block load, a prescribed boundary, Direct, a caller's M or X0, a zero
+// or non-finite ΔT) go to Solve.
+func SolveUniform(p *Problem) (*Solution, error) {
+	asm, dt := p.Assembly, p.DeltaT
+	if asm == nil || asm.AllBC || p.DeltaTFor != nil || p.BC != ClampedTopBottom || p.Solver == Direct ||
+		p.Opt.M != nil || p.X0 != nil || dt == 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
+		return Solve(p)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := asm.matches(p); err != nil {
+		return nil, err
+	}
+	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
+	var fresh *Solution
+	e, _ := asm.units.get(asm.unitKey(p), maxUnitSolutions, func() (unitSolution, error) {
+		unit := *p
+		unit.DeltaT = 1
+		sol, err := Solve(&unit)
+		if err != nil {
+			return unitSolution{}, err
+		}
+		fresh = sol
+		return unitSolution{qf: sol.QFree, stats: sol.Stats}, nil
+	})
+	if e.err != nil {
+		return nil, e.err
+	}
+	qf := make([]float64, len(e.v.qf))
+	for i, v := range e.v.qf {
+		qf[i] = dt * v
+	}
+	if fresh != nil {
+		fresh.Prob, fresh.QFree, fresh.Q = p.snapshot(), qf, asm.Red.Expand(qf, nil)
+		fresh.SolveTime = time.Since(start) - fresh.AssembleTime
+		return fresh, nil
+	}
+	st := e.v.stats
+	st.Iterations, st.Warm, st.PrecondBuild, st.PrecondApply = 0, true, 0, 0
+	return &Solution{
+		Prob: p.snapshot(), Lattice: asm.Lat, Q: asm.Red.Expand(qf, nil), QFree: qf, Stats: st,
+		Ordering: st.Ordering, Precision: st.Precision, SolveTime: time.Since(start),
+		AssemblyShared: true, PrecondShared: true,
+		GlobalDoFs: asm.Lat.NumDoFs(), MatrixNNZ: asm.NNZ,
 	}, nil
 }
 

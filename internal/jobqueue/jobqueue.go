@@ -84,8 +84,9 @@ type Event struct {
 	// Iterations, Residual, Precond, and WarmStart surface the global-stage
 	// solver outcome of a successful iterative EventScenario: how many
 	// PCG/GMRES iterations the scenario took, its final relative residual,
-	// the resolved preconditioner, and whether the solve was seeded from a
-	// previous solution on the same lattice. Zero/empty for state events,
+	// the resolved preconditioner, and whether the answer was scaled from
+	// the lattice's cached unit-load solution (0 iterations) instead of
+	// solved. Zero/empty for state events,
 	// failed scenarios, and direct solves.
 	Iterations int `json:"iterations,omitempty"`
 	// PrecondCached reports that the scenario's preconditioner came from

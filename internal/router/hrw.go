@@ -1,7 +1,7 @@
 // Package router is the shard coordinator of the serving layer: it maps
 // each request's lattice key — the same "ROM spec SHA-256 | dims | BC"
 // string every lattice-affine engine cache (assembly, preconditioner,
-// factor, warm-start seed) is keyed by — onto a shard with rendezvous
+// unit-load solution, factor) is keyed by — onto a shard with rendezvous
 // (highest-random-weight) hashing, so requests for one lattice keep landing
 // where that lattice's caches are already warm.
 //

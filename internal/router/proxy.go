@@ -652,7 +652,6 @@ func mergeStats(dst, src *serveapi.StatsResponse, idx int) {
 	dst.Solver.AssemblyHits += src.Solver.AssemblyHits
 	dst.Solver.IterativeSolves += src.Solver.IterativeSolves
 	dst.Solver.WarmStarts += src.Solver.WarmStarts
-	dst.Solver.WarmFallbacks += src.Solver.WarmFallbacks
 	dst.Solver.Iterations += src.Solver.Iterations
 	dst.Solver.PrecondBuilds += src.Solver.PrecondBuilds
 	dst.Solver.PrecondHits += src.Solver.PrecondHits

@@ -13,7 +13,7 @@ import (
 // lattice keyspace the rendezvous table assigns it. It implements
 // morestress.Solver, so the HTTP layer and the async job queue run over it
 // unchanged: every Solve routes by the job's LatticeKey, which means a
-// lattice's assembly, preconditioner, factorization, and warm-start seed
+// lattice's assembly, preconditioner, unit-load solution, and factorization
 // all live in exactly one engine — shard counts scale the lattice working
 // set without the caches contending or duplicating.
 type Shards struct {
@@ -80,8 +80,8 @@ func (s *Shards) Solve(job morestress.Job) (*morestress.JobResult, error) {
 
 // BatchSolve partitions the batch by owning shard and runs each partition
 // as a sub-batch on its engine, concurrently across shards. Each engine
-// keeps its own BatchSolve semantics within the partition — ΔT-sorted
-// warm-start chains, assembly sharing — and results come back in input
+// keeps its own BatchSolve semantics within the partition — assembly and
+// unit-load solution sharing — and results come back in input
 // order with per-batch stats summed. Wall is the cross-shard wall time.
 //
 //stressvet:gang -- one goroutine per non-empty shard partition, bounded by the shard count

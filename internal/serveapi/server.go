@@ -195,8 +195,8 @@ type JobResponse struct {
 	Residual   float64 `json:"residual"`
 	// Precond is the resolved preconditioner of an iterative solve and
 	// Ordering the symmetric ordering its factor was built under;
-	// WarmStart reports whether the solve was seeded from a previous
-	// solution on the same lattice, and PrecondCached whether the
+	// WarmStart reports whether the answer was scaled from the lattice's
+	// cached unit-load solution instead of solved, and PrecondCached whether the
 	// preconditioner came from the lattice assembly's cache instead of
 	// being built by this solve. Empty/false for direct solves.
 	Precond       string `json:"precond,omitempty"`
@@ -412,14 +412,13 @@ type StatsResponse struct {
 	Factorizations int64   `json:"factorizations"`
 	FactorHits     int64   `json:"factorHits"`
 	// Solver reports the global-stage scaling machinery: the assemble-once
-	// cache (one matrix assembly per lattice) and the warm-start behavior
-	// of the iterative solvers.
+	// cache (one matrix assembly per lattice) and how many iterative
+	// answers were scaled from a cached unit-load solution (warmStarts).
 	Solver struct {
 		Assemblies      int64 `json:"assemblies"`
 		AssemblyHits    int64 `json:"assemblyHits"`
 		IterativeSolves int64 `json:"iterativeSolves"`
 		WarmStarts      int64 `json:"warmStarts"`
-		WarmFallbacks   int64 `json:"warmFallbacks"`
 		Iterations      int64 `json:"iterations"`
 		// PrecondBuilds/PrecondHits report the assembly-cached
 		// preconditioners: built at most once per (lattice, kind,
@@ -536,7 +535,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out.Solver.AssemblyHits = es.AssemblyHits
 	out.Solver.IterativeSolves = es.IterativeSolves
 	out.Solver.WarmStarts = es.WarmStarts
-	out.Solver.WarmFallbacks = es.WarmFallbacks
 	out.Solver.Iterations = es.Iterations
 	out.Solver.PrecondBuilds = es.PrecondBuilds
 	out.Solver.PrecondHits = es.PrecondHits

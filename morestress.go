@@ -320,7 +320,7 @@ func (m *Model) SolveArray(spec ArraySpec) (*ArrayResult, error) {
 		kind = array.CG
 	}
 	prob := globalProblem(m.TSV, spec.Rows, spec.Cols, spec.DeltaT, spec.DeltaTMap, kind, spec.Options, m.Config.workers())
-	return solveGlobal(prob, spec.GridSamples)
+	return solveGlobal(prob, spec.GridSamples, array.Solve)
 }
 
 // globalProblem translates a standalone clamped-array scenario into the
@@ -343,11 +343,12 @@ func globalProblem(r *rom.ROM, rows, cols int, deltaT float64, dtMap func(row, c
 	}
 }
 
-// solveGlobal runs the global stage of prob, samples the mid-plane field
-// when requested, and packages the result with its timing.
-func solveGlobal(prob *array.Problem, gridSamples int) (*ArrayResult, error) {
+// solveGlobal runs the global stage of prob through solve (array.Solve or
+// array.SolveUniform), samples the mid-plane field when requested, and
+// packages the result with its timing.
+func solveGlobal(prob *array.Problem, gridSamples int, solve func(*array.Problem) (*array.Solution, error)) (*ArrayResult, error) {
 	start := time.Now()
-	sol, err := array.Solve(prob)
+	sol, err := solve(prob)
 	if err != nil {
 		return nil, err
 	}
