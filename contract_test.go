@@ -14,7 +14,8 @@ import (
 )
 
 // stripJobs are the contract's scenarios on a 1×48 strip of the served
-// (5,5,5) coarse cell (4 797 free DoFs, above solver.AutoMulticolorMinDoFs):
+// (5,5,5) coarse cell (4 797 free DoFs, a size that once took a different
+// IC0 ordering):
 // a hotspot-shaped per-block ΔT, a uniform ΔT, and a uniform ΔT with its
 // von Mises field sampled. Every job uses the default solver options.
 func stripJobs() []morestress.Job {
@@ -75,8 +76,8 @@ func TestAnswersIndependentOfWorkers(t *testing.T) {
 					if n := len(r.Result.Solution.QFree); n != 4797 {
 						t.Fatalf("job %d: %d free DoFs, want 4 797", i, n)
 					}
-					if o := r.Result.Stats.Ordering; o != morestress.OrderingMulticolor {
-						t.Errorf("job %d: ordering %v, want multicolor by size", i, o)
+					if o := r.Result.Stats.Ordering; o != morestress.OrderingNatural {
+						t.Errorf("job %d: ordering %v, want natural", i, o)
 					}
 				}
 			}

@@ -46,17 +46,14 @@
 //   - The global stage itself scales across scenarios: the engine assembles
 //     each lattice's reduced global system once (array.Assembly, shared by
 //     every solver kind) and each preconditioner at most once per lattice,
-//     kind, and factor ordering (cached on the assembly — the IC0 factor
+//     kind, and factor precision (cached on the assembly — the IC0 factor
 //     is no longer rebuilt per solve), the iterative solvers default to
 //     auto-selected preconditioning (block-Jacobi-3 for small lattices,
 //     IC0 at and above solver.AutoIC0Threshold DoFs;
 //     SolverOptions.Precond overrides) with level-scheduled IC0 triangular
-//     solves, an auto-selected symmetric factor ordering
-//     (SolverOptions.Ordering: multicolor when the system reaches
-//     solver.AutoMulticolorMinDoFs, natural below it — the size alone
-//     decides, so a lattice has one factor and one answer at every worker
-//     count) and
-//     an allocation-free PCG hot loop, and every uniform-ΔT job is
+//     solves in the natural factor ordering (the only one, so a lattice has
+//     one factor and one answer at every worker count) and an
+//     allocation-free PCG hot loop, and every uniform-ΔT job is
 //     answered as ΔT times its lattice's unit-load solution, solved once
 //     (array.SolveUniform), so an answer does not depend on the order of
 //     the jobs. EngineStats and

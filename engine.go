@@ -169,14 +169,14 @@ type EngineStats struct {
 	// PrecondBuilds counts preconditioner constructions for iterative
 	// solves; PrecondHits counts solves that reused one cached on the
 	// lattice's Assembly. A preconditioner is built at most once per
-	// (lattice, PrecondKind, Ordering, Precision), with the auto values
-	// resolved by the system size alone, so warm-cache scenarios are all
+	// (lattice, PrecondKind, Precision), with the auto values resolved by
+	// the system size alone, so warm-cache scenarios are all
 	// hits and default-option traffic builds one IC0 factor per lattice
 	// (two after a float32 stall: the float64 retry factor).
 	PrecondBuilds, PrecondHits int64
 	// OrderingCounts tallies iterative solves by the symmetric ordering
 	// their preconditioner factored under (keys are the
-	// solver.OrderingKind spellings: "natural", "multicolor").
+	// solver.OrderingKind spellings; every solve counts as "natural").
 	// Orderings that never ran are omitted.
 	OrderingCounts map[string]int64
 	// PrecisionCounts tallies iterative solves by the storage precision of

@@ -72,18 +72,19 @@ func TestEnginePrecondCacheDistinctPerKind(t *testing.T) {
 	}
 }
 
-// TestEngineOrderingCounts: iterative solves tally under the concrete
-// ordering their preconditioner factored under, distinct orderings of the
-// factorizing kind cache separately, and the counts sum to the iterative
-// solve count.
+// TestEngineOrderingCounts: iterative solves tally under the ordering their
+// preconditioner factored under — natural, whatever the job names, the
+// reserved value of the deleted multicolor ordering included — every
+// ordering of the factorizing kind shares one cache entry, and the counts
+// sum to the iterative solve count.
 func TestEngineOrderingCounts(t *testing.T) {
 	cfg := testConfig(15)
 	e := NewEngine(EngineOptions{Workers: 1, DisableWarmStart: true})
 	jobs := []Job{
 		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -100, Solver: SolveCG,
-			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: solver.OrderingMulticolor}},
+			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: 3}},
 		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -150, Solver: SolveCG,
-			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: solver.OrderingMulticolor}},
+			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: solver.OrderingAuto}},
 		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -200, Solver: SolveCG,
 			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: solver.OrderingNatural}},
 	}
@@ -92,11 +93,8 @@ func TestEngineOrderingCounts(t *testing.T) {
 		t.Fatalf("batch errors: %+v", br.Stats)
 	}
 	s := e.Stats()
-	if got := s.OrderingCounts["multicolor"]; got != 2 {
-		t.Errorf("multicolor count = %d, want 2 (counts: %v)", got, s.OrderingCounts)
-	}
-	if got := s.OrderingCounts["natural"]; got != 1 {
-		t.Errorf("natural count = %d, want 1 (counts: %v)", got, s.OrderingCounts)
+	if len(s.OrderingCounts) != 1 || s.OrderingCounts["natural"] != 3 {
+		t.Errorf("ordering counts = %v, want {natural: 3}", s.OrderingCounts)
 	}
 	var total int64
 	for _, n := range s.OrderingCounts {
@@ -105,9 +103,9 @@ func TestEngineOrderingCounts(t *testing.T) {
 	if total != s.IterativeSolves {
 		t.Errorf("ordering counts sum %d != iterative solves %d", total, s.IterativeSolves)
 	}
-	// Two orderings of IC0 on one lattice are two distinct cache entries.
-	if s.PrecondBuilds != 2 || s.PrecondHits != 1 {
-		t.Errorf("builds/hits = %d/%d, want 2/1 (one factor per ordering)", s.PrecondBuilds, s.PrecondHits)
+	// Every ordering of IC0 on one lattice is the one cache entry.
+	if s.PrecondBuilds != 1 || s.PrecondHits != 2 {
+		t.Errorf("builds/hits = %d/%d, want 1/2 (one factor for every ordering)", s.PrecondBuilds, s.PrecondHits)
 	}
 	for _, r := range br.Results {
 		res := r.Result
@@ -123,9 +121,9 @@ func TestEngineOrderingCounts(t *testing.T) {
 // TestEngineBatchThenSolveShareOneFactor: a lattice solved through
 // BatchSolve, whose concurrent jobs each get a share of the cores, and then
 // through Engine.Solve, which gets them all, holds one IC0 factor and gives
-// one answer. The factor's ordering follows the lattice's size alone: the
-// 1×48 strip of the served (5,5,5) coarse cell (4 797 free DoFs) factors
-// multicolor on every path.
+// one answer. The 1×48 strip of the served (5,5,5) coarse cell (4 797 free
+// DoFs, above the size where the deleted multicolor ordering used to take
+// over) factors natural on every path.
 func TestEngineBatchThenSolveShareOneFactor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := DefaultConfig(15)
@@ -153,8 +151,8 @@ func TestEngineBatchThenSolveShareOneFactor(t *testing.T) {
 	if s.PrecondBuilds != 1 {
 		t.Errorf("precond builds = %d, want 1 (one lattice, one factor)", s.PrecondBuilds)
 	}
-	if len(s.OrderingCounts) != 1 || s.OrderingCounts["multicolor"] != 3 {
-		t.Errorf("ordering counts = %v, want {multicolor: 3}", s.OrderingCounts)
+	if len(s.OrderingCounts) != 1 || s.OrderingCounts["natural"] != 3 {
+		t.Errorf("ordering counts = %v, want {natural: 3}", s.OrderingCounts)
 	}
 	q, ref := solo.Result.Solution.Q, br.Results[0].Result.Solution.Q
 	diffs := 0

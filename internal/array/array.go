@@ -78,8 +78,7 @@ type Problem struct {
 	Opt solver.Options
 	// Workers bounds the parallelism of the assembly and, unless
 	// Opt.Workers sets its own, of the iterative solve (0 = GOMAXPROCS,
-	// solver.DefaultWorkers — the count the OrderingAuto rule resolves
-	// against).
+	// solver.DefaultWorkers). It never changes the answer.
 	Workers int
 	// Assembly optionally supplies a prebuilt assemble-once snapshot of the
 	// reduced global system. The matrix depends only on the ROM content,
@@ -90,11 +89,6 @@ type Problem struct {
 	// Solve checks the cheap structural invariants (dimensions, node
 	// counts, BC kind) and trusts the rest.
 	Assembly *Assembly
-	// X0 optionally seeds the iterative solvers with an initial guess in
-	// reduced free-DoF ordering — the QFree of a previous Solution on the
-	// same assembly (warm start). A wrong-length seed is ignored; a seed
-	// that makes the solver diverge is retried cold (WarmFallback).
-	X0 []float64
 	// Factors optionally shares sparse Cholesky factorizations across
 	// repeated Direct solves: when set together with FactorKey, the Direct
 	// branch asks the cache instead of factoring unconditionally. The
@@ -219,24 +213,22 @@ func (l *Lattice) BlockDoFMap(r *rom.ROM, bx, by int) []int32 {
 // Solution is the outcome of the global stage.
 type Solution struct {
 	// Prob is a snapshot of the solved problem for post-processing (field
-	// reconstruction needs the ROMs and the ΔT field). Its Assembly and X0
-	// are cleared so a retained Solution — e.g. a JobResult a caller keeps
-	// for post-processing — does not pin the reduced global matrix or the
-	// warm-start seed beyond the solve.
+	// reconstruction needs the ROMs and the ΔT field). Its Assembly is
+	// cleared so a retained Solution — e.g. a JobResult a caller keeps for
+	// post-processing — does not pin the reduced global matrix beyond the
+	// solve.
 	Prob    *Problem
 	Lattice *Lattice
 	// Q holds the global surface-node displacements (3 per node).
 	Q []float64
-	// QFree is the solution in reduced free-DoF ordering, usable as the
-	// seed (Problem.X0) of another solve on the same assembly. Empty in the
+	// QFree is the solution in reduced free-DoF ordering. Empty in the
 	// degenerate all-constrained case.
 	QFree []float64
 	// Stats reports the iterative solve, including the resolved
 	// preconditioner kind and whether the solve was warm-started.
 	Stats solver.Stats
 	// Ordering is the symmetric ordering the solve's preconditioner
-	// factored under (mirrors Stats.Ordering; OrderingNatural for direct
-	// solves, block-Jacobi-3, and the degenerate all-constrained case).
+	// factored under (mirrors Stats.Ordering): always OrderingNatural.
 	Ordering solver.OrderingKind
 	// Timings of the two global-stage phases. When AssemblyShared is true,
 	// AssembleTime covers only the per-scenario RHS build; the matrix
@@ -252,9 +244,6 @@ type Solution struct {
 	// solve that populates the cache records the cost in
 	// Stats.PrecondBuild. A scaled SolveUniform answer counts as shared.
 	PrecondShared bool
-	// WarmFallback reports that the warm-started solve stalled and the
-	// recorded Stats are from the retry, started from zero.
-	WarmFallback bool
 	// Precision is the storage precision of the solve's preconditioner
 	// factor (mirrors Stats.Precision; PrecisionFloat64 for direct solves,
 	// block-Jacobi-3, and the degenerate all-constrained case).
@@ -309,21 +298,19 @@ type Assembly struct {
 	aff *sparse.BCSR
 
 	// preconds caches the lazily built preconditioners, one per
-	// (kind, ordering, precision); units caches the unit-load solutions
+	// (kind, precision); units caches the unit-load solutions
 	// SolveUniform scales, at most maxUnitSolutions of them.
 	preconds onceMap[precondKey, solver.Preconditioner]
 	units    onceMap[unitKey, unitSolution]
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
-// for the factorizing kinds, the concrete symmetric ordering and factor
-// storage precision the factor was built under (the ordering-invariant
-// kinds always cache under OrderingNatural and PrecisionFloat64 so
-// spellings share one entry; PrecisionAuto canonicalizes to PrecisionFloat32
-// for IC0 because both build the identical float32 factor).
+// for IC0, the factor storage precision (the other kinds always cache under
+// PrecisionFloat64 so spellings share one entry; PrecisionAuto
+// canonicalizes to PrecisionFloat32 for IC0 because both build the
+// identical float32 factor).
 type precondKey struct {
 	kind solver.PrecondKind
-	ord  solver.OrderingKind
 	prec solver.Precision
 }
 
@@ -395,9 +382,8 @@ type AssemblyPrecond struct {
 	// Kind is the concrete preconditioner kind (Auto resolved against the
 	// reduced system size).
 	Kind solver.PrecondKind
-	// Ordering is the concrete symmetric ordering the preconditioner was
-	// built under (Auto resolved against the reduced system size;
-	// OrderingNatural for the ordering-invariant kinds).
+	// Ordering is the symmetric ordering the preconditioner was built
+	// under: always OrderingNatural (solver.ResolveOrdering).
 	Ordering solver.OrderingKind
 	// Precision is the concrete storage precision of the built factor:
 	// the requested one for IC0 (PrecisionAuto resolves to float32),
@@ -412,35 +398,34 @@ type AssemblyPrecond struct {
 }
 
 // PreconditionerPrec returns the lattice's shared preconditioner for the
-// requested kind, ordering and factor precision, building and caching it on
-// first use. Distinct (kind, ordering, precision) triples cache
-// independently — the ordering permutation lives inside the cached factor,
-// so "the ordering + permuted factor" is one entry; PrecondAuto and
-// OrderingAuto resolve to concrete values first, by the system size alone,
-// so an explicit request for the resolved pair shares the same entry and
-// every solve of a lattice shares one factor whatever its parallelism. Only
-// the factorizing kinds are ordering- and precision-sensitive; the others
-// cache under OrderingNatural and PrecisionFloat64 whatever is requested.
-// For IC0, PrecisionAuto and PrecisionFloat32 build the identical float32
-// factor and so share one cache entry, while PrecisionFloat64 caches
-// separately — the float64 factor a stalled float32 solve retries against
-// lives next to the float32 factor it replaces. The trailing worker count
-// is unused; it stays for existing callers.
+// requested kind and factor precision, building and caching it on first
+// use. PrecondAuto resolves to a concrete kind first, by the system size
+// alone, so an explicit request for the resolved kind shares the same entry
+// and every solve of a lattice shares one factor whatever its parallelism.
+// IC0 factors in the one ordering there is, so every requested ordering
+// maps to the same entry. Only IC0 is precision-sensitive; the other kinds
+// cache under PrecisionFloat64 whatever is requested. For IC0,
+// PrecisionAuto and PrecisionFloat32 build the identical float32 factor and
+// so share one cache entry, while PrecisionFloat64 caches separately — the
+// float64 factor a stalled float32 solve retries against lives next to the
+// float32 factor it replaces. The requested ordering changes nothing and
+// the trailing worker count is unused; both stay for existing callers.
 func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision, _ int) (AssemblyPrecond, error) {
 	if a.Red == nil {
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
-	key := a.precondKey(kind, ord, prec)
+	key := a.precondKey(kind, prec)
+	ord = solver.ResolveOrdering(ord, a.aff.NRows)
 	var build time.Duration
 	e, built := a.preconds.get(key, 0, func() (solver.Preconditioner, error) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		defer func() { build = time.Since(t0) }()
-		return solver.NewPreconditioner(key.kind, key.ord, key.prec, a.aff)
+		return solver.NewPreconditioner(key.kind, key.prec, a.aff)
 	})
 	if e.err != nil {
-		return AssemblyPrecond{Kind: key.kind, Ordering: key.ord}, e.err
+		return AssemblyPrecond{Kind: key.kind, Ordering: ord}, e.err
 	}
-	out := AssemblyPrecond{M: e.v, Kind: key.kind, Ordering: key.ord, Precision: solver.PrecisionFloat64, Hit: !built, Build: build}
+	out := AssemblyPrecond{M: e.v, Kind: key.kind, Ordering: ord, Precision: solver.PrecisionFloat64, Hit: !built, Build: build}
 	if fp, ok := e.v.(solver.FactorPrecisioned); ok {
 		out.Precision = fp.FactorPrecision()
 	}
@@ -449,15 +434,15 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 
 // precondKey resolves a requested preconditioner to the key it caches
 // under; see PreconditionerPrec.
-func (a *Assembly) precondKey(kind solver.PrecondKind, ord solver.OrderingKind, prec solver.Precision) precondKey {
+func (a *Assembly) precondKey(kind solver.PrecondKind, prec solver.Precision) precondKey {
 	resolved := kind.Resolve(a.Red.NFree())
 	if resolved != solver.PrecondIC0 {
-		return precondKey{kind: resolved, ord: solver.OrderingNatural, prec: solver.PrecisionFloat64}
+		return precondKey{kind: resolved, prec: solver.PrecisionFloat64}
 	}
 	if prec == solver.PrecisionAuto {
 		prec = solver.PrecisionFloat32
 	}
-	return precondKey{kind: resolved, ord: solver.ResolveOrdering(ord, a.aff.NRows), prec: prec}
+	return precondKey{kind: resolved, prec: prec}
 }
 
 // Blocked returns the reduced matrix A_ff as 3×3 tiles (BCSR) — the only
@@ -612,20 +597,18 @@ func (p *Problem) Validate() error {
 }
 
 // snapshot copies the problem for retention in a Solution, dropping the
-// references a solved result no longer needs: the Assembly (the full
-// reduced matrix — post-processing only needs the Lattice, stored on the
-// Solution) and the warm-start seed.
+// Assembly (the full reduced matrix — post-processing only needs the
+// Lattice, stored on the Solution), which a solved result no longer needs.
 func (p *Problem) snapshot() *Problem {
 	c := *p
 	c.Assembly = nil
-	c.X0 = nil
 	return &c
 }
 
 // Solve runs the global stage: assembly (Eqs. 18–19 outputs scattered by the
 // standard procedure) — or reuse of a shared Problem.Assembly — lifting of
-// boundary conditions, the (preconditioned, optionally warm-started) solve,
-// and returns the global surface-node displacement.
+// boundary conditions, the preconditioned solve, and returns the global
+// surface-node displacement.
 func Solve(p *Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -706,8 +689,7 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 	// Iterative solves draw their preconditioner from the assembly's
 	// per-kind cache: built on the lattice's first solve, shared by every
-	// scenario after it (including the cold retry of a failed warm start).
-	// A caller-supplied Opt.M wins over the cache.
+	// scenario after it. A caller-supplied Opt.M wins over the cache.
 	precondShared := false
 	drewPrec := solver.PrecisionFloat64
 	var precondBuild time.Duration
@@ -718,19 +700,14 @@ func Solve(p *Problem) (*Solution, error) {
 		}
 		opt.M = ap.M
 		opt.Precond = ap.Kind
-		opt.Ordering = ap.Ordering
 		precondShared = ap.Hit
 		drewPrec = ap.Precision
 		precondBuild = ap.Build
 	}
-	x0 := p.X0
-	if len(x0) != len(rhs) {
-		x0 = nil
-	}
-	solve := func(seed []float64) (qf []float64, stats solver.Stats, err error) {
+	solve := func() (qf []float64, stats solver.Stats, err error) {
 		switch p.Solver {
 		case CG:
-			return solver.PCG(asm.aff, rhs, seed, opt)
+			return solver.PCG(asm.aff, rhs, nil, opt)
 		case Direct:
 			factor := func() (*solver.CholFactor, error) { return solver.NewCholesky(asm.aff.ToCSR()) }
 			var chol *solver.CholFactor
@@ -744,21 +721,15 @@ func Solve(p *Problem) (*Solution, error) {
 			}
 			return chol.Solve(rhs), solver.Stats{Converged: true, Ordering: solver.OrderingNatural, Precision: solver.PrecisionFloat64}, nil
 		default:
-			return solver.GMRES(asm.aff, rhs, seed, opt)
+			return solver.GMRES(asm.aff, rhs, nil, opt)
 		}
 	}
-	qf, stats, err := solve(x0)
-	// One retry after a stall (GMRES or PCG): from zero if the attempt was
-	// seeded, and against the assembly's float64 factor — the sibling cache
-	// entry of the concrete kind/ordering drawn above, built once per
-	// lattice — if the factor was float32. A cold float64 stall has nothing
-	// to change; structural failures (breakdowns) are not stalls.
-	stalled := errors.Is(err, solver.ErrStalled)
-	fellBack := stalled && x0 != nil
-	precFellBack := stalled && drewPrec == solver.PrecisionFloat32
-	if fellBack {
-		x0 = nil
-	}
+	qf, stats, err := solve()
+	// One retry after a stall (GMRES or PCG) under a float32 factor, against
+	// the assembly's float64 factor — the sibling cache entry of the
+	// concrete kind drawn above, built once per lattice. A float64 stall has
+	// nothing to change; structural failures (breakdowns) are not stalls.
+	precFellBack := errors.Is(err, solver.ErrStalled) && drewPrec == solver.PrecisionFloat32
 	if precFellBack {
 		ap, perr := asm.PreconditionerPrec(opt.Precond, opt.Ordering, solver.PrecisionFloat64, 0)
 		if perr != nil {
@@ -767,9 +738,7 @@ func Solve(p *Problem) (*Solution, error) {
 		opt.M = ap.M
 		opt.Precision = solver.PrecisionFloat64
 		precondBuild += ap.Build
-	}
-	if fellBack || precFellBack {
-		qf, stats, err = solve(x0)
+		qf, stats, err = solve()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("array: global solve failed: %w", err)
@@ -793,7 +762,7 @@ func Solve(p *Problem) (*Solution, error) {
 		Ordering:     stats.Ordering,
 		Precision:    stats.Precision,
 		AssembleTime: asmTime, SolveTime: solveTime,
-		AssemblyShared: shared, WarmFallback: fellBack,
+		AssemblyShared:    shared,
 		PrecondShared:     precondShared,
 		PrecisionFallback: precFellBack,
 		GlobalDoFs:        ndof, MatrixNNZ: asm.NNZ,
@@ -819,7 +788,7 @@ type unitKey struct {
 func (a *Assembly) unitKey(p *Problem) unitKey {
 	return unitKey{
 		solver:  p.Solver,
-		precond: a.precondKey(p.Opt.Precond, p.Opt.Ordering, p.Opt.Precision),
+		precond: a.precondKey(p.Opt.Precond, p.Opt.Precision),
 		tol:     p.Opt.Tol, maxIter: p.Opt.MaxIter, restart: p.Opt.Restart,
 	}
 }
@@ -837,12 +806,12 @@ type unitSolution struct {
 // cold and caches on the Assembly. A scaled answer reports the unit solve's
 // Stats with 0 iterations and Warm set; the call that ran the unit solve
 // reports that solve's. Problems outside the superposition (no Assembly, a
-// per-block load, a prescribed boundary, Direct, a caller's M or X0, a zero
-// or non-finite ΔT) go to Solve.
+// per-block load, a prescribed boundary, Direct, a caller's M, a zero or
+// non-finite ΔT) go to Solve.
 func SolveUniform(p *Problem) (*Solution, error) {
 	asm, dt := p.Assembly, p.DeltaT
 	if asm == nil || asm.AllBC || p.DeltaTFor != nil || p.BC != ClampedTopBottom || p.Solver == Direct ||
-		p.Opt.M != nil || p.X0 != nil || dt == 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
+		p.Opt.M != nil || dt == 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return Solve(p)
 	}
 	if err := p.Validate(); err != nil {

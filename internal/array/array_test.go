@@ -436,58 +436,3 @@ func TestAssemblyMismatchRejected(t *testing.T) {
 		t.Error("expected error for mismatched BC kind")
 	}
 }
-
-// TestWarmStartFallbackOnBadSeed checks the divergence fallback: a poisoned
-// initial guess (NaNs break the PCG recurrence) must not fail the solve —
-// it is retried cold and flagged via WarmFallback.
-func TestWarmStartFallbackOnBadSeed(t *testing.T) {
-	r := buildROM(t, 3, true)
-	p := &Problem{
-		ROM: r, Bx: 2, By: 2, DeltaT: -100,
-		BC: ClampedTopBottom, Solver: CG,
-		Opt: solver.Options{Tol: 1e-9, MaxIter: 400},
-	}
-	good, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.WarmFallback || good.Stats.Warm {
-		t.Fatalf("cold solve misreported warm state: %+v", good.Stats)
-	}
-
-	bad := *p
-	bad.X0 = make([]float64, len(good.QFree))
-	for i := range bad.X0 {
-		bad.X0[i] = math.NaN()
-	}
-	sol, err := Solve(&bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.WarmFallback {
-		t.Error("poisoned seed did not trigger the cold fallback")
-	}
-	if sol.Stats.Warm {
-		t.Error("fallback stats still report a warm solve")
-	}
-	var maxDiff float64
-	for i := range sol.Q {
-		if d := math.Abs(sol.Q[i] - good.Q[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-9 {
-		t.Errorf("fallback solution deviates by %g", maxDiff)
-	}
-
-	// A wrong-length seed is ignored, not an error.
-	short := *p
-	short.X0 = []float64{1, 2, 3}
-	ss, err := Solve(&short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Stats.Warm || ss.WarmFallback {
-		t.Error("wrong-length seed should be dropped silently")
-	}
-}

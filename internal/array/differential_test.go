@@ -16,9 +16,8 @@ import (
 // shape the IC0 factor, so only IC0 runs across those two axes; the other
 // kinds run once each. The lattices cover the single block, a strip and a
 // square on the served (5,5,5) coarse cell, each clamped and with prescribed
-// boundary displacements; 1×48 (4 797 free DoFs when clamped) is large
-// enough that OrderingAuto takes its multicolor branch. Agreeing with one
-// reference, the tuples agree with each other, so the matrix stands in for
+// boundary displacements; every IC0 tuple factors natural, whatever
+// ordering it names. Agreeing with one reference, the tuples agree with each other, so the matrix stands in for
 // pairwise GMRES/CG/direct comparisons on the reduced system.
 func TestDifferentialSolverMatrix(t *testing.T) {
 	r := servedROM(t, true)
@@ -33,7 +32,7 @@ func TestDifferentialSolverMatrix(t *testing.T) {
 			tuples = append(tuples, tuple{k, solver.OrderingAuto, solver.PrecisionAuto})
 			continue
 		}
-		for _, o := range []solver.OrderingKind{solver.OrderingAuto, solver.OrderingNatural, solver.OrderingMulticolor} {
+		for _, o := range []solver.OrderingKind{solver.OrderingAuto, solver.OrderingNatural} {
 			for _, pr := range []solver.Precision{solver.PrecisionAuto, solver.PrecisionFloat64, solver.PrecisionFloat32} {
 				tuples = append(tuples, tuple{k, o, pr})
 			}
@@ -72,10 +71,6 @@ func TestDifferentialSolverMatrix(t *testing.T) {
 				if scale == 0 {
 					t.Fatal("direct solution is identically zero")
 				}
-				multicolorAuto := asm.NumFree() >= solver.AutoMulticolorMinDoFs
-				if lat.by == 48 && bc == ClampedTopBottom && !multicolorAuto {
-					t.Errorf("%d free DoFs do not reach the multicolor branch of OrderingAuto", asm.NumFree())
-				}
 				for _, sk := range []struct {
 					name string
 					kind SolverKind
@@ -97,14 +92,8 @@ func TestDifferentialSolverMatrix(t *testing.T) {
 							t.Errorf("%s %v/%v/%v: max|q − q_direct| = %.3g, want ≤ 1e-8·%.3g (%d iterations)",
 								sk.name, tu.kind, tu.ord, tu.prec, diff, scale, sol.Stats.Iterations)
 						}
-						if sol.Stats.Precond == solver.PrecondIC0 && tu.ord == solver.OrderingAuto {
-							want := solver.OrderingNatural
-							if multicolorAuto {
-								want = solver.OrderingMulticolor
-							}
-							if sol.Ordering != want {
-								t.Errorf("%s %v/auto: ordering %v, want %v", sk.name, tu.kind, sol.Ordering, want)
-							}
+						if sol.Ordering != solver.OrderingNatural {
+							t.Errorf("%s %v/%v: ordering %v, want natural", sk.name, tu.kind, tu.ord, sol.Ordering)
 						}
 					}
 				}

@@ -16,13 +16,13 @@ import (
 // docs/SOLVER_TUNING.md and the reduced_global_precond section of
 // BENCH_global.json: PCG and GMRES (the serving default) on the reduced
 // global matrix at coarse resolution, (5,5,5) nodes, Tol 1e-8, for each
-// lattice size, preconditioner, and — for IC0 — symmetric ordering
-// (natural, multicolor). It reports the cold solve (first solve on the
-// lattice: preconditioner build + iterate), the warm solve (assembly-cached preconditioner, the serving path's
-// per-scenario cost), and the factor's dependency-level shape (levels ×
-// widest level), which is what the ordering changes. Run at -cpu 1 and
-// -cpu 4 to measure the serial-fallback and fan-out regimes; the
-// AutoIC0Threshold default and the OrderingAuto range come from these
+// lattice size, preconditioner, and — for IC0 — factor precision. It
+// reports the cold solve (first solve on the lattice: preconditioner build
+// + iterate), the warm solve (assembly-cached preconditioner, the serving
+// path's per-scenario cost), and the factor's dependency-level shape
+// (levels × widest level), which decides how far the triangular solves fan
+// out. Run at -cpu 1 and -cpu 2 (or more) to measure the serial-fallback
+// and fan-out regimes; the AutoIC0Threshold default comes from these
 // tables.
 // Gated behind MEASURE=1 because the large lattices take minutes.
 func TestMeasureReducedGlobalPrecond(t *testing.T) {
@@ -37,19 +37,16 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 	}
 	type variant struct {
 		kind solver.PrecondKind
-		ord  solver.OrderingKind
 		prec solver.Precision
 	}
-	// The two explicit IC0 precisions at the natural ordering measure the
-	// factor in both storage widths; the remaining orderings run at the auto
-	// precision the serving path uses.
+	// The two explicit IC0 precisions measure the factor in both storage
+	// widths; float32 is the one the serving path uses.
 	variants := []variant{
-		{solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionFloat64},
-		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat64},
-		{solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionFloat32},
-		{solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto},
+		{solver.PrecondBlockJacobi3, solver.PrecisionFloat64},
+		{solver.PrecondIC0, solver.PrecisionFloat64},
+		{solver.PrecondIC0, solver.PrecisionFloat32},
 	}
-	for _, size := range []int{6, 12, 18} {
+	for _, size := range []int{6, 12, 18, 24} {
 		base := &Problem{ROM: r, Bx: size, By: size, DeltaT: -250, BC: ClampedTopBottom}
 		asm, err := NewAssembly(base, 0)
 		if err != nil {
@@ -66,7 +63,7 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 					p := *base
 					p.Assembly = a
 					p.Solver = sk.kind
-					p.Opt = solver.Options{Tol: 1e-8, Precond: v.kind, Ordering: v.ord, Precision: v.prec}
+					p.Opt = solver.Options{Tol: 1e-8, Precond: v.kind, Precision: v.prec}
 					t0 := time.Now()
 					sol, err := Solve(&p)
 					if err != nil {
@@ -81,7 +78,7 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 				}
 				coldSol, cold := solveOnce(coldAsm)
 				// Warm: shared assembly whose preconditioner cache is populated.
-				ap, err := asm.PreconditionerPrec(v.kind, v.ord, v.prec, 0)
+				ap, err := asm.PreconditionerPrec(v.kind, solver.OrderingAuto, v.prec, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,8 +99,8 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 					}
 					warmSol = sol
 				}
-				fmt.Printf("MEASURE %dx%d %-5s %-14s %-10s prec=%-7s it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d levels=%5d width=%5d shared=%v\n",
-					size, size, sk.name, v.kind, v.ord, warmSol.Precision, warmSol.Stats.Iterations,
+				fmt.Printf("MEASURE %dx%d %-5s %-14s prec=%-7s it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d levels=%5d width=%5d shared=%v\n",
+					size, size, sk.name, v.kind, warmSol.Precision, warmSol.Stats.Iterations,
 					float64(cold)/1e6, float64(best)/1e6,
 					float64(coldSol.Stats.PrecondBuild)/1e6,
 					float64(warmSol.Stats.PrecondApply)/1e6,

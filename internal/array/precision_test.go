@@ -2,7 +2,6 @@ package array
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/solver"
@@ -159,45 +158,6 @@ func TestStallRetriesOnceWithFloat64Factor(t *testing.T) {
 		}
 		if after := asm.MemoryBytes(); after != before {
 			t.Errorf("%s: a float64 stall changed MemoryBytes %d → %d", name, before, after)
-		}
-	}
-}
-
-// TestBadSeedUnderFloat32RetriesColdInFloat64: the one retry applies both
-// adjustments at once — a poisoned seed under the float32 factor reruns from
-// zero against the float64 factor, and the Solution flags both fallbacks.
-func TestBadSeedUnderFloat32RetriesColdInFloat64(t *testing.T) {
-	p := precondProblem(t)
-	p.Solver = GMRES
-	p.Opt.Precond = solver.PrecondIC0
-	asm, err := NewAssembly(p, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Assembly = asm
-	good, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *p
-	bad.X0 = make([]float64, len(good.QFree))
-	for i := range bad.X0 {
-		bad.X0[i] = math.NaN()
-	}
-	sol, err := Solve(&bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.WarmFallback || !sol.PrecisionFallback || sol.Stats.Warm {
-		t.Errorf("fallbacks: warm=%v precision=%v stats.warm=%v, want true, true, false",
-			sol.WarmFallback, sol.PrecisionFallback, sol.Stats.Warm)
-	}
-	if sol.Precision != solver.PrecisionFloat64 {
-		t.Errorf("retry ran under %v, want float64", sol.Precision)
-	}
-	for i := range sol.Q {
-		if d := math.Abs(sol.Q[i] - good.Q[i]); d > 1e-6 {
-			t.Fatalf("retry solution deviates by %g at %d", d, i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package array
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -105,71 +106,43 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	}
 }
 
-// TestAssemblyPrecondDistinctPerOrdering: the factorizing kind caches one
-// entry per concrete ordering (the ordering permutation lives inside the
-// factor), OrderingAuto shares the entry of the ordering it resolves to, and
-// the ordering-invariant kinds collapse every ordering onto one entry.
-func TestAssemblyPrecondDistinctPerOrdering(t *testing.T) {
+// TestAssemblyPrecondSharedAcrossOrderings: IC0 factors in the one natural
+// ordering, so every requested ordering — auto, natural and the reserved
+// value of the deleted multicolor ordering — shares the lattice's one cache
+// entry and reports natural; the ordering-invariant kinds do the same.
+func TestAssemblyPrecondSharedAcrossOrderings(t *testing.T) {
 	p := precondProblem(t)
 	asm, err := NewAssembly(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nat, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingNatural, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Hit || mc.M == nat.M {
-		t.Errorf("multicolor ic0 shared the natural entry (hit=%v)", mc.Hit)
-	}
-	if nat.Ordering != solver.OrderingNatural || mc.Ordering != solver.OrderingMulticolor {
-		t.Errorf("orderings recorded as %v, %v", nat.Ordering, mc.Ordering)
-	}
-	again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingMulticolor, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Hit || again.M != mc.M {
-		t.Errorf("repeat multicolor request: hit=%v same=%v", again.Hit, again.M == mc.M)
-	}
-	// Auto resolves to a concrete ordering and must share that entry rather
-	// than cache a duplicate under OrderingAuto.
-	resolved := solver.ResolveOrdering(solver.OrderingAuto, asm.NumFree())
-	want, err := asm.PreconditionerPrec(solver.PrecondIC0, resolved, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.M != want.M || !auto.Hit {
-		t.Errorf("auto did not share the %v entry (hit=%v)", resolved, auto.Hit)
-	}
-	// Ordering-invariant kinds ignore the ordering: one entry for all.
-	j1, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingNatural, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := asm.PreconditionerPrec(solver.PrecondBlockJacobi3, solver.OrderingMulticolor, solver.PrecisionAuto, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j2.Hit || j1.M != j2.M || j2.Ordering != solver.OrderingNatural {
-		t.Errorf("block-jacobi3 did not collapse orderings: hit=%v same=%v ord=%v", j2.Hit, j1.M == j2.M, j2.Ordering)
+	for _, kind := range []solver.PrecondKind{solver.PrecondIC0, solver.PrecondBlockJacobi3} {
+		first, err := asm.PreconditionerPrec(kind, solver.OrderingNatural, solver.PrecisionAuto, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Hit {
+			t.Errorf("%v: first request claims a cached preconditioner", kind)
+		}
+		for _, ord := range []solver.OrderingKind{solver.OrderingAuto, solver.OrderingNatural, 3} {
+			ap, err := asm.PreconditionerPrec(kind, ord, solver.PrecisionAuto, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ap.Hit || ap.M != first.M || ap.Ordering != solver.OrderingNatural {
+				t.Errorf("%v/%v: hit=%v same=%v ordering=%v, want the one natural entry", kind, ord, ap.Hit, ap.M == first.M, ap.Ordering)
+			}
+		}
 	}
 }
 
-// TestSolveSurfacesOrdering: the solve threads Options.Ordering through the
-// assembly cache and surfaces the concrete ordering on the Solution.
+// TestSolveSurfacesOrdering: the solve surfaces the ordering its factor ran
+// under on the Solution — natural, also for a request that names the
+// reserved multicolor value — and that request gives the natural answer.
 func TestSolveSurfacesOrdering(t *testing.T) {
 	p := precondProblem(t)
 	p.Opt.Precond = solver.PrecondIC0
-	p.Opt.Ordering = solver.OrderingMulticolor
+	p.Opt.Ordering = 3
 	asm, err := NewAssembly(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -179,37 +152,25 @@ func TestSolveSurfacesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Ordering != solver.OrderingMulticolor || first.Stats.Ordering != solver.OrderingMulticolor {
-		t.Errorf("ordering surfaced as %v / %v, want multicolor", first.Ordering, first.Stats.Ordering)
+	if first.Ordering != solver.OrderingNatural || first.Stats.Ordering != solver.OrderingNatural {
+		t.Errorf("ordering surfaced as %v / %v, want natural", first.Ordering, first.Stats.Ordering)
 	}
 	if first.PrecondShared {
-		t.Error("first multicolor solve claims a cached preconditioner")
+		t.Error("first solve claims a cached preconditioner")
 	}
-	second, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.PrecondShared || second.Ordering != solver.OrderingMulticolor {
-		t.Errorf("second solve: shared=%v ordering=%v", second.PrecondShared, second.Ordering)
-	}
-	// The two orderings must agree on the physics.
 	q := *p
 	q.Opt.Ordering = solver.OrderingNatural
 	natSol, err := Solve(&q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var maxDiff float64
-	for i := range natSol.Q {
-		if d := natSol.Q[i] - second.Q[i]; d > maxDiff || -d > maxDiff {
-			if d < 0 {
-				d = -d
-			}
-			maxDiff = d
-		}
+	if !natSol.PrecondShared || natSol.Ordering != solver.OrderingNatural {
+		t.Errorf("natural solve: shared=%v ordering=%v", natSol.PrecondShared, natSol.Ordering)
 	}
-	if maxDiff > 1e-6 {
-		t.Errorf("orderings disagree by %g µm on Q", maxDiff)
+	for i := range natSol.Q {
+		if math.Float64bits(natSol.Q[i]) != math.Float64bits(first.Q[i]) {
+			t.Fatalf("Q[%d]: %v under the reserved value, %v under natural", i, first.Q[i], natSol.Q[i])
+		}
 	}
 }
 
@@ -294,10 +255,9 @@ func TestAssemblyPrecondRequiresFreeDoFs(t *testing.T) {
 }
 
 // TestAutoOrderingFollowsDefaultWorkers: the assembly cache resolves
-// OrderingAuto through the same size rule as a bare solve, and no worker
-// count moves it. A process held to one worker still factors a lattice of
-// at least solver.AutoMulticolorMinDoFs multicolor, and a request that
-// names 1 or 4 workers shares that one factor.
+// OrderingAuto through the same rule as a bare solve, and no worker count
+// moves it. A process held to one worker factors a 12×12 lattice natural,
+// and a request that names 1 or 4 workers shares that one factor.
 func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -306,15 +266,12 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := asm.NumFree(); n < solver.AutoMulticolorMinDoFs {
-		t.Fatalf("lattice has %d free DoFs, want ≥ %d so the size rule picks multicolor", n, solver.AutoMulticolorMinDoFs)
-	}
 	ap, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap.Ordering != solver.OrderingMulticolor {
-		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want multicolor", ap.Ordering)
+	if ap.Ordering != solver.OrderingNatural {
+		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want natural", ap.Ordering)
 	}
 	for _, w := range []int{1, 4} {
 		again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, w)
@@ -329,8 +286,8 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 
 // TestAutoOrderingOnServedLattices pins what OrderingAuto decides on the
 // served (5,5,5) coarse cell for the lattices the benchmark workloads run:
-// the new-design shapes stay natural and the 12×12 hotspot lattice factors
-// multicolor, at 1 worker as at 2 — the system size alone decides.
+// the new-design shapes and the 12×12 hotspot lattice all factor natural,
+// at 1 worker as at 2.
 // PrecondAuto likewise follows the size alone: a bare Solve, which builds
 // its own assembly and factor for one solve, resolves it as the engine's
 // cached path does, on either side of solver.AutoIC0Threshold.
@@ -343,8 +300,8 @@ func TestAutoOrderingOnServedLattices(t *testing.T) {
 		{4, 8, 2, 2457, solver.OrderingNatural},
 		{5, 7, 2, 2646, solver.OrderingNatural},
 		{6, 6, 2, 2709, solver.OrderingNatural},
-		{12, 12, 2, 9945, solver.OrderingMulticolor},
-		{12, 12, 1, 9945, solver.OrderingMulticolor},
+		{12, 12, 2, 9945, solver.OrderingNatural},
+		{12, 12, 1, 9945, solver.OrderingNatural},
 	} {
 		asm, err := NewAssembly(&Problem{ROM: r, Bx: c.bx, By: c.by, DeltaT: -250, BC: ClampedTopBottom}, 0)
 		if err != nil {

@@ -590,6 +590,7 @@ func (q *Queue) Cancel(id string) error {
 			}
 		}
 		now := q.opt.now()
+		q.jobsCancelled.Add(1)
 		j.finishLocked(StateCancelled, nil, now)
 		j.mu.Unlock()
 		// Journal the cancellation under q.mu alone: compaction inside the
@@ -598,7 +599,6 @@ func (q *Queue) Cancel(id string) error {
 			q.journalErrors.Add(1)
 		}
 		q.mu.Unlock()
-		q.jobsCancelled.Add(1)
 	default: // running: the worker observes the context and finishes it.
 		j.mu.Unlock()
 		q.mu.Unlock()
@@ -711,9 +711,9 @@ func (q *Queue) Close() {
 			continue
 		}
 		now := q.opt.now()
+		q.jobsCancelled.Add(1)
 		j.finishLocked(StateCancelled, nil, now)
 		j.mu.Unlock()
-		q.jobsCancelled.Add(1)
 		if err := q.journalLocked(recState, stateRec{ID: j.id, State: StateCancelled, Time: now}); err != nil {
 			q.journalErrors.Add(1)
 		}
@@ -782,10 +782,10 @@ func (q *Queue) run(j *job) {
 	for i, sc := range j.scenarios {
 		if j.ctx.Err() != nil {
 			now := q.opt.now()
+			q.jobsCancelled.Add(1)
 			j.mu.Lock()
 			j.finishLocked(StateCancelled, nil, now)
 			j.mu.Unlock()
-			q.jobsCancelled.Add(1)
 			q.journalBestEffort(recState, stateRec{ID: j.id, State: StateCancelled, Time: now})
 			return
 		}
@@ -804,10 +804,10 @@ func (q *Queue) run(j *job) {
 		// cancel lands on the last scenario — and finish the job.
 		if j.ctx.Err() != nil && res.Err != nil {
 			now := q.opt.now()
+			q.jobsCancelled.Add(1)
 			j.mu.Lock()
 			j.finishLocked(StateCancelled, nil, now)
 			j.mu.Unlock()
-			q.jobsCancelled.Add(1)
 			q.journalBestEffort(recState, stateRec{ID: j.id, State: StateCancelled, Time: now})
 			return
 		}
@@ -832,13 +832,13 @@ func (q *Queue) run(j *job) {
 		state = StateFailed
 		jerr = fmt.Errorf("%d of %d scenarios failed", j.failed, len(j.scenarios))
 	}
-	j.finishLocked(state, jerr, now)
-	j.mu.Unlock()
 	if state == StateFailed {
 		q.jobsFailed.Add(1)
 	} else {
 		q.jobsDone.Add(1)
 	}
+	j.finishLocked(state, jerr, now)
+	j.mu.Unlock()
 	rec := stateRec{ID: j.id, State: state, Time: now}
 	if jerr != nil {
 		rec.Err = jerr.Error()
@@ -859,7 +859,8 @@ func (j *job) addResultLocked(r Result) {
 
 // finishLocked lands the job in a terminal state, publishes the final event,
 // closes every subscriber, and releases the job's running cost. Callers hold
-// j.mu.
+// j.mu, and bump the queue's terminal counter first, so Stats read by anyone
+// who sees the terminal state already count the job.
 func (j *job) finishLocked(s State, err error, now time.Time) {
 	j.budget.Add(-j.running)
 	j.state = s

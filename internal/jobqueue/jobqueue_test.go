@@ -121,6 +121,66 @@ func TestScenarioErrorFailsJob(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobOnceTerminal: a job's terminal counter is bumped before
+// its terminal state is published, so Stats read the moment a waiter sees
+// the state — the subscription closing, then waitState — already counts the
+// job, for jobs that finish done, failed and cancelled mid-run.
+func TestStatsCountJobOnceTerminal(t *testing.T) {
+	boom := errors.New("solver exploded")
+	solve := func(ctx context.Context, sc morestress.Job) (*morestress.JobResult, error) {
+		switch {
+		case sc.DeltaT < 0:
+			return nil, boom
+		case sc.DeltaT == 0:
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return &morestress.JobResult{}, nil
+	}
+	q := newTestQueue(t, Options{Solve: solve})
+	var want Stats
+	for i := 0; i < 240; i++ {
+		dt, state := float64(i+1), StateDone
+		switch i % 3 {
+		case 1:
+			dt, state = -dt, StateFailed
+		case 2:
+			dt, state = 0, StateCancelled
+		}
+		id, err := q.Submit([]morestress.Job{scenario(dt)}, nil, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, _, _ := q.Subscribe(id)
+		if state == StateCancelled {
+			waitState(t, q, id, StateRunning)
+			if err := q.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range events {
+		}
+		got := q.Stats()
+		waitState(t, q, id, state)
+		switch state {
+		case StateDone:
+			want.Done++
+		case StateFailed:
+			want.Failed++
+		default:
+			want.Cancelled++
+		}
+		if got.Done != want.Done || got.Failed != want.Failed || got.Cancelled != want.Cancelled {
+			t.Fatalf("job %d (%s): stats done/failed/cancelled = %d/%d/%d the moment it finished, want %d/%d/%d",
+				i, state, got.Done, got.Failed, got.Cancelled, want.Done, want.Failed, want.Cancelled)
+		}
+		if st := q.Stats(); st.Done != want.Done || st.Failed != want.Failed || st.Cancelled != want.Cancelled {
+			t.Fatalf("job %d (%s): stats done/failed/cancelled = %d/%d/%d after waitState, want %d/%d/%d",
+				i, state, st.Done, st.Failed, st.Cancelled, want.Done, want.Failed, want.Cancelled)
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	q := newTestQueue(t, Options{Solve: stubSolve(0, nil)})
 	if _, err := q.Submit(nil, nil, 0, 0); !errors.Is(err, ErrNoScenarios) {

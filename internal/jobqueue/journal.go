@@ -90,10 +90,14 @@ func toJobWire(j morestress.Job) jobWire {
 	}
 }
 
-// journaledRCM is the Ordering value the deleted reverse Cuthill–McKee IC0
-// ordering was journaled as. The solver keeps the value reserved; replay
-// re-runs such jobs under the natural ordering, the one RCM lost to.
-const journaledRCM morestress.Ordering = 2
+// journaledRCM and journaledMulticolor are the Ordering values the deleted
+// reverse Cuthill–McKee and multicolor IC0 orderings were journaled as. The
+// solver keeps both values reserved; replay re-runs such jobs under the
+// natural ordering, the one each lost to.
+const (
+	journaledRCM        morestress.Ordering = 2
+	journaledMulticolor morestress.Ordering = 3
+)
 
 // journaledJacobi is the Precond value the deleted scalar Jacobi
 // preconditioner was journaled as. The solver keeps the value reserved;
@@ -102,7 +106,7 @@ const journaledRCM morestress.Ordering = 2
 const journaledJacobi morestress.Precond = 1
 
 func (w jobWire) job() morestress.Job {
-	if w.Ordering == journaledRCM {
+	if w.Ordering == journaledRCM || w.Ordering == journaledMulticolor {
 		w.Ordering = morestress.OrderingNatural
 	}
 	if w.Precond == journaledJacobi {

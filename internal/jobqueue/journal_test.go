@@ -324,7 +324,7 @@ func TestJobWireRoundTripsSolverOptions(t *testing.T) {
 	in.Options = morestress.SolverOptions{
 		Tol: 1e-9, MaxIter: 123, Restart: 17, Workers: 2,
 		Precond:   morestress.PrecondIC0,
-		Ordering:  morestress.OrderingMulticolor,
+		Ordering:  morestress.OrderingNatural,
 		Precision: morestress.PrecisionFloat32,
 	}
 	out := toJobWire(in).job()
@@ -337,16 +337,17 @@ func TestJobWireRoundTripsSolverOptions(t *testing.T) {
 	}
 }
 
-// TestRecoverMapsRetiredOrdering: journals written before the RCM ordering
-// was deleted carry its value 2. Replay must re-run those scenarios under the
-// natural ordering, while multicolor (3) keeps its value and meaning.
+// TestRecoverMapsRetiredOrdering: journals written before the RCM and
+// multicolor orderings were deleted carry their values 2 and 3. Replay must
+// re-run those scenarios under the natural ordering, while auto (0) keeps
+// its value and meaning.
 func TestRecoverMapsRetiredOrdering(t *testing.T) {
 	dir := t.TempDir()
 	log1 := openJournal(t, dir)
-	rcm, mc := toJobWire(scenario(1)), toJobWire(scenario(2))
-	rcm.Ordering, mc.Ordering = 2, 3
+	rcm, mc, auto := toJobWire(scenario(1)), toJobWire(scenario(2)), toJobWire(scenario(3))
+	rcm.Ordering, mc.Ordering, auto.Ordering = 2, 3, 0
 	rec, err := encodeRecord(recSubmit, submitRec{
-		ID: "old-job", Submitted: time.Now(), Scenarios: []jobWire{rcm, mc},
+		ID: "old-job", Submitted: time.Now(), Scenarios: []jobWire{rcm, mc, auto},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,8 +376,11 @@ func TestRecoverMapsRetiredOrdering(t *testing.T) {
 	if got[1] != morestress.OrderingNatural {
 		t.Errorf("journaled ordering 2 replayed as %v, want natural", got[1])
 	}
-	if got[2] != morestress.OrderingMulticolor {
-		t.Errorf("journaled ordering 3 replayed as %v, want multicolor", got[2])
+	if got[2] != morestress.OrderingNatural {
+		t.Errorf("journaled ordering 3 replayed as %v, want natural", got[2])
+	}
+	if got[3] != morestress.OrderingAuto {
+		t.Errorf("journaled ordering 0 replayed as %v, want auto", got[3])
 	}
 }
 

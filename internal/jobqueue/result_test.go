@@ -36,7 +36,7 @@ func solveIterative(ctx context.Context, sc morestress.Job) (*morestress.JobResu
 		},
 		Stats: morestress.SolverStats{
 			Iterations: 7, Residual: 1e-9, Converged: true, Warm: true,
-			Precond: solver.PrecondIC0, Ordering: solver.OrderingMulticolor, Precision: solver.PrecisionFloat32,
+			Precond: solver.PrecondIC0, Ordering: solver.OrderingNatural, Precision: solver.PrecisionFloat32,
 		},
 		GlobalDoFs: 7,
 	}}, nil
@@ -114,7 +114,7 @@ func TestResultKeepsFieldOnlyWhenAsked(t *testing.T) {
 		Iterative: true, PrecondShared: true, PrecisionFallback: true,
 		Stats: morestress.SolverStats{
 			Iterations: 7, Residual: 1e-9, Converged: true, Warm: true,
-			Precond: solver.PrecondIC0, Ordering: solver.OrderingMulticolor, Precision: solver.PrecisionFloat32,
+			Precond: solver.PrecondIC0, Ordering: solver.OrderingNatural, Precision: solver.PrecisionFloat32,
 		},
 	}
 	if !reflect.DeepEqual(dropped, want) {

@@ -9,7 +9,7 @@ import (
 
 // KernelPackages are the import paths whose numerical results must be
 // bitwise reproducible across runs and worker counts (the contract pinned by
-// TestIC0PermutedBitwiseAcrossDispatch and friends). The determinism
+// TestIC0ParallelBitwiseMatchesSerial and friends). The determinism
 // analyzer only runs inside them.
 var KernelPackages = []string{
 	"repro/internal/sparse",

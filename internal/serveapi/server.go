@@ -88,8 +88,8 @@ type JobRequest struct {
 	// size-resolved), "block-jacobi3"/"bj3", "ic0", or "none"; any other
 	// spelling, including the deleted scalar "jacobi", is a 400 that lists
 	// these. The IC0 factor's ordering and precision are not request
-	// fields: the server resolves both by the lattice's size alone, so a
-	// lattice holds one factor and answers alike on every replica. A
+	// fields: every lattice factors natural in float32, so a lattice holds
+	// one factor and answers alike on every replica. A
 	// request that names "ordering" or "precision" is a 400 (unknown
 	// field).
 	Precond string `json:"precond"`
@@ -422,12 +422,12 @@ type StatsResponse struct {
 		Iterations      int64 `json:"iterations"`
 		// PrecondBuilds/PrecondHits report the assembly-cached
 		// preconditioners: built at most once per (lattice, kind,
-		// ordering), shared by every scenario after that.
+		// precision), shared by every scenario after that.
 		PrecondBuilds int64 `json:"precondBuilds"`
 		PrecondHits   int64 `json:"precondHits"`
 		// OrderingCounts tallies iterative solves by the symmetric
-		// ordering their preconditioner factored under ("natural",
-		// "multicolor"); orderings that never ran are omitted.
+		// ordering their preconditioner factored under (always
+		// "natural"); orderings that never ran are omitted.
 		OrderingCounts map[string]int64 `json:"orderingCounts"`
 		// PrecisionCounts tallies iterative solves by the storage precision
 		// of their preconditioner factor ("float64", "float32");

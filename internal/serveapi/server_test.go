@@ -360,10 +360,10 @@ func TestRetiredPrecondRejected(t *testing.T) {
 }
 
 // TestSolveOrderingField: the response's "ordering" and "precision" fields
-// name the concrete factor a solve ran under, chosen by the lattice's size
-// alone — a 1×48 strip on the served (5,5,5) coarse cell (4 797 free DoFs)
-// factors IC0 multicolor in float32, a 1×2 lattice runs the natural
-// ordering — and /stats tallies solves per ordering.
+// name the concrete factor a solve ran under — a 1×48 strip on the served
+// (5,5,5) coarse cell (4 797 free DoFs) factors IC0 natural in float32, a
+// 1×2 lattice runs the natural ordering too — and /stats tallies solves per
+// ordering.
 func TestSolveOrderingField(t *testing.T) {
 	ts := testServer(t)
 
@@ -387,8 +387,8 @@ func TestSolveOrderingField(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Precond != "ic0" || out.Ordering != "multicolor" || out.Precision != "float32" {
-		t.Errorf("1×48: precond/ordering/precision = %q/%q/%q, want ic0/multicolor/float32", out.Precond, out.Ordering, out.Precision)
+	if out.Precond != "ic0" || out.Ordering != "natural" || out.Precision != "float32" {
+		t.Errorf("1×48: precond/ordering/precision = %q/%q/%q, want ic0/natural/float32", out.Precond, out.Ordering, out.Precision)
 	}
 
 	// An iterative solve always names a concrete ordering, never "auto".
@@ -416,8 +416,8 @@ func TestSolveOrderingField(t *testing.T) {
 		}
 		total += n
 	}
-	if stats.Solver.OrderingCounts["multicolor"] < 1 {
-		t.Errorf("orderingCounts = %v, want at least one multicolor solve", stats.Solver.OrderingCounts)
+	if len(stats.Solver.OrderingCounts) != 1 || stats.Solver.OrderingCounts["natural"] < 2 {
+		t.Errorf("orderingCounts = %v, want only natural, with both solves", stats.Solver.OrderingCounts)
 	}
 	if total != stats.Solver.IterativeSolves {
 		t.Errorf("orderingCounts sum %d != iterativeSolves %d", total, stats.Solver.IterativeSolves)

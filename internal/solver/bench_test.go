@@ -184,23 +184,17 @@ func blockIndependent(blocks, bs int) *sparse.CSR {
 // (independent dense blocks) has levels as wide as the block count and is
 // where the schedule fans out — run with -cpu 1,4 to see it.
 func BenchmarkIC0Apply(b *testing.B) {
-	narrow := tiled(latticeLike(28, 28, 15)) // 11760 DoFs, ~250 nnz/row
 	systems := []struct {
 		name string
 		a    *sparse.BCSR
-		ord  OrderingKind
 	}{
-		{"narrowDAG", narrow, OrderingNatural},
-		// The same narrow system under the multicolor ordering: the factor
-		// collapses to one wide level per color, so this is the regime the
-		// reduced global matrices run in after PR 5's OrderingAuto.
-		{"narrowDAG-multicolor", narrow, OrderingMulticolor},
-		{"wideDAG", tiled(blockIndependent(600, 24)), OrderingNatural}, // 14400 DoFs, 24 levels × 600 rows
+		{"narrowDAG", tiled(latticeLike(28, 28, 15))}, // 11760 DoFs, ~250 nnz/row
+		{"wideDAG", tiled(blockIndependent(600, 24))}, // 14400 DoFs, 24 levels × 600 rows
 	}
 	rng := rand.New(rand.NewSource(3))
 	workers := runtime.GOMAXPROCS(0)
 	for _, sys := range systems {
-		p, err := newIC0(sys.a, sys.ord, PrecisionAuto)
+		p, err := newIC0(sys.a, PrecisionAuto)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,11 +227,11 @@ func BenchmarkIC0Apply(b *testing.B) {
 // through a resident Workspace gang.
 func BenchmarkIC0ApplyBlocked(b *testing.B) {
 	a := tiled(latticeLike(28, 28, 15))
-	f64, err := newIC0(a, OrderingNatural, PrecisionFloat64)
+	f64, err := newIC0(a, PrecisionFloat64)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f32, err := newIC0(a, OrderingNatural, PrecisionAuto)
+	f32, err := newIC0(a, PrecisionAuto)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -285,7 +279,7 @@ func BenchmarkPCGNoAlloc(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
+	m, err := NewPreconditioner(PrecondIC0, PrecisionAuto, a)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,8 +14,8 @@ const DropTau = dropTau
 
 // NewIC0Tau builds the IC0 preconditioner with tile-drop threshold tau
 // (0 keeps the whole IC(0) factor).
-func NewIC0Tau(a *sparse.BCSR, ord OrderingKind, prec Precision, tau float64) (Preconditioner, error) {
-	return newIC0Tau(a, ord, prec, tau)
+func NewIC0Tau(a *sparse.BCSR, prec Precision, tau float64) (Preconditioner, error) {
+	return newIC0Tau(a, prec, tau)
 }
 
 // IC0Factor returns the factor of an IC0 preconditioner.

@@ -37,18 +37,16 @@ func fuzzPattern(data []byte) *sparse.CSR {
 	return t.ToCSR()
 }
 
-// FuzzMulticolorOrdering asserts, for arbitrary symmetric patterns, that
-// the greedy multicolor ordering is a valid permutation whose color classes
-// contain no adjacent pair — and that the multicolor IC0 built on the same
-// matrix stays bitwise deterministic across worker counts (which drags the
-// fuzz corpus through LevelSchedule/PartitionByWork on every degenerate
-// shape the coloring produces: single-row colors, all-diagonal factors,
-// one-color matrices).
-func FuzzMulticolorOrdering(f *testing.F) {
+// FuzzNaturalIC0 asserts, for arbitrary symmetric patterns, that the IC0
+// factor applies bitwise identically through the serial Apply and through
+// pools of 2 and 4 workers — which drags the fuzz corpus through
+// LevelSchedule/PartitionByWork on every degenerate shape the patterns
+// produce: single-row levels, all-diagonal factors, one-level factors.
+func FuzzNaturalIC0(f *testing.F) {
 	f.Add([]byte{0})                                // n=3, no edges
 	f.Add([]byte{3})                                // all-diagonal
 	f.Add([]byte{7, 0, 1, 1, 2, 2, 3})              // chain
-	f.Add([]byte{15, 0, 1, 0, 2, 0, 3, 0, 4})       // star (single-row colors)
+	f.Add([]byte{15, 0, 1, 0, 2, 0, 3, 0, 4})       // star
 	f.Add([]byte{63, 5, 5, 9, 9})                   // self loops only
 	f.Add([]byte{11, 0, 1, 0, 1, 1, 0, 2, 3, 3, 2}) // duplicate edges
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -57,50 +55,9 @@ func FuzzMulticolorOrdering(f *testing.F) {
 			return
 		}
 		n := m.NRows
-		perm, colorPtr := Multicolor(n, csrRows(m))
-		// Contract 1: a valid permutation.
-		seen := make([]bool, n)
-		for _, p := range perm {
-			if p < 0 || int(p) >= n || seen[p] {
-				t.Fatalf("perm is not a permutation at %d (n=%d)", p, n)
-			}
-			seen[p] = true
-		}
-		// Contract 2: class bounds cover [0, n] with no empty class.
-		if len(colorPtr) < 1 || colorPtr[0] != 0 || colorPtr[len(colorPtr)-1] != int32(n) {
-			t.Fatalf("colorPtr %v does not cover [0, %d]", colorPtr, n)
-		}
-		classOf := make([]int32, n)
-		for c := 0; c+1 < len(colorPtr); c++ {
-			if colorPtr[c+1] <= colorPtr[c] {
-				t.Fatalf("empty color class %d: %v", c, colorPtr)
-			}
-			for i := colorPtr[c]; i < colorPtr[c+1]; i++ {
-				classOf[i] = int32(c)
-			}
-		}
-		// Contract 3: no intra-color adjacency.
-		for r := 0; r < n; r++ {
-			for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-				c := m.ColIdx[p]
-				if int(c) != r && classOf[perm[r]] == classOf[perm[c]] {
-					t.Fatalf("adjacent %d,%d share color %d", r, c, classOf[perm[r]])
-				}
-			}
-		}
-		// Contract 4: the multicolor factor applies bitwise identically at
-		// every pool size, and its schedule has one block level per node
-		// color.
-		bm := tiled(m)
-		p, err := newIC0(bm, OrderingMulticolor, PrecisionAuto)
+		p, err := newIC0(tiled(m), PrecisionAuto)
 		if err != nil {
 			t.Fatalf("ic0: %v", err)
-		}
-		lv, _ := p.Levels()
-		_, nodePtr := MulticolorNodes(bm)
-		nc := len(nodePtr) - 1
-		if lv != nc {
-			t.Fatalf("factor has %d levels, want one per node color (%d)", lv, nc)
 		}
 		r := make([]float64, n)
 		for i := range r {

@@ -11,13 +11,13 @@ import (
 	"repro/internal/sparse"
 )
 
-// ErrStalled tags iterative failures that a different start or a float64
-// factor may fix — non-convergence within MaxIter, a non-finite residual
-// from a poisoned seed, or a float32-factor PCG whose true residual missed
-// Tol when the recurrence claimed convergence. The array layer retries these
-// once (errors.Is), from zero and/or against a float64 factor; structural
-// failures (dimension mismatches, SPD breakdowns, preconditioner
-// construction errors) are not tagged, as neither change can fix them.
+// ErrStalled tags iterative failures that a float64 factor may fix —
+// non-convergence within MaxIter, a non-finite residual, or a float32-factor
+// PCG whose true residual missed Tol when the recurrence claimed
+// convergence. The array layer retries a float32-factor solve that fails
+// with it once (errors.Is) against a float64 factor; structural failures
+// (dimension mismatches, SPD breakdowns, preconditioner construction
+// errors) are not tagged, as no factor can fix them.
 var ErrStalled = errors.New("iteration stalled")
 
 // Stats reports the outcome of an iterative solve.
@@ -28,9 +28,8 @@ type Stats struct {
 	// Precond is the concrete preconditioner the solve ran with (Auto
 	// resolved against the system size).
 	Precond PrecondKind
-	// Ordering is the symmetric ordering the preconditioner factored under
-	// (OrderingNatural for the ordering-invariant kinds; prebuilt Options.M
-	// preconditioners report their own).
+	// Ordering is the symmetric ordering the preconditioner factored under:
+	// always OrderingNatural (ResolveOrdering).
 	Ordering OrderingKind
 	// Precision is the concrete storage precision of the preconditioner's
 	// factor values (PrecisionFloat64 for the non-factorizing kinds; prebuilt
@@ -67,12 +66,10 @@ type Options struct {
 	// preconditioner for this solve alone or a caller that caches it
 	// (array.Assembly) passes it in M.
 	Precond PrecondKind
-	// Ordering selects the symmetric ordering the factorizing
-	// preconditioners (IC0) are built under (default OrderingAuto:
-	// multicolor when the system reaches AutoMulticolorMinDoFs, natural
-	// below it — see ResolveOrdering). Ignored
-	// when Options.M supplies a prebuilt preconditioner, which carries its
-	// own ordering.
+	// Ordering names the symmetric ordering IC0 factors under. Every kind
+	// resolves to OrderingNatural, the only one (ResolveOrdering), so the
+	// field changes nothing; it stays so stored and journaled options keep
+	// their shape.
 	Ordering OrderingKind
 	// Precision selects the storage precision of the factorizing
 	// preconditioners' values (default PrecisionAuto: float32 — see
@@ -134,26 +131,26 @@ type krylovPrecond struct {
 }
 
 // setupKrylov is the preamble PCG and GMRES share, so the Auto policies
-// resolve in one place. It resolves the preconditioner kind (Resolve) and
-// the ordering by the system size (ResolveOrdering), builds M unless opt.M
-// supplies it (timed into Stats.PrecondBuild), records the
-// kind, ordering, precision and warm start in Stats, and borrows opt.Work —
-// or opens a per-call workspace of opt.Workers — with the mat-vec bound to
-// a. opt must already carry its defaults (withDefaults).
+// resolve in one place. It resolves the preconditioner kind (Resolve),
+// builds M unless opt.M supplies it (timed into Stats.PrecondBuild),
+// records the kind, ordering (ResolveOrdering), precision and warm start in
+// Stats, and borrows opt.Work — or opens a per-call workspace of
+// opt.Workers — with the mat-vec bound to a. opt must already carry its
+// defaults (withDefaults).
 func setupKrylov(a *sparse.BCSR, warm bool, opt Options) (krylovPrecond, Stats, error) {
 	kind := opt.Precond.Resolve(a.NRows)
-	st := Stats{Precond: kind, Warm: warm}
+	st := Stats{Precond: kind, Ordering: ResolveOrdering(opt.Ordering, a.NRows), Warm: warm}
 	m := opt.M
 	if m == nil {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		var err error
-		m, err = NewPreconditioner(kind, opt.Ordering, opt.Precision, a)
+		m, err = NewPreconditioner(kind, opt.Precision, a)
 		if err != nil {
 			return krylovPrecond{}, st, err
 		}
 		st.PrecondBuild = time.Since(t0)
 	}
-	st.Ordering, st.Precision = orderingOf(m), precisionOf(m)
+	st.Precision = precisionOf(m)
 	kp := krylovPrecond{m: m, ws: opt.Work}
 	if kp.ws == nil {
 		kp.ws, kp.own = NewWorkspace(opt.Workers), true
@@ -264,8 +261,7 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 			return x, st, nil
 		}
 		// A non-finite residual (NaN/Inf seed or restart blow-up) can never
-		// converge; fail now instead of burning MaxIter iterations —
-		// warm-start callers fall back to a cold solve on this error.
+		// converge; fail now instead of burning MaxIter iterations.
 		if math.IsNaN(res) || math.IsInf(res, 0) {
 			st.Iterations = totalIt
 			return x, st, fmt.Errorf("solver: GMRES residual is non-finite at iteration %d: %w", totalIt, ErrStalled)

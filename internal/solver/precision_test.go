@@ -34,7 +34,7 @@ func maxAbsVec(v []float64) float64 {
 // against the scalar reference IC(0) of the same system (referenceIC0): on
 // these zero-free tile patterns both factor the same pattern, so float64
 // tiles must agree to rounding noise, and float32 tiles to single-precision
-// rounding of the factor, across orderings, worker counts, and dispatch
+// rounding of the factor, across worker counts and dispatch
 // modes.
 func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -44,69 +44,67 @@ func TestBlockedIC0ApplyMatchesScalar(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
-		for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-			scalar, err := referenceIC0(a, ord)
-			if err != nil {
-				t.Fatalf("%s/%v scalar: %v", name, ord, err)
-			}
-			b64, err := newIC0(a, ord, PrecisionFloat64)
-			if err != nil {
-				t.Fatalf("%s/%v f64: %v", name, ord, err)
-			}
-			b32, err := newIC0(a, ord, PrecisionAuto)
-			if err != nil {
-				t.Fatalf("%s/%v f32: %v", name, ord, err)
-			}
-			if b64.FactorPrecision() != PrecisionFloat64 {
-				t.Fatalf("%s/%v: f64 factor precision=%v", name, ord, b64.FactorPrecision())
-			}
-			if b32.FactorPrecision() != PrecisionFloat32 {
-				t.Fatalf("%s/%v: auto factor precision=%v, want float32", name, ord, b32.FactorPrecision())
-			}
-			n := a.NRows
-			r := make([]float64, n)
-			for i := range r {
-				r[i] = rng.NormFloat64()
-			}
-			want := make([]float64, n)
-			scalar.Apply(want, r)
-			scale := 1 + maxAbsVec(want)
+		scalar, err := referenceIC0(a)
+		if err != nil {
+			t.Fatalf("%s scalar: %v", name, err)
+		}
+		b64, err := newIC0(a, PrecisionFloat64)
+		if err != nil {
+			t.Fatalf("%s f64: %v", name, err)
+		}
+		b32, err := newIC0(a, PrecisionAuto)
+		if err != nil {
+			t.Fatalf("%s f32: %v", name, err)
+		}
+		if b64.FactorPrecision() != PrecisionFloat64 {
+			t.Fatalf("%s: f64 factor precision=%v", name, b64.FactorPrecision())
+		}
+		if b32.FactorPrecision() != PrecisionFloat32 {
+			t.Fatalf("%s: auto factor precision=%v, want float32", name, b32.FactorPrecision())
+		}
+		n := a.NRows
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+		}
+		want := make([]float64, n)
+		scalar.Apply(want, r)
+		scale := 1 + maxAbsVec(want)
 
-			got := make([]float64, n)
-			b64.Apply(got, r)
-			if d := maxAbsDiff(got, want); d > 1e-9*scale {
-				t.Fatalf("%s/%v: blocked f64 apply differs from scalar by %g", name, ord, d)
-			}
-			want64 := make([]float64, n)
-			copy(want64, got)
+		got := make([]float64, n)
+		b64.Apply(got, r)
+		if d := maxAbsDiff(got, want); d > 1e-9*scale {
+			t.Fatalf("%s: blocked f64 apply differs from scalar by %g", name, d)
+		}
+		want64 := make([]float64, n)
+		copy(want64, got)
 
-			got32 := make([]float64, n)
-			b32.Apply(got32, r)
-			if d := maxAbsDiff(got32, want); d > 2e-4*scale {
-				t.Fatalf("%s/%v: blocked f32 apply differs from scalar by %g", name, ord, d)
-			}
-			want32 := make([]float64, n)
-			copy(want32, got32)
+		got32 := make([]float64, n)
+		b32.Apply(got32, r)
+		if d := maxAbsDiff(got32, want); d > 2e-4*scale {
+			t.Fatalf("%s: blocked f32 apply differs from scalar by %g", name, d)
+		}
+		want32 := make([]float64, n)
+		copy(want32, got32)
 
-			// Pooled dispatch stays bitwise per layout at every pool size.
-			for _, w := range workerCounts {
-				ws := NewWorkspace(w)
-				for prec, pair := range map[string][2][]float64{
-					"f64": {want64, got}, "f32": {want32, got32},
-				} {
-					p := b64
-					if prec == "f32" {
-						p = b32
-					}
-					p.applyPar(pair[1], r, ws)
-					for i := range pair[0] {
-						if pair[1][i] != pair[0][i] {
-							t.Fatalf("%s/%v %s pool workers=%d: dst[%d] = %x, want %x", name, ord, prec, w, i, pair[1][i], pair[0][i])
-						}
+		// Pooled dispatch stays bitwise per layout at every pool size.
+		for _, w := range workerCounts {
+			ws := NewWorkspace(w)
+			for prec, pair := range map[string][2][]float64{
+				"f64": {want64, got}, "f32": {want32, got32},
+			} {
+				p := b64
+				if prec == "f32" {
+					p = b32
+				}
+				p.applyPar(pair[1], r, ws)
+				for i := range pair[0] {
+					if pair[1][i] != pair[0][i] {
+						t.Fatalf("%s %s pool workers=%d: dst[%d] = %x, want %x", name, prec, w, i, pair[1][i], pair[0][i])
 					}
 				}
-				ws.Close()
 			}
+			ws.Close()
 		}
 	}
 }
@@ -194,7 +192,7 @@ func TestPCGZeroAllocsBlockedPrecision(t *testing.T) {
 	}
 	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
 		for _, workers := range []int{1, 4} {
-			m, err := NewPreconditioner(PrecondIC0, OrderingAuto, prec, a)
+			m, err := NewPreconditioner(PrecondIC0, prec, a)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -103,21 +103,16 @@ func ParsePrecond(s string) (PrecondKind, error) {
 
 // NewPreconditioner builds the requested preconditioner for the SPD matrix
 // a, held as 3×3 tiles, resolving PrecondAuto against the matrix size first
-// (Resolve). Every construction in the package funnels through
-// here so no solver path hardwires its own preconditioner. For the
-// factorizing kinds, ord selects the symmetric ordering — IC0 factors the
-// permuted matrix P·A·Pᵀ and applies Pᵀ·(L·Lᵀ)⁻¹·P, so the ordering shapes
-// the factor's dependency DAG without changing the preconditioned
-// operator's symmetry; OrderingAuto resolves by the matrix size
-// (ResolveOrdering) — and prec the factor storage precision (see
-// Precision). Block-Jacobi-3 and the identity are ordering- and
-// precision-invariant and ignore both.
-func NewPreconditioner(kind PrecondKind, ord OrderingKind, prec Precision, a *sparse.BCSR) (Preconditioner, error) {
+// (Resolve). Every construction in the package funnels through here so no
+// solver path hardwires its own preconditioner. For IC0, prec selects the
+// factor storage precision (see Precision); block-Jacobi-3 and the identity
+// are precision-invariant and ignore it.
+func NewPreconditioner(kind PrecondKind, prec Precision, a *sparse.BCSR) (Preconditioner, error) {
 	switch kind.Resolve(a.NRows) {
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a), nil
 	case PrecondIC0:
-		return newIC0(a, ResolveOrdering(ord, a.NRows), prec)
+		return newIC0(a, prec)
 	case PrecondNone:
 		return identityPrecond{}, nil
 	}
@@ -220,22 +215,16 @@ func (p *blockJacobi3) MemoryBytes() int64 { return int64(8 * len(p.inv)) }
 
 // ic0 is a zero-fill block incomplete Cholesky factorization with
 // post-factor tile dropping: L has the 3×3-tile pattern of the lower
-// triangle of (possibly symmetrically permuted) A, less the off-diagonal
-// tiles too small to matter (dropTiles), and P·A·Pᵀ ≈ L·Lᵀ, held as a
-// sparse.BlockLowerTri — tile micro-kernels, float32 or float64 values. The
-// dependency-level schedules let each application's forward/backward solves
-// run block rows in parallel, and because each block row is computed by one
-// shared kernel, the parallel application is bitwise identical to the
-// serial one for every worker count. Under a non-natural ordering the
-// application is Pᵀ·(L·Lᵀ)⁻¹·P: scatter into permuted order, two
-// triangular solves in place, gather back — the permutes are deterministic,
-// so the worker-count bitwise contract holds for every ordering. An ic0 is
-// immutable after construction and safe to share across concurrent solves.
+// triangle of A, less the off-diagonal tiles too small to matter
+// (dropTiles), and A ≈ L·Lᵀ, held as a sparse.BlockLowerTri — tile
+// micro-kernels, float32 or float64 values. The dependency-level schedules
+// let each application's forward/backward solves run block rows in
+// parallel, and because each block row is computed by one shared kernel,
+// the parallel application is bitwise identical to the serial one for
+// every worker count. An ic0 is immutable after construction and safe to
+// share across concurrent solves.
 type ic0 struct {
 	l *sparse.BlockLowerTri
-	// perm maps original→permuted index (nil for the natural ordering).
-	perm []int32
-	ord  OrderingKind
 	// prec is the concrete storage precision of the factor values.
 	prec Precision
 }
@@ -248,11 +237,10 @@ type ic0 struct {
 // (docs/SOLVER_TUNING.md has the measurement).
 const dropTau = 1e-2
 
-// newIC0 factors a under the concrete ordering ord with factor storage
-// precision prec (PrecisionAuto stores float32) and drops the tiles under
-// dropTau.
-func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
-	return newIC0Tau(a, ord, prec, dropTau)
+// newIC0 factors a with factor storage precision prec (PrecisionAuto
+// stores float32) and drops the tiles under dropTau.
+func newIC0(a *sparse.BCSR, prec Precision) (*ic0, error) {
+	return newIC0Tau(a, prec, dropTau)
 }
 
 // newIC0Tau is newIC0 with drop threshold tau; tau = 0 keeps the whole
@@ -264,15 +252,11 @@ func newIC0(a *sparse.BCSR, ord OrderingKind, prec Precision) (*ic0, error) {
 // from A before factoring cost more iterations for the same τ. Both steps
 // are serial, so the factor is bitwise identical across runs and worker
 // counts.
-func newIC0Tau(a *sparse.BCSR, ord OrderingKind, prec Precision, tau float64) (*ic0, error) {
+func newIC0Tau(a *sparse.BCSR, prec Precision, tau float64) (*ic0, error) {
 	if a.NRows != a.NCols {
 		return nil, fmt.Errorf("solver: IC0 requires a square matrix")
 	}
-	perm := orderingPerm(ord, a)
-	if perm == nil {
-		ord = OrderingNatural
-	}
-	colPtr, rowIdx, vals := permutedLowerCols(a, perm)
+	colPtr, rowIdx, vals := lowerCols(a)
 	if err := factorBlockIC0(colPtr, rowIdx, vals); err != nil {
 		return nil, err
 	}
@@ -282,7 +266,7 @@ func newIC0Tau(a *sparse.BCSR, ord OrderingKind, prec Precision, tau float64) (*
 	if err != nil {
 		return nil, fmt.Errorf("solver: IC0: %w", err)
 	}
-	p := &ic0{l: l, perm: perm, ord: ord, prec: PrecisionFloat64}
+	p := &ic0{l: l, prec: PrecisionFloat64}
 	if single {
 		p.prec = PrecisionFloat32
 	}
@@ -328,39 +312,25 @@ func frob2(t []float64) float64 {
 	return s
 }
 
-// permutedLowerCols returns the lower triangle of P·A·Pᵀ in block-column
-// form for the node-level scalar permutation perm (nil = natural): block
-// column J holds the tiles (I, J), I ≥ J, rows ascending. Tile (I, J) of the
-// permuted matrix is tile (inv I, inv J) of a: a stored tile of block row
-// inv I, or, for a Sym matrix whose upper triangle holds it as (inv J,
-// inv I), that tile transposed. Sweeping the permuted block rows in
+// lowerCols returns the lower block triangle of a in block-column form:
+// block column J holds the tiles (I, J), I ≥ J, rows ascending. Tile (I, J)
+// is a stored tile of block row I or, for a Sym matrix whose upper triangle
+// holds it as (J, I), that tile transposed. Sweeping the block rows in
 // ascending order and appending each tile to its column — a counting
 // transpose — yields sorted columns with no CSR or CSC copy.
-func permutedLowerCols(a *sparse.BCSR, perm []int32) (colPtr, rowIdx []int32, vals []float64) {
+func lowerCols(a *sparse.BCSR) (colPtr, rowIdx []int32, vals []float64) {
 	nb := a.NBRows()
-	newOf := make([]int32, nb) // old block index → permuted
-	oldOf := make([]int32, nb) // permuted block index → old
-	for v := range newOf {
-		q := int32(v)
-		if perm != nil {
-			q = perm[sparse.BlockSize*v] / sparse.BlockSize
-		}
-		newOf[v], oldOf[q] = q, int32(v)
-	}
 	lptr, lrows, ltiles := a.Lower()
-	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of
-	// permuted block row i, read from stored tile p.
+	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of block
+	// row i, read from stored tile p.
 	each := func(i int32, f func(j, p int32, transposed bool)) {
-		old := oldOf[i]
-		for p := a.BRowPtr[old]; p < a.BRowPtr[old+1]; p++ {
-			if j := newOf[a.BColIdx[p]]; j <= i {
+		for p := a.BRowPtr[i]; p < a.BRowPtr[i+1]; p++ {
+			if j := a.BColIdx[p]; j <= i {
 				f(j, p, false)
 			}
 		}
-		for q := lptr[old]; q < lptr[old+1]; q++ {
-			if j := newOf[lrows[q]]; j < i {
-				f(j, ltiles[q], true)
-			}
+		for q := lptr[i]; q < lptr[i+1]; q++ {
+			f(lrows[q], ltiles[q], true)
 		}
 	}
 	colPtr = make([]int32, nb+1)
@@ -393,7 +363,7 @@ func permutedLowerCols(a *sparse.BCSR, perm []int32) (colPtr, rowIdx []int32, va
 }
 
 // factorBlockIC0 overwrites the lower triangle in block-column form (as
-// permutedLowerCols returns it) with its zero-fill block incomplete Cholesky
+// lowerCols returns it) with its zero-fill block incomplete Cholesky
 // factor, left-looking: for each block column J it scatters the column's
 // tiles into a tile accumulator indexed by block row, subtracts
 // L_IK·L_JKᵀ for every earlier column K with a tile in row J (skipping the
@@ -501,10 +471,9 @@ func chol3(d, x []float64) {
 	d[6], d[7], d[8] = l20, l21, l22
 }
 
-// Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r with the serial triangular solves —
-// the reference the pooled applyPar matches bitwise. The solvers never call
-// it: they drive applyPar through their workspace's resident gang. Under a
-// non-natural ordering it draws one n-length scatter buffer per call.
+// Apply computes dst = (L·Lᵀ)⁻¹·r with the serial triangular solves — the
+// reference the pooled applyPar matches bitwise. The solvers never call it:
+// they drive applyPar through their workspace's resident gang.
 //
 //stressvet:noalloc
 func (p *ic0) Apply(dst, r []float64) { p.applyPar(dst, r, nil) }
@@ -519,34 +488,9 @@ func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 	if ws != nil {
 		pool, sc = ws.pool, &ws.tri
 	}
-	if p.perm == nil {
-		p.l.SolveLowerPar(dst, r, pool, sc)
-		p.l.SolveUpperPar(dst, dst, pool, sc)
-		return
-	}
-	// Permuted application: scatter r into factor order, solve both
-	// triangles in place, gather back. The scratch comes from the workspace
-	// so the steady-state hot loop stays allocation-free (ic0 itself is
-	// shared across concurrent solves and must hold no mutable state).
-	var buf []float64
-	if ws != nil {
-		buf = ws.permScratch(len(r)) //stressvet:allow noalloc -- inlined permScratch grows the cached scratch on first use; steady state reuses it
-	} else {
-		buf = make([]float64, len(r)) //stressvet:allow noalloc -- the serial reference Apply has no workspace; solvers always pass one
-	}
-	for i, v := range r {
-		buf[p.perm[i]] = v
-	}
-	p.l.SolveLowerPar(buf, buf, pool, sc)
-	p.l.SolveUpperPar(buf, buf, pool, sc)
-	for i := range dst {
-		dst[i] = buf[p.perm[i]]
-	}
+	p.l.SolveLowerPar(dst, r, pool, sc)
+	p.l.SolveUpperPar(dst, dst, pool, sc)
 }
-
-// Ordering reports the symmetric ordering the factor was built under
-// (implements Ordered).
-func (p *ic0) Ordering() OrderingKind { return p.ord }
 
 // Levels reports the factor's forward-schedule shape: dependency-level count
 // and widest level (implements FactorLevels; the measurement harness and the
@@ -561,9 +505,8 @@ func (p *ic0) Levels() (count, maxWidth int) {
 // off this).
 func (p *ic0) FactorPrecision() Precision { return p.prec }
 
-// MemoryBytes reports the factor's footprint (both triangles + schedules +
-// the ordering permutation, when present).
-func (p *ic0) MemoryBytes() int64 { return int64(4*len(p.perm)) + p.l.MemoryBytes() }
+// MemoryBytes reports the factor's footprint (both triangles + schedules).
+func (p *ic0) MemoryBytes() int64 { return p.l.MemoryBytes() }
 
 // PCG is the preconditioned conjugate gradient for symmetric positive-
 // definite systems, with a held as 3×3 tiles. The preconditioner comes from
@@ -687,8 +630,7 @@ func pcgSteady(a *sparse.BCSR, b []float64, kp *krylovPrecond, st *Stats, opt Op
 			return pcgStalled, it, res, 0
 		}
 		// A non-finite residual (NaN/Inf seed or mid-iteration blow-up) can
-		// never converge; fail now instead of burning MaxIter iterations —
-		// warm-start callers fall back to a cold solve on this error.
+		// never converge; fail now instead of burning MaxIter iterations.
 		if math.IsNaN(res) || math.IsInf(res, 0) {
 			return pcgNonFinite, it, res, 0
 		}

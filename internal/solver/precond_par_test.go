@@ -80,7 +80,7 @@ func TestIC0ParallelBitwiseMatchesSerial(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 	for name, a := range systems {
-		p, err := newIC0(a, OrderingNatural, PrecisionAuto)
+		p, err := newIC0(a, PrecisionAuto)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -120,7 +120,7 @@ func TestPCGWorkspaceMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v plain: %v", kind, err)
 		}
-		m, err := NewPreconditioner(kind, OrderingAuto, PrecisionAuto, a)
+		m, err := NewPreconditioner(kind, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestPCGZeroAllocs(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	for _, workers := range []int{1, 4} {
-		m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
+		m, err := NewPreconditioner(PrecondIC0, PrecisionAuto, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestPCGZeroAllocsParallelMatVec(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	m, err := NewPreconditioner(PrecondIC0, OrderingAuto, PrecisionAuto, a)
+	m, err := NewPreconditioner(PrecondIC0, PrecisionAuto, a)
 	if err != nil {
 		t.Fatal(err)
 	}

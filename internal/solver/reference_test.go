@@ -14,22 +14,15 @@ import (
 
 // scalarIC0 is the scalar left-looking IC(0) that the block factor
 // replaced, kept as the reference: L on the scalar pattern of the lower
-// triangle of P·A·Pᵀ, with the exact zeros inside stored tiles dropped, as
+// triangle of A, with the exact zeros inside stored tiles dropped, as
 // columns (diagonal first, rows ascending).
 type scalarIC0 struct {
-	l    *sparse.CSC
-	perm []int32 // original→permuted scalar index, nil for natural
+	l *sparse.CSC
 }
 
-// referenceIC0 factors a with the scalar reference under the concrete
-// ordering ord, as newIC0 does.
-func referenceIC0(a *sparse.BCSR, ord OrderingKind) (*scalarIC0, error) {
-	perm := orderingPerm(ord, a)
-	csc := a.ToCSR().ToCSC()
-	if perm != nil {
-		csc = csc.Permute(perm)
-	}
-	l := lowerTriangle(csc)
+// referenceIC0 factors a with the scalar reference.
+func referenceIC0(a *sparse.BCSR) (*scalarIC0, error) {
+	l := lowerTriangle(a.ToCSR().ToCSC())
 	n := l.NCols
 	colStart := make([]int32, n)
 	for j := 0; j < n; j++ {
@@ -84,7 +77,7 @@ func referenceIC0(a *sparse.BCSR, ord OrderingKind) (*scalarIC0, error) {
 		}
 		pushCol(int32(j))
 	}
-	return &scalarIC0{l: l, perm: perm}, nil
+	return &scalarIC0{l: l}, nil
 }
 
 // lowerTriangle returns the lower triangle (diagonal included) of m.
@@ -102,16 +95,10 @@ func lowerTriangle(m *sparse.CSC) *sparse.CSC {
 	return out
 }
 
-// Apply computes dst = Pᵀ·(L·Lᵀ)⁻¹·P·r with serial column sweeps.
+// Apply computes dst = (L·Lᵀ)⁻¹·r with serial column sweeps.
 func (s *scalarIC0) Apply(dst, r []float64) {
 	l := s.l
-	y := make([]float64, len(r))
-	for i, v := range r {
-		if s.perm != nil {
-			i = int(s.perm[i])
-		}
-		y[i] = v
-	}
+	y := slices.Clone(r)
 	for j := 0; j < l.NCols; j++ {
 		y[j] /= l.Vals[l.ColPtr[j]]
 		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
@@ -125,13 +112,7 @@ func (s *scalarIC0) Apply(dst, r []float64) {
 		}
 		y[j] = v / l.Vals[l.ColPtr[j]]
 	}
-	for i := range dst {
-		if s.perm != nil {
-			dst[i] = y[s.perm[i]]
-		} else {
-			dst[i] = y[i]
-		}
-	}
+	copy(dst, y)
 }
 
 // at returns L[i, j] (0 off the pattern).
@@ -143,18 +124,18 @@ func (s *scalarIC0) at(i, j int) float64 {
 	return 0
 }
 
-// compareWithReference factors a both ways under ord — the block factor in
+// compareWithReference factors a both ways — the block factor in
 // float64 and before the tile drop (τ = 0), so it is the whole IC(0)
 // factor — and returns their largest factor-entry and apply differences,
 // each relative to the reference's largest magnitude. Every lower entry of
 // every stored factor tile is compared, so a block factor entry the
 // reference pattern lacks counts against a reference value of zero.
-func compareWithReference(a *sparse.BCSR, ord OrderingKind, seed int64) (factorRel, applyRel float64, err error) {
-	ref, err := referenceIC0(a, ord)
+func compareWithReference(a *sparse.BCSR, seed int64) (factorRel, applyRel float64, err error) {
+	ref, err := referenceIC0(a)
 	if err != nil {
 		return 0, 0, err
 	}
-	p, err := newIC0Tau(a, ord, PrecisionFloat64, 0)
+	p, err := newIC0Tau(a, PrecisionFloat64, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -196,15 +177,13 @@ func TestIC0MatchesScalarReference(t *testing.T) {
 		"lattice-9x8":   tiled(latticeLike(9, 8, 3)),
 		"lattice-12x12": tiled(latticeLike(12, 12, 3)),
 	} {
-		for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-			factorRel, applyRel, err := compareWithReference(a, ord, 71)
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, ord, err)
-			}
-			t.Logf("%s/%v: factor %.3g, apply %.3g relative", name, ord, factorRel, applyRel)
-			if factorRel > 1e-12 || applyRel > 1e-12 {
-				t.Errorf("%s/%v: factor differs by %.3g, apply by %.3g relative, want ≤ 1e-12", name, ord, factorRel, applyRel)
-			}
+		factorRel, applyRel, err := compareWithReference(a, 71)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Logf("%s: factor %.3g, apply %.3g relative", name, factorRel, applyRel)
+		if factorRel > 1e-12 || applyRel > 1e-12 {
+			t.Errorf("%s: factor differs by %.3g, apply by %.3g relative, want ≤ 1e-12", name, factorRel, applyRel)
 		}
 	}
 }
@@ -215,23 +194,21 @@ func TestIC0MatchesScalarReference(t *testing.T) {
 func TestIC0FactorBitwiseAcrossBuilds(t *testing.T) {
 	a := tiled(latticeLike(12, 12, 3))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-			var want *ic0
-			for _, procs := range []int{1, 2, 4} {
-				runtime.GOMAXPROCS(procs)
-				for build := 0; build < 3; build++ {
-					p, err := newIC0(a, ord, prec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = p
-						continue
-					}
-					if !sameFactor(p.l, want.l) || !slices.Equal(p.perm, want.perm) {
-						t.Fatalf("%v/%v: build %d at GOMAXPROCS=%d differs from the first build", ord, prec, build, procs)
-					}
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		var want *ic0
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for build := 0; build < 3; build++ {
+				p, err := newIC0(a, prec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = p
+					continue
+				}
+				if !sameFactor(p.l, want.l) {
+					t.Fatalf("%v: build %d at GOMAXPROCS=%d differs from the first build", prec, build, procs)
 				}
 			}
 		}
@@ -263,11 +240,9 @@ func TestIC0MissingDiagonal(t *testing.T) {
 		BColIdx: []int32{0, 1, 0}, // block row 1 holds only (1, 0)
 		Vals:    slices.Concat(one, one, one),
 	}
-	for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-		_, err := NewPreconditioner(PrecondIC0, ord, PrecisionAuto, a)
-		if err == nil || !strings.Contains(err.Error(), "missing diagonal at block column 1") {
-			t.Errorf("%v: err = %v, want a missing-diagonal error at block column 1", ord, err)
-		}
+	_, err := NewPreconditioner(PrecondIC0, PrecisionAuto, a)
+	if err == nil || !strings.Contains(err.Error(), "missing diagonal at block column 1") {
+		t.Errorf("err = %v, want a missing-diagonal error at block column 1", err)
 	}
 }
 
@@ -284,7 +259,7 @@ func TestIC0ShiftsNonPositivePivot(t *testing.T) {
 		tr.Add(i+3, i, 2)
 	}
 	a := tiled(tr.ToCSR())
-	p, err := newIC0(a, OrderingNatural, PrecisionFloat64)
+	p, err := newIC0(a, PrecisionFloat64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +271,7 @@ func TestIC0ShiftsNonPositivePivot(t *testing.T) {
 			t.Errorf("shifted pivot L[%d,%d] = %v, want %v", 3+k/3, 3+k/3, d[k], want)
 		}
 	}
-	factorRel, applyRel, err := compareWithReference(a, OrderingNatural, 73)
+	factorRel, applyRel, err := compareWithReference(a, 73)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,6 @@ func servedMatrix(tb testing.TB, size int) (*sparse.BCSR, []float64) {
 	return asm.Blocked(), asm.Red.Bf
 }
 
-var orderings = []solver.OrderingKind{solver.OrderingNatural, solver.OrderingMulticolor}
-
 // TestIC0MatchesReferenceOnServedTiles: the served tiles store exact zeros
 // (couplings that vanish), which the scalar reference drops from its
 // pattern and the block factor keeps. With every stored zero set to a tiny
@@ -54,15 +52,13 @@ func TestIC0MatchesReferenceOnServedTiles(t *testing.T) {
 			a.Vals[i] = 1e-200
 		}
 	}
-	for _, ord := range orderings {
-		factorRel, applyRel, err := solver.CompareWithReference(&a, ord, 83)
-		if err != nil {
-			t.Fatalf("%v: %v", ord, err)
-		}
-		t.Logf("%v: factor %.3g, apply %.3g relative", ord, factorRel, applyRel)
-		if factorRel > 1e-12 || applyRel > 1e-12 {
-			t.Errorf("%v: factor differs by %.3g, apply by %.3g relative, want ≤ 1e-12", ord, factorRel, applyRel)
-		}
+	factorRel, applyRel, err := solver.CompareWithReference(&a, 83)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("factor %.3g, apply %.3g relative", factorRel, applyRel)
+	if factorRel > 1e-12 || applyRel > 1e-12 {
+		t.Errorf("factor differs by %.3g, apply by %.3g relative, want ≤ 1e-12", factorRel, applyRel)
 	}
 }
 
@@ -74,24 +70,22 @@ func TestIC0MatchesReferenceOnServedTiles(t *testing.T) {
 func TestIC0IterationsMatchReferenceOnServed(t *testing.T) {
 	for _, size := range []int{6, 12} {
 		a, b := servedMatrix(t, size)
-		for _, ord := range orderings {
-			iters := func(m solver.Preconditioner, err error) int {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%dx%d/%v: %v", size, size, ord, err)
-				}
-				_, st, err := solver.GMRES(a, b, nil, solver.Options{Tol: 1e-8, M: m})
-				if err != nil {
-					t.Fatalf("%dx%d/%v: %v", size, size, ord, err)
-				}
-				return st.Iterations
+		iters := func(m solver.Preconditioner, err error) int {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%dx%d: %v", size, size, err)
 			}
-			ref := iters(solver.ReferenceIC0(a, ord))
-			got := iters(solver.NewIC0Tau(a, ord, solver.PrecisionFloat64, 0))
-			t.Logf("%dx%d/%v: %d GMRES iterations under the block factor, %d under the reference", size, size, ord, got, ref)
-			if got < ref-1 || got > ref+1 {
-				t.Errorf("%dx%d/%v: %d GMRES iterations under the block factor, %d under the reference", size, size, ord, got, ref)
+			_, st, err := solver.GMRES(a, b, nil, solver.Options{Tol: 1e-8, M: m})
+			if err != nil {
+				t.Fatalf("%dx%d: %v", size, size, err)
 			}
+			return st.Iterations
+		}
+		ref := iters(solver.ReferenceIC0(a))
+		got := iters(solver.NewIC0Tau(a, solver.PrecisionFloat64, 0))
+		t.Logf("%dx%d: %d GMRES iterations under the block factor, %d under the reference", size, size, got, ref)
+		if got < ref-1 || got > ref+1 {
+			t.Errorf("%dx%d: %d GMRES iterations under the block factor, %d under the reference", size, size, got, ref)
 		}
 	}
 }
@@ -106,20 +100,18 @@ func TestSymLayoutOnServed(t *testing.T) {
 }
 
 // BenchmarkIC0Build times one float32 IC0 build — the serving default — on
-// the served 6×6 and 12×12 lattices under both orderings: the cold
-// global-stage term a new lattice pays once.
+// the served 6×6 and 12×12 lattices: the cold global-stage term a new
+// lattice pays once.
 func BenchmarkIC0Build(b *testing.B) {
 	for _, size := range []int{6, 12} {
 		a, _ := servedMatrix(b, size)
-		for _, ord := range orderings {
-			b.Run(fmt.Sprintf("%dx%d/%v", size, size, ord), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := solver.NewPreconditioner(solver.PrecondIC0, ord, solver.PrecisionFloat32, a); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("%dx%d/natural", size, size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := solver.NewPreconditioner(solver.PrecondIC0, solver.PrecisionFloat32, a); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

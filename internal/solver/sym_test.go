@@ -3,7 +3,6 @@ package solver
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/sparse"
@@ -12,9 +11,8 @@ import (
 // checkSymLayout checks a matrix stored as its upper block triangle against
 // the same matrix with both triangles stored: the product agrees to 1e-14
 // of ‖A·x‖∞ and is bitwise identical through MulVec and through the
-// workspace binding on every pool size; the IC0 factors (natural and
-// multicolor, float64 and float32) and the multicolor permutation are
-// bitwise identical.
+// workspace binding on every pool size; the IC0 factors (float64 and
+// float32) are bitwise identical.
 func checkSymLayout(t *testing.T, name string, a *sparse.BCSR) {
 	t.Helper()
 	if !a.Sym {
@@ -42,25 +40,18 @@ func checkSymLayout(t *testing.T, name string, a *sparse.BCSR) {
 			}
 		}
 	}
-	for _, ord := range []OrderingKind{OrderingNatural, OrderingMulticolor} {
-		for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
-			p, err := newIC0(a, ord, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := newIC0(full, ord, prec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameFactor(p.l, q.l) || !slices.Equal(p.perm, q.perm) {
-				t.Errorf("%s: %v/%v IC0 factor from the upper triangle differs from the full matrix's", name, ord, prec)
-			}
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionFloat32} {
+		p, err := newIC0(a, prec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	perm, colors := MulticolorNodes(a)
-	fperm, fcolors := MulticolorNodes(full)
-	if !slices.Equal(perm, fperm) || !slices.Equal(colors, fcolors) {
-		t.Errorf("%s: multicolor ordering from the upper triangle differs from the full matrix's", name)
+		q, err := newIC0(full, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameFactor(p.l, q.l) {
+			t.Errorf("%s: %v IC0 factor from the upper triangle differs from the full matrix's", name, prec)
+		}
 	}
 }
 

@@ -31,11 +31,6 @@ type Workspace struct {
 	spill  []float64
 	bmvPar bool
 	tri    sparse.BlockTriScratch
-	// permBuf is the scratch of permuted preconditioner applications
-	// (ic0 under a non-natural ordering). A dedicated field rather than a
-	// vec(): applyPar runs once per iteration, and the vec free-list is
-	// consumed positionally per solve.
-	permBuf []float64
 
 	h *linalg.Dense // GMRES Hessenberg, reused when the restart length matches
 }
@@ -86,16 +81,6 @@ func (w *Workspace) vec(n int) []float64 {
 	}
 	w.used++
 	return v
-}
-
-// permScratch returns the length-n permute buffer, growing it at most once
-// per size increase (steady-state solves reuse one backing array, so the
-// zero-allocation contract extends to permuted preconditioners).
-func (w *Workspace) permScratch(n int) []float64 {
-	if cap(w.permBuf) < n {
-		w.permBuf = make([]float64, n)
-	}
-	return w.permBuf[:n]
 }
 
 // prepMatVec binds the matrix-vector product to a for the duration of a

@@ -40,7 +40,7 @@ func TestPartitionByWorkDegenerate(t *testing.T) {
 // TestLevelScheduleGappedLevels: schedules built from level arrays with
 // holes (as a coloring with unused classes would produce) must compact the
 // empty levels away instead of emitting empty chunk lists — the regression
-// the multicolor fuzz corpus uncovered.
+// the IC0 fuzz corpus uncovered.
 func TestLevelScheduleGappedLevels(t *testing.T) {
 	// Rows at levels {0, 2, 5}: levels 1, 3, 4 are empty.
 	level := []int32{0, 2, 5, 0, 2, 5, 0}

@@ -35,8 +35,9 @@ type (
 	SolverStats = solver.Stats
 	// Precond selects the preconditioner of the iterative global solvers.
 	Precond = solver.PrecondKind
-	// Ordering selects the symmetric ordering the factorizing
-	// preconditioners (IC0) are built under, via SolverOptions.Ordering.
+	// Ordering names the symmetric ordering the factorizing
+	// preconditioners (IC0) are built under, via SolverOptions.Ordering;
+	// natural is the only one.
 	Ordering = solver.OrderingKind
 	// Precision selects the storage precision of the factorizing
 	// preconditioners (IC0), via SolverOptions.Precision.
@@ -77,18 +78,13 @@ const (
 // lists these.
 func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 
-// Ordering choices for SolverOptions.Ordering.
+// Ordering choices for SolverOptions.Ordering. IC0 factors in the natural
+// order only, so both resolve to it.
 const (
-	// OrderingAuto (the default) switches IC0 to multicolor when the system
-	// reaches solver.AutoMulticolorMinDoFs and keeps the natural ordering
-	// below it. The rule reads the system size alone, so a lattice gets the
-	// same factor and the same answer at every worker count.
+	// OrderingAuto (the default) resolves to OrderingNatural.
 	OrderingAuto = solver.OrderingAuto
 	// OrderingNatural factors in the matrix's own row order.
 	OrderingNatural = solver.OrderingNatural
-	// OrderingMulticolor factors under the greedy multicolor ordering: one
-	// wide dependency level per color, parallel preconditioner application.
-	OrderingMulticolor = solver.OrderingMulticolor
 )
 
 // Factor-precision choices for SolverOptions.Precision.
