@@ -452,16 +452,14 @@ func (a *Assembly) Blocked() *sparse.BCSR { return a.aff }
 // NewAssembly runs the load-independent part of the global stage for the
 // problem: lattice enumeration, the constraint split, and the scatter of
 // every block's 3×3 stiffness tiles straight into the reduced A_ff (and,
-// under PrescribedBoundary, A_fb) with the unit load b_f. The result is
-// bitwise independent of workers. It can be placed in Problem.Assembly for
-// every scenario on the same lattice (same ROM content, dimensions, dummy
-// layout, and BC kind).
-func NewAssembly(p *Problem, workers int) (*Assembly, error) {
+// under PrescribedBoundary, A_fb) with the unit load b_f. It can be placed
+// in Problem.Assembly for every scenario on the same lattice (same ROM
+// content, dimensions, dummy layout, and BC kind). The scatter sums each
+// distinct tile once and runs serially, so the worker count, kept for the
+// callers that pass one, has no effect.
+func NewAssembly(p *Problem, _ int) (*Assembly, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	lat := NewLattice(p.Bx, p.By, p.ROM.Spec.Nodes, p.ROM.Spec.Geom.Pitch, p.ROM.Spec.Geom.Height)
@@ -489,7 +487,7 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 		}
 	}
 	inc := newIncidence(p, lat)
-	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, true, workers)
+	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, true)
 	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs}
 	if !asm.AllBC {
 		red := &fem.Reduced{
@@ -506,7 +504,7 @@ func NewAssembly(p *Problem, workers int) (*Assembly, error) {
 			*idx = append(*idx, 3*int32(id), 3*int32(id)+1, 3*int32(id)+2)
 		}
 		if p.BC == PrescribedBoundary {
-			afb, _ := inc.scatter(freeOf, bcOf, nFree, len(bcNodes), false, workers)
+			afb, _ := inc.scatter(freeOf, bcOf, nFree, len(bcNodes), false)
 			red.Afb = afb.ToCSR()
 		}
 		asm.Red, asm.aff = red, aff

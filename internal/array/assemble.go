@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/rom"
 	"repro/internal/sparse"
@@ -93,10 +92,25 @@ func latticeOrder(r *rom.ROM) []int32 {
 	return perm
 }
 
-// tileRow is one distinct tile-row pattern: the column indices
-// cols[off:off+n], and the number of lattice nodes the row couples to
-// before the column filter.
+// tileRow is one distinct tile-row pattern: coupled[off:off+n], the
+// lattice nodes the row couples to that pass the column filter, and the
+// number of lattice nodes it couples to before the filter.
 type tileRow struct{ off, n, pairs int32 }
+
+// coupling is one node of a tile row and its position in the row's
+// unfiltered node list.
+type coupling struct{ node, at int32 }
+
+// rowClass is a row node's blocks in ascending order, each as its model and
+// the node's surface index on it. The class fixes where the blocks sit
+// around the node, so two nodes of one class reach the same sequence of
+// (model, row surface index, column surface index) terms at each position
+// of their unfiltered node lists: their tiles there are sums of the same
+// ROM entries in the same order, bitwise equal.
+type rowClass [4]struct {
+	r *rom.ROM
+	s int32
+}
 
 // scatter assembles the block tiles that couple row nodes (rowOf[g] ≥ 0) to
 // column nodes (colOf[g] ≥ 0) as a BCSR matrix of nr×nc node tiles; rowOf
@@ -111,12 +125,15 @@ type tileRow struct{ off, n, pairs int32 }
 // The symbolic pass merges the ascending node lists of a node's (at most
 // four) blocks into its sorted tile row; nodes on the same blocks share
 // the row, so each distinct block set is merged once. The numeric pass
-// adds every block's tiles, in ascending block order, row-parallel over
-// tile-balanced chunks. Each tile entry is therefore summed in the same
-// order on any worker count, and the result is bitwise reproducible.
-func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool, workers int) (*sparse.BCSR, int) {
+// builds the tile dictionary: a tile's value is fixed by its row node's
+// class and its position in the row (rowClass), so each (class, position)
+// that some stored tile reaches is summed once — every block's term in
+// ascending block order, from zero, as a tile-by-tile scatter adds them —
+// and interned, and every other tile of the class at that position shares
+// its entry. Serial, and bitwise reproducible.
+func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool) (*sparse.BCSR, int) {
 	memo := map[[4]int32]tileRow{}
-	var cols []int32
+	var coupled []coupling
 	rows := make([]tileRow, nr)
 	rowNode := make([]int32, nr)
 	rowPtr := make([]int32, nr+1)
@@ -129,7 +146,7 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool, workers
 		}
 		tr, ok := memo[key]
 		if !ok {
-			tr = tileRow{off: int32(len(cols))}
+			tr = tileRow{off: int32(len(coupled))}
 			var heads [4][]int32
 			for i, b := range key[:len(inc)] {
 				heads[i] = in.node[int(b)*in.nS : int(b+1)*in.nS]
@@ -149,95 +166,136 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool, workers
 						heads[i] = l[1:]
 					}
 				}
-				tr.pairs++
-				if c := colOf[h]; c >= 0 {
-					cols = append(cols, c)
+				if colOf[h] >= 0 {
+					coupled = append(coupled, coupling{h, tr.pairs})
 				}
+				tr.pairs++
 			}
-			tr.n = int32(len(cols)) - tr.off
+			tr.n = int32(len(coupled)) - tr.off
 			memo[key] = tr
 		}
 		pairs += int(tr.pairs)
 		if row := rowOf[g]; row >= 0 {
 			if sym {
-				// The row's columns ascend: drop those left of the diagonal.
-				k, _ := slices.BinarySearch(cols[tr.off:tr.off+tr.n], row)
+				// The row's nodes ascend: drop those left of the diagonal.
+				k, _ := slices.BinarySearchFunc(coupled[tr.off:tr.off+tr.n], int32(g),
+					func(c coupling, g int32) int { return cmp.Compare(c.node, g) })
 				tr.off, tr.n = tr.off+int32(k), tr.n-int32(k)
 			}
 			rows[row], rowNode[row] = tr, int32(g)
 			rowPtr[row+1] = rowPtr[row] + tr.n
 		}
 	}
-	colIdx := make([]int32, rowPtr[nr])
+
+	// Each row's class owns a run of slots, one per position of its
+	// unfiltered list: base[i]+at is the slot of row i's tile at position at.
+	classes := map[rowClass]int32{}
+	base := make([]int32, nr)
+	nSlots := int32(0)
 	for i, tr := range rows {
-		copy(colIdx[rowPtr[i]:rowPtr[i+1]], cols[tr.off:tr.off+tr.n])
+		c := in.classOf(rowNode[i])
+		s, ok := classes[c]
+		if !ok {
+			s = nSlots
+			classes[c] = s
+			nSlots += tr.pairs
+		}
+		base[i] = s
 	}
-	a := sparse.NewBCSRTiles(sparse.BlockSize*nr, sparse.BlockSize*nc, rowPtr, colIdx, make([]float64, 9*rowPtr[nr]), sym)
-	k := &tileScatter{in: in, a: a, colOf: colOf, rowNode: rowNode}
-	pool := sparse.NewPool(workers)
-	pool.Run(sparse.PartitionByWork(rowPtr, 0, nr, workers), k)
-	pool.Close()
-	a.ScalarNNZ = int(k.nnz.Load())
+	// Number the slots the stored tiles reach in first-reach order, and
+	// give each stored tile its slot's number for now.
+	ord := make([]int32, nSlots)
+	for s := range ord {
+		ord[s] = -1
+	}
+	colIdx := make([]int32, rowPtr[nr])
+	valIdx := make([]int32, rowPtr[nr])
+	reached := int32(0)
+	for i, tr := range rows {
+		q := rowPtr[i]
+		for _, cp := range coupled[tr.off : tr.off+tr.n] {
+			o := &ord[base[i]+cp.at]
+			if *o < 0 {
+				*o = reached
+				reached++
+			}
+			colIdx[q], valIdx[q] = colOf[cp.node], *o
+			q++
+		}
+	}
+	// Sum each reached slot once, at its first reach: the same sweep meets
+	// the numbers in the order it gave them out.
+	vals := make([]float64, 9*reached)
+	nz := make([]int, reached) // each slot's scalars that are not exactly zero
+	next, nnz := int32(0), 0
+	for i, tr := range rows {
+		g, q := rowNode[i], rowPtr[i]
+		for _, cp := range coupled[tr.off : tr.off+tr.n] {
+			o := valIdx[q]
+			q++
+			if o == next {
+				t := (*[9]float64)(vals[9*o:])
+				*t = in.tile(g, cp.node)
+				for _, v := range t {
+					if v != 0 {
+						nz[o]++
+					}
+				}
+				next++
+			}
+			// ScalarNNZ counts the logical matrix's tile scalars that do not
+			// sum to exactly zero — the entries a zero-skipping scalar
+			// assembly would store — the mirror of a Sym off-diagonal tile
+			// included.
+			if sym && cp.node != g {
+				nnz += 2 * nz[o]
+			} else {
+				nnz += nz[o]
+			}
+		}
+	}
+	entry, dict := sparse.InternTiles(vals)
+	for q, o := range valIdx {
+		valIdx[q] = entry[o]
+	}
+	a := sparse.NewBCSRTiles(sparse.BlockSize*nr, sparse.BlockSize*nc, rowPtr, colIdx, valIdx, dict, sym)
+	a.ScalarNNZ = nnz
 	return a, pairs
 }
 
-// tileScatter is scatter's numeric pass over a chunk of tile rows.
-type tileScatter struct {
-	in      *incidence
-	a       *sparse.BCSR
-	rowNode []int32 // tile row i's lattice node
-	colOf   []int32
-	// nnz counts the logical matrix's tile scalars that do not sum to
-	// exactly zero — the entries a zero-skipping scalar assembly would
-	// store, both triangles of a Sym matrix included.
-	nnz atomic.Int64
+// classOf returns node g's rowClass.
+func (in *incidence) classOf(g int32) rowClass {
+	var c rowClass
+	for i, e := range in.inc[in.ptr[g]:in.ptr[g+1]] {
+		c[i].r, c[i].s = in.roms[int(e)/in.nS], e%int32(in.nS)
+	}
+	return c
 }
 
-// RunRange implements sparse.Runner over tile rows [lo, hi).
-func (k *tileScatter) RunRange(lo, hi int) {
-	in, a := k.in, k.a
-	pos := make([]int32, a.NCols/sparse.BlockSize)
-	nnz := 0
-	for i := lo; i < hi; i++ {
-		q0 := a.BRowPtr[i]
-		for q := q0; q < a.BRowPtr[i+1]; q++ {
-			pos[a.BColIdx[q]] = q
-		}
-		g := k.rowNode[i]
-		for _, e := range in.inc[in.ptr[g]:in.ptr[g+1]] {
-			b, s := int(e)/in.nS, int(e)%in.nS
-			r := in.roms[b]
-			n := r.Aelem.Cols
-			r0 := r.Aelem.Data[3*s*n : 3*(s+1)*n]
-			for j, h := range in.node[b*in.nS : (b+1)*in.nS] {
-				c := k.colOf[h]
-				if c < 0 || (a.Sym && int(c) < i) {
-					continue
-				}
-				tile := a.Vals[9*pos[c] : 9*pos[c]+9 : 9*pos[c]+9]
-				t := 3 * int(in.local[j])
-				for ii := 0; ii < 3; ii++ {
-					src := r0[ii*n+t : ii*n+t+3 : ii*n+t+3]
-					tile[3*ii] += src[0]
-					tile[3*ii+1] += src[1]
-					tile[3*ii+2] += src[2]
-				}
+// tile sums the 3×3 coupling of node g's DoFs to node h's over the blocks
+// the two share, in ascending block order from zero — bitwise the tile a
+// block-by-block scatter accumulates.
+func (in *incidence) tile(g, h int32) [9]float64 {
+	var t [9]float64
+	hs := in.inc[in.ptr[h]:in.ptr[h+1]]
+	for _, e := range in.inc[in.ptr[g]:in.ptr[g+1]] {
+		b := int(e) / in.nS
+		for _, f := range hs {
+			if int(f)/in.nS != b {
+				continue
 			}
-		}
-		for q := q0; q < a.BRowPtr[i+1]; q++ {
-			n := 0
-			for _, v := range a.Vals[9*q : 9*q+9] {
-				if v != 0 {
-					n++
-				}
+			a := in.roms[b].Aelem
+			n := a.Cols
+			s, j := int(e)%in.nS, int(f)%in.nS
+			for ii := 0; ii < 3; ii++ {
+				src := a.Data[(3*s+ii)*n+3*j : (3*s+ii)*n+3*j+3]
+				t[3*ii] += src[0]
+				t[3*ii+1] += src[1]
+				t[3*ii+2] += src[2]
 			}
-			if a.Sym && int(a.BColIdx[q]) != i {
-				n *= 2 // the mirrored tile below the diagonal
-			}
-			nnz += n
 		}
 	}
-	k.nnz.Add(int64(nnz))
+	return t
 }
 
 // unitLoad assembles the element loads for a unit thermal field (ΔT ≡ 1,

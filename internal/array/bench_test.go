@@ -2,11 +2,13 @@ package array
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/mesh"
 	"repro/internal/rom"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 func benchROM(b *testing.B) *rom.ROM {
@@ -41,6 +43,42 @@ func BenchmarkGlobalAssembly(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServedMulVec times the product every Krylov iteration of a
+// served solve runs: the 12×12 A_ff of the (5,5,5)-node coarse unit cell
+// serving builds by default, held as its upper tiles over a 1 422-entry
+// tile dictionary. The serial row runs the stripes in order on a
+// caller-owned spill slab; the pooled row shares them across a resident
+// gang of GOMAXPROCS workers, as a solver workspace does.
+func BenchmarkServedMulVec(b *testing.B) {
+	r := servedROM(b, true)
+	asm, err := NewAssembly(&Problem{ROM: r, Bx: 12, By: 12, DeltaT: -250, BC: ClampedTopBottom}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := asm.Blocked()
+	x := make([]float64, a.NCols)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	op := &sparse.BlockMatVec{M: a, Dst: make([]float64, a.NRows), X: x, Spill: make([]float64, a.SpillLen())}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			op.RunRange(0, a.NBRows())
+			op.Fold()
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		pool := sparse.NewPool(runtime.GOMAXPROCS(0))
+		defer pool.Close()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pool.Run(a.Stripes(), op)
+			op.Fold()
+		}
+	})
 }
 
 // BenchmarkGlobalSolvers compares the three global solver paths on the same

@@ -251,9 +251,15 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 	totalIt := 0
 	for totalIt < opt.MaxIter {
 		// r = b − A·x. Under right preconditioning this is also the residual
-		// the Arnoldi recurrence starts from, so no apply is needed here.
-		ws.matvec(a, w, x)
-		linalg.Sub(r, b, w)
+		// the Arnoldi recurrence starts from, so no apply is needed here. A
+		// zero start's first residual is b itself: A·0 is +0 in every entry
+		// for a finite A, and b − (+0) = b bitwise, so the product is skipped.
+		if x0 == nil && totalIt == 0 {
+			copy(r, b)
+		} else {
+			ws.matvec(a, w, x)
+			linalg.Sub(r, b, w)
+		}
 		beta := linalg.Norm2(r)
 		res := beta / bnorm
 		if res <= opt.Tol {
@@ -285,6 +291,12 @@ func GMRES(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, erro
 				linalg.Axpy(-hjk, v[j], w)
 			}
 			hn := linalg.Norm2(w)
+			// A non-finite norm (a NaN or Inf from A or M⁻¹) would leave the
+			// next basis vector untaken; no later step can recover from it.
+			if math.IsNaN(hn) || math.IsInf(hn, 0) {
+				st.Iterations = totalIt
+				return x, st, fmt.Errorf("solver: GMRES Arnoldi norm is non-finite at iteration %d: %w", totalIt, ErrStalled)
+			}
 			h.Set(k+1, k, hn)
 			if hn > 0 {
 				if v[k+1] == nil {

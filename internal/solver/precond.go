@@ -349,7 +349,7 @@ func lowerCols(a *sparse.BCSR) (colPtr, rowIdx []int32, vals []float64) {
 			q := next[j]
 			next[j] = q + 1
 			rowIdx[q] = i
-			dst, src := vals[9*q:9*q+9:9*q+9], a.Vals[9*p:9*p+9:9*p+9]
+			dst, src := vals[9*q:9*q+9:9*q+9], a.Tile(int(p))
 			if !transposed {
 				copy(dst, src)
 				return
@@ -548,8 +548,12 @@ func PCG(a *sparse.BCSR, b, x0 []float64, opt Options) ([]float64, Stats, error)
 	p := ws.vec(n)
 	ap := ws.vec(n)
 
-	ws.matvec(a, r, x)
-	linalg.Sub(r, b, r)
+	if x0 == nil {
+		copy(r, b) // b − A·0, bitwise, for a finite A
+	} else {
+		ws.matvec(a, r, x)
+		linalg.Sub(r, b, r)
+	}
 	bnorm := linalg.Norm2(b)
 	if bnorm == 0 {
 		st.Converged = true

@@ -238,7 +238,8 @@ func TestIC0MissingDiagonal(t *testing.T) {
 		NRows: 6, NCols: 6,
 		BRowPtr: []int32{0, 2, 3},
 		BColIdx: []int32{0, 1, 0}, // block row 1 holds only (1, 0)
-		Vals:    slices.Concat(one, one, one),
+		ValIdx:  []int32{0, 0, 0},
+		Vals:    one,
 	}
 	_, err := NewPreconditioner(PrecondIC0, PrecisionAuto, a)
 	if err == nil || !strings.Contains(err.Error(), "missing diagonal at block column 1") {

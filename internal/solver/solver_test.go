@@ -1,8 +1,10 @@
 package solver
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -419,6 +421,59 @@ func TestSolversMatchCholesky(t *testing.T) {
 	for i := range direct {
 		if math.Abs(direct[i]-iter[i]) > 1e-8*(1+math.Abs(direct[i])) {
 			t.Fatalf("direct/iterative disagree at %d", i)
+		}
+	}
+}
+
+// nanPrecond is a broken preconditioner whose every application is NaN.
+type nanPrecond struct{}
+
+func (nanPrecond) Apply(dst, _ []float64) {
+	for i := range dst {
+		dst[i] = math.NaN()
+	}
+}
+
+// TestNaNPreconditionerStalls: a preconditioner that writes NaN ends both
+// Krylov solvers with ErrStalled — the error the array layer's float64
+// retry keys on — instead of a panic or a MaxIter-long loop.
+func TestNaNPreconditionerStalls(t *testing.T) {
+	a := laplacian3D(6, 6, 3)
+	b := randVec(rand.New(rand.NewSource(12)), a.NRows)
+	for name, solve := range map[string]func(*sparse.BCSR, []float64, []float64, Options) ([]float64, Stats, error){
+		"GMRES": GMRES, "PCG": PCG,
+	} {
+		_, st, err := solve(tiled(a), b, nil, Options{M: nanPrecond{}})
+		if !errors.Is(err, ErrStalled) {
+			t.Errorf("%s: err = %v, want ErrStalled", name, err)
+		}
+		if st.Converged || st.Iterations > 1 {
+			t.Errorf("%s: stats %+v, want an unconverged stop at the first iteration", name, st)
+		}
+	}
+}
+
+// TestZeroStartSkipsProduct: a nil start and an explicit zero start give
+// bitwise the same solve — the nil start takes b as its first residual
+// instead of forming b − A·0 — under both preconditioner families.
+func TestZeroStartSkipsProduct(t *testing.T) {
+	a := tiled(laplacian3D(15, 15, 12)) // 2 700 DoFs: Auto resolves to IC0
+	b := randVec(rand.New(rand.NewSource(13)), a.NRows)
+	for name, solve := range map[string]func(*sparse.BCSR, []float64, []float64, Options) ([]float64, Stats, error){
+		"GMRES": GMRES, "PCG": PCG,
+	} {
+		for _, kind := range []PrecondKind{PrecondAuto, PrecondBlockJacobi3} {
+			opt := Options{Tol: 1e-10, Precond: kind}
+			x1, st1, err1 := solve(a, b, nil, opt)
+			x2, st2, err2 := solve(a, b, make([]float64, a.NRows), opt)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s/%v: %v, %v", name, kind, err1, err2)
+			}
+			if !slices.EqualFunc(x1, x2, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }) ||
+				st1.Iterations != st2.Iterations || math.Float64bits(st1.Residual) != math.Float64bits(st2.Residual) {
+				t.Errorf("%s/%v: nil start (%d it, residual %g) differs from a zero start (%d it, residual %g)",
+					name, kind, st1.Iterations, st1.Residual, st2.Iterations, st2.Residual)
+			}
 		}
 	}
 }

@@ -28,6 +28,12 @@ const stripeTiles = 16384
 // the CSR pattern but inside a stored tile are explicit zeros — they change
 // nothing numerically (0·x terms) and buy the dense inner loop.
 //
+// The tile values are held as a dictionary: Vals keeps each distinct tile
+// once and ValIdx maps every stored tile to its entry — the value-index
+// compression of CSR-VI (Kourtis, Goumas & Koziris, CF 2008). A reduced
+// global matrix repeats one unit cell's tiles over the whole lattice, so
+// its dictionary stays the same size however large the lattice grows.
+//
 // A symmetric matrix (Sym) stores only its upper block triangle: each block
 // row holds its diagonal tile first, then the tiles right of the diagonal,
 // and tile (J, I) of the logical matrix is the transpose of stored tile
@@ -47,7 +53,10 @@ type BCSR struct {
 	BRowPtr []int32
 	// BColIdx is the block-column index of each tile, ascending per row.
 	BColIdx []int32
-	// Vals holds 9 scalars per tile, row-major.
+	// ValIdx is the dictionary entry of each tile: stored tile p's values
+	// are Vals[9·ValIdx[p] : 9·ValIdx[p]+9] (Tile).
+	ValIdx []int32
+	// Vals is the tile dictionary, 9 scalars per entry, row-major.
 	Vals []float64
 	// ScalarNNZ is the stored-entry count of the full logical matrix (both
 	// triangles, also under Sym); the fill ratio ScalarNNZ/(9·tiles)
@@ -97,9 +106,19 @@ func (m *BCSR) diagTiles() int {
 	return n
 }
 
-// MemoryBytes estimates the storage footprint in bytes.
+// Tile returns stored tile p's 9 values, row-major, aliasing the dictionary.
+func (m *BCSR) Tile(p int) []float64 {
+	e := 9 * int(m.ValIdx[p])
+	return m.Vals[e : e+9 : e+9]
+}
+
+// Entries returns the number of dictionary entries.
+func (m *BCSR) Entries() int { return len(m.Vals) / 9 }
+
+// MemoryBytes estimates the storage footprint in bytes: the dictionary plus
+// the per-tile index and pattern arrays.
 func (m *BCSR) MemoryBytes() int64 {
-	idx := len(m.BRowPtr) + len(m.BColIdx) + len(m.stripes) + len(m.spillPtr) + len(m.spillRows) + len(m.slot)
+	idx := len(m.BRowPtr) + len(m.BColIdx) + len(m.ValIdx) + len(m.stripes) + len(m.spillPtr) + len(m.spillRows) + len(m.slot)
 	return int64(idx)*4 + int64(len(m.Vals))*8
 }
 
@@ -124,19 +143,47 @@ func NewBCSR(m *CSR) (*BCSR, error) {
 	if sym {
 		ptr, idx, vals = upperTiles(ptr, idx, vals)
 	}
-	b := NewBCSRTiles(m.NRows, m.NCols, ptr, idx, vals, sym)
+	valIdx, dict := InternTiles(vals)
+	b := NewBCSRTiles(m.NRows, m.NCols, ptr, idx, valIdx, dict, sym)
 	b.ScalarNNZ = m.NNZ()
 	return b, nil
 }
 
 // NewBCSRTiles wraps tile arrays already in BCSR form — ascending columns
-// per block row and, when sym, only the upper block triangle — and derives
-// the product's stripe layout from the pattern. vals may still be filled in
-// afterwards; ScalarNNZ is left for the caller to set.
-func NewBCSRTiles(nrows, ncols int, rowPtr, colIdx []int32, vals []float64, sym bool) *BCSR {
-	m := &BCSR{NRows: nrows, NCols: ncols, BRowPtr: rowPtr, BColIdx: colIdx, Vals: vals, Sym: sym}
+// per block row and, when sym, only the upper block triangle, each tile's
+// values at its valIdx entry of the vals dictionary — and derives the
+// product's stripe layout from the pattern. ScalarNNZ is left for the
+// caller to set.
+func NewBCSRTiles(nrows, ncols int, rowPtr, colIdx, valIdx []int32, vals []float64, sym bool) *BCSR {
+	m := &BCSR{NRows: nrows, NCols: ncols, BRowPtr: rowPtr, BColIdx: colIdx, ValIdx: valIdx, Vals: vals, Sym: sym}
 	m.stripe(stripeTiles)
 	return m
+}
+
+// InternTiles folds tile values stored 9 per tile into a dictionary of the
+// distinct tiles, in first-seen order, and the entry of each tile. Tiles are
+// keyed by their raw bits (math.Float64bits), so −0 and +0, and NaNs of
+// different payloads, are different entries: a tile read back is bitwise
+// the tile given.
+func InternTiles(vals []float64) (valIdx []int32, dict []float64) {
+	valIdx = make([]int32, len(vals)/9)
+	ids := make(map[[9]uint64]int32, len(valIdx))
+	dict = make([]float64, 0, len(vals))
+	for p := range valIdx {
+		t := vals[9*p : 9*p+9]
+		var key [9]uint64
+		for i, v := range t {
+			key[i] = math.Float64bits(v)
+		}
+		id, ok := ids[key]
+		if !ok {
+			id = int32(len(dict) / 9)
+			ids[key] = id
+			dict = append(dict, t...)
+		}
+		valIdx[p] = id
+	}
+	return valIdx, slices.Clone(dict)
 }
 
 // stripe lays the product out over stripes of about budget tiles each and,
@@ -282,15 +329,18 @@ func (m *BCSR) Full() *BCSR {
 	vals := make([]float64, 0, 9*cap(idx))
 	for j := 0; j < nb; j++ {
 		for q := lptr[j]; q < lptr[j+1]; q++ {
-			t := m.Vals[9*ltiles[q] : 9*ltiles[q]+9]
+			t := m.Tile(int(ltiles[q]))
 			idx = append(idx, lrows[q])
 			vals = append(vals, t[0], t[3], t[6], t[1], t[4], t[7], t[2], t[5], t[8])
 		}
-		idx = append(idx, m.BColIdx[m.BRowPtr[j]:m.BRowPtr[j+1]]...)
-		vals = append(vals, m.Vals[9*m.BRowPtr[j]:9*m.BRowPtr[j+1]]...)
+		for p := m.BRowPtr[j]; p < m.BRowPtr[j+1]; p++ {
+			idx = append(idx, m.BColIdx[p])
+			vals = append(vals, m.Tile(int(p))...)
+		}
 		ptr[j+1] = int32(len(idx))
 	}
-	f := NewBCSRTiles(m.NRows, m.NCols, ptr, idx, vals, false)
+	valIdx, dict := InternTiles(vals)
+	f := NewBCSRTiles(m.NRows, m.NCols, ptr, idx, valIdx, dict, false)
 	f.ScalarNNZ = m.ScalarNNZ
 	return f
 }
@@ -307,7 +357,7 @@ func (m *BCSR) ToCSR() *CSR {
 	rowPtr := make([]int32, m.NRows+1)
 	for br := 0; br < nbr; br++ {
 		for p := m.BRowPtr[br]; p < m.BRowPtr[br+1]; p++ {
-			for k, v := range m.Vals[9*p : 9*p+9] {
+			for k, v := range m.Tile(int(p)) {
 				if v != 0 {
 					rowPtr[BlockSize*br+k/BlockSize+1]++
 				}
@@ -324,8 +374,9 @@ func (m *BCSR) ToCSR() *CSR {
 		for i := 0; i < BlockSize; i++ {
 			q := rowPtr[BlockSize*br+i]
 			for p := m.BRowPtr[br]; p < m.BRowPtr[br+1]; p++ {
+				t := m.Tile(int(p))
 				for j := int32(0); j < BlockSize; j++ {
-					if v := m.Vals[9*p+int32(BlockSize*i)+j]; v != 0 {
+					if v := t[int32(BlockSize*i)+j]; v != 0 {
 						colIdx[q] = BlockSize*m.BColIdx[p] + j
 						vals[q] = v
 						q++
@@ -338,15 +389,14 @@ func (m *BCSR) ToCSR() *CSR {
 }
 
 // DiagTile returns block row br's diagonal tile (9 values, row-major, aliasing
-// Vals), or nil when the block row stores none.
+// the dictionary), or nil when the block row stores none.
 func (m *BCSR) DiagTile(br int) []float64 {
 	lo, hi := m.BRowPtr[br], m.BRowPtr[br+1]
 	k, ok := slices.BinarySearch(m.BColIdx[lo:hi], int32(br))
 	if !ok {
 		return nil
 	}
-	q := 9 * (int(lo) + k)
-	return m.Vals[q : q+9 : q+9]
+	return m.Tile(int(lo) + k)
 }
 
 // MulVec computes dst = m·x with the blocked kernel over m's stripes. dst
@@ -387,12 +437,17 @@ func (m *BCSR) mulVecRange(dst, x, spill []float64, lo, hi int) {
 //
 //stressvet:noalloc
 func (m *BCSR) fullRows(dst, x []float64, lo, hi int) {
+	vals := m.Vals
 	for br := lo; br < hi; br++ {
 		var s0, s1, s2 float64
-		for p := m.BRowPtr[br]; p < m.BRowPtr[br+1]; p++ {
-			c := m.BColIdx[p] * BlockSize
-			t := m.Vals[9*p : 9*p+9 : 9*p+9]
-			x0, x1, x2 := x[c], x[c+1], x[c+2]
+		p, end := int(m.BRowPtr[br]), int(m.BRowPtr[br+1])
+		ents := m.ValIdx[p:end]
+		for k, c32 := range m.BColIdx[p:end] {
+			c := BlockSize * uint(uint32(c32))
+			e := 9 * uint(uint32(ents[k]))
+			t := (*[9]float64)(vals[e : e+9])
+			y := (*[3]float64)(x[c : c+3])
+			x0, x1, x2 := y[0], y[1], y[2]
 			s0 += t[0]*x0 + t[1]*x1 + t[2]*x2
 			s1 += t[3]*x0 + t[4]*x1 + t[5]*x2
 			s2 += t[6]*x0 + t[7]*x1 + t[8]*x2
@@ -416,37 +471,43 @@ func (m *BCSR) symStripe(dst, x, spill []float64, s int) {
 	lo, hi := int(m.stripes[s]), int(m.stripes[s+1])
 	clear(dst[BlockSize*lo : BlockSize*hi])
 	clear(spill[BlockSize*m.spillPtr[s] : BlockSize*m.spillPtr[s+1]])
+	vals := m.Vals
+	// x and dst have the matrix's one dimension. Capped at it, a column
+	// block that x holds is one dst holds too, and the unsigned index
+	// arithmetic below cannot wrap: each tile read keeps a single check for
+	// its dictionary entry, its x block and, when it spills, its slot.
+	dst = dst[:len(dst):len(dst)]
+	x = x[:len(dst):len(dst)]
 	for br := lo; br < hi; br++ {
-		// The row's columns, slots and tiles advance together; reading
-		// tiles off the front of a shrinking slice leaves one bounds check
-		// per tile.
+		// The row's columns, slots and dictionary entries advance together.
 		p, end := int(m.BRowPtr[br]), int(m.BRowPtr[br+1])
-		cols, slots := m.BColIdx[p:end], m.slot[p:end]
-		tiles := m.Vals[9*p : 9*end]
+		cols, slots, ents := m.BColIdx[p:end], m.slot[p:end], m.ValIdx[p:end]
 		xi := (*[3]float64)(x[BlockSize*br:])
 		d := (*[3]float64)(dst[BlockSize*br:])
 		x0, x1, x2 := xi[0], xi[1], xi[2]
 		s0, s1, s2 := d[0], d[1], d[2]
 		if len(cols) > 0 && int(cols[0]) == br {
-			t := (*[9]float64)(tiles)
+			t := (*[9]float64)(vals[9*int(ents[0]):])
 			s0 += t[0]*x0 + t[1]*x1 + t[2]*x2
 			s1 += t[3]*x0 + t[4]*x1 + t[5]*x2
 			s2 += t[6]*x0 + t[7]*x1 + t[8]*x2
-			cols, slots, tiles = cols[1:], slots[1:], tiles[9:]
+			cols, slots, ents = cols[1:], slots[1:], ents[1:]
 		}
+		slots, ents = slots[:len(cols)], ents[:len(cols)]
 		for k, c32 := range cols {
-			c := BlockSize * int(c32)
-			t := (*[9]float64)(tiles)
-			tiles = tiles[9:]
-			y := (*[3]float64)(x[c:])
+			c := BlockSize * uint(uint32(c32))
+			e := 9 * uint(uint32(ents[k]))
+			t := (*[9]float64)(vals[e : e+9])
+			y := (*[3]float64)(x[c : c+3])
 			s0 += t[0]*y[0] + t[1]*y[1] + t[2]*y[2]
 			s1 += t[3]*y[0] + t[4]*y[1] + t[5]*y[2]
 			s2 += t[6]*y[0] + t[7]*y[1] + t[8]*y[2]
 			var o *[3]float64
 			if int(c32) < hi {
-				o = (*[3]float64)(dst[c:])
+				o = (*[3]float64)(dst[c : c+3])
 			} else {
-				o = (*[3]float64)(spill[BlockSize*int(slots[k]):])
+				q := BlockSize * uint(uint32(slots[k]))
+				o = (*[3]float64)(spill[q : q+3])
 			}
 			o[0] += t[0]*x0 + t[3]*x1 + t[6]*x2
 			o[1] += t[1]*x0 + t[4]*x1 + t[7]*x2

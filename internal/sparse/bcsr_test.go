@@ -129,7 +129,7 @@ func TestBCSRZeroFill(t *testing.T) {
 			bc := b.BColIdx[q]
 			for i := 0; i < BlockSize; i++ {
 				for j := 0; j < BlockSize; j++ {
-					v := b.Vals[9*int(q)+i*BlockSize+j]
+					v := b.Tile(int(q))[i*BlockSize+j]
 					r, c := int32(br*BlockSize+i), bc*int32(BlockSize)+int32(j)
 					if v != 0 {
 						nonzero++
@@ -277,6 +277,48 @@ func TestBCSRDiagTile(t *testing.T) {
 	}
 	if d := b.DiagTile(1); d != nil {
 		t.Fatalf("DiagTile(1) = %v, want nil", d)
+	}
+}
+
+// TestNewBCSRKeysTilesByBits: NewBCSR's dictionary tells tiles apart by
+// their raw bits, so tiles that differ only in the sign of a zero or in a
+// NaN payload keep their own entries and read back bitwise as given, while
+// bitwise-equal tiles share one.
+func TestNewBCSRKeysTilesByBits(t *testing.T) {
+	corner := []float64{
+		math.Copysign(0, -1), // −0
+		0,                    // +0, as the zero fill
+		math.Float64frombits(0x7ff8000000000001),
+		math.Float64frombits(0x7ff8000000000002),
+		0,
+	}
+	n := 3 * len(corner)
+	m := &CSR{NRows: n, NCols: n, RowPtr: make([]int32, n+1)}
+	for i, v := range corner {
+		if i != 1 {
+			m.ColIdx, m.Vals = append(m.ColIdx, int32(3*i)), append(m.Vals, v)
+		}
+		m.RowPtr[3*i+1] = int32(len(m.Vals))
+		m.ColIdx, m.Vals = append(m.ColIdx, int32(3*i+2)), append(m.Vals, 1) // off the tile's diagonal: never Sym
+		m.RowPtr[3*i+2], m.RowPtr[3*i+3] = int32(len(m.Vals)), int32(len(m.Vals))
+	}
+	b, err := NewBCSR(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Sym || b.NNZBlocks() != len(corner) || b.Entries() != 4 {
+		t.Fatalf("Sym %v, %d tiles, %d entries; want unsymmetric, 5 and 4", b.Sym, b.NNZBlocks(), b.Entries())
+	}
+	if b.ValIdx[4] != b.ValIdx[1] {
+		t.Errorf("equal tiles 1 and 4 hold entries %d and %d, want one", b.ValIdx[1], b.ValIdx[4])
+	}
+	for p, v := range corner {
+		want := [9]float64{v, 0, 0, 0, 0, 1, 0, 0, 0}
+		for i, got := range b.Tile(p) {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("tile %d scalar %d reads %x, want %x", p, i, math.Float64bits(got), math.Float64bits(want[i]))
+			}
+		}
 	}
 }
 
@@ -512,8 +554,11 @@ func TestBlockLowerTriSolvesInverse(t *testing.T) {
 			back := &BCSR{NRows: n, NCols: n, BRowPtr: []int32{0}}
 			for br := 0; br < bt.NBRows(); br++ {
 				cols, first := bt.Row(br, tri.upper)
+				for k := range cols {
+					back.ValIdx = append(back.ValIdx, int32(first+k))
+				}
 				back.BColIdx = append(back.BColIdx, cols...)
-				back.Vals = append(back.Vals, tri.vals[9*first:9*(first+len(cols))]...)
+				back.Vals = tri.vals
 				back.BRowPtr = append(back.BRowPtr, int32(len(back.BColIdx)))
 			}
 			got := make([]float64, n)
