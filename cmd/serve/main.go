@@ -130,7 +130,9 @@
 // ("auto" picks block-Jacobi-3 for small lattices and IC0 for large ones;
 // the per-request "precond" field overrides), and answers each uniform-ΔT
 // iterative request as ΔT times the lattice's unit-load solution, solved
-// once (-warm-start=false solves every request cold). GET /stats reports
+// once, and its field as |ΔT| times that solution's field, sampled once per
+// grid size (-warm-start=false solves and samples every request cold). GET
+// /stats reports
 // the machinery under "solver": assemblies built vs reused, warm-start hit
 // rate, and total iterations; per-scenario SSE events carry iterations, residual, precond,
 // and warmStart. See docs/SOLVER_TUNING.md for guidance and measurements.
@@ -177,7 +179,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
 	warmStart := flag.Bool("warm-start", true,
-		"answer uniform-ΔT iterative requests as ΔT times the lattice's cached unit-load solution")
+		"answer uniform-ΔT iterative requests as ΔT times the lattice's cached unit-load solution, and their fields as |ΔT| times its cached field")
 	assemblyBytes := flag.Int64("assembly-bytes", 1<<30,
 		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
 	flag.Parse()

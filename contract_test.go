@@ -89,8 +89,10 @@ func TestAnswersIndependentOfWorkers(t *testing.T) {
 // does not depend on what its lattice solved before: one set of uniform
 // jobs on a 6×6 lattice, submitted in three ΔT orders through
 // Engine.Solve, BatchSolve and three shards, each on fresh engines, gives
-// bitwise identical Q and fields, and each answer agrees with a
-// DisableWarmStart cold solve to rounding.
+// bitwise identical Q and fields, and each answer's Q and field agree with
+// a DisableWarmStart cold solve to rounding. The jobs sample their fields
+// at two grid sizes, so a cached unit field of one can never answer the
+// other.
 func TestAnswersIndependentOfHistory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves a 6×6 lattice on nine paths")
@@ -100,7 +102,7 @@ func TestAnswersIndependentOfHistory(t *testing.T) {
 	loads := []float64{-250, -200, -150, -100, -50, 40}
 	jobs := make([]morestress.Job, len(loads))
 	for i, dt := range loads {
-		jobs[i] = morestress.Job{Config: cfg, Rows: 6, Cols: 6, DeltaT: dt, GridSamples: 4 * (i % 2)}
+		jobs[i] = morestress.Job{Config: cfg, Rows: 6, Cols: 6, DeltaT: dt, GridSamples: 4 + 2*(i%2)}
 	}
 	// One ROM cache for every engine: the lattice caches under test stay
 	// private per engine, and the local stage runs once.
@@ -158,6 +160,18 @@ func TestAnswersIndependentOfHistory(t *testing.T) {
 		}
 		if rel := math.Sqrt(num / den); !(rel <= 1e-12) {
 			t.Errorf("job %d (ΔT=%g): Q deviates from the cold solve by %.3g relative", i, loads[i], rel)
+		}
+		gf, wf := ref[i].Result.VM.V, r.Result.VM.V
+		if len(gf) != len(wf) {
+			t.Fatalf("job %d: %d field samples, the cold solve has %d", i, len(gf), len(wf))
+		}
+		var diff, top float64
+		for k := range wf {
+			diff = math.Max(diff, math.Abs(gf[k]-wf[k]))
+			top = math.Max(top, math.Abs(wf[k]))
+		}
+		if rel := diff / top; !(rel <= 1e-12) {
+			t.Errorf("job %d (ΔT=%g): field deviates from the cold solve's by %.3g relative", i, loads[i], rel)
 		}
 	}
 }

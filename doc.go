@@ -55,8 +55,9 @@
 //     one factor and one answer at every worker count) and an
 //     allocation-free PCG hot loop, and every uniform-ΔT job is
 //     answered as ΔT times its lattice's unit-load solution, solved once
-//     (array.SolveUniform), so an answer does not depend on the order of
-//     the jobs. EngineStats and
+//     (array.SolveUniform), with its field |ΔT| times that solution's
+//     field, sampled once per grid size, so an answer does not depend on
+//     the order of the jobs. EngineStats and
 //     Solution/SolverStats surface assemblies and preconditioners reused,
 //     solves per ordering, warm-start hit rate, and iteration counts. See
 //     docs/SOLVER_TUNING.md for guidance and measurements.

@@ -134,8 +134,10 @@ type EngineOptions struct {
 	// DisableWarmStart turns off unit-solution reuse: by default the
 	// engine answers every uniform-ΔT iterative job as ΔT times its
 	// lattice's unit-load solution (array.SolveUniform), solved once per
-	// lattice and solver options. With it set, each job solves its own
-	// right-hand side cold.
+	// lattice and solver options, and its von Mises field as |ΔT| times
+	// the unit solution's field, sampled once per grid size. With it set,
+	// each job solves its own right-hand side cold and samples its own
+	// field.
 	DisableWarmStart bool
 	// SharedCache, when non-nil, is used as the engine's ROM cache instead
 	// of building a private one (CacheBytes/CacheEntries/CacheDir/

@@ -256,6 +256,12 @@ type Solution struct {
 	GlobalDoFs int
 	// MatrixNNZ is the assembled global matrix's stored entries.
 	MatrixNNZ int
+
+	// unit is the cached unit-load solution a SolveUniform answer is
+	// scaled from (nil for every other solution); VMField scales its
+	// cached von Mises fields by |ΔT|. A retained answer keeps the unit
+	// solution and its fields alive, never the Assembly.
+	unit *unitSolution
 }
 
 // Assembly is the assemble-once snapshot of a lattice's reduced global
@@ -269,10 +275,10 @@ type Solution struct {
 // it). The reduced matrix A_ff is held once, as 3×3 tiles (Blocked): every
 // Krylov mat-vec and preconditioner build reads them, and the direct solver
 // expands them to a transient CSR only when it factors. The Assembly also
-// caches the unit-load solutions SolveUniform scales. The reduced system
-// itself is immutable after NewAssembly; both caches are internally
-// synchronized, so an Assembly is safe to share across concurrent Solve and
-// SolveUniform calls.
+// caches the unit-load solutions SolveUniform scales, and the von Mises
+// fields sampled from them. The reduced system itself is immutable after
+// NewAssembly; every cache is internally synchronized, so an Assembly is
+// safe to share across concurrent Solve and SolveUniform calls.
 type Assembly struct {
 	// Lat is the global surface-node lattice.
 	Lat *Lattice
@@ -299,9 +305,10 @@ type Assembly struct {
 
 	// preconds caches the lazily built preconditioners, one per
 	// (kind, precision); units caches the unit-load solutions
-	// SolveUniform scales, at most maxUnitSolutions of them.
+	// SolveUniform scales, at most maxUnitSolutions of them, each with
+	// its von Mises fields.
 	preconds onceMap[precondKey, solver.Preconditioner]
-	units    onceMap[unitKey, unitSolution]
+	units    onceMap[unitKey, *unitSolution]
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
@@ -522,9 +529,9 @@ func (a *Assembly) NumFree() int {
 }
 
 // MemoryBytes estimates the snapshot's storage footprint, for byte-budgeted
-// caches. Lazily cached preconditioners and unit-load solutions count too,
-// so the assembly cache's byte budget sees them (it re-sums entry sizes on
-// every insert because of exactly this growth).
+// caches. Lazily cached preconditioners, unit-load solutions and their
+// von Mises fields count too, so the assembly cache's byte budget sees them
+// (it re-sums entry sizes on every insert because of exactly this growth).
 func (a *Assembly) MemoryBytes() int64 {
 	b := int64(4*len(a.Lat.Index)) + int64(24*len(a.Lat.Nodes)) + int64(4*len(a.BCNodes))
 	if a.Red != nil {
@@ -539,7 +546,10 @@ func (a *Assembly) MemoryBytes() int64 {
 			b += s.MemoryBytes()
 		}
 	})
-	a.units.each(func(u unitSolution) { b += int64(8*len(u.qf)) + 128 }) // 128: the Stats, rounded up
+	a.units.each(func(u *unitSolution) {
+		b += int64(8*(len(u.sol.QFree)+len(u.sol.Q))) + 128 // 128: the Stats, rounded up
+		u.fields.each(func(f *field.Grid2D) { b += int64(8 * len(f.V)) })
+	})
 	return b
 }
 
@@ -772,6 +782,23 @@ func Solve(p *Problem) (*Solution, error) {
 // collect a solution per distinct request.
 const maxUnitSolutions = 4
 
+// maxUnitFields caps the von Mises fields, one per grid size, that a unit
+// solution keeps, and maxUnitFieldBytes what one Assembly keeps of them in
+// all. A field is cached only if it fits its even share of the ceiling,
+// maxUnitFieldBytes/(maxUnitSolutions·maxUnitFields), so whether it is
+// depends on the field's size alone, never on what else is cached, and a
+// served field's bits do not depend on the lattice's history.
+const (
+	maxUnitFields     = 4
+	maxUnitFieldBytes = 64 << 20
+)
+
+// unitFieldCached reports whether the bx×by lattice's von Mises field at
+// grid size gs fits a cached unit field's share of maxUnitFieldBytes.
+func unitFieldCached(bx, by, gs int) bool {
+	return 8*int64(bx)*int64(by)*int64(gs)*int64(gs) <= maxUnitFieldBytes/(maxUnitSolutions*maxUnitFields)
+}
+
 // unitKey identifies a unit-load solution: the solver kind plus every option
 // that changes its numbers, with the preconditioner resolved. Workers is not
 // in it, because the solve is bitwise independent of it.
@@ -791,11 +818,22 @@ func (a *Assembly) unitKey(p *Problem) unitKey {
 	}
 }
 
-// unitSolution is a cached unit-load (ΔT = 1) solve: the free-DoF solution
-// and the stats of the solve that produced it.
+// unitSolution is a cached unit-load (ΔT = 1) solve and the von Mises
+// fields sampled from it, one per grid size. The solution's Prob snapshot
+// holds no Assembly, so a scaled answer that records its unitSolution does
+// not pin the assembly either.
 type unitSolution struct {
-	qf    []float64
-	stats solver.Stats
+	sol    *Solution
+	fields onceMap[int, *field.Grid2D]
+}
+
+// vmField returns the unit solution's von Mises field at grid size gs,
+// sampling it on first use; concurrent first callers share one sampling.
+func (u *unitSolution) vmField(gs, workers int) *field.Grid2D {
+	e, _ := u.fields.get(gs, maxUnitFields, func() (*field.Grid2D, error) {
+		return u.sol.VMField(gs, workers), nil
+	})
+	return e.v
 }
 
 // SolveUniform answers a uniform-ΔT problem on a shared Assembly as ΔT
@@ -803,9 +841,11 @@ type unitSolution struct {
 // right-hand side is ΔT·b_f), which the first request per unitKey solves
 // cold and caches on the Assembly. A scaled answer reports the unit solve's
 // Stats with 0 iterations and Warm set; the call that ran the unit solve
-// reports that solve's. Problems outside the superposition (no Assembly, a
-// per-block load, a prescribed boundary, Direct, a caller's M, a zero or
-// non-finite ΔT) go to Solve.
+// reports that solve's. Every answer's VMField is |ΔT| times the unit
+// solution's field, which each grid size samples once (von Mises is
+// positively homogeneous in the load). Problems outside the superposition
+// (no Assembly, a per-block load, a prescribed boundary, Direct, a caller's
+// M, a zero or non-finite ΔT) go to Solve.
 func SolveUniform(p *Problem) (*Solution, error) {
 	asm, dt := p.Assembly, p.DeltaT
 	if asm == nil || asm.AllBC || p.DeltaTFor != nil || p.BC != ClampedTopBottom || p.Solver == Direct ||
@@ -820,35 +860,38 @@ func SolveUniform(p *Problem) (*Solution, error) {
 	}
 	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	var fresh *Solution
-	e, _ := asm.units.get(asm.unitKey(p), maxUnitSolutions, func() (unitSolution, error) {
+	e, _ := asm.units.get(asm.unitKey(p), maxUnitSolutions, func() (*unitSolution, error) {
 		unit := *p
 		unit.DeltaT = 1
 		sol, err := Solve(&unit)
 		if err != nil {
-			return unitSolution{}, err
+			return nil, err
 		}
-		fresh = sol
-		return unitSolution{qf: sol.QFree, stats: sol.Stats}, nil
+		answer := *sol
+		fresh = &answer
+		return &unitSolution{sol: sol}, nil
 	})
 	if e.err != nil {
 		return nil, e.err
 	}
-	qf := make([]float64, len(e.v.qf))
-	for i, v := range e.v.qf {
+	u := e.v
+	qf := make([]float64, len(u.sol.QFree))
+	for i, v := range u.sol.QFree {
 		qf[i] = dt * v
 	}
 	if fresh != nil {
-		fresh.Prob, fresh.QFree, fresh.Q = p.snapshot(), qf, asm.Red.Expand(qf, nil)
+		fresh.Prob, fresh.QFree, fresh.Q, fresh.unit = p.snapshot(), qf, asm.Red.Expand(qf, nil), u
 		fresh.SolveTime = time.Since(start) - fresh.AssembleTime
 		return fresh, nil
 	}
-	st := e.v.stats
+	st := u.sol.Stats
 	st.Iterations, st.Warm, st.PrecondBuild, st.PrecondApply = 0, true, 0, 0
 	return &Solution{
 		Prob: p.snapshot(), Lattice: asm.Lat, Q: asm.Red.Expand(qf, nil), QFree: qf, Stats: st,
 		Ordering: st.Ordering, Precision: st.Precision, SolveTime: time.Since(start),
 		AssemblyShared: true, PrecondShared: true,
 		GlobalDoFs: asm.Lat.NumDoFs(), MatrixNNZ: asm.NNZ,
+		unit: u,
 	}, nil
 }
 
@@ -886,8 +929,21 @@ func (p *Problem) blockDeltaT(bx, by int) float64 {
 // per pass over its basis slab; the result is bitwise equal to sampling
 // each block's full Reconstruct with SampleVM. Parallel over batches.
 //
+// A SolveUniform answer instead returns |ΔT| times its unit solution's
+// field, sampled this way once per grid size and cached, unless the field
+// is too large to cache (unitFieldCached).
+//
 //stressvet:gang -- fixed pool of `workers` goroutines draining the batch channel
 func (s *Solution) VMField(gs int, workers int) *field.Grid2D {
+	if s.unit != nil && unitFieldCached(s.Prob.Bx, s.Prob.By, gs) {
+		unit := s.unit.vmField(gs, workers)
+		out := field.New(unit.NX, unit.NY)
+		k := math.Abs(s.Prob.DeltaT)
+		for i, v := range unit.V {
+			out.V[i] = k * v
+		}
+		return out
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -103,25 +103,47 @@ func BenchmarkGlobalSolvers(b *testing.B) {
 	}
 }
 
-// BenchmarkVMFieldReconstruction times Solution.VMField — the Eq. 15
-// reconstruction on the mid-height cut plane and its von Mises sampling —
-// on a 6×6 lattice of the (5,5,5)-node coarse unit cell serving builds by
-// default, at the per-block grid sizes of a /solve response (gs=40) and of
-// a ΔT-sweep scenario (gs=10).
+// BenchmarkVMFieldReconstruction times Solution.VMField on a 6×6 lattice of
+// the (5,5,5)-node coarse unit cell serving builds by default, at the
+// per-block grid sizes of a /solve response (gs=40) and of a ΔT-sweep
+// scenario (gs=10). The gs rows time the Eq. 15 reconstruction on the
+// mid-height cut plane and its von Mises sampling, the path of per-block
+// loads and of each unit field's first build; the uniform rows time a warm
+// SolveUniform answer, |ΔT| times its cached unit field.
 func BenchmarkVMFieldReconstruction(b *testing.B) {
 	r := servedROM(b, true)
-	sol, err := Solve(&Problem{ROM: r, Bx: 6, By: 6, DeltaT: -250, BC: ClampedTopBottom})
+	p := &Problem{ROM: r, Bx: 6, By: 6, DeltaT: -250, BC: ClampedTopBottom}
+	sol, err := Solve(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, gs := range []int{40, 10} {
-		b.Run(fmt.Sprintf("gs=%d", gs), func(b *testing.B) {
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p.Assembly = asm
+	uniform, err := SolveUniform(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(s *Solution, gs int) func(*testing.B) {
+		return func(b *testing.B) {
+			s.VMField(gs, 0) // a uniform answer's first call samples the unit field
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if f := sol.VMField(gs, 0); len(f.V) != 36*gs*gs {
+				if f := s.VMField(gs, 0); len(f.V) != 36*gs*gs {
 					b.Fatal("wrong field size")
 				}
 			}
-		})
+		}
 	}
+	for _, gs := range []int{40, 10} {
+		b.Run(fmt.Sprintf("gs=%d", gs), run(sol, gs))
+	}
+	b.Run("uniform", func(b *testing.B) {
+		for _, gs := range []int{40, 10} {
+			b.Run(fmt.Sprintf("gs=%d", gs), run(uniform, gs))
+		}
+	})
 }

@@ -1,9 +1,12 @@
 package array
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestUnitSolutionMatchesCold: a scaled answer agrees with a cold solve of
@@ -109,7 +112,7 @@ func TestUnitSolutionConcurrentFirstUse(t *testing.T) {
 	if n := len(asm.units.m); n != 1 {
 		t.Errorf("%d unit solutions cached, want 1", n)
 	}
-	unit := asm.units.m[asm.unitKey(p)].v.qf
+	unit := asm.units.m[asm.unitKey(p)].v.sol.QFree
 	for i, s := range sols {
 		dt := s.Prob.DeltaT
 		for k, v := range s.QFree {
@@ -161,6 +164,196 @@ func TestUnitSolutionCap(t *testing.T) {
 	for k := range ref.Q {
 		if math.Float64bits(again.Q[k]) != math.Float64bits(ref.Q[k]) {
 			t.Fatalf("recomputed Q[%d] = %v, want %v", k, again.Q[k], ref.Q[k])
+		}
+	}
+}
+
+// servedLattice is the served 6×6 clamped lattice of the (5,5,5)-node
+// coarse cell, with its assembly, at ΔT = −250.
+func servedLattice(t *testing.T) *Problem {
+	t.Helper()
+	p := &Problem{ROM: servedROM(t, true), Bx: 6, By: 6, DeltaT: -250, BC: ClampedTopBottom}
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Assembly = asm
+	return p
+}
+
+// maxRelDiff is max|got − want| / max|want|.
+func maxRelDiff(got, want []float64) float64 {
+	var num, den float64
+	for i := range want {
+		num = math.Max(num, math.Abs(got[i]-want[i]))
+		den = math.Max(den, math.Abs(want[i]))
+	}
+	return num / den
+}
+
+// TestUnitFieldMatchesCold: the field of a SolveUniform answer, scaled from
+// the unit solution's cached field, agrees with the field of a Solve of the
+// same load to rounding, and a second call is bitwise the first. The fields
+// of Solve answers and of per-block loads are still sampled from their own
+// solution, bitwise as the full reconstruction does.
+func TestUnitFieldMatchesCold(t *testing.T) {
+	p := servedLattice(t)
+	for _, dt := range []float64{-250, -173.25, 37.5, -1e-3} {
+		q := *p
+		q.DeltaT = dt
+		scaled, err := SolveUniform(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Solve(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scaled.unit == nil || cold.unit != nil {
+			t.Fatalf("ΔT=%g: SolveUniform answer records a unit solution: %v; Solve answer: %v", dt, scaled.unit != nil, cold.unit != nil)
+		}
+		for _, gs := range []int{10, 40} {
+			got, want := scaled.VMField(gs, 0), cold.VMField(gs, 0)
+			if rel := maxRelDiff(got.V, want.V); !(rel <= 1e-12) {
+				t.Errorf("ΔT=%g gs=%d: scaled field deviates from the cold field by %.3g relative", dt, gs, rel)
+			}
+			sameBits(t, fmt.Sprintf("ΔT=%g gs=%d second call", dt, gs), scaled.VMField(gs, 0).V, got.V)
+			sameBits(t, fmt.Sprintf("ΔT=%g gs=%d cold", dt, gs), want.V, referenceVMField(cold, gs).V)
+		}
+	}
+	hot := *p
+	hot.DeltaTFor = func(bx, by int) float64 { return -250 + 17*float64(bx) - 9*float64(by) }
+	sol, err := SolveUniform(&hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.unit != nil {
+		t.Fatal("a per-block load was scaled from a unit solution")
+	}
+	sameBits(t, "per-block load", sol.VMField(10, 0).V, referenceVMField(sol, 10).V)
+}
+
+// TestUnitFieldConcurrentFirstUse: concurrent first requests for one grid
+// size, on answers at distinct loads, sample the unit field once; every
+// field is bitwise |ΔT| times it, and MemoryBytes may be read meanwhile.
+func TestUnitFieldConcurrentFirstUse(t *testing.T) {
+	p := precondProblem(t)
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Assembly = asm
+	const callers, gs = 8, 6
+	sols := make([]*Solution, callers)
+	fields := make([][]float64, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := *p
+			q.DeltaT = 30 - 25*float64(i)
+			sol, err := SolveUniform(&q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sols[i], fields[i] = sol, sol.VMField(gs, 2).V
+			asm.MemoryBytes()
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	u := asm.units.m[asm.unitKey(p)].v
+	if n := len(u.fields.m); n != 1 {
+		t.Fatalf("%d unit fields cached, want 1", n)
+	}
+	unit := u.fields.m[gs].v.V
+	for i, s := range sols {
+		if s.unit != u {
+			t.Fatalf("caller %d records another unit solution", i)
+		}
+		k := math.Abs(s.Prob.DeltaT)
+		for j, v := range fields[i] {
+			if math.Float64bits(v) != math.Float64bits(k*unit[j]) {
+				t.Fatalf("caller %d (ΔT=%g): sample %d = %v, want |ΔT|·unit = %v", i, s.Prob.DeltaT, j, v, k*unit[j])
+			}
+		}
+	}
+}
+
+// TestUnitFieldCap: a unit solution keeps at most maxUnitFields grid sizes,
+// MemoryBytes counts each cached field, and a field over its share of
+// maxUnitFieldBytes is not cached and is bitwise the field sampled from the
+// answer's own solution.
+func TestUnitFieldCap(t *testing.T) {
+	p := precondProblem(t)
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Assembly = asm
+	sol, err := SolveUniform(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := sol.unit
+	for gs := 1; gs <= maxUnitFields+3; gs++ {
+		before := asm.MemoryBytes()
+		f := sol.VMField(gs, 0)
+		if n := len(u.fields.m); n > maxUnitFields {
+			t.Fatalf("gs=%d: %d unit fields cached, cap is %d", gs, n, maxUnitFields)
+		}
+		if gs <= maxUnitFields {
+			if grew := asm.MemoryBytes() - before; grew != int64(8*len(f.V)) {
+				t.Errorf("gs=%d: MemoryBytes grew by %d, want the field's %d bytes", gs, grew, 8*len(f.V))
+			}
+		}
+	}
+	gs := 1
+	for unitFieldCached(p.Bx, p.By, gs) {
+		gs *= 2
+	}
+	before, cached := asm.MemoryBytes(), len(u.fields.m)
+	got := sol.VMField(gs, 0)
+	if n := len(u.fields.m); n != cached || asm.MemoryBytes() != before {
+		t.Errorf("gs=%d (%d samples) is over the ceiling but was cached", gs, len(got.V))
+	}
+	own := *sol
+	own.unit = nil
+	sameBits(t, fmt.Sprintf("gs=%d over the ceiling", gs), got.V, own.VMField(gs, 0).V)
+}
+
+// TestUnitFieldAnswerDoesNotPinAssembly: a retained SolveUniform answer
+// whose field came from the unit field cache lets its Assembly be
+// collected.
+func TestUnitFieldAnswerDoesNotPinAssembly(t *testing.T) {
+	p := precondProblem(t)
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(asm, func(*Assembly) { close(freed) })
+	p.Assembly = asm
+	sol, err := SolveUniform(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol.VMField(4, 0)
+	p.Assembly, asm = nil, nil
+	for try := 0; ; try++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(sol)
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+		if try == 40 {
+			t.Fatal("the Assembly was not collected while a scaled answer was retained")
 		}
 	}
 }
