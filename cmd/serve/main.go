@@ -139,8 +139,8 @@
 //
 // The rules behind "auto" are fixed in code and measured in
 // docs/SOLVER_TUNING.md: IC0 from solver.AutoIC0Threshold (2 500) free DoFs,
-// block-Jacobi-3 below, and IC0 factors in the natural ordering, stored in
-// float32. The IC0 ordering and precision are not settable, so each lattice
+// block-Jacobi-3 below, and IC0 factors in the lattice's two-ended order,
+// stored in float32. The IC0 ordering and precision are not settable, so each lattice
 // holds one factor and a request gets the same answer at any -workers or
 // core count. Requests that name "ordering" or "precision" get a 400.
 package main

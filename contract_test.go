@@ -76,8 +76,8 @@ func TestAnswersIndependentOfWorkers(t *testing.T) {
 					if n := len(r.Result.Solution.QFree); n != 4797 {
 						t.Fatalf("job %d: %d free DoFs, want 4 797", i, n)
 					}
-					if o := r.Result.Stats.Ordering; o != morestress.OrderingNatural {
-						t.Errorf("job %d: ordering %v, want natural", i, o)
+					if o := r.Result.Stats.Ordering; o != morestress.OrderingTwoEnded {
+						t.Errorf("job %d: ordering %v, want two-ended", i, o)
 					}
 				}
 			}

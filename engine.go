@@ -178,7 +178,8 @@ type EngineStats struct {
 	PrecondBuilds, PrecondHits int64
 	// OrderingCounts tallies iterative solves by the symmetric ordering
 	// their preconditioner factored under (keys are the
-	// solver.OrderingKind spellings; every solve counts as "natural").
+	// solver.OrderingKind spellings: IC0 solves count as "two-ended", the
+	// other kinds as "natural").
 	// Orderings that never ran are omitted.
 	OrderingCounts map[string]int64
 	// PrecisionCounts tallies iterative solves by the storage precision of

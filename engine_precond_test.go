@@ -73,8 +73,9 @@ func TestEnginePrecondCacheDistinctPerKind(t *testing.T) {
 }
 
 // TestEngineOrderingCounts: iterative solves tally under the ordering their
-// preconditioner factored under — natural, whatever the job names, the
-// reserved value of the deleted multicolor ordering included — every
+// preconditioner factored under — the lattice's two-ended order, whatever
+// the job names, the reserved value of the deleted multicolor ordering
+// included — every
 // ordering of the factorizing kind shares one cache entry, and the counts
 // sum to the iterative solve count.
 func TestEngineOrderingCounts(t *testing.T) {
@@ -93,8 +94,8 @@ func TestEngineOrderingCounts(t *testing.T) {
 		t.Fatalf("batch errors: %+v", br.Stats)
 	}
 	s := e.Stats()
-	if len(s.OrderingCounts) != 1 || s.OrderingCounts["natural"] != 3 {
-		t.Errorf("ordering counts = %v, want {natural: 3}", s.OrderingCounts)
+	if len(s.OrderingCounts) != 1 || s.OrderingCounts["two-ended"] != 3 {
+		t.Errorf("ordering counts = %v, want {two-ended: 3}", s.OrderingCounts)
 	}
 	var total int64
 	for _, n := range s.OrderingCounts {
@@ -123,7 +124,7 @@ func TestEngineOrderingCounts(t *testing.T) {
 // through Engine.Solve, which gets them all, holds one IC0 factor and gives
 // one answer. The 1×48 strip of the served (5,5,5) coarse cell (4 797 free
 // DoFs, above the size where the deleted multicolor ordering used to take
-// over) factors natural on every path.
+// over) factors in its two-ended order on every path.
 func TestEngineBatchThenSolveShareOneFactor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cfg := DefaultConfig(15)
@@ -151,8 +152,8 @@ func TestEngineBatchThenSolveShareOneFactor(t *testing.T) {
 	if s.PrecondBuilds != 1 {
 		t.Errorf("precond builds = %d, want 1 (one lattice, one factor)", s.PrecondBuilds)
 	}
-	if len(s.OrderingCounts) != 1 || s.OrderingCounts["natural"] != 3 {
-		t.Errorf("ordering counts = %v, want {natural: 3}", s.OrderingCounts)
+	if len(s.OrderingCounts) != 1 || s.OrderingCounts["two-ended"] != 3 {
+		t.Errorf("ordering counts = %v, want {two-ended: 3}", s.OrderingCounts)
 	}
 	q, ref := solo.Result.Solution.Q, br.Results[0].Result.Solution.Q
 	diffs := 0

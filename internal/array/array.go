@@ -228,7 +228,9 @@ type Solution struct {
 	// preconditioner kind and whether the solve was warm-started.
 	Stats solver.Stats
 	// Ordering is the symmetric ordering the solve's preconditioner
-	// factored under (mirrors Stats.Ordering): always OrderingNatural.
+	// factored under (mirrors Stats.Ordering): OrderingTwoEnded for IC0,
+	// whose factors follow the order NewAssembly attaches to A_ff, and
+	// OrderingNatural otherwise.
 	Ordering solver.OrderingKind
 	// Timings of the two global-stage phases. When AssemblyShared is true,
 	// AssembleTime covers only the per-scenario RHS build; the matrix
@@ -390,7 +392,8 @@ type AssemblyPrecond struct {
 	// reduced system size).
 	Kind solver.PrecondKind
 	// Ordering is the symmetric ordering the preconditioner was built
-	// under: always OrderingNatural (solver.ResolveOrdering).
+	// under (solver.ResolveOrdering): OrderingTwoEnded for IC0,
+	// OrderingNatural for the kinds that factor nothing.
 	Ordering solver.OrderingKind
 	// Precision is the concrete storage precision of the built factor:
 	// the requested one for IC0 (PrecisionAuto resolves to float32),
@@ -409,8 +412,8 @@ type AssemblyPrecond struct {
 // use. PrecondAuto resolves to a concrete kind first, by the system size
 // alone, so an explicit request for the resolved kind shares the same entry
 // and every solve of a lattice shares one factor whatever its parallelism.
-// IC0 factors in the one ordering there is, so every requested ordering
-// maps to the same entry. Only IC0 is precision-sensitive; the other kinds
+// IC0 factors in the two-ended order NewAssembly attached to A_ff, so
+// every requested ordering maps to the same entry. Only IC0 is precision-sensitive; the other kinds
 // cache under PrecisionFloat64 whatever is requested. For IC0,
 // PrecisionAuto and PrecisionFloat32 build the identical float32 factor and
 // so share one cache entry, while PrecisionFloat64 caches separately — the
@@ -422,7 +425,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
 	key := a.precondKey(kind, prec)
-	ord = solver.ResolveOrdering(ord, a.aff.NRows)
+	ord = solver.ResolveOrdering(key.kind, a.aff)
 	var build time.Duration
 	e, built := a.preconds.get(key, 0, func() (solver.Preconditioner, error) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
@@ -459,7 +462,10 @@ func (a *Assembly) Blocked() *sparse.BCSR { return a.aff }
 // NewAssembly runs the load-independent part of the global stage for the
 // problem: lattice enumeration, the constraint split, and the scatter of
 // every block's 3×3 stiffness tiles straight into the reduced A_ff (and,
-// under PrescribedBoundary, A_fb) with the unit load b_f. It can be placed
+// under PrescribedBoundary, A_fb) with the unit load b_f. It attaches the
+// two-ended elimination order of the lattice to A_ff (twoEndedOrder), so
+// every IC0 factor built on it, wherever and on however many workers, is
+// the same factor. It can be placed
 // in Problem.Assembly for every scenario on the same lattice (same ROM
 // content, dimensions, dummy layout, and BC kind). The scatter sums each
 // distinct tile once and runs serially, so the worker count, kept for the
@@ -495,6 +501,7 @@ func NewAssembly(p *Problem, _ int) (*Assembly, error) {
 	}
 	inc := newIncidence(p, lat)
 	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, true)
+	aff.SetElimOrder(twoEndedOrder(lat, freeOf, nFree))
 	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs}
 	if !asm.AllBC {
 		red := &fem.Reduced{
@@ -926,7 +933,7 @@ func (p *Problem) blockDeltaT(bx, by int) float64 {
 // the mid-height cut plane and samples its von Mises stress with a gs×gs
 // grid per block, returning a (Bx·gs)×(By·gs) field. Only the element
 // layer the plane cuts is reconstructed, rom.PlaneBatch same-ROM blocks
-// per pass over its basis slab; the result is bitwise equal to sampling
+// per pass over the layer's basis rows; the result is bitwise equal to sampling
 // each block's full Reconstruct with SampleVM. Parallel over batches.
 //
 // A SolveUniform answer instead returns |ΔT| times its unit solution's

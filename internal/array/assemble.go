@@ -92,6 +92,43 @@ func latticeOrder(r *rom.ROM) []int32 {
 	return perm
 }
 
+// twoEndedOrder returns the elimination order of the nFree free nodes
+// (freeOf[id] ≥ 0 numbers them) that factors of A_ff follow: the nodes are
+// cut at the block line nearest the middle of the lattice's longer side;
+// the half below the line is eliminated by (line coordinate, z, other
+// coordinate) ascending and the half on and above it by the same key
+// descending, so both halves end at the cut. The two halves of the factor
+// then depend on each other only through the nodes on the line, and its
+// triangular sweeps run them at once (sparse.LevelSchedule).
+func twoEndedOrder(lat *Lattice, freeOf []int32, nFree int) []int32 {
+	line, other, cut := 0, 1, (lat.Bx/2)*(lat.NxN-1)
+	if lat.By > lat.Bx {
+		line, other, cut = 1, 0, (lat.By/2)*(lat.NyN-1)
+	}
+	// Half A sorts ascending and half B after it, descending.
+	key := func(id int32) [4]int {
+		t := lat.Nodes[id]
+		if t[line] >= cut {
+			return [4]int{1, -t[line], -t[2], -t[other]}
+		}
+		return [4]int{0, t[line], t[2], t[other]}
+	}
+	order := make([]int32, 0, nFree)
+	for id, f := range freeOf {
+		if f >= 0 {
+			order = append(order, int32(id))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ka, kb := key(a), key(b)
+		return slices.Compare(ka[:], kb[:])
+	})
+	for k, id := range order {
+		order[k] = freeOf[id]
+	}
+	return order
+}
+
 // tileRow is one distinct tile-row pattern: coupled[off:off+n], the
 // lattice nodes the row couples to that pass the column filter, and the
 // number of lattice nodes it couples to before the filter.

@@ -81,6 +81,35 @@ func BenchmarkServedMulVec(b *testing.B) {
 	})
 }
 
+// BenchmarkServedIC0Apply times one application of the preconditioner
+// every Krylov iteration of a served solve runs: the float32 IC0 factor
+// PreconditionerPrec builds on the 12×12 lattice of the (5,5,5)-node coarse
+// unit cell, in its two-ended order. The serial row is Apply; the pooled
+// row applies it through a 2-worker solver Workspace, which runs each
+// sweep's two halves at once.
+func BenchmarkServedIC0Apply(b *testing.B) {
+	_, m := servedFactor(b, 12, 12)
+	r := make([]float64, 3*m.(solver.TriFactor).Factor().NBRows())
+	for i := range r {
+		r[i] = float64(i%7) - 3
+	}
+	dst := make([]float64, len(r))
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Apply(dst, r)
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		ws := solver.NewWorkspace(2)
+		defer ws.Close()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ws.Apply(m, dst, r)
+		}
+	})
+}
+
 // BenchmarkGlobalSolvers compares the three global solver paths on the same
 // problem (design-choice ablation, §4.3).
 func BenchmarkGlobalSolvers(b *testing.B) {

@@ -82,9 +82,10 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				levels, width := -1, -1
-				if fl, ok := ap.M.(solver.FactorLevels); ok {
-					levels, width = fl.Levels()
+				halfA, halfB, tail := -1, -1, -1
+				if tf, ok := ap.M.(solver.TriFactor); ok {
+					halfA, halfB = tf.Factor().Fwd.Halves()
+					tail = tf.Factor().Fwd.Tail()
 				}
 				var factorBytes int64 = -1
 				if sz, ok := ap.M.(solver.Sized); ok {
@@ -99,13 +100,13 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 					}
 					warmSol = sol
 				}
-				fmt.Printf("MEASURE %dx%d %-5s %-14s prec=%-7s it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d levels=%5d width=%5d shared=%v\n",
+				fmt.Printf("MEASURE %dx%d %-5s %-14s prec=%-7s it=%3d cold=%7.0fms warm=%7.0fms build=%7.0fms apply=%6.0fms bytes=%9d halves=%5d/%5d tail=%5d shared=%v\n",
 					size, size, sk.name, v.kind, warmSol.Precision, warmSol.Stats.Iterations,
 					float64(cold)/1e6, float64(best)/1e6,
 					float64(coldSol.Stats.PrecondBuild)/1e6,
 					float64(warmSol.Stats.PrecondApply)/1e6,
 					factorBytes,
-					levels, width,
+					halfA, halfB, tail,
 					warmSol.PrecondShared)
 			}
 		}

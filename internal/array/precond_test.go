@@ -109,14 +109,18 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 // TestAssemblyPrecondSharedAcrossOrderings: IC0 factors in the one natural
 // ordering, so every requested ordering — auto, natural and the reserved
 // value of the deleted multicolor ordering — shares the lattice's one cache
-// entry and reports natural; the ordering-invariant kinds do the same.
+// entry and reports the ordering the lattice's A_ff carries: two-ended for
+// IC0, natural for the kinds that factor nothing.
 func TestAssemblyPrecondSharedAcrossOrderings(t *testing.T) {
 	p := precondProblem(t)
 	asm, err := NewAssembly(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []solver.PrecondKind{solver.PrecondIC0, solver.PrecondBlockJacobi3} {
+	for kind, want := range map[solver.PrecondKind]solver.OrderingKind{
+		solver.PrecondIC0:          solver.OrderingTwoEnded,
+		solver.PrecondBlockJacobi3: solver.OrderingNatural,
+	} {
 		first, err := asm.PreconditionerPrec(kind, solver.OrderingNatural, solver.PrecisionAuto, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -129,16 +133,17 @@ func TestAssemblyPrecondSharedAcrossOrderings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ap.Hit || ap.M != first.M || ap.Ordering != solver.OrderingNatural {
-				t.Errorf("%v/%v: hit=%v same=%v ordering=%v, want the one natural entry", kind, ord, ap.Hit, ap.M == first.M, ap.Ordering)
+			if !ap.Hit || ap.M != first.M || ap.Ordering != want {
+				t.Errorf("%v/%v: hit=%v same=%v ordering=%v, want the one %v entry", kind, ord, ap.Hit, ap.M == first.M, ap.Ordering, want)
 			}
 		}
 	}
 }
 
 // TestSolveSurfacesOrdering: the solve surfaces the ordering its factor ran
-// under on the Solution — natural, also for a request that names the
-// reserved multicolor value — and that request gives the natural answer.
+// under on the Solution — the lattice's two-ended order, also for a request
+// that names the reserved multicolor value or natural — and every request
+// gives the same answer.
 func TestSolveSurfacesOrdering(t *testing.T) {
 	p := precondProblem(t)
 	p.Opt.Precond = solver.PrecondIC0
@@ -152,8 +157,8 @@ func TestSolveSurfacesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Ordering != solver.OrderingNatural || first.Stats.Ordering != solver.OrderingNatural {
-		t.Errorf("ordering surfaced as %v / %v, want natural", first.Ordering, first.Stats.Ordering)
+	if first.Ordering != solver.OrderingTwoEnded || first.Stats.Ordering != solver.OrderingTwoEnded {
+		t.Errorf("ordering surfaced as %v / %v, want two-ended", first.Ordering, first.Stats.Ordering)
 	}
 	if first.PrecondShared {
 		t.Error("first solve claims a cached preconditioner")
@@ -164,7 +169,7 @@ func TestSolveSurfacesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !natSol.PrecondShared || natSol.Ordering != solver.OrderingNatural {
+	if !natSol.PrecondShared || natSol.Ordering != solver.OrderingTwoEnded {
 		t.Errorf("natural solve: shared=%v ordering=%v", natSol.PrecondShared, natSol.Ordering)
 	}
 	for i := range natSol.Q {
@@ -256,7 +261,7 @@ func TestAssemblyPrecondRequiresFreeDoFs(t *testing.T) {
 
 // TestAutoOrderingFollowsDefaultWorkers: the assembly cache resolves
 // OrderingAuto through the same rule as a bare solve, and no worker count
-// moves it. A process held to one worker factors a 12×12 lattice natural,
+// moves it. A process held to one worker factors a 12×12 lattice two-ended,
 // and a request that names 1 or 4 workers shares that one factor.
 func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
@@ -270,8 +275,8 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap.Ordering != solver.OrderingNatural {
-		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want natural", ap.Ordering)
+	if ap.Ordering != solver.OrderingTwoEnded {
+		t.Errorf("auto ordering at DefaultWorkers 1 resolved to %v, want two-ended", ap.Ordering)
 	}
 	for _, w := range []int{1, 4} {
 		again, err := asm.PreconditionerPrec(solver.PrecondIC0, solver.OrderingAuto, solver.PrecisionAuto, w)
@@ -286,7 +291,7 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 
 // TestAutoOrderingOnServedLattices pins what OrderingAuto decides on the
 // served (5,5,5) coarse cell for the lattices the benchmark workloads run:
-// the new-design shapes and the 12×12 hotspot lattice all factor natural,
+// the new-design shapes and the 12×12 hotspot lattice all factor two-ended,
 // at 1 worker as at 2.
 // PrecondAuto likewise follows the size alone: a bare Solve, which builds
 // its own assembly and factor for one solve, resolves it as the engine's
@@ -297,11 +302,11 @@ func TestAutoOrderingOnServedLattices(t *testing.T) {
 		bx, by, workers, free int
 		want                  solver.OrderingKind
 	}{
-		{4, 8, 2, 2457, solver.OrderingNatural},
-		{5, 7, 2, 2646, solver.OrderingNatural},
-		{6, 6, 2, 2709, solver.OrderingNatural},
-		{12, 12, 2, 9945, solver.OrderingNatural},
-		{12, 12, 1, 9945, solver.OrderingNatural},
+		{4, 8, 2, 2457, solver.OrderingTwoEnded},
+		{5, 7, 2, 2646, solver.OrderingTwoEnded},
+		{6, 6, 2, 2709, solver.OrderingTwoEnded},
+		{12, 12, 2, 9945, solver.OrderingTwoEnded},
+		{12, 12, 1, 9945, solver.OrderingTwoEnded},
 	} {
 		asm, err := NewAssembly(&Problem{ROM: r, Bx: c.bx, By: c.by, DeltaT: -250, BC: ClampedTopBottom}, 0)
 		if err != nil {

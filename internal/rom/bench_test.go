@@ -78,7 +78,7 @@ func BenchmarkSampleVM(b *testing.B) {
 }
 
 // BenchmarkReconstructPlane reconstructs the cut-plane layer of PlaneBatch
-// blocks in one pass over the slab; BenchmarkReconstruct's q pattern (a
+// blocks in one pass over their basis rows; BenchmarkReconstruct's q pattern (a
 // fifth of the DoFs zero) repeated per block.
 func BenchmarkReconstructPlane(b *testing.B) {
 	r, err := Build(PaperSpec(15, mesh.CoarseResolution()), 0)

@@ -110,11 +110,9 @@ type ROM struct {
 	// Stats from the build.
 	Stats BuildStats
 
-	// slab holds the basis rows of the cut-plane layer — the DoFs
-	// [slabLo, slabHi) that the mid-height plane z = H/2 touches — once
-	// more, row-major: slab[d·N+i] = Basis[i][slabLo+d]. One pass over it
-	// reconstructs the layer of several blocks (ReconstructPlane).
-	slab           []float64
+	// [slabLo, slabHi) are the DoFs of the cut-plane layer, the element
+	// layer the mid-height plane z = H/2 touches: the only part of each
+	// basis vector ReconstructPlane reads.
 	slabLo, slabHi int
 }
 
@@ -260,18 +258,12 @@ func Build(spec Spec, workers int) (*ROM, error) {
 }
 
 // finish derives what Build and Load both hold beyond the basis: the
-// cut-plane slab, and the footprint that counts it.
+// cut-plane layer's DoF range, and the footprint.
 func (r *ROM) finish() {
 	if r.Quad != nil {
 		r.slabLo, r.slabHi = r.Quad.LayerDoFs(r.cutZ())
 	} else {
 		r.slabLo, r.slabHi = r.Model.LayerDoFs(r.cutZ())
-	}
-	r.slab = make([]float64, (r.slabHi-r.slabLo)*r.N)
-	for i, f := range r.Basis {
-		for d, v := range f[r.slabLo:r.slabHi] {
-			r.slab[d*r.N+i] = v
-		}
 	}
 	r.Stats.MemoryBytes = r.memoryBytes()
 }
@@ -285,7 +277,6 @@ func (r *ROM) memoryBytes() int64 {
 		b += int64(len(f)) * 8
 	}
 	b += int64(len(r.BasisT)) * 8
-	b += int64(len(r.slab)) * 8
 	b += int64(len(r.Aelem.Data))*8 + int64(len(r.Belem))*8
 	return b
 }
@@ -399,15 +390,16 @@ func (r *ROM) SampleVM(u []float64, deltaT float64, zCut float64, gs int) []floa
 }
 
 // PlaneBatch is the number of blocks ReconstructPlane reconstructs per
-// pass over the slab.
+// pass over the layer's basis rows.
 const PlaneBatch = 4
 
 // ReconstructPlane reconstructs (Eq. 15) the cut-plane layer of several
 // blocks: for each block b it writes ΔT_b·f_T + Σ_i q[b][i]·f_i into the
 // layer DoFs of u[b], a full-length field whose other DoFs it leaves
-// alone. It streams the slab once per PlaneBatch blocks, and each value is
-// the ascending-i sum Reconstruct forms, skipping the same q_i = 0 terms,
-// so the layer is bitwise equal to Reconstruct's.
+// alone. It streams the layer's part of each basis vector once per
+// PlaneBatch blocks, and each value is the ascending-i sum Reconstruct
+// forms, skipping the same q_i = 0 terms, so the layer is bitwise equal to
+// Reconstruct's.
 func (r *ROM) ReconstructPlane(u, q [][]float64, deltaT []float64) {
 	if len(u) != len(q) || len(q) != len(deltaT) {
 		panic(fmt.Sprintf("rom: ReconstructPlane got %d fields, %d DoF vectors, %d loads", len(u), len(q), len(deltaT)))
@@ -461,41 +453,72 @@ func (r *ROM) sameZeros(q [][]float64) bool {
 	return true
 }
 
-// plane1 reconstructs one block's layer from the slab columns cols with
-// coefficients c (c[j] multiplies column cols[j]).
+// plane1 reconstructs one block's layer from the basis vectors cols with
+// coefficients c (c[j] multiplies f_cols[j]): each DoF starts from ΔT·f_T
+// and adds the terms in ascending j. A pass over the layer takes two
+// vectors, and u + a·s + b·t rounds as the two additions in turn.
 func (r *ROM) plane1(u []float64, cols []int, c []float64, deltaT float64) {
 	ul := u[r.slabLo:r.slabHi]
 	for d, t := range r.BasisT[r.slabLo:r.slabHi] {
-		row := r.slab[d*r.N : (d+1)*r.N]
-		acc := deltaT * t
-		for j, i := range cols {
-			acc += c[j] * row[i]
+		ul[d] = deltaT * t
+	}
+	j := 0
+	for ; j+1 < len(cols); j += 2 {
+		f, g := r.layer(cols[j], len(ul)), r.layer(cols[j+1], len(ul))
+		a, b := c[j], c[j+1]
+		for d := range ul {
+			ul[d] = ul[d] + a*f[d] + b*g[d]
 		}
-		ul[d] = acc
+	}
+	if j < len(cols) {
+		f, a := r.layer(cols[j], len(ul)), c[j]
+		for d := range ul {
+			ul[d] += a * f[d]
+		}
 	}
 }
 
-// plane4 reconstructs four blocks' layers in one pass over the slab, each
-// block's sum in its own accumulator; c holds the four blocks' coefficient
-// runs back to back.
+// plane4 reconstructs four blocks' layers in one pass over the basis
+// vectors cols, each block's sums in its own layer and in plane1's order;
+// c holds the four blocks' coefficient runs back to back.
 func (r *ROM) plane4(u [][]float64, cols []int, c []float64, deltaT []float64) {
 	m := len(cols)
 	c0, c1, c2, c3 := c[:m], c[m:2*m], c[2*m:3*m], c[3*m:4*m]
-	u0, u1, u2, u3 := u[0][r.slabLo:r.slabHi], u[1][r.slabLo:r.slabHi], u[2][r.slabLo:r.slabHi], u[3][r.slabLo:r.slabHi]
+	u0 := u[0][r.slabLo:r.slabHi]
+	n := len(u0)
+	u1, u2, u3 := u[1][r.slabLo:r.slabHi][:n], u[2][r.slabLo:r.slabHi][:n], u[3][r.slabLo:r.slabHi][:n]
 	t0, t1, t2, t3 := deltaT[0], deltaT[1], deltaT[2], deltaT[3]
-	for d, t := range r.BasisT[r.slabLo:r.slabHi] {
-		row := r.slab[d*r.N : (d+1)*r.N]
-		a0, a1, a2, a3 := t0*t, t1*t, t2*t, t3*t
-		for j, i := range cols {
-			s := row[i]
-			a0 += c0[j] * s
-			a1 += c1[j] * s
-			a2 += c2[j] * s
-			a3 += c3[j] * s
+	for d, t := range r.BasisT[r.slabLo:r.slabHi][:n] {
+		u0[d], u1[d], u2[d], u3[d] = t0*t, t1*t, t2*t, t3*t
+	}
+	j := 0
+	for ; j+1 < m; j += 2 {
+		f, g := r.layer(cols[j], n), r.layer(cols[j+1], n)
+		a0, a1, a2, a3 := c0[j], c1[j], c2[j], c3[j]
+		b0, b1, b2, b3 := c0[j+1], c1[j+1], c2[j+1], c3[j+1]
+		for d := range u0 {
+			s, t := f[d], g[d]
+			u0[d] = u0[d] + a0*s + b0*t
+			u1[d] = u1[d] + a1*s + b1*t
+			u2[d] = u2[d] + a2*s + b2*t
+			u3[d] = u3[d] + a3*s + b3*t
 		}
-		u0[d], u1[d], u2[d], u3[d] = a0, a1, a2, a3
+	}
+	if j < m {
+		f := r.layer(cols[j], n)
+		a0, a1, a2, a3 := c0[j], c1[j], c2[j], c3[j]
+		for d := range u0 {
+			s := f[d]
+			u0[d] += a0 * s
+			u1[d] += a1 * s
+			u2[d] += a2 * s
+			u3[d] += a3 * s
+		}
 	}
 }
+
+// layer returns basis vector i's cut-plane layer, n DoFs long.
+func (r *ROM) layer(i, n int) []float64 { return r.Basis[i][r.slabLo:r.slabHi][:n] }
 
 // PlaneSampler evaluates the von Mises stress on SampleVM's gs×gs lattice
 // of the cut plane z = H/2, from fields whose layer ReconstructPlane filled.

@@ -107,7 +107,7 @@ func TestRecoveredJobAnswersLikeLive(t *testing.T) {
 	if !r[1].WarmStart || !r[1].PrecondCached || r[1].Field != nil {
 		t.Errorf("scenario 1 should be warm, cached and fieldless: %+v", r[1])
 	}
-	if r[2].Precond != "ic0" || r[2].Ordering != "natural" || r[2].Precision != "float32" || r[2].Field == nil {
+	if r[2].Precond != "ic0" || r[2].Ordering != "two-ended" || r[2].Precision != "float32" || r[2].Field == nil {
 		t.Errorf("scenario 2 lacks its IC0 report or field: %+v", r[2])
 	}
 	if r[3].Precond != "" || r[3].Iterations != 0 {

@@ -88,7 +88,7 @@ type JobRequest struct {
 	// size-resolved), "block-jacobi3"/"bj3", "ic0", or "none"; any other
 	// spelling, including the deleted scalar "jacobi", is a 400 that lists
 	// these. The IC0 factor's ordering and precision are not request
-	// fields: every lattice factors natural in float32, so a lattice holds
+	// fields: every lattice factors two-ended in float32, so a lattice holds
 	// one factor and answers alike on every replica. A
 	// request that names "ordering" or "precision" is a 400 (unknown
 	// field).
@@ -426,8 +426,9 @@ type StatsResponse struct {
 		PrecondBuilds int64 `json:"precondBuilds"`
 		PrecondHits   int64 `json:"precondHits"`
 		// OrderingCounts tallies iterative solves by the symmetric
-		// ordering their preconditioner factored under (always
-		// "natural"); orderings that never ran are omitted.
+		// ordering their preconditioner factored under ("two-ended" for
+		// IC0, "natural" for the other kinds); orderings that never ran
+		// are omitted.
 		OrderingCounts map[string]int64 `json:"orderingCounts"`
 		// PrecisionCounts tallies iterative solves by the storage precision
 		// of their preconditioner factor ("float64", "float32");

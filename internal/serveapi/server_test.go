@@ -387,8 +387,8 @@ func TestSolveOrderingField(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Precond != "ic0" || out.Ordering != "natural" || out.Precision != "float32" {
-		t.Errorf("1×48: precond/ordering/precision = %q/%q/%q, want ic0/natural/float32", out.Precond, out.Ordering, out.Precision)
+	if out.Precond != "ic0" || out.Ordering != "two-ended" || out.Precision != "float32" {
+		t.Errorf("1×48: precond/ordering/precision = %q/%q/%q, want ic0/two-ended/float32", out.Precond, out.Ordering, out.Precision)
 	}
 
 	// An iterative solve always names a concrete ordering, never "auto".
@@ -396,7 +396,7 @@ func TestSolveOrderingField(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Ordering != "natural" {
+	if out.Ordering != "natural" { // block-Jacobi-3 factors nothing
 		t.Errorf("1×2: ordering %q, want natural", out.Ordering)
 	}
 
@@ -416,8 +416,8 @@ func TestSolveOrderingField(t *testing.T) {
 		}
 		total += n
 	}
-	if len(stats.Solver.OrderingCounts) != 1 || stats.Solver.OrderingCounts["natural"] < 2 {
-		t.Errorf("orderingCounts = %v, want only natural, with both solves", stats.Solver.OrderingCounts)
+	if c := stats.Solver.OrderingCounts; len(c) != 2 || c["two-ended"] < 1 || c["natural"] < 1 {
+		t.Errorf("orderingCounts = %v, want two-ended and natural, one solve each", c)
 	}
 	if total != stats.Solver.IterativeSolves {
 		t.Errorf("orderingCounts sum %d != iterativeSolves %d", total, stats.Solver.IterativeSolves)

@@ -28,8 +28,9 @@ type Stats struct {
 	// Precond is the concrete preconditioner the solve ran with (Auto
 	// resolved against the system size).
 	Precond PrecondKind
-	// Ordering is the symmetric ordering the preconditioner factored under:
-	// always OrderingNatural (ResolveOrdering).
+	// Ordering is the symmetric ordering the preconditioner factored under
+	// (ResolveOrdering): OrderingTwoEnded for IC0 on a matrix that carries
+	// an elimination order, OrderingNatural otherwise.
 	Ordering OrderingKind
 	// Precision is the concrete storage precision of the preconditioner's
 	// factor values (PrecisionFloat64 for the non-factorizing kinds; prebuilt
@@ -66,10 +67,9 @@ type Options struct {
 	// preconditioner for this solve alone or a caller that caches it
 	// (array.Assembly) passes it in M.
 	Precond PrecondKind
-	// Ordering names the symmetric ordering IC0 factors under. Every kind
-	// resolves to OrderingNatural, the only one (ResolveOrdering), so the
-	// field changes nothing; it stays so stored and journaled options keep
-	// their shape.
+	// Ordering names the symmetric ordering IC0 factors under. The
+	// ordering follows the matrix (ResolveOrdering), so the field changes
+	// nothing; it stays so stored and journaled options keep their shape.
 	Ordering OrderingKind
 	// Precision selects the storage precision of the factorizing
 	// preconditioners' values (default PrecisionAuto: float32 — see
@@ -139,7 +139,7 @@ type krylovPrecond struct {
 // defaults (withDefaults).
 func setupKrylov(a *sparse.BCSR, warm bool, opt Options) (krylovPrecond, Stats, error) {
 	kind := opt.Precond.Resolve(a.NRows)
-	st := Stats{Precond: kind, Ordering: ResolveOrdering(opt.Ordering, a.NRows), Warm: warm}
+	st := Stats{Precond: kind, Ordering: ResolveOrdering(kind, a), Warm: warm}
 	m := opt.M
 	if m == nil {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
@@ -196,7 +196,7 @@ func (kp *krylovPrecond) apply(dst, src []float64, st *Stats) {
 // seeds the iteration and may be nil. Like PCG, GMRES draws its work vectors,
 // Krylov basis, and Hessenberg from Options.Work when supplied (the returned
 // solution then aliases workspace memory; otherwise a per-call workspace with
-// its own gang is closed on return) and drives level-scheduled
+// its own gang is closed on return) and drives two-phase
 // preconditioners through the workspace's resident gang. Basis vectors are
 // taken lazily, as the Arnoldi step first reaches them, so a solve whose
 // longest cycle runs k ≪ m iterations holds at most k+1 of them, not m+1.

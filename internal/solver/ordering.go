@@ -1,22 +1,28 @@
 package solver
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sparse"
+)
 
 // OrderingKind names the symmetric row/column ordering the IC0
-// preconditioner factors under. IC0 factors in the natural order only; the
-// kind survives so that stored and journaled options, responses and stats
-// keep their shape. An ordering never changes what the preconditioned solve
-// converges to.
+// preconditioner factors under. The ordering follows the matrix: IC0
+// factors in the elimination order a matrix carries (sparse.BCSR.
+// ElimOrder), which every array.Assembly attaches to its A_ff, and in the
+// natural order otherwise. The requested kind changes nothing; it survives
+// so that stored and journaled options, responses and stats keep their
+// shape. An ordering never changes what the preconditioned solve converges
+// to.
 type OrderingKind int
 
 const (
 	// OrderingAuto — the zero value, and therefore the default wherever an
-	// Options travels unset — resolves to OrderingNatural (ResolveOrdering).
+	// Options travels unset — resolves by the matrix (ResolveOrdering).
 	OrderingAuto OrderingKind = iota
-	// OrderingNatural factors in the matrix's own row order, the one
-	// ordering IC0 has. On the reduced global lattices the factor's
-	// dependency DAG is deep and narrow up to about 18×18 (narrow levels
-	// sweep serially) and fans out from 24×24.
+	// OrderingNatural factors in the matrix's own row order: the ordering
+	// of every matrix that carries no elimination order, and the one every
+	// non-IC0 preconditioner reports.
 	OrderingNatural
 	// Value 2 is reserved: it was the reverse Cuthill–McKee IC0 ordering,
 	// deleted after it lost to natural at every measured lattice (18×18:
@@ -30,10 +36,18 @@ const (
 	// 19 at 12×12; docs/SOLVER_TUNING.md). Journaled jobs replay it as
 	// natural; a journaled result still reports it by name (String).
 	_
+	// OrderingTwoEnded factors in the two-ended line order an
+	// array.Assembly attaches to its A_ff: the free nodes eliminated from
+	// both lattice edges toward a middle block line (van der Vorst,
+	// Parallel Computing 5, 1987). Its sweeps split into two independent
+	// halves and a tail no wider than the line (sparse.LevelSchedule), and
+	// it takes fewer GMRES iterations than natural on the served lattices
+	// (docs/SOLVER_TUNING.md).
+	OrderingTwoEnded
 
 	// NumOrderings bounds the kind values, for stats arrays indexed by
 	// ordering (the reserved values keep always-zero slots).
-	NumOrderings = 4
+	NumOrderings = 5
 )
 
 // String returns the JSON spelling of the kind, as responses and stats
@@ -46,18 +60,27 @@ func (k OrderingKind) String() string {
 		return "natural"
 	case 3: // reserved: the deleted multicolor ordering
 		return "multicolor"
+	case OrderingTwoEnded:
+		return "two-ended"
 	}
 	return fmt.Sprintf("ordering(%d)", int(k))
 }
 
-// ResolveOrdering maps any requested kind to the ordering an n-DoF system
-// factors under: OrderingNatural, the only one. This is the one home of
-// the rule, so every entry point reports the same ordering.
-func ResolveOrdering(OrderingKind, int) OrderingKind { return OrderingNatural }
+// ResolveOrdering returns the ordering a preconditioner of the given kind
+// factors a under: OrderingTwoEnded for IC0 (PrecondAuto resolved against
+// a's size) on a matrix that carries an elimination order, OrderingNatural
+// for every other kind and matrix. This is the one home of the rule, so
+// every entry point reports the same ordering.
+func ResolveOrdering(kind PrecondKind, a *sparse.BCSR) OrderingKind {
+	if kind.Resolve(a.NRows) == PrecondIC0 && a.ElimOrder() != nil {
+		return OrderingTwoEnded
+	}
+	return OrderingNatural
+}
 
-// FactorLevels is implemented by preconditioners backed by a level-scheduled
-// triangular factor; it exposes the schedule's shape (dependency-level count
-// and widest level in rows) for the measurement harness and perf snapshots.
-type FactorLevels interface {
-	Levels() (count, maxWidth int)
+// TriFactor is implemented by preconditioners backed by a triangular
+// factor (IC0); tests and the measurement harness read the factor's
+// layout and two-phase schedules through it.
+type TriFactor interface {
+	Factor() *sparse.BlockLowerTri
 }

@@ -9,24 +9,45 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestOrderingResolve pins the one ordering: every kind — auto, natural and
-// the reserved values of the deleted orderings — resolves to natural at
-// every size and GOMAXPROCS, and the retired multicolor value still spells
-// its name, so a journaled result reports the ordering it ran under.
+// TestOrderingResolve pins the rule: the ordering follows the matrix, not
+// the request. IC0 on a matrix that carries an elimination order resolves
+// to two-ended, every other kind and every bare matrix to natural, for
+// every requested kind and GOMAXPROCS; the retired multicolor value still
+// spells its name, so a journaled result reports the ordering it ran
+// under.
 func TestOrderingResolve(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	bare := tiled(latticeLike(8, 8, 6))
+	ordered := tiled(latticeLike(8, 8, 6))
+	order := make([]int32, ordered.NBRows())
+	for k := range order {
+		order[k] = int32(len(order) - 1 - k)
+	}
+	ordered.SetElimOrder(order)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, k := range []OrderingKind{OrderingAuto, OrderingNatural, 2, 3} {
-			for _, n := range []int{0, 2709, 4096, 9945, 1 << 20} {
-				if got := ResolveOrdering(k, n); got != OrderingNatural {
-					t.Errorf("GOMAXPROCS %d: ResolveOrdering(%v, n=%d) = %v, want natural", procs, k, n, got)
-				}
+		for _, c := range []struct {
+			kind PrecondKind
+			a    *sparse.BCSR
+			want OrderingKind
+		}{
+			{PrecondIC0, bare, OrderingNatural},
+			{PrecondAuto, bare, OrderingNatural},
+			{PrecondIC0, ordered, OrderingTwoEnded},
+			{PrecondAuto, ordered, OrderingNatural}, // 384 DoFs: auto is block-Jacobi-3
+			{PrecondBlockJacobi3, ordered, OrderingNatural},
+			{PrecondNone, ordered, OrderingNatural},
+		} {
+			if got := ResolveOrdering(c.kind, c.a); got != c.want {
+				t.Errorf("GOMAXPROCS %d: ResolveOrdering(%v, ordered=%v) = %v, want %v", procs, c.kind, c.a.ElimOrder() != nil, got, c.want)
 			}
 		}
 	}
 	if got := OrderingKind(3).String(); got != "multicolor" {
 		t.Errorf("OrderingKind(3) spells %q, want multicolor", got)
+	}
+	if got := OrderingTwoEnded.String(); got != "two-ended" {
+		t.Errorf("OrderingTwoEnded spells %q, want two-ended", got)
 	}
 }
 

@@ -38,7 +38,7 @@ const (
 	// PrecondIC0 is zero-fill block incomplete Cholesky on the 3×3 tiles,
 	// with the negligible off-diagonal tiles dropped from the factor after
 	// factoring — far fewer iterations, with the triangular solves
-	// level-scheduled so each application runs across cores
+	// two-phase scheduled so each application runs across cores
 	// (sparse.BlockLowerTri).
 	PrecondIC0
 	// PrecondNone applies the identity.
@@ -215,14 +215,16 @@ func (p *blockJacobi3) MemoryBytes() int64 { return int64(8 * len(p.inv)) }
 
 // ic0 is a zero-fill block incomplete Cholesky factorization with
 // post-factor tile dropping: L has the 3×3-tile pattern of the lower
-// triangle of A, less the off-diagonal tiles too small to matter
-// (dropTiles), and A ≈ L·Lᵀ, held as a sparse.BlockLowerTri — tile
-// micro-kernels, float32 or float64 values. The dependency-level schedules
-// let each application's forward/backward solves run block rows in
-// parallel, and because each block row is computed by one shared kernel,
-// the parallel application is bitwise identical to the serial one for
-// every worker count. An ic0 is immutable after construction and safe to
-// share across concurrent solves.
+// triangle of P·A·Pᵀ, for the elimination order P the matrix carries
+// (natural when it carries none), less the off-diagonal tiles too small to
+// matter (dropTiles), and P·A·Pᵀ ≈ L·Lᵀ, held as a sparse.BlockLowerTri —
+// tile micro-kernels, float32 or float64 values, rows stored under A's own
+// block-row ids so an application needs no permutation. The two-phase
+// schedules let each application's forward/backward solves run two halves
+// of the rows at once, and because each block row is computed by one
+// shared kernel, the parallel application is bitwise identical to the
+// serial one for every worker count. An ic0 is immutable after
+// construction and safe to share across concurrent solves.
 type ic0 struct {
 	l *sparse.BlockLowerTri
 	// prec is the concrete storage precision of the factor values.
@@ -262,7 +264,7 @@ func newIC0Tau(a *sparse.BCSR, prec Precision, tau float64) (*ic0, error) {
 	}
 	rowIdx, vals = dropTiles(colPtr, rowIdx, vals, tau)
 	single := prec != PrecisionFloat64
-	l, err := sparse.NewBlockLowerTri(colPtr, rowIdx, vals, single)
+	l, err := sparse.NewBlockLowerTri(colPtr, rowIdx, vals, a.ElimOrder(), single)
 	if err != nil {
 		return nil, fmt.Errorf("solver: IC0: %w", err)
 	}
@@ -312,25 +314,42 @@ func frob2(t []float64) float64 {
 	return s
 }
 
-// lowerCols returns the lower block triangle of a in block-column form:
-// block column J holds the tiles (I, J), I ≥ J, rows ascending. Tile (I, J)
-// is a stored tile of block row I or, for a Sym matrix whose upper triangle
-// holds it as (J, I), that tile transposed. Sweeping the block rows in
-// ascending order and appending each tile to its column — a counting
-// transpose — yields sorted columns with no CSR or CSC copy.
+// lowerCols returns the lower block triangle of P·A·Pᵀ in block-column
+// form, for the elimination order a carries (BCSR.ElimOrder; the identity
+// when it has none): block column J holds the tiles (I, J), I ≥ J, rows
+// ascending, where I and J count elimination positions. Tile (I, J) is
+// tile (order[I], order[J]) of a: a stored tile of block row order[I] or,
+// for a Sym matrix whose upper triangle holds it as (order[J], order[I]),
+// that tile transposed. Sweeping the positions in ascending order and
+// appending each tile to its column — a counting transpose — yields sorted
+// columns with no CSR or CSC copy.
 func lowerCols(a *sparse.BCSR) (colPtr, rowIdx []int32, vals []float64) {
 	nb := a.NBRows()
+	order := a.ElimOrder()
+	pos := make([]int32, nb) // block row → elimination position
+	for k := range pos {
+		pos[k] = int32(k)
+	}
+	for k, r := range order {
+		pos[r] = int32(k)
+	}
 	lptr, lrows, ltiles := a.Lower()
-	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of block
-	// row i, read from stored tile p.
+	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of
+	// position i, read from stored tile p.
 	each := func(i int32, f func(j, p int32, transposed bool)) {
-		for p := a.BRowPtr[i]; p < a.BRowPtr[i+1]; p++ {
-			if j := a.BColIdx[p]; j <= i {
+		r := i
+		if order != nil {
+			r = order[i]
+		}
+		for p := a.BRowPtr[r]; p < a.BRowPtr[r+1]; p++ {
+			if j := pos[a.BColIdx[p]]; j <= i {
 				f(j, p, false)
 			}
 		}
-		for q := lptr[i]; q < lptr[i+1]; q++ {
-			f(lrows[q], ltiles[q], true)
+		for q := lptr[r]; q < lptr[r+1]; q++ {
+			if j := pos[lrows[q]]; j < i {
+				f(j, ltiles[q], true)
+			}
 		}
 	}
 	colPtr = make([]int32, nb+1)
@@ -492,13 +511,8 @@ func (p *ic0) applyPar(dst, r []float64, ws *Workspace) {
 	p.l.SolveUpperPar(dst, dst, pool, sc)
 }
 
-// Levels reports the factor's forward-schedule shape: dependency-level count
-// and widest level (implements FactorLevels; the measurement harness and the
-// BENCH snapshot read it). The count is in block levels (block rows advance
-// together) and the width is in scalar rows.
-func (p *ic0) Levels() (count, maxWidth int) {
-	return p.l.Fwd.NumLevels(), sparse.BlockSize * p.l.Fwd.MaxWidth()
-}
+// Factor returns the triangular factor (implements TriFactor).
+func (p *ic0) Factor() *sparse.BlockLowerTri { return p.l }
 
 // FactorPrecision reports the concrete storage precision of the factor
 // values (implements FactorPrecisioned; PCG keys its true-residual check
@@ -519,7 +533,7 @@ func (p *ic0) MemoryBytes() int64 { return p.l.MemoryBytes() }
 // The iteration loop is allocation-free: the work vectors come from
 // Options.Work (or a per-call workspace with its own resident gang of
 // Options.Workers, closed on return, when unset), the mat-vec runs through a
-// once-per-solve tile-balanced partition, and a level-scheduled
+// once-per-solve tile-balanced partition, and a two-phase
 // preconditioner dispatches through the workspace's gang. With
 // Options.Work and Options.M both set, the entire steady-state solve
 // performs zero allocations (BenchmarkPCGNoAlloc); the returned solution

@@ -116,6 +116,17 @@ func (w *Workspace) matvec(a *sparse.BCSR, dst, x []float64) {
 	w.bmv.Fold()
 }
 
+// Apply computes dst = M⁻¹·r as a solve that borrows the workspace applies
+// it: through the workspace's gang when m parallelizes, with m.Apply
+// otherwise. dst and r must not alias.
+func (w *Workspace) Apply(m Preconditioner, dst, r []float64) {
+	if pa, ok := m.(parApplier); ok {
+		pa.applyPar(dst, r, w)
+		return
+	}
+	m.Apply(dst, r)
+}
+
 // hessenberg returns a pooled (rows × cols) dense matrix for GMRES.
 func (w *Workspace) hessenberg(rows, cols int) *linalg.Dense {
 	if w.h == nil || w.h.Rows != rows || w.h.Cols != cols {

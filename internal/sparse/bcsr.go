@@ -71,7 +71,30 @@ type BCSR struct {
 	// k folding into block row spillRows[k]; slot[p] is the slot of tile p
 	// when its column lies past its stripe. Only Sym matrices spill.
 	stripes, spillPtr, spillRows, slot []int32
+
+	// elim is the elimination order a factor of the matrix follows, block
+	// rows by position (SetElimOrder); nil for the natural order.
+	elim []int32
 }
+
+// SetElimOrder attaches the order in which factors of the matrix eliminate
+// its block rows: order[k] is the block row eliminated k-th. The IC0
+// constructor factors in it, so every factor built on the matrix is the
+// same whatever builds it. Set it before the matrix is shared; nil restores
+// the natural order. It panics unless order is nil or a permutation of the
+// block rows.
+func (m *BCSR) SetElimOrder(order []int32) {
+	if order != nil {
+		if _, err := elimIDs(order, m.NBRows()); err != nil {
+			panic(err)
+		}
+	}
+	m.elim = order
+}
+
+// ElimOrder returns the order SetElimOrder attached, or nil for the natural
+// order. The slice is shared; do not modify it.
+func (m *BCSR) ElimOrder() []int32 { return m.elim }
 
 // NBRows returns the number of block rows.
 func (m *BCSR) NBRows() int { return m.NRows / BlockSize }
@@ -116,9 +139,9 @@ func (m *BCSR) Tile(p int) []float64 {
 func (m *BCSR) Entries() int { return len(m.Vals) / 9 }
 
 // MemoryBytes estimates the storage footprint in bytes: the dictionary plus
-// the per-tile index and pattern arrays.
+// the per-tile index and pattern arrays and the elimination order.
 func (m *BCSR) MemoryBytes() int64 {
-	idx := len(m.BRowPtr) + len(m.BColIdx) + len(m.ValIdx) + len(m.stripes) + len(m.spillPtr) + len(m.spillRows) + len(m.slot)
+	idx := len(m.BRowPtr) + len(m.BColIdx) + len(m.ValIdx) + len(m.stripes) + len(m.spillPtr) + len(m.spillRows) + len(m.slot) + len(m.elim)
 	return int64(idx)*4 + int64(len(m.Vals))*8
 }
 
@@ -317,7 +340,7 @@ func (m *BCSR) Lower() (ptr, rows, tiles []int32) {
 
 // Full returns m with both triangles stored: a Sym matrix's tiles left of
 // the diagonal are the transposes of their mirrors, and any other matrix is
-// returned as is.
+// returned as is. The copy carries m's elimination order.
 func (m *BCSR) Full() *BCSR {
 	if !m.Sym {
 		return m
@@ -341,7 +364,7 @@ func (m *BCSR) Full() *BCSR {
 	}
 	valIdx, dict := InternTiles(vals)
 	f := NewBCSRTiles(m.NRows, m.NCols, ptr, idx, valIdx, dict, false)
-	f.ScalarNNZ = m.ScalarNNZ
+	f.ScalarNNZ, f.elim = m.ScalarNNZ, m.elim
 	return f
 }
 

@@ -440,7 +440,7 @@ func blockCols(l *CSC) (colPtr, rowIdx []int32, vals []float64) {
 func (c blockCase) tri(t *testing.T, single bool) *BlockLowerTri {
 	t.Helper()
 	colPtr, rowIdx, vals := blockCols(c.l)
-	bt, err := NewBlockLowerTri(colPtr, rowIdx, vals, single)
+	bt, err := NewBlockLowerTri(colPtr, rowIdx, vals, nil, single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestNewBlockLowerTriRejectsBadDims(t *testing.T) {
 	for name, in := range bad {
 		for _, single := range []bool{false, true} {
 			c, r, v := in()
-			if _, err := NewBlockLowerTri(c, r, v, single); err == nil {
+			if _, err := NewBlockLowerTri(c, r, v, nil, single); err == nil {
 				t.Errorf("%s (single=%v) accepted", name, single)
 			}
 		}
@@ -519,8 +519,20 @@ func TestNewBlockLowerTriRejectsMissingDiagonal(t *testing.T) {
 		"repeated row":     {{0, 3, 4}, {0, 1, 1, 1}},
 	} {
 		colPtr, rowIdx := in[0], in[1]
-		if _, err := NewBlockLowerTri(colPtr, rowIdx, slices.Repeat(tile, len(rowIdx)), false); err == nil {
+		if _, err := NewBlockLowerTri(colPtr, rowIdx, slices.Repeat(tile, len(rowIdx)), nil, false); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+	// The elimination order must be a permutation of the block rows.
+	colPtr, rowIdx, vals := blockCols(chainCSC(9))
+	for name, order := range map[string][]int32{
+		"short":        {0, 1},
+		"repeated":     {0, 1, 1},
+		"out of range": {0, 1, 3},
+		"negative":     {0, -1, 2},
+	} {
+		if _, err := NewBlockLowerTri(colPtr, rowIdx, vals, order, false); err == nil {
+			t.Errorf("order %s accepted", name)
 		}
 	}
 }
@@ -707,35 +719,30 @@ func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBlockLowerTriSweepOrder pins the layout: a serial sweep stores L's
-// rows ascending and Lᵀ's descending, a fanned-out one its schedule's level
-// order. Whatever the order, the solves must be bitwise equal to a plain
-// ascending (descending) sweep that reads each row through Row and runs the
-// same kernel arithmetic.
+// TestBlockLowerTriSweepOrder pins the layout: L's rows are stored as the
+// forward schedule's runs A, B_far, B_cut, each ascending, and Lᵀ's as the
+// same rows in reverse. Whatever the order, the solves must be bitwise
+// equal to a plain ascending (descending) sweep that reads each row through
+// Row and runs the same kernel arithmetic.
 func TestBlockLowerTriSweepOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for name, c := range blockTris(t) {
 		for _, single := range []bool{false, true} {
 			bt := c.tri(t, single)
 			nb := bt.NBRows()
-			for _, dir := range []struct {
-				tri      *TriRows
-				sched    *LevelSchedule
-				backward bool
-			}{{&bt.Lower, bt.Fwd, false}, {&bt.Upper, bt.Bwd, true}} {
-				want := make([]int32, nb)
-				for k := range want {
-					want[k] = int32(k)
-					if dir.backward {
-						want[k] = int32(nb - 1 - k)
-					}
+			rows := bt.Lower.Rows
+			for _, run := range [][2]int32{{0, bt.Fwd.Par[1]}, {bt.Fwd.Par[1], bt.Fwd.Par[2]}, {bt.Fwd.Par[2], int32(nb)}} {
+				if !slices.IsSorted(rows[run[0]:run[1]]) {
+					t.Fatalf("%s single=%v: L's run [%d, %d) is not ascending", name, single, run[0], run[1])
 				}
-				if dir.sched.parallel {
-					want = dir.sched.Order
-				}
-				if !slices.Equal(dir.tri.Rows, want) {
-					t.Fatalf("%s single=%v backward=%v: rows stored out of sweep order", name, single, dir.backward)
-				}
+			}
+			if !slices.Equal(slices.Sorted(slices.Values(rows)), identity(nb)) {
+				t.Fatalf("%s single=%v: L's rows are not a permutation", name, single)
+			}
+			rev := slices.Clone(rows)
+			slices.Reverse(rev)
+			if !slices.Equal(bt.Upper.Rows, rev) {
+				t.Fatalf("%s single=%v: Lᵀ's rows are not L's reversed", name, single)
 			}
 			b := make([]float64, bt.N)
 			for i := range b {
@@ -751,6 +758,62 @@ func TestBlockLowerTriSweepOrder(t *testing.T) {
 			rowSweep(bt, want, b, true)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s single=%v: backward sweep differs from the row-by-row reference", name, single)
+			}
+		}
+	}
+}
+
+// identity returns 0, 1, …, n−1.
+func identity(n int) []int32 {
+	s := make([]int32, n)
+	for k := range s {
+		s[k] = int32(k)
+	}
+	return s
+}
+
+// TestBlockLowerTriOrderRelabels: a factor eliminated in a permuted order
+// stores the caller's block rows, so solving with it is the natural-order
+// solve of the same column form with b gathered into elimination order and
+// the answer scattered back — bitwise, with no permutation in the sweep.
+func TestBlockLowerTriOrderRelabels(t *testing.T) {
+	for name, c := range blockTris(t) {
+		rng := rand.New(rand.NewSource(67))
+		colPtr, rowIdx, vals := blockCols(c.l)
+		nb := len(colPtr) - 1
+		order := identity(nb)
+		rng.Shuffle(nb, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, single := range []bool{false, true} {
+			nat, err := NewBlockLowerTri(colPtr, rowIdx, vals, nil, single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perm, err := NewBlockLowerTri(colPtr, rowIdx, vals, order, single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]float64, nat.N)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			bp := make([]float64, nat.N) // b in elimination order
+			for k, r := range order {
+				copy(bp[3*k:3*k+3], b[3*r:3*r+3])
+			}
+			for _, upper := range []bool{false, true} {
+				want, got := make([]float64, nat.N), make([]float64, nat.N)
+				if upper {
+					nat.SolveUpper(want, bp)
+					perm.SolveUpper(got, b)
+				} else {
+					nat.SolveLower(want, bp)
+					perm.SolveLower(got, b)
+				}
+				for k, r := range order {
+					if !slices.Equal(got[3*r:3*r+3], want[3*k:3*k+3]) {
+						t.Fatalf("%s single=%v upper=%v: row %d (position %d) differs from the natural solve", name, single, upper, r, k)
+					}
+				}
 			}
 		}
 	}
@@ -815,25 +878,23 @@ func rowSweep(bt *BlockLowerTri, dst, b []float64, upper bool) {
 	}
 }
 
-// TestBlockScheduleWeighsTiles pins the unitWork=9 calibration: a block
-// diagonal with 500 tiles carries 4500 scalar-entry units of work per level
-// and must pre-split for parallel sweeps, while a schedule of 1500 rows of
-// one entry each (1500 units) stays serial. Without the scale the blocked
-// schedule would count 500 raw pointer units and collapse too.
+// TestBlockScheduleWeighsTiles pins the split's size rule: a block row
+// weighs as its BlockSize scalar rows against MinParRows. A blocked
+// diagonal of 1 500 block rows (4 500 scalar rows) splits into two equal
+// chunks and sweeps them on a gang; one of 1 200 (3 600 scalar rows) has
+// the same split but stays serial.
 func TestBlockScheduleWeighsTiles(t *testing.T) {
-	bt := blockCase{diagCSC(1500)}.tri(t, false)
-	rowPtr := make([]int32, 1501)
-	for i := range rowPtr {
-		rowPtr[i] = int32(i)
-	}
-	if newLevelSchedule(make([]int32, 1500), rowPtr, 1).parallel {
-		t.Error("scalar diagonal-1500 schedule claims to be parallelizable")
-	}
-	if !bt.Fwd.parallel || !bt.Bwd.parallel {
-		t.Error("blocked diagonal-1500 schedule is not parallelizable; tile work not scaled by 9")
-	}
-	if bt.Fwd.NumLevels() != 1 || bt.Bwd.NumLevels() != 1 {
-		t.Errorf("blocked diagonal: %d/%d levels, want 1/1", bt.Fwd.NumLevels(), bt.Bwd.NumLevels())
+	for _, c := range []struct {
+		nb       int
+		parallel bool
+	}{{1500, true}, {1200, false}} {
+		bt := blockCase{diagCSC(BlockSize * c.nb)}.tri(t, false)
+		if bt.Fwd.parallel != c.parallel || bt.Bwd.parallel != c.parallel {
+			t.Errorf("diagonal-%d: parallel %v/%v, want %v", c.nb, bt.Fwd.parallel, bt.Bwd.parallel, c.parallel)
+		}
+		if a, b := bt.Fwd.Halves(); a != c.nb/2 || b != c.nb/2 || bt.Fwd.Tail() != 0 {
+			t.Errorf("diagonal-%d: halves %d/%d, tail %d; want %d/%d, 0", c.nb, a, b, bt.Fwd.Tail(), c.nb/2, c.nb/2)
+		}
 	}
 }
 

@@ -9,14 +9,17 @@ import (
 // tiles, stored for fast repeated solves of L·y = b and Lᵀ·z = y — the
 // application of the block incomplete-Cholesky preconditioner. Both
 // triangles are kept by block rows, so each solve is a gather over finished
-// block rows, and block rows that do not depend on one another are grouped
-// into dependency levels (Fwd, Bwd) computed once from the tile pattern.
-// Each triangle stores its rows in the order its sweep visits them, so a
-// sweep streams its tiles front to back. The sweeps are small GEMV
-// micro-kernels — one column index per tile instead of per scalar, unrolled
-// 3×3 inner loops — and because every block row is computed by the same
-// kernel whatever the schedule, the parallel solves are bitwise identical to
-// the serial ones.
+// block rows. L may be eliminated in any order of the caller's block rows
+// (NewBlockLowerTri's order); the triangles store the caller's row ids, so
+// a solve needs no permutation around it. Each sweep has a two-phase
+// schedule (Fwd, Bwd) found once from the tile pattern: two independent
+// runs of rows that share a gang, and an inline tail. Each triangle stores
+// its rows in the order its sweep visits them, so a sweep streams its tiles
+// front to back. The sweeps are small GEMV micro-kernels — one column index
+// per tile instead of per scalar, unrolled 3×3 inner loops — and because
+// every block row is computed by the same kernel, with its terms in the
+// same order, whatever the schedule, the two-phase solves are bitwise
+// identical to the serial ones.
 //
 // Values are stored in exactly one precision: float64 (Vals) or float32
 // (Vals32). The solve kernels always accumulate in float64, so
@@ -27,20 +30,22 @@ import (
 // concurrent solves (each caller brings its own BlockTriScratch).
 type BlockLowerTri struct {
 	N int // scalar dimension (multiple of BlockSize)
-	// Lower holds the block rows of L: block columns ascending, diagonal
-	// tile last (itself lower-triangular, upper entries zero). Upper holds
-	// the block rows of Lᵀ: diagonal tile first, then ascending.
+	// Lower holds the block rows of L: block columns in elimination order,
+	// diagonal tile last (itself lower-triangular, upper entries zero).
+	// Upper holds the block rows of Lᵀ: diagonal tile first, then the
+	// columns in elimination order.
 	Lower, Upper TriRows
-	// Fwd and Bwd are dependency schedules over block rows.
+	// Fwd and Bwd are the two-phase schedules of the forward and backward
+	// sweeps, in positions of Lower and Upper.
 	Fwd, Bwd *LevelSchedule
 }
 
 // TriRows is one triangle of a BlockLowerTri, its block rows stored in the
-// order its sweep visits them: position k holds block row Rows[k], whose
-// block columns are Idx[Ptr[k]:Ptr[k+1]] and whose tiles are the 9 values
-// each, row-major, that start at 9·Ptr[k] in Vals (or Vals32). A sweep that
-// fans out visits its schedule's level order, and Rows is that schedule's
-// Order; a serial sweep visits L's rows ascending and Lᵀ's descending.
+// order its sweep visits them: position k holds the caller's block row
+// Rows[k], whose block columns are Idx[Ptr[k]:Ptr[k+1]] and whose tiles
+// are the 9 values each, row-major, that start at 9·Ptr[k] in Vals (or
+// Vals32). L's rows are stored as the runs A, B_far, B_cut of its schedule,
+// Lᵀ's as B_cut, B_far, A (LevelSchedule).
 type TriRows struct {
 	Rows, Ptr, Idx []int32
 	// Exactly one of Vals and Vals32 is non-nil.
@@ -70,23 +75,12 @@ func (t *BlockLowerTri) Row(br int, upper bool) (cols []int32, first int) {
 	return tr.Idx[tr.Ptr[k]:tr.Ptr[k+1]], int(tr.Ptr[k])
 }
 
-// MemoryBytes estimates the storage footprint (both triangles + schedules).
-// A fanned-out triangle's row order is its schedule's Order and is counted
-// once.
+// MemoryBytes estimates the storage footprint: both triangles, their row
+// orders included. The schedules are a few words each.
 func (t *BlockLowerTri) MemoryBytes() int64 {
 	var b int64
-	for _, s := range []struct {
-		tri   *TriRows
-		sched *LevelSchedule
-	}{{&t.Lower, t.Fwd}, {&t.Upper, t.Bwd}} {
-		b += int64(len(s.tri.Ptr)+len(s.tri.Idx))*4 + int64(len(s.tri.Vals))*8 + int64(len(s.tri.Vals32))*4
-		if s.sched == nil {
-			continue
-		}
-		if !s.sched.parallel {
-			b += int64(len(s.tri.Rows)) * 4
-		}
-		b += int64(len(s.sched.Order)+len(s.sched.LevelPtr)+len(s.sched.Chunks)+len(s.sched.LevelChunk)) * 4
+	for _, tr := range []*TriRows{&t.Lower, &t.Upper} {
+		b += int64(len(tr.Rows)+len(tr.Ptr)+len(tr.Idx))*4 + int64(len(tr.Vals))*8 + int64(len(tr.Vals32))*4
 	}
 	return b
 }
@@ -96,12 +90,21 @@ func (t *BlockLowerTri) MemoryBytes() int64 {
 // column's tiles (len nb+1), rowIdx holds their block rows — strictly
 // ascending, diagonal tile first — and vals holds 9 values per tile, L_IJ
 // row-major, the diagonal tiles lower-triangular. Read by columns, those
-// tiles are the block rows of Lᵀ. The dependency levels of both sweeps come
-// from that pattern first; then one emit pass over the columns writes each
-// tile to its slot in L, as is, and in Lᵀ, transposed, with each
-// triangle's rows already in its sweep order. When single is true the tile
-// values are stored in float32. The inputs are only read.
-func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, single bool) (*BlockLowerTri, error) {
+// tiles are the block rows of Lᵀ. Rows and columns count elimination
+// positions: order[k] is the caller's block row that position k eliminates,
+// and nil means position k is block row k. Both triangles are stored with
+// the caller's block-row ids, so a solve reads and writes the caller's
+// vectors directly, with no permutation around it.
+//
+// The two-phase schedules of both sweeps come from the pattern first
+// (twoPhaseSplit); then one emit pass over the columns writes each tile to
+// its slot in L, as is, and in Lᵀ, transposed, with each triangle's rows
+// already in its sweep order: L's rows A, B_far, B_cut, each ascending,
+// and Lᵀ's rows B_cut, B_far, A, each descending. Every row depends only on
+// rows before it in that order, so the serial sweep of the stored order is
+// the reference the two-phase sweep matches bitwise. When single is true
+// the tile values are stored in float32. The inputs are only read.
+func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, order []int32, single bool) (*BlockLowerTri, error) {
 	nb := len(colPtr) - 1
 	if nb < 0 || colPtr[0] != 0 || int(colPtr[nb]) != len(rowIdx) || len(vals) != 9*len(rowIdx) {
 		return nil, fmt.Errorf("sparse: BlockLowerTri column form is inconsistent: %d pointers, %d tiles, %d values",
@@ -118,93 +121,104 @@ func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, single bool) (*Blo
 			}
 		}
 	}
+	ids, err := elimIDs(order, nb)
+	if err != nil {
+		return nil, err
+	}
 	t := &BlockLowerTri{N: BlockSize * nb}
-	// rowPtr bounds L's block rows in ascending order, the forward
-	// schedule's work profile.
-	rowPtr := make([]int32, nb+1)
-	for _, i := range rowIdx {
-		rowPtr[i+1]++
+	s, reach := twoPhaseSplit(colPtr, rowIdx)
+	// Sweep positions of the forward triangle: A, then B_far, then B_cut.
+	fwd := make([]int32, 0, nb)
+	for i := 0; i < s; i++ {
+		fwd = append(fwd, int32(i))
 	}
-	for i := 0; i < nb; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	// Forward levels settle by ascending columns (row I waits on every J <
-	// I with a tile in its row), backward levels by descending ones (row J
-	// of Lᵀ waits on every I > J of column J).
-	level := make([]int32, nb)
-	for j := 0; j < nb; j++ {
-		for p := colPtr[j] + 1; p < colPtr[j+1]; p++ {
-			level[rowIdx[p]] = max(level[rowIdx[p]], level[j]+1)
+	for i := s; i < nb; i++ {
+		if int(reach[i]) >= s {
+			fwd = append(fwd, int32(i))
 		}
 	}
-	t.Fwd = newLevelSchedule(level, rowPtr, 9)
-	clear(level)
-	for j := nb - 1; j >= 0; j-- {
-		for p := colPtr[j] + 1; p < colPtr[j+1]; p++ {
-			level[j] = max(level[j], level[rowIdx[p]]+1)
+	nFar := len(fwd) - s
+	for i := s; i < nb; i++ {
+		if int(reach[i]) < s {
+			fwd = append(fwd, int32(i))
 		}
 	}
-	t.Bwd = newLevelSchedule(level, colPtr, 9)
+	nCut := nb - s - nFar
+	par := splitPays(s, nFar, nb)
+	t.Fwd = &LevelSchedule{Par: [3]int32{0, int32(s), int32(s + nFar)}, n: int32(nb), parallel: par}
+	t.Bwd = &LevelSchedule{Par: [3]int32{int32(nCut), int32(nCut + nFar), int32(nb)}, n: int32(nb), parallel: par}
+	// The backward triangle sweeps the same three runs in reverse.
+	bwd := reach // reused: reach is not read again
+	for k := range bwd {
+		bwd[k] = fwd[nb-1-k]
+	}
 
-	t.Lower.Rows = sweepOrder(t.Fwd, nb, false)
-	t.Upper.Rows = sweepOrder(t.Bwd, nb, true)
-	// Lay each triangle out in its sweep order. rowPtr turns into per-row
-	// tile counts, which next overwrites with each L row's first free
-	// slot; level is reused for each Lᵀ row's first slot.
-	for i := nb; i > 0; i-- {
-		rowPtr[i] -= rowPtr[i-1]
+	// Lay each triangle out in its sweep order. next[i] is L row i's
+	// first free slot, up[j] the first slot of Lᵀ row j.
+	next, up := make([]int32, nb), make([]int32, nb)
+	for _, i := range rowIdx {
+		next[i]++
 	}
-	next := rowPtr[1:]
-	t.Lower.Ptr = make([]int32, nb+1)
-	for k, i := range t.Lower.Rows {
+	t.Lower.Ptr, t.Lower.Rows = make([]int32, nb+1), make([]int32, nb)
+	for k, i := range fwd {
 		n := next[i]
 		next[i] = t.Lower.Ptr[k]
 		t.Lower.Ptr[k+1] = t.Lower.Ptr[k] + n
+		t.Lower.Rows[k] = ids[i]
 	}
-	t.Upper.Ptr = make([]int32, nb+1)
-	for k, j := range t.Upper.Rows {
-		level[j] = t.Upper.Ptr[k]
+	t.Upper.Ptr, t.Upper.Rows = make([]int32, nb+1), make([]int32, nb)
+	for k, j := range bwd {
+		up[j] = t.Upper.Ptr[k]
 		t.Upper.Ptr[k+1] = t.Upper.Ptr[k] + colPtr[j+1] - colPtr[j]
+		t.Upper.Rows[k] = ids[j]
 	}
 	t.Lower.Idx, t.Upper.Idx = make([]int32, len(rowIdx)), make([]int32, len(rowIdx))
 	if single {
 		t.Lower.Vals32, t.Upper.Vals32 = make([]float32, len(vals)), make([]float32, len(vals))
-		emitTiles(t, t.Lower.Vals32, t.Upper.Vals32, colPtr, rowIdx, vals, next, level)
+		emitTiles(t, t.Lower.Vals32, t.Upper.Vals32, colPtr, rowIdx, vals, ids, next, up)
 	} else {
 		t.Lower.Vals, t.Upper.Vals = make([]float64, len(vals)), make([]float64, len(vals))
-		emitTiles(t, t.Lower.Vals, t.Upper.Vals, colPtr, rowIdx, vals, next, level)
+		emitTiles(t, t.Lower.Vals, t.Upper.Vals, colPtr, rowIdx, vals, ids, next, up)
 	}
 	return t, nil
 }
 
-// sweepOrder returns the order a sweep over s visits the nb block rows: s's
-// level order when s fans out, otherwise ascending, or descending for the
-// backward sweep.
-func sweepOrder(s *LevelSchedule, nb int, backward bool) []int32 {
-	if s.parallel {
-		return s.Order
-	}
-	rows := make([]int32, nb)
-	for k := range rows {
-		rows[k] = int32(k)
-		if backward {
-			rows[k] = int32(nb - 1 - k)
+// elimIDs returns the caller's block row of each of nb elimination
+// positions: order itself once checked to be a permutation of [0, nb), or
+// the identity when order is nil.
+func elimIDs(order []int32, nb int) ([]int32, error) {
+	if order == nil {
+		ids := make([]int32, nb)
+		for k := range ids {
+			ids[k] = int32(k)
 		}
+		return ids, nil
 	}
-	return rows
+	if len(order) != nb {
+		return nil, fmt.Errorf("sparse: BlockLowerTri order holds %d positions, want %d", len(order), nb)
+	}
+	seen := make([]bool, nb)
+	for _, r := range order {
+		if r < 0 || int(r) >= nb || seen[r] {
+			return nil, fmt.Errorf("sparse: BlockLowerTri order is not a permutation of [0, %d)", nb)
+		}
+		seen[r] = true
+	}
+	return order, nil
 }
 
 // emitTiles walks the block columns once and stores tile p of vals, block
 // (I, J), in slot next[I] of L as is and in slot upStart[J] + (p − colPtr[J])
-// of Lᵀ transposed, rounding to the storage type T; next[I] advances past
-// each slot it hands out.
-func emitTiles[T float32 | float64](t *BlockLowerTri, lower, upper []T, colPtr, rowIdx []int32, vals []float64, next, upStart []int32) {
+// of Lᵀ transposed, rounding to the storage type T and writing each block
+// index as the caller's row ids[·]; next[I] advances past each slot it
+// hands out.
+func emitTiles[T float32 | float64](t *BlockLowerTri, lower, upper []T, colPtr, rowIdx []int32, vals []float64, ids, next, upStart []int32) {
 	for j, u := range upStart {
 		for p := colPtr[j]; p < colPtr[j+1]; p, u = p+1, u+1 {
 			i := rowIdx[p]
 			q := next[i]
 			next[i] = q + 1
-			t.Lower.Idx[q], t.Upper.Idx[u] = int32(j), i
+			t.Lower.Idx[q], t.Upper.Idx[u] = ids[j], ids[i]
 			src := vals[9*p : 9*p+9 : 9*p+9]
 			lo := lower[9*q : 9*q+9 : 9*q+9]
 			up := upper[9*u : 9*u+9 : 9*u+9]
@@ -388,7 +402,7 @@ func (tr *TriRows) sweep(dst, b []float64, lo, hi int, upper bool) {
 }
 
 // SolveLower solves L·dst = b serially, in the stored sweep order (the
-// reference the level-scheduled path matches bitwise). dst and b may alias.
+// reference the two-phase path matches bitwise). dst and b may alias.
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveLower(dst, b []float64) {
@@ -411,9 +425,8 @@ type BlockTriScratch struct {
 	op blockTriRun
 }
 
-// blockTriRun is the Runner of one blocked level: it solves the rows at
-// sweep positions [lo, hi) of one triangle, which a fanned-out triangle
-// stores in its schedule's order.
+// blockTriRun is the Runner of a two-phase sweep: it solves the rows at
+// sweep positions [lo, hi) of one triangle.
 type blockTriRun struct {
 	tr    *TriRows
 	dst   []float64
@@ -426,21 +439,20 @@ type blockTriRun struct {
 //stressvet:noalloc
 func (o *blockTriRun) RunRange(lo, hi int) { o.tr.sweep(o.dst, o.b, lo, hi, o.upper) }
 
-// SolveLowerPar solves L·dst = b with the forward block-level schedule:
-// levels run in order, block rows within a level in parallel across pool's
-// gang. Levels too narrow to pay for fan-out run inline, and a nil or
-// single-worker pool — or a schedule with no parallelizable level at all —
-// takes the plain serial loop. Results are bitwise identical to SolveLower
-// for every pool size. sc carries the dispatched op and must be non-nil when
-// pool is. dst and b may alias.
+// SolveLowerPar solves L·dst = b with the forward two-phase schedule: the
+// runs A and B_far as two chunks on pool's gang, then B_cut inline. A nil
+// or single-worker pool, or a schedule whose split does not pay, takes the
+// plain serial loop. Results are bitwise identical to SolveLower for every
+// pool size. sc carries the dispatched op and must be non-nil when pool
+// is. dst and b may alias.
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveLowerPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {
 	t.solvePar(t.Fwd, &t.Lower, dst, b, false, pool, sc)
 }
 
-// SolveUpperPar solves Lᵀ·dst = b with the backward block-level schedule;
-// see SolveLowerPar.
+// SolveUpperPar solves Lᵀ·dst = b with the backward two-phase schedule:
+// B_cut inline, then B_far and A as two chunks; see SolveLowerPar.
 //
 //stressvet:noalloc
 func (t *BlockLowerTri) SolveUpperPar(dst, b []float64, pool *Pool, sc *BlockTriScratch) {

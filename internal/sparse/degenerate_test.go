@@ -37,86 +37,24 @@ func TestPartitionByWorkDegenerate(t *testing.T) {
 	check("all-zero-work", PartitionByWork(allZero, 0, 4, 3), 0, 4)
 }
 
-// TestLevelScheduleGappedLevels: schedules built from level arrays with
-// holes (as a coloring with unused classes would produce) must compact the
-// empty levels away instead of emitting empty chunk lists — the regression
-// the IC0 fuzz corpus uncovered.
-func TestLevelScheduleGappedLevels(t *testing.T) {
-	// Rows at levels {0, 2, 5}: levels 1, 3, 4 are empty.
-	level := []int32{0, 2, 5, 0, 2, 5, 0}
-	rowPtr := []int32{0, 1, 3, 6, 7, 9, 12, 13}
-	s := newLevelSchedule(level, rowPtr, 1)
-	if got := s.NumLevels(); got != 3 {
-		t.Fatalf("NumLevels = %d, want 3 (empty levels compacted)", got)
-	}
-	if got := s.MaxWidth(); got != 3 {
-		t.Errorf("MaxWidth = %d, want 3", got)
-	}
-	// Every level's chunk list must be non-empty and strictly increasing,
-	// and all rows must appear exactly once in level order.
-	seen := make([]bool, len(level))
-	for l := 0; l < s.NumLevels(); l++ {
-		b := s.levelBounds(l)
-		if len(b) < 2 {
-			t.Fatalf("level %d has no chunks: %v", l, b)
-		}
-		for i := 1; i < len(b); i++ {
-			if b[i] <= b[i-1] {
-				t.Fatalf("level %d: empty or inverted chunk %v", l, b)
-			}
-		}
-		for i := b[0]; i < b[len(b)-1]; i++ {
-			r := s.Order[i]
-			if seen[r] {
-				t.Fatalf("row %d scheduled twice", r)
-			}
-			seen[r] = true
-		}
-	}
-	for r, ok := range seen {
-		if !ok {
-			t.Fatalf("row %d never scheduled", r)
-		}
-	}
-	// Rows must be grouped by ascending original level.
-	wantOrder := []int32{0, 3, 6, 1, 4, 2, 5}
-	for i, r := range s.Order {
-		if r != wantOrder[i] {
-			t.Fatalf("Order = %v, want %v", s.Order, wantOrder)
-		}
-	}
-}
-
 // TestLevelScheduleDegenerateShapes covers the shapes the fuzz corpus
-// produces: empty schedules, all-diagonal factors (one level), and
-// single-row levels.
+// produces: an empty factor, an all-diagonal one (two equal halves, no
+// tail) and a chain (every row depends on the one before it: no second
+// chunk, so the sweep stays serial).
 func TestLevelScheduleDegenerateShapes(t *testing.T) {
-	empty := newLevelSchedule(nil, []int32{0}, 1)
-	if empty.NumLevels() != 0 || empty.MaxWidth() != 0 || empty.parallel {
-		t.Errorf("empty schedule: levels=%d width=%d parallel=%v", empty.NumLevels(), empty.MaxWidth(), empty.parallel)
+	empty, err := NewBlockLowerTri([]int32{0}, nil, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// All rows level 0 (diagonal factor).
-	n := 10
-	level := make([]int32, n)
-	rowPtr := make([]int32, n+1)
-	for i := range rowPtr {
-		rowPtr[i] = int32(i)
+	if a, b := empty.Fwd.Halves(); a != 0 || b != 0 || empty.Fwd.Tail() != 0 || empty.Fwd.parallel {
+		t.Errorf("empty schedule: halves %d/%d, tail %d, parallel %v", a, b, empty.Fwd.Tail(), empty.Fwd.parallel)
 	}
-	diag := newLevelSchedule(level, rowPtr, 1)
-	if diag.NumLevels() != 1 || diag.MaxWidth() != n {
-		t.Errorf("diagonal schedule: levels=%d width=%d, want 1, %d", diag.NumLevels(), diag.MaxWidth(), n)
+	diag := blockCase{diagCSC(BlockSize * 10)}.tri(t, false)
+	if a, b := diag.Fwd.Halves(); a != 5 || b != 5 || diag.Fwd.Tail() != 0 {
+		t.Errorf("diagonal schedule: halves %d/%d, tail %d; want 5/5, 0", a, b, diag.Fwd.Tail())
 	}
-	// Strictly sequential chain: one row per level.
-	for i := range level {
-		level[i] = int32(i)
-	}
-	chain := newLevelSchedule(level, rowPtr, 1)
-	if chain.NumLevels() != n || chain.MaxWidth() != 1 || chain.parallel {
-		t.Errorf("chain schedule: levels=%d width=%d parallel=%v", chain.NumLevels(), chain.MaxWidth(), chain.parallel)
-	}
-	for l := 0; l < chain.NumLevels(); l++ {
-		if b := chain.levelBounds(l); len(b) != 2 || b[1]-b[0] != 1 {
-			t.Fatalf("chain level %d bounds %v, want single 1-row chunk", l, b)
-		}
+	chain := blockCase{chainCSC(BlockSize * 10)}.tri(t, false)
+	if a, b := chain.Fwd.Halves(); b != 0 || a+chain.Fwd.Tail() != 10 || chain.Fwd.parallel {
+		t.Errorf("chain schedule: halves %d/%d, tail %d, parallel %v; want no second chunk", a, b, chain.Fwd.Tail(), chain.Fwd.parallel)
 	}
 }

@@ -1,160 +1,98 @@
 package sparse
 
-// LevelSchedule groups the rows of a triangular solve into dependency
-// levels: every row in level k depends only on rows in levels < k, so the
-// rows of one level can be solved concurrently. Levels are separated by
-// barriers; within each level the rows are pre-split into nnz-balanced
-// chunks (PartitionByWork granularity), computed once at construction.
+// LevelSchedule is the two-phase schedule of one triangular sweep, found
+// from the factor's pattern (NewBlockLowerTri). The sweep's rows split
+// three ways: a head run A, a run B_far that depends on no row of A, and
+// the tail B_cut, every row that does (directly or through another B row).
+// A and B_far are independent of each other, so one phase runs them as two
+// chunks on a gang while the other runs B_cut inline: the forward sweep
+// runs {A, B_far} and then B_cut, the backward sweep B_cut and then
+// {B_far, A}. A factor eliminated from two ends toward a middle line (the
+// order an array.Assembly attaches to its matrix) splits into two halves
+// and a tail no wider than that line; a factor in a one-ended order has no
+// second half worth a chunk and sweeps serially.
 type LevelSchedule struct {
-	// Order lists the rows grouped by level, ascending within each level.
-	Order []int32
-	// LevelPtr bounds each level in Order (len = levels+1).
-	LevelPtr []int32
-	// Chunks holds, per level, nnz-balanced chunk boundaries as positions in
-	// Order; level l's bounds are Chunks[LevelChunk[l] : LevelChunk[l+1]+1].
-	// Level boundaries are always chunk boundaries, so the slices share
-	// endpoints.
-	Chunks     []int32
-	LevelChunk []int32
-	// parallel records whether any level was split into more than one chunk;
-	// when false the schedule is pure overhead and solves stay serial.
+	// Par bounds the two independent chunks in sweep positions:
+	// [Par[0], Par[1]) and [Par[1], Par[2]). The positions before Par[0]
+	// run inline first, those from Par[2] to the end inline last.
+	Par [3]int32
+	// n is the number of rows swept.
+	n int32
+	// parallel records whether the split pays for a two-chunk run (see
+	// splitPays); when false the sweep runs serially.
 	parallel bool
 }
 
-// NumLevels returns the number of dependency levels.
-func (s *LevelSchedule) NumLevels() int { return len(s.LevelPtr) - 1 }
+// Tail returns the number of rows the sweep runs inline, outside its two
+// chunks.
+func (s *LevelSchedule) Tail() int { return int(s.n - (s.Par[2] - s.Par[0])) }
 
-// MaxWidth returns the row count of the widest level — the schedule's
-// available parallelism. Narrow schedules (every level under the chunking
-// cutoff) run serially no matter how many workers are offered; the solver's
-// auto ordering rule keys off this number. Zero for an empty schedule.
-func (s *LevelSchedule) MaxWidth() int {
-	var w int32
-	for l := 0; l < s.NumLevels(); l++ {
-		if d := s.LevelPtr[l+1] - s.LevelPtr[l]; d > w {
-			w = d
-		}
-	}
-	return int(w)
-}
-
-// levelBounds returns the chunk boundaries of level l.
-func (s *LevelSchedule) levelBounds(l int) []int32 {
-	return s.Chunks[s.LevelChunk[l] : s.LevelChunk[l+1]+1]
+// Halves returns the row counts of the two chunks.
+func (s *LevelSchedule) Halves() (int, int) {
+	return int(s.Par[1] - s.Par[0]), int(s.Par[2] - s.Par[1])
 }
 
 // fansOut reports whether a solve over the schedule dispatches through pool
-// at all: it needs a gang of more than one worker and at least one level
-// split into several chunks.
+// at all: it needs a gang of more than one worker and a split that pays.
 func (s *LevelSchedule) fansOut(pool *Pool) bool {
 	return s.parallel && pool != nil && pool.Workers() > 1
 }
 
-// run sweeps the levels in order, dispatching each multi-chunk level through
-// pool and running single-chunk levels inline (too little work to fan out).
+// run sweeps the rows before the chunks inline, runs the two chunks through
+// pool, and sweeps the rows after them inline.
 //
 //stressvet:noalloc
 func (s *LevelSchedule) run(pool *Pool, op Runner) {
-	for l := 0; l < s.NumLevels(); l++ {
-		bounds := s.levelBounds(l)
-		if len(bounds) == 2 {
-			op.RunRange(int(bounds[0]), int(bounds[1]))
-			continue
-		}
-		pool.Run(bounds, op)
+	if s.Par[0] > 0 {
+		op.RunRange(0, int(s.Par[0]))
+	}
+	pool.Run(s.Par[:], op)
+	if s.Par[2] < s.n {
+		op.RunRange(int(s.Par[2]), int(s.n))
 	}
 }
 
-// levelChunkWork is the minimum nnz a chunk should carry: at the blocked
-// kernels' roughly half a nanosecond per stored entry, about a microsecond
-// of work, several times a warm pool handoff (BenchmarkPoolRun: 0.1–0.4 µs
-// on a 2-vCPU x86_64 host). Chunks below it cost more in scheduling than
-// they recover in parallelism, so narrow levels collapse to a single chunk
-// and run inline. Deep, narrow dependency DAGs (bandwidth-ordered factors,
-// the reduced global matrices in natural lattice order) therefore fall back
-// to the serial loop wholesale — see docs/SOLVER_TUNING.md.
-const levelChunkWork = 2048
+// splitPays reports whether two chunks of a and b rows, with the rest of
+// n rows inline, are worth a gang dispatch: the matrix has at least
+// MinParRows scalar rows and the smaller chunk holds at least a quarter of
+// the block rows, so the two-chunk run saves at least that share of a
+// sweep.
+func splitPays(a, b, n int) bool {
+	return BlockSize*n >= MinParRows && 4*min(a, b) >= n
+}
 
-// maxLevelChunks caps the fan-out of one level.
-const maxLevelChunks = 64
-
-// newLevelSchedule counting-sorts the rows by level (preserving natural row
-// order within a level, which keeps the parallel gather deterministic) and
-// pre-splits each level into work-balanced chunks, using rowPtr scaled by
-// unitWork as the work profile. Blocked schedules pass tile pointers with
-// unitWork 9 (scalar entries per tile), so the levelChunkWork calibration —
-// tuned in scalar-entry units — balances chunks by actual flops rather than
-// raw pointer deltas. Level ids need not be contiguous: empty levels are
-// compacted away here, so every emitted level — and therefore every chunk —
-// holds at least one row (dependency propagation never leaves gaps, but
-// schedules built from externally supplied level arrays, e.g. coloring
-// classes, may).
-func newLevelSchedule(level []int32, rowPtr []int32, unitWork int32) *LevelSchedule {
-	n := len(level)
-	var maxLv int32 = -1
-	for _, lv := range level {
-		if lv > maxLv {
-			maxLv = lv
+// twoPhaseSplit finds the forward sweep's split of the nb block rows of a
+// lower factor in block-column form (colPtr, rowIdx as NewBlockLowerTri
+// takes them). reach[i] is the earliest row that row i depends on, through
+// any chain of tiles, or i itself; a row i ≥ s belongs to B_far when
+// reach[i] ≥ s. The head A = [0, s) is chosen to maximize the smaller of
+// the two chunks. It returns s and reach.
+func twoPhaseSplit(colPtr, rowIdx []int32) (int, []int32) {
+	nb := len(colPtr) - 1
+	reach := make([]int32, nb)
+	for i := range reach {
+		reach[i] = int32(i)
+	}
+	// Column j is finished before any later column reads reach[j], since
+	// every tile (i, j) below the diagonal has i > j.
+	for j := 0; j < nb; j++ {
+		for p := colPtr[j] + 1; p < colPtr[j+1]; p++ {
+			reach[rowIdx[p]] = min(reach[rowIdx[p]], reach[j])
 		}
 	}
-	// Count rows per raw level, then remap the non-empty levels densely.
-	count := make([]int32, maxLv+1)
-	for _, lv := range level {
-		count[lv]++
+	// far[s] counts the rows with reach ≥ s: B_far's size for a head of s.
+	far := make([]int32, nb+1)
+	for _, r := range reach {
+		far[r]++
 	}
-	remap := make([]int32, maxLv+1)
-	var nlevels int32
-	for lv, c := range count {
-		if c == 0 {
-			remap[lv] = -1
-			continue
-		}
-		remap[lv] = nlevels
-		nlevels++
+	for s := nb - 1; s >= 0; s-- {
+		far[s] += far[s+1]
 	}
-	s := &LevelSchedule{
-		Order:    make([]int32, n),
-		LevelPtr: make([]int32, nlevels+1),
-	}
-	for lv, c := range count {
-		if c > 0 {
-			s.LevelPtr[remap[lv]+1] = c
+	best, split := 0, nb
+	for s := 1; s < nb; s++ {
+		if m := min(s, int(far[s])); m > best {
+			best, split = m, s
 		}
 	}
-	for l := int32(0); l < nlevels; l++ {
-		s.LevelPtr[l+1] += s.LevelPtr[l]
-	}
-	next := make([]int32, nlevels)
-	copy(next, s.LevelPtr[:nlevels])
-	for r := 0; r < n; r++ {
-		lv := remap[level[r]]
-		s.Order[next[lv]] = int32(r)
-		next[lv]++
-	}
-	// Work prefix over the scheduled order: pw[i+1]−pw[i] = work of Order[i].
-	pw := make([]int32, n+1)
-	for i, r := range s.Order {
-		pw[i+1] = pw[i] + unitWork*(rowPtr[r+1]-rowPtr[r])
-	}
-	s.LevelChunk = make([]int32, nlevels+1)
-	for l := int32(0); l < nlevels; l++ {
-		lo, hi := int(s.LevelPtr[l]), int(s.LevelPtr[l+1])
-		work := int(pw[hi] - pw[lo])
-		parts := work / levelChunkWork
-		if parts > maxLevelChunks {
-			parts = maxLevelChunks
-		}
-		if parts < 1 {
-			parts = 1
-		}
-		bounds := PartitionByWork(pw, lo, hi, parts)
-		if len(bounds) > 2 {
-			s.parallel = true
-		}
-		s.LevelChunk[l] = int32(len(s.Chunks))
-		s.Chunks = append(s.Chunks, bounds[:len(bounds)-1]...)
-	}
-	s.LevelChunk[nlevels] = int32(len(s.Chunks))
-	s.Chunks = append(s.Chunks, int32(n))
-	return s
+	return split, reach
 }

@@ -122,41 +122,55 @@ func TestPartitionByWorkBalancesHeavyRows(t *testing.T) {
 	}
 }
 
-// TestLevelScheduleRespectsDependencies checks the schedule invariant: every
-// off-diagonal tile of a block row must reference a block row placed in a
-// strictly earlier level.
+// TestLevelScheduleRespectsDependencies checks the two-phase invariant on
+// every test factor: in each sweep, a row of either chunk depends only on
+// rows of its own chunk that come before it or on rows of the inline run
+// that precedes the chunks (backward), and an inline row after the chunks
+// (forward) only on rows before it. The serial stored order is a
+// topological order too.
 func TestLevelScheduleRespectsDependencies(t *testing.T) {
 	for name, c := range blockTris(t) {
 		bt := c.tri(t, false)
 		nb := bt.NBRows()
-		for dir, s := range map[string]*LevelSchedule{"fwd": bt.Fwd, "bwd": bt.Bwd} {
-			if len(s.Order) != nb {
-				t.Fatalf("%s %s: order holds %d block rows, want %d", name, dir, len(s.Order), nb)
+		for _, dir := range []struct {
+			name  string
+			s     *LevelSchedule
+			tri   *TriRows
+			upper bool
+		}{{"fwd", bt.Fwd, &bt.Lower, false}, {"bwd", bt.Bwd, &bt.Upper, true}} {
+			if len(dir.tri.Rows) != nb {
+				t.Fatalf("%s %s: order holds %d block rows, want %d", name, dir.name, len(dir.tri.Rows), nb)
 			}
-			levelOf := make([]int, nb)
-			seen := make([]bool, nb)
-			for l := 0; l < s.NumLevels(); l++ {
-				for i := s.LevelPtr[l]; i < s.LevelPtr[l+1]; i++ {
-					r := s.Order[i]
-					if seen[r] {
-						t.Fatalf("%s %s: block row %d scheduled twice", name, dir, r)
-					}
-					seen[r] = true
-					levelOf[r] = l
+			at := make([]int, nb) // block row → stored position
+			for k, r := range dir.tri.Rows {
+				at[r] = k
+			}
+			// run returns the phase part of position k: 0 inline before,
+			// 1 and 2 the chunks, 3 inline after.
+			run := func(k int) int {
+				switch p := dir.s.Par; {
+				case k < int(p[0]):
+					return 0
+				case k < int(p[1]):
+					return 1
+				case k < int(p[2]):
+					return 2
 				}
+				return 3
 			}
-			// The forward sweep skips each lower row's last (diagonal) tile,
-			// the backward sweep each upper row's first.
-			for r := 0; r < nb; r++ {
-				cols, _ := bt.Row(r, dir == "bwd")
+			for k, r := range dir.tri.Rows {
+				cols, _ := bt.Row(int(r), dir.upper)
 				deps := cols[:len(cols)-1]
-				if dir == "bwd" {
+				if dir.upper {
 					deps = cols[1:]
 				}
 				for _, dep := range deps {
-					if levelOf[dep] >= levelOf[r] {
-						t.Fatalf("%s %s: block row %d (level %d) depends on block row %d (level %d)",
-							name, dir, r, levelOf[r], dep, levelOf[dep])
+					d := at[dep]
+					if d >= k {
+						t.Fatalf("%s %s: row %d at %d depends on row %d stored after it, at %d", name, dir.name, r, k, dep, d)
+					}
+					if rk, rd := run(k), run(d); (rk == 1 || rk == 2) && rd != rk && rd != 0 {
+						t.Fatalf("%s %s: row %d of chunk %d depends on row %d of part %d", name, dir.name, r, rk, dep, rd)
 					}
 				}
 			}
@@ -164,23 +178,33 @@ func TestLevelScheduleRespectsDependencies(t *testing.T) {
 	}
 }
 
-// TestLevelScheduleShapes pins the schedule structure of the degenerate
-// shapes: a diagonal factor is one wide level, a serial chain is one level
-// of width 1 per block row (and must report itself non-parallelizable so
-// solves stay serial).
+// TestLevelScheduleShapes pins the split of the test shapes: a diagonal
+// factor is two equal halves with no tail, a serial chain has no second
+// chunk (and must report itself serial), and an arrow's dense last row is
+// the whole tail, its other rows two halves. The backward schedule mirrors
+// the forward one.
 func TestLevelScheduleShapes(t *testing.T) {
 	tris := blockTris(t)
-	if d := tris["diagonal"].tri(t, false); d.Fwd.NumLevels() != 1 || d.Bwd.NumLevels() != 1 {
-		t.Errorf("diagonal: %d/%d levels, want 1/1", d.Fwd.NumLevels(), d.Bwd.NumLevels())
+	d := tris["diagonal"].tri(t, false)
+	if a, b := d.Fwd.Halves(); a != 83 || b != 84 || d.Fwd.Tail() != 0 {
+		t.Errorf("diagonal: halves %d/%d, tail %d; want 83/84, 0", a, b, d.Fwd.Tail())
 	}
-	if c := tris["serial-chain"].tri(t, false); c.Fwd.NumLevels() != c.NBRows() {
-		t.Errorf("chain: %d levels, want %d", c.Fwd.NumLevels(), c.NBRows())
-	} else if c.Fwd.parallel {
+	if c := tris["serial-chain"].tri(t, false); c.Fwd.parallel {
 		t.Error("chain schedule claims to be parallelizable")
+	} else if _, b := c.Fwd.Halves(); b != 0 {
+		t.Errorf("chain: second chunk of %d rows, want none", b)
 	}
-	// Arrow: every block row but the last is independent (level 0), the
-	// dense last block row depends on all of them (level 1).
-	if a := tris["dense-row"].tri(t, false); a.Fwd.NumLevels() != 2 {
-		t.Errorf("dense-row: %d forward levels, want 2", a.Fwd.NumLevels())
+	a := tris["dense-row"].tri(t, false)
+	if h0, h1 := a.Fwd.Halves(); a.Fwd.Tail() != 1 || h0+h1 != a.NBRows()-1 {
+		t.Errorf("dense-row: halves %d/%d, tail %d; want the last row alone in the tail", h0, h1, a.Fwd.Tail())
+	}
+	for name, c := range tris {
+		bt := c.tri(t, false)
+		fa, fb := bt.Fwd.Halves()
+		ba, bb := bt.Bwd.Halves()
+		if fa != bb || fb != ba || bt.Fwd.Tail() != bt.Bwd.Tail() || bt.Fwd.parallel != bt.Bwd.parallel {
+			t.Errorf("%s: backward schedule %d/%d tail %d does not mirror forward %d/%d tail %d",
+				name, ba, bb, bt.Bwd.Tail(), fa, fb, bt.Fwd.Tail())
+		}
 	}
 }

@@ -36,8 +36,8 @@ type (
 	// Precond selects the preconditioner of the iterative global solvers.
 	Precond = solver.PrecondKind
 	// Ordering names the symmetric ordering the factorizing
-	// preconditioners (IC0) are built under, via SolverOptions.Ordering;
-	// natural is the only one.
+	// preconditioners (IC0) are built under (SolverOptions.Ordering is
+	// kept for stored options; the matrix decides).
 	Ordering = solver.OrderingKind
 	// Precision selects the storage precision of the factorizing
 	// preconditioners (IC0), via SolverOptions.Precision.
@@ -78,13 +78,19 @@ const (
 // lists these.
 func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 
-// Ordering choices for SolverOptions.Ordering. IC0 factors in the natural
-// order only, so both resolve to it.
+// Orderings of SolverOptions.Ordering and SolveStats.Ordering. The
+// ordering IC0 factors under follows the matrix, not the request: an
+// engine's lattices carry the two-ended order (OrderingTwoEnded), and a
+// bare matrix factors natural (solver.ResolveOrdering).
 const (
-	// OrderingAuto (the default) resolves to OrderingNatural.
+	// OrderingAuto (the default) lets the matrix decide.
 	OrderingAuto = solver.OrderingAuto
-	// OrderingNatural factors in the matrix's own row order.
+	// OrderingNatural factors in the matrix's own row order; every
+	// non-IC0 solve reports it.
 	OrderingNatural = solver.OrderingNatural
+	// OrderingTwoEnded factors from both lattice edges toward a middle
+	// block line, the order every assembly-built IC0 uses.
+	OrderingTwoEnded = solver.OrderingTwoEnded
 )
 
 // Factor-precision choices for SolverOptions.Precision.
