@@ -90,7 +90,7 @@
 //	      [-cache-bytes 2147483648] [-cache-entries 0] [-cache-dir DIR]
 //	      [-queue-depth 64] [-job-workers 1] [-job-ttl 10m]
 //	      [-job-field-budget 134217728] [-journal-dir DIR]
-//	      [-warm-start=true] [-assembly-bytes 1073741824]
+//	      [-assembly-bytes 1073741824]
 //
 // Defaults: -cache-bytes is 2 GiB (romcache.DefaultMaxBytes); -cache-entries
 // is 0, meaning the byte budget alone governs admission (set it to add a
@@ -126,23 +126,21 @@
 //
 // The reduced global solve dominates warm-cache request time, so the engine
 // assembles each lattice's global matrix once (shared by every scenario on
-// that lattice), defaults the iterative solvers to preconditioned CG/GMRES
-// ("auto" picks block-Jacobi-3 for small lattices and IC0 for large ones;
-// the per-request "precond" field overrides), and answers each uniform-ΔT
-// iterative request as ΔT times the lattice's unit-load solution, solved
-// once, and its field as |ΔT| times that solution's field, sampled once per
-// grid size (-warm-start=false solves and samples every request cold). GET
-// /stats reports
-// the machinery under "solver": assemblies built vs reused, warm-start hit
-// rate, and total iterations; per-scenario SSE events carry iterations, residual, precond,
+// that lattice), defaults the iterative solvers to IC0-preconditioned
+// CG/GMRES (the per-request "precond" field overrides), and answers each
+// uniform-ΔT iterative request as ΔT times the lattice's unit-load
+// solution, solved once, and its field as |ΔT| times that solution's field,
+// sampled once per grid size. GET /stats reports the machinery under
+// "solver": assemblies built vs reused, warm-start hit rate, and total
+// iterations; per-scenario SSE events carry iterations, residual, precond,
 // and warmStart. See docs/SOLVER_TUNING.md for guidance and measurements.
 //
 // The rules behind "auto" are fixed in code and measured in
-// docs/SOLVER_TUNING.md: IC0 from solver.AutoIC0Threshold (2 500) free DoFs,
-// block-Jacobi-3 below, and IC0 factors in the lattice's two-ended order,
-// stored in float32. The IC0 ordering and precision are not settable, so each lattice
-// holds one factor and a request gets the same answer at any -workers or
-// core count. Requests that name "ordering" or "precision" get a 400.
+// docs/SOLVER_TUNING.md: IC0 at every lattice size, factored in the
+// lattice's two-ended order and stored in float32. The IC0 ordering and
+// precision are not settable, so each lattice holds one factor and a
+// request gets the same answer at any -workers or core count. Requests that
+// name "ordering" or "precision" get a 400.
 package main
 
 import (
@@ -178,19 +176,16 @@ func main() {
 		"aggregate field samples across tracked async jobs, 429 beyond it (0 = unlimited)")
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
-	warmStart := flag.Bool("warm-start", true,
-		"answer uniform-ΔT iterative requests as ΔT times the lattice's cached unit-load solution, and their fields as |ΔT| times its cached field")
 	assemblyBytes := flag.Int64("assembly-bytes", 1<<30,
 		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
 	flag.Parse()
 
 	engineOpt := morestress.EngineOptions{
-		Workers:          *workers,
-		CacheBytes:       *cacheBytes,
-		CacheEntries:     *cacheEntries,
-		CacheDir:         *cacheDir,
-		DisableWarmStart: !*warmStart,
-		AssemblyBytes:    *assemblyBytes,
+		Workers:       *workers,
+		CacheBytes:    *cacheBytes,
+		CacheEntries:  *cacheEntries,
+		CacheDir:      *cacheDir,
+		AssemblyBytes: *assemblyBytes,
 	}
 	var solver morestress.Solver
 	var perShard func() []morestress.EngineStats

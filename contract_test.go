@@ -37,23 +37,23 @@ func stripJobs() []morestress.Job {
 // GOMAXPROCS 1, 2 and 4, through BatchSolve with 1 and 3 workers, and
 // through three in-process shards give bitwise identical Q and fields. Each
 // path runs on fresh engines and a fresh ROM cache, so the local stage is
-// inside the contract too. It holds with the default options, where uniform
-// jobs are scaled from a unit-load solution, and with DisableWarmStart,
-// where each job solves its own load.
+// inside the contract too. It holds for the jobs as given, where uniform
+// jobs are scaled from a unit-load solution, and for their cold copies
+// (coldJobs), where each job solves its own load.
 func TestAnswersIndependentOfWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves a 4 797-DoF lattice on six paths, twice")
 	}
-	jobs := stripJobs()
 	for _, c := range []struct {
 		name string
-		opt  morestress.EngineOptions
+		jobs []morestress.Job
 	}{
-		{"default", morestress.EngineOptions{}},
-		{"DisableWarmStart", morestress.EngineOptions{DisableWarmStart: true}},
+		{"default", stripJobs()},
+		{"cold", coldJobs(stripJobs())},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			opt := c.opt
+			jobs := c.jobs
+			var opt morestress.EngineOptions
 			var paths []answerPath
 			for _, procs := range []int{1, 2, 4} {
 				paths = append(paths, answerPath{fmt.Sprintf("Engine.Solve/GOMAXPROCS=%d", procs), func() []morestress.JobResult {
@@ -90,7 +90,7 @@ func TestAnswersIndependentOfWorkers(t *testing.T) {
 // jobs on a 6×6 lattice, submitted in three ΔT orders through
 // Engine.Solve, BatchSolve and three shards, each on fresh engines, gives
 // bitwise identical Q and fields, and each answer's Q and field agree with
-// a DisableWarmStart cold solve to rounding. The jobs sample their fields
+// the cold solve of its coldJobs copy to rounding. The jobs sample their fields
 // at two grid sizes, so a cached unit field of one can never answer the
 // other.
 func TestAnswersIndependentOfHistory(t *testing.T) {
@@ -145,9 +145,7 @@ func TestAnswersIndependentOfHistory(t *testing.T) {
 			}})
 	}
 	ref := assertSameAnswers(t, paths)[0]
-	cold := opt
-	cold.DisableWarmStart = true
-	for i, r := range morestress.NewEngine(cold).BatchSolve(jobs).Results {
+	for i, r := range morestress.NewEngine(opt).BatchSolve(coldJobs(jobs)).Results {
 		if r.Err != nil {
 			t.Fatalf("cold job %d: %v", i, r.Err)
 		}
@@ -174,6 +172,22 @@ func TestAnswersIndependentOfHistory(t *testing.T) {
 			t.Errorf("job %d (ΔT=%g): field deviates from the cold solve's by %.3g relative", i, loads[i], rel)
 		}
 	}
+}
+
+// coldJobs returns copies of jobs in which each uniform load is stated as a
+// constant ΔT map. The engine never scales a map from its lattice's
+// unit-load solution, so each copy solves its own load from zero and
+// samples its own field: the cold reference of the unit-solution reuse.
+func coldJobs(jobs []morestress.Job) []morestress.Job {
+	out := make([]morestress.Job, len(jobs))
+	for i, job := range jobs {
+		if job.DeltaTMap == nil {
+			dt := job.DeltaT
+			job.DeltaTMap = func(int, int) float64 { return dt }
+		}
+		out[i] = job
+	}
+	return out
 }
 
 // answerPath is one way of solving a contract's jobs; solve returns the

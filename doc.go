@@ -48,12 +48,10 @@
 //     every solver kind) and each preconditioner at most once per lattice,
 //     kind, and factor precision (cached on the assembly — the IC0 factor
 //     is no longer rebuilt per solve), the iterative solvers default to
-//     auto-selected preconditioning (block-Jacobi-3 for small lattices,
-//     IC0 at and above solver.AutoIC0Threshold DoFs;
-//     SolverOptions.Precond overrides) with two-phase IC0 triangular
-//     solves in the two-ended order every assembly attaches to its matrix
-//     (one order per lattice, so a lattice has one factor and one answer
-//     at every worker count) and an
+//     IC0 preconditioning at every lattice size (SolverOptions.Precond
+//     overrides) with two-phase triangular solves in the two-ended order
+//     every assembly attaches to its matrix (one order per lattice, so a
+//     lattice has one factor and one answer at every worker count) and an
 //     allocation-free PCG hot loop, and every uniform-ΔT job is
 //     answered as ΔT times its lattice's unit-load solution, solved once
 //     (array.SolveUniform), with its field |ΔT| times that solution's

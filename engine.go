@@ -131,14 +131,6 @@ type EngineOptions struct {
 	// AssemblyBytes additionally bounds the assembly cache by the sum of
 	// the assemblies' MemoryBytes (0 = entry-count bound only).
 	AssemblyBytes int64
-	// DisableWarmStart turns off unit-solution reuse: by default the
-	// engine answers every uniform-ΔT iterative job as ΔT times its
-	// lattice's unit-load solution (array.SolveUniform), solved once per
-	// lattice and solver options, and its von Mises field as |ΔT| times
-	// the unit solution's field, sampled once per grid size. With it set,
-	// each job solves its own right-hand side cold and samples its own
-	// field.
-	DisableWarmStart bool
 	// SharedCache, when non-nil, is used as the engine's ROM cache instead
 	// of building a private one (CacheBytes/CacheEntries/CacheDir/
 	// BuildWorkers are then ignored). The ROM cache is content-addressed
@@ -171,10 +163,10 @@ type EngineStats struct {
 	// PrecondBuilds counts preconditioner constructions for iterative
 	// solves; PrecondHits counts solves that reused one cached on the
 	// lattice's Assembly. A preconditioner is built at most once per
-	// (lattice, PrecondKind, Precision), with the auto values resolved by
-	// the system size alone, so warm-cache scenarios are all
-	// hits and default-option traffic builds one IC0 factor per lattice
-	// (two after a float32 stall: the float64 retry factor).
+	// (lattice, PrecondKind, Precision), with the auto values resolved
+	// first, so warm-cache scenarios are all hits and default-option
+	// traffic builds one IC0 factor per lattice (two after a float32 stall:
+	// the float64 retry factor).
 	PrecondBuilds, PrecondHits int64
 	// OrderingCounts tallies iterative solves by the symmetric ordering
 	// their preconditioner factored under (keys are the
@@ -489,11 +481,7 @@ func (e *Engine) solve(job Job, index, workers int) *JobResult {
 			prob.FactorKey = key
 		}
 	}
-	globalSolve := array.SolveUniform
-	if e.opt.DisableWarmStart {
-		globalSolve = array.Solve
-	}
-	ar, err := solveGlobal(prob, job.GridSamples, globalSolve)
+	ar, err := solveGlobal(prob, job.GridSamples)
 	if err != nil {
 		res.Err = fmt.Errorf("morestress: job global stage: %w", err)
 		return res

@@ -86,9 +86,9 @@ func BenchmarkEngineDirectSweep(b *testing.B) {
 // path runs on a large lattice: one warm engine (ROM, assembly and IC0
 // factor cached) solving 10×10 scenarios whose per-block ΔT maps rotate
 // through four off-centre hotspots. A ΔT map is not a multiple of the unit
-// load, so every op is a full default-solver (GMRES) solve from zero on a system
-// above AutoIC0Threshold; the bench fails if the solve resolves to another
-// preconditioner, so it keeps measuring the IC0 path.
+// load, so every op is a full default-solver (GMRES) solve from zero; the
+// bench fails if the solve resolves to a preconditioner other than IC0, so
+// it keeps measuring the IC0 path.
 func BenchmarkEngineHotspotSolve(b *testing.B) {
 	const dim = 10
 	e := NewEngine(EngineOptions{})
@@ -109,7 +109,7 @@ func BenchmarkEngineHotspotSolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	if got := res.Result.Solution.Stats.Precond; got != solver.PrecondIC0 {
-		b.Fatalf("%d free DoFs resolved to %v, want IC0 (above AutoIC0Threshold)", len(res.Result.Solution.QFree), got)
+		b.Fatalf("%d free DoFs resolved to %v, want IC0", len(res.Result.Solution.QFree), got)
 	}
 	iters := 0
 	b.ResetTimer()

@@ -14,13 +14,14 @@ import (
 // assembly's cache, and the engine counters expose the split.
 func TestEnginePrecondCacheSharedAcrossScenarios(t *testing.T) {
 	cfg := testConfig(15)
-	// Disable warm starts so every scenario runs a full iterative solve
-	// (warm-started solves still consult the preconditioner, but the cold
-	// chain makes the assertion obvious).
-	e := NewEngine(EngineOptions{Workers: 2, DisableWarmStart: true})
+	// Constant ΔT maps, so every scenario runs a full iterative solve
+	// (scaled unit solutions still consult the preconditioner, but the cold
+	// solves make the assertion obvious).
+	e := NewEngine(EngineOptions{Workers: 2})
 	jobs := make([]Job, 5)
 	for i := range jobs {
-		jobs[i] = Job{Config: cfg, Rows: 2, Cols: 2, DeltaT: -50 * float64(i+1), Solver: SolveCG}
+		dt := -50 * float64(i+1)
+		jobs[i] = Job{Config: cfg, Rows: 2, Cols: 2, DeltaT: dt, DeltaTMap: coldMap(dt), Solver: SolveCG}
 	}
 	br := e.BatchSolve(jobs)
 	if br.Stats.Errors != 0 {
@@ -48,13 +49,13 @@ func TestEnginePrecondCacheSharedAcrossScenarios(t *testing.T) {
 // preconditioner kinds on one lattice each build once, then hit.
 func TestEnginePrecondCacheDistinctPerKind(t *testing.T) {
 	cfg := testConfig(15)
-	e := NewEngine(EngineOptions{Workers: 1, DisableWarmStart: true})
+	e := NewEngine(EngineOptions{Workers: 1})
 	kinds := []Precond{solver.PrecondBlockJacobi3, solver.PrecondIC0}
 	var jobs []Job
 	for round := 0; round < 2; round++ {
 		for _, k := range kinds {
 			jobs = append(jobs, Job{
-				Config: cfg, Rows: 2, Cols: 2, DeltaT: -100,
+				Config: cfg, Rows: 2, Cols: 2, DeltaT: -100, DeltaTMap: coldMap(-100),
 				Solver: SolveCG, Options: SolverOptions{Precond: k},
 			})
 		}
@@ -80,13 +81,13 @@ func TestEnginePrecondCacheDistinctPerKind(t *testing.T) {
 // sum to the iterative solve count.
 func TestEngineOrderingCounts(t *testing.T) {
 	cfg := testConfig(15)
-	e := NewEngine(EngineOptions{Workers: 1, DisableWarmStart: true})
+	e := NewEngine(EngineOptions{Workers: 1})
 	jobs := []Job{
-		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -100, Solver: SolveCG,
+		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -100, DeltaTMap: coldMap(-100), Solver: SolveCG,
 			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: 3}},
-		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -150, Solver: SolveCG,
+		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -150, DeltaTMap: coldMap(-150), Solver: SolveCG,
 			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: solver.OrderingAuto}},
-		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -200, Solver: SolveCG,
+		{Config: cfg, Rows: 2, Cols: 2, DeltaT: -200, DeltaTMap: coldMap(-200), Solver: SolveCG,
 			Options: SolverOptions{Precond: solver.PrecondIC0, Ordering: solver.OrderingNatural}},
 	}
 	br := e.BatchSolve(jobs)
@@ -172,13 +173,13 @@ func TestEngineBatchThenSolveShareOneFactor(t *testing.T) {
 // and the next scenario on that lattice rebuilds both.
 func TestEnginePrecondCacheInvalidatedWithAssembly(t *testing.T) {
 	cfg := testConfig(15)
-	e := NewEngine(EngineOptions{Workers: 1, MaxAssemblies: 1, DisableWarmStart: true})
+	e := NewEngine(EngineOptions{Workers: 1, MaxAssemblies: 1})
 	lattices := [][2]int{{2, 2}, {2, 3}}
 	// Alternate lattices: with room for one assembly, every solve evicts the
 	// other lattice's assembly (and its cached preconditioner).
 	for round := 0; round < 2; round++ {
 		for _, dims := range lattices {
-			if _, err := e.Solve(Job{Config: cfg, Rows: dims[0], Cols: dims[1], DeltaT: -100, Solver: SolveCG}); err != nil {
+			if _, err := e.Solve(Job{Config: cfg, Rows: dims[0], Cols: dims[1], DeltaT: -100, DeltaTMap: coldMap(-100), Solver: SolveCG}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,10 +192,10 @@ func TestEnginePrecondCacheInvalidatedWithAssembly(t *testing.T) {
 		t.Errorf("precond builds = %d, want 4", s.PrecondBuilds)
 	}
 	// Same layout with room for both lattices: second round is all hits.
-	e = NewEngine(EngineOptions{Workers: 1, MaxAssemblies: 4, DisableWarmStart: true})
+	e = NewEngine(EngineOptions{Workers: 1, MaxAssemblies: 4})
 	for round := 0; round < 2; round++ {
 		for _, dims := range lattices {
-			if _, err := e.Solve(Job{Config: cfg, Rows: dims[0], Cols: dims[1], DeltaT: -100, Solver: SolveCG}); err != nil {
+			if _, err := e.Solve(Job{Config: cfg, Rows: dims[0], Cols: dims[1], DeltaT: -100, DeltaTMap: coldMap(-100), Solver: SolveCG}); err != nil {
 				t.Fatal(err)
 			}
 		}

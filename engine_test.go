@@ -181,15 +181,23 @@ func TestLoadModelCorruptDummy(t *testing.T) {
 	}
 }
 
+// coldMap states a uniform load dt as a constant ΔT map. The engine never
+// scales a map from its lattice's unit-load solution, so a job carrying one
+// solves its own right-hand side from zero: the cold reference of the
+// unit-solution reuse.
+func coldMap(dt float64) func(int, int) float64 {
+	return func(int, int) float64 { return dt }
+}
+
 // TestEngineWarmStartSweepMatchesCold is the correctness contract of the
 // unit-solution reuse: a ΔT sweep (in scrambled ΔT order) answered as ΔT
-// times one cached unit-load solution must reproduce the cold solutions to
-// rounding, while doing measurably less iterative work on one shared
-// assembly.
+// times one cached unit-load solution must reproduce the cold solutions of
+// the same loads stated as constant ΔT maps to rounding, while doing
+// measurably less iterative work on one shared assembly.
 func TestEngineWarmStartSweepMatchesCold(t *testing.T) {
 	cfg := testConfig(15)
-	sweep := func() []Job {
-		loads := []float64{-150, -250, -50, -200, -100, -300} // scrambled
+	loads := []float64{-150, -250, -50, -200, -100, -300} // scrambled
+	sweep := func(cold bool) []Job {
 		jobs := make([]Job, len(loads))
 		for i, dt := range loads {
 			jobs[i] = Job{
@@ -197,14 +205,17 @@ func TestEngineWarmStartSweepMatchesCold(t *testing.T) {
 				GridSamples: 6, Solver: SolveCG,
 				Options: SolverOptions{Tol: 1e-10},
 			}
+			if cold {
+				jobs[i].DeltaTMap = coldMap(dt)
+			}
 		}
 		return jobs
 	}
 
 	warmE := NewEngine(EngineOptions{Workers: 2})
-	coldE := NewEngine(EngineOptions{Workers: 2, DisableWarmStart: true})
-	warm := warmE.BatchSolve(sweep())
-	cold := coldE.BatchSolve(sweep())
+	coldE := NewEngine(EngineOptions{Workers: 2})
+	warm := warmE.BatchSolve(sweep(false))
+	cold := coldE.BatchSolve(sweep(true))
 	if warm.Stats.Errors != 0 || cold.Stats.Errors != 0 {
 		t.Fatalf("sweep errors: warm %d, cold %d", warm.Stats.Errors, cold.Stats.Errors)
 	}
@@ -218,7 +229,7 @@ func TestEngineWarmStartSweepMatchesCold(t *testing.T) {
 			den += cq[k] * cq[k]
 		}
 		if rel := math.Sqrt(num / den); !(rel <= 1e-12) {
-			t.Errorf("job %d (ΔT=%g): warm Q deviates from cold by %.3g relative", i, sweep()[i].DeltaT, rel)
+			t.Errorf("job %d (ΔT=%g): warm Q deviates from cold by %.3g relative", i, loads[i], rel)
 		}
 	}
 

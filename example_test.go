@@ -70,25 +70,30 @@ func ExamplePaperGeometry() {
 
 // ExampleEngine_warmStart contrasts a ΔT sweep on the default engine —
 // which assembles the lattice's reduced system once, solves the unit load
-// once, and answers every scenario as ΔT times that solution — against an
-// engine with EngineOptions.DisableWarmStart, which solves every scenario
-// from zero. The answers agree to rounding; the iteration budget does not.
+// once, and answers every scenario as ΔT times that solution — against the
+// same loads stated as constant ΔT maps, which the engine never scales from
+// the unit solution, so it solves every scenario from zero. The answers
+// agree to rounding; the iteration budget does not.
 func ExampleEngine_warmStart() {
-	sweep := func() []morestress.Job {
+	sweep := func(mapped bool) []morestress.Job {
 		jobs := make([]morestress.Job, 4)
 		for i := range jobs {
+			dt := -60 * float64(i+1)
 			jobs[i] = morestress.Job{
 				Config: exampleConfig(), Rows: 3, Cols: 3,
-				DeltaT: -60 * float64(i+1),
+				DeltaT: dt,
 				Solver: morestress.SolveCG,
+			}
+			if mapped {
+				jobs[i].DeltaTMap = func(int, int) float64 { return dt }
 			}
 		}
 		return jobs
 	}
 	warm := morestress.NewEngine(morestress.EngineOptions{Workers: 1})
-	cold := morestress.NewEngine(morestress.EngineOptions{Workers: 1, DisableWarmStart: true})
-	w := warm.BatchSolve(sweep())
-	c := cold.BatchSolve(sweep())
+	cold := morestress.NewEngine(morestress.EngineOptions{Workers: 1})
+	w := warm.BatchSolve(sweep(false))
+	c := cold.BatchSolve(sweep(true))
 
 	fmt.Println("errors:", w.Stats.Errors+c.Stats.Errors)
 	fmt.Println("warm-started solves:", w.Stats.WarmStarts)

@@ -388,8 +388,7 @@ func (c *onceMap[K, V]) each(f func(V)) {
 type AssemblyPrecond struct {
 	// M is the shared preconditioner.
 	M solver.Preconditioner
-	// Kind is the concrete preconditioner kind (Auto resolved against the
-	// reduced system size).
+	// Kind is the concrete preconditioner kind (Auto resolved).
 	Kind solver.PrecondKind
 	// Ordering is the symmetric ordering the preconditioner was built
 	// under (solver.ResolveOrdering): OrderingTwoEnded for IC0,
@@ -409,12 +408,13 @@ type AssemblyPrecond struct {
 
 // PreconditionerPrec returns the lattice's shared preconditioner for the
 // requested kind and factor precision, building and caching it on first
-// use. PrecondAuto resolves to a concrete kind first, by the system size
-// alone, so an explicit request for the resolved kind shares the same entry
-// and every solve of a lattice shares one factor whatever its parallelism.
-// IC0 factors in the two-ended order NewAssembly attached to A_ff, so
-// every requested ordering maps to the same entry. Only IC0 is precision-sensitive; the other kinds
-// cache under PrecisionFloat64 whatever is requested. For IC0,
+// use. PrecondAuto resolves to its concrete kind (IC0) first, so an
+// explicit request for the resolved kind shares the same entry and every
+// solve of a lattice shares one factor whatever its parallelism. IC0
+// factors in the two-ended order NewAssembly attached to A_ff, so every
+// requested ordering maps to the same entry. Only IC0 is
+// precision-sensitive; the other kinds cache under PrecisionFloat64
+// whatever is requested. For IC0,
 // PrecisionAuto and PrecisionFloat32 build the identical float32 factor and
 // so share one cache entry, while PrecisionFloat64 caches separately — the
 // float64 factor a stalled float32 solve retries against lives next to the
@@ -445,7 +445,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 // precondKey resolves a requested preconditioner to the key it caches
 // under; see PreconditionerPrec.
 func (a *Assembly) precondKey(kind solver.PrecondKind, prec solver.Precision) precondKey {
-	resolved := kind.Resolve(a.Red.NFree())
+	resolved := kind.Resolve()
 	if resolved != solver.PrecondIC0 {
 		return precondKey{kind: resolved, prec: solver.PrecisionFloat64}
 	}

@@ -14,10 +14,12 @@ import (
 // with the direct sparse Cholesky solve of the same reduced system to
 // max|q − q_direct| ≤ 1e-8·max|q| at Tol 1e-11. Ordering and precision only
 // shape the IC0 factor, so only IC0 runs across those two axes; the other
-// kinds run once each. The lattices cover the single block, a strip and a
-// square on the served (5,5,5) coarse cell, each clamped and with prescribed
-// boundary displacements; every IC0 tuple factors natural, whatever
-// ordering it names. Agreeing with one reference, the tuples agree with each other, so the matrix stands in for
+// kinds run once each. The lattices cover the single block, the small 1×2
+// and 2×3 lattices (Auto factors IC0 at every size), two strips and a
+// square on the served (5,5,5) coarse cell, each clamped and with
+// prescribed boundary displacements; every IC0 tuple factors in the
+// assembly's two-ended order, whatever ordering it names. Agreeing with one
+// reference, the tuples agree with each other, so the matrix stands in for
 // pairwise GMRES/CG/direct comparisons on the reduced system.
 func TestDifferentialSolverMatrix(t *testing.T) {
 	r := servedROM(t, true)
@@ -41,7 +43,7 @@ func TestDifferentialSolverMatrix(t *testing.T) {
 	const workers = 2
 	// A non-uniform prescribed field, so the boundary lift carries load.
 	disp := func(p mesh.Vec3) [3]float64 { return [3]float64{1e-4 * p.X, -2e-4 * p.Y, 5e-5 * (p.X + p.Z)} }
-	for _, lat := range []struct{ bx, by int }{{1, 1}, {1, 6}, {5, 5}, {1, 48}} {
+	for _, lat := range []struct{ bx, by int }{{1, 1}, {1, 2}, {2, 3}, {1, 6}, {5, 5}, {1, 48}} {
 		for _, bc := range []BCKind{ClampedTopBottom, PrescribedBoundary} {
 			name := fmt.Sprintf("%dx%d/%s", lat.bx, lat.by, map[BCKind]string{ClampedTopBottom: "clamped", PrescribedBoundary: "prescribed"}[bc])
 			t.Run(name, func(t *testing.T) {

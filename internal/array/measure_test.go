@@ -19,11 +19,10 @@ import (
 // lattice size, preconditioner, and — for IC0 — factor precision. It
 // reports the cold solve (first solve on the lattice: preconditioner build
 // + iterate), the warm solve (assembly-cached preconditioner, the serving
-// path's per-scenario cost), and the factor's dependency-level shape
-// (levels × widest level), which decides how far the triangular solves fan
-// out. Run at -cpu 1 and -cpu 2 (or more) to measure the serial-fallback
-// and fan-out regimes; the AutoIC0Threshold default comes from these
-// tables.
+// path's per-scenario cost), and the factor's two-phase shape (the row
+// counts of the two halves and the tail of the forward sweep), which
+// decides how much of each triangular solve runs on two workers. Run at
+// -cpu 1 and -cpu 2 (or more) to measure the serial and pooled regimes.
 // Gated behind MEASURE=1 because the large lattices take minutes.
 func TestMeasureReducedGlobalPrecond(t *testing.T) {
 	if os.Getenv("MEASURE") == "" {
@@ -84,7 +83,7 @@ func TestMeasureReducedGlobalPrecond(t *testing.T) {
 				}
 				halfA, halfB, tail := -1, -1, -1
 				if tf, ok := ap.M.(solver.TriFactor); ok {
-					halfA, halfB = tf.Factor().Fwd.Halves()
+					halfA, halfB = halves(tf.Factor().Fwd)
 					tail = tf.Factor().Fwd.Tail()
 				}
 				var factorBytes int64 = -1

@@ -90,9 +90,9 @@ func TestAssemblyPrecondDistinctPerKind(t *testing.T) {
 	if !again.Hit || again.M != ic.M || again.Build != 0 {
 		t.Errorf("repeat ic0 request: hit=%v same=%v build=%v", again.Hit, again.M == ic.M, again.Build)
 	}
-	// Auto resolves against the reduced size and must share the resolved
-	// kind's entry rather than cache a duplicate under PrecondAuto.
-	resolved := solver.PrecondKind(solver.PrecondAuto).Resolve(asm.NumFree())
+	// Auto must share the resolved kind's entry rather than cache a
+	// duplicate under PrecondAuto.
+	resolved := solver.PrecondKind(solver.PrecondAuto).Resolve()
 	want, err := asm.PreconditionerPrec(resolved, solver.OrderingAuto, solver.PrecisionAuto, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +292,9 @@ func TestAutoOrderingFollowsDefaultWorkers(t *testing.T) {
 // TestAutoOrderingOnServedLattices pins what OrderingAuto decides on the
 // served (5,5,5) coarse cell for the lattices the benchmark workloads run:
 // the new-design shapes and the 12×12 hotspot lattice all factor two-ended,
-// at 1 worker as at 2.
-// PrecondAuto likewise follows the size alone: a bare Solve, which builds
-// its own assembly and factor for one solve, resolves it as the engine's
-// cached path does, on either side of solver.AutoIC0Threshold.
+// at 1 worker as at 2. PrecondAuto is IC0 at every size: a bare Solve,
+// which builds its own assembly and factor for one solve, resolves it as
+// the engine's cached path does, from the golden 2×3 lattice up.
 func TestAutoOrderingOnServedLattices(t *testing.T) {
 	r := servedROM(t, true)
 	for _, c := range []struct {
@@ -327,8 +326,9 @@ func TestAutoOrderingOnServedLattices(t *testing.T) {
 		bx, by int
 		want   solver.PrecondKind
 	}{
-		{4, 8, solver.PrecondBlockJacobi3}, // 2 457 free DoFs
-		{6, 6, solver.PrecondIC0},          // 2 709 free DoFs
+		{2, 3, solver.PrecondIC0}, // 567 free DoFs
+		{4, 8, solver.PrecondIC0}, // 2 457 free DoFs
+		{6, 6, solver.PrecondIC0}, // 2 709 free DoFs
 	} {
 		sol, err := Solve(&Problem{ROM: r, Bx: c.bx, By: c.by, DeltaT: -250, BC: ClampedTopBottom, Solver: GMRES})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // servedFactor returns the assembly of a bx×by lattice of the served
@@ -80,7 +81,7 @@ func TestTwoEndedSplit(t *testing.T) {
 				}
 			}
 		}
-		h0, h1 := l.Fwd.Halves()
+		h0, h1 := halves(l.Fwd)
 		tail := l.Fwd.Tail()
 		t.Logf("%s: %d block rows, halves %d/%d, tail %d", name, nb, h0, h1, tail)
 		if h0+h1+tail != nb || h0 == 0 || h1 == 0 {
@@ -128,4 +129,9 @@ func TestTwoEndedIterations(t *testing.T) {
 			t.Errorf("%d×%d: %d GMRES iterations, want ≤ %d", c.bx, c.by, sol.Stats.Iterations, c.max)
 		}
 	}
+}
+
+// halves returns the row counts of a sweep's two chunks.
+func halves(s *sparse.LevelSchedule) (int, int) {
+	return int(s.Par[1] - s.Par[0]), int(s.Par[2] - s.Par[1])
 }

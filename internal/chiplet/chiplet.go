@@ -217,9 +217,8 @@ func SolveCoarse(st Stack, res Resolution, deltaT float64, extraBreaks []float64
 	}
 	if opt.Precond == solver.PrecondAuto {
 		// The coarse package model is a large sparse fine-mesh system, far
-		// sparser than the reduced global matrices the IC0 threshold was
-		// tuned on: the size-based auto rule would pick serial IC0, which
-		// does not pay off here.
+		// sparser than the reduced global matrices the auto rule was
+		// measured on: auto would pick IC0, which does not pay off here.
 		opt.Precond = solver.PrecondBlockJacobi3
 	}
 	// The 3-2-1 constraints remove 6 DoFs, so A_ff still tiles, though the

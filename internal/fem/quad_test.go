@@ -254,7 +254,7 @@ func TestQuadAssembleVoidElements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !asm.K.IsSymmetric(1e-9) {
+	if !symmetric(asm.K, 1e-9) {
 		t.Error("quadratic stiffness not symmetric")
 	}
 	for id, act := range asm.ActiveNode {

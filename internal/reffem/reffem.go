@@ -54,9 +54,10 @@ type Problem struct {
 	// BoundaryDisp supplies prescribed boundary displacements for
 	// PrescribedBoundary (global µm coordinates).
 	BoundaryDisp func(p mesh.Vec3) [3]float64
-	// Precond selects the CG preconditioner (default PrecondAuto, which
-	// resolves by system size; the concrete kinds remain available as
-	// ablations). Opt.Precond, when set, wins over this field.
+	// Precond selects the CG preconditioner (default PrecondAuto, which a
+	// reference solve takes as block-Jacobi-3, see referencePrecond; the
+	// other kinds remain available as ablations). Opt.Precond, when set,
+	// wins over this field.
 	Precond solver.PrecondKind
 	// Quadratic switches the discretization to 20-node serendipity
 	// hexahedra (the ANSYS SOLID186 element class) for a higher-fidelity
@@ -126,10 +127,10 @@ func (p *Problem) blockOf(x, y float64) (bx, by int) {
 
 // referencePrecond resolves the preconditioner for a reference solve: the
 // legacy Problem.Precond field folds into Opt (which wins when set), and a
-// still-unresolved Auto picks block-Jacobi-3 instead of the size-based auto
-// rule: the full-resolution systems are far larger and sparser than the
-// reduced global matrices the IC0 threshold was tuned on, and serial IC0
-// does not pay off there. Shared by the trilinear and quadratic paths.
+// still-unresolved Auto picks block-Jacobi-3 instead of the solver's IC0:
+// the full-resolution systems are far larger and sparser than the reduced
+// global matrices the auto rule was measured on, and IC0 does not pay off
+// there. Shared by the trilinear and quadratic paths.
 func referencePrecond(opt solver.Options, legacy solver.PrecondKind) solver.Options {
 	if opt.Precond == solver.PrecondAuto {
 		opt.Precond = legacy

@@ -297,7 +297,7 @@ func TestSolvePrecondField(t *testing.T) {
 
 // TestRetiredOrderingRejected: "ordering" and "precision" are no longer
 // request fields — the IC0 factor's ordering and precision follow the
-// lattice's size alone — so naming either, with any value ("auto"
+// lattice alone — so naming either, with any value ("auto"
 // included), is a 400 naming the field on every submission endpoint.
 func TestRetiredOrderingRejected(t *testing.T) {
 	ts := testServer(t)
@@ -361,9 +361,9 @@ func TestRetiredPrecondRejected(t *testing.T) {
 
 // TestSolveOrderingField: the response's "ordering" and "precision" fields
 // name the concrete factor a solve ran under — a 1×48 strip on the served
-// (5,5,5) coarse cell (4 797 free DoFs) factors IC0 natural in float32, a
-// 1×2 lattice runs the natural ordering too — and /stats tallies solves per
-// ordering.
+// (5,5,5) coarse cell (4 797 free DoFs) factors IC0 two-ended in float32, a
+// 1×2 lattice that asks for block-Jacobi-3 runs the natural ordering — and
+// /stats tallies solves per ordering.
 func TestSolveOrderingField(t *testing.T) {
 	ts := testServer(t)
 
@@ -392,7 +392,7 @@ func TestSolveOrderingField(t *testing.T) {
 	}
 
 	// An iterative solve always names a concrete ordering, never "auto".
-	resp, out = post(cheapJob)
+	resp, out = post(`{"resolution":"coarse","nodes":3,"rows":1,"cols":2,"deltaT":-100,"precond":"bj3"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}

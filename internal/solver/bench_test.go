@@ -104,9 +104,9 @@ func BenchmarkAblationFactorReuse(b *testing.B) {
 
 // latticeLike builds an SPD matrix with the row density of the reduced
 // global matrices (dense per-node blocks over a 2D 9-point grid). Like the
-// real reduced matrices in natural lattice order, its IC0 factor has a deep,
-// narrow dependency DAG (intra-block chains × stencil wavefronts), so this
-// is the serial-fallback exemplar: the level schedule must add no overhead.
+// real reduced matrices in natural lattice order, its IC0 factor has no
+// independent second half worth a chunk, so this is the serial-fallback
+// exemplar: the pooled apply must add no overhead.
 func latticeLike(nx, ny, bs int) *sparse.CSR {
 	rng := rand.New(rand.NewSource(8))
 	nodes := nx * ny
@@ -152,9 +152,8 @@ func latticeLike(nx, ny, bs int) *sparse.CSR {
 	return t.ToCSR()
 }
 
-// blockIndependent builds an SPD matrix of many independent dense blocks —
-// a wide dependency DAG (levels as wide as the block count), the shape on
-// which level scheduling actually fans out.
+// blockIndependent builds an SPD matrix of many independent dense blocks,
+// whose IC0 sweeps split into two equal independent halves with no tail.
 func blockIndependent(blocks, bs int) *sparse.CSR {
 	rng := rand.New(rand.NewSource(12))
 	n := blocks * bs
@@ -176,13 +175,14 @@ func blockIndependent(blocks, bs int) *sparse.CSR {
 }
 
 // BenchmarkIC0Apply compares the serial reference application of the IC0
-// preconditioner against the level-scheduled one dispatched through a
-// resident Workspace gang, in both dependency regimes. The narrowDAG system
-// mimics the reduced global matrices (dense block rows in natural lattice
-// order): its levels are deep and narrow, the serial fallback engages, and
-// levelsched must track serial with no overhead. The wideDAG system
-// (independent dense blocks) has levels as wide as the block count and is
-// where the schedule fans out — run with -cpu 1,4 to see it.
+// preconditioner against the two-phase one dispatched through a resident
+// Workspace gang (the "levelsched-pool" rows, named before the two-phase
+// schedule replaced the dependency-level one; the pins keep the name). The
+// narrowDAG system mimics the reduced global matrices in natural lattice
+// order: it has no second half worth a chunk, so the pooled row takes the
+// serial loop and must track serial with no overhead. The wideDAG system
+// (independent dense blocks) splits into two equal halves, which the gang
+// runs at once — run with -cpu 1,4 to see it.
 func BenchmarkIC0Apply(b *testing.B) {
 	systems := []struct {
 		name string

@@ -34,9 +34,8 @@ func spd3(nodes int) (a *sparse.BCSR, b []float64) {
 }
 
 // ExamplePCG solves an SPD system with the preconditioned conjugate
-// gradient. Options.Precond defaults to PrecondAuto, which picks
-// block-Jacobi-3 for a small 3-DoF-per-node system; the returned Stats
-// record the resolved choice.
+// gradient. Options.Precond defaults to PrecondAuto, which resolves to IC0
+// at every size; the returned Stats record the resolved choice.
 func ExamplePCG() {
 	a, b := spd3(40)
 	x, stats, err := solver.PCG(a, b, nil, solver.Options{Tol: 1e-10})
@@ -48,7 +47,7 @@ func ExamplePCG() {
 	fmt.Printf("x[0] = %.6f\n", x[0])
 	// Output:
 	// converged: true
-	// preconditioner: block-jacobi3
+	// preconditioner: ic0
 	// x[0] = 1.000000
 }
 

@@ -26,7 +26,7 @@ type Stats struct {
 	Residual   float64 // final relative residual ‖b−Ax‖/‖b‖
 	Converged  bool
 	// Precond is the concrete preconditioner the solve ran with (Auto
-	// resolved against the system size).
+	// resolved).
 	Precond PrecondKind
 	// Ordering is the symmetric ordering the preconditioner factored under
 	// (ResolveOrdering): OrderingTwoEnded for IC0 on a matrix that carries
@@ -61,11 +61,10 @@ type Options struct {
 	// mat-vec's fan-out otherwise. It does not change the answer: the
 	// parallel kernels are bitwise identical at every worker count.
 	Workers int
-	// Precond selects the preconditioner (default PrecondAuto:
-	// block-Jacobi-3 below AutoIC0Threshold DoFs, IC0 at and above it — see
-	// PrecondKind.Resolve). The rule is the same whether the call builds its
-	// preconditioner for this solve alone or a caller that caches it
-	// (array.Assembly) passes it in M.
+	// Precond selects the preconditioner (default PrecondAuto, which is
+	// IC0 — see PrecondKind.Resolve). The rule is the same whether the call
+	// builds its preconditioner for this solve alone or a caller that caches
+	// it (array.Assembly) passes it in M.
 	Precond PrecondKind
 	// Ordering names the symmetric ordering IC0 factors under. The
 	// ordering follows the matrix (ResolveOrdering), so the field changes
@@ -138,7 +137,7 @@ type krylovPrecond struct {
 // opt.Workers — with the mat-vec bound to a. opt must already carry its
 // defaults (withDefaults).
 func setupKrylov(a *sparse.BCSR, warm bool, opt Options) (krylovPrecond, Stats, error) {
-	kind := opt.Precond.Resolve(a.NRows)
+	kind := opt.Precond.Resolve()
 	st := Stats{Precond: kind, Ordering: ResolveOrdering(kind, a), Warm: warm}
 	m := opt.M
 	if m == nil {

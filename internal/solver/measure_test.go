@@ -49,7 +49,7 @@ func TestMeasureIC0Drop(t *testing.T) {
 			}
 			ws.Close()
 			fmt.Printf("MEASURE %dx%d tau=%-6g tiles=%7d bytes=%9d build=%5.0fms it=%3d warm=%6.1fms apply=%6.1fms\n",
-				size, size, tau, l.Tiles(), l.MemoryBytes(), float64(build.Microseconds())/1e3, iters, warm, apply)
+				size, size, tau, len(l.Lower.Idx), l.MemoryBytes(), float64(build.Microseconds())/1e3, iters, warm, apply)
 		}
 	}
 }

@@ -67,12 +67,12 @@ func (k OrderingKind) String() string {
 }
 
 // ResolveOrdering returns the ordering a preconditioner of the given kind
-// factors a under: OrderingTwoEnded for IC0 (PrecondAuto resolved against
-// a's size) on a matrix that carries an elimination order, OrderingNatural
-// for every other kind and matrix. This is the one home of the rule, so
-// every entry point reports the same ordering.
+// factors a under: OrderingTwoEnded for IC0 (PrecondAuto included) on a
+// matrix that carries an elimination order, OrderingNatural for every other
+// kind and matrix. This is the one home of the rule, so every entry point
+// reports the same ordering.
 func ResolveOrdering(kind PrecondKind, a *sparse.BCSR) OrderingKind {
-	if kind.Resolve(a.NRows) == PrecondIC0 && a.ElimOrder() != nil {
+	if kind.Resolve() == PrecondIC0 && a.ElimOrder() != nil {
 		return OrderingTwoEnded
 	}
 	return OrderingNatural

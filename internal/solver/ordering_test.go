@@ -10,11 +10,11 @@ import (
 )
 
 // TestOrderingResolve pins the rule: the ordering follows the matrix, not
-// the request. IC0 on a matrix that carries an elimination order resolves
-// to two-ended, every other kind and every bare matrix to natural, for
-// every requested kind and GOMAXPROCS; the retired multicolor value still
-// spells its name, so a journaled result reports the ordering it ran
-// under.
+// the request. IC0 (Auto included) on a matrix that carries an elimination
+// order resolves to two-ended, every other kind and every bare matrix to
+// natural, for every requested kind and GOMAXPROCS; the retired multicolor
+// value still spells its name, so a journaled result reports the ordering
+// it ran under.
 func TestOrderingResolve(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	bare := tiled(latticeLike(8, 8, 6))
@@ -34,7 +34,7 @@ func TestOrderingResolve(t *testing.T) {
 			{PrecondIC0, bare, OrderingNatural},
 			{PrecondAuto, bare, OrderingNatural},
 			{PrecondIC0, ordered, OrderingTwoEnded},
-			{PrecondAuto, ordered, OrderingNatural}, // 384 DoFs: auto is block-Jacobi-3
+			{PrecondAuto, ordered, OrderingTwoEnded}, // 384 DoFs: auto is IC0 at every size
 			{PrecondBlockJacobi3, ordered, OrderingNatural},
 			{PrecondNone, ordered, OrderingNatural},
 		} {

@@ -19,10 +19,9 @@ type PrecondKind int
 
 const (
 	// PrecondAuto — the zero value, and therefore the default wherever an
-	// Options travels unset — picks a preconditioner from the system size
-	// alone (Resolve): block-Jacobi-3 for small systems, IC0 at and above
-	// AutoIC0Threshold DoFs, where its ~3–5× iteration-count savings
-	// dominate.
+	// Options travels unset — resolves to IC0 at every size (Resolve): on
+	// the served lattices it takes 3–5× fewer iterations than
+	// block-Jacobi-3 and wins every warm solve (docs/SOLVER_TUNING.md).
 	PrecondAuto PrecondKind = iota
 	// Value 1 is reserved: it was the scalar inverse-diagonal (Jacobi)
 	// preconditioner, deleted because every system the solvers take is
@@ -45,27 +44,13 @@ const (
 	PrecondNone
 )
 
-// AutoIC0Threshold is the system size (DoFs) at and above which PrecondAuto
-// resolves to IC0; below it, block-Jacobi-3. One rule serves every entry
-// point. A factor cached on an array.Assembly wins at every measured size
-// above the threshold, and since IC0 is factored straight from the 3×3
-// tiles a bare cold solve that builds the factor for one use stays close to
-// block-Jacobi-3 (from a ~25 % win to a ~20 % loss on 2 vCPUs;
-// docs/SOLVER_TUNING.md has the tables). The threshold sits just below the
-// 2 709-DoF lattice, the smallest measured warm crossover.
-const AutoIC0Threshold = 2500
-
-// Resolve maps PrecondAuto to the concrete kind chosen for an n-DoF system:
-// IC0 at and above AutoIC0Threshold, block-Jacobi-3 below it. Concrete
-// kinds resolve to themselves.
-func (k PrecondKind) Resolve(n int) PrecondKind {
-	if k != PrecondAuto {
-		return k
-	}
-	if n >= AutoIC0Threshold {
+// Resolve maps PrecondAuto to the concrete kind it stands for, IC0.
+// Concrete kinds resolve to themselves.
+func (k PrecondKind) Resolve() PrecondKind {
+	if k == PrecondAuto {
 		return PrecondIC0
 	}
-	return PrecondBlockJacobi3
+	return k
 }
 
 // String returns the flag/JSON spelling of the kind (see ParsePrecond).
@@ -102,13 +87,12 @@ func ParsePrecond(s string) (PrecondKind, error) {
 }
 
 // NewPreconditioner builds the requested preconditioner for the SPD matrix
-// a, held as 3×3 tiles, resolving PrecondAuto against the matrix size first
-// (Resolve). Every construction in the package funnels through here so no
+// a, held as 3×3 tiles, resolving PrecondAuto first (Resolve). Every construction in the package funnels through here so no
 // solver path hardwires its own preconditioner. For IC0, prec selects the
 // factor storage precision (see Precision); block-Jacobi-3 and the identity
 // are precision-invariant and ignore it.
 func NewPreconditioner(kind PrecondKind, prec Precision, a *sparse.BCSR) (Preconditioner, error) {
-	switch kind.Resolve(a.NRows) {
+	switch kind.Resolve() {
 	case PrecondBlockJacobi3:
 		return newBlockJacobi3(a), nil
 	case PrecondIC0:
@@ -525,7 +509,7 @@ func (p *ic0) MemoryBytes() int64 { return p.l.MemoryBytes() }
 // PCG is the preconditioned conjugate gradient for symmetric positive-
 // definite systems, with a held as 3×3 tiles. The preconditioner comes from
 // Options.M when prebuilt (e.g. assembly-cached) or is constructed from
-// Options.Precond (default PrecondAuto, resolved against the system size);
+// Options.Precond (default PrecondAuto, which is IC0);
 // x0 optionally seeds the iteration (warm start) and may be nil. The returned Stats record the
 // resolved preconditioner kind, whether the solve was warm-started, and the
 // preconditioner build/apply timings.

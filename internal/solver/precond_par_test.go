@@ -355,7 +355,7 @@ func TestRCMFragmented(t *testing.T) {
 	// The ordering must not inflate bandwidth: chains have bandwidth 1
 	// under any component-contiguous ordering.
 	pm := m.ToCSC().Permute(perm).ToCSR()
-	if bw := Bandwidth(pm); bw > 2 {
+	if bw := bandwidth(pm); bw > 2 {
 		t.Errorf("fragmented RCM bandwidth %d, want ≤ 2", bw)
 	}
 }

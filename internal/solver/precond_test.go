@@ -75,8 +75,8 @@ func TestPreconditionersSolveSameSystem(t *testing.T) {
 		if !stats.Converged {
 			t.Fatalf("kind %v did not converge", kind)
 		}
-		if stats.Precond != kind.Resolve(a.NRows) {
-			t.Fatalf("kind %v: stats report %v, want %v", kind, stats.Precond, kind.Resolve(a.NRows))
+		if stats.Precond != kind.Resolve() {
+			t.Fatalf("kind %v: stats report %v, want %v", kind, stats.Precond, kind.Resolve())
 		}
 		for i := range x {
 			if math.Abs(x[i]-want[i]) > 1e-7*(1+math.Abs(want[i])) {
@@ -209,25 +209,43 @@ func TestIC0MatchesFullCholeskyOnTridiagonal(t *testing.T) {
 }
 
 func TestPrecondAutoResolution(t *testing.T) {
-	// One rule for every entry point: the size alone decides, whether the
-	// preconditioner is built for one solve or cached across many.
+	// One rule for every entry point and every size: Auto is IC0, whether
+	// the preconditioner is built for one solve or cached across many, and
+	// NewPreconditioner builds the kind Resolve names.
 	cases := []struct {
 		kind PrecondKind
 		n    int
 		want PrecondKind
 	}{
-		{PrecondAuto, 300, PrecondBlockJacobi3},
-		{PrecondAuto, AutoIC0Threshold - 1, PrecondBlockJacobi3},
-		{PrecondAuto, AutoIC0Threshold, PrecondIC0},
-		{PrecondAuto, 2709, PrecondIC0},  // served 6×6: block-Jacobi-3 under the deleted one-shot rule
-		{PrecondAuto, 20000, PrecondIC0}, // the deleted one-shot crossover is no boundary
-		{PrecondBlockJacobi3, 1 << 20, PrecondBlockJacobi3},
+		{PrecondAuto, 3, PrecondIC0},
+		{PrecondAuto, 300, PrecondIC0},
+		{PrecondAuto, 2499, PrecondIC0}, // just below the deleted 2 500-DoF size rule
+		{PrecondAuto, 2709, PrecondIC0}, // served 6×6
+		{PrecondAuto, 20000, PrecondIC0},
+		{PrecondBlockJacobi3, 20000, PrecondBlockJacobi3},
 		{PrecondIC0, 3, PrecondIC0},
 		{PrecondNone, 3, PrecondNone},
 	}
 	for _, c := range cases {
-		if got := c.kind.Resolve(c.n); got != c.want {
-			t.Errorf("Resolve(%v, n=%d) = %v, want %v", c.kind, c.n, got, c.want)
+		if got := c.kind.Resolve(); got != c.want {
+			t.Errorf("%v.Resolve() = %v, want %v", c.kind, got, c.want)
+		}
+		// BCSR holds whole 3×3 tiles, so round n up to a tile.
+		m, err := NewPreconditioner(c.kind, PrecisionAuto, tiled(diagonalCSR((c.n+2)/3*3)))
+		if err != nil {
+			t.Fatalf("%v at n=%d: %v", c.kind, c.n, err)
+		}
+		var built PrecondKind
+		switch m.(type) {
+		case *ic0:
+			built = PrecondIC0
+		case *blockJacobi3:
+			built = PrecondBlockJacobi3
+		case identityPrecond:
+			built = PrecondNone
+		}
+		if built != c.want {
+			t.Errorf("NewPreconditioner(%v, n=%d) built %T, want %v", c.kind, c.n, m, c.want)
 		}
 	}
 }

@@ -73,21 +73,3 @@ func RCM(m *sparse.CSR) []int32 {
 	}
 	return perm
 }
-
-// Bandwidth returns the maximum |r - c| over stored entries, a cheap quality
-// metric for orderings.
-func Bandwidth(m *sparse.CSR) int {
-	var bw int32
-	for r := 0; r < m.NRows; r++ {
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			d := int32(r) - m.ColIdx[p]
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return int(bw)
-}

@@ -77,11 +77,11 @@ func TestRCMReducesBandwidth(t *testing.T) {
 	}
 	rng.Shuffle(n, func(i, j int) { shuffle[i], shuffle[j] = shuffle[j], shuffle[i] })
 	scrambled := a.ToCSC().Permute(shuffle).ToCSR()
-	bwBefore := Bandwidth(scrambled)
+	bwBefore := bandwidth(scrambled)
 
 	perm := RCM(scrambled)
 	reordered := scrambled.ToCSC().Permute(perm).ToCSR()
-	bwAfter := Bandwidth(reordered)
+	bwAfter := bandwidth(reordered)
 	if bwAfter >= bwBefore {
 		t.Errorf("RCM did not reduce bandwidth: %d -> %d", bwBefore, bwAfter)
 	}
@@ -476,4 +476,16 @@ func TestZeroStartSkipsProduct(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bandwidth returns the maximum |r - c| over stored entries, a cheap
+// quality metric for orderings.
+func bandwidth(m *sparse.CSR) int {
+	var bw int32
+	for r := 0; r < m.NRows; r++ {
+		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
+			bw = max(bw, int32(r)-m.ColIdx[p], m.ColIdx[p]-int32(r))
+		}
+	}
+	return int(bw)
 }

@@ -141,7 +141,7 @@ func distance(a, b int) int {
 }
 
 // Startup is a no-op that always returns a nil error. The solver's auto
-// rules are constants (solver.AutoIC0Threshold, solver.DefaultWorkers), so
+// rules are fixed in code (PrecondAuto is IC0, solver.DefaultWorkers), so
 // there is nothing to read or apply at startup. It stays, like
 // morestress.EngineStats.Refinements, because the e2ebench harness calls it.
 func Startup(string) (struct{}, error) { return struct{}{}, nil }

@@ -102,33 +102,6 @@ func (m *BCSR) NBRows() int { return m.NRows / BlockSize }
 // NNZBlocks returns the number of stored tiles.
 func (m *BCSR) NNZBlocks() int { return len(m.BColIdx) }
 
-// Fill returns the fraction of the logical matrix's tile entries that came
-// from the scalar pattern (1.0 = every tile fully dense, 1/9 = one scalar
-// per tile). Callers use it to decide whether blocking pays: below ~0.5 the
-// padded bytes eat the index-traffic win.
-func (m *BCSR) Fill() float64 {
-	tiles := len(m.BColIdx)
-	if m.Sym {
-		tiles = 2*tiles - m.diagTiles()
-	}
-	if tiles == 0 {
-		return 1
-	}
-	return float64(m.ScalarNNZ) / float64(9*tiles)
-}
-
-// diagTiles counts the stored diagonal tiles of a Sym matrix (each row's
-// first, when present).
-func (m *BCSR) diagTiles() int {
-	n := 0
-	for br := range m.NBRows() {
-		if p := m.BRowPtr[br]; p < m.BRowPtr[br+1] && int(m.BColIdx[p]) == br {
-			n++
-		}
-	}
-	return n
-}
-
 // Tile returns stored tile p's 9 values, row-major, aliasing the dictionary.
 func (m *BCSR) Tile(p int) []float64 {
 	e := 9 * int(m.ValIdx[p])

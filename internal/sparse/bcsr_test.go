@@ -147,7 +147,7 @@ func TestBCSRZeroFill(t *testing.T) {
 	if nonzero != b.ScalarNNZ {
 		t.Errorf("tiles hold %d stored scalar entries, want %d", nonzero, b.ScalarNNZ)
 	}
-	if f := b.Fill(); f <= 0 || f > 3.0/9.0+1e-15 {
+	if f := fill(b); f <= 0 || f > 3.0/9.0+1e-15 {
 		t.Errorf("partial-tile fill = %g, want in (0, 1/3]", f)
 	}
 }
@@ -158,7 +158,7 @@ func TestBCSRFillAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := b.Fill(); f != 1 {
+	if f := fill(b); f != 1 {
 		t.Errorf("dense-tile fill = %g, want 1", f)
 	}
 	if b.NNZBlocks() != 40 {
@@ -592,7 +592,7 @@ func TestBlockLowerTriMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for name, c := range blockTris(t) {
 		bt := c.tri(t, false)
-		if bt.Single() {
+		if bt.Lower.Vals32 != nil {
 			t.Fatalf("%s: double-precision factor reports Single()", name)
 		}
 		n := bt.N
@@ -634,7 +634,7 @@ func TestBlockLowerTriSingleMatchesRoundedScalar(t *testing.T) {
 	}
 	for name, csc := range cases {
 		bt := blockCase{csc}.tri(t, true)
-		if !bt.Single() {
+		if bt.Lower.Vals32 == nil {
 			t.Fatalf("%s: single-precision factor does not report Single()", name)
 		}
 		// Scalar reference over the same rounded values.
@@ -826,7 +826,7 @@ func rowSweep(bt *BlockLowerTri, dst, b []float64, upper bool) {
 	tile := func(p int) [9]float64 {
 		var t [9]float64
 		for k := range t {
-			if bt.Single() {
+			if bt.Lower.Vals32 != nil {
 				v := bt.Lower.Vals32
 				if upper {
 					v = bt.Upper.Vals32
@@ -892,7 +892,7 @@ func TestBlockScheduleWeighsTiles(t *testing.T) {
 		if bt.Fwd.parallel != c.parallel || bt.Bwd.parallel != c.parallel {
 			t.Errorf("diagonal-%d: parallel %v/%v, want %v", c.nb, bt.Fwd.parallel, bt.Bwd.parallel, c.parallel)
 		}
-		if a, b := bt.Fwd.Halves(); a != c.nb/2 || b != c.nb/2 || bt.Fwd.Tail() != 0 {
+		if a, b := halves(bt.Fwd); a != c.nb/2 || b != c.nb/2 || bt.Fwd.Tail() != 0 {
 			t.Errorf("diagonal-%d: halves %d/%d, tail %d; want %d/%d, 0", c.nb, a, b, bt.Fwd.Tail(), c.nb/2, c.nb/2)
 		}
 	}
@@ -912,4 +912,29 @@ func TestBlockLowerTriMemoryHalvedBySingle(t *testing.T) {
 	if single.MemoryBytes() >= double.MemoryBytes() {
 		t.Errorf("single (%d bytes) not smaller than double (%d bytes)", single.MemoryBytes(), double.MemoryBytes())
 	}
+}
+
+// fill returns the fraction of m's logical tile entries that came from the
+// scalar pattern (1.0 = every tile fully dense, 1/9 = one scalar per
+// tile), counting a Sym matrix's mirrored off-diagonal tiles twice.
+func fill(m *BCSR) float64 {
+	tiles := len(m.BColIdx)
+	if m.Sym {
+		diag := 0
+		for br := range m.NBRows() {
+			if p := m.BRowPtr[br]; p < m.BRowPtr[br+1] && int(m.BColIdx[p]) == br {
+				diag++
+			}
+		}
+		tiles = 2*tiles - diag
+	}
+	if tiles == 0 {
+		return 1
+	}
+	return float64(m.ScalarNNZ) / float64(9*tiles)
+}
+
+// halves returns the row counts of a sweep's two chunks.
+func halves(s *LevelSchedule) (int, int) {
+	return int(s.Par[1] - s.Par[0]), int(s.Par[2] - s.Par[1])
 }

@@ -56,12 +56,6 @@ type TriRows struct {
 // NBRows returns the number of block rows.
 func (t *BlockLowerTri) NBRows() int { return t.N / BlockSize }
 
-// Single reports whether the factor values are stored in float32.
-func (t *BlockLowerTri) Single() bool { return t.Lower.Vals32 != nil }
-
-// Tiles returns the number of tiles of L (diagonal tiles included).
-func (t *BlockLowerTri) Tiles() int { return len(t.Lower.Idx) }
-
 // Row returns block row br of L, or of Lᵀ when upper is set: its block
 // columns as stored and the index in the triangle's value array of its
 // first tile. It finds the row by a linear search of the sweep order, so it

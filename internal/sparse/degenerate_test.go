@@ -46,15 +46,15 @@ func TestLevelScheduleDegenerateShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := empty.Fwd.Halves(); a != 0 || b != 0 || empty.Fwd.Tail() != 0 || empty.Fwd.parallel {
+	if a, b := halves(empty.Fwd); a != 0 || b != 0 || empty.Fwd.Tail() != 0 || empty.Fwd.parallel {
 		t.Errorf("empty schedule: halves %d/%d, tail %d, parallel %v", a, b, empty.Fwd.Tail(), empty.Fwd.parallel)
 	}
 	diag := blockCase{diagCSC(BlockSize * 10)}.tri(t, false)
-	if a, b := diag.Fwd.Halves(); a != 5 || b != 5 || diag.Fwd.Tail() != 0 {
+	if a, b := halves(diag.Fwd); a != 5 || b != 5 || diag.Fwd.Tail() != 0 {
 		t.Errorf("diagonal schedule: halves %d/%d, tail %d; want 5/5, 0", a, b, diag.Fwd.Tail())
 	}
 	chain := blockCase{chainCSC(BlockSize * 10)}.tri(t, false)
-	if a, b := chain.Fwd.Halves(); b != 0 || a+chain.Fwd.Tail() != 10 || chain.Fwd.parallel {
+	if a, b := halves(chain.Fwd); b != 0 || a+chain.Fwd.Tail() != 10 || chain.Fwd.parallel {
 		t.Errorf("chain schedule: halves %d/%d, tail %d, parallel %v; want no second chunk", a, b, chain.Fwd.Tail(), chain.Fwd.parallel)
 	}
 }

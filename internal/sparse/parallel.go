@@ -19,8 +19,8 @@ const MinParRows = 4096
 // which every dispatcher in this package treats as a no-op. Structured
 // FEM matrices have heavy boundary rows, so equal-count row chunks can be
 // 2× imbalanced where equal-nnz chunks are not; every parallel row sweep in
-// this package (the BCSR product's stripes, CSR.MulVecPar, the
-// level-scheduled triangular solves) partitions through here.
+// this package (the BCSR product's stripes, CSR.MulVecPar,
+// CSR.CompactRows) partitions through here.
 func PartitionByWork(pref []int32, lo, hi, parts int) []int32 {
 	if hi <= lo {
 		return nil

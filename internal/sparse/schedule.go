@@ -27,11 +27,6 @@ type LevelSchedule struct {
 // chunks.
 func (s *LevelSchedule) Tail() int { return int(s.n - (s.Par[2] - s.Par[0])) }
 
-// Halves returns the row counts of the two chunks.
-func (s *LevelSchedule) Halves() (int, int) {
-	return int(s.Par[1] - s.Par[0]), int(s.Par[2] - s.Par[1])
-}
-
 // fansOut reports whether a solve over the schedule dispatches through pool
 // at all: it needs a gang of more than one worker and a split that pays.
 func (s *LevelSchedule) fansOut(pool *Pool) bool {

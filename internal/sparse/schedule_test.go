@@ -186,22 +186,22 @@ func TestLevelScheduleRespectsDependencies(t *testing.T) {
 func TestLevelScheduleShapes(t *testing.T) {
 	tris := blockTris(t)
 	d := tris["diagonal"].tri(t, false)
-	if a, b := d.Fwd.Halves(); a != 83 || b != 84 || d.Fwd.Tail() != 0 {
+	if a, b := halves(d.Fwd); a != 83 || b != 84 || d.Fwd.Tail() != 0 {
 		t.Errorf("diagonal: halves %d/%d, tail %d; want 83/84, 0", a, b, d.Fwd.Tail())
 	}
 	if c := tris["serial-chain"].tri(t, false); c.Fwd.parallel {
 		t.Error("chain schedule claims to be parallelizable")
-	} else if _, b := c.Fwd.Halves(); b != 0 {
+	} else if _, b := halves(c.Fwd); b != 0 {
 		t.Errorf("chain: second chunk of %d rows, want none", b)
 	}
 	a := tris["dense-row"].tri(t, false)
-	if h0, h1 := a.Fwd.Halves(); a.Fwd.Tail() != 1 || h0+h1 != a.NBRows()-1 {
+	if h0, h1 := halves(a.Fwd); a.Fwd.Tail() != 1 || h0+h1 != a.NBRows()-1 {
 		t.Errorf("dense-row: halves %d/%d, tail %d; want the last row alone in the tail", h0, h1, a.Fwd.Tail())
 	}
 	for name, c := range tris {
 		bt := c.tri(t, false)
-		fa, fb := bt.Fwd.Halves()
-		ba, bb := bt.Bwd.Halves()
+		fa, fb := halves(bt.Fwd)
+		ba, bb := halves(bt.Bwd)
 		if fa != bb || fb != ba || bt.Fwd.Tail() != bt.Bwd.Tail() || bt.Fwd.parallel != bt.Bwd.parallel {
 			t.Errorf("%s: backward schedule %d/%d tail %d does not mirror forward %d/%d tail %d",
 				name, ba, bb, bt.Bwd.Tail(), fa, fb, bt.Fwd.Tail())

@@ -196,39 +196,6 @@ func (m *CSR) Transpose() *CSR {
 	return &CSR{NRows: m.NCols, NCols: m.NRows, RowPtr: ptr, ColIdx: col, Vals: val}
 }
 
-// IsSymmetric reports whether m equals its transpose to within tol on every
-// stored entry (absolute difference, relative to the max |entry|).
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.NRows != m.NCols {
-		return false
-	}
-	t := m.Transpose()
-	if t.NNZ() != m.NNZ() {
-		return false
-	}
-	var maxAbs float64
-	for _, v := range m.Vals {
-		if a := abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	thr := tol * maxAbs
-	for r := 0; r < m.NRows; r++ {
-		if m.RowPtr[r] != t.RowPtr[r] {
-			return false
-		}
-		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			if m.ColIdx[p] != t.ColIdx[p] {
-				return false
-			}
-			if abs(m.Vals[p]-t.Vals[p]) > thr {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Extract returns the submatrix m[rows, cols] as a new CSR, where keepRow and
 // keepCol map old indices to new ones (-1 = dropped). nr and nc are the new
 // dimensions.
@@ -270,11 +237,4 @@ func (m *CSR) Clone() *CSR {
 // MemoryBytes estimates the storage footprint of the matrix in bytes.
 func (m *CSR) MemoryBytes() int64 {
 	return int64(len(m.RowPtr))*4 + int64(len(m.ColIdx))*4 + int64(len(m.Vals))*8
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

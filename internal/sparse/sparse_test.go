@@ -163,21 +163,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestIsSymmetric(t *testing.T) {
-	tr := NewTriplet(3, 3, 6)
-	tr.Add(0, 1, 2)
-	tr.Add(1, 0, 2)
-	tr.Add(2, 2, 1)
-	if !tr.ToCSR().IsSymmetric(1e-12) {
-		t.Error("expected symmetric")
-	}
-	tr2 := NewTriplet(2, 2, 2)
-	tr2.Add(0, 1, 1)
-	if tr2.ToCSR().IsSymmetric(1e-12) {
-		t.Error("expected asymmetric")
-	}
-}
-
 func TestExtract(t *testing.T) {
 	tr := NewTriplet(3, 3, 9)
 	for r := 0; r < 3; r++ {

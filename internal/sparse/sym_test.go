@@ -71,8 +71,8 @@ func TestSymBCSRStoresUpperTriangle(t *testing.T) {
 			t.Fatalf("block row %d does not start with its diagonal tile", br)
 		}
 	}
-	if b.ScalarNNZ != m.NNZ() || full.Fill() != b.Fill() || b.Fill() != 1 {
-		t.Errorf("ScalarNNZ %d (want %d), Fill %g (full %g, want 1)", b.ScalarNNZ, m.NNZ(), b.Fill(), full.Fill())
+	if b.ScalarNNZ != m.NNZ() || fill(full) != fill(b) || fill(b) != 1 {
+		t.Errorf("ScalarNNZ %d (want %d), Fill %g (full %g, want 1)", b.ScalarNNZ, m.NNZ(), fill(b), fill(full))
 	}
 	sameCSR(t, "sym", b.ToCSR(), m)
 	sameCSR(t, "full", full.ToCSR(), m)

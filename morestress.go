@@ -61,9 +61,8 @@ const (
 
 // Preconditioner choices for SolverOptions.Precond.
 const (
-	// PrecondAuto (the default) picks by system size alone: block-Jacobi-3
-	// for small lattices, IC0 at and above solver.AutoIC0Threshold DoFs —
-	// the same rule for an engine solve and a bare one.
+	// PrecondAuto (the default) is IC0 at every lattice size, for an
+	// engine solve and a bare one alike.
 	PrecondAuto = solver.PrecondAuto
 	// PrecondBlockJacobi3 inverts the per-node 3×3 diagonal blocks.
 	PrecondBlockJacobi3 = solver.PrecondBlockJacobi3
@@ -322,7 +321,7 @@ func (m *Model) SolveArray(spec ArraySpec) (*ArrayResult, error) {
 		kind = array.CG
 	}
 	prob := globalProblem(m.TSV, spec.Rows, spec.Cols, spec.DeltaT, spec.DeltaTMap, kind, spec.Options, m.Config.workers())
-	return solveGlobal(prob, spec.GridSamples, array.Solve)
+	return solveGlobal(prob, spec.GridSamples)
 }
 
 // globalProblem translates a standalone clamped-array scenario into the
@@ -345,12 +344,13 @@ func globalProblem(r *rom.ROM, rows, cols int, deltaT float64, dtMap func(row, c
 	}
 }
 
-// solveGlobal runs the global stage of prob through solve (array.Solve or
-// array.SolveUniform), samples the mid-plane field when requested, and
-// packages the result with its timing.
-func solveGlobal(prob *array.Problem, gridSamples int, solve func(*array.Problem) (*array.Solution, error)) (*ArrayResult, error) {
+// solveGlobal runs the global stage of prob through array.SolveUniform —
+// which scales the lattice's cached unit-load solution when prob carries an
+// Assembly and solves prob itself otherwise — samples the mid-plane field
+// when requested, and packages the result with its timing.
+func solveGlobal(prob *array.Problem, gridSamples int) (*ArrayResult, error) {
 	start := time.Now()
-	sol, err := solve(prob)
+	sol, err := array.SolveUniform(prob)
 	if err != nil {
 		return nil, err
 	}
