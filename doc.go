@@ -50,8 +50,8 @@
 //     is no longer rebuilt per solve), the iterative solvers default to
 //     IC0 preconditioning at every lattice size (SolverOptions.Precond
 //     overrides) with two-phase triangular solves in the two-ended order
-//     every assembly attaches to its matrix (one order per lattice, so a
-//     lattice has one factor and one answer at every worker count) and an
+//     every assembly numbers its free nodes in (one order per lattice, so
+//     a lattice has one factor and one answer at every worker count) and an
 //     allocation-free PCG hot loop, and every uniform-ΔT job is
 //     answered as ΔT times its lattice's unit-load solution, solved once
 //     (array.SolveUniform), with its field |ΔT| times that solution's

@@ -229,7 +229,7 @@ type Solution struct {
 	Stats solver.Stats
 	// Ordering is the symmetric ordering the solve's preconditioner
 	// factored under (mirrors Stats.Ordering): OrderingTwoEnded for IC0,
-	// whose factors follow the order NewAssembly attaches to A_ff, and
+	// whose factors follow the order NewAssembly numbers A_ff in, and
 	// OrderingNatural otherwise.
 	Ordering solver.OrderingKind
 	// Timings of the two global-stage phases. When AssemblyShared is true,
@@ -391,8 +391,8 @@ type AssemblyPrecond struct {
 	// Kind is the concrete preconditioner kind (Auto resolved).
 	Kind solver.PrecondKind
 	// Ordering is the symmetric ordering the preconditioner was built
-	// under (solver.ResolveOrdering): OrderingTwoEnded for IC0,
-	// OrderingNatural for the kinds that factor nothing.
+	// under (orderingOf): OrderingTwoEnded for IC0, OrderingNatural for
+	// the kinds that factor nothing.
 	Ordering solver.OrderingKind
 	// Precision is the concrete storage precision of the built factor:
 	// the requested one for IC0 (PrecisionAuto resolves to float32),
@@ -411,7 +411,7 @@ type AssemblyPrecond struct {
 // use. PrecondAuto resolves to its concrete kind (IC0) first, so an
 // explicit request for the resolved kind shares the same entry and every
 // solve of a lattice shares one factor whatever its parallelism. IC0
-// factors in the two-ended order NewAssembly attached to A_ff, so every
+// factors A_ff in the two-ended order NewAssembly numbers it in, so every
 // requested ordering maps to the same entry. Only IC0 is
 // precision-sensitive; the other kinds cache under PrecisionFloat64
 // whatever is requested. For IC0,
@@ -425,7 +425,7 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 		return AssemblyPrecond{}, fmt.Errorf("array: assembly has no free DoFs, nothing to precondition")
 	}
 	key := a.precondKey(kind, prec)
-	ord = solver.ResolveOrdering(key.kind, a.aff)
+	ord = orderingOf(key.kind)
 	var build time.Duration
 	e, built := a.preconds.get(key, 0, func() (solver.Preconditioner, error) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
@@ -440,6 +440,18 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 		out.Precision = fp.FactorPrecision()
 	}
 	return out, nil
+}
+
+// orderingOf returns the ordering a preconditioner of the concrete kind
+// factors an assembly's A_ff under: OrderingTwoEnded for IC0, which
+// factors in the matrix's row order, the two-ended numbering, and
+// OrderingNatural for the kinds that factor nothing. This is the one home
+// of the rule, so every entry point reports the same ordering.
+func orderingOf(kind solver.PrecondKind) solver.OrderingKind {
+	if kind == solver.PrecondIC0 {
+		return solver.OrderingTwoEnded
+	}
+	return solver.OrderingNatural
 }
 
 // precondKey resolves a requested preconditioner to the key it caches
@@ -462,14 +474,15 @@ func (a *Assembly) Blocked() *sparse.BCSR { return a.aff }
 // NewAssembly runs the load-independent part of the global stage for the
 // problem: lattice enumeration, the constraint split, and the scatter of
 // every block's 3×3 stiffness tiles straight into the reduced A_ff (and,
-// under PrescribedBoundary, A_fb) with the unit load b_f. It attaches the
-// two-ended elimination order of the lattice to A_ff (twoEndedOrder), so
-// every IC0 factor built on it, wherever and on however many workers, is
-// the same factor. It can be placed
-// in Problem.Assembly for every scenario on the same lattice (same ROM
-// content, dimensions, dummy layout, and BC kind). The scatter sums each
-// distinct tile once and runs serially, so the worker count, kept for the
-// callers that pass one, has no effect.
+// under PrescribedBoundary, A_fb) with the unit load b_f. The free nodes
+// are numbered in the lattice's two-ended elimination order
+// (twoEndedOrder), so A_ff, b_f, Red.FreeIdx and every free-DoF vector
+// follow it, and every IC0 factor of A_ff, built in the matrix's own row
+// order, is factored two-ended; Red.Expand maps a free solution back to
+// global DoFs. It can be placed in Problem.Assembly for every scenario on
+// the same lattice (same ROM content, dimensions, dummy layout, and BC
+// kind). The scatter sums each distinct tile once and runs serially, so
+// the worker count, kept for the callers that pass one, has no effect.
 func NewAssembly(p *Problem, _ int) (*Assembly, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -477,8 +490,8 @@ func NewAssembly(p *Problem, _ int) (*Assembly, error) {
 	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	lat := NewLattice(p.Bx, p.By, p.ROM.Spec.Nodes, p.ROM.Spec.Geom.Pitch, p.ROM.Spec.Geom.Height)
 
-	// Dirichlet reduction removes whole nodes: number the free and the
-	// constrained nodes apart, each in id order.
+	// Dirichlet reduction removes whole nodes: number the constrained
+	// nodes in id order and the free ones in elimination order.
 	freeOf := make([]int32, lat.NumNodes())
 	bcOf := make([]int32, lat.NumNodes())
 	var bcNodes []int32
@@ -495,27 +508,28 @@ func NewAssembly(p *Problem, _ int) (*Assembly, error) {
 			freeOf[id], bcOf[id] = -1, int32(len(bcNodes))
 			bcNodes = append(bcNodes, int32(id))
 		} else {
-			freeOf[id], bcOf[id] = int32(nFree), -1
+			freeOf[id], bcOf[id] = 0, -1
 			nFree++
 		}
 	}
+	twoEndedOrder(lat, freeOf)
 	inc := newIncidence(p, lat)
 	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, true)
-	aff.SetElimOrder(twoEndedOrder(lat, freeOf, nFree))
 	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs}
 	if !asm.AllBC {
 		red := &fem.Reduced{
 			Bf:      inc.unitLoad(freeOf, nFree),
-			FreeIdx: make([]int32, 0, 3*nFree),
+			FreeIdx: make([]int32, 3*nFree),
 			BCIdx:   make([]int32, 0, 3*len(bcNodes)),
 			NFull:   lat.NumDoFs(),
 		}
 		for id, fi := range freeOf {
-			idx := &red.BCIdx
+			d := 3 * int32(id)
 			if fi >= 0 {
-				idx = &red.FreeIdx
+				red.FreeIdx[3*fi], red.FreeIdx[3*fi+1], red.FreeIdx[3*fi+2] = d, d+1, d+2
+			} else {
+				red.BCIdx = append(red.BCIdx, d, d+1, d+2)
 			}
-			*idx = append(*idx, 3*int32(id), 3*int32(id)+1, 3*int32(id)+2)
 		}
 		if p.BC == PrescribedBoundary {
 			afb, _ := inc.scatter(freeOf, bcOf, nFree, len(bcNodes), false)
@@ -766,8 +780,11 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 	if p.Solver != Direct {
 		// The solver saw a prebuilt M, so its own PrecondBuild is zero;
-		// surface the cache's build cost on the solve that paid it.
+		// surface the cache's build cost on the solve that paid it. It
+		// factored in A_ff's row order and so reports natural; report the
+		// ordering that numbering is.
 		stats.PrecondBuild = precondBuild
+		stats.Ordering = orderingOf(stats.Precond)
 	}
 	q := red.Expand(qf, ubc)
 	solveTime := time.Since(tSolve)

@@ -92,15 +92,15 @@ func latticeOrder(r *rom.ROM) []int32 {
 	return perm
 }
 
-// twoEndedOrder returns the elimination order of the nFree free nodes
-// (freeOf[id] ≥ 0 numbers them) that factors of A_ff follow: the nodes are
-// cut at the block line nearest the middle of the lattice's longer side;
-// the half below the line is eliminated by (line coordinate, z, other
-// coordinate) ascending and the half on and above it by the same key
+// twoEndedOrder numbers the free nodes (freeOf[id] ≥ 0) in the order
+// factors of A_ff eliminate them, overwriting freeOf: the nodes are cut at
+// the block line nearest the middle of the lattice's longer side; the half
+// below the line is numbered by (line coordinate, z, other coordinate)
+// ascending and the half on and above it after it, by the same key
 // descending, so both halves end at the cut. The two halves of the factor
 // then depend on each other only through the nodes on the line, and its
 // triangular sweeps run them at once (sparse.LevelSchedule).
-func twoEndedOrder(lat *Lattice, freeOf []int32, nFree int) []int32 {
+func twoEndedOrder(lat *Lattice, freeOf []int32) {
 	line, other, cut := 0, 1, (lat.Bx/2)*(lat.NxN-1)
 	if lat.By > lat.Bx {
 		line, other, cut = 1, 0, (lat.By/2)*(lat.NyN-1)
@@ -113,7 +113,7 @@ func twoEndedOrder(lat *Lattice, freeOf []int32, nFree int) []int32 {
 		}
 		return [4]int{0, t[line], t[2], t[other]}
 	}
-	order := make([]int32, 0, nFree)
+	order := make([]int32, 0, len(freeOf))
 	for id, f := range freeOf {
 		if f >= 0 {
 			order = append(order, int32(id))
@@ -124,9 +124,8 @@ func twoEndedOrder(lat *Lattice, freeOf []int32, nFree int) []int32 {
 		return slices.Compare(ka[:], kb[:])
 	})
 	for k, id := range order {
-		order[k] = freeOf[id]
+		freeOf[id] = int32(k)
 	}
-	return order
 }
 
 // tileRow is one distinct tile-row pattern: coupled[off:off+n], the
@@ -150,27 +149,31 @@ type rowClass [4]struct {
 }
 
 // scatter assembles the block tiles that couple row nodes (rowOf[g] ≥ 0) to
-// column nodes (colOf[g] ≥ 0) as a BCSR matrix of nr×nc node tiles; rowOf
-// must number the row nodes in ascending node order. With sym (rowOf and
-// colOf the same numbering) it keeps only the tiles on and right of the
-// block diagonal, as a Sym BCSR: every element stiffness is symmetric, and
-// tile (J, I) sums the transposes of tile (I, J)'s terms in the same block
-// order, so the dropped triangle is bitwise the transpose of the kept one.
-// It also returns the number of coupled node pairs in the full lattice,
-// each of which the full assembled matrix stores as one dense tile.
+// column nodes (colOf[g] ≥ 0) as a BCSR matrix of nr×nc node tiles, each
+// row's tiles sorted by column number; either numbering may follow any
+// node order. With sym (rowOf and colOf the same numbering) it keeps only
+// a row's couplings whose column number is at least its row number, as a
+// Sym BCSR: every element stiffness is symmetric, and tile (h, g) sums the
+// transposes of tile (g, h)'s terms in the same block order, so the dropped
+// triangle is bitwise the transpose of the kept one. It also returns the
+// number of coupled node pairs in the full lattice, each of which the full
+// assembled matrix stores as one dense tile.
 //
 // The symbolic pass merges the ascending node lists of a node's (at most
-// four) blocks into its sorted tile row; nodes on the same blocks share
-// the row, so each distinct block set is merged once. The numeric pass
-// builds the tile dictionary: a tile's value is fixed by its row node's
-// class and its position in the row (rowClass), so each (class, position)
-// that some stored tile reaches is summed once — every block's term in
-// ascending block order, from zero, as a tile-by-tile scatter adds them —
-// and interned, and every other tile of the class at that position shares
-// its entry. Serial, and bitwise reproducible.
+// four) blocks into its tile row and sorts it by column number; nodes on
+// the same blocks share the row, so each distinct block set is merged and
+// sorted once, and rowPtr is a prefix sum of the rows' kept counts. The numeric pass
+// builds the tile dictionary: a kept tile (g, h) is in.tile(g, h), whose
+// value is fixed by its row node's class and h's position in the row
+// (rowClass), so each (class, position) that some stored tile reaches is
+// summed once — every block's term in ascending block order, from zero, as
+// a tile-by-tile scatter adds them — and interned, and every other tile of
+// the class at that position shares its entry. Serial, and bitwise
+// reproducible.
 func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool) (*sparse.BCSR, int) {
 	memo := map[[4]int32]tileRow{}
 	var coupled []coupling
+	byCol := func(a, b coupling) int { return cmp.Compare(colOf[a.node], colOf[b.node]) }
 	rows := make([]tileRow, nr)
 	rowNode := make([]int32, nr)
 	rowPtr := make([]int32, nr+1)
@@ -209,19 +212,25 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool) (*spars
 				tr.pairs++
 			}
 			tr.n = int32(len(coupled)) - tr.off
+			// Every node on these blocks shares the row: sort it by
+			// column number once.
+			slices.SortFunc(coupled[tr.off:], byCol)
 			memo[key] = tr
 		}
 		pairs += int(tr.pairs)
 		if row := rowOf[g]; row >= 0 {
 			if sym {
-				// The row's nodes ascend: drop those left of the diagonal.
-				k, _ := slices.BinarySearchFunc(coupled[tr.off:tr.off+tr.n], int32(g),
-					func(c coupling, g int32) int { return cmp.Compare(c.node, g) })
+				// The row's columns ascend: drop those left of the diagonal.
+				k, _ := slices.BinarySearchFunc(coupled[tr.off:tr.off+tr.n], row,
+					func(c coupling, row int32) int { return cmp.Compare(colOf[c.node], row) })
 				tr.off, tr.n = tr.off+int32(k), tr.n-int32(k)
 			}
 			rows[row], rowNode[row] = tr, int32(g)
-			rowPtr[row+1] = rowPtr[row] + tr.n
+			rowPtr[row+1] = tr.n
 		}
+	}
+	for i := range nr {
+		rowPtr[i+1] += rowPtr[i]
 	}
 
 	// Each row's class owns a run of slots, one per position of its

@@ -51,9 +51,10 @@ func servedROM(tb testing.TB, withVia bool) *rom.ROM {
 // a duplicate-laden full-lattice CSR scatter, per-row sort-and-sum
 // compaction, Dirichlet reduction through triplets, then re-tiling. It
 // returns the reduced system as NewAssembly lays it out (Red.Aff nil, the
-// tiles separate; both nil when every DoF is constrained) and the full
-// matrix's stored-entry count.
-func referenceAssembly(t *testing.T, p *Problem, workers int) (*fem.Reduced, *sparse.BCSR, int) {
+// tiles separate; both nil when every DoF is constrained), its free DoFs
+// renumbered to follow freeIdx, and the full matrix's stored-entry count.
+// It fails unless freeIdx numbers exactly the reduction's free DoFs.
+func referenceAssembly(t *testing.T, p *Problem, workers int, freeIdx []int32) (*fem.Reduced, *sparse.BCSR, int) {
 	t.Helper()
 	lat := NewLattice(p.Bx, p.By, p.ROM.Spec.Nodes, p.ROM.Spec.Geom.Pitch, p.ROM.Spec.Geom.Height)
 	k, f := referenceGlobal(p, lat, workers)
@@ -72,6 +73,31 @@ func referenceAssembly(t *testing.T, p *Problem, workers int) (*fem.Reduced, *sp
 	if err != nil {
 		t.Fatal(err)
 	}
+	// to[k] is the index freeIdx gives the reduction's free DoF k.
+	at := make(map[int32]int32, len(freeIdx))
+	for fi, d := range freeIdx {
+		at[d] = int32(fi)
+	}
+	to := make([]int32, len(red.FreeIdx))
+	for k, d := range red.FreeIdx {
+		fi, ok := at[d]
+		if !ok || len(freeIdx) != len(red.FreeIdx) {
+			t.Fatal("free index maps differ")
+		}
+		to[k] = fi
+	}
+	bcs := make([]int32, len(red.BCIdx))
+	for k := range bcs {
+		bcs[k] = int32(k)
+	}
+	n := len(to)
+	red.Aff = red.Aff.Extract(to, to, n, n)
+	red.Afb = red.Afb.Extract(to, bcs, n, len(bcs))
+	bf := make([]float64, n)
+	for k, v := range red.Bf {
+		bf[to[k]] = v
+	}
+	red.Bf, red.FreeIdx = bf, freeIdx
 	aff, err := sparse.NewBCSR(red.Aff)
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +204,15 @@ func TestTileScatterMatchesReference(t *testing.T) {
 					t.Skip("large lattice")
 				}
 				p := &Problem{ROM: r, DummyROM: d, IsDummy: lc.isDummy, Bx: lc.bx, By: lc.by, DeltaT: -250, BC: bc, BoundaryDisp: zero}
-				wantRed, want, wantNNZ := referenceAssembly(t, p, 1)
 				asm, err := NewAssembly(p, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var freeIdx []int32
+				if asm.Red != nil {
+					freeIdx = asm.Red.FreeIdx
+				}
+				wantRed, want, wantNNZ := referenceAssembly(t, p, 1, freeIdx)
 				if asm.NNZ != wantNNZ {
 					t.Errorf("NNZ = %d, want %d", asm.NNZ, wantNNZ)
 				}
@@ -357,10 +387,11 @@ func bitwiseEqual(a, b []float64) bool {
 // block triangle, and those tiles are bitwise the upper tiles of the full
 // scatter, whose lower tiles are bitwise their mirrors' transposes — so
 // dropping them loses nothing. With each distinct tile held once, A_ff's
-// bytes are mostly per-tile indices: the upper triangle keeps three int32s
-// per tile (column, dictionary entry, spill slot) against the full
-// matrix's two on about twice the tiles, so storing one triangle cuts the
-// A_ff share of Assembly.MemoryBytes by at least 20 %.
+// bytes are mostly per-tile indices: the upper triangle keeps two int32s
+// per tile (column, dictionary entry), plus a spill slot for each tile
+// that reaches past its stripe, against the full matrix's two on about
+// twice the tiles, so storing one triangle cuts the A_ff share of
+// Assembly.MemoryBytes by at least 20 %.
 func TestSymScatterKeepsUpperOfFull(t *testing.T) {
 	r := servedROM(t, true)
 	for _, n := range []int{6, 12, 18} {
@@ -378,10 +409,11 @@ func TestSymScatterKeepsUpperOfFull(t *testing.T) {
 		for id := range freeOf {
 			freeOf[id] = -1
 			if !lat.OnTopOrBottom(id) {
-				freeOf[id] = int32(nFree)
+				freeOf[id] = 0
 				nFree++
 			}
 		}
+		twoEndedOrder(lat, freeOf)
 		full, _ := newIncidence(p, lat).scatter(freeOf, freeOf, nFree, nFree, false)
 		sym := asm.Blocked()
 		if !sym.Sym || full.Sym {
@@ -506,7 +538,10 @@ func TestTileDictionaryMatchesFullValues(t *testing.T) {
 }
 
 // TestServedDictionaryEntries: the served lattice's A_ff holds the same
-// 1 422 distinct tiles at every size — the unit cell's, repeated.
+// 2 547 distinct tiles at every size — the unit cell's, repeated. A tile's
+// entry is keyed by its row node's class and position, and the two-ended
+// numbering keeps positions on both sides of a node's own, so a class
+// reaches more positions than an id-order numbering's upper triangle does.
 func TestServedDictionaryEntries(t *testing.T) {
 	r := servedROM(t, true)
 	for _, n := range []int{6, 12, 18} {
@@ -515,8 +550,8 @@ func TestServedDictionaryEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := asm.Blocked()
-		if a.Entries() != 1422 {
-			t.Errorf("%dx%d: %d dictionary entries for %d tiles, want 1 422", n, n, a.Entries(), a.NNZBlocks())
+		if a.Entries() != 2547 {
+			t.Errorf("%dx%d: %d dictionary entries for %d tiles, want 2 547", n, n, a.Entries(), a.NNZBlocks())
 		}
 	}
 }

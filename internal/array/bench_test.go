@@ -47,7 +47,7 @@ func BenchmarkGlobalAssembly(b *testing.B) {
 
 // BenchmarkServedMulVec times the product every Krylov iteration of a
 // served solve runs: the 12×12 A_ff of the (5,5,5)-node coarse unit cell
-// serving builds by default, held as its upper tiles over a 1 422-entry
+// serving builds by default, held as its upper tiles over a 2 547-entry
 // tile dictionary. The serial row runs the stripes in order on a
 // caller-owned spill slab; the pooled row shares them across a resident
 // gang of GOMAXPROCS workers, as a solver workspace does.

@@ -140,6 +140,35 @@ func TestAssemblyPrecondSharedAcrossOrderings(t *testing.T) {
 	}
 }
 
+// TestAssemblyOrderingFollowsNumbering pins where the ordering rule
+// lives: an assembly numbers its free nodes in the two-ended order, so IC0
+// on its A_ff (Auto included) reports two-ended and the kinds that factor
+// nothing report natural, for every GOMAXPROCS.
+func TestAssemblyOrderingFollowsNumbering(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	asm, err := NewAssembly(precondProblem(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for kind, want := range map[solver.PrecondKind]solver.OrderingKind{
+			solver.PrecondIC0:          solver.OrderingTwoEnded,
+			solver.PrecondAuto:         solver.OrderingTwoEnded,
+			solver.PrecondBlockJacobi3: solver.OrderingNatural,
+			solver.PrecondNone:         solver.OrderingNatural,
+		} {
+			ap, err := asm.PreconditionerPrec(kind, solver.OrderingNatural, solver.PrecisionAuto, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ap.Ordering != want {
+				t.Errorf("GOMAXPROCS %d: %v on A_ff reports %v, want %v", procs, kind, ap.Ordering, want)
+			}
+		}
+	}
+}
+
 // TestSolveSurfacesOrdering: the solve surfaces the ordering its factor ran
 // under on the Solution — the lattice's two-ended order, also for a request
 // that names the reserved multicolor value or natural — and every request

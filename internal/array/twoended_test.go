@@ -58,26 +58,41 @@ func TestTwoPhaseApplyBitwise(t *testing.T) {
 	}
 }
 
-// TestTwoEndedSplit pins the shape of the served factors' schedules. The
-// backward sweep runs the rows on the cut line inline, then B_far and A
+// TestTwoEndedSplit pins the served factors' schedules and their shape.
+// The backward sweep runs the rows on the cut line inline, then B_far and A
 // side by side, so no A row of Lᵀ may reference a B_far row. From 12×12 up
 // the inline tail is the cut line alone, at most 5 % of the block rows
 // (147 of 3 315 at 12×12), and both halves fan out.
 func TestTwoEndedSplit(t *testing.T) {
-	for _, d := range [][2]int{{6, 6}, {12, 12}, {16, 9}, {18, 18}} {
+	for _, c := range []struct {
+		bx, by   int
+		fwd, bwd [3]int32
+	}{
+		{2, 3, [3]int32{0, 54, 162}, [3]int32{27, 135, 189}},
+		{4, 8, [3]int32{0, 384, 768}, [3]int32{51, 435, 819}},
+		{8, 4, [3]int32{0, 384, 768}, [3]int32{51, 435, 819}},
+		{5, 7, [3]int32{0, 351, 819}, [3]int32{63, 531, 882}},
+		{6, 6, [3]int32{0, 414, 828}, [3]int32{75, 489, 903}},
+		{12, 12, [3]int32{0, 1584, 3168}, [3]int32{147, 1731, 3315}},
+		{16, 9, [3]int32{0, 1608, 3216}, [3]int32{111, 1719, 3327}},
+		{18, 18, [3]int32{0, 3510, 7020}, [3]int32{219, 3729, 7239}},
+	} {
+		d := [2]int{c.bx, c.by}
 		asm, m := servedFactor(t, d[0], d[1])
 		name := fmt.Sprintf("%d×%d", d[0], d[1])
 		l := m.(solver.TriFactor).Factor()
 		nb := l.NBRows()
-		bwd := l.Bwd.Par
-		far := make(map[int32]bool)
-		for _, r := range l.Upper.Rows[bwd[0]:bwd[1]] {
-			far[r] = true
+		t.Logf("%s: Fwd.Par %v, Bwd.Par %v", name, l.Fwd.Par, l.Bwd.Par)
+		if l.Fwd.Par != c.fwd || l.Bwd.Par != c.bwd {
+			t.Errorf("%s: Fwd.Par %v, Bwd.Par %v; want %v, %v", name, l.Fwd.Par, l.Bwd.Par, c.fwd, c.bwd)
 		}
+		// Lᵀ's position k holds block row nb−1−k.
+		bwd := l.Bwd.Par
 		for k := bwd[1]; k < bwd[2]; k++ {
-			for _, c := range l.Upper.Idx[l.Upper.Ptr[k]:l.Upper.Ptr[k+1]] {
-				if far[c] {
-					t.Fatalf("%s: A row %d of Lᵀ references B_far row %d", name, l.Upper.Rows[k], c)
+			cols, _ := l.Row(nb-1-int(k), true)
+			for _, r := range cols {
+				if at := int32(nb-1) - r; at >= bwd[0] && at < bwd[1] {
+					t.Fatalf("%s: A row %d of Lᵀ references B_far row %d", name, nb-1-int(k), r)
 				}
 			}
 		}
@@ -93,16 +108,13 @@ func TestTwoEndedSplit(t *testing.T) {
 		if 20*tail > nb {
 			t.Errorf("%s: tail of %d rows exceeds 5 %% of %d", name, tail, nb)
 		}
-		if d == [2]int{12, 12} && (tail != 147 || nb != 3315) {
-			t.Errorf("12×12: tail %d of %d rows, want 147 of 3 315", tail, nb)
-		}
 		// The tail is the cut line: the block line nearest the middle of
 		// the longer side.
 		line, cut := 0, (d[0]/2)*(asm.Lat.NxN-1)
 		if d[1] > d[0] {
 			line, cut = 1, (d[1]/2)*(asm.Lat.NyN-1)
 		}
-		for _, r := range l.Lower.Rows[l.Fwd.Par[2]:] {
+		for r := int(l.Fwd.Par[2]); r < nb; r++ {
 			if at := asm.Lat.Nodes[asm.Red.FreeIdx[3*r]/3][line]; at != cut {
 				t.Fatalf("%s: tail row %d lies at line coordinate %d, not on the cut %d", name, r, at, cut)
 			}

@@ -75,7 +75,7 @@ func TestIC0DropIsScaleInvariant(t *testing.T) {
 	x := ic0Factor(t, a, solver.PrecisionFloat64, solver.DropTau)
 	y := ic0Factor(t, &scaled, solver.PrecisionFloat64, solver.DropTau)
 	for _, tr := range [][2]*sparse.TriRows{{&x.Lower, &y.Lower}, {&x.Upper, &y.Upper}} {
-		if !slices.Equal(tr[0].Rows, tr[1].Rows) || !slices.Equal(tr[0].Ptr, tr[1].Ptr) || !slices.Equal(tr[0].Idx, tr[1].Idx) {
+		if !slices.Equal(tr[0].Ptr, tr[1].Ptr) || !slices.Equal(tr[0].Idx, tr[1].Idx) {
 			t.Fatalf("A·1e6 drops other tiles than A")
 		}
 	}

@@ -28,9 +28,10 @@ type Stats struct {
 	// Precond is the concrete preconditioner the solve ran with (Auto
 	// resolved).
 	Precond PrecondKind
-	// Ordering is the symmetric ordering the preconditioner factored under
-	// (ResolveOrdering): OrderingTwoEnded for IC0 on a matrix that carries
-	// an elimination order, OrderingNatural otherwise.
+	// Ordering is the symmetric ordering the preconditioner factored
+	// under. The solver factors in the matrix's own row order and reports
+	// OrderingNatural; array.Assembly, whose numbering is the two-ended
+	// order, reports OrderingTwoEnded for IC0.
 	Ordering OrderingKind
 	// Precision is the concrete storage precision of the preconditioner's
 	// factor values (PrecisionFloat64 for the non-factorizing kinds; prebuilt
@@ -66,9 +67,9 @@ type Options struct {
 	// builds its preconditioner for this solve alone or a caller that caches
 	// it (array.Assembly) passes it in M.
 	Precond PrecondKind
-	// Ordering names the symmetric ordering IC0 factors under. The
-	// ordering follows the matrix (ResolveOrdering), so the field changes
-	// nothing; it stays so stored and journaled options keep their shape.
+	// Ordering names the symmetric ordering IC0 factors under. IC0
+	// factors in the matrix's own row order, so the field changes nothing;
+	// it stays so stored and journaled options keep their shape.
 	Ordering OrderingKind
 	// Precision selects the storage precision of the factorizing
 	// preconditioners' values (default PrecisionAuto: float32 — see
@@ -132,13 +133,13 @@ type krylovPrecond struct {
 // setupKrylov is the preamble PCG and GMRES share, so the Auto policies
 // resolve in one place. It resolves the preconditioner kind (Resolve),
 // builds M unless opt.M supplies it (timed into Stats.PrecondBuild),
-// records the kind, ordering (ResolveOrdering), precision and warm start in
+// records the kind, ordering (natural), precision and warm start in
 // Stats, and borrows opt.Work — or opens a per-call workspace of
 // opt.Workers — with the mat-vec bound to a. opt must already carry its
 // defaults (withDefaults).
 func setupKrylov(a *sparse.BCSR, warm bool, opt Options) (krylovPrecond, Stats, error) {
 	kind := opt.Precond.Resolve()
-	st := Stats{Precond: kind, Ordering: ResolveOrdering(kind, a), Warm: warm}
+	st := Stats{Precond: kind, Ordering: OrderingNatural, Warm: warm}
 	m := opt.M
 	if m == nil {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics

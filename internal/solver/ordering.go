@@ -7,22 +7,21 @@ import (
 )
 
 // OrderingKind names the symmetric row/column ordering the IC0
-// preconditioner factors under. The ordering follows the matrix: IC0
-// factors in the elimination order a matrix carries (sparse.BCSR.
-// ElimOrder), which every array.Assembly attaches to its A_ff, and in the
-// natural order otherwise. The requested kind changes nothing; it survives
-// so that stored and journaled options, responses and stats keep their
-// shape. An ordering never changes what the preconditioned solve converges
-// to.
+// preconditioner factors under. IC0 factors in the matrix's own row order,
+// so the ordering is the matrix's numbering: an array.Assembly numbers its
+// free nodes in the two-ended order and reports OrderingTwoEnded, and the
+// solver on its own reports OrderingNatural. The requested kind changes
+// nothing; it survives so that stored and journaled options, responses and
+// stats keep their shape. An ordering never changes what the
+// preconditioned solve converges to.
 type OrderingKind int
 
 const (
 	// OrderingAuto — the zero value, and therefore the default wherever an
-	// Options travels unset — resolves by the matrix (ResolveOrdering).
+	// Options travels unset — resolves by the matrix's numbering.
 	OrderingAuto OrderingKind = iota
-	// OrderingNatural factors in the matrix's own row order: the ordering
-	// of every matrix that carries no elimination order, and the one every
-	// non-IC0 preconditioner reports.
+	// OrderingNatural factors in the matrix's own row order: what the
+	// solver reports for every matrix and preconditioner kind.
 	OrderingNatural
 	// Value 2 is reserved: it was the reverse Cuthill–McKee IC0 ordering,
 	// deleted after it lost to natural at every measured lattice (18×18:
@@ -37,8 +36,8 @@ const (
 	// natural; a journaled result still reports it by name (String).
 	_
 	// OrderingTwoEnded factors in the two-ended line order an
-	// array.Assembly attaches to its A_ff: the free nodes eliminated from
-	// both lattice edges toward a middle block line (van der Vorst,
+	// array.Assembly numbers its free nodes in: eliminated from both
+	// lattice edges toward a middle block line (van der Vorst,
 	// Parallel Computing 5, 1987). Its sweeps split into two independent
 	// halves and a tail no wider than the line (sparse.LevelSchedule), and
 	// it takes fewer GMRES iterations than natural on the served lattices
@@ -64,18 +63,6 @@ func (k OrderingKind) String() string {
 		return "two-ended"
 	}
 	return fmt.Sprintf("ordering(%d)", int(k))
-}
-
-// ResolveOrdering returns the ordering a preconditioner of the given kind
-// factors a under: OrderingTwoEnded for IC0 (PrecondAuto included) on a
-// matrix that carries an elimination order, OrderingNatural for every other
-// kind and matrix. This is the one home of the rule, so every entry point
-// reports the same ordering.
-func ResolveOrdering(kind PrecondKind, a *sparse.BCSR) OrderingKind {
-	if kind.Resolve() == PrecondIC0 && a.ElimOrder() != nil {
-		return OrderingTwoEnded
-	}
-	return OrderingNatural
 }
 
 // TriFactor is implemented by preconditioners backed by a triangular

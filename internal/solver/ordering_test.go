@@ -9,37 +9,28 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestOrderingResolve pins the rule: the ordering follows the matrix, not
-// the request. IC0 (Auto included) on a matrix that carries an elimination
-// order resolves to two-ended, every other kind and every bare matrix to
-// natural, for every requested kind and GOMAXPROCS; the retired multicolor
-// value still spells its name, so a journaled result reports the ordering
-// it ran under.
+// TestOrderingResolve pins the rule on the solver's side: IC0 factors in
+// the matrix's own row order, so every solve reports natural whatever kind
+// it runs (Auto included) and whatever GOMAXPROCS; the two-ended witness is
+// the assembly's (array.TestAssemblyOrderingFollowsNumbering). The retired
+// multicolor value still spells its name, so a journaled result reports
+// the ordering it ran under.
 func TestOrderingResolve(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	bare := tiled(latticeLike(8, 8, 6))
-	ordered := tiled(latticeLike(8, 8, 6))
-	order := make([]int32, ordered.NBRows())
-	for k := range order {
-		order[k] = int32(len(order) - 1 - k)
+	a := tiled(latticeLike(8, 8, 6))
+	b := make([]float64, a.NRows)
+	for i := range b {
+		b[i] = float64(i%5) - 2
 	}
-	ordered.SetElimOrder(order)
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, c := range []struct {
-			kind PrecondKind
-			a    *sparse.BCSR
-			want OrderingKind
-		}{
-			{PrecondIC0, bare, OrderingNatural},
-			{PrecondAuto, bare, OrderingNatural},
-			{PrecondIC0, ordered, OrderingTwoEnded},
-			{PrecondAuto, ordered, OrderingTwoEnded}, // 384 DoFs: auto is IC0 at every size
-			{PrecondBlockJacobi3, ordered, OrderingNatural},
-			{PrecondNone, ordered, OrderingNatural},
-		} {
-			if got := ResolveOrdering(c.kind, c.a); got != c.want {
-				t.Errorf("GOMAXPROCS %d: ResolveOrdering(%v, ordered=%v) = %v, want %v", procs, c.kind, c.a.ElimOrder() != nil, got, c.want)
+		for _, kind := range []PrecondKind{PrecondIC0, PrecondAuto, PrecondBlockJacobi3, PrecondNone} {
+			_, st, err := PCG(a, b, nil, Options{Tol: 1e-8, Precond: kind, Ordering: OrderingTwoEnded})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, %v: %v", procs, kind, err)
+			}
+			if st.Ordering != OrderingNatural {
+				t.Errorf("GOMAXPROCS %d: %v recorded ordering %v, want natural", procs, kind, st.Ordering)
 			}
 		}
 	}

@@ -199,16 +199,14 @@ func (p *blockJacobi3) MemoryBytes() int64 { return int64(8 * len(p.inv)) }
 
 // ic0 is a zero-fill block incomplete Cholesky factorization with
 // post-factor tile dropping: L has the 3×3-tile pattern of the lower
-// triangle of P·A·Pᵀ, for the elimination order P the matrix carries
-// (natural when it carries none), less the off-diagonal tiles too small to
-// matter (dropTiles), and P·A·Pᵀ ≈ L·Lᵀ, held as a sparse.BlockLowerTri —
-// tile micro-kernels, float32 or float64 values, rows stored under A's own
-// block-row ids so an application needs no permutation. The two-phase
-// schedules let each application's forward/backward solves run two halves
-// of the rows at once, and because each block row is computed by one
-// shared kernel, the parallel application is bitwise identical to the
-// serial one for every worker count. An ic0 is immutable after
-// construction and safe to share across concurrent solves.
+// triangle of A, eliminated in A's own block-row order, less the
+// off-diagonal tiles too small to matter (dropTiles), and A ≈ L·Lᵀ, held
+// as a sparse.BlockLowerTri — tile micro-kernels, float32 or float64
+// values. The two-phase schedules let each application's forward/backward
+// solves run two halves of the rows at once, and because each block row is
+// computed by one shared kernel, the parallel application is bitwise
+// identical to the serial one for every worker count. An ic0 is immutable
+// after construction and safe to share across concurrent solves.
 type ic0 struct {
 	l *sparse.BlockLowerTri
 	// prec is the concrete storage precision of the factor values.
@@ -248,7 +246,7 @@ func newIC0Tau(a *sparse.BCSR, prec Precision, tau float64) (*ic0, error) {
 	}
 	rowIdx, vals = dropTiles(colPtr, rowIdx, vals, tau)
 	single := prec != PrecisionFloat64
-	l, err := sparse.NewBlockLowerTri(colPtr, rowIdx, vals, a.ElimOrder(), single)
+	l, err := sparse.NewBlockLowerTri(colPtr, rowIdx, vals, single)
 	if err != nil {
 		return nil, fmt.Errorf("solver: IC0: %w", err)
 	}
@@ -298,41 +296,24 @@ func frob2(t []float64) float64 {
 	return s
 }
 
-// lowerCols returns the lower block triangle of P·A·Pᵀ in block-column
-// form, for the elimination order a carries (BCSR.ElimOrder; the identity
-// when it has none): block column J holds the tiles (I, J), I ≥ J, rows
-// ascending, where I and J count elimination positions. Tile (I, J) is
-// tile (order[I], order[J]) of a: a stored tile of block row order[I] or,
-// for a Sym matrix whose upper triangle holds it as (order[J], order[I]),
-// that tile transposed. Sweeping the positions in ascending order and
-// appending each tile to its column — a counting transpose — yields sorted
-// columns with no CSR or CSC copy.
+// lowerCols returns the lower block triangle of a in block-column form:
+// block column J holds the tiles (I, J), I ≥ J, rows ascending. Tile (I, J)
+// is a stored tile of block row I or, for a Sym matrix whose upper
+// triangle holds it as (J, I), that tile transposed. Sweeping the rows in
+// ascending order and appending each tile to its column — a counting
+// transpose — yields sorted columns with no CSR or CSC copy.
 func lowerCols(a *sparse.BCSR) (colPtr, rowIdx []int32, vals []float64) {
 	nb := a.NBRows()
-	order := a.ElimOrder()
-	pos := make([]int32, nb) // block row → elimination position
-	for k := range pos {
-		pos[k] = int32(k)
-	}
-	for k, r := range order {
-		pos[r] = int32(k)
-	}
 	lptr, lrows, ltiles := a.Lower()
-	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of
-	// position i, read from stored tile p.
+	// each calls f(J, p, transposed) for every tile (i, J), J ≤ i, of row
+	// i, read from stored tile p.
 	each := func(i int32, f func(j, p int32, transposed bool)) {
-		r := i
-		if order != nil {
-			r = order[i]
+		for q := lptr[i]; q < lptr[i+1]; q++ {
+			f(lrows[q], ltiles[q], true)
 		}
-		for p := a.BRowPtr[r]; p < a.BRowPtr[r+1]; p++ {
-			if j := pos[a.BColIdx[p]]; j <= i {
+		for p := a.BRowPtr[i]; p < a.BRowPtr[i+1]; p++ {
+			if j := a.BColIdx[p]; j <= i {
 				f(j, p, false)
-			}
-		}
-		for q := lptr[r]; q < lptr[r+1]; q++ {
-			if j := pos[lrows[q]]; j < i {
-				f(j, ltiles[q], true)
 			}
 		}
 	}

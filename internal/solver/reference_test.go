@@ -224,7 +224,7 @@ func sameFactor(x, y *sparse.BlockLowerTri) bool {
 		return slices.EqualFunc(a, b, func(u, v float32) bool { return math.Float32bits(u) == math.Float32bits(v) })
 	}
 	same := func(a, b *sparse.TriRows) bool {
-		return slices.Equal(a.Rows, b.Rows) && slices.Equal(a.Ptr, b.Ptr) && slices.Equal(a.Idx, b.Idx) &&
+		return slices.Equal(a.Ptr, b.Ptr) && slices.Equal(a.Idx, b.Idx) &&
 			bits(a.Vals, b.Vals) && bits32(a.Vals32, b.Vals32)
 	}
 	return same(&x.Lower, &y.Lower) && same(&x.Upper, &y.Upper)

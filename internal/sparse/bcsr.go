@@ -18,7 +18,7 @@ const BlockSize = 3
 // over contiguous block-row stripes of about this many stored tiles, fixed
 // by the matrix alone, so its result does not depend on how many workers
 // share the stripes. It cuts the served 12×12 A_ff into 9 stripes, whose
-// spill slabs reach 5 305 block rows (127 kB). On a 2-vCPU host that
+// spill slabs reach 2 273 block rows (55 kB). On a 2-vCPU host that
 // product took 1.25, 1.08 and 0.99 ms on two workers (medians of 6) at
 // budgets of 4 096, 8 192 and 16 384 tiles: smaller stripes spill more.
 const stripeTiles = 16384
@@ -68,33 +68,12 @@ type BCSR struct {
 	// The product's layout, derived from the pattern at construction:
 	// stripes bounds the stripes in block rows; stripe s's spill slab is
 	// the slots [spillPtr[s], spillPtr[s+1]) of a SpillLen() scratch, slot
-	// k folding into block row spillRows[k]; slot[p] is the slot of tile p
-	// when its column lies past its stripe. Only Sym matrices spill.
-	stripes, spillPtr, spillRows, slot []int32
-
-	// elim is the elimination order a factor of the matrix follows, block
-	// rows by position (SetElimOrder); nil for the natural order.
-	elim []int32
+	// k folding into block row spillRows[k]. The tiles of a block row whose
+	// columns lie past its stripe end the row, as its columns ascend;
+	// slot[slotPtr[i]:slotPtr[i+1]] holds the slots of block row i's. Only
+	// Sym matrices spill.
+	stripes, spillPtr, spillRows, slotPtr, slot []int32
 }
-
-// SetElimOrder attaches the order in which factors of the matrix eliminate
-// its block rows: order[k] is the block row eliminated k-th. The IC0
-// constructor factors in it, so every factor built on the matrix is the
-// same whatever builds it. Set it before the matrix is shared; nil restores
-// the natural order. It panics unless order is nil or a permutation of the
-// block rows.
-func (m *BCSR) SetElimOrder(order []int32) {
-	if order != nil {
-		if _, err := elimIDs(order, m.NBRows()); err != nil {
-			panic(err)
-		}
-	}
-	m.elim = order
-}
-
-// ElimOrder returns the order SetElimOrder attached, or nil for the natural
-// order. The slice is shared; do not modify it.
-func (m *BCSR) ElimOrder() []int32 { return m.elim }
 
 // NBRows returns the number of block rows.
 func (m *BCSR) NBRows() int { return m.NRows / BlockSize }
@@ -112,9 +91,9 @@ func (m *BCSR) Tile(p int) []float64 {
 func (m *BCSR) Entries() int { return len(m.Vals) / 9 }
 
 // MemoryBytes estimates the storage footprint in bytes: the dictionary plus
-// the per-tile index and pattern arrays and the elimination order.
+// the per-tile index and pattern arrays.
 func (m *BCSR) MemoryBytes() int64 {
-	idx := len(m.BRowPtr) + len(m.BColIdx) + len(m.ValIdx) + len(m.stripes) + len(m.spillPtr) + len(m.spillRows) + len(m.slot) + len(m.elim)
+	idx := len(m.BRowPtr) + len(m.BColIdx) + len(m.ValIdx) + len(m.stripes) + len(m.spillPtr) + len(m.spillRows) + len(m.slotPtr) + len(m.slot)
 	return int64(idx)*4 + int64(len(m.Vals))*8
 }
 
@@ -192,7 +171,16 @@ func (m *BCSR) stripe(budget int) {
 	if !m.Sym {
 		return
 	}
-	m.slot = make([]int32, len(m.BColIdx))
+	// A row's tiles past its stripe end the row, as its columns ascend.
+	m.slotPtr = make([]int32, nb+1)
+	for s := 0; s+1 < len(m.stripes); s++ {
+		for br, hi := m.stripes[s], m.stripes[s+1]; br < hi; br++ {
+			cols := m.BColIdx[m.BRowPtr[br]:m.BRowPtr[br+1]]
+			k, _ := slices.BinarySearch(cols, hi)
+			m.slotPtr[br+1] = m.slotPtr[br] + int32(len(cols)-k)
+		}
+	}
+	m.slot = make([]int32, m.slotPtr[nb])
 	m.spillPtr = make([]int32, 1, len(m.stripes)+1)
 	m.spillRows = nil
 	seen := make([]int32, nb)
@@ -201,17 +189,16 @@ func (m *BCSR) stripe(budget int) {
 		seen[i] = -1
 	}
 	for s := 0; s+1 < len(m.stripes); s++ {
-		lo, hi := m.stripes[s], m.stripes[s+1]
-		for p := m.BRowPtr[lo]; p < m.BRowPtr[hi]; p++ {
-			c := m.BColIdx[p]
-			if c < hi {
-				continue
+		for br := m.stripes[s]; br < m.stripes[s+1]; br++ {
+			q, end := m.slotPtr[br], m.slotPtr[br+1]
+			for _, c := range m.BColIdx[m.BRowPtr[br+1]-(end-q) : m.BRowPtr[br+1]] {
+				if seen[c] != int32(s) {
+					seen[c], slotOf[c] = int32(s), int32(len(m.spillRows))
+					m.spillRows = append(m.spillRows, c)
+				}
+				m.slot[q] = slotOf[c]
+				q++
 			}
-			if seen[c] != int32(s) {
-				seen[c], slotOf[c] = int32(s), int32(len(m.spillRows))
-				m.spillRows = append(m.spillRows, c)
-			}
-			m.slot[p] = slotOf[c]
 		}
 		m.spillPtr = append(m.spillPtr, int32(len(m.spillRows)))
 	}
@@ -313,7 +300,7 @@ func (m *BCSR) Lower() (ptr, rows, tiles []int32) {
 
 // Full returns m with both triangles stored: a Sym matrix's tiles left of
 // the diagonal are the transposes of their mirrors, and any other matrix is
-// returned as is. The copy carries m's elimination order.
+// returned as is.
 func (m *BCSR) Full() *BCSR {
 	if !m.Sym {
 		return m
@@ -337,7 +324,7 @@ func (m *BCSR) Full() *BCSR {
 	}
 	valIdx, dict := InternTiles(vals)
 	f := NewBCSRTiles(m.NRows, m.NCols, ptr, idx, valIdx, dict, false)
-	f.ScalarNNZ, f.elim = m.ScalarNNZ, m.elim
+	f.ScalarNNZ = m.ScalarNNZ
 	return f
 }
 
@@ -462,11 +449,13 @@ func (m *BCSR) fullRows(dst, x []float64, lo, hi int) {
 // when it lies past it.
 //
 //stressvet:noalloc
-//stressvet:bce 19
+//stressvet:bce 17
 func (m *BCSR) symStripe(dst, x, spill []float64, s int) {
-	lo, hi := int(m.stripes[s]), int(m.stripes[s+1])
+	// Two-element windows of the pointer arrays cost one check each.
+	st, sp := m.stripes[s:s+2], m.spillPtr[s:s+2]
+	lo, hi := int(st[0]), int(st[1])
 	clear(dst[BlockSize*lo : BlockSize*hi])
-	clear(spill[BlockSize*m.spillPtr[s] : BlockSize*m.spillPtr[s+1]])
+	clear(spill[BlockSize*sp[0] : BlockSize*sp[1]])
 	vals := m.Vals
 	// x and dst have the matrix's one dimension. Capped at it, a column
 	// block that x holds is one dst holds too, and the unsigned index
@@ -475,9 +464,11 @@ func (m *BCSR) symStripe(dst, x, spill []float64, s int) {
 	dst = dst[:len(dst):len(dst)]
 	x = x[:len(dst):len(dst)]
 	for br := lo; br < hi; br++ {
-		// The row's columns, slots and dictionary entries advance together.
-		p, end := int(m.BRowPtr[br]), int(m.BRowPtr[br+1])
-		cols, slots, ents := m.BColIdx[p:end], m.slot[p:end], m.ValIdx[p:end]
+		// The row's columns and dictionary entries advance together; its
+		// last len(slots) tiles spill.
+		rp, qp := m.BRowPtr[br:br+2], m.slotPtr[br:br+2]
+		cols, ents := m.BColIdx[rp[0]:rp[1]], m.ValIdx[rp[0]:rp[1]]
+		slots := m.slot[qp[0]:qp[1]]
 		xi := (*[3]float64)(x[BlockSize*br:])
 		d := (*[3]float64)(dst[BlockSize*br:])
 		x0, x1, x2 := xi[0], xi[1], xi[2]
@@ -487,9 +478,10 @@ func (m *BCSR) symStripe(dst, x, spill []float64, s int) {
 			s0 += t[0]*x0 + t[1]*x1 + t[2]*x2
 			s1 += t[3]*x0 + t[4]*x1 + t[5]*x2
 			s2 += t[6]*x0 + t[7]*x1 + t[8]*x2
-			cols, slots, ents = cols[1:], slots[1:], ents[1:]
+			cols, ents = cols[1:], ents[1:]
 		}
-		slots, ents = slots[:len(cols)], ents[:len(cols)]
+		ents = ents[:len(cols)]
+		in := len(cols) - len(slots)
 		for k, c32 := range cols {
 			c := BlockSize * uint(uint32(c32))
 			e := 9 * uint(uint32(ents[k]))
@@ -499,10 +491,10 @@ func (m *BCSR) symStripe(dst, x, spill []float64, s int) {
 			s1 += t[3]*y[0] + t[4]*y[1] + t[5]*y[2]
 			s2 += t[6]*y[0] + t[7]*y[1] + t[8]*y[2]
 			var o *[3]float64
-			if int(c32) < hi {
+			if k < in {
 				o = (*[3]float64)(dst[c : c+3])
 			} else {
-				q := BlockSize * uint(uint32(slots[k]))
+				q := BlockSize * uint(uint32(slots[k-in]))
 				o = (*[3]float64)(spill[q : q+3])
 			}
 			o[0] += t[0]*x0 + t[3]*x1 + t[6]*x2

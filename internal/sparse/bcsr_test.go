@@ -440,7 +440,7 @@ func blockCols(l *CSC) (colPtr, rowIdx []int32, vals []float64) {
 func (c blockCase) tri(t *testing.T, single bool) *BlockLowerTri {
 	t.Helper()
 	colPtr, rowIdx, vals := blockCols(c.l)
-	bt, err := NewBlockLowerTri(colPtr, rowIdx, vals, nil, single)
+	bt, err := NewBlockLowerTri(colPtr, rowIdx, vals, single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestNewBlockLowerTriRejectsBadDims(t *testing.T) {
 	for name, in := range bad {
 		for _, single := range []bool{false, true} {
 			c, r, v := in()
-			if _, err := NewBlockLowerTri(c, r, v, nil, single); err == nil {
+			if _, err := NewBlockLowerTri(c, r, v, single); err == nil {
 				t.Errorf("%s (single=%v) accepted", name, single)
 			}
 		}
@@ -519,20 +519,8 @@ func TestNewBlockLowerTriRejectsMissingDiagonal(t *testing.T) {
 		"repeated row":     {{0, 3, 4}, {0, 1, 1, 1}},
 	} {
 		colPtr, rowIdx := in[0], in[1]
-		if _, err := NewBlockLowerTri(colPtr, rowIdx, slices.Repeat(tile, len(rowIdx)), nil, false); err == nil {
+		if _, err := NewBlockLowerTri(colPtr, rowIdx, slices.Repeat(tile, len(rowIdx)), false); err == nil {
 			t.Errorf("%s accepted", name)
-		}
-	}
-	// The elimination order must be a permutation of the block rows.
-	colPtr, rowIdx, vals := blockCols(chainCSC(9))
-	for name, order := range map[string][]int32{
-		"short":        {0, 1},
-		"repeated":     {0, 1, 1},
-		"out of range": {0, 1, 3},
-		"negative":     {0, -1, 2},
-	} {
-		if _, err := NewBlockLowerTri(colPtr, rowIdx, vals, order, false); err == nil {
-			t.Errorf("order %s accepted", name)
 		}
 	}
 }
@@ -719,9 +707,9 @@ func TestBlockLowerTriParBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBlockLowerTriSweepOrder pins the layout: L's rows are stored as the
-// forward schedule's runs A, B_far, B_cut, each ascending, and Lᵀ's as the
-// same rows in reverse. Whatever the order, the solves must be bitwise
+// TestBlockLowerTriSweepOrder pins the layout: L's position k holds block
+// row k, whose diagonal tile comes last, and Lᵀ's position k holds block
+// row nb−1−k, whose diagonal tile comes first. The solves must be bitwise
 // equal to a plain ascending (descending) sweep that reads each row through
 // Row and runs the same kernel arithmetic.
 func TestBlockLowerTriSweepOrder(t *testing.T) {
@@ -730,19 +718,13 @@ func TestBlockLowerTriSweepOrder(t *testing.T) {
 		for _, single := range []bool{false, true} {
 			bt := c.tri(t, single)
 			nb := bt.NBRows()
-			rows := bt.Lower.Rows
-			for _, run := range [][2]int32{{0, bt.Fwd.Par[1]}, {bt.Fwd.Par[1], bt.Fwd.Par[2]}, {bt.Fwd.Par[2], int32(nb)}} {
-				if !slices.IsSorted(rows[run[0]:run[1]]) {
-					t.Fatalf("%s single=%v: L's run [%d, %d) is not ascending", name, single, run[0], run[1])
+			for k := 0; k < nb; k++ {
+				lo := bt.Lower.Idx[bt.Lower.Ptr[k]:bt.Lower.Ptr[k+1]]
+				up := bt.Upper.Idx[bt.Upper.Ptr[k]:bt.Upper.Ptr[k+1]]
+				if lo[len(lo)-1] != int32(k) || up[0] != int32(nb-1-k) {
+					t.Fatalf("%s single=%v: position %d holds L row %d and Lᵀ row %d, want %d and %d",
+						name, single, k, lo[len(lo)-1], up[0], k, nb-1-k)
 				}
-			}
-			if !slices.Equal(slices.Sorted(slices.Values(rows)), identity(nb)) {
-				t.Fatalf("%s single=%v: L's rows are not a permutation", name, single)
-			}
-			rev := slices.Clone(rows)
-			slices.Reverse(rev)
-			if !slices.Equal(bt.Upper.Rows, rev) {
-				t.Fatalf("%s single=%v: Lᵀ's rows are not L's reversed", name, single)
 			}
 			b := make([]float64, bt.N)
 			for i := range b {
@@ -770,53 +752,6 @@ func identity(n int) []int32 {
 		s[k] = int32(k)
 	}
 	return s
-}
-
-// TestBlockLowerTriOrderRelabels: a factor eliminated in a permuted order
-// stores the caller's block rows, so solving with it is the natural-order
-// solve of the same column form with b gathered into elimination order and
-// the answer scattered back — bitwise, with no permutation in the sweep.
-func TestBlockLowerTriOrderRelabels(t *testing.T) {
-	for name, c := range blockTris(t) {
-		rng := rand.New(rand.NewSource(67))
-		colPtr, rowIdx, vals := blockCols(c.l)
-		nb := len(colPtr) - 1
-		order := identity(nb)
-		rng.Shuffle(nb, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, single := range []bool{false, true} {
-			nat, err := NewBlockLowerTri(colPtr, rowIdx, vals, nil, single)
-			if err != nil {
-				t.Fatal(err)
-			}
-			perm, err := NewBlockLowerTri(colPtr, rowIdx, vals, order, single)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := make([]float64, nat.N)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			bp := make([]float64, nat.N) // b in elimination order
-			for k, r := range order {
-				copy(bp[3*k:3*k+3], b[3*r:3*r+3])
-			}
-			for _, upper := range []bool{false, true} {
-				want, got := make([]float64, nat.N), make([]float64, nat.N)
-				if upper {
-					nat.SolveUpper(want, bp)
-					perm.SolveUpper(got, b)
-				} else {
-					nat.SolveLower(want, bp)
-					perm.SolveLower(got, b)
-				}
-				for k, r := range order {
-					if !slices.Equal(got[3*r:3*r+3], want[3*k:3*k+3]) {
-						t.Fatalf("%s single=%v upper=%v: row %d (position %d) differs from the natural solve", name, single, upper, r, k)
-					}
-				}
-			}
-		}
-	}
 }
 
 // rowSweep is the reference sweep of TestBlockLowerTriSweepOrder: rows in

@@ -1,25 +1,21 @@
 package sparse
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // BlockLowerTri is a sparse lower-triangular factor L held as dense 3×3
 // tiles, stored for fast repeated solves of L·y = b and Lᵀ·z = y — the
 // application of the block incomplete-Cholesky preconditioner. Both
 // triangles are kept by block rows, so each solve is a gather over finished
-// block rows. L may be eliminated in any order of the caller's block rows
-// (NewBlockLowerTri's order); the triangles store the caller's row ids, so
-// a solve needs no permutation around it. Each sweep has a two-phase
-// schedule (Fwd, Bwd) found once from the tile pattern: two independent
-// runs of rows that share a gang, and an inline tail. Each triangle stores
-// its rows in the order its sweep visits them, so a sweep streams its tiles
-// front to back. The sweeps are small GEMV micro-kernels — one column index
-// per tile instead of per scalar, unrolled 3×3 inner loops — and because
-// every block row is computed by the same kernel, with its terms in the
-// same order, whatever the schedule, the two-phase solves are bitwise
-// identical to the serial ones.
+// block rows, eliminated in the caller's row order. Each sweep has a
+// two-phase schedule (Fwd, Bwd) found once from the tile pattern: two
+// independent contiguous runs of rows that share a gang, and an inline
+// tail. L stores its rows ascending and Lᵀ descending, the order its sweep
+// visits them, so a sweep streams its tiles front to back. The sweeps are
+// small GEMV micro-kernels — one column index per tile instead of per
+// scalar, unrolled 3×3 inner loops — and because every block row is
+// computed by the same kernel, with its terms in the same order, whatever
+// the schedule, the two-phase solves are bitwise identical to the serial
+// ones.
 //
 // Values are stored in exactly one precision: float64 (Vals) or float32
 // (Vals32). The solve kernels always accumulate in float64, so
@@ -30,10 +26,10 @@ import (
 // concurrent solves (each caller brings its own BlockTriScratch).
 type BlockLowerTri struct {
 	N int // scalar dimension (multiple of BlockSize)
-	// Lower holds the block rows of L: block columns in elimination order,
-	// diagonal tile last (itself lower-triangular, upper entries zero).
-	// Upper holds the block rows of Lᵀ: diagonal tile first, then the
-	// columns in elimination order.
+	// Lower holds the block rows of L: block columns ascending, diagonal
+	// tile last (itself lower-triangular, upper entries zero). Upper holds
+	// the block rows of Lᵀ: diagonal tile first, then the columns
+	// ascending.
 	Lower, Upper TriRows
 	// Fwd and Bwd are the two-phase schedules of the forward and backward
 	// sweeps, in positions of Lower and Upper.
@@ -41,13 +37,12 @@ type BlockLowerTri struct {
 }
 
 // TriRows is one triangle of a BlockLowerTri, its block rows stored in the
-// order its sweep visits them: position k holds the caller's block row
-// Rows[k], whose block columns are Idx[Ptr[k]:Ptr[k+1]] and whose tiles
-// are the 9 values each, row-major, that start at 9·Ptr[k] in Vals (or
-// Vals32). L's rows are stored as the runs A, B_far, B_cut of its schedule,
-// Lᵀ's as B_cut, B_far, A (LevelSchedule).
+// order its sweep visits them: position k holds block row k of L, or block
+// row nb−1−k of Lᵀ. Its block columns are Idx[Ptr[k]:Ptr[k+1]] and its
+// tiles are the 9 values each, row-major, that start at 9·Ptr[k] in Vals
+// (or Vals32).
 type TriRows struct {
-	Rows, Ptr, Idx []int32
+	Ptr, Idx []int32
 	// Exactly one of Vals and Vals32 is non-nil.
 	Vals   []float64
 	Vals32 []float32
@@ -58,23 +53,21 @@ func (t *BlockLowerTri) NBRows() int { return t.N / BlockSize }
 
 // Row returns block row br of L, or of Lᵀ when upper is set: its block
 // columns as stored and the index in the triangle's value array of its
-// first tile. It finds the row by a linear search of the sweep order, so it
-// serves tests and inspection, not sweeps.
+// first tile.
 func (t *BlockLowerTri) Row(br int, upper bool) (cols []int32, first int) {
-	tr := &t.Lower
+	tr, k := &t.Lower, br
 	if upper {
-		tr = &t.Upper
+		tr, k = &t.Upper, t.NBRows()-1-br
 	}
-	k := slices.Index(tr.Rows, int32(br))
 	return tr.Idx[tr.Ptr[k]:tr.Ptr[k+1]], int(tr.Ptr[k])
 }
 
-// MemoryBytes estimates the storage footprint: both triangles, their row
-// orders included. The schedules are a few words each.
+// MemoryBytes estimates the storage footprint: both triangles. The
+// schedules are a few words each.
 func (t *BlockLowerTri) MemoryBytes() int64 {
 	var b int64
 	for _, tr := range []*TriRows{&t.Lower, &t.Upper} {
-		b += int64(len(tr.Rows)+len(tr.Ptr)+len(tr.Idx))*4 + int64(len(tr.Vals))*8 + int64(len(tr.Vals32))*4
+		b += int64(len(tr.Ptr)+len(tr.Idx))*4 + int64(len(tr.Vals))*8 + int64(len(tr.Vals32))*4
 	}
 	return b
 }
@@ -84,21 +77,15 @@ func (t *BlockLowerTri) MemoryBytes() int64 {
 // column's tiles (len nb+1), rowIdx holds their block rows — strictly
 // ascending, diagonal tile first — and vals holds 9 values per tile, L_IJ
 // row-major, the diagonal tiles lower-triangular. Read by columns, those
-// tiles are the block rows of Lᵀ. Rows and columns count elimination
-// positions: order[k] is the caller's block row that position k eliminates,
-// and nil means position k is block row k. Both triangles are stored with
-// the caller's block-row ids, so a solve reads and writes the caller's
-// vectors directly, with no permutation around it.
+// tiles are the block rows of Lᵀ.
 //
 // The two-phase schedules of both sweeps come from the pattern first
 // (twoPhaseSplit); then one emit pass over the columns writes each tile to
-// its slot in L, as is, and in Lᵀ, transposed, with each triangle's rows
-// already in its sweep order: L's rows A, B_far, B_cut, each ascending,
-// and Lᵀ's rows B_cut, B_far, A, each descending. Every row depends only on
-// rows before it in that order, so the serial sweep of the stored order is
-// the reference the two-phase sweep matches bitwise. When single is true
-// the tile values are stored in float32. The inputs are only read.
-func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, order []int32, single bool) (*BlockLowerTri, error) {
+// its slot in L, as is, and in Lᵀ, transposed. Every row depends only on
+// rows before it in its sweep, so the serial sweep is the reference the
+// two-phase sweep matches bitwise. When single is true the tile values are
+// stored in float32. The inputs are only read.
+func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, single bool) (*BlockLowerTri, error) {
 	nb := len(colPtr) - 1
 	if nb < 0 || colPtr[0] != 0 || int(colPtr[nb]) != len(rowIdx) || len(vals) != 9*len(rowIdx) {
 		return nil, fmt.Errorf("sparse: BlockLowerTri column form is inconsistent: %d pointers, %d tiles, %d values",
@@ -115,104 +102,49 @@ func NewBlockLowerTri(colPtr, rowIdx []int32, vals []float64, order []int32, sin
 			}
 		}
 	}
-	ids, err := elimIDs(order, nb)
-	if err != nil {
-		return nil, err
-	}
 	t := &BlockLowerTri{N: BlockSize * nb}
-	s, reach := twoPhaseSplit(colPtr, rowIdx)
-	// Sweep positions of the forward triangle: A, then B_far, then B_cut.
-	fwd := make([]int32, 0, nb)
-	for i := 0; i < s; i++ {
-		fwd = append(fwd, int32(i))
-	}
-	for i := s; i < nb; i++ {
-		if int(reach[i]) >= s {
-			fwd = append(fwd, int32(i))
-		}
-	}
-	nFar := len(fwd) - s
-	for i := s; i < nb; i++ {
-		if int(reach[i]) < s {
-			fwd = append(fwd, int32(i))
-		}
-	}
-	nCut := nb - s - nFar
-	par := splitPays(s, nFar, nb)
-	t.Fwd = &LevelSchedule{Par: [3]int32{0, int32(s), int32(s + nFar)}, n: int32(nb), parallel: par}
-	t.Bwd = &LevelSchedule{Par: [3]int32{int32(nCut), int32(nCut + nFar), int32(nb)}, n: int32(nb), parallel: par}
-	// The backward triangle sweeps the same three runs in reverse.
-	bwd := reach // reused: reach is not read again
-	for k := range bwd {
-		bwd[k] = fwd[nb-1-k]
-	}
+	s, e := twoPhaseSplit(colPtr, rowIdx)
+	par := splitPays(s, e-s, nb)
+	t.Fwd = &LevelSchedule{Par: [3]int32{0, int32(s), int32(e)}, n: int32(nb), parallel: par}
+	// The backward sweep runs the same three runs in reverse.
+	t.Bwd = &LevelSchedule{Par: [3]int32{int32(nb - e), int32(nb - s), int32(nb)}, n: int32(nb), parallel: par}
 
-	// Lay each triangle out in its sweep order. next[i] is L row i's
-	// first free slot, up[j] the first slot of Lᵀ row j.
+	// next[i] is L row i's first free slot, up[j] the first slot of Lᵀ
+	// row j.
 	next, up := make([]int32, nb), make([]int32, nb)
 	for _, i := range rowIdx {
 		next[i]++
 	}
-	t.Lower.Ptr, t.Lower.Rows = make([]int32, nb+1), make([]int32, nb)
-	for k, i := range fwd {
-		n := next[i]
-		next[i] = t.Lower.Ptr[k]
-		t.Lower.Ptr[k+1] = t.Lower.Ptr[k] + n
-		t.Lower.Rows[k] = ids[i]
-	}
-	t.Upper.Ptr, t.Upper.Rows = make([]int32, nb+1), make([]int32, nb)
-	for k, j := range bwd {
-		up[j] = t.Upper.Ptr[k]
-		t.Upper.Ptr[k+1] = t.Upper.Ptr[k] + colPtr[j+1] - colPtr[j]
-		t.Upper.Rows[k] = ids[j]
+	t.Lower.Ptr, t.Upper.Ptr = make([]int32, nb+1), make([]int32, nb+1)
+	for i, n := range next {
+		next[i] = t.Lower.Ptr[i]
+		t.Lower.Ptr[i+1] = t.Lower.Ptr[i] + n
+		j := nb - 1 - i
+		up[j] = t.Upper.Ptr[i]
+		t.Upper.Ptr[i+1] = t.Upper.Ptr[i] + colPtr[j+1] - colPtr[j]
 	}
 	t.Lower.Idx, t.Upper.Idx = make([]int32, len(rowIdx)), make([]int32, len(rowIdx))
 	if single {
 		t.Lower.Vals32, t.Upper.Vals32 = make([]float32, len(vals)), make([]float32, len(vals))
-		emitTiles(t, t.Lower.Vals32, t.Upper.Vals32, colPtr, rowIdx, vals, ids, next, up)
+		emitTiles(t, t.Lower.Vals32, t.Upper.Vals32, colPtr, rowIdx, vals, next, up)
 	} else {
 		t.Lower.Vals, t.Upper.Vals = make([]float64, len(vals)), make([]float64, len(vals))
-		emitTiles(t, t.Lower.Vals, t.Upper.Vals, colPtr, rowIdx, vals, ids, next, up)
+		emitTiles(t, t.Lower.Vals, t.Upper.Vals, colPtr, rowIdx, vals, next, up)
 	}
 	return t, nil
 }
 
-// elimIDs returns the caller's block row of each of nb elimination
-// positions: order itself once checked to be a permutation of [0, nb), or
-// the identity when order is nil.
-func elimIDs(order []int32, nb int) ([]int32, error) {
-	if order == nil {
-		ids := make([]int32, nb)
-		for k := range ids {
-			ids[k] = int32(k)
-		}
-		return ids, nil
-	}
-	if len(order) != nb {
-		return nil, fmt.Errorf("sparse: BlockLowerTri order holds %d positions, want %d", len(order), nb)
-	}
-	seen := make([]bool, nb)
-	for _, r := range order {
-		if r < 0 || int(r) >= nb || seen[r] {
-			return nil, fmt.Errorf("sparse: BlockLowerTri order is not a permutation of [0, %d)", nb)
-		}
-		seen[r] = true
-	}
-	return order, nil
-}
-
 // emitTiles walks the block columns once and stores tile p of vals, block
 // (I, J), in slot next[I] of L as is and in slot upStart[J] + (p − colPtr[J])
-// of Lᵀ transposed, rounding to the storage type T and writing each block
-// index as the caller's row ids[·]; next[I] advances past each slot it
-// hands out.
-func emitTiles[T float32 | float64](t *BlockLowerTri, lower, upper []T, colPtr, rowIdx []int32, vals []float64, ids, next, upStart []int32) {
+// of Lᵀ transposed, rounding to the storage type T; next[I] advances past
+// each slot it hands out.
+func emitTiles[T float32 | float64](t *BlockLowerTri, lower, upper []T, colPtr, rowIdx []int32, vals []float64, next, upStart []int32) {
 	for j, u := range upStart {
 		for p := colPtr[j]; p < colPtr[j+1]; p, u = p+1, u+1 {
 			i := rowIdx[p]
 			q := next[i]
 			next[i] = q + 1
-			t.Lower.Idx[q], t.Upper.Idx[u] = ids[j], ids[i]
+			t.Lower.Idx[q], t.Upper.Idx[u] = int32(j), i
 			src := vals[9*p : 9*p+9 : 9*p+9]
 			lo := lower[9*q : 9*q+9 : 9*q+9]
 			up := upper[9*u : 9*u+9 : 9*u+9]
@@ -368,17 +300,18 @@ func blockBwdRow[T float32 | float64](cols []int32, tiles []T, dst, b []float64,
 }
 
 // sweepRows solves the rows at sweep positions [lo, hi) of one triangle
-// with the forward or backward kernel.
+// with the forward or backward kernel: position k is block row k of L, or
+// block row nb−1−k of Lᵀ.
 //
 //stressvet:noalloc
 func sweepRows[T float32 | float64](tr *TriRows, vals []T, dst, b []float64, lo, hi int, upper bool) {
-	rows, ptr := tr.Rows[lo:hi], tr.Ptr[lo:hi+1]
-	for k, br := range rows {
-		p, e := int(ptr[k]), int(ptr[k+1])
+	last := len(tr.Ptr) - 2
+	for k := lo; k < hi; k++ {
+		p, e := int(tr.Ptr[k]), int(tr.Ptr[k+1])
 		if upper {
-			blockBwdRow(tr.Idx[p:e], vals[9*p:9*e], dst, b, int(br))
+			blockBwdRow(tr.Idx[p:e], vals[9*p:9*e], dst, b, last-k)
 		} else {
-			blockFwdRow(tr.Idx[p:e], vals[9*p:9*e], dst, b, int(br))
+			blockFwdRow(tr.Idx[p:e], vals[9*p:9*e], dst, b, k)
 		}
 	}
 }

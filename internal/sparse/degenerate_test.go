@@ -42,7 +42,7 @@ func TestPartitionByWorkDegenerate(t *testing.T) {
 // tail) and a chain (every row depends on the one before it: no second
 // chunk, so the sweep stays serial).
 func TestLevelScheduleDegenerateShapes(t *testing.T) {
-	empty, err := NewBlockLowerTri([]int32{0}, nil, nil, nil, false)
+	empty, err := NewBlockLowerTri([]int32{0}, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,16 @@ package sparse
 
 // LevelSchedule is the two-phase schedule of one triangular sweep, found
 // from the factor's pattern (NewBlockLowerTri). The sweep's rows split
-// three ways: a head run A, a run B_far that depends on no row of A, and
-// the tail B_cut, every row that does (directly or through another B row).
+// into three contiguous runs: a head A, a run B_far that depends on no row
+// of A, and the tail B_cut, which starts at the first row after A that
+// does (directly or through another B row).
 // A and B_far are independent of each other, so one phase runs them as two
 // chunks on a gang while the other runs B_cut inline: the forward sweep
 // runs {A, B_far} and then B_cut, the backward sweep B_cut and then
-// {B_far, A}. A factor eliminated from two ends toward a middle line (the
-// order an array.Assembly attaches to its matrix) splits into two halves
-// and a tail no wider than that line; a factor in a one-ended order has no
-// second half worth a chunk and sweeps serially.
+// {B_far, A}. A matrix whose rows are numbered from two ends toward a
+// middle line (the numbering an array.Assembly gives its free nodes)
+// factors into two halves and a tail no wider than that line; a factor in
+// a one-ended order has no second half worth a chunk and sweeps serially.
 type LevelSchedule struct {
 	// Par bounds the two independent chunks in sweep positions:
 	// [Par[0], Par[1]) and [Par[1], Par[2]). The positions before Par[0]
@@ -58,11 +59,13 @@ func splitPays(a, b, n int) bool {
 
 // twoPhaseSplit finds the forward sweep's split of the nb block rows of a
 // lower factor in block-column form (colPtr, rowIdx as NewBlockLowerTri
-// takes them). reach[i] is the earliest row that row i depends on, through
-// any chain of tiles, or i itself; a row i ≥ s belongs to B_far when
-// reach[i] ≥ s. The head A = [0, s) is chosen to maximize the smaller of
-// the two chunks. It returns s and reach.
-func twoPhaseSplit(colPtr, rowIdx []int32) (int, []int32) {
+// takes them) into A = [0, s), B_far = [s, e) and B_cut = [e, nb). reach[i]
+// is the earliest row that row i depends on, through any chain of tiles, or
+// i itself; for a head of s rows, e is the first row ≥ s whose reach is
+// < s, so no row of B_far depends on A. The head is chosen to maximize the
+// smaller of the two chunks, the first such head on a tie; when every head
+// leaves a chunk empty, s = e = nb and the sweep runs serially.
+func twoPhaseSplit(colPtr, rowIdx []int32) (s, e int) {
 	nb := len(colPtr) - 1
 	reach := make([]int32, nb)
 	for i := range reach {
@@ -75,19 +78,27 @@ func twoPhaseSplit(colPtr, rowIdx []int32) (int, []int32) {
 			reach[rowIdx[p]] = min(reach[rowIdx[p]], reach[j])
 		}
 	}
-	// far[s] counts the rows with reach ≥ s: B_far's size for a head of s.
-	far := make([]int32, nb+1)
-	for _, r := range reach {
-		far[r]++
-	}
-	for s := nb - 1; s >= 0; s-- {
-		far[s] += far[s+1]
-	}
-	best, split := 0, nb
-	for s := 1; s < nb; s++ {
-		if m := min(s, int(far[s])); m > best {
-			best, split = m, s
+	// Walk the heads from the back. Past head h, the first row whose reach
+	// is < h is among the rows whose reach is below that of every row
+	// between them and h; low holds those rows, nearest on top.
+	s, e = nb, nb
+	best := 0
+	var low []int32
+	for h := nb - 1; h > 0; h-- {
+		for len(low) > 0 && reach[low[len(low)-1]] >= reach[h] {
+			low = low[:len(low)-1]
 		}
+		end := h // reach[h] < h: row h itself depends on the head
+		if int(reach[h]) == h {
+			end = nb
+			if len(low) > 0 {
+				end = int(low[len(low)-1])
+			}
+		}
+		if m := min(h, end-h); m > 0 && m >= best {
+			best, s, e = m, h, end
+		}
+		low = append(low, int32(h))
 	}
-	return split, reach
+	return s, e
 }

@@ -138,12 +138,12 @@ func TestLevelScheduleRespectsDependencies(t *testing.T) {
 			tri   *TriRows
 			upper bool
 		}{{"fwd", bt.Fwd, &bt.Lower, false}, {"bwd", bt.Bwd, &bt.Upper, true}} {
-			if len(dir.tri.Rows) != nb {
-				t.Fatalf("%s %s: order holds %d block rows, want %d", name, dir.name, len(dir.tri.Rows), nb)
-			}
-			at := make([]int, nb) // block row → stored position
-			for k, r := range dir.tri.Rows {
-				at[r] = k
+			// at maps a block row to its stored position.
+			at := func(r int32) int {
+				if dir.upper {
+					return nb - 1 - int(r)
+				}
+				return int(r)
 			}
 			// run returns the phase part of position k: 0 inline before,
 			// 1 and 2 the chunks, 3 inline after.
@@ -158,14 +158,18 @@ func TestLevelScheduleRespectsDependencies(t *testing.T) {
 				}
 				return 3
 			}
-			for k, r := range dir.tri.Rows {
-				cols, _ := bt.Row(int(r), dir.upper)
+			for k := 0; k < nb; k++ {
+				r := k
+				if dir.upper {
+					r = nb - 1 - k
+				}
+				cols, _ := bt.Row(r, dir.upper)
 				deps := cols[:len(cols)-1]
 				if dir.upper {
 					deps = cols[1:]
 				}
 				for _, dep := range deps {
-					d := at[dep]
+					d := at(dep)
 					if d >= k {
 						t.Fatalf("%s %s: row %d at %d depends on row %d stored after it, at %d", name, dir.name, r, k, dep, d)
 					}

@@ -76,7 +76,8 @@ func TestSymBCSRStoresUpperTriangle(t *testing.T) {
 	}
 	sameCSR(t, "sym", b.ToCSR(), m)
 	sameCSR(t, "full", full.ToCSR(), m)
-	// 5 of this stencil's 9 tiles per row are kept, plus a spill slot each.
+	// 5 of this stencil's 9 tiles per row are kept, plus a spill slot for
+	// each that reaches past its stripe.
 	if b.MemoryBytes() >= full.MemoryBytes()*6/10 {
 		t.Errorf("Sym storage takes %d bytes, full %d: want under 60%%", b.MemoryBytes(), full.MemoryBytes())
 	}

@@ -78,9 +78,9 @@ const (
 func ParsePrecond(s string) (Precond, error) { return solver.ParsePrecond(s) }
 
 // Orderings of SolverOptions.Ordering and SolveStats.Ordering. The
-// ordering IC0 factors under follows the matrix, not the request: an
-// engine's lattices carry the two-ended order (OrderingTwoEnded), and a
-// bare matrix factors natural (solver.ResolveOrdering).
+// ordering IC0 factors under follows the matrix, not the request: IC0
+// factors in the matrix's own row order, and an engine's lattices number
+// their free nodes in the two-ended order (OrderingTwoEnded).
 const (
 	// OrderingAuto (the default) lets the matrix decide.
 	OrderingAuto = solver.OrderingAuto
