@@ -1,10 +1,12 @@
 // Command serve exposes the MORE-Stress batch engine over HTTP: scenario
 // solves share cached unit-block ROMs (the one-shot local stage runs once
 // per distinct unit cell, even under concurrent requests) and repeated
-// direct solves of the same lattice share a Cholesky factorization. The ROM
-// cache is admitted by bytes — each model's MemoryBytes against the
-// -cache-bytes budget — so one large lattice cannot evict a working set of
-// small ones.
+// solves of the same lattice share one assembly of its reduced matrix, with
+// the preconditioner or Cholesky factor cached on it. The ROM cache is
+// admitted by bytes — each model's MemoryBytes against the -cache-bytes
+// budget — so one large lattice cannot evict a working set of small ones,
+// and so is the assembly cache, against -assembly-bytes, which counts
+// everything cached on an assembly, direct factors included.
 //
 // # Synchronous endpoints
 //
@@ -77,9 +79,10 @@
 // With -shards N > 1 the process runs N independent engines behind one
 // listener, each owning the slice of lattice keyspace a rendezvous-hash
 // table assigns it (see internal/router). Requests route by lattice key —
-// the same string the engine's assembly, preconditioner, unit-load solution,
-// and factor caches are keyed by — so each lattice's cached state lives in
-// exactly one shard and the lattice-keyed caches stop contending. The
+// the same string the engine's assembly cache is keyed by, and with it the
+// preconditioners, factor and unit-load solutions cached on each assembly —
+// so each lattice's cached state lives in exactly one shard and the
+// lattice-keyed caches stop contending. The
 // content-addressed ROM cache stays shared across shards (ROMs are
 // lattice-independent). -workers is split evenly across shards. /stats
 // breaks the solver counters out per shard under "shards".
@@ -102,7 +105,10 @@
 // tracked async jobs, queued through retained (default 2²⁷ ≈ 1 GiB of
 // float64 samples — a job is charged its includeField scenarios' samples
 // for its whole TTL and, until it finishes, its largest dropped field, so
-// parked results cannot exhaust memory; over-budget submissions get 429).
+// parked results cannot exhaust memory; over-budget submissions get 429);
+// -assembly-bytes is 1 GiB across at most 16 lattices, each assembly
+// counted with its preconditioners, Cholesky factor and unit-load
+// solutions (0 leaves only the entry cap).
 //
 // # Durability
 //
@@ -177,7 +183,7 @@ func main() {
 	journalDir := flag.String("journal-dir", "",
 		"directory for the async job journal: accepted jobs are fsynced and recovered after a crash (empty disables durability)")
 	assemblyBytes := flag.Int64("assembly-bytes", 1<<30,
-		"byte budget of the assemble-once cache of reduced global matrices (0 = entry-count bound only)")
+		"byte budget of the assemble-once cache of reduced global matrices, counting the preconditioners, direct Cholesky factors and unit-load solutions cached on them (0 = entry-count bound only)")
 	flag.Parse()
 
 	engineOpt := morestress.EngineOptions{

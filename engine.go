@@ -24,8 +24,8 @@ const (
 	SolveCG
 	// SolveDirect factors the reduced global matrix with sparse Cholesky.
 	// Under the Engine, repeated Direct jobs on the same unit cell, array
-	// size, and boundary condition share one factorization, so batches of
-	// load sweeps pay it once.
+	// size, and boundary condition share one factorization, cached on the
+	// lattice's assembly, so batches of load sweeps pay it once.
 	SolveDirect
 )
 
@@ -115,29 +115,22 @@ type EngineOptions struct {
 	CacheEntries int
 	// CacheDir enables disk spill of built ROMs (empty disables).
 	CacheDir string
-	// BuildWorkers is the local-stage parallelism of cache-miss builds
-	// (default GOMAXPROCS).
-	BuildWorkers int
-	// MaxFactors bounds the shared Cholesky factorization cache used by
-	// SolveDirect jobs by entry count (default 16).
-	MaxFactors int
-	// FactorBytes additionally bounds the factorization cache by the sum
-	// of the factors' MemoryBytes (0 = entry-count bound only).
-	FactorBytes int64
 	// MaxAssemblies bounds the shared assemble-once cache of reduced
 	// global systems by entry count (default 16). Every solver kind uses
 	// it: a ΔT sweep on one lattice assembles the global matrix once.
 	MaxAssemblies int
 	// AssemblyBytes additionally bounds the assembly cache by the sum of
-	// the assemblies' MemoryBytes (0 = entry-count bound only).
+	// the assemblies' MemoryBytes, which count everything cached on them:
+	// preconditioners, Cholesky factors, unit-load solutions and their
+	// fields (0 = entry-count bound only).
 	AssemblyBytes int64
 	// SharedCache, when non-nil, is used as the engine's ROM cache instead
-	// of building a private one (CacheBytes/CacheEntries/CacheDir/
-	// BuildWorkers are then ignored). The ROM cache is content-addressed
-	// and shard-agnostic, so in-process engine shards share one: each
-	// distinct unit cell pays the local stage once per process, while the
-	// lattice-keyed caches (assemblies with their preconditioners and
-	// unit-load solutions, factors) stay private per shard.
+	// of building a private one (CacheBytes/CacheEntries/CacheDir are then
+	// ignored). The ROM cache is content-addressed and shard-agnostic, so
+	// in-process engine shards share one: each distinct unit cell pays the
+	// local stage once per process, while the lattice-keyed assembly cache
+	// (with the preconditioners, factors and unit-load solutions on each
+	// assembly) stays private per shard.
 	SharedCache *romcache.Cache
 }
 
@@ -148,7 +141,8 @@ type EngineStats struct {
 	// JobsDone and JobsFailed count completed jobs since engine creation.
 	JobsDone, JobsFailed int64
 	// Factorizations counts Cholesky factorizations performed for
-	// SolveDirect jobs; FactorHits counts Direct solves that reused one.
+	// SolveDirect jobs; FactorHits counts Direct solves that reused the one
+	// cached on their lattice's Assembly.
 	Factorizations, FactorHits int64
 	// Assemblies counts reduced-global assemblies built; AssemblyHits
 	// counts solves that reused a cached one instead of re-scattering the
@@ -244,24 +238,24 @@ type Solver interface {
 // each distinct unit cell pays the one-shot local stage once (even under
 // concurrent submission, via singleflight), assembles the reduced global
 // matrix once per lattice (shared by every solver kind, with the
-// preconditioners of iterative solves cached on the same snapshot — built
-// at most once per lattice and kind), shares sparse Cholesky
-// factorizations across repeated Direct solves, and answers uniform-ΔT
-// iterative jobs as ΔT times one unit-load solution cached per lattice, so
-// an answer never depends on what its lattice solved before. The
-// Workers bound holds across every entry point: concurrent Solve calls and
-// overlapping BatchSolve calls together never run more than Workers jobs at
-// once. An Engine is safe for concurrent use; create one and reuse it.
+// preconditioners of iterative solves and the sparse Cholesky factor of
+// Direct solves cached on the same snapshot — each built at most once per
+// lattice and kind), and answers uniform-ΔT iterative jobs as ΔT times one
+// unit-load solution cached per lattice, so an answer never depends on
+// what its lattice solved before. The Workers bound holds across every
+// entry point: concurrent Solve calls and overlapping BatchSolve calls
+// together never run more than Workers jobs at once. An Engine is safe for concurrent use; create one and reuse it.
 type Engine struct {
 	opt        EngineOptions
 	cache      *romcache.Cache
-	factors    *factorCache
-	assemblies *memo[*array.Assembly]
+	assemblies *array.OnceMap[string, *array.Assembly]
 	// sem is the engine-wide job bound: every solve holds one slot, so
 	// Solve and BatchSolve share the same Workers budget.
 	sem chan struct{}
 
 	jobsDone, jobsFailed        atomic.Int64
+	asmBuilds, asmHits          atomic.Int64
+	factorBuilds, factorHits    atomic.Int64
 	iterativeSolves, warmStarts atomic.Int64
 	iterations                  atomic.Int64
 	precondBuilds, precondHits  atomic.Int64
@@ -275,9 +269,6 @@ func NewEngine(opt EngineOptions) *Engine {
 	if opt.Workers <= 0 {
 		opt.Workers = solver.DefaultWorkers()
 	}
-	if opt.MaxFactors <= 0 {
-		opt.MaxFactors = 16
-	}
 	if opt.MaxAssemblies <= 0 {
 		opt.MaxAssemblies = 16
 	}
@@ -287,19 +278,14 @@ func NewEngine(opt EngineOptions) *Engine {
 			MaxBytes:   opt.CacheBytes,
 			MaxEntries: opt.CacheEntries,
 			Dir:        opt.CacheDir,
-			Workers:    opt.BuildWorkers,
 		})
 	}
 	return &Engine{
 		opt:   opt,
 		cache: cache,
-		factors: &factorCache{memo: memo[*solver.CholFactor]{
-			max: opt.MaxFactors, maxBytes: opt.FactorBytes,
-			size: (*solver.CholFactor).MemoryBytes,
-		}},
-		assemblies: &memo[*array.Assembly]{
-			max: opt.MaxAssemblies, maxBytes: opt.AssemblyBytes,
-			size: (*array.Assembly).MemoryBytes,
+		assemblies: &array.OnceMap[string, *array.Assembly]{
+			Max: opt.MaxAssemblies, MaxBytes: opt.AssemblyBytes,
+			Size: (*array.Assembly).MemoryBytes,
 		},
 		sem: make(chan struct{}, opt.Workers),
 	}
@@ -325,10 +311,10 @@ func (e *Engine) Stats() EngineStats {
 		Cache:              e.cache.Stats(),
 		JobsDone:           e.jobsDone.Load(),
 		JobsFailed:         e.jobsFailed.Load(),
-		Factorizations:     e.factors.built.Load(),
-		FactorHits:         e.factors.hits.Load(),
-		Assemblies:         e.assemblies.built.Load(),
-		AssemblyHits:       e.assemblies.hits.Load(),
+		Factorizations:     e.factorBuilds.Load(),
+		FactorHits:         e.factorHits.Load(),
+		Assemblies:         e.asmBuilds.Load(),
+		AssemblyHits:       e.asmHits.Load(),
 		IterativeSolves:    e.iterativeSolves.Load(),
 		WarmStarts:         e.warmStarts.Load(),
 		Iterations:         e.iterations.Load(),
@@ -413,11 +399,11 @@ const engineBC = array.ClampedTopBottom
 // LatticeKey identifies the job's reduced global system: ROM content (the
 // SHA-256 of the unit-cell spec), array dimensions, and BC pattern —
 // everything the matrix depends on and nothing it does not (the thermal
-// load). It is the key of every lattice-affine cache in the engine
-// (assembly, preconditioner, unit-load solution, factor), and therefore also
-// the routing key of the shard router: requests with equal LatticeKeys must
-// land on the same replica for those caches to stay hot. Empty when the
-// spec cannot be hashed.
+// load). It is the key of the engine's assembly cache, and so of
+// everything cached on an assembly (preconditioners, factor, unit-load
+// solutions), and therefore also the routing key of the shard router:
+// requests with equal LatticeKeys must land on the same replica for those
+// caches to stay hot. Empty when the spec cannot be hashed.
 func LatticeKey(job Job) string {
 	key, err := romcache.Key(job.Config.romSpec(true))
 	if err != nil {
@@ -468,18 +454,19 @@ func (e *Engine) solve(job Job, index, workers int) *JobResult {
 		// Assemble-once: the reduced global system depends on the ROM
 		// content, the array dimensions, and the BC pattern — not on ΔT —
 		// so every scenario on the lattice shares one assembly.
-		asm, aerr := e.assemblies.getOrBuild(key, func() (*array.Assembly, error) {
+		asm, built, aerr := e.assemblies.Get(key, func() (*array.Assembly, error) {
 			return array.NewAssembly(prob, workers)
 		})
 		if aerr != nil {
 			res.Err = fmt.Errorf("morestress: job global assembly: %w", aerr)
 			return res
 		}
-		prob.Assembly = asm
-		if kind == array.Direct {
-			prob.Factors = e.factors
-			prob.FactorKey = key
+		if built {
+			e.asmBuilds.Add(1)
+		} else {
+			e.asmHits.Add(1)
 		}
+		prob.Assembly = asm
 	}
 	ar, err := solveGlobal(prob, job.GridSamples)
 	if err != nil {
@@ -487,10 +474,17 @@ func (e *Engine) solve(job Job, index, workers int) *JobResult {
 		return res
 	}
 	sol := ar.Solution
-	// Count only solves that actually ran an iterative solver: Direct jobs
-	// and degenerate all-constrained lattices (no free DoFs, QFree empty)
-	// would otherwise skew the warm-start hit rate.
-	if kind != array.Direct && len(sol.QFree) > 0 {
+	switch {
+	case len(sol.QFree) == 0:
+		// A degenerate all-constrained lattice ran no solver; counting it
+		// would skew the factor and warm-start hit rates.
+	case kind == array.Direct:
+		if sol.PrecondShared {
+			e.factorHits.Add(1)
+		} else {
+			e.factorBuilds.Add(1)
+		}
+	default:
 		e.iterativeSolves.Add(1)
 		e.iterations.Add(int64(sol.Stats.Iterations))
 		if sol.Stats.Warm {
@@ -513,96 +507,4 @@ func (e *Engine) solve(job Job, index, workers int) *JobResult {
 	}
 	res.Result = ar
 	return res
-}
-
-// memo is a keyed build-once cache with singleflight deduplication, an
-// entry-count bound, and an optional byte budget over size(value). When over
-// either budget, arbitrary entries other than the newest are dropped (the
-// cached artifacts are cheap to rebuild relative to holding unbounded
-// memory). The zero sizes are never counted; size must not be nil.
-type memo[T any] struct {
-	flight   romcache.Group[T]
-	max      int
-	maxBytes int64
-	size     func(T) int64
-
-	mu sync.Mutex
-	// guarded by mu
-	m     map[string]T
-	bytes int64 // guarded by mu
-
-	built, hits atomic.Int64
-}
-
-func (c *memo[T]) getOrBuild(key string, build func() (T, error)) (T, error) {
-	if v, ok := c.lookup(key); ok {
-		c.hits.Add(1)
-		return v, nil
-	}
-	v, err, shared := c.flight.Do(key, func() (T, error) {
-		if v, ok := c.lookup(key); ok {
-			return v, nil
-		}
-		v, err := build()
-		if err != nil {
-			return v, err
-		}
-		c.built.Add(1)
-		c.insert(key, v)
-		return v, nil
-	})
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	if shared {
-		c.hits.Add(1)
-	}
-	return v, nil
-}
-
-func (c *memo[T]) lookup(key string) (T, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *memo[T]) insert(key string, v T) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]T)
-	}
-	c.m[key] = v
-	// Re-sum the byte footprint from scratch: cached values can grow after
-	// insertion (an Assembly lazily caches preconditioners), so incremental
-	// accounting would drift. Entry counts are small (c.max, default 16).
-	c.bytes = 0
-	for _, e := range c.m {
-		c.bytes += c.size(e)
-	}
-	// Drop arbitrary other entries until both budgets hold; the entry just
-	// inserted always stays (it is about to be used).
-	for k, old := range c.m {
-		if len(c.m) <= c.max && (c.maxBytes <= 0 || c.bytes <= c.maxBytes) {
-			break
-		}
-		if k == key {
-			continue
-		}
-		delete(c.m, k)
-		c.bytes -= c.size(old)
-	}
-}
-
-// factorCache memoizes sparse Cholesky factorizations for Direct solves; it
-// adapts the generic memo to the array.FactorCache interface.
-type factorCache struct {
-	memo[*solver.CholFactor]
-}
-
-// GetOrFactor implements array.FactorCache.
-func (f *factorCache) GetOrFactor(key string, build func() (*solver.CholFactor, error)) (*solver.CholFactor, error) {
-	return f.getOrBuild(key, build)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/array"
 	"repro/internal/mesh"
 	"repro/internal/solver"
 )
@@ -203,5 +204,53 @@ func TestEnginePrecondCacheInvalidatedWithAssembly(t *testing.T) {
 	s = e.Stats()
 	if s.PrecondBuilds != 2 || s.PrecondHits != 2 {
 		t.Errorf("builds/hits = %d/%d, want 2/2", s.PrecondBuilds, s.PrecondHits)
+	}
+}
+
+// TestEngineDirectFactorCountsInAssemblyBytes: a Direct job's Cholesky
+// factor lives on its lattice's assembly and counts against AssemblyBytes.
+// Two lattices whose bare assemblies fit the budget together no longer do
+// once factored, so alternating Direct solves between them refactor every
+// time; with room for both factors, the second round reuses them.
+func TestEngineDirectFactorCountsInAssemblyBytes(t *testing.T) {
+	cfg := testConfig(15)
+	lattices := [][2]int{{2, 2}, {2, 3}}
+	e := NewEngine(EngineOptions{Workers: 1})
+	r, _, err := e.cache.Get(cfg.romSpec(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare, factored int64
+	for _, dims := range lattices {
+		p := globalProblem(r, dims[0], dims[1], -100, nil, array.Direct, SolverOptions{}, 1)
+		asm, err := array.NewAssembly(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare += asm.MemoryBytes()
+		p.Assembly = asm
+		if _, err := array.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+		factored += asm.MemoryBytes()
+	}
+	for _, c := range []struct {
+		budget               int64
+		factorizations, hits int64
+	}{
+		{bare, 4, 0},
+		{factored, 2, 2},
+	} {
+		e := NewEngine(EngineOptions{Workers: 1, AssemblyBytes: c.budget, SharedCache: e.cache})
+		for round := 0; round < 2; round++ {
+			for _, dims := range lattices {
+				if _, err := e.Solve(Job{Config: cfg, Rows: dims[0], Cols: dims[1], DeltaT: -100, Solver: SolveDirect}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if s := e.Stats(); s.Factorizations != c.factorizations || s.FactorHits != c.hits {
+			t.Errorf("budget %d B: factorizations/hits = %d/%d, want %d/%d", c.budget, s.Factorizations, s.FactorHits, c.factorizations, c.hits)
+		}
 	}
 }

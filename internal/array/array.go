@@ -89,25 +89,6 @@ type Problem struct {
 	// Solve checks the cheap structural invariants (dimensions, node
 	// counts, BC kind) and trusts the rest.
 	Assembly *Assembly
-	// Factors optionally shares sparse Cholesky factorizations across
-	// repeated Direct solves: when set together with FactorKey, the Direct
-	// branch asks the cache instead of factoring unconditionally. The
-	// reduced global matrix depends only on the ROMs, the array size, the
-	// dummy layout, and the BC pattern — not on the thermal load — so
-	// batches of Direct solves over one lattice pay the factorization once.
-	Factors FactorCache
-	// FactorKey identifies the reduced global matrix to Factors. The
-	// caller must fold in everything the matrix depends on (ROM content,
-	// Bx×By, BC kind, dummy layout); an empty key disables sharing.
-	FactorKey string
-}
-
-// FactorCache supplies memoized sparse Cholesky factorizations for Direct
-// solves. GetOrFactor returns the cached factorization for key, calling
-// build (and retaining its result) on the first request. Implementations
-// must be safe for concurrent use.
-type FactorCache interface {
-	GetOrFactor(key string, build func() (*solver.CholFactor, error)) (*solver.CholFactor, error)
 }
 
 // Lattice is the global surface-node lattice: integer coordinates
@@ -240,11 +221,12 @@ type Solution struct {
 	// AssemblyShared reports that the reduced system came from
 	// Problem.Assembly instead of being assembled by this Solve call.
 	AssemblyShared bool
-	// PrecondShared reports that an iterative solve's preconditioner came
-	// from the assembly's per-kind cache (built by an earlier solve on the
-	// same lattice) rather than being constructed by this call; the one
-	// solve that populates the cache records the cost in
-	// Stats.PrecondBuild. A scaled SolveUniform answer counts as shared.
+	// PrecondShared reports that the solve's preconditioner — for Direct,
+	// its Cholesky factor — came from the assembly's cache (built by an
+	// earlier solve on the same lattice) rather than being constructed by
+	// this call; for iterative solves, the one solve that populates the
+	// cache records the cost in Stats.PrecondBuild. A scaled SolveUniform
+	// answer counts as shared.
 	PrecondShared bool
 	// Precision is the storage precision of the solve's preconditioner
 	// factor (mirrors Stats.Precision; PrecisionFloat64 for direct solves,
@@ -276,11 +258,13 @@ type Solution struct {
 // matrix, so every scenario, ΔT sweep, and async job on the lattice shares
 // it). The reduced matrix A_ff is held once, as 3×3 tiles (Blocked): every
 // Krylov mat-vec and preconditioner build reads them, and the direct solver
-// expands them to a transient CSR only when it factors. The Assembly also
-// caches the unit-load solutions SolveUniform scales, and the von Mises
-// fields sampled from them. The reduced system itself is immutable after
-// NewAssembly; every cache is internally synchronized, so an Assembly is
-// safe to share across concurrent Solve and SolveUniform calls.
+// expands them to a transient CSR only to factor it, once per lattice: the
+// sparse Cholesky factor is cached next to the preconditioners. The
+// Assembly also caches the unit-load solutions SolveUniform scales, and
+// the von Mises fields sampled from them. The reduced system itself is
+// immutable after NewAssembly; every cache is internally synchronized, so
+// an Assembly is safe to share across concurrent Solve and SolveUniform
+// calls.
 type Assembly struct {
 	// Lat is the global surface-node lattice.
 	Lat *Lattice
@@ -306,11 +290,12 @@ type Assembly struct {
 	aff *sparse.BCSR
 
 	// preconds caches the lazily built preconditioners, one per
-	// (kind, precision); units caches the unit-load solutions
-	// SolveUniform scales, at most maxUnitSolutions of them, each with
-	// its von Mises fields.
-	preconds onceMap[precondKey, solver.Preconditioner]
-	units    onceMap[unitKey, *unitSolution]
+	// (kind, precision), and chol the Cholesky factor of Direct solves;
+	// units caches the unit-load solutions SolveUniform scales, at most
+	// maxUnitSolutions of them, each with its von Mises fields.
+	preconds OnceMap[precondKey, solver.Preconditioner]
+	chol     OnceMap[struct{}, *solver.CholFactor]
+	units    OnceMap[unitKey, *unitSolution]
 }
 
 // precondKey identifies one cached preconditioner: the concrete kind plus,
@@ -321,67 +306,6 @@ type Assembly struct {
 type precondKey struct {
 	kind solver.PrecondKind
 	prec solver.Precision
-}
-
-// onceMap caches values built at most once per key: the Once of an entry
-// covers concurrent first requests, and every later request shares the
-// result (an error included).
-type onceMap[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*onceEntry[V] // guarded by mu
-}
-
-type onceEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-	// ready is set under onceMap.mu after the build completes, so each can
-	// read v without racing the builder.
-	ready bool
-}
-
-// get returns key's entry, running build first if no request has; built
-// reports that this call ran it. max > 0 caps the entries: adding one past
-// it drops an arbitrary other entry, whose waiters still finish on their
-// own pointer and which a later request rebuilds.
-func (c *onceMap[K, V]) get(key K, max int, build func() (V, error)) (e *onceEntry[V], built bool) {
-	c.mu.Lock()
-	e = c.m[key]
-	if e == nil {
-		if c.m == nil {
-			c.m = make(map[K]*onceEntry[V])
-		}
-		e = &onceEntry[V]{}
-		c.m[key] = e
-		for k := range c.m {
-			if max <= 0 || len(c.m) <= max {
-				break
-			}
-			if k != key {
-				delete(c.m, k)
-			}
-		}
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		built = true
-		e.v, e.err = build()
-	})
-	c.mu.Lock()
-	e.ready = true
-	c.mu.Unlock()
-	return e, built
-}
-
-// each calls f on every value built without error.
-func (c *onceMap[K, V]) each(f func(V)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.m {
-		if e.ready && e.err == nil {
-			f(e.v)
-		}
-	}
 }
 
 // AssemblyPrecond is the outcome of Assembly.PreconditionerPrec.
@@ -427,16 +351,16 @@ func (a *Assembly) PreconditionerPrec(kind solver.PrecondKind, ord solver.Orderi
 	key := a.precondKey(kind, prec)
 	ord = orderingOf(key.kind)
 	var build time.Duration
-	e, built := a.preconds.get(key, 0, func() (solver.Preconditioner, error) {
+	m, built, err := a.preconds.Get(key, func() (solver.Preconditioner, error) {
 		t0 := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 		defer func() { build = time.Since(t0) }()
 		return solver.NewPreconditioner(key.kind, key.prec, a.aff)
 	})
-	if e.err != nil {
-		return AssemblyPrecond{Kind: key.kind, Ordering: ord}, e.err
+	if err != nil {
+		return AssemblyPrecond{Kind: key.kind, Ordering: ord}, err
 	}
-	out := AssemblyPrecond{M: e.v, Kind: key.kind, Ordering: ord, Precision: solver.PrecisionFloat64, Hit: !built, Build: build}
-	if fp, ok := e.v.(solver.FactorPrecisioned); ok {
+	out := AssemblyPrecond{M: m, Kind: key.kind, Ordering: ord, Precision: solver.PrecisionFloat64, Hit: !built, Build: build}
+	if fp, ok := m.(solver.FactorPrecisioned); ok {
 		out.Precision = fp.FactorPrecision()
 	}
 	return out, nil
@@ -515,7 +439,8 @@ func NewAssembly(p *Problem, _ int) (*Assembly, error) {
 	twoEndedOrder(lat, freeOf)
 	inc := newIncidence(p, lat)
 	aff, pairs := inc.scatter(freeOf, freeOf, nFree, nFree, true)
-	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs}
+	asm := &Assembly{Lat: lat, BC: p.BC, BCNodes: bcNodes, AllBC: nFree == 0, NNZ: 9 * pairs,
+		units: OnceMap[unitKey, *unitSolution]{Max: maxUnitSolutions}}
 	if !asm.AllBC {
 		red := &fem.Reduced{
 			Bf:      inc.unitLoad(freeOf, nFree),
@@ -550,9 +475,10 @@ func (a *Assembly) NumFree() int {
 }
 
 // MemoryBytes estimates the snapshot's storage footprint, for byte-budgeted
-// caches. Lazily cached preconditioners, unit-load solutions and their
-// von Mises fields count too, so the assembly cache's byte budget sees them
-// (it re-sums entry sizes on every insert because of exactly this growth).
+// caches. Lazily cached preconditioners, the Cholesky factor, unit-load
+// solutions and their von Mises fields count too, so the assembly cache's
+// byte budget sees them (it re-sums entry sizes after every build because
+// of exactly this growth).
 func (a *Assembly) MemoryBytes() int64 {
 	b := int64(4*len(a.Lat.Index)) + int64(24*len(a.Lat.Nodes)) + int64(4*len(a.BCNodes))
 	if a.Red != nil {
@@ -562,14 +488,15 @@ func (a *Assembly) MemoryBytes() int64 {
 		}
 		b += int64(8*len(a.Red.Bf)) + int64(4*(len(a.Red.FreeIdx)+len(a.Red.BCIdx)))
 	}
-	a.preconds.each(func(m solver.Preconditioner) {
+	a.preconds.Each(func(m solver.Preconditioner) {
 		if s, ok := m.(solver.Sized); ok {
 			b += s.MemoryBytes()
 		}
 	})
-	a.units.each(func(u *unitSolution) {
+	a.chol.Each(func(f *solver.CholFactor) { b += f.MemoryBytes() })
+	a.units.Each(func(u *unitSolution) {
 		b += int64(8*(len(u.sol.QFree)+len(u.sol.Q))) + 128 // 128: the Stats, rounded up
-		u.fields.each(func(f *field.Grid2D) { b += int64(8 * len(f.V)) })
+		u.fields.Each(func(f *field.Grid2D) { b += int64(8 * len(f.V)) })
 	})
 	return b
 }
@@ -738,16 +665,13 @@ func Solve(p *Problem) (*Solution, error) {
 		case CG:
 			return solver.PCG(asm.aff, rhs, nil, opt)
 		case Direct:
-			factor := func() (*solver.CholFactor, error) { return solver.NewCholesky(asm.aff.ToCSR()) }
-			var chol *solver.CholFactor
-			if p.Factors != nil && p.FactorKey != "" {
-				chol, err = p.Factors.GetOrFactor(p.FactorKey, factor)
-			} else {
-				chol, err = factor()
-			}
+			chol, built, err := asm.chol.Get(struct{}{}, func() (*solver.CholFactor, error) {
+				return solver.NewCholesky(asm.aff.ToCSR())
+			})
 			if err != nil {
 				return nil, stats, err
 			}
+			precondShared = !built
 			return chol.Solve(rhs), solver.Stats{Converged: true, Ordering: solver.OrderingNatural, Precision: solver.PrecisionFloat64}, nil
 		default:
 			return solver.GMRES(asm.aff, rhs, nil, opt)
@@ -843,21 +767,22 @@ func (a *Assembly) unitKey(p *Problem) unitKey {
 }
 
 // unitSolution is a cached unit-load (ΔT = 1) solve and the von Mises
-// fields sampled from it, one per grid size. The solution's Prob snapshot
-// holds no Assembly, so a scaled answer that records its unitSolution does
-// not pin the assembly either.
+// fields sampled from it, one per grid size, at most maxUnitFields of
+// them. The solution's Prob snapshot holds no Assembly, so a scaled answer
+// that records its unitSolution does not pin the assembly either.
 type unitSolution struct {
 	sol    *Solution
-	fields onceMap[int, *field.Grid2D]
+	fields OnceMap[int, *field.Grid2D]
 }
 
 // vmField returns the unit solution's von Mises field at grid size gs,
 // sampling it on first use; concurrent first callers share one sampling.
+// It is nil if the sampling this call waited on panicked.
 func (u *unitSolution) vmField(gs, workers int) *field.Grid2D {
-	e, _ := u.fields.get(gs, maxUnitFields, func() (*field.Grid2D, error) {
+	f, _, _ := u.fields.Get(gs, func() (*field.Grid2D, error) {
 		return u.sol.VMField(gs, workers), nil
 	})
-	return e.v
+	return f
 }
 
 // SolveUniform answers a uniform-ΔT problem on a shared Assembly as ΔT
@@ -884,7 +809,7 @@ func SolveUniform(p *Problem) (*Solution, error) {
 	}
 	start := time.Now() //stressvet:allow determinism -- wall clock feeds Stats timing only, never numerics
 	var fresh *Solution
-	e, _ := asm.units.get(asm.unitKey(p), maxUnitSolutions, func() (*unitSolution, error) {
+	u, _, err := asm.units.Get(asm.unitKey(p), func() (*unitSolution, error) {
 		unit := *p
 		unit.DeltaT = 1
 		sol, err := Solve(&unit)
@@ -893,12 +818,11 @@ func SolveUniform(p *Problem) (*Solution, error) {
 		}
 		answer := *sol
 		fresh = &answer
-		return &unitSolution{sol: sol}, nil
+		return &unitSolution{sol: sol, fields: OnceMap[int, *field.Grid2D]{Max: maxUnitFields}}, nil
 	})
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
-	u := e.v
 	qf := make([]float64, len(u.sol.QFree))
 	for i, v := range u.sol.QFree {
 		qf[i] = dt * v
@@ -960,13 +884,14 @@ func (p *Problem) blockDeltaT(bx, by int) float64 {
 //stressvet:gang -- fixed pool of `workers` goroutines draining the batch channel
 func (s *Solution) VMField(gs int, workers int) *field.Grid2D {
 	if s.unit != nil && unitFieldCached(s.Prob.Bx, s.Prob.By, gs) {
-		unit := s.unit.vmField(gs, workers)
-		out := field.New(unit.NX, unit.NY)
-		k := math.Abs(s.Prob.DeltaT)
-		for i, v := range unit.V {
-			out.V[i] = k * v
+		if unit := s.unit.vmField(gs, workers); unit != nil {
+			out := field.New(unit.NX, unit.NY)
+			k := math.Abs(s.Prob.DeltaT)
+			for i, v := range unit.V {
+				out.V[i] = k * v
+			}
+			return out
 		}
-		return out
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

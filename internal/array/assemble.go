@@ -101,30 +101,34 @@ func latticeOrder(r *rom.ROM) []int32 {
 // then depend on each other only through the nodes on the line, and its
 // triangular sweeps run them at once (sparse.LevelSchedule).
 func twoEndedOrder(lat *Lattice, freeOf []int32) {
-	line, other, cut := 0, 1, (lat.Bx/2)*(lat.NxN-1)
+	// The keys are lattice coordinates, so walking the lattice sites in key
+	// order numbers the nodes without a sort.
+	nl, no, cut := lat.GX, lat.GY, (lat.Bx/2)*(lat.NxN-1)
+	at := func(l, z, o int) int32 { return lat.NodeID(l, o, z) }
 	if lat.By > lat.Bx {
-		line, other, cut = 1, 0, (lat.By/2)*(lat.NyN-1)
+		nl, no, cut = lat.GY, lat.GX, (lat.By/2)*(lat.NyN-1)
+		at = func(l, z, o int) int32 { return lat.NodeID(o, l, z) }
 	}
-	// Half A sorts ascending and half B after it, descending.
-	key := func(id int32) [4]int {
-		t := lat.Nodes[id]
-		if t[line] >= cut {
-			return [4]int{1, -t[line], -t[2], -t[other]}
-		}
-		return [4]int{0, t[line], t[2], t[other]}
-	}
-	order := make([]int32, 0, len(freeOf))
-	for id, f := range freeOf {
-		if f >= 0 {
-			order = append(order, int32(id))
+	next := int32(0)
+	number := func(l, z, o int) {
+		if id := at(l, z, o); id >= 0 && freeOf[id] >= 0 {
+			freeOf[id] = next
+			next++
 		}
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ka, kb := key(a), key(b)
-		return slices.Compare(ka[:], kb[:])
-	})
-	for k, id := range order {
-		freeOf[id] = int32(k)
+	for l := 0; l < cut; l++ {
+		for z := 0; z < lat.GZ; z++ {
+			for o := 0; o < no; o++ {
+				number(l, z, o)
+			}
+		}
+	}
+	for l := nl - 1; l >= cut; l-- {
+		for z := lat.GZ - 1; z >= 0; z-- {
+			for o := no - 1; o >= 0; o-- {
+				number(l, z, o)
+			}
+		}
 	}
 }
 
@@ -171,7 +175,7 @@ type rowClass [4]struct {
 // the class at that position shares its entry. Serial, and bitwise
 // reproducible.
 func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool) (*sparse.BCSR, int) {
-	memo := map[[4]int32]tileRow{}
+	rowOfBlocks := map[[4]int32]tileRow{}
 	var coupled []coupling
 	byCol := func(a, b coupling) int { return cmp.Compare(colOf[a.node], colOf[b.node]) }
 	rows := make([]tileRow, nr)
@@ -184,7 +188,7 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool) (*spars
 		for i, e := range inc {
 			key[i] = e / int32(in.nS)
 		}
-		tr, ok := memo[key]
+		tr, ok := rowOfBlocks[key]
 		if !ok {
 			tr = tileRow{off: int32(len(coupled))}
 			var heads [4][]int32
@@ -215,7 +219,7 @@ func (in *incidence) scatter(rowOf, colOf []int32, nr, nc int, sym bool) (*spars
 			// Every node on these blocks shares the row: sort it by
 			// column number once.
 			slices.SortFunc(coupled[tr.off:], byCol)
-			memo[key] = tr
+			rowOfBlocks[key] = tr
 		}
 		pairs += int(tr.pairs)
 		if row := rowOf[g]; row >= 0 {

@@ -271,6 +271,50 @@ func TestAssemblyMemoryBytesCountsPreconds(t *testing.T) {
 	}
 }
 
+// TestAssemblyDirectFactorShared: the first Direct solve on an assembly
+// factors A_ff and caches the factor there, MemoryBytes grows by exactly
+// its MemoryBytes, and a later Direct solve reuses it for bitwise the
+// answer of a fresh factorization.
+func TestAssemblyDirectFactorShared(t *testing.T) {
+	p := precondProblem(t)
+	p.Solver = Direct
+	asm, err := NewAssembly(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Assembly = asm
+	before := asm.MemoryBytes()
+	first, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.PrecondShared {
+		t.Error("the solve that factored reports a shared factor")
+	}
+	chol, err := solver.NewCholesky(asm.aff.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := asm.MemoryBytes() - before; grew != chol.MemoryBytes() {
+		t.Errorf("MemoryBytes grew by %d after the Direct solve, the factor holds %d", grew, chol.MemoryBytes())
+	}
+	q := *p
+	q.DeltaT = 40
+	second, err := Solve(&q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.PrecondShared {
+		t.Error("the second Direct solve refactored")
+	}
+	want := chol.Solve(asm.Red.RHS(q.DeltaT, nil))
+	for i, v := range second.QFree {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("QFree[%d] = %v from the cached factor, %v from a fresh one", i, v, want[i])
+		}
+	}
+}
+
 // TestAssemblyPrecondRequiresFreeDoFs: the degenerate all-constrained
 // assembly has nothing to precondition.
 func TestAssemblyPrecondRequiresFreeDoFs(t *testing.T) {

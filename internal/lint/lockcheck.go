@@ -28,7 +28,7 @@ var guardedBy = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 
 // guardInfo describes one annotated struct: the mutex field and the set of
 // fields it guards, all normalized to their generic origin so instantiated
-// generics (memo[T]) resolve to the same objects.
+// generics (OnceMap[K, V]) resolve to the same objects.
 type guardInfo struct {
 	structName string
 	mu         *types.Var

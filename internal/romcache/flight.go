@@ -5,18 +5,18 @@ import (
 	"sync"
 )
 
-// call is an in-flight or completed Group.Do invocation.
+// call is an in-flight or completed group.Do invocation.
 type call[V any] struct {
 	wg  sync.WaitGroup
 	val V
 	err error
 }
 
-// Group deduplicates concurrent function calls by key: while one goroutine
+// group deduplicates concurrent function calls by key: while one goroutine
 // runs fn for a key, every other Do with the same key blocks and receives the
 // same result instead of running fn again (the classic singleflight pattern,
 // here generic and dependency-free).
-type Group[V any] struct {
+type group[V any] struct {
 	mu sync.Mutex
 	m  map[string]*call[V]
 }
@@ -24,7 +24,7 @@ type Group[V any] struct {
 // Do runs fn once per key at a time. The boolean reports whether the result
 // was shared from another goroutine's in-flight call (true) or produced by
 // this call's own fn invocation (false).
-func (g *Group[V]) Do(key string, fn func() (V, error)) (V, error, bool) {
+func (g *group[V]) Do(key string, fn func() (V, error)) (V, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*call[V])

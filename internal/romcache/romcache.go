@@ -114,7 +114,7 @@ type Stats struct {
 // Cache is a content-addressed ROM cache, safe for concurrent use.
 type Cache struct {
 	opt    Options
-	flight Group[*rom.ROM]
+	flight group[*rom.ROM]
 
 	mu sync.Mutex
 	// guarded by mu

@@ -232,7 +232,7 @@ func TestDiskSpillCorrupt(t *testing.T) {
 // re-panic in its own caller, hand waiters an error instead of blocking them
 // forever, and leave the key usable for the next call.
 func TestGroupSurvivesPanic(t *testing.T) {
-	var g Group[int]
+	var g group[int]
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	waiterErr := make(chan error, 1)
@@ -279,7 +279,7 @@ func TestGroupSurvivesPanic(t *testing.T) {
 }
 
 func TestGroupPropagatesErrors(t *testing.T) {
-	var g Group[int]
+	var g group[int]
 	wantErr := fmt.Errorf("boom")
 	_, err, _ := g.Do("k", func() (int, error) { return 0, wantErr })
 	if err != wantErr {

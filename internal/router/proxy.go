@@ -163,8 +163,9 @@ func (p *Proxy) probe(rep *replica) bool {
 
 // SolveKey derives the routing key of a /solve-shaped body: the lattice key
 // of the decoded scenario — identical to the string the replica's engine
-// keys its assembly/preconditioner/factor caches by, which is what makes
-// routing cache-affine. Canonically-equal bodies (reordered fields,
+// keys its assembly cache by (the preconditioners, factor and unit-load
+// solutions live on each assembly), which is what makes routing
+// cache-affine. Canonically-equal bodies (reordered fields,
 // defaults spelled out or omitted) decode to the same Job and therefore the
 // same key. Invalid bodies return an error; the caller still routes them
 // (deterministically, by empty key) so the owning replica produces the

@@ -41,7 +41,6 @@ func NewShards(n int, opt morestress.EngineOptions) *Shards {
 			MaxBytes:   opt.CacheBytes,
 			MaxEntries: opt.CacheEntries,
 			Dir:        opt.CacheDir,
-			Workers:    opt.BuildWorkers,
 		})
 	}
 	per := opt

@@ -276,7 +276,7 @@ const DefaultJobFieldBudget = 4 * maxBatchFieldSamples
 
 // NewQueue wires a jobqueue over the engine: scenarios run one at a time
 // per queue worker through Engine.Solve (which parallelizes internally and
-// shares the ROM and factor caches with the synchronous endpoints).
+// shares the ROM and assembly caches with the synchronous endpoints).
 // Cancellation takes effect at scenario boundaries. Each finished scenario
 // is kept as a compact jobqueue.Result: no solution vectors, and a field
 // only where the request set includeField. fieldBudget bounds the
