@@ -3,13 +3,13 @@ package morestress
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/array"
 	"repro/internal/romcache"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // SolverChoice selects the global-stage solver of a batch job.
@@ -339,8 +339,6 @@ func (e *Engine) Solve(job Job) (*JobResult, error) {
 // interleave), jobs on the same lattice share one reduced-global assembly,
 // and uniform-ΔT iterative jobs on the same lattice share one unit-load
 // solution, so the answers do not depend on the order of the jobs.
-//
-//stressvet:gang -- batch worker pool, capped at min(opt.Workers, len(jobs))
 func (e *Engine) BatchSolve(jobs []Job) *BatchResult {
 	start := time.Now()
 	out := &BatchResult{Results: make([]JobResult, len(jobs))}
@@ -350,22 +348,9 @@ func (e *Engine) BatchSolve(jobs []Job) *BatchResult {
 	// equal share of GOMAXPROCS.
 	inner := max(1, runtime.GOMAXPROCS(0)/workers)
 
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out.Results[i] = *e.solve(jobs[i], i, inner)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	sparse.ForEach(len(jobs), workers, func(_, i int) {
+		out.Results[i] = *e.solve(jobs[i], i, inner)
+	})
 
 	s := &out.Stats
 	s.Jobs = len(jobs)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/fem"
@@ -880,8 +879,6 @@ func (p *Problem) blockDeltaT(bx, by int) float64 {
 // A SolveUniform answer instead returns |ΔT| times its unit solution's
 // field, sampled this way once per grid size and cached, unless the field
 // is too large to cache (unitFieldCached).
-//
-//stressvet:gang -- fixed pool of `workers` goroutines draining the batch channel
 func (s *Solution) VMField(gs int, workers int) *field.Grid2D {
 	if s.unit != nil && unitFieldCached(s.Prob.Bx, s.Prob.By, gs) {
 		if unit := s.unit.vmField(gs, workers); unit != nil {
@@ -906,40 +903,36 @@ func (s *Solution) VMField(gs int, workers int) *field.Grid2D {
 	}
 	workers = min(workers, len(batches))
 
-	jobs := make(chan planeBatch)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var u, q [rom.PlaneBatch][]float64
-			var dt [rom.PlaneBatch]float64
-			vm := make([]float64, gs*gs)
-			for b := range jobs {
-				n := len(b.blocks)
-				for k, blk := range b.blocks {
-					q[k] = s.BlockDoFs(blk[0], blk[1])
-					dt[k] = s.Prob.blockDeltaT(blk[0], blk[1])
-					if nd := len(b.r.BasisT); len(u[k]) < nd {
-						u[k] = make([]float64, nd)
-					}
-				}
-				b.r.ReconstructPlane(u[:n], q[:n], dt[:n])
-				for k, blk := range b.blocks {
-					samplers[b.r].VonMises(vm, u[k], dt[k])
-					for gy := 0; gy < gs; gy++ {
-						dst := (blk[1]*gs+gy)*out.NX + blk[0]*gs
-						copy(out.V[dst:dst+gs], vm[gy*gs:(gy+1)*gs])
-					}
-				}
+	// Per-worker scratch, indexed by ForEach's worker number and reused
+	// across that worker's batches.
+	type scratch struct {
+		u, q [rom.PlaneBatch][]float64
+		dt   [rom.PlaneBatch]float64
+		vm   []float64
+	}
+	scr := make([]scratch, workers)
+	sparse.ForEach(len(batches), workers, func(w, i int) {
+		b, sc := batches[i], &scr[w]
+		if sc.vm == nil {
+			sc.vm = make([]float64, gs*gs)
+		}
+		n := len(b.blocks)
+		for k, blk := range b.blocks {
+			sc.q[k] = s.BlockDoFs(blk[0], blk[1])
+			sc.dt[k] = s.Prob.blockDeltaT(blk[0], blk[1])
+			if nd := len(b.r.BasisT); len(sc.u[k]) < nd {
+				sc.u[k] = make([]float64, nd)
 			}
-		}()
-	}
-	for _, b := range batches {
-		jobs <- b
-	}
-	close(jobs)
-	wg.Wait()
+		}
+		b.r.ReconstructPlane(sc.u[:n], sc.q[:n], sc.dt[:n])
+		for k, blk := range b.blocks {
+			samplers[b.r].VonMises(sc.vm, sc.u[k], sc.dt[k])
+			for gy := 0; gy < gs; gy++ {
+				dst := (blk[1]*gs+gy)*out.NX + blk[0]*gs
+				copy(out.V[dst:dst+gs], sc.vm[gy*gs:(gy+1)*gs])
+			}
+		}
+	})
 	return out
 }
 

@@ -3,7 +3,6 @@ package fem
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/material"
 	"repro/internal/mesh"
@@ -55,11 +54,9 @@ type elemKey struct {
 func quantize(v float64) int64 { return int64(math.Round(v * 1e9)) }
 
 // Assemble builds the global stiffness matrix and thermal load vector. The
-// assembly is parallel over node slabs (each goroutine owns whole matrix
-// rows, so no synchronization on values is needed) and element matrices are
+// assembly is parallel over static node chunks (each chunk owns whole
+// matrix rows, so no synchronization on values is needed) and element matrices are
 // cached by (size, material), which makes structured-array assembly cheap.
-//
-//stressvet:gang -- `workers` goroutines over disjoint node chunks
 func (m *Model) Assemble(workers int) (*Assembled, error) {
 	g := m.Grid
 	for e, id := range g.MatID {
@@ -251,24 +248,7 @@ func (m *Model) Assemble(workers int) (*Assembled, error) {
 		}
 	}
 
-	var wg sync.WaitGroup
-	chunk := (nn + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nn {
-			hi = nn
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fill(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	sparse.ForChunks(nn, workers, func(_, lo, hi int) { fill(lo, hi) })
 
 	k3 := &sparse.CSR{NRows: 3 * nn, NCols: 3 * nn, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
 	return &Assembled{K: k3, F: f, ActiveNode: active}, nil

@@ -4,14 +4,13 @@ import (
 	"sync"
 
 	"repro/internal/mesh"
+	"repro/internal/sparse"
 )
 
 // ThermalLoad assembles the thermal load vector with a per-element scale
 // factor (typically the local ΔT), enabling nonuniform thermal fields that
 // are piecewise constant per element. Assemble's F equals
 // ThermalLoad(workers, nil) (unit scale).
-//
-//stressvet:gang -- `workers` goroutines over disjoint element chunks
 func (m *Model) ThermalLoad(workers int, scale func(e int) float64) []float64 {
 	g := m.Grid
 	f := make([]float64, 3*g.NumNodes())
@@ -38,49 +37,35 @@ func (m *Model) ThermalLoad(workers int, scale func(e int) float64) []float64 {
 		return em
 	}
 
-	// Parallel over z-slabs of elements: two goroutines only touch the same
-	// node row if their elements share nodes, so slabs are processed with a
-	// one-slab halo via per-worker buffers merged at the end.
+	// Parallel over static element chunks: two chunks touch the same node
+	// row only where their elements share nodes, so each chunk scatters into
+	// its own buffer and the buffers are summed in chunk order at the end.
 	ne := g.NumElems()
 	bufs := make([][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (ne + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ne {
-			hi = ne
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf := make([]float64, len(f))
-			for e := lo; e < hi; e++ {
-				em := elemFor(e)
-				if em == nil {
-					continue
-				}
-				s := 1.0
-				if scale != nil {
-					s = scale(e)
-				}
-				if s == 0 {
-					continue
-				}
-				nodes := g.ElemNodes(e)
-				for a := 0; a < 8; a++ {
-					n := int(nodes[a])
-					buf[3*n] += s * em.F[3*a]
-					buf[3*n+1] += s * em.F[3*a+1]
-					buf[3*n+2] += s * em.F[3*a+2]
-				}
+	sparse.ForChunks(ne, workers, func(c, lo, hi int) {
+		buf := make([]float64, len(f))
+		for e := lo; e < hi; e++ {
+			em := elemFor(e)
+			if em == nil {
+				continue
 			}
-			bufs[w] = buf
-		}(w, lo, hi)
-	}
-	wg.Wait()
+			s := 1.0
+			if scale != nil {
+				s = scale(e)
+			}
+			if s == 0 {
+				continue
+			}
+			nodes := g.ElemNodes(e)
+			for a := 0; a < 8; a++ {
+				n := int(nodes[a])
+				buf[3*n] += s * em.F[3*a]
+				buf[3*n+1] += s * em.F[3*a+1]
+				buf[3*n+2] += s * em.F[3*a+2]
+			}
+		}
+		bufs[c] = buf
+	})
 	for _, buf := range bufs {
 		if buf == nil {
 			continue

@@ -2,7 +2,6 @@ package fem
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mesh"
 	"repro/internal/sparse"
@@ -16,8 +15,6 @@ import (
 // by its segments. The result is bitwise identical across runs and worker
 // counts.
 // Void elements are skipped; isolated nodes carry identity rows.
-//
-//stressvet:gang -- `workers` scatter goroutines over disjoint element chunks
 func (m *QuadModel) Assemble(workers int) (*Assembled, error) {
 	g := m.Grid
 	for e, id := range g.MatID {
@@ -109,40 +106,26 @@ func (m *QuadModel) Assemble(workers int) (*Assembled, error) {
 	}
 
 	// Pass 2: parallel element scatter into the fixed segments.
-	var wg sync.WaitGroup
-	chunk := (ne + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ne {
-			hi = ne
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			var dofs [60]int32
-			for e := lo; e < hi; e++ {
-				em := elemMat[e]
-				if em == nil {
-					continue
-				}
-				nodes := m.ElemNodes(e)
-				for a := 0; a < 20; a++ {
-					dofs[3*a] = 3 * nodes[a]
-					dofs[3*a+1] = 3*nodes[a] + 1
-					dofs[3*a+2] = 3*nodes[a] + 2
-				}
-				for i := 0; i < 60; i++ {
-					seg := rowPtr[dofs[i]] + 60*slot[20*e+i/3]
-					copy(colIdx[seg:seg+60], dofs[:])
-					copy(vals[seg:seg+60], em.K[i][:])
-				}
+	sparse.ForChunks(ne, workers, func(_, lo, hi int) {
+		var dofs [60]int32
+		for e := lo; e < hi; e++ {
+			em := elemMat[e]
+			if em == nil {
+				continue
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			nodes := m.ElemNodes(e)
+			for a := 0; a < 20; a++ {
+				dofs[3*a] = 3 * nodes[a]
+				dofs[3*a+1] = 3*nodes[a] + 1
+				dofs[3*a+2] = 3*nodes[a] + 2
+			}
+			for i := 0; i < 60; i++ {
+				seg := rowPtr[dofs[i]] + 60*slot[20*e+i/3]
+				copy(colIdx[seg:seg+60], dofs[:])
+				copy(vals[seg:seg+60], em.K[i][:])
+			}
+		}
+	})
 
 	raw := &sparse.CSR{NRows: ndof, NCols: ndof, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
 	return &Assembled{K: raw.CompactRows(workers), F: f, ActiveNode: active}, nil

@@ -10,7 +10,6 @@ package reffem
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/fem"
@@ -251,42 +250,22 @@ func (r *Result) VMField(geom mesh.TSVGeometry, bx, by, gs int, deltaT float64, 
 }
 
 // SampleVM samples the mid-plane von Mises field of the solved problem with
-// gs samples per block edge, honoring per-block thermal loads.
-//
-//stressvet:gang -- `workers` goroutines over disjoint row chunks
+// gs samples per block edge, honoring per-block thermal loads, over static
+// row chunks (workers ≤ 0 means GOMAXPROCS).
 func (r *Result) SampleVM(gs, workers int) *field.Grid2D {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	p := r.Prob
 	out := field.New(p.Bx*gs, p.By*gs)
 	zCut := p.Geom.Height / 2
-	var wg sync.WaitGroup
-	rows := out.NY
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for iy := lo; iy < hi; iy++ {
-				y := (float64(iy) + 0.5) * p.Geom.Pitch / float64(gs)
-				for ix := 0; ix < out.NX; ix++ {
-					x := (float64(ix) + 0.5) * p.Geom.Pitch / float64(gs)
-					dt := p.blockDeltaT(p.blockOf(x, y))
-					s := r.stressAt(dt, mesh.Vec3{X: x, Y: y, Z: zCut})
-					out.Set(ix, iy, fem.VonMises(s))
-				}
+	sparse.ForChunks(out.NY, workers, func(_, lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			y := (float64(iy) + 0.5) * p.Geom.Pitch / float64(gs)
+			for ix := 0; ix < out.NX; ix++ {
+				x := (float64(ix) + 0.5) * p.Geom.Pitch / float64(gs)
+				dt := p.blockDeltaT(p.blockOf(x, y))
+				s := r.stressAt(dt, mesh.Vec3{X: x, Y: y, Z: zCut})
+				out.Set(ix, iy, fem.VonMises(s))
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }

@@ -11,7 +11,6 @@ package rom
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/fem"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/material"
 	"repro/internal/mesh"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // Spec configures a unit-block reduced-order model.
@@ -203,7 +203,7 @@ func Build(spec Spec, workers int) (*ROM, error) {
 	// thermal problem (ΔT = 1, zero boundary), task-parallel as in §4.2.
 	basis := make([][]float64, n)
 	var basisT []float64
-	parallelFor(n+1, workers, func(i int) {
+	sparse.ForEach(n+1, workers, func(_, i int) {
 		if i == n {
 			basisT = red.Expand(chol.Solve(red.RHS(1, nil)), nil)
 			return
@@ -225,13 +225,13 @@ func Build(spec Spec, workers int) (*ROM, error) {
 	// (Eq. 19). Compute W_i = K·f_i once per basis vector, in parallel.
 	ndof := 3 * nn
 	w := make([][]float64, n)
-	parallelFor(n, workers, func(i int) {
+	sparse.ForEach(n, workers, func(_, i int) {
 		w[i] = make([]float64, ndof)
 		asm.K.MulVec(w[i], basis[i])
 	})
 	aelem := linalg.NewDense(n, n)
 	belem := make([]float64, n)
-	parallelFor(n, workers, func(i int) {
+	sparse.ForEach(n, workers, func(_, i int) {
 		for j := i; j < n; j++ {
 			v := linalg.Dot(basis[i], w[j])
 			aelem.Set(i, j, v)
@@ -549,32 +549,4 @@ func (s *PlaneSampler) VonMises(dst, u []float64, deltaT float64) {
 		return
 	}
 	copy(dst, s.r.SampleVM(u, deltaT, s.r.cutZ(), s.gs))
-}
-
-// parallelFor runs fn(i) for i in [0, n) on up to workers goroutines.
-//
-//stressvet:gang -- `workers` goroutines draining the index channel
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

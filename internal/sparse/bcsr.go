@@ -518,16 +518,17 @@ func (m *BCSR) fold(dst, spill []float64) {
 	}
 }
 
-// MulVecPar computes dst = m·x with m's stripes shared by a transient pool
-// of at most nworkers, bitwise equal to MulVec. Falls back to the serial
-// kernel for small matrices.
+// MulVecPar computes dst = m·x with m's stripes shared by at most nworkers
+// goroutines through ForEach, bitwise equal to MulVec. Falls back to the
+// serial kernel for small matrices.
 func (m *BCSR) MulVecPar(dst, x []float64, nworkers int) {
 	if nworkers <= 1 || m.NRows < MinParRows {
 		m.MulVec(dst, x)
 		return
 	}
 	op := &BlockMatVec{M: m, Dst: dst, X: x, Spill: make([]float64, m.SpillLen())}
-	runTransient(m.stripes, nworkers, op)
+	st := m.stripes
+	ForEach(len(st)-1, nworkers, func(_, s int) { op.RunRange(int(st[s]), int(st[s+1])) })
 	op.Fold()
 }
 

@@ -30,19 +30,6 @@ func BenchmarkSpMVSerial(b *testing.B) {
 	}
 }
 
-func BenchmarkSpMVParallel(b *testing.B) {
-	m := benchCSR(100000, 27)
-	x := make([]float64, m.NCols)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	dst := make([]float64, m.NRows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecPar(dst, x, 8)
-	}
-}
-
 // nodeBlockCSR builds a 3-DoF node-blocked matrix over a 2D 9-point node
 // stencil with dense 3×3 tiles — the reduced-global sparsity BCSR targets.
 func nodeBlockCSR(nx, ny int) *CSR {
@@ -103,11 +90,6 @@ func BenchmarkBlockedMulVec(b *testing.B) {
 	b.Run("blocked/serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bm.MulVec(dst, x)
-		}
-	})
-	b.Run("scalar/par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecPar(dst, x, workers)
 		}
 	})
 	b.Run("blocked/par", func(b *testing.B) {

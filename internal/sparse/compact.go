@@ -6,14 +6,13 @@ import "slices"
 // entries, returning the compacted matrix. Rows are processed in parallel
 // over nnz-balanced chunks; this is the finishing step of scatter-style
 // assemblies that append unordered duplicated entries row by row. Both
-// passes share one transient pool of workers.
+// passes fork through ForEach.
 func (m *CSR) CompactRows(workers int) *CSR {
 	n := m.NRows
 	newLen := make([]int32, n)
 	bounds := PartitionByWork(m.RowPtr, 0, n, workers)
-	pool := NewPool(workers)
-	defer pool.Close()
-	pool.Run(bounds, funcRunner(func(lo, hi int) {
+	ForEach(len(bounds)-1, workers, func(_, k int) {
+		lo, hi := int(bounds[k]), int(bounds[k+1])
 		var buf []colVal
 		for r := lo; r < hi; r++ {
 			start, end := m.RowPtr[r], m.RowPtr[r+1]
@@ -36,7 +35,7 @@ func (m *CSR) CompactRows(workers int) *CSR {
 			}
 			newLen[r] = w - start
 		}
-	}))
+	})
 	// Compact the row segments into fresh arrays.
 	outPtr := make([]int32, n+1)
 	for r := 0; r < n; r++ {
@@ -45,14 +44,14 @@ func (m *CSR) CompactRows(workers int) *CSR {
 	nnz := int(outPtr[n])
 	outCol := make([]int32, nnz)
 	outVal := make([]float64, nnz)
-	pool.Run(bounds, funcRunner(func(lo, hi int) {
-		for r := lo; r < hi; r++ {
+	ForEach(len(bounds)-1, workers, func(_, k int) {
+		for r := bounds[k]; r < bounds[k+1]; r++ {
 			src := m.RowPtr[r]
 			dst := outPtr[r]
 			ln := newLen[r]
 			copy(outCol[dst:dst+ln], m.ColIdx[src:src+ln])
 			copy(outVal[dst:dst+ln], m.Vals[src:src+ln])
 		}
-	}))
+	})
 	return &CSR{NRows: m.NRows, NCols: m.NCols, RowPtr: outPtr, ColIdx: outCol, Vals: outVal}
 }

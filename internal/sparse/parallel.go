@@ -1,12 +1,18 @@
 package sparse
 
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
 // MinParRows is the matrix size below which the parallel kernels fall back
 // to their serial loops: under it the fan-out costs more than the
 // arithmetic it distributes. A warm Pool handoff is cheap (BenchmarkPoolRun:
 // 0.1–0.4 µs on a 2-vCPU x86_64 host), but waking a parked gang costs a
-// scheduler wakeup per member and the transient pools of the one-shot
-// kernels spawn their goroutines per call. Exported so solver workspaces
-// apply the same cutoff to their pooled kernels.
+// scheduler wakeup per member and ForEach spawns its goroutines per call.
+// Exported so solver workspaces apply the same cutoff to their pooled
+// kernels.
 const MinParRows = 4096
 
 // PartitionByWork splits the index range [lo, hi) into at most parts
@@ -19,8 +25,8 @@ const MinParRows = 4096
 // which every dispatcher in this package treats as a no-op. Structured
 // FEM matrices have heavy boundary rows, so equal-count row chunks can be
 // 2× imbalanced where equal-nnz chunks are not; every parallel row sweep in
-// this package (the BCSR product's stripes, CSR.MulVecPar,
-// CSR.CompactRows) partitions through here.
+// this package (the BCSR product's stripes, CSR.CompactRows) partitions
+// through here.
 func PartitionByWork(pref []int32, lo, hi, parts int) []int32 {
 	if hi <= lo {
 		return nil
@@ -59,21 +65,59 @@ func PartitionByWork(pref []int32, lo, hi, parts int) []int32 {
 	return append(dst, int32(hi))
 }
 
-// funcRunner adapts a plain chunk function to the Runner interface.
-type funcRunner func(lo, hi int)
-
-// RunRange implements Runner.
-func (f funcRunner) RunRange(lo, hi int) { f(lo, hi) }
-
-// runTransient runs r over the chunks on a pool of workers that lives for
-// this one call — the dispatch of the one-shot kernels (MulVecPar,
-// CompactRows) whose callers own no resident gang. Hot loops hold a Pool
-// across calls instead (solver.Workspace).
-func runTransient(bounds []int32, workers int, r Runner) {
-	if n := len(bounds) - 1; workers > n {
-		workers = n
+// ForEach runs fn(w, i) once for every index i in [0, n) and returns when
+// all have run: the blocking fork-join of the one-shot parallel loops. Up to
+// min(workers, n) goroutines, the caller among them, claim the indices in
+// increasing order, one at a time; w is the claiming goroutine's number in
+// [0, min(workers, n)), so fn may index per-worker scratch by it. workers
+// ≤ 0 means GOMAXPROCS. The join waits on a WaitGroup rather than spinning,
+// since a one-shot item (a local solve, a batch job) runs for milliseconds.
+// Kernels repeated inside a solve go on a resident Pool instead.
+//
+//stressvet:gang -- min(workers, n)-1 goroutines plus the caller, joined before ForEach returns
+func ForEach(n, workers int, fn func(w, i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	p := NewPool(workers)
-	p.Run(bounds, r)
-	p.Close()
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	run := func(w int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+}
+
+// ForChunks splits [0, n) into static chunks of ⌈n/workers⌉ indices
+// (workers ≤ 0 means GOMAXPROCS) and runs fn(c, lo, hi) through ForEach for
+// the c-th chunk [lo, hi). The partition depends only on n and workers, so
+// per-chunk results merged in chunk order do not depend on scheduling.
+func ForChunks(n, workers int, fn func(c, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunk := (n + workers - 1) / workers
+	ForEach((n+chunk-1)/chunk, workers, func(_, c int) {
+		lo := c * chunk
+		fn(c, lo, min(lo+chunk, n))
+	})
 }

@@ -146,20 +146,6 @@ func (m *CSR) MulVec(dst, x []float64) {
 	}
 }
 
-// MulVecPar computes dst = m·x on a transient pool of at most nworkers
-// over contiguous row chunks balanced by nnz (structured FEM matrices have
-// heavy boundary rows, so equal-count chunks leave workers idle). It falls
-// back to the serial kernel for small matrices. Repeated products belong on
-// a resident Pool driving a MatVec instead.
-func (m *CSR) MulVecPar(dst, x []float64, nworkers int) {
-	if nworkers <= 1 || m.NRows < MinParRows {
-		m.MulVec(dst, x)
-		return
-	}
-	bounds := PartitionByWork(m.RowPtr, 0, m.NRows, nworkers)
-	runTransient(bounds, nworkers, &MatVec{M: m, Dst: dst, X: x})
-}
-
 // At returns element (r, c), 0 if not stored. O(log nnz(row)).
 func (m *CSR) At(r, c int) float64 {
 	lo, hi := int(m.RowPtr[r]), int(m.RowPtr[r+1])

@@ -105,25 +105,6 @@ func TestMulVecAgainstDense(t *testing.T) {
 	}
 }
 
-func TestMulVecParMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr, _ := randTriplet(rng, 5000, 5000, 40000)
-	m := tr.ToCSR()
-	x := make([]float64, 5000)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	serial := make([]float64, 5000)
-	par := make([]float64, 5000)
-	m.MulVec(serial, x)
-	m.MulVecPar(par, x, 8)
-	for i := range serial {
-		if serial[i] != par[i] {
-			t.Fatalf("parallel mismatch at %d", i)
-		}
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tr, dense := randTriplet(rng, 6, 9, 30)

@@ -8,8 +8,6 @@ package superpose
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/fem"
@@ -18,6 +16,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/reffem"
 	"repro/internal/solver"
+	"repro/internal/sparse"
 )
 
 // Kernel holds the one-shot single-TSV data: the mid-plane stress deviation
@@ -45,8 +44,6 @@ type Kernel struct {
 // embedded in a (2R+1)×(2R+1) silicon neighbourhood, and the same
 // neighbourhood without the TSV, both clamped top and bottom. The deviation
 // of the two mid-plane stress fields is the superposition kernel.
-//
-//stressvet:gang -- `workers` goroutines over disjoint row chunks
 func BuildKernel(geom mesh.TSVGeometry, mats material.TSVSet, res mesh.BlockResolution, r, gs int, opt solver.Options, workers int) (*Kernel, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("superpose: radius must be >= 1, got %d", r)
@@ -81,39 +78,22 @@ func BuildKernel(geom mesh.TSVGeometry, mats material.TSVSet, res mesh.BlockReso
 	ext := nb * gs
 	dev := make([][6]float64, ext*ext)
 	zCut := geom.Height / 2
-	var wg sync.WaitGroup
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (ext + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > ext {
-			hi = ext
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for iy := lo; iy < hi; iy++ {
-				y := (float64(iy) + 0.5) * geom.Pitch / float64(gs)
-				for ix := 0; ix < ext; ix++ {
-					x := (float64(ix) + 0.5) * geom.Pitch / float64(gs)
-					p := mesh.Vec3{X: x, Y: y, Z: zCut}
-					ss := single.Model.StressAtPoint(single.U, 1, p)
-					sb := bg.Model.StressAtPoint(bg.U, 1, p)
-					var d [6]float64
-					for c := 0; c < 6; c++ {
-						d[c] = ss[c] - sb[c]
-					}
-					dev[iy*ext+ix] = d
+	sparse.ForChunks(ext, workers, func(_, lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			y := (float64(iy) + 0.5) * geom.Pitch / float64(gs)
+			for ix := 0; ix < ext; ix++ {
+				x := (float64(ix) + 0.5) * geom.Pitch / float64(gs)
+				p := mesh.Vec3{X: x, Y: y, Z: zCut}
+				ss := single.Model.StressAtPoint(single.U, 1, p)
+				sb := bg.Model.StressAtPoint(bg.U, 1, p)
+				var d [6]float64
+				for c := 0; c < 6; c++ {
+					d[c] = ss[c] - sb[c]
 				}
+				dev[iy*ext+ix] = d
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	// Background far-field stress: center-block center sample.
 	cMid := mesh.Vec3{
@@ -137,14 +117,9 @@ func BuildKernel(geom mesh.TSVGeometry, mats material.TSVSet, res mesh.BlockReso
 // actual ΔT, e.g. interpolated from a coarse package model); nil uses the
 // uniform far-field kernel background scaled by ΔT. isTSV marks blocks
 // carrying TSVs (nil = all).
-//
-//stressvet:gang -- `workers` goroutines over disjoint row chunks
 func (k *Kernel) EstimateArray(bx, by int, isTSV func(bx, by int) bool, deltaT float64, gs int, background func(x, y float64) [6]float64, workers int) *field.Grid2D {
 	if gs != k.GS {
 		panic(fmt.Sprintf("superpose: sampling grid %d differs from kernel grid %d", gs, k.GS))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	out := field.New(bx*gs, by*gs)
 	ext := (2*k.R + 1) * gs
@@ -160,54 +135,39 @@ func (k *Kernel) EstimateArray(bx, by int, isTSV func(bx, by int) bool, deltaT f
 		}
 	}
 
-	var wg sync.WaitGroup
-	rows := out.NY
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for iy := lo; iy < hi; iy++ {
-				sampleBy := iy / gs
-				gy := iy % gs
-				for ix := 0; ix < out.NX; ix++ {
-					sampleBx := ix / gs
-					gx := ix % gs
-					var s [6]float64
-					if background != nil {
-						x := (float64(ix) + 0.5) * k.Geom.Pitch / float64(gs)
-						y := (float64(iy) + 0.5) * k.Geom.Pitch / float64(gs)
-						s = background(x, y)
-					} else {
-						for c := 0; c < 6; c++ {
-							s[c] = deltaT * k.Bg[c]
-						}
+	sparse.ForChunks(out.NY, workers, func(_, lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			sampleBy := iy / gs
+			gy := iy % gs
+			for ix := 0; ix < out.NX; ix++ {
+				sampleBx := ix / gs
+				gx := ix % gs
+				var s [6]float64
+				if background != nil {
+					x := (float64(ix) + 0.5) * k.Geom.Pitch / float64(gs)
+					y := (float64(iy) + 0.5) * k.Geom.Pitch / float64(gs)
+					s = background(x, y)
+				} else {
+					for c := 0; c < 6; c++ {
+						s[c] = deltaT * k.Bg[c]
 					}
-					for _, t := range tsvs {
-						dbx := sampleBx - t.x
-						dby := sampleBy - t.y
-						if dbx < -k.R || dbx > k.R || dby < -k.R || dby > k.R {
-							continue
-						}
-						kx := (dbx+k.R)*gs + gx
-						ky := (dby+k.R)*gs + gy
-						d := &k.Dev[ky*ext+kx]
-						for c := 0; c < 6; c++ {
-							s[c] += deltaT * d[c]
-						}
-					}
-					out.Set(ix, iy, fem.VonMises(s))
 				}
+				for _, t := range tsvs {
+					dbx := sampleBx - t.x
+					dby := sampleBy - t.y
+					if dbx < -k.R || dbx > k.R || dby < -k.R || dby > k.R {
+						continue
+					}
+					kx := (dbx+k.R)*gs + gx
+					ky := (dby+k.R)*gs + gy
+					d := &k.Dev[ky*ext+kx]
+					for c := 0; c < 6; c++ {
+						s[c] += deltaT * d[c]
+					}
+				}
+				out.Set(ix, iy, fem.VonMises(s))
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
